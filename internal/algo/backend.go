@@ -9,12 +9,15 @@ import (
 	"ligra/internal/spmv"
 )
 
-// This file is the execution-backend abstraction: the three algorithms
-// that have GraphBLAS-style semiring kernels (internal/spmv) can run via
-// edgeMap or via SpMV, selected per run by Params.Backend. Both backends
-// produce bit-identical results (enforced by internal/spmv's property
-// tests), which is why the backend is excluded from Params.Canonical —
-// a cached result from either backend answers a query for the other.
+// This file is the execution-backend abstraction: bfs and triangles have
+// GraphBLAS-style semiring kernels (internal/spmv) and can run via edgeMap
+// or via SpMV, selected per run by Params.Backend. Both backends produce
+// bit-identical results (enforced by internal/spmv's property tests),
+// which is why the backend is excluded from Params.Canonical — a cached
+// result from either backend answers a query for the other. pagerank
+// accepts the same names but has one implementation: its edgeMap row
+// kernel (PageRankCtx's PullRow) is the (+, x) pull gather the spmv
+// package used to spell a second time.
 
 // Backend names accepted by Params.Backend.
 const (
@@ -28,7 +31,7 @@ const (
 	BackendAuto = "auto"
 )
 
-// spmvKernels names the algorithms with an spmv kernel.
+// spmvKernels names the algorithms that accept backend "spmv".
 var spmvKernels = map[string]bool{"bfs": true, "pagerank": true, "triangles": true}
 
 // HasSpMVKernel reports whether the named algorithm can execute on the
@@ -43,10 +46,12 @@ func HasSpMVKernel(name string) bool { return spmvKernels[name] }
 //   - "auto": edgemap for algorithms without a kernel; otherwise the
 //     shape rule measured by `ligra-bench -experiment spmv` (see
 //     docs/PERFORMANCE.md): spmv whenever the view exposes raw CSR
-//     arrays, edgemap otherwise. The scale-16 race has every kernel
-//     winning on CSR — PageRank ~3.5x, triangles ~2x, and BFS by
-//     15-17% even on the low-degree high-diameter 3d-grid, where the
-//     word-walk push beats sparse edgeMap's frontier-array build.
+//     arrays, edgemap otherwise. The scale-16 race has both kernels
+//     winning on CSR — triangles ~2x, and BFS by 15-17% even on the
+//     low-degree high-diameter 3d-grid, where the word-walk push beats
+//     sparse edgeMap's frontier-array build. (PageRank's former ~3.5x
+//     was the per-edge callback, not the formulation; with a row kernel
+//     the two gathers were the same loop, and only one was kept.)
 //     Compressed / mapped / snapshot views reach the kernels through
 //     neighbor iterators, where spmv has no gather advantage over
 //     edgeMap's tuned decode paths, so they stay on edgemap.
@@ -108,21 +113,6 @@ func spmvBFSRun(ctx context.Context, g graph.View, p Params) (RunResult, error) 
 		Summary: fmt.Sprintf("BFS from %d: visited %d vertices in %d rounds", p.Source, res.Visited, res.Rounds),
 		Details: map[string]any{"source": p.Source, "visited": res.Visited, "rounds": res.Rounds, "backend": BackendSpMV},
 	}, roundErr("bfs", res.Rounds, err)
-}
-
-// spmvPageRankRun executes the pagerank runner on the spmv backend with
-// the same defaults as the edgeMap path.
-func spmvPageRankRun(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-	d := DefaultPageRankOptions()
-	res, err := spmv.PageRank(backendCtx(ctx, p), g, spmv.PageRankOptions{
-		Damping:       d.Damping,
-		Epsilon:       d.Epsilon,
-		MaxIterations: d.MaxIterations,
-	})
-	return RunResult{
-		Summary: fmt.Sprintf("PageRank: %d iterations, final L1 change %.3g", res.Iterations, res.Err),
-		Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "backend": BackendSpMV},
-	}, roundErr("pagerank", res.Iterations, err)
 }
 
 // spmvTrianglesRun executes the triangles runner on the spmv backend.

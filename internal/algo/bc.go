@@ -69,17 +69,26 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	visited[source] = 1
 	round := int32(0)
 	fwd := core.EdgeFuncs{
-		Update: func(s, d uint32, _ int32) bool {
-			numPaths.AddNonAtomic(int(d), numPaths.LoadNonAtomic(int(s)))
-			if levels[d] == -1 {
-				levels[d] = roundLoad(&round)
-				return true
-			}
-			return false
-		},
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			numPaths.Add(int(d), numPaths.Load(int(s)))
 			return atomicx.CASInt32(&levels[d], -1, roundLoad(&round))
+		},
+		// Pull: d is unvisited (Cond), so its count starts at zero and the
+		// frontier in-neighbours' counts — settled last round, all positive
+		// — sum in a register, in row order.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
+			var paths float64
+			for _, s := range srcs {
+				if core.InFrontier(frontier, s) {
+					paths += numPaths.LoadNonAtomic(int(s))
+				}
+			}
+			if paths == 0 {
+				return false
+			}
+			numPaths.StoreNonAtomic(int(d), paths)
+			levels[d] = roundLoad(&round)
+			return true
 		},
 		Cond: func(d uint32) bool { return visited[d] == 0 },
 	}
@@ -118,17 +127,25 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	// level.
 	backRound := int32(0)
 	bwd := core.EdgeFuncs{
-		Update: func(s, d uint32, _ int32) bool {
-			contrib := numPaths.LoadNonAtomic(int(d)) / numPaths.LoadNonAtomic(int(s)) *
-				(1 + delta.LoadNonAtomic(int(s)))
-			delta.AddNonAtomic(int(d), contrib)
-			return true
-		},
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			contrib := numPaths.LoadNonAtomic(int(d)) / numPaths.LoadNonAtomic(int(s)) *
 				(1 + delta.Load(int(s)))
 			delta.Add(int(d), contrib)
 			return true
+		},
+		// Pull: d's dependency accumulates in a register over its
+		// successors one level deeper (the frontier), whose own
+		// dependencies were settled by the previous backward round.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
+			paths := numPaths.LoadNonAtomic(int(d))
+			dep := delta.LoadNonAtomic(int(d))
+			for _, s := range srcs {
+				if core.InFrontier(frontier, s) {
+					dep += paths / numPaths.LoadNonAtomic(int(s)) * (1 + delta.LoadNonAtomic(int(s)))
+				}
+			}
+			delta.StoreNonAtomic(int(d), dep)
+			return false
 		},
 		Cond: func(d uint32) bool {
 			return levels[d]+1 == atomic.LoadInt32(&backRound)
@@ -158,8 +175,11 @@ func TransposeView(g graph.View) graph.View {
 	if g.Symmetric() {
 		return g
 	}
-	if t, ok := g.(transposeView); ok {
+	switch t := g.(type) {
+	case transposeView:
 		return t.g
+	case *graph.Graph:
+		return t.Transpose() // shares the arrays, and keeps raw CSR rows
 	}
 	return transposeView{g}
 }

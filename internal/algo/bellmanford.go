@@ -54,17 +54,45 @@ func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.
 	// visited[d] != 0 means d already joined this round's output frontier.
 	visited := make([]uint32, n)
 
-	update := func(s, d uint32, w int32) bool {
-		sd := atomic.LoadInt64(&dist[s])
-		if sd >= InfDist {
+	funcs := core.EdgeFuncs{
+		UpdateAtomic: func(s, d uint32, w int32) bool {
+			sd := atomic.LoadInt64(&dist[s])
+			if sd >= InfDist {
+				return false
+			}
+			if atomicx.WriteMinInt64(&dist[d], sd+int64(w)) {
+				return atomicx.TestAndSetBool(&visited[d])
+			}
 			return false
-		}
-		if atomicx.WriteMinInt64(&dist[d], sd+int64(w)) {
-			return atomicx.TestAndSetBool(&visited[d])
-		}
-		return false
+		},
+		// Pull: the best relaxation in a register, one store. d joins the
+		// output through its own bit, so the per-round visited flag is a
+		// push-only device. Every in-edge is relaxed, frontier or not: an
+		// edge whose source has not moved since its last relaxation cannot
+		// improve d, and an unconditional load is cheaper than an
+		// unpredictable branch per edge. Distances are loaded atomically:
+		// the sources' own rows are being pulled concurrently.
+		PullRow: func(d uint32, srcs []uint32, wts []int32, _ []uint64) bool {
+			orig := dist[d]
+			best := orig
+			for j, s := range srcs {
+				sd := atomic.LoadInt64(&dist[s])
+				if sd >= InfDist {
+					continue
+				}
+				w := int64(1)
+				if wts != nil {
+					w = int64(wts[j])
+				}
+				best = min(best, sd+w)
+			}
+			if best == orig {
+				return false
+			}
+			atomic.StoreInt64(&dist[d], best)
+			return true
+		},
 	}
-	funcs := core.EdgeFuncs{Update: update, UpdateAtomic: update}
 
 	frontier := core.NewSingle(n, source)
 	rounds := 0

@@ -51,26 +51,30 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 	parents[source] = source
 
 	funcs := core.EdgeFuncs{
-		// Dense (pull): single writer per destination, plain store.
-		Update: func(s, d uint32, _ int32) bool {
-			if parents[d] == core.None {
-				parents[d] = s
-				return true
-			}
-			return false
-		},
-		// Sparse (push): CAS claims the parent exactly once.
+		// Push: CAS claims the parent exactly once.
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			return atomic.CompareAndSwapUint32(&parents[d], core.None, s)
+		},
+		// Pull: Cond has vouched that d is unvisited and d has a single
+		// writer, so the first frontier in-neighbour wins with a plain
+		// store and the rest of the row is never read.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
+			for _, s := range srcs {
+				if core.InFrontier(frontier, s) {
+					parents[d] = s
+					return true
+				}
+			}
+			return false
 		},
 		// Atomic load: sparse workers CAS parents[d] concurrently with
 		// other workers' Cond pre-checks on the same destination.
 		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == core.None },
 	}
 
-	// A destination is claimed at most once per round (the CAS / None check
-	// is idempotent), so a dense round may stop scanning a vertex's
-	// in-edges after the first successful claim.
+	// A destination is claimed at most once per round (the CAS is
+	// idempotent), so a dense round over a view that cannot hand PullRow a
+	// row may stop scanning a vertex's in-edges after the first claim.
 	opts.DenseEarlyExit = true
 
 	frontier := core.NewSingle(n, source)
@@ -114,15 +118,18 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 
 	round := int32(0)
 	funcs := core.EdgeFuncs{
-		Update: func(_, d uint32, _ int32) bool {
-			if levels[d] == -1 {
-				levels[d] = round
-				return true
-			}
-			return false
-		},
 		UpdateAtomic: func(_, d uint32, _ int32) bool {
 			return atomic.CompareAndSwapInt32(&levels[d], -1, round)
+		},
+		// Pull: as in BFS, any frontier in-neighbour settles d.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
+			for _, s := range srcs {
+				if core.InFrontier(frontier, s) {
+					levels[d] = round
+					return true
+				}
+			}
+			return false
 		},
 		// Atomic load: sparse workers CAS levels[d] concurrently with
 		// other workers' Cond pre-checks on the same destination.

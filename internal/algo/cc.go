@@ -56,15 +56,36 @@ func ConnectedComponentsCtx(ctx context.Context, g graph.View, opts core.Options
 	parallel.Iota(ids, 0)
 	parallel.Iota(prev, 0)
 
-	update := func(s, d uint32, _ int32) bool {
-		sid := atomic.LoadUint32(&ids[s])
-		orig := atomic.LoadUint32(&ids[d])
-		if atomicx.WriteMinUint32(&ids[d], sid) {
-			return orig == prev[d]
-		}
-		return false
+	funcs := core.EdgeFuncs{
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			sid := atomic.LoadUint32(&ids[s])
+			orig := atomic.LoadUint32(&ids[d])
+			if atomicx.WriteMinUint32(&ids[d], sid) {
+				return orig == prev[d]
+			}
+			return false
+		},
+		// Pull: the row's minimum label in a register, one store. d is
+		// written only here during a dense round, so its label still equals
+		// prev[d] and "first shrink this round" is simply "shrank". The
+		// frontier is not consulted: a neighbour outside it has not changed
+		// since d last read it, so reading it again changes nothing, and an
+		// unconditional load is cheaper than an unpredictable branch per
+		// edge. Labels are loaded atomically: the sources' own rows are
+		// being pulled concurrently.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
+			orig := ids[d]
+			best := orig
+			for _, s := range srcs {
+				best = min(best, atomic.LoadUint32(&ids[s]))
+			}
+			if best == orig {
+				return false
+			}
+			atomic.StoreUint32(&ids[d], best)
+			return true
+		},
 	}
-	funcs := core.EdgeFuncs{Update: update, UpdateAtomic: update}
 
 	// Two sources can both lower ids[d] while observing orig == prev[d],
 	// so sparse rounds may emit duplicates.

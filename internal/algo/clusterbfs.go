@@ -20,8 +20,8 @@ const MaxClusterSources = 64
 // ClusterBFSOptions configures a bit-parallel multi-source traversal.
 type ClusterBFSOptions struct {
 	// EdgeMap options forwarded to every round. DenseEarlyExit is
-	// ignored: a dense round must scan every in-edge of a destination
-	// because distinct sources contribute distinct bits.
+	// ignored: one new bit does not finish a destination, only all
+	// len(sources) of them do.
 	EdgeMap core.Options
 	// WantLevels allocates the full per-(source, vertex) level matrix
 	// (len(Sources) x n int32 values). Leave it off for large graphs and
@@ -187,39 +187,66 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		}
 	}
 
-	round := int32(0)
-	update := func(s, d uint32, _ int32) bool {
-		sBits := atomic.LoadUint64(&words[s].cur) // read-only during a round
-		p := &words[d]
-		dBits := p.cur // likewise read-only
-		// Skip the locked OR when every bit s carries is already at d or
-		// en route there this round — on scale-free graphs most in-edges
-		// of a hub arrive after the first few have delivered the union,
-		// so this plain load saves the bulk of the atomic traffic.
-		if sBits&^(dBits|atomic.LoadUint64(&p.next)) == 0 {
-			return false
-		}
-		atomicx.OrUint64(&p.next, sBits|dBits)
-		// Join the output frontier once per round.
-		return claimRound(&res.MaxLevel[d], roundLoad(&round))
+	// A vertex holding every source's bit is saturated: nothing more can
+	// reach it. Each source owns one bit even when several share a vertex,
+	// so the mask depends on k alone (k = 0 returned above).
+	full := ^uint64(0)
+	if k < MaxClusterSources {
+		full = 1<<uint(k) - 1
 	}
-	// No Cond: the single-source trick (skip vertices with a parent) has
-	// no cheap analogue here — a vertex stays eligible until all k bits
-	// arrive, which for most of the sweep is every vertex, so a per-edge
-	// saturation test costs more than it prunes (measured ~37% of sweep
-	// time for zero skips). The sBits|dBits==dBits check inside update is
-	// the effective filter.
-	funcs := core.EdgeFuncs{Update: update, UpdateAtomic: update}
+
+	round := int32(0)
+	funcs := core.EdgeFuncs{
+		// Push: OR s's settled bits into d's in-flight word.
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			sBits := atomic.LoadUint64(&words[s].cur) // read-only during a round
+			p := &words[d]
+			dBits := p.cur // likewise read-only
+			// Skip the locked OR when every bit s carries is already at d
+			// or en route there this round — on scale-free graphs most
+			// in-edges of a hub arrive after the first few have delivered
+			// the union.
+			if sBits&^(dBits|atomic.LoadUint64(&p.next)) == 0 {
+				return false
+			}
+			atomicx.OrUint64(&p.next, sBits|dBits)
+			// Join the output frontier once per round.
+			return claimRound(&res.MaxLevel[d], roundLoad(&round))
+		},
+		// Pull: OR the in-neighbours' settled words in a register and leave
+		// the row once all k bits are present — for one source that is
+		// BFS's first-parent exit, for 64 a row still ends the moment its
+		// last missing bit arrives. The frontier is not consulted: only its
+		// members can carry a bit d lacks (anything older was delivered the
+		// round after its holder gained it), so the others' words change
+		// nothing, and an unconditional load is cheaper than an
+		// unpredictable branch per edge.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
+			p := &words[d]
+			have := p.cur
+			if have == full {
+				return false
+			}
+			acc := have
+			for _, s := range srcs {
+				if acc |= words[s].cur; acc == full {
+					break
+				}
+			}
+			if acc == have {
+				return false
+			}
+			p.next = acc
+			res.MaxLevel[d] = roundLoad(&round)
+			return true
+		},
+	}
+	// Direction is edgeMap's ordinary rule (|U| + outDegrees(U) > m/20
+	// goes dense, and dense pulls). No Cond: push rounds would pay it per
+	// edge to learn what UpdateAtomic's first test already tells them, and
+	// the pull kernel tests saturation itself before touching the row.
 	emOpts := opts.EdgeMap
 	emOpts.DenseEarlyExit = false // one new bit does not finish a vertex
-	// Backward dense is a loss for multi-source sweeps: single-source BFS
-	// stops scanning a row at the first parent, but here every in-edge may
-	// carry new bits, so a backward round pays the full edge set. Forward
-	// dense does work proportional to the frontier's out-degrees — the
-	// same quantity the visit-word sharing shrinks — so dense rounds use
-	// the forward kernel (the atomic OR is idempotent, making the
-	// destination contention forward mode introduces harmless).
-	emOpts.DenseForward = true
 
 	// Per-worker accumulators for "which sources gained ground this
 	// round" — folded into Depth after each round.

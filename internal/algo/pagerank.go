@@ -75,18 +75,26 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 	p := make([]float64, n)
 	pDiv := make([]float64, n) // p[v] / outdeg(v), read-only during a round
 	parallel.Fill(p, 1/float64(n))
+	outDeg := outDegrees(g)
 
 	nghSum := atomicx.NewFloat64Slice(n)
 	all := core.NewAll(n)
 
 	funcs := core.EdgeFuncs{
-		Update: func(s, d uint32, _ int32) bool {
-			nghSum.AddNonAtomic(int(d), pDiv[s])
-			return true
-		},
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			nghSum.Add(int(d), pDiv[s])
 			return true
+		},
+		// Pull: the frontier is every vertex, so the whole in-row sums in
+		// a register — in row order, the order the per-edge adds ran in —
+		// and is stored once.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
+			var sum float64
+			for _, s := range srcs {
+				sum += pDiv[s]
+			}
+			nghSum.StoreNonAtomic(int(d), sum)
+			return false
 		},
 	}
 	emOpts := opts.EdgeMap
@@ -110,14 +118,14 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 		}
 		// Dangling mass: rank held by out-degree-0 vertices, spread evenly.
 		dangling := parallel.SumFunc(n, func(i int) float64 {
-			if g.OutDegree(uint32(i)) == 0 {
+			if outDeg[i] == 0 {
 				return p[i]
 			}
 			return 0
 		})
 		parallel.For(n, func(i int) {
-			if deg := g.OutDegree(uint32(i)); deg > 0 {
-				pDiv[i] = p[i] / float64(deg)
+			if outDeg[i] > 0 {
+				pDiv[i] = p[i] / outDeg[i]
 			} else {
 				pDiv[i] = 0
 			}
@@ -140,6 +148,17 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 		iters++
 	}
 	return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, nil
+}
+
+// outDegrees returns every vertex's out-degree as a float64, so the power
+// iterations divide by an array element instead of calling g.OutDegree
+// twice per vertex per iteration. (The degree, not its inverse: p/deg
+// keeps the ranks bit-identical to the sequential oracle's, p*(1/deg)
+// does not.)
+func outDegrees(g graph.View) []float64 {
+	deg := make([]float64, g.NumVertices())
+	parallel.For(len(deg), func(i int) { deg[i] = float64(g.OutDegree(uint32(i))) })
+	return deg
 }
 
 // PageRankDelta runs the paper's PageRank-Delta variant (§5.5): only
@@ -179,15 +198,24 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 	parallel.Fill(p, 0)
 	parallel.Fill(deltas, 1/float64(n)) // first round: everything moved
 
+	outDeg := outDegrees(g)
+
 	nghSum := atomicx.NewFloat64Slice(n)
 	funcs := core.EdgeFuncs{
-		Update: func(s, d uint32, _ int32) bool {
-			nghSum.AddNonAtomic(int(d), deltaDiv[s])
-			return true
-		},
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			nghSum.Add(int(d), deltaDiv[s])
 			return true
+		},
+		// Pull: the active in-neighbours' shares summed in a register.
+		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
+			var sum float64
+			for _, s := range srcs {
+				if core.InFrontier(frontier, s) {
+					sum += deltaDiv[s]
+				}
+			}
+			nghSum.StoreNonAtomic(int(d), sum)
+			return false
 		},
 	}
 	emOpts := opts.EdgeMap
@@ -211,8 +239,8 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 			return partial(err)
 		}
 		core.VertexMap(frontier, func(v uint32) {
-			if deg := g.OutDegree(v); deg > 0 {
-				deltaDiv[v] = deltas[v] / float64(deg)
+			if outDeg[v] > 0 {
+				deltaDiv[v] = deltas[v] / outDeg[v]
 			} else {
 				deltaDiv[v] = 0
 			}

@@ -318,15 +318,14 @@ var runners = []Runner{
 			if berr != nil {
 				return RunResult{}, berr
 			}
-			if backend == BackendSpMV {
-				return spmvPageRankRun(ctx, g, p)
-			}
+			// Both backends run the one gather: PageRankCtx's row kernel is
+			// the (+, x) pull SpMV. The name is kept on the wire.
 			o := DefaultPageRankOptions()
 			o.EdgeMap = p.EdgeMapOptions()
 			res, err := PageRankCtx(ctx, g, o)
 			return RunResult{
 				Summary: fmt.Sprintf("PageRank: %d iterations, final L1 change %.3g", res.Iterations, res.Err),
-				Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "backend": BackendEdgeMap},
+				Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "backend": backend},
 			}, err
 		},
 	},

@@ -5,7 +5,15 @@ import (
 
 	"ligra/internal/algo"
 	"ligra/internal/core"
+	"ligra/internal/graph"
 )
+
+// perEdgeView hides a graph's rows from core's dense driver: behind it
+// only the graph.View iterators are visible, so dense rounds cannot hand a
+// row to an algorithm's PullRow kernel and run the per-edge Update/Cond
+// path instead. Timing an algorithm on g and on perEdgeView{g} is the
+// row-versus-per-edge pair.
+type perEdgeView struct{ graph.View }
 
 // HotPath times the edgeMap hot path on the rMat input: the traversals
 // whose cost the frontier representation dominates. It is the experiment
@@ -22,6 +30,14 @@ import (
 //	               with RemoveDuplicates on every round
 //	PageRank1      one forced-dense power iteration — isolates the pull
 //	               path over every in-edge
+//	Radii          the paper's 64-source eccentricity estimate — dense
+//	               ClusterBFS sweeps with the saturation exit
+//	ClusterBFS-K*  one batched sweep at the serving batch sizes 2 and 64
+//
+// The algorithms whose dense rounds run a PullRow kernel are timed a
+// second time as "<id>-peredge", on a view that hides the rows
+// (perEdgeView): the same rounds, one closure call per edge — what the row
+// kernels are measured against.
 //
 // Alongside each timing the experiment prints the traversal counter delta
 // (calls, dense/sparse split, frontier out-edges weighed), so a perf diff
@@ -41,19 +57,36 @@ func HotPath(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "EdgeMap hot path on %s (n=%d, m=%d; seconds, median of %d)\n",
 		in.Name, g.NumVertices(), g.NumEdges(), cfg.rounds())
 
-	workloads := []struct {
+	type workload struct {
 		id  string
 		run func()
-	}{
+	}
+	workloads := []workload{
 		{"BFS", func() { algo.BFS(g, src, core.Options{}) }},
 		{"BFS-sparse", func() { algo.BFS(g, src, core.Options{Mode: core.ForceSparse}) }},
-		{"Components", func() { algo.ConnectedComponents(g, core.Options{}) }},
-		{"PageRank1", func() {
-			algo.PageRank(g, algo.PageRankOptions{
-				Damping: 0.85, MaxIterations: 1,
-				EdgeMap: core.Options{Mode: core.ForceDense},
-			})
-		}},
+	}
+	// 64 distinct sources spread across the ID space, as in the batch
+	// experiment.
+	sources := make([]uint32, algo.MaxClusterSources)
+	for i := range sources {
+		sources[i] = uint32(i * (g.NumVertices() - 1) / len(sources))
+	}
+	for _, v := range []struct {
+		suffix string
+		view   graph.View
+	}{{"", g}, {"-peredge", perEdgeView{g}}} {
+		workloads = append(workloads,
+			workload{"Components" + v.suffix, func() { algo.ConnectedComponents(v.view, core.Options{}) }},
+			workload{"PageRank1" + v.suffix, func() {
+				algo.PageRank(v.view, algo.PageRankOptions{
+					Damping: 0.85, MaxIterations: 1,
+					EdgeMap: core.Options{Mode: core.ForceDense},
+				})
+			}},
+			workload{"Radii" + v.suffix, func() { algo.Radii(v.view, algo.DefaultRadiiOptions()) }},
+			workload{"ClusterBFS-K2" + v.suffix, func() { algo.ClusterBFS(v.view, sources[:2], algo.ClusterBFSOptions{}) }},
+			workload{"ClusterBFS-K64" + v.suffix, func() { algo.ClusterBFS(v.view, sources, algo.ClusterBFSOptions{}) }},
+		)
 	}
 	w := cfg.tab()
 	fmt.Fprintln(w, "Workload\tmedian\tmin\tcalls\tsparse\tdense\tfwd\tedges weighed")

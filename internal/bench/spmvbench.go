@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"ligra/internal/algo"
 	"ligra/internal/core"
@@ -10,21 +9,14 @@ import (
 	"ligra/internal/spmv"
 )
 
-// spmvPRIters fixes the PageRank iteration count for the backend race so
-// the measurement is a pure per-iteration throughput comparison rather
-// than a convergence race (the backends are bit-identical, so they would
-// converge in the same number of iterations anyway).
-const spmvPRIters = 20
-
 // SpMV races the two execution backends — edgeMap traversal versus the
 // GraphBLAS-style semiring kernels — on the algorithms that have spmv
 // kernels, across both suite shapes (the scale-free rMat and the
 // high-diameter 3d-grid). For each (graph, application) cell it:
 //
 //   - cross-validates the backends once, un-timed: BFS must agree on
-//     rounds and visited count, PageRank on iterations and bit-exact
-//     ranks, triangle counting on the count — the bit-identity contract
-//     that lets the result cache ignore the backend
+//     rounds and visited count, triangle counting on the count — the
+//     identity contract that lets the result cache ignore the backend
 //   - times three variants: backend=edgemap, backend=spmv, and
 //     backend=auto (ResolveBackend dispatch + the chosen kernel, exactly
 //     the runner's auto path), recording each as
@@ -32,12 +24,13 @@ const spmvPRIters = 20
 //
 // The auto column should track min(edgemap, spmv) to within dispatch
 // overhead; a larger gap means the auto heuristic picked the losing
-// backend for that shape.
+// backend for that shape. PageRank is not raced: since its edgeMap row
+// kernel became the pull gather, backend "spmv" runs the same code (the
+// hotpath experiment's PageRank1 pair records what the callback cost).
 func SpMV(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	w := cfg.tab()
-	fmt.Fprintf(cfg.Out, "Backend race: edgeMap vs semiring kernels (seconds, median of %d; PageRank fixed at %d iterations)\n",
-		cfg.rounds(), spmvPRIters)
+	fmt.Fprintf(cfg.Out, "Backend race: edgeMap vs semiring kernels (seconds, median of %d)\n", cfg.rounds())
 	fmt.Fprintln(w, "Input\tApplication\tedgemap\tspmv\tauto\tauto pick\tspmv/edgemap")
 	for _, gname := range []string{"rMat", "3d-grid"} {
 		in, err := FindInput(suite, gname)
@@ -62,14 +55,11 @@ func SpMV(cfg Config) error {
 			{"BFS",
 				func() { algo.BFS(g, src, core.Options{}) },
 				func() { mustSpMV(spmvBFSErr(g, src)) }},
-			{"PageRank",
-				func() { algo.PageRank(g, spmvRacePROpts()) },
-				func() { mustSpMV(spmvPageRankErr(g)) }},
 			{"Triangles",
 				func() { algo.TriangleCount(g) },
 				func() { mustSpMV(spmvTrianglesErr(g)) }},
 		}
-		algoNames := []string{"bfs", "pagerank", "triangles"}
+		algoNames := []string{"bfs", "triangles"}
 		for i, a := range apps {
 			if cfg.budgetExhausted(w) {
 				return w.Flush()
@@ -104,19 +94,8 @@ func SpMV(cfg Config) error {
 	return w.Flush()
 }
 
-// spmvRacePROpts fixes the iteration count; Epsilon 0 disables the
-// convergence check so both backends run exactly spmvPRIters iterations.
-func spmvRacePROpts() algo.PageRankOptions {
-	return algo.PageRankOptions{Damping: 0.85, MaxIterations: spmvPRIters}
-}
-
 func spmvBFSErr(g graph.View, src uint32) error {
 	_, err := spmv.BFSLevels(nil, g, src, spmv.BFSOptions{})
-	return err
-}
-
-func spmvPageRankErr(g graph.View) error {
-	_, err := spmv.PageRank(nil, g, spmv.PageRankOptions{Damping: 0.85, MaxIterations: spmvPRIters})
 	return err
 }
 
@@ -143,20 +122,6 @@ func spmvCrossValidate(g graph.View, src uint32) error {
 	if emBFS.Rounds != svBFS.Rounds || emBFS.Visited != svBFS.Visited {
 		return fmt.Errorf("BFS: edgemap %d rounds/%d visited, spmv %d/%d",
 			emBFS.Rounds, emBFS.Visited, svBFS.Rounds, svBFS.Visited)
-	}
-	emPR := algo.PageRank(g, spmvRacePROpts())
-	svPR, err := spmv.PageRank(nil, g, spmv.PageRankOptions{Damping: 0.85, MaxIterations: spmvPRIters})
-	if err != nil {
-		return err
-	}
-	if emPR.Iterations != svPR.Iterations || math.Float64bits(emPR.Err) != math.Float64bits(svPR.Err) {
-		return fmt.Errorf("PageRank: edgemap %d iters err %v, spmv %d iters err %v",
-			emPR.Iterations, emPR.Err, svPR.Iterations, svPR.Err)
-	}
-	for v := range emPR.Ranks {
-		if math.Float64bits(emPR.Ranks[v]) != math.Float64bits(svPR.Ranks[v]) {
-			return fmt.Errorf("PageRank: rank[%d] %v != %v (not bit-identical)", v, emPR.Ranks[v], svPR.Ranks[v])
-		}
 	}
 	emTri := algo.TriangleCount(g)
 	svTri, err := spmv.TriangleCount(nil, g)

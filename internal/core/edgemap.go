@@ -30,12 +30,34 @@ import (
 //   - Cond(d) gates destinations: edges into d with Cond(d) false are
 //     skipped, and a dense traversal stops scanning d's in-edges as soon as
 //     Cond(d) turns false (Ligra's early exit). Nil means "always true".
+//   - PullRow(d, srcs, wts, frontier), optional, replaces the per-edge
+//     Update/Cond calls of a dense (pull) round with one call per
+//     destination — the Go spelling of what C++ templates inline into
+//     Ligra's edgeMapDense. srcs is d's whole in-row, wts its parallel
+//     weights (nil: every weight is 1), frontier the frontier's bitset
+//     words, or nil when every vertex is a member (see InFrontier). The
+//     driver has checked Cond(d) and calls the kernel from one goroutine
+//     per d, so d's state needs no atomics; the kernel owns its loop —
+//     a register accumulator, a mid-row exit — and returns whether d joins
+//     the output. It is the algorithm's pull implementation as UpdateAtomic
+//     is its push, and a round may run either: views that cannot expose a
+//     row (see edgeMapDense) still go per edge. DESIGN.md §5a has the
+//     full contract.
 //
 // For unweighted graphs w is 1.
 type EdgeFuncs struct {
 	Update       func(s, d uint32, w int32) bool
 	UpdateAtomic func(s, d uint32, w int32) bool
 	Cond         func(d uint32) bool
+	PullRow      func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool
+}
+
+// pushUpdate is the update function of the push traversals.
+func (f EdgeFuncs) pushUpdate() func(s, d uint32, w int32) bool {
+	if f.UpdateAtomic != nil {
+		return f.UpdateAtomic
+	}
+	return f.Update
 }
 
 // Mode forces a traversal strategy, overriding the size heuristic.
@@ -393,10 +415,7 @@ type sparseWorkerBuf struct {
 func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	ids := u.ToSparse()
-	update := f.UpdateAtomic
-	if update == nil {
-		update = f.Update
-	}
+	update := f.pushUpdate()
 	cond := f.Cond
 	csr, _ := g.(*graph.Graph)
 
@@ -479,14 +498,7 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 			copy(outIDs[segLen[sg.chunk]:], wb.ids[sg.start:sg.end])
 		}
 	})
-	if opts.RemoveDuplicates && len(outIDs) > 1 {
-		if opts.Dedup == DedupHash {
-			outIDs = removeDuplicatesHash(outIDs)
-		} else {
-			outIDs = removeDuplicates(n, outIDs)
-		}
-	}
-	return NewSparse(n, outIDs), nil
+	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
 }
 
 // edgeMapSparseSeq is the sequential small-round bypass: the same push
@@ -517,10 +529,7 @@ func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f Edge
 	faultinject.OnChunk()
 	n := g.NumVertices()
 	ids := u.ToSparse()
-	update := f.UpdateAtomic
-	if update == nil {
-		update = f.Update
-	}
+	update := f.pushUpdate()
 	cond := f.Cond
 	csr, _ := g.(*graph.Graph)
 	var outIDs []uint32
@@ -554,14 +563,7 @@ func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f Edge
 	if noOutput {
 		return NewEmpty(n), nil
 	}
-	if opts.RemoveDuplicates && len(outIDs) > 1 {
-		if opts.Dedup == DedupHash {
-			outIDs = removeDuplicatesHash(outIDs)
-		} else {
-			outIDs = removeDuplicates(n, outIDs)
-		}
-	}
-	return NewSparse(n, outIDs), nil
+	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
 }
 
 // DedupStrategy selects how RemoveDuplicates deduplicates the sparse
@@ -578,6 +580,18 @@ const (
 	// order rather than the edge order.
 	DedupHash
 )
+
+// dedupOutput applies the RemoveDuplicates option to a sparse output
+// frontier.
+func dedupOutput(n int, ids []uint32, opts Options) []uint32 {
+	switch {
+	case !opts.RemoveDuplicates || len(ids) < 2:
+		return ids
+	case opts.Dedup == DedupHash:
+		return removeDuplicatesHash(ids)
+	}
+	return removeDuplicates(n, ids)
+}
 
 // removeDuplicatesHash deduplicates via a phase-concurrent hash set.
 func removeDuplicatesHash(ids []uint32) []uint32 {
@@ -620,13 +634,17 @@ func removeDuplicates(n int, ids []uint32) []uint32 {
 	return out
 }
 
-// inBlockPool recycles the decoded-slab buffers of the partition-blocked
-// dense sweep, so iterative algorithms pay the block allocations once, not
+// denseBlock is the per-chunk scratch of the dense driver's decoded-row
+// path: the decoded slab plus Cond's verdict per destination, sampled once
+// so a row Cond rules out is neither decoded nor handed to the kernel.
+// Blocks are pooled, so iterative algorithms pay the allocations once, not
 // once per (round, chunk).
-var inBlockPool = sync.Pool{New: func() any { return new(graph.InBlock) }}
+type denseBlock struct {
+	graph.InBlock
+	skipped []bool
+}
 
-func getInBlock() *graph.InBlock  { return inBlockPool.Get().(*graph.InBlock) }
-func putInBlock(b *graph.InBlock) { inBlockPool.Put(b) }
+var denseBlockPool = sync.Pool{New: func() any { return new(denseBlock) }}
 
 // denseBlockAlign is the alignment of the dense traversal's destination
 // blocks: a multiple of the bitset word size, so every block owns whole
@@ -641,149 +659,132 @@ func denseGrain(n int) int {
 	return (g + denseBlockAlign - 1) &^ (denseBlockAlign - 1)
 }
 
-// edgeMapDense is Ligra's edgeMapDense: for every vertex d whose Cond
-// holds, pull over its in-edges looking for frontier sources, stopping
-// early once Cond(d) becomes false (and, under Options.DenseEarlyExit,
-// after the first successful update). Update need not be atomic because d
-// is processed by exactly one goroutine. Destinations are processed in
-// cache-sized blocks aligned to output bitset words, so output bits are
-// set with plain stores — each block's words belong to exactly one worker.
+// InFrontier reports whether s belongs to the frontier whose words a
+// PullRow kernel was handed (nil words = every vertex).
+func InFrontier(frontier []uint64, s uint32) bool {
+	return frontier == nil || frontier[s>>6]&(1<<(s&63)) != 0
+}
+
+// perEdgeRow is the default row kernel, Ligra's per-edge dense loop: apply
+// update to every frontier in-edge of d, stopping once Cond(d) turns false
+// (and, under DenseEarlyExit, after the first successful update).
+func perEdgeRow(update func(s, d uint32, w int32) bool, cond func(d uint32) bool, earlyExit bool) func(uint32, []uint32, []int32, []uint64) bool {
+	// The framework's hottest loop: the full and filtered variants are
+	// split so neither pays the other's branch.
+	return func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool {
+		hit := false
+		if frontier == nil {
+			for j, s := range srcs {
+				w := int32(1)
+				if wts != nil {
+					w = wts[j]
+				}
+				if update(s, d, w) {
+					hit = true
+					if earlyExit {
+						break
+					}
+				}
+				if cond != nil && !cond(d) {
+					break // early exit: d needs no more updates
+				}
+			}
+			return hit
+		}
+		for j, s := range srcs {
+			if frontier[s>>6]&(1<<(s&63)) == 0 {
+				continue
+			}
+			w := int32(1)
+			if wts != nil {
+				w = wts[j]
+			}
+			if update(s, d, w) {
+				hit = true
+				if earlyExit {
+					break
+				}
+			}
+			if cond != nil && !cond(d) {
+				break // early exit: d needs no more updates
+			}
+		}
+		return hit
+	}
+}
+
+// edgeMapDense is Ligra's edgeMapDense as a row driver: for every vertex d
+// whose Cond holds it fetches d's in-row as slices — straight from raw CSR,
+// or from a cache-sized block decoded by a graph.InBlockDecoder (the
+// GPOP-style blocked sweep of the compressed backend) — and hands it to
+// the row kernel: f.PullRow, or perEdgeRow over Update/Cond when the
+// caller set none. d is processed by exactly one goroutine, so kernels
+// need no atomics on d's state, and destinations are processed in blocks
+// aligned to output bitset words, so output bits are set with plain
+// stores. Views that cannot expose a row (ad-hoc wrappers, a transposed
+// non-CSR view), and decodable views under DenseEarlyExit — where the
+// lazy per-vertex decoder beats an eager decode of rows that stop at
+// their first hit — keep the per-edge iterator path.
 func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
-	ud := u.ToDense()
 	update := f.Update
 	if update == nil {
 		update = f.UpdateAtomic
 	}
 	cond := f.Cond
 	earlyExit := opts.DenseEarlyExit
+	kernel := f.PullRow
+	if kernel == nil {
+		kernel = perEdgeRow(update, cond, earlyExit)
+	}
 	// Full frontier (PageRank iterations, components round one): every
-	// source passes the membership test, so skip the per-edge bit probe.
-	full := u.Size() == n
-
-	csr, _ := g.(*graph.Graph)
+	// source passes the membership test, so the words stay nil and the
+	// kernels skip the per-edge bit probe.
+	var uw []uint64
+	if u.Size() != n {
+		uw = u.ToDense().Words()
+	}
 	var out *bitset.Bitset
 	if !opts.NoOutput {
 		out = bitset.New(n)
 	}
+
 	var body func(lo, hi int)
-	if csr != nil {
-		// The per-edge loop is the framework's hottest code: the full and
-		// filtered variants are split so neither pays the other's branch,
-		// and membership reads index the frontier words directly.
-		uw := ud.Words()
+	if csr, ok := g.(*graph.Graph); ok {
 		body = func(lo, hi int) {
 			for di := lo; di < hi; di++ {
 				d := uint32(di)
 				if cond != nil && !cond(d) {
 					continue
 				}
-				row, wts := csr.InEdgesSlice(d)
-				hit := false
-				if full {
-					for j, s := range row {
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						if update(s, d, w) {
-							hit = true
-							if earlyExit {
-								break
-							}
-						}
-						if cond != nil && !cond(d) {
-							break // early exit: d needs no more updates
-						}
-					}
-				} else {
-					for j, s := range row {
-						if uw[s>>6]&(1<<(s&63)) == 0 {
-							continue
-						}
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						if update(s, d, w) {
-							hit = true
-							if earlyExit {
-								break
-							}
-						}
-						if cond != nil && !cond(d) {
-							break // early exit: d needs no more updates
-						}
-					}
-				}
-				if hit && out != nil {
+				srcs, wts := csr.InEdgesSlice(d)
+				if kernel(d, srcs, wts, uw) && out != nil {
 					out.Set(di) // this block owns the word
 				}
 			}
 		}
 	} else if bd, ok := g.(graph.InBlockDecoder); ok && !opts.NoBlockDecode && !earlyExit {
-		// Partition-blocked sweep (GPOP-style) for decodable backends:
-		// decode the whole destination block's in-lists into a pooled CSR
-		// slab, then run the same tight loops as the raw-CSR path over the
-		// decoded slices. Cond is sampled once per destination at decode
-		// time (rows it rules out are never decoded); mid-row Cond flips
-		// still stop the scan exactly like the other dense bodies.
-		// Early-exit rounds (BFS parent search) are excluded: they stop a
-		// row after the first hit, so the lazy per-vertex decoder below
-		// beats paying for a full eager decode of every row.
-		uw := ud.Words()
-		var skip func(uint32) bool
-		if cond != nil {
-			skip = func(d uint32) bool { return !cond(d) }
-		}
 		body = func(lo, hi int) {
-			blk := getInBlock()
-			bd.DecodeInBlock(uint32(lo), uint32(hi), skip, blk)
-			for di := lo; di < hi; di++ {
-				d := uint32(di)
-				row, wts := blk.Row(di - lo)
-				hit := false
-				if full {
-					for j, s := range row {
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						if update(s, d, w) {
-							hit = true
-							if earlyExit {
-								break
-							}
-						}
-						if cond != nil && !cond(d) {
-							break // early exit: d needs no more updates
-						}
-					}
-				} else {
-					for j, s := range row {
-						if uw[s>>6]&(1<<(s&63)) == 0 {
-							continue
-						}
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						if update(s, d, w) {
-							hit = true
-							if earlyExit {
-								break
-							}
-						}
-						if cond != nil && !cond(d) {
-							break // early exit: d needs no more updates
-						}
-					}
+			blk := denseBlockPool.Get().(*denseBlock)
+			var skip func(uint32) bool
+			if cond != nil {
+				blk.skipped = blk.skipped[:0]
+				for di := lo; di < hi; di++ {
+					blk.skipped = append(blk.skipped, !cond(uint32(di)))
 				}
-				if hit && out != nil {
+				skip = func(d uint32) bool { return blk.skipped[int(d)-lo] }
+			}
+			bd.DecodeInBlock(uint32(lo), uint32(hi), skip, &blk.InBlock)
+			for di := lo; di < hi; di++ {
+				if skip != nil && blk.skipped[di-lo] {
+					continue
+				}
+				srcs, wts := blk.Row(di - lo)
+				if kernel(uint32(di), srcs, wts, uw) && out != nil {
 					out.Set(di) // this block owns the word
 				}
 			}
-			putInBlock(blk)
+			denseBlockPool.Put(blk)
 		}
 	} else {
 		body = func(lo, hi int) {
@@ -793,7 +794,7 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 					continue
 				}
 				g.InNeighbors(d, func(s uint32, w int32) bool {
-					if full || ud.Get(int(s)) {
+					if InFrontier(uw, s) {
 						if update(s, d, w) {
 							if out != nil {
 								out.Set(di) // this block owns the word
@@ -830,10 +831,7 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	ud := u.ToDense()
-	update := f.UpdateAtomic
-	if update == nil {
-		update = f.Update
-	}
+	update := f.pushUpdate()
 	cond := f.Cond
 
 	csr, _ := g.(*graph.Graph)

@@ -157,6 +157,59 @@ func (o *overlay) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
 	}
 }
 
+var _ graph.InBlockDecoder = (*overlay)(nil)
+
+// DecodeInBlock implements graph.InBlockDecoder, so dense pull rounds
+// hand a row kernel (core.EdgeFuncs.PullRow) an overlay's in-rows as
+// slices like any other backend's: a dirty row is copied from its
+// replacement, a clean one from the base's CSR arrays — or gathered
+// through the base's iterator when the base has none. The copy is a
+// sequential append per row; what it buys is a traversal with no per-edge
+// callback.
+func (o *overlay) DecodeInBlock(lo, hi uint32, skip func(v uint32) bool, blk *graph.InBlock) {
+	k := int(hi - lo)
+	if cap(blk.Offsets) < k+1 {
+		blk.Offsets = make([]int64, k+1)
+	}
+	blk.Offsets = blk.Offsets[:k+1]
+	targets, weights := blk.Targets[:0], blk.Weights[:0]
+	dirty := o.in
+	if o.symmetric {
+		dirty = o.out
+	}
+	csr, _ := o.base.(*graph.Graph)
+	for v := lo; v < hi; v++ {
+		blk.Offsets[v-lo] = int64(len(targets))
+		if skip != nil && skip(v) {
+			continue
+		}
+		if r, ok := dirty[v]; ok {
+			targets = append(targets, r.targets...)
+			weights = append(weights, r.weights...)
+		} else if int(v) >= o.baseN {
+			continue
+		} else if csr != nil {
+			ts, ws := csr.InEdgesSlice(v)
+			targets = append(targets, ts...)
+			weights = append(weights, ws...)
+		} else {
+			o.base.InNeighbors(v, func(s uint32, w int32) bool {
+				targets = append(targets, s)
+				if o.weighted {
+					weights = append(weights, w)
+				}
+				return true
+			})
+		}
+	}
+	blk.Offsets[k] = int64(len(targets))
+	blk.Targets = targets
+	blk.Weights = nil
+	if o.weighted {
+		blk.Weights = weights
+	}
+}
+
 // MemoryFootprint estimates heap bytes: the base's footprint plus the
 // replacement rows.
 func (o *overlay) MemoryFootprint() int64 {

@@ -7,10 +7,13 @@
 //
 //   - BFS levels: y = A^T ⊗ f over the (boolean, |, &) semiring with the
 //     visited set as a complement mask (bfs.go),
-//   - PageRank: p' = d·(A^T p̂) + base over (+, ×), with the rank update and
-//     L1 residual fused into the gather pass (pagerank.go),
 //   - Triangle counting: tr(U·U ∘ U)-style masked SpGEMM over the rank-
 //     oriented adjacency, realized as sorted-row intersections (triangles.go).
+//
+// PageRank's (+, ×) pull gather used to live here as well. It was the same
+// in-row loop as edgeMap's dense round minus the per-edge callback; since
+// core.EdgeFuncs.PullRow removed the callback, algo.PageRankCtx is that
+// gather and the copy is gone (backend "spmv" still names it on the wire).
 //
 // The kernels run on the same worker-pool scheduler as edgeMap (package
 // parallel), honor per-ctx proc leases, stop cooperatively at chunk

@@ -8,7 +8,6 @@ package spmv_test
 import (
 	"context"
 	"errors"
-	"math"
 	"path/filepath"
 	"testing"
 
@@ -126,40 +125,6 @@ func TestBFSLevelsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestPageRankBitIdentical(t *testing.T) {
-	for gname, g := range testGraphs(t) {
-		for vname, v := range viewMatrix(t, g) {
-			opts := algo.DefaultPageRankOptions()
-			opts.MaxIterations = 20 // bounded: identity per iteration implies identity at convergence
-			want, err := algo.PageRankCtx(nil, v, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: edgemap oracle: %v", gname, vname, err)
-			}
-			res, err := spmv.PageRank(nil, v, spmv.PageRankOptions{
-				Damping: opts.Damping, Epsilon: opts.Epsilon, MaxIterations: opts.MaxIterations,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: spmv: %v", gname, vname, err)
-			}
-			if res.Iterations != want.Iterations {
-				t.Fatalf("%s/%s: iterations = %d, edgemap %d", gname, vname, res.Iterations, want.Iterations)
-			}
-			if math.Float64bits(res.Err) != math.Float64bits(want.Err) {
-				t.Fatalf("%s/%s: errL1 = %x, edgemap %x", gname, vname,
-					math.Float64bits(res.Err), math.Float64bits(want.Err))
-			}
-			for i := range want.Ranks {
-				if math.Float64bits(res.Ranks[i]) != math.Float64bits(want.Ranks[i]) {
-					t.Fatalf("%s/%s: rank[%d] = %x (%.17g), edgemap %x (%.17g)",
-						gname, vname, i,
-						math.Float64bits(res.Ranks[i]), res.Ranks[i],
-						math.Float64bits(want.Ranks[i]), want.Ranks[i])
-				}
-			}
-		}
-	}
-}
-
 func TestTriangleCountIdentical(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		for vname, v := range viewMatrix(t, g) {
@@ -216,21 +181,6 @@ func TestCancelledContext(t *testing.T) {
 	if _, err := spmv.BFSLevels(ctx, g, 0, spmv.BFSOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("bfs: err = %v, want context.Canceled", err)
 	}
-	res, err := spmv.PageRank(ctx, g, spmv.PageRankOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pagerank: err = %v, want context.Canceled", err)
-	}
-	// Partial-result contract: ranks of the last completed iteration — here
-	// iteration zero, the uniform initial vector.
-	if res.Iterations != 0 {
-		t.Fatalf("pagerank: iterations = %d, want 0", res.Iterations)
-	}
-	want := 1 / float64(g.NumVertices())
-	for i, r := range res.Ranks {
-		if r != want {
-			t.Fatalf("pagerank: partial rank[%d] = %g, want initial %g", i, r, want)
-		}
-	}
 	if _, err := spmv.TriangleCount(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Fatalf("triangles: err = %v, want context.Canceled", err)
 	}
@@ -262,9 +212,6 @@ func TestPanicContainment(t *testing.T) {
 	if _, err := spmv.BFSLevels(nil, v, 0, spmv.BFSOptions{Mode: core.ForceDense}); !errors.As(err, &pe) {
 		t.Fatalf("bfs pull: err = %v, want *parallel.PanicError", err)
 	}
-	if _, err := spmv.PageRank(nil, v, spmv.PageRankOptions{MaxIterations: 2}); !errors.As(err, &pe) {
-		t.Fatalf("pagerank: err = %v, want *parallel.PanicError", err)
-	}
 	if _, err := spmv.TriangleCount(nil, v); !errors.As(err, &pe) {
 		t.Fatalf("triangles: err = %v, want *parallel.PanicError", err)
 	}
@@ -283,12 +230,9 @@ func TestTraversalStatsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bfs: %v", err)
 	}
-	if _, err := spmv.PageRank(nil, g, spmv.PageRankOptions{MaxIterations: 3}); err != nil {
-		t.Fatalf("pagerank: %v", err)
-	}
 	d := core.SnapshotStats().Sub(before)
-	if int(d.Calls) < res.Rounds+3 {
-		t.Fatalf("calls delta = %d, want >= %d bfs rounds + 3 pagerank iterations", d.Calls, res.Rounds)
+	if int(d.Calls) < res.Rounds {
+		t.Fatalf("calls delta = %d, want >= %d bfs rounds", d.Calls, res.Rounds)
 	}
 	if d.Sparse+d.Dense+d.DenseForward != d.Calls {
 		t.Fatalf("representation split %d+%d+%d != calls %d", d.Sparse, d.Dense, d.DenseForward, d.Calls)

@@ -41,7 +41,10 @@ type (
 	// dense representations (Ligra's vertexSubset).
 	VertexSubset = core.VertexSubset
 	// EdgeFuncs bundles the Update / UpdateAtomic / Cond functions passed
-	// to EdgeMap (Ligra's F and C).
+	// to EdgeMap (Ligra's F and C), plus the optional PullRow: a row
+	// kernel that runs a dense round's whole in-row for one destination in
+	// a single call instead of one Update call per edge (see
+	// core.EdgeFuncs and docs/PERFORMANCE.md §3 for the contract).
 	EdgeFuncs = core.EdgeFuncs
 	// Options tunes one EdgeMap call (mode, threshold, dedup, tracing).
 	Options = core.Options
