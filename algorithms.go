@@ -184,8 +184,7 @@ func TwoPassEccentricity(g View, k int, seed uint64, opts Options) *Eccentricity
 }
 
 // SpanningForest computes a spanning forest of a symmetric graph via BFS
-// waves, gathering tree edges through the data-carrying EdgeMapData
-// interface (extension).
+// waves (extension).
 func SpanningForest(g View, opts Options) *ForestResult {
 	return algo.SpanningForest(g, opts)
 }
@@ -213,20 +212,8 @@ func LocalCluster(g View, seed uint32, alpha, eps float64) (*SweepCutResult, err
 	return algo.LocalCluster(g, seed, alpha, eps)
 }
 
-// SetParallelism overrides the number of worker goroutines used by all
-// parallel primitives (p <= 0 restores the GOMAXPROCS default). It returns
-// the previous override.
-//
-// Deprecated: the override is process-wide, so in any program running
-// computations concurrently (a server, a benchmark sweep) one caller's
-// setting leaks into every other. Cap parallelism per computation instead:
-// pass the *Ctx entry points a context from WithParallelism, or set
-// Options.Procs — both become per-call worker leases that compose as
-// min(cap, Parallelism()). SetParallelism remains only for single-tenant
-// programs that genuinely want a process-wide default.
-func SetParallelism(p int) int { return parallel.SetProcs(p) }
-
-// Parallelism reports the current worker count.
+// Parallelism reports the process-wide worker count. Cap it per
+// computation with WithParallelism or Options.Procs.
 func Parallelism() int { return parallel.Procs() }
 
 // DensestResult is the output of DensestSubgraph.

@@ -99,10 +99,11 @@ func BenchmarkTable2Baseline(b *testing.B) {
 }
 
 // BenchmarkFigScalability regenerates the per-application scalability
-// curves: rMat input, worker counts 1..2*GOMAXPROCS.
+// curves: rMat input, worker counts 1..Parallelism() as per-call leases
+// (a lease cannot exceed the worker pool; see bench.Scalability).
 func BenchmarkFigScalability(b *testing.B) {
 	_, gs, ws := suite(b)
-	maxP := 2 * ligra.Parallelism()
+	maxP := ligra.Parallelism()
 	for _, app := range bench.Apps() {
 		g := graph.View(gs["rMat"])
 		if app.NeedsWeights {
@@ -110,10 +111,8 @@ func BenchmarkFigScalability(b *testing.B) {
 		}
 		for p := 1; p <= maxP; p *= 2 {
 			b.Run(app.Name+"/procs="+strconv.Itoa(p), func(b *testing.B) {
-				prev := ligra.SetParallelism(p)
-				defer ligra.SetParallelism(prev)
 				for i := 0; i < b.N; i++ {
-					app.Run(g, core.Options{})
+					app.Run(g, core.Options{Procs: p})
 				}
 			})
 		}

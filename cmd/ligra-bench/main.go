@@ -9,10 +9,8 @@
 //	threshold     edgeMap switch-threshold sensitivity sweep
 //	denseforward  read-based vs write-based dense traversal
 //	compress      Ligra+ byte-compression space/time ablation
-//	dedup         sparse-frontier duplicate-removal strategies
 //	bucketing     Julienne bucketing ablation
 //	hotpath       edgeMap hot-path timings (the BENCH_baseline.json suite)
-//	servecache    query-engine result cache off vs on
 //	scheduler     worker-pool scheduler: small-round workloads with the
 //	              sequential cutoff on vs off
 //	spmv          execution-backend race: edgeMap vs semiring kernels

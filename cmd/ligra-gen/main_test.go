@@ -50,7 +50,7 @@ func TestRunWritesFile(t *testing.T) {
 	if !strings.Contains(buf.String(), "wrote "+out) {
 		t.Errorf("output missing confirmation: %q", buf.String())
 	}
-	g, err := ligra.LoadGraph(out, true)
+	g, err := ligra.Load(out, ligra.LoadOptions{Symmetric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunBinaryAndWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ligra.LoadGraph(out, false)
+	g, err := ligra.Load(out, ligra.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

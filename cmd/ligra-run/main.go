@@ -151,8 +151,7 @@ func run(args []string, stdout io.Writer) error {
 		ctx = c
 	}
 	if *procs > 0 {
-		// A per-call lease, not the deprecated process-wide
-		// SetParallelism: only this computation is capped.
+		// A per-call lease: only this computation is capped.
 		ctx = ligra.WithParallelism(ctx, *procs)
 	}
 	params.Source = src

@@ -32,23 +32,15 @@ type (
 
 // EdgeMapCtx is EdgeMap with cooperative cancellation; it returns a nil
 // frontier and an error if the traversal was interrupted or a worker
-// panicked. A nil ctx falls back to opts.Context (the explicit argument
-// wins when both are set).
+// panicked.
 func EdgeMapCtx(ctx context.Context, g View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	return core.EdgeMapCtx(ctx, g, u, f, opts)
 }
 
-// EdgeMapDataCtx is EdgeMapData with cooperative cancellation, following
-// the same ctx-precedence contract as EdgeMapCtx.
-func EdgeMapDataCtx[T any](ctx context.Context, g View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) (*DataSubset[T], error) {
-	return core.EdgeMapDataCtx(ctx, g, u, f, opts)
-}
-
 // WithParallelism returns a context that caps the worker goroutines used
-// by every *Ctx entry point run under it at p — a per-call alternative to
-// the process-wide SetParallelism, letting concurrent computations share
-// one machine with different worker budgets. The effective count is
-// min(p, SetParallelism's setting, GOMAXPROCS).
+// by every *Ctx entry point run under it at p, letting concurrent
+// computations share one machine with different worker budgets. The
+// effective count is min(p, Parallelism()).
 func WithParallelism(ctx context.Context, p int) context.Context {
 	return parallel.WithProcs(ctx, p)
 }

@@ -83,13 +83,10 @@ func autoBackend(name string, g graph.View) string {
 	return BackendSpMV
 }
 
-// backendCtx applies the EdgeMap extras that are meaningful to both
-// backends — the fallback context and the per-call proc lease — mirroring
-// what core's edgeMap does internally with the same Options.
+// backendCtx applies the one EdgeMap extra that is meaningful to both
+// backends — the per-call proc lease — mirroring what core's edgeMap does
+// internally with the same Options.
 func backendCtx(ctx context.Context, p Params) context.Context {
-	if ctx == nil {
-		ctx = p.EdgeMap.Context
-	}
 	if p.EdgeMap.Procs > 0 {
 		ctx = parallel.WithProcs(ctx, p.EdgeMap.Procs)
 	}

@@ -1,19 +1,18 @@
 package algo_test
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"ligra/internal/algo"
-	"ligra/internal/compress"
 	"ligra/internal/core"
 	"ligra/internal/delta"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
 	"ligra/internal/seq"
+	"ligra/internal/viewtest"
 )
 
 // perEdge hides everything about a view except the graph.View methods, so
@@ -44,30 +43,11 @@ func rowGraphs(t *testing.T) map[string]*graph.Graph {
 	return gs
 }
 
-// rowViews is g behind each representation the row driver serves: raw CSR,
-// decoded blocks (compressed, mapped) and a delta snapshot whose batch
-// nets out to g itself, so every view has the same oracle.
+// rowViews is g behind each representation the row driver serves; the
+// delta snapshot's batches net out to g itself, so every view has the same
+// oracle.
 func rowViews(t *testing.T, g *graph.Graph) map[string]graph.View {
 	t.Helper()
-	views := map[string]graph.View{"heap": g}
-	c, err := compress.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views["compressed"] = c
-	path := filepath.Join(t.TempDir(), "g.ligragc")
-	if err := compress.WriteCompressedFile(path, c); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := compress.LoadView(path, g.Symmetric(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl, ok := mapped.(interface{ Close() error }); ok {
-		t.Cleanup(func() { _ = cl.Close() }) // read-only mapping
-	}
-	views["mmap"] = mapped
-
 	// Delete a handful of edges, then put them back with their weights:
 	// the rows are dirty (served from the overlay), the graph is g.
 	var del, ins []delta.EdgeOp
@@ -78,22 +58,10 @@ func rowViews(t *testing.T, g *graph.Graph) map[string]graph.View {
 			return false
 		})
 	}
-	store := delta.NewStore(g, delta.Config{})
-	t.Cleanup(store.Release)
-	for _, ops := range [][]delta.EdgeOp{del, ins} {
-		if _, err := store.Update(context.Background(), ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pin, err := store.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pin.Release)
-	if _, isCSR := pin.View().(*graph.Graph); isCSR {
+	views := viewtest.Matrix(t, g, del, ins)
+	if _, isCSR := views["snapshot"].(*graph.Graph); isCSR {
 		t.Fatal("snapshot was compacted; the test wants an overlay")
 	}
-	views["snapshot"] = pin.View()
 	return views
 }
 
@@ -108,9 +76,10 @@ func sameBits(a, b []float64) (int, bool) {
 
 // TestRowKernelsMatchPerEdgeAndOracle: on every representation, each
 // algorithm with a PullRow equals the sequential oracle and its per-edge
-// self — BFS levels, component labels and Bellman-Ford distances exactly,
-// BC within 1e-9 — in auto mode (the rounds a query really runs) and with
-// every round forced through the pull kernel.
+// self — BFS levels, component labels, spanning-forest roots and
+// Bellman-Ford distances exactly, BC within 1e-9 — in auto mode (the
+// rounds a query really runs) and with every round forced through the
+// pull kernel.
 func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
 	modes := map[string]core.Options{"auto": {}, "dense": {Mode: core.ForceDense}}
 	for gname, g := range rowGraphs(t) {
@@ -118,9 +87,17 @@ func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
 		wantLevels := seq.BFSLevels(g, src)
 		wantDist := seq.Dijkstra(g, src)
 		wantBC := seq.BC(g, src)
-		var wantLabels []uint32
+		var wantLabels, wantRoots []uint32
 		if g.Symmetric() {
 			wantLabels = seq.ConnectedComponents(g)
+			// SpanningForest roots each component at its smallest vertex.
+			seen := map[uint32]bool{}
+			for v, l := range wantLabels {
+				if !seen[l] {
+					seen[l] = true
+					wantRoots = append(wantRoots, uint32(v))
+				}
+			}
 		}
 		for vname, v := range rowViews(t, g) {
 			for mname, opts := range modes {
@@ -155,6 +132,18 @@ func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
 							if cc.Labels[i] != want {
 								t.Fatalf("%s: label[%d] = %d, oracle %d", name, i, cc.Labels[i], want)
 							}
+						}
+
+						sf := algo.SpanningForest(view, opts)
+						if !slices.Equal(sf.Roots, wantRoots) || len(sf.Edges) != len(wantLabels)-len(wantRoots) {
+							t.Fatalf("%s: forest has %d roots, %d edges; want roots %v", name, len(sf.Roots), len(sf.Edges), wantRoots)
+						}
+						child := make([]bool, len(wantLabels))
+						for _, e := range sf.Edges {
+							if child[e.Dst] || wantLabels[e.Src] != wantLabels[e.Dst] {
+								t.Fatalf("%s: forest edge %d->%d repeats a child or leaves its component", name, e.Src, e.Dst)
+							}
+							child[e.Dst] = true
 						}
 					}
 

@@ -60,7 +60,7 @@ type Params struct {
 	Backend string `json:"backend,omitempty"`
 
 	// EdgeMap carries the non-serializable per-run extras (tracing, a
-	// fallback context, a per-call proc cap) that EdgeMapOptions merges
+	// per-call proc cap) that EdgeMapOptions merges
 	// under Mode and Threshold. It is excluded from the wire format and
 	// from Canonical, so it never influences cache identity.
 	EdgeMap core.Options `json:"-"`

@@ -18,32 +18,23 @@ type ForestResult struct {
 }
 
 // SpanningForest computes a spanning forest of a symmetric graph with
-// BFS waves started from every still-unvisited vertex, gathering the
-// discovered (parent -> child) tree edges through EdgeMapData — the
-// data-carrying frontier interface of the Ligra lineage (vertexSubsetData
-// / edgeMapData). All components are processed, so the result spans the
-// whole graph.
+// BFS waves started from every still-unvisited vertex. Each wave is BFS's
+// own edgeMap — a CAS claim on the parent array — and the tree edge of
+// every vertex a round discovers is read back from that array. All
+// components are processed, so the result spans the whole graph.
 func SpanningForest(g graph.View, opts core.Options) *ForestResult {
 	n := g.NumVertices()
 	parents := make([]uint32, n)
 	parallel.Fill(parents, core.None)
 
-	funcs := core.EdgeDataFuncs[uint32]{
-		Update: func(s, d uint32, _ int32) (uint32, bool) {
-			if parents[d] == core.None {
-				parents[d] = s
-				return s, true
-			}
-			return 0, false
+	funcs := core.EdgeFuncs{
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			return atomic.CompareAndSwapUint32(&parents[d], core.None, s)
 		},
-		UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) {
-			if atomic.CompareAndSwapUint32(&parents[d], core.None, s) {
-				return s, true
-			}
-			return 0, false
-		},
-		Cond: func(d uint32) bool { return parents[d] == core.None },
+		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == core.None },
 	}
+	// One claim per destination per round, as in BFS.
+	opts.DenseEarlyExit = true
 
 	var forest []graph.Edge
 	var roots []uint32
@@ -55,11 +46,10 @@ func SpanningForest(g graph.View, opts core.Options) *ForestResult {
 		roots = append(roots, start)
 		frontier := core.NewSingle(n, start)
 		for !frontier.IsEmpty() {
-			out := core.EdgeMapData(g, frontier, funcs, opts)
-			for _, p := range out.Pairs() {
-				forest = append(forest, graph.Edge{Src: p.Val, Dst: p.V})
-			}
-			frontier = out.Subset()
+			frontier = core.EdgeMap(g, frontier, funcs, opts)
+			frontier.ForEachSeq(func(d uint32) {
+				forest = append(forest, graph.Edge{Src: parents[d], Dst: d})
+			})
 		}
 	}
 	return &ForestResult{Edges: forest, Roots: roots}

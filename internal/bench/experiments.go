@@ -334,9 +334,8 @@ func DenseForward(cfg Config) error {
 //     the mmap-backed heap footprint (~0; the bytes live in the page cache)
 //   - format round-trip cost: WriteCompressed / ReadCompressed (full
 //     validation decode) / OpenMapped on a temp file
-//   - traversal time per backend: CSR, compressed with the blocked dense
-//     sweep (the default), compressed with NoBlockDecode (per-edge decode
-//     callback, for ablation), and the mmap-backed graph
+//   - traversal time per backend: CSR, compressed (blocked dense sweep)
+//     and the mmap-backed graph
 //
 // Per-measurement ids are recorded ("compress/<app>-<backend>") so
 // ligra-bench -against can diff decoder regressions individually.
@@ -391,26 +390,24 @@ func CompressAblation(cfg Config) error {
 
 	apps := []struct {
 		name string
-		run  func(v graph.View, o core.Options)
+		run  func(v graph.View)
 	}{
-		{"BFS", func(v graph.View, o core.Options) { algo.BFS(v, pickSource(v), o) }},
-		{"PageRank1", func(v graph.View, o core.Options) {
-			algo.PageRank(v, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1, EdgeMap: o})
+		{"BFS", func(v graph.View) { algo.BFS(v, pickSource(v), core.Options{}) }},
+		{"PageRank1", func(v graph.View) {
+			algo.PageRank(v, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1})
 		}},
-		{"Components", func(v graph.View, o core.Options) { algo.ConnectedComponents(v, o) }},
+		{"Components", func(v graph.View) { algo.ConnectedComponents(v, core.Options{}) }},
 	}
 	backends := []struct {
-		id   string
-		v    graph.View
-		opts core.Options
+		id string
+		v  graph.View
 	}{
-		{"csr", g, core.Options{}},
-		{"blocked", c, core.Options{}},
-		{"noblock", c, core.Options{NoBlockDecode: true}},
-		{"mmap", mapped, core.Options{}},
+		{"csr", g},
+		{"blocked", c},
+		{"mmap", mapped},
 	}
 	w := cfg.tab()
-	fmt.Fprintln(w, "Application\tCSR\tcompressed(blocked)\tcompressed(noblock)\tcompressed(mmap)\tslowdown(blocked)")
+	fmt.Fprintln(w, "Application\tCSR\tcompressed(blocked)\tcompressed(mmap)\tslowdown(blocked)")
 	for _, a := range apps {
 		if cfg.budgetExhausted(w) {
 			break
@@ -418,57 +415,12 @@ func CompressAblation(cfg Config) error {
 		row := a.name
 		var times []float64
 		for _, b := range backends {
-			tm := Measure(cfg.rounds(), func() { a.run(b.v, b.opts) })
+			tm := Measure(cfg.rounds(), func() { a.run(b.v) })
 			times = append(times, tm.Median.Seconds())
 			row += fmt.Sprintf("\t%.4f", tm.Median.Seconds())
 			cfg.record("compress/"+a.name+"-"+b.id, tm.Median.Seconds())
 		}
 		fmt.Fprintf(w, "%s\t%.2fx\n", row, times[1]/times[0])
-	}
-	return w.Flush()
-}
-
-// DedupAblation compares the two duplicate-removal strategies for sparse
-// frontiers — Ligra's CAS-claimed O(|V|) scratch array versus the
-// phase-concurrent hash set (Shun-Blelloch SPAA'14) — on the two
-// applications that need deduplication.
-func DedupAblation(cfg Config) error {
-	suite := DefaultSuite(cfg.Scale)
-	in, err := FindInput(suite, "rMat")
-	if err != nil {
-		return err
-	}
-	g, err := in.Build()
-	if err != nil {
-		return err
-	}
-	wg := WeightGraph(g)
-	apps := []struct {
-		name string
-		run  func(opts core.Options)
-	}{
-		// Components sets RemoveDuplicates internally; force sparse so
-		// the dedup path actually runs every round.
-		{"Components(sparse)", func(o core.Options) {
-			o.Mode = core.ForceSparse
-			algo.ConnectedComponents(g, o)
-		}},
-		{"BellmanFord(sparse)", func(o core.Options) {
-			o.Mode = core.ForceSparse
-			o.RemoveDuplicates = true
-			algo.BellmanFord(wg, pickSource(wg), o)
-		}},
-	}
-	fmt.Fprintf(cfg.Out, "Frontier deduplication on %s (seconds, median of %d)\n", in.Name, cfg.rounds())
-	w := cfg.tab()
-	fmt.Fprintln(w, "Application\tscratch (CAS array)\thash set")
-	for _, a := range apps {
-		if cfg.budgetExhausted(w) {
-			break
-		}
-		t1 := Measure(cfg.rounds(), func() { a.run(core.Options{Dedup: core.DedupScratch}) })
-		t2 := Measure(cfg.rounds(), func() { a.run(core.Options{Dedup: core.DedupHash}) })
-		fmt.Fprintf(w, "%s\t%.4f\t%.4f\n", a.name, t1.Median.Seconds(), t2.Median.Seconds())
 	}
 	return w.Flush()
 }
@@ -548,10 +500,8 @@ func Experiments() map[string]func(Config) error {
 		"threshold":    Threshold,
 		"denseforward": DenseForward,
 		"compress":     CompressAblation,
-		"dedup":        DedupAblation,
 		"bucketing":    BucketingAblation,
 		"hotpath":      HotPath,
-		"servecache":   ServeCache,
 		"scheduler":    Scheduler,
 		"batch":        Batch,
 		"delta":        DeltaUpdates,
@@ -561,5 +511,5 @@ func Experiments() map[string]func(Config) error {
 
 // ExperimentOrder lists the IDs in presentation order.
 func ExperimentOrder() []string {
-	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "dedup", "bucketing", "hotpath", "servecache", "scheduler", "batch", "delta", "spmv"}
+	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "bucketing", "hotpath", "scheduler", "batch", "delta", "spmv"}
 }

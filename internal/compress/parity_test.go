@@ -201,10 +201,14 @@ func TestTraversalStatsParity(t *testing.T) {
 	}
 }
 
+// perEdge hides everything about a view except the graph.View methods, so
+// core's dense driver cannot decode a block from it and runs the per-edge
+// iterator path.
+type perEdge struct{ graph.View }
+
 // TestBlockedDecodeAblation forces dense rounds and checks the
-// partition-blocked decoder and the plain per-vertex fallback
-// (Options.NoBlockDecode) produce identical results on the compressed
-// backend.
+// partition-blocked decoder and the plain per-vertex decode callback
+// produce identical results on the compressed backend.
 func TestBlockedDecodeAblation(t *testing.T) {
 	g := mustRMAT(t, 10, 5)
 	c, err := Compress(g)
@@ -218,21 +222,19 @@ func TestBlockedDecodeAblation(t *testing.T) {
 	ctx := context.Background()
 	for _, app := range []string{"bfs", "components", "pagerank"} {
 		r := byName[app]
-		pb := parityParams(r, core.Options{})
-		pb.Mode = "dense"
-		pn := parityParams(r, core.Options{NoBlockDecode: true})
-		pn.Mode = "dense"
-		blocked, err := r.Run(ctx, c, pb)
+		p := parityParams(r, core.Options{})
+		p.Mode = "dense"
+		blocked, err := r.Run(ctx, c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		noblock, err := r.Run(ctx, c, pn)
+		peredge, err := r.Run(ctx, perEdge{c}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, nondet := nondetDetails[app]; !nondet && blocked.Summary != noblock.Summary {
-			t.Errorf("%s: summary differs:\n  blocked: %s\n  noblock: %s", app, blocked.Summary, noblock.Summary)
+		if _, nondet := nondetDetails[app]; !nondet && blocked.Summary != peredge.Summary {
+			t.Errorf("%s: summary differs:\n  blocked: %s\n  per-edge: %s", app, blocked.Summary, peredge.Summary)
 		}
-		closeDetails(t, app, blocked.Details, noblock.Details)
+		closeDetails(t, app, blocked.Details, peredge.Details)
 	}
 }

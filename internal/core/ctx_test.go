@@ -136,29 +136,6 @@ func TestEdgeMapCtxFaultInjectedCancel(t *testing.T) {
 	}
 }
 
-func TestEdgeMapCtxOptionsContextFallback(t *testing.T) {
-	g := testGraph(t)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	// Nil explicit ctx: opts.Context is honored.
-	u := NewSingle(g.NumVertices(), 0)
-	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
-	_, err := EdgeMapCtx(nil, g, u, f, Options{Context: cancelled})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("nil ctx + cancelled opts.Context: err = %v, want context.Canceled", err)
-	}
-
-	// Explicit ctx wins over opts.Context.
-	out, err := EdgeMapCtx(context.Background(), g, u, f, Options{Context: cancelled})
-	if err != nil {
-		t.Fatalf("explicit background ctx should override cancelled opts.Context, got %v", err)
-	}
-	if out == nil {
-		t.Fatal("explicit background ctx returned a nil frontier")
-	}
-}
-
 func TestEdgeMapCtxOptionsProcsCapsConcurrency(t *testing.T) {
 	old := parallel.Procs()
 	parallel.SetProcs(8)
@@ -188,32 +165,5 @@ func TestEdgeMapCtxOptionsProcsCapsConcurrency(t *testing.T) {
 		if p := peak.Load(); p > 1 {
 			t.Errorf("mode %v: observed %d concurrent updates with Options.Procs=1", mode, p)
 		}
-	}
-}
-
-func TestEdgeMapDataCtxCancelAndProcs(t *testing.T) {
-	g := testGraph(t)
-	u := NewSingle(g.NumVertices(), 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	f := EdgeDataFuncs[uint32]{UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) {
-		return s, true
-	}}
-	out, err := EdgeMapDataCtx(ctx, g, u, f, Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out != nil {
-		t.Error("interrupted EdgeMapDataCtx returned a subset")
-	}
-
-	// Uncancelled with a proc cap still matches EdgeMapData.
-	got, err := EdgeMapDataCtx(nil, g, u, f, Options{Procs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := EdgeMapData(g, u, f, Options{})
-	if got.Size() != want.Size() {
-		t.Errorf("capped EdgeMapDataCtx produced %d pairs, want %d", got.Size(), want.Size())
 	}
 }

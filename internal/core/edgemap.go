@@ -11,7 +11,6 @@ import (
 	"ligra/internal/bitset"
 	"ligra/internal/faultinject"
 	"ligra/internal/graph"
-	"ligra/internal/hashtable"
 	"ligra/internal/parallel"
 )
 
@@ -86,9 +85,6 @@ type Options struct {
 	// RemoveDuplicates deduplicates the sparse output frontier. Needed
 	// when UpdateAtomic may return true more than once per destination.
 	RemoveDuplicates bool
-	// Dedup selects the duplicate-removal strategy when RemoveDuplicates
-	// is set (see DedupStrategy).
-	Dedup DedupStrategy
 	// NoOutput skips constructing the output frontier (Ligra's no_output
 	// flag); EdgeMap returns an empty subset.
 	NoOutput bool
@@ -105,28 +101,12 @@ type Options struct {
 	// Trace, when non-nil, records one entry per EdgeMap call for the
 	// frontier-trace experiments.
 	Trace *Trace
-	// Context is a fallback cancellation context for callers that cannot
-	// pass one explicitly: EdgeMapCtx and EdgeMapDataCtx use it only when
-	// their explicit ctx argument is nil (the explicit argument always
-	// takes precedence). Plain EdgeMap ignores it (it has no way to
-	// report the error); use EdgeMapCtx.
-	Context context.Context
 	// Procs, when positive, caps the number of worker goroutines used by
 	// every parallel loop of this call at min(Procs, the process-wide
 	// setting). It is how a server grants each query a bounded share of
 	// the machine (see parallel.WithProcs); 0 inherits the cap already on
 	// the context, if any.
 	Procs int
-	// NoBlockDecode disables the partition-blocked dense sweep for
-	// backends that implement graph.InBlockDecoder (the compressed
-	// backend), falling back to the per-edge decode callback. The blocked
-	// sweep decodes a cache-sized block of destinations' in-lists once
-	// per round and runs the tight CSR-style loop over the decoded
-	// arrays; it is on by default for dense rounds without DenseEarlyExit
-	// (early-exit rounds stop a row after the first hit, where the lazy
-	// per-vertex decoder wins) and this flag exists for ablation
-	// (ligra-bench -experiment compress measures both).
-	NoBlockDecode bool
 	// SeqCutoff tunes the sequential small-round bypass: a round whose
 	// total estimated work |U| + outDegrees(U) is at or below the cutoff
 	// (and that the direction heuristic sends sparse) runs entirely on
@@ -137,20 +117,6 @@ type Options struct {
 	// disables the bypass. Bypassed rounds are counted in
 	// TraversalStats.SeqRounds.
 	SeqCutoff int64
-}
-
-// resolveCtx merges the explicit ctx argument with the options: the
-// explicit argument wins when non-nil, falling back to opts.Context, and
-// a positive Procs caps the worker count of every parallel loop run under
-// the returned context.
-func (o Options) resolveCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		ctx = o.Context
-	}
-	if o.Procs > 0 {
-		ctx = parallel.WithProcs(ctx, o.Procs)
-	}
-	return ctx
 }
 
 // DefaultThresholdDenominator is the paper's frontier-size switch constant:
@@ -205,11 +171,9 @@ func putScratch(s []uint32) { scratchPool.Put(s) }
 // in-edges of all vertices) according to the frontier-size heuristic; see
 // Options to force a mode or tune the threshold.
 //
-// EdgeMap ignores Options.Context (it cannot report a cancellation error);
-// a worker panic propagates as a panic whose value is a
+// A worker panic propagates as a panic whose value is a
 // *parallel.PanicError. Use EdgeMapCtx for cooperative cancellation.
 func EdgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSubset {
-	opts.Context = nil
 	out, err := EdgeMapCtx(nil, g, u, f, opts)
 	if err != nil {
 		// Without a context the only possible error is a contained worker
@@ -221,22 +185,26 @@ func EdgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSu
 
 // EdgeMapCtx is EdgeMap with cooperative cancellation and panic
 // containment. ctx is the cancellation context (nil behaves like
-// context.Background()); when ctx is nil, opts.Context — kept as a
-// fallback for callers that thread options through deep call chains — is
-// used instead, so the explicit argument always takes precedence.
-// Cancellation is observed at chunk granularity: the traversal stops
-// dispatching work within one chunk and returns (nil, ctx.Err()). Updates
-// already applied when the traversal aborts are NOT rolled back —
-// per-vertex state mutated by f keeps all completed writes, which is what
-// gives algorithms their partial results. A panic in a worker is returned
-// as a *parallel.PanicError instead of panicking.
+// context.Background()). Cancellation is observed at chunk granularity:
+// the traversal stops dispatching work within one chunk and returns
+// (nil, ctx.Err()). Updates already applied when the traversal aborts are
+// NOT rolled back — per-vertex state mutated by f keeps all completed
+// writes, which is what gives algorithms their partial results. A panic in
+// a worker is returned as a *parallel.PanicError instead of panicking.
 func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	if u.UniverseSize() != n {
 		panic("core: EdgeMap frontier universe does not match graph")
 	}
+	if f.Update == nil && f.UpdateAtomic == nil {
+		// PullRow alone would work until the first sparse round, or the
+		// first view that cannot expose rows, dereferenced a nil update.
+		panic("core: EdgeMap EdgeFuncs has neither Update nor UpdateAtomic")
+	}
 	faultinject.OnRound()
-	ctx = opts.resolveCtx(ctx)
+	if opts.Procs > 0 {
+		ctx = parallel.WithProcs(ctx, opts.Procs)
+	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -566,40 +534,13 @@ func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f Edge
 	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
 }
 
-// DedupStrategy selects how RemoveDuplicates deduplicates the sparse
-// output frontier.
-type DedupStrategy int
-
-const (
-	// DedupScratch (default) claims each ID in a pooled O(|V|) array via
-	// CAS, Ligra's remDuplicates.
-	DedupScratch DedupStrategy = iota
-	// DedupHash inserts IDs into a phase-concurrent hash set sized to the
-	// output (Shun-Blelloch SPAA'14); O(frontier) space instead of O(|V|),
-	// at the cost of hashing. Output order is the deterministic table
-	// order rather than the edge order.
-	DedupHash
-)
-
 // dedupOutput applies the RemoveDuplicates option to a sparse output
 // frontier.
 func dedupOutput(n int, ids []uint32, opts Options) []uint32 {
-	switch {
-	case !opts.RemoveDuplicates || len(ids) < 2:
+	if !opts.RemoveDuplicates || len(ids) < 2 {
 		return ids
-	case opts.Dedup == DedupHash:
-		return removeDuplicatesHash(ids)
 	}
 	return removeDuplicates(n, ids)
-}
-
-// removeDuplicatesHash deduplicates via a phase-concurrent hash set.
-func removeDuplicatesHash(ids []uint32) []uint32 {
-	set := hashtable.NewSet(len(ids))
-	parallel.For(len(ids), func(i int) {
-		set.Insert(ids[i])
-	})
-	return set.Elements()
 }
 
 // removeDuplicates keeps one occurrence of each vertex ID using a pooled
@@ -763,7 +704,7 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 				}
 			}
 		}
-	} else if bd, ok := g.(graph.InBlockDecoder); ok && !opts.NoBlockDecode && !earlyExit {
+	} else if bd, ok := g.(graph.InBlockDecoder); ok && !earlyExit {
 		body = func(lo, hi int) {
 			blk := denseBlockPool.Get().(*denseBlock)
 			var skip func(uint32) bool

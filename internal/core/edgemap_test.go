@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -252,6 +254,32 @@ func TestEdgeMapUniverseMismatchPanics(t *testing.T) {
 		}
 	}()
 	EdgeMap(g, NewEmpty(5), EdgeFuncs{}, Options{})
+}
+
+// TestEdgeMapKernelOnlyFuncsRejected: a bundle with a PullRow and no push
+// update used to run on dense CSR rounds and nil-dereference in a worker on
+// every other; it is refused by name whichever direction the round takes.
+func TestEdgeMapKernelOnlyFuncsRejected(t *testing.T) {
+	g := testGraph(t)
+	n := g.NumVertices()
+	f := EdgeFuncs{PullRow: func(uint32, []uint32, []int32, []uint64) bool { return true }}
+	for _, tc := range []struct {
+		name string
+		u    *VertexSubset
+		mode Mode
+	}{
+		{"sparse round", NewSingle(n, 0), ForceSparse},
+		{"dense round", NewAll(n), ForceDense},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "neither Update nor UpdateAtomic") {
+					t.Errorf("%s: recovered %q, want the named EdgeFuncs rejection", tc.name, msg)
+				}
+			}()
+			_, _ = EdgeMapCtx(context.Background(), g, tc.u, f, Options{Mode: tc.mode})
+		}()
+	}
 }
 
 func TestEdgeMapSymmetricGraphDense(t *testing.T) {

@@ -90,7 +90,6 @@ func TestEdgeMapModesAgreeOnRandomGraphs(t *testing.T) {
 			opts Options
 		}{
 			{"sparse", Options{Mode: ForceSparse, RemoveDuplicates: true}},
-			{"sparse-hashdedup", Options{Mode: ForceSparse, RemoveDuplicates: true, Dedup: DedupHash}},
 			{"dense", Options{Mode: ForceDense}},
 			{"dense-forward", Options{Mode: ForceDense, DenseForward: true}},
 			{"auto", Options{RemoveDuplicates: true}},
@@ -261,58 +260,6 @@ func TestEdgeMapThresholdSweepAgrees(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d threshold %d: output differs at %d", trial, th, i)
-				}
-			}
-		}
-	}
-}
-
-// TestEdgeMapDataModesAgree: EdgeMapData must deliver the same (vertex,
-// payload) set in every mode and across thresholds. The payload is a pure
-// function of the destination so the "arbitrary winner" rule cannot
-// introduce cross-mode differences.
-func TestEdgeMapDataModesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(31337))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(150)
-		g := randomGraph(t, rng, n, rng.Intn(4*n), rng.Intn(2) == 0)
-		u := randomSubset(rng, n)
-		blocked := make([]bool, n)
-		for v := range blocked {
-			blocked[v] = rng.Intn(6) == 0
-		}
-		cond := func(d uint32) bool { return !blocked[d] }
-		want := applyOracle(g, u, cond)
-
-		payload := func(d uint32) int64 { return int64(d)*3 + 1 }
-		collect := func(opts Options) []Pair[int64] {
-			f := EdgeDataFuncs[int64]{
-				UpdateAtomic: func(_, d uint32, _ int32) (int64, bool) { return payload(d), true },
-				Cond:         cond,
-			}
-			out := EdgeMapData(g, u.Clone(), f, opts)
-			pairs := append([]Pair[int64](nil), out.Pairs()...)
-			sort.Slice(pairs, func(i, j int) bool { return pairs[i].V < pairs[j].V })
-			return pairs
-		}
-
-		for _, tc := range []struct {
-			name string
-			opts Options
-		}{
-			{"sparse", Options{Mode: ForceSparse, RemoveDuplicates: true}},
-			{"dense", Options{Mode: ForceDense}},
-			{"auto-low", Options{Threshold: 1, RemoveDuplicates: true}},
-			{"auto-high", Options{Threshold: 1 << 40, RemoveDuplicates: true}},
-		} {
-			pairs := collect(tc.opts)
-			if len(pairs) != len(want) {
-				t.Fatalf("trial %d %s: got %d pairs, want %d", trial, tc.name, len(pairs), len(want))
-			}
-			for i, p := range pairs {
-				if p.V != want[i] || p.Val != payload(want[i]) {
-					t.Fatalf("trial %d %s: pair %d = (%d, %d), want (%d, %d)",
-						trial, tc.name, i, p.V, p.Val, want[i], payload(want[i]))
 				}
 			}
 		}

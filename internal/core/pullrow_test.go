@@ -5,15 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
-	"ligra/internal/compress"
 	"ligra/internal/core"
 	"ligra/internal/delta"
 	"ligra/internal/faultinject"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
+	"ligra/internal/viewtest"
 )
 
 // rowState is order-sensitive per-vertex state: a rolling hash of the
@@ -107,29 +106,9 @@ func randomWeighted(t *testing.T, rng *rand.Rand, n, m int, symmetric bool) *gra
 }
 
 // rowViews is g behind every representation the dense driver fetches rows
-// from: raw CSR, a decoded block (compressed on the heap and mapped), and
-// a delta snapshot after a batch of inserts and deletes.
+// from, the snapshot after a batch of random inserts and deletes.
 func rowViews(t *testing.T, rng *rand.Rand, g *graph.Graph) map[string]graph.View {
 	t.Helper()
-	views := map[string]graph.View{"heap": g}
-	c, err := compress.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views["compressed"] = c
-	path := filepath.Join(t.TempDir(), "g.ligragc")
-	if err := compress.WriteCompressedFile(path, c); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := compress.LoadView(path, g.Symmetric(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl, ok := mapped.(interface{ Close() error }); ok {
-		t.Cleanup(func() { _ = cl.Close() }) // read-only mapping
-	}
-	views["mmap"] = mapped
-
 	n := g.NumVertices()
 	var ops []delta.EdgeOp
 	for i := 0; i < 24; i++ {
@@ -141,18 +120,7 @@ func rowViews(t *testing.T, rng *rand.Rand, g *graph.Graph) map[string]graph.Vie
 			return false
 		})
 	}
-	store := delta.NewStore(g, delta.Config{})
-	t.Cleanup(store.Release)
-	if _, err := store.Update(context.Background(), ops); err != nil {
-		t.Fatal(err)
-	}
-	pin, err := store.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pin.Release)
-	views["snapshot"] = pin.View()
-	return views
+	return viewtest.Matrix(t, g, ops)
 }
 
 // TestPullRowMatchesPerEdge: on every representation, worker count and

@@ -20,7 +20,6 @@ func TestSeqBypassEquivalence(t *testing.T) {
 	for _, opts := range []Options{
 		{Threshold: 100},
 		{Threshold: 100, RemoveDuplicates: true},
-		{Threshold: 100, RemoveDuplicates: true, Dedup: DedupHash},
 		{Threshold: 100, NoOutput: true},
 	} {
 		u := NewSparse(6, []uint32{0, 2, 3})
@@ -132,38 +131,6 @@ func TestSeqBypassPanicContainment(t *testing.T) {
 	}
 	if d := SnapshotStats().Sub(before); d.SeqRounds != 0 {
 		t.Errorf("failed round recorded seq_rounds=%d, want 0", d.SeqRounds)
-	}
-}
-
-// TestEdgeMapDataSeqBypassParity is the EdgeMapData analogue of the
-// equivalence test: same winners and payloads with the bypass on and off.
-func TestEdgeMapDataSeqBypassParity(t *testing.T) {
-	g := testGraph(t)
-	funcs := EdgeDataFuncs[uint32]{
-		UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) { return s, true },
-	}
-	run := func(opts Options) map[uint32]uint32 {
-		u := NewSparse(6, []uint32{0, 3})
-		out := EdgeMapData(g, u, funcs, opts)
-		m := make(map[uint32]uint32)
-		for _, p := range out.Pairs() {
-			m[p.V] = p.Val
-		}
-		return m
-	}
-	before := SnapshotStats()
-	seq := run(Options{Threshold: 100, RemoveDuplicates: true})
-	if d := SnapshotStats().Sub(before); d.SeqRounds != 1 {
-		t.Fatalf("seq_rounds=%d, want 1 (bypass did not engage)", d.SeqRounds)
-	}
-	par := run(Options{Threshold: 100, RemoveDuplicates: true, SeqCutoff: -1})
-	if len(seq) != len(par) {
-		t.Fatalf("bypass pairs %v, parallel pairs %v", seq, par)
-	}
-	for v, s := range par {
-		if seq[v] != s {
-			t.Fatalf("vertex %d: bypass payload %d, parallel payload %d", v, seq[v], s)
-		}
 	}
 }
 

@@ -3,9 +3,9 @@ package core
 import "sync/atomic"
 
 // TraversalStats is the process-wide counter set behind the edgeMap
-// direction-optimization instrumentation: every EdgeMap / EdgeMapData call
-// records which representation it chose (the paper's sparse-vs-dense
-// switch, §4.2), how large the input frontier was, and how many frontier
+// direction-optimization instrumentation: every EdgeMap call records
+// which representation it chose (the paper's sparse-vs-dense switch,
+// §4.2), how large the input frontier was, and how many frontier
 // out-edges the |U| + outDegrees(U) > threshold heuristic weighed. The
 // counters make the switch observable — through ligra-run -stats,
 // ligra-bench reports, and ligra-serve's /metrics endpoint — instead of
@@ -59,7 +59,7 @@ func RecordTraversal(frontier int, edges int64, dense, fwd, seq bool, output int
 // JSON shape served by ligra-serve's /metrics and written by ligra-bench
 // -json.
 type StatsSnapshot struct {
-	// Calls is the total number of EdgeMap / EdgeMapData invocations.
+	// Calls is the total number of EdgeMap invocations.
 	Calls int64 `json:"calls"`
 	// Sparse, Dense and DenseForward count the per-call representation
 	// decisions; they sum to Calls.

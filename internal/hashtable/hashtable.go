@@ -7,10 +7,9 @@
 // deterministic. Reads (Contains, Elements) form a separate phase and
 // must not overlap inserts.
 //
-// In the Ligra reproduction this is the alternative duplicate-removal
-// strategy for sparse edgeMap outputs (the paper's remDuplicates uses a
-// CAS-claimed array of size |V|; a hash set costs O(frontier) space
-// instead), exercised by the ablation-dedup experiment.
+// It is a substrate of the Ligra research line; edgeMap's own duplicate
+// removal is the paper's CAS-claimed array of size |V| (core's
+// removeDuplicates), not this set.
 package hashtable
 
 import (
@@ -81,33 +80,29 @@ func (s *Set) priority(k uint32) uint64 { return priorityAt(s.mask, k) }
 // reserved sentinel ^uint32(0). If the table is too loaded to place the
 // key within its probe budget it grows (doubling and rehashing) and
 // retries instead of failing.
+//
+// A key an insert has displaced is out of the table until that insert
+// re-homes it. A concurrent Insert of the same key in that window places
+// its own copy and reports true; the displacing call later meets the copy,
+// drops the one it carries and reports false. The true returns therefore
+// sum to the number of keys added — what concurrent callers count — even
+// when one racing call answers for another.
 func (s *Set) Insert(k uint32) bool {
 	if k == empty {
 		panic("hashtable: cannot insert the reserved sentinel key")
 	}
-	// The displacement chain may be cut short by a full table while
-	// carrying a key that is no longer k: by then k itself has been
-	// placed (it displaced a lower-priority key), so the answer is known
-	// and the retries only need to re-home the carried key.
-	result, known := false, false
-	pending := k
+	// A pass cut short by a full table hands back the key it was carrying
+	// (k itself, or one k displaced); growth makes room and the next pass
+	// re-homes it.
 	for {
 		s.mu.RLock()
 		size := len(s.slots)
-		res, carry, full := s.tryInsert(pending)
+		placed, carry, full := s.tryInsert(k)
 		s.mu.RUnlock()
 		if !full {
-			if !known {
-				result = res
-			}
-			return result
+			return placed
 		}
-		if carry != pending && !known {
-			// pending (== k) displaced its way into the table before the
-			// chain ran out of room, so k was absent.
-			result, known = true, true
-		}
-		pending = carry
+		k = carry
 		s.grow(size)
 	}
 }
@@ -131,6 +126,7 @@ func (s *Set) tryInsert(k uint32) (bool, uint32, bool) {
 			}
 			// Lost the race; re-examine the same slot.
 			probes--
+			continue
 		case s.priority(cur) < pk:
 			// k has higher priority: displace cur and keep inserting it
 			// further down the chain (ordered linear probing).

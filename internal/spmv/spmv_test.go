@@ -8,17 +8,16 @@ package spmv_test
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"ligra/internal/algo"
-	"ligra/internal/compress"
 	"ligra/internal/core"
 	"ligra/internal/delta"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
 	"ligra/internal/spmv"
+	"ligra/internal/viewtest"
 )
 
 // testGraphs returns the heap CSR inputs the property matrix is built
@@ -37,32 +36,11 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	return map[string]*graph.Graph{"rmat": rmat, "grid": grid}
 }
 
-// viewMatrix builds every backend view of g: the heap CSR itself, the
-// in-memory compressed graph, a memory-mapped compressed file, and a
-// delta-store snapshot with one applied update batch (so the overlay path,
-// not just the base, is exercised).
+// viewMatrix builds every backend view of g; the delta snapshot has one
+// applied update batch, so the overlay path, not just the base, is
+// exercised.
 func viewMatrix(t *testing.T, g *graph.Graph) map[string]graph.View {
 	t.Helper()
-	views := map[string]graph.View{"heap": g}
-
-	c, err := compress.Compress(g)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	views["compressed"] = c
-
-	path := filepath.Join(t.TempDir(), "g.ligragc")
-	if err := compress.WriteCompressedFile(path, c); err != nil {
-		t.Fatalf("write compressed: %v", err)
-	}
-	mapped, err := compress.LoadView(path, g.Symmetric(), true)
-	if err != nil {
-		t.Fatalf("mmap load: %v", err)
-	}
-	views["mmap"] = mapped
-
-	store := delta.NewStore(g, delta.Config{})
-	t.Cleanup(store.Release)
 	n := uint32(g.NumVertices())
 	ops := []delta.EdgeOp{
 		{Src: 1, Dst: n - 2},
@@ -74,17 +52,7 @@ func viewMatrix(t *testing.T, g *graph.Graph) map[string]graph.View {
 		ops = append(ops, delta.EdgeOp{Src: 0, Dst: d, Del: true})
 		return false
 	})
-	if _, err := store.Update(context.Background(), ops); err != nil {
-		t.Fatalf("delta update: %v", err)
-	}
-	pin, err := store.Acquire()
-	if err != nil {
-		t.Fatalf("delta acquire: %v", err)
-	}
-	t.Cleanup(pin.Release)
-	views["snapshot"] = pin.View()
-
-	return views
+	return viewtest.Matrix(t, g, ops)
 }
 
 func TestBFSLevelsBitIdentical(t *testing.T) {

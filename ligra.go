@@ -78,20 +78,6 @@ const (
 	ForceDense = core.ForceDense
 )
 
-// DedupStrategy selects how RemoveDuplicates deduplicates sparse output
-// frontiers (see Options.Dedup).
-type DedupStrategy = core.DedupStrategy
-
-// Deduplication strategies.
-const (
-	// DedupScratch claims IDs in a pooled O(|V|) CAS array (Ligra's
-	// remDuplicates; the default).
-	DedupScratch = core.DedupScratch
-	// DedupHash inserts IDs into a phase-concurrent hash set sized to the
-	// frontier (O(frontier) space).
-	DedupHash = core.DedupHash
-)
-
 // None is the sentinel vertex ID (2^32-1).
 const None = core.None
 
@@ -140,9 +126,9 @@ func NewFromFunc(n int, pred func(v uint32) bool) *VertexSubset {
 type TraversalStats = core.StatsSnapshot
 
 // SnapshotTraversalStats returns the current process-wide traversal
-// counters. Counters accumulate across every EdgeMap / EdgeMapData call in
-// the process; to attribute activity to one region, snapshot before and
-// after and use TraversalStats.Sub. Safe for concurrent use.
+// counters. Counters accumulate across every EdgeMap call in the process;
+// to attribute activity to one region, snapshot before and after and use
+// TraversalStats.Sub. Safe for concurrent use.
 func SnapshotTraversalStats() TraversalStats { return core.SnapshotStats() }
 
 // ResetTraversalStats zeroes the process-wide traversal counters.
@@ -162,20 +148,3 @@ func SnapshotSchedulerStats() SchedulerStats { return parallel.SchedulerSnapshot
 // ResetSchedulerStats zeroes the scheduler's dispatch/inline/park/wake
 // counters (the pool-size gauge is untouched).
 func ResetSchedulerStats() { parallel.ResetSchedulerStats() }
-
-// Pair is one (vertex, payload) member of a data-carrying frontier.
-type Pair[T any] = core.Pair[T]
-
-// DataSubset is a frontier whose members carry per-vertex payloads
-// (Ligra's vertexSubsetData).
-type DataSubset[T any] = core.DataSubset[T]
-
-// EdgeDataFuncs is the data-producing analogue of EdgeFuncs.
-type EdgeDataFuncs[T any] = core.EdgeDataFuncs[T]
-
-// EdgeMapData applies f over the edges out of u, returning the winning
-// destinations together with the payloads their updates produced
-// (Ligra's edgeMapData).
-func EdgeMapData[T any](g View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) *DataSubset[T] {
-	return core.EdgeMapData(g, u, f, opts)
-}

@@ -2,16 +2,18 @@ package ligra_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"sync/atomic"
 	"testing"
 
 	"ligra"
+	"ligra/internal/parallel"
 )
 
 func TestMain(m *testing.M) {
-	ligra.SetParallelism(4)
+	parallel.SetProcs(4) // process-wide pin for the whole suite
 	os.Exit(m.Run())
 }
 
@@ -103,7 +105,7 @@ func TestPublicGraphIO(t *testing.T) {
 	if err := ligra.SaveGraph(dir+"/g.bin", g, true); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := ligra.LoadGraph(dir+"/g.bin", true)
+	g3, err := ligra.Load(dir+"/g.bin", ligra.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +133,29 @@ func TestPublicCompressedGraphRuns(t *testing.T) {
 }
 
 func TestPublicParallelismControls(t *testing.T) {
-	old := ligra.SetParallelism(2)
-	if ligra.Parallelism() != 2 {
-		t.Error("SetParallelism did not take effect")
+	if p := ligra.Parallelism(); p != 4 {
+		t.Errorf("Parallelism() = %d, want TestMain's 4", p)
 	}
-	ligra.SetParallelism(old)
-	ligra.SetParallelism(4)
+	g, err := ligra.Grid3D(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Under a WithParallelism(1) lease no two updates ever overlap.
+	var cur, peak atomic.Int64
+	f := ligra.EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool {
+		if c := cur.Add(1); c > peak.Load() {
+			peak.Store(c)
+		}
+		cur.Add(-1)
+		return true
+	}}
+	ctx := ligra.WithParallelism(context.Background(), 1)
+	if _, err := ligra.EdgeMapCtx(ctx, g, ligra.NewAll(g.NumVertices()), f, ligra.Options{Mode: ligra.ForceSparse}); err != nil {
+		t.Fatal(err)
+	}
+	if peak.Load() != 1 {
+		t.Errorf("observed %d concurrent updates under WithParallelism(1)", peak.Load())
+	}
 }
 
 func TestPublicWeightedRouting(t *testing.T) {
@@ -305,34 +324,6 @@ func TestPublicGraphTransforms(t *testing.T) {
 	}
 }
 
-func TestPublicEdgeMapData(t *testing.T) {
-	g, err := ligra.Grid3D(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	visited := make([]uint32, n)
-	visited[0] = 1
-	f := ligra.EdgeDataFuncs[uint32]{
-		UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) {
-			if atomic.CompareAndSwapUint32(&visited[d], 0, 1) {
-				return s, true
-			}
-			return 0, false
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&visited[d]) == 0 },
-	}
-	out := ligra.EdgeMapData(g, ligra.NewSingle(n, 0), f, ligra.Options{})
-	if out.Size() != 6 {
-		t.Errorf("first wave size %d, want 6 (torus)", out.Size())
-	}
-	out.ForEach(func(v uint32, parent uint32) {
-		if parent != 0 {
-			t.Errorf("vertex %d discovered by %d, want 0", v, parent)
-		}
-	})
-}
-
 func TestPublicEdgeListAndLocalClustering(t *testing.T) {
 	g, err := ligra.RMAT(9, 8, ligra.PBBSRMAT, 21)
 	if err != nil {
@@ -392,12 +383,10 @@ func TestPublicDedupStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []ligra.DedupStrategy{ligra.DedupScratch, ligra.DedupHash} {
-		opts := ligra.Options{Mode: ligra.ForceSparse, RemoveDuplicates: true, Dedup: strat}
-		res := ligra.ConnectedComponents(g, opts)
-		if res.Components != 1 {
-			t.Errorf("strategy %v: %d components on a torus", strat, res.Components)
-		}
+	// Forced sparse, so duplicate removal runs every round.
+	opts := ligra.Options{Mode: ligra.ForceSparse, RemoveDuplicates: true}
+	if res := ligra.ConnectedComponents(g, opts); res.Components != 1 {
+		t.Errorf("%d components on a torus", res.Components)
 	}
 }
 
