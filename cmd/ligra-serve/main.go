@@ -127,8 +127,8 @@ func run(args []string) error {
 		breakerCool    = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker waits before a half-open probe")
 		retryBudget    = fs.Int("retry-budget", 10, "token budget for transient graph-load retries (negative = retries off)")
 		watchdogGrace  = fs.Duration("watchdog-grace", 2*time.Second, "how far past its deadline a query may run before the watchdog trips (negative = watchdog off)")
-		batchWindowMs  = fs.Int("batch-window-ms", 2, "how long the first batchable query (bfs/reach/landmarks) waits for companions before the shared sweep fires (0 = default 2ms, negative = batching off)")
-		batchMax       = fs.Int("batch-max", 64, "max query slots per shared multi-source sweep (<= 64, one visit-word bit each)")
+		batchWindowMs  = fs.Int("batch-window-ms", 2, "longest a queued batchable query (bfs/reach/landmarks) waits for a shared sweep; queries queue only once their concurrency reaches the sweep crossover, below it they run at once (0 = default 2ms, negative = batching off)")
+		batchMax       = fs.Int("batch-max", 64, "max query slots per shared multi-source sweep (<= 64, one visit-word bit each; never below the sweep crossover)")
 		updateWindowMs = fs.Int("update-window-ms", 5, "group-commit window for /update batches: the first writer waits this long for companions (0 = default 5ms, negative = apply immediately)")
 		updatePending  = fs.Int("update-max-pending", 0, "max edge ops buffered across forming update commits before 429 (0 = delta-store default)")
 		compactEvery   = fs.Int64("compact-threshold", 0, "overlaid edge-op churn that triggers snapshot compaction (0 = max(4096, edges/8), negative = compaction off)")

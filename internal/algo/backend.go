@@ -106,10 +106,7 @@ func spmvBFSRun(ctx context.Context, g graph.View, p Params) (RunResult, error) 
 	if res == nil {
 		return RunResult{}, err
 	}
-	return RunResult{
-		Summary: fmt.Sprintf("BFS from %d: visited %d vertices in %d rounds", p.Source, res.Visited, res.Rounds),
-		Details: map[string]any{"source": p.Source, "visited": res.Visited, "rounds": res.Rounds, "backend": BackendSpMV},
-	}, roundErr("bfs", res.Rounds, err)
+	return bfsRunResult(p.Source, res.Visited, res.Rounds, BackendSpMV), roundErr("bfs", res.Rounds, err)
 }
 
 // spmvTrianglesRun executes the triangles runner on the spmv backend.

@@ -1,7 +1,10 @@
 package algo
 
 import (
+	"context"
 	"fmt"
+
+	"ligra/internal/graph"
 )
 
 // This file defines the contract between the serving-side batch collector
@@ -9,8 +12,8 @@ import (
 // share one ClusterBFS sweep, what per-vertex probes each needs, and how a
 // per-source slice of a ClusterBFSResult becomes the same RunResult the
 // unbatched runner produces. The single-query runners for reach and
-// landmarks call the same BatchProbes/BatchResult helpers with a
-// one-source sweep, so batched and unbatched answers agree by
+// landmarks hand the same BatchResult one BFS's level array as a
+// one-source level matrix, so batched and unbatched answers agree by
 // construction rather than by parallel maintenance.
 
 // Batchable reports whether the named algorithm's queries can be folded
@@ -68,22 +71,38 @@ func BatchValidate(name string, n int, p Params) error {
 	return nil
 }
 
+// levelsRunner is the single-query runner of reach and landmarks: one
+// BFSLevelsCtx — a lone query costs what a bfs costs, with no visit words,
+// fold pass or aggregate pass — read through BatchResult as the
+// one-source level matrix it is.
+func levelsRunner(name string) func(context.Context, graph.View, Params) (RunResult, error) {
+	return func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		if err := BatchValidate(name, g.NumVertices(), p); err != nil {
+			return RunResult{}, err
+		}
+		levels, err := BFSLevelsCtx(ctx, g, p.Source, p.EdgeMapOptions())
+		res := &ClusterBFSResult{Sources: []uint32{p.Source}, Levels: levels, n: len(levels)}
+		return BatchResult(name, res, 0, p), err
+	}
+}
+
+// bfsRunResult is the bfs runner's report, whichever execution (edgeMap
+// BFS, spmv BFS, a shared sweep) produced the counts.
+func bfsRunResult(source uint32, visited, rounds int, backend string) RunResult {
+	return RunResult{
+		Summary: fmt.Sprintf("BFS from %d: visited %d vertices in %d rounds", source, visited, rounds),
+		Details: map[string]any{"source": source, "visited": visited, "rounds": rounds, "backend": backend},
+	}
+}
+
 // BatchResult extracts source i's answer from a (possibly shared)
-// ClusterBFS sweep as the RunResult the named algorithm reports. For
-// "bfs" the output is formatted identically to the bfs runner's, so a
+// ClusterBFS sweep as the RunResult the named algorithm reports, so a
 // batched caller cannot tell it shared a sweep.
 func BatchResult(name string, res *ClusterBFSResult, i int, p Params) RunResult {
 	switch name {
 	case "bfs":
-		visited := int(res.Reached[i])
-		rounds := int(res.Depth[i])
-		// Batched sweeps are ClusterBFS, an edgeMap execution: the backend
-		// detail must match the direct bfs runner's edgeMap path so the two
-		// stay interchangeable in the result cache.
-		return RunResult{
-			Summary: fmt.Sprintf("BFS from %d: visited %d vertices in %d rounds", p.Source, visited, rounds),
-			Details: map[string]any{"source": p.Source, "visited": visited, "rounds": rounds, "backend": BackendEdgeMap},
-		}
+		// Sweeps are ClusterBFS, an edgeMap execution.
+		return bfsRunResult(p.Source, int(res.Reached[i]), int(res.Depth[i]), BackendEdgeMap)
 	case "reach":
 		dist := res.LevelTo(i, p.Target)
 		if dist >= 0 {

@@ -217,41 +217,11 @@ var runners = []Runner{
 				return spmvBFSRun(ctx, g, p)
 			}
 			res, err := BFSCtx(ctx, g, p.Source, p.EdgeMapOptions())
-			return RunResult{
-				Summary: fmt.Sprintf("BFS from %d: visited %d vertices in %d rounds", p.Source, res.Visited, res.Rounds),
-				Details: map[string]any{"source": p.Source, "visited": res.Visited, "rounds": res.Rounds, "backend": BackendEdgeMap},
-			}, err
+			return bfsRunResult(p.Source, res.Visited, res.Rounds, BackendEdgeMap), err
 		},
 	},
-	{
-		Name: "reach", NeedsSource: true, Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			if err := BatchValidate("reach", g.NumVertices(), p); err != nil {
-				return RunResult{}, err
-			}
-			// One-source ClusterBFS with the target as a probe: the
-			// single-query path and the batched path share the sweep and
-			// the extraction, so batching cannot change answers.
-			res, err := ClusterBFSCtx(ctx, g, []uint32{p.Source}, ClusterBFSOptions{
-				EdgeMap: p.EdgeMapOptions(),
-				Probes:  BatchProbes("reach", p),
-			})
-			return BatchResult("reach", res, 0, p), err
-		},
-	},
-	{
-		Name: "landmarks", NeedsSource: true, Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			if err := BatchValidate("landmarks", g.NumVertices(), p); err != nil {
-				return RunResult{}, err
-			}
-			res, err := ClusterBFSCtx(ctx, g, []uint32{p.Source}, ClusterBFSOptions{
-				EdgeMap: p.EdgeMapOptions(),
-				Probes:  BatchProbes("landmarks", p),
-			})
-			return BatchResult("landmarks", res, 0, p), err
-		},
-	},
+	{Name: "reach", NeedsSource: true, Cancellable: true, Run: levelsRunner("reach")},
+	{Name: "landmarks", NeedsSource: true, Cancellable: true, Run: levelsRunner("landmarks")},
 	{
 		Name: "bc", NeedsSource: true, Cancellable: true,
 		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {

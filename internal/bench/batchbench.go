@@ -18,6 +18,8 @@ import (
 // frontier vertex's edges once per round it is live for ANY source,
 // instead of once per source, which is the whole point of the
 // subsystem (the acceptance bar is >=4x fewer edges at K=32 on rMat).
+// The K list straddles the point where the sweep starts to pay: the two
+// rows that bracket it are the evidence for batch.SweepCrossover.
 func Batch(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	in, err := FindInput(suite, "rMat")
@@ -36,7 +38,7 @@ func Batch(cfg Config) error {
 	fmt.Fprintln(cfg.Out, "  unbatched = K independent single-source sweeps; batched = one ClusterBFS sweep, K visit-word bits")
 	w := cfg.tab()
 	fmt.Fprintln(w, "K\tunbatched\tbatched\tspeedup\tedges(unbatched)\tedges(batched)\tedge ratio")
-	for _, k := range []int{8, 32, 64} {
+	for _, k := range []int{2, 4, 8, 12, 16, 32, 64} {
 		if cfg.budgetExhausted(w) {
 			break
 		}

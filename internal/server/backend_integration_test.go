@@ -95,8 +95,8 @@ func TestQueryBackendValidation(t *testing.T) {
 }
 
 // TestSpMVBypassesBatcher checks that a bfs query resolved to the spmv
-// backend executes directly instead of joining the multi-source batch
-// collector (whose shared sweeps are edgeMap executions).
+// backend, below the sweep crossover, is the plain runner like any other:
+// the collector neither queues it nor answers it from an edgeMap sweep.
 func TestSpMVBypassesBatcher(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		MaxConcurrent: 4,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"ligra/internal/parallel"
@@ -73,8 +74,11 @@ func (e *Engine) InvalidateGraph(graph string) int {
 // cached — a partial result from a timeout must not be served to later
 // callers with longer budgets.
 //
-// Followers share the leader's outcome verbatim, including its error: the
-// leader runs under its own request context, so a follower can observe a
+// Followers share the leader's outcome — value, ordinary error or
+// contained panic — with one exception: the leader runs under its own
+// request context, so when it ends in a context error while the
+// follower's ctx is still live, the follower re-enters Execute (leading
+// the next flight or attaching to it) rather than answer for a
 // cancellation it did not cause. A follower whose own ctx ends first
 // detaches and returns its ctx error; the leader keeps running for anyone
 // still waiting.
@@ -91,6 +95,9 @@ func (e *Engine) Execute(ctx context.Context, k Key, run RunFunc) (Value, Info, 
 		e.stats.Unlock()
 		select {
 		case <-f.done:
+			if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+				return e.Execute(ctx, k, run)
+			}
 			return f.val, Info{Coalesced: true}, f.err
 		case <-ctx.Done():
 			return Value{}, Info{Coalesced: true}, ctx.Err()

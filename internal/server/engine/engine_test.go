@@ -190,6 +190,84 @@ func TestExecuteFollowerDetachesOnOwnCancel(t *testing.T) {
 	}
 }
 
+// TestFollowerSurvivesLeaderCancel: a leader whose own ctx ends hands its
+// followers a context error they did not cause; a follower whose ctx is
+// still live must run the query itself (or join the next flight) instead
+// of returning it — including when the cause sits inside a wrapping error,
+// as algo.RoundError does. Ordinary errors are still shared.
+func TestFollowerSurvivesLeaderCancel(t *testing.T) {
+	e := New(nil, NewGovernor(4, 2))
+	k := testKey("g", 1, "source=0")
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		lctx, lcancel := context.WithCancel(context.Background())
+		entered := make(chan struct{})
+		leaderDone := make(chan error, 1)
+		go func() {
+			_, _, err := e.Execute(lctx, k, func(ctx context.Context, procs int) (Value, error) {
+				close(entered)
+				<-ctx.Done()
+				return Value{Data: "partial"}, fmt.Errorf("interrupted after round 3: %w", cause)
+			})
+			leaderDone <- err
+		}()
+		<-entered
+
+		const followers = 4
+		before := e.Snapshot().Coalesced
+		var wg sync.WaitGroup
+		vals := make([]Value, followers)
+		errs := make([]error, followers)
+		for i := 0; i < followers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				vals[i], _, errs[i] = e.Execute(context.Background(), k, func(ctx context.Context, procs int) (Value, error) {
+					return Value{Data: "full"}, nil
+				})
+			}(i)
+		}
+		for e.Snapshot().Coalesced < before+followers {
+			time.Sleep(time.Millisecond)
+		}
+		lcancel()
+		wg.Wait()
+		if err := <-leaderDone; !errors.Is(err, cause) {
+			t.Fatalf("leader err = %v, want %v", err, cause)
+		}
+		for i := 0; i < followers; i++ {
+			if errs[i] != nil || vals[i].Data != "full" {
+				t.Errorf("%v: follower %d got (%v, %v), want its own full result", cause, i, vals[i].Data, errs[i])
+			}
+		}
+	}
+
+	// An ordinary leader error is still every follower's answer.
+	boom := errors.New("bad input")
+	entered, finish := make(chan struct{}), make(chan struct{})
+	go e.Execute(context.Background(), k, func(ctx context.Context, procs int) (Value, error) {
+		close(entered)
+		<-finish
+		return Value{}, boom
+	})
+	<-entered
+	before := e.Snapshot().Coalesced
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.Execute(context.Background(), k, func(ctx context.Context, procs int) (Value, error) {
+			t.Error("follower of a failed leader ran the runner")
+			return Value{}, nil
+		})
+		done <- err
+	}()
+	for e.Snapshot().Coalesced == before {
+		time.Sleep(time.Millisecond)
+	}
+	close(finish)
+	if err := <-done; !errors.Is(err, boom) {
+		t.Errorf("follower err = %v, want the leader's %v", err, boom)
+	}
+}
+
 // TestExecutePlumbsGovernorCapThroughParallel verifies the end-to-end
 // proc plumbing: the runner's ctx carries the lease as a
 // parallel.WithProcs cap, so every ctx-aware loop under it is bounded.

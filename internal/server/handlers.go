@@ -335,8 +335,8 @@ type queryResponse struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 	Procs     int  `json:"procs,omitempty"`
 	// Batched marks a result answered by a shared multi-source sweep;
-	// BatchSize is how many query slots that sweep served (1 = a batch
-	// of one; the answer is identical either way).
+	// BatchSize is how many query slots that sweep served. Both are absent
+	// on a plain run; the answer is identical either way.
 	Batched   bool `json:"batched,omitempty"`
 	BatchSize int  `json:"batch_size,omitempty"`
 	// Backend names the execution backend that produced the result
@@ -400,10 +400,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Resolve the execution backend against the pinned view (Validate only
-	// checked the name; whether this algorithm has an spmv kernel, and what
-	// "auto" means for this graph, is decided here).
-	backend, err := algo.ResolveBackend(runner.Name, g, req.Params)
-	if err != nil {
+	// checked the name; whether this algorithm has an spmv kernel is
+	// decided here, the runner resolves it again to dispatch).
+	if _, err := algo.ResolveBackend(runner.Name, g, req.Params); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -508,52 +507,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	wid := s.watchdog.Watch(name, runner.Name, qDeadline)
 	start := time.Now()
-	var val engine.Value
-	var how engine.Info
-	var binfo batch.Info
-	// The batch collector's shared sweeps are ClusterBFS — an edgeMap
-	// execution — so a query that resolved to the spmv backend bypasses
-	// batching and runs its kernel through the engine instead.
-	if s.batcher != nil && backend == algo.BackendEdgeMap && algo.Batchable(runner.Name) {
-		// Batched path: the query contributes one source bit to a shared
-		// ClusterBFS sweep over every compatible query in the window.
-		// The shape key admits any batchable algorithm against the same
-		// graph generation and traversal options; cache lookups/fills
-		// and slot coalescing happen inside the collector, so the
-		// engine's single-flight layer is bypassed, not duplicated.
-		// The shape key includes the snapshot version, so every slot of a
-		// sweep pinned the identical snapshot. The sweep itself can fire
-		// after this handler's pin is gone (detached window fire), so it
-		// re-pins at execution time and aborts if the graph was evicted.
-		run := batch.ClusterRun(g)
-		val, binfo, err = s.batcher.Execute(ctx, batch.Request{
-			Key:    key,
-			Shape:  fmt.Sprintf("%s gen=%d mode=%s threshold=%d", name, pin.Version(), params.Mode, params.Threshold),
-			Algo:   runner.Name,
-			Params: params,
-		}, func(sweepCtx context.Context, procs int, slots []batch.Request) ([]engine.Value, error) {
-			sweepPin, ok := pin.Store().TryAcquire()
-			if !ok {
-				return nil, fmt.Errorf("graph %q evicted before its batched sweep ran", name)
-			}
-			defer sweepPin.Release()
-			return run(sweepCtx, procs, slots)
-		})
-		how = engine.Info{Cached: binfo.Cached, Coalesced: binfo.Coalesced, Procs: binfo.Procs}
-	} else {
-		val, how, err = s.engine.Execute(ctx, key, func(runCtx context.Context, procs int) (engine.Value, error) {
-			p := params
-			p.EdgeMap.Procs = procs // cap every edgeMap of the run at the lease
-			// Algorithms with incremental refresh paths are served from
-			// the snapshot store's memoized state when the delta log can
-			// carry it forward; everything else runs the plain runner.
-			if v, handled, err := incrementalRun(runCtx, pin, runner.Name, p); handled {
-				return v, err
-			}
-			res, err := safeRun(runner, runCtx, g, p)
-			return engine.Value{Data: res, Bytes: res.EstimateBytes()}, err
-		})
+	// The plain runner, one closure for every algorithm; the collector
+	// decides whether a batchable query (bfs, reach, landmarks) runs it or
+	// rides a shared sweep, and hands everything else straight to the engine.
+	plain := func(runCtx context.Context, procs int) (engine.Value, error) {
+		p := params
+		p.EdgeMap.Procs = procs // cap every edgeMap of the run at the lease
+		// Algorithms with incremental refresh paths are served from
+		// the snapshot store's memoized state when the delta log can
+		// carry it forward; everything else runs the plain runner.
+		if v, handled, err := incrementalRun(runCtx, pin, runner.Name, p); handled {
+			return v, err
+		}
+		res, err := safeRun(runner, runCtx, g, p)
+		return engine.Value{Data: res, Bytes: res.EstimateBytes()}, err
 	}
+	// A sweep's slots share (graph, version, mode, threshold), so every
+	// one pinned the identical snapshot. The sweep can outlive this
+	// handler's pin (it is detached from any one caller), so it re-pins at
+	// execution time and aborts if the graph was evicted.
+	sweep := func(sweepCtx context.Context, procs int, slots []batch.Request) ([]engine.Value, error) {
+		sweepPin, ok := pin.Store().TryAcquire()
+		if !ok {
+			return nil, fmt.Errorf("graph %q evicted before its batched sweep ran", name)
+		}
+		defer sweepPin.Release()
+		return batch.ClusterRun(sweepCtx, g, procs, slots)
+	}
+	val, how, err := s.batcher.Execute(ctx, batch.Request{Key: key, Algo: runner.Name, Params: params}, plain, sweep)
 	elapsed := float64(time.Since(start).Microseconds()) / 1000
 	s.watchdog.Done(wid)
 	s.metrics.InFlight.Add(-1)
@@ -577,7 +558,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Graph: name, Algo: runner.Name,
 		Summary: res.Summary, Details: sanitizeDetails(res.Details), ElapsedMs: elapsed,
 		Cached: how.Cached, Coalesced: how.Coalesced, Procs: how.Procs,
-		Batched: binfo.Batched, BatchSize: binfo.BatchSize,
+		Batched: how.Batched, BatchSize: how.BatchSize,
 		Backend: resBackend,
 	}
 	var pe *parallel.PanicError

@@ -106,9 +106,9 @@ type Snapshot struct {
 	// Backends counts executed queries per execution backend ("edgemap" /
 	// "spmv"); cached and coalesced replies are not counted (they ran
 	// nothing). Empty until a backend-reporting algorithm executes.
-	Backends map[string]int64 `json:"backends,omitempty"`
-	Graphs        []GraphInfo             `json:"graphs"`
-	GraphBytes    int64                   `json:"graph_bytes_total"`
+	Backends   map[string]int64 `json:"backends,omitempty"`
+	Graphs     []GraphInfo      `json:"graphs"`
+	GraphBytes int64            `json:"graph_bytes_total"`
 	// GraphMappedBytes totals the memory-mapped (page-cache resident)
 	// bytes of mmap-backed graphs, reported separately from the heap
 	// bytes in graph_bytes_total.
@@ -131,8 +131,8 @@ type Snapshot struct {
 	// states, retry-budget spend, and watchdog trips.
 	Resilience ResilienceSnapshot `json:"resilience"`
 	// Batch is the batch collector's counter set (sweeps run, queries
-	// batched, mean batch size, window fires, fanout errors); all-zero
-	// when batching is disabled.
+	// batched, mean batch size, window fires, fanout errors, plain runs,
+	// short windows); all-zero when batching is disabled.
 	Batch batch.Stats `json:"batch"`
 	// Updates aggregates every resident graph's delta-store counters:
 	// update batches and requests, effective edge inserts/deletes,

@@ -38,13 +38,14 @@ type Config struct {
 	// the parallelism governor; 0 selects GOMAXPROCS (a lone query still
 	// uses the whole machine; concurrent queries share it).
 	MaxQueryProcs int
-	// BatchWindow is how long the first batchable query (bfs, reach,
-	// landmarks) waits for companions before its shared ClusterBFS sweep
-	// fires; 0 selects 2ms; negative disables batching entirely (every
-	// query goes through the engine alone).
+	// BatchWindow bounds how long a queued batchable query (bfs, reach,
+	// landmarks — queued only once its shape's concurrency reaches the
+	// sweep crossover) waits for a shared ClusterBFS sweep before it runs
+	// plain; 0 selects 2ms; negative disables batching entirely.
 	BatchWindow time.Duration
 	// BatchMax caps the query slots per shared sweep; 0 selects 64,
-	// which is also the hard ceiling (one visit-word bit per slot).
+	// which is also the hard ceiling (one visit-word bit per slot), and
+	// the sweep crossover is the floor.
 	BatchMax int
 
 	// ShedTarget is the service-level objective for admission queue
@@ -149,17 +150,6 @@ func (c Config) watchdogGrace() time.Duration {
 	}
 }
 
-func (c Config) batchWindow() time.Duration {
-	switch {
-	case c.BatchWindow > 0:
-		return c.BatchWindow
-	case c.BatchWindow < 0:
-		return 0 // batching off
-	default:
-		return 2 * time.Millisecond
-	}
-}
-
 func (c Config) updateWindow() time.Duration {
 	switch {
 	case c.UpdateWindow > 0:
@@ -193,7 +183,7 @@ type Server struct {
 	reg      *Registry
 	metrics  *Metrics
 	engine   *engine.Engine
-	batcher  *batch.Collector // nil when batching is disabled
+	batcher  *batch.Collector // the one entry to engine: plain run or shared sweep
 	shed     *resilience.Shedder
 	breakers *resilience.Breakers
 	watchdog *resilience.Watchdog
@@ -241,15 +231,7 @@ func New(cfg Config) *Server {
 		HistoryDepth: cfg.UpdateHistoryDepth,
 	})
 	s.baseCtx, s.cancelInflight = context.WithCancel(context.Background())
-	if w := cfg.batchWindow(); w > 0 {
-		// The collector shares the engine's cache and governor so a
-		// batched query hits the same cache entries and competes for the
-		// same CPU budget as an unbatched one.
-		s.batcher = batch.New(s.baseCtx, s.engine.Cache(), s.engine.Governor(), batch.Config{
-			Window:   w,
-			MaxBatch: cfg.BatchMax,
-		})
-	}
+	s.batcher = batch.New(s.baseCtx, s.engine, batch.Config{Window: cfg.BatchWindow, MaxBatch: cfg.BatchMax})
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -265,7 +247,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Engine exposes the query engine (cache + coalescer + governor).
 func (s *Server) Engine() *engine.Engine { return s.engine }
 
-// Batcher exposes the batch collector (nil when batching is disabled).
+// Batcher exposes the batch collector.
 func (s *Server) Batcher() *batch.Collector { return s.batcher }
 
 // Breakers exposes the per-(algorithm, graph) circuit-breaker table.
