@@ -285,10 +285,12 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 						res.Levels[bits.TrailingZeros64(b)*n+int(v)] = r
 					}
 				}
-				if pj, ok := res.probeIndex[v]; ok {
-					row := res.ProbeLevels[pj]
-					for b := newBits; b != 0; b &= b - 1 {
-						row[bits.TrailingZeros64(b)] = r
+				if len(res.Probes) > 0 { // Radii asks for none: no map probe per frontier vertex
+					if pj, ok := res.probeIndex[v]; ok {
+						row := res.ProbeLevels[pj]
+						for b := newBits; b != 0; b &= b - 1 {
+							row[bits.TrailingZeros64(b)] = r
+						}
 					}
 				}
 			}

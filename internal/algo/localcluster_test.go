@@ -1,7 +1,10 @@
 package algo
 
 import (
+	"maps"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"ligra/internal/gen"
@@ -164,4 +167,183 @@ func pickFirstNonZeroDeg(g graph.View) uint32 {
 		}
 	}
 	return 0
+}
+
+// refAPPR and refSweepCut are the map-based formulation APPR and SweepCut
+// had before they moved to pooled dense scratch, kept as the reference the
+// dense one must reproduce: same queue discipline, same floating-point
+// operations in the same order.
+func refAPPR(g graph.View, seed uint32, alpha, eps float64) *APPRResult {
+	if g.OutDegree(seed) == 0 {
+		// Isolated seed: all mass stays there.
+		return &APPRResult{P: map[uint32]float64{seed: 1}, R: map[uint32]float64{}}
+	}
+
+	p := make(map[uint32]float64)
+	r := map[uint32]float64{seed: 1}
+	// Work queue of vertices whose residual exceeds the threshold.
+	queue := []uint32{seed}
+	inQueue := map[uint32]bool{seed: true}
+	pushes := 0
+
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		inQueue[v] = false
+		deg := float64(g.OutDegree(v))
+		rv := r[v]
+		if deg == 0 || rv < eps*deg {
+			continue
+		}
+		// Push: p(v) += alpha*r(v); spread (1-alpha)*r(v)/2 over the
+		// neighbors, keep (1-alpha)*r(v)/2 at v (the lazy variant, which
+		// guarantees convergence on bipartite-ish structures).
+		pushes++
+		p[v] += alpha * rv
+		keep := (1 - alpha) * rv / 2
+		share := (1 - alpha) * rv / 2 / deg
+		r[v] = keep
+		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			r[d] += share
+			if !inQueue[d] {
+				dd := float64(g.OutDegree(d))
+				if dd > 0 && r[d] >= eps*dd {
+					queue = append(queue, d)
+					inQueue[d] = true
+				}
+			}
+			return true
+		})
+		// v may still exceed its own threshold after the lazy keep.
+		if !inQueue[v] && r[v] >= eps*deg {
+			queue = append(queue, v)
+			inQueue[v] = true
+		}
+	}
+	return &APPRResult{P: p, R: r, Pushes: pushes}
+}
+
+func refSweepCut(g graph.View, p map[uint32]float64) *SweepCutResult {
+	type scored struct {
+		v     uint32
+		score float64
+	}
+	order := make([]scored, 0, len(p))
+	for v, pv := range p {
+		deg := g.OutDegree(v)
+		if deg == 0 || pv <= 0 {
+			continue
+		}
+		order = append(order, scored{v, pv / float64(deg)})
+	}
+	if len(order) == 0 {
+		return &SweepCutResult{Conductance: 1}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].score != order[j].score {
+			return order[i].score > order[j].score
+		}
+		return order[i].v < order[j].v
+	})
+
+	totalVol := g.NumEdges() // sum of degrees
+	inSet := make(map[uint32]bool, len(order))
+	var vol, cut int64
+	best := math.Inf(1)
+	bestEnd := 0
+	for i, s := range order {
+		v := s.v
+		deg := int64(g.OutDegree(v))
+		vol += deg
+		// Adding v: edges to members leave the cut, others join it.
+		var toSet int64
+		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			if inSet[d] {
+				toSet++
+			}
+			return true
+		})
+		cut += deg - 2*toSet
+		inSet[v] = true
+
+		denom := vol
+		if other := totalVol - vol; other < denom {
+			denom = other
+		}
+		if denom <= 0 {
+			continue
+		}
+		cond := float64(cut) / float64(denom)
+		if cond < best {
+			best = cond
+			bestEnd = i + 1
+		}
+	}
+	cluster := make([]uint32, bestEnd)
+	for i := 0; i < bestEnd; i++ {
+		cluster[i] = order[i].v
+	}
+	return &SweepCutResult{Cluster: cluster, Conductance: best}
+}
+
+// TestLocalClusterMatchesMapReference: on a power-law graph, a mesh and
+// two cliques joined by a bridge, from several seeds, the dense-scratch
+// APPR performs the same pushes and leaves the same p and r as the map
+// reference, and the sweep picks the same cluster with the same
+// conductance — through the public maps, and through LocalCluster's
+// map-free path.
+func TestLocalClusterMatchesMapReference(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"rmat": testGraphs(t)["rmat"], "grid": testGraphs(t)["grid3d"], "two-cliques": barbell(t, 12),
+	}
+	for gname, g := range graphs {
+		for _, seed := range []uint32{0, 3, 17, uint32(g.NumVertices() - 1)} {
+			for _, eps := range []float64{1e-4, 1e-7} {
+				want := refAPPR(g, seed, 0.15, eps)
+				got, err := APPR(g, seed, 0.15, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Pushes != want.Pushes || !maps.Equal(got.P, want.P) || !maps.Equal(got.R, want.R) {
+					t.Fatalf("%s seed %d eps %g: APPR pushes %d (|p| %d, |r| %d), reference %d (%d, %d)", gname, seed, eps,
+						got.Pushes, len(got.P), len(got.R), want.Pushes, len(want.P), len(want.R))
+				}
+				wantCut := refSweepCut(g, want.P)
+				lc, err := LocalCluster(g, seed, 0.15, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, cut := range map[string]*SweepCutResult{"SweepCut": SweepCut(g, got.P), "LocalCluster": lc} {
+					if cut.Conductance != wantCut.Conductance || !slices.Equal(cut.Cluster, wantCut.Cluster) {
+						t.Fatalf("%s seed %d eps %g: %s found %d vertices at %v, reference %d at %v", gname, seed, eps,
+							name, len(cut.Cluster), cut.Conductance, len(wantCut.Cluster), wantCut.Conductance)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocalScratchReleasedZero: the pool's invariant. A query leaves the
+// scratch it used all-zero, whatever it touched, so the next one starts
+// clean without clearing |V| entries.
+func TestLocalScratchReleasedZero(t *testing.T) {
+	g := testGraphs(t)["rmat"]
+	sc, _, err := appr(g, 0, 0.15, 1e-7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.touched) == 0 {
+		t.Fatal("query touched nothing")
+	}
+	sweep(g, sc)
+	sc.release()
+	if len(sc.touched) != 0 || len(sc.queue) != 0 {
+		t.Errorf("released scratch keeps %d touched, %d queued", len(sc.touched), len(sc.queue))
+	}
+	for v := range sc.flag {
+		if sc.p[v] != 0 || sc.r[v] != 0 || sc.flag[v] != 0 {
+			t.Fatalf("released scratch: vertex %d holds p=%v r=%v flag=%#x", v, sc.p[v], sc.r[v], sc.flag[v])
+		}
+	}
 }

@@ -1,17 +1,29 @@
-package compress
+package compress_test
 
 import (
 	"context"
+	"maps"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ligra/internal/algo"
+	"ligra/internal/compress"
 	"ligra/internal/core"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
+	"ligra/internal/viewtest"
 )
+
+func mustRMAT(t *testing.T, scale int, seed uint64) *graph.Graph {
+	t.Helper()
+	g, err := gen.RMAT(scale, 8, gen.PBBSRMAT, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 // parityParams fills the registry parameters each runner needs, with
 // fixed seeds so the randomized algorithms are reproducible.
@@ -89,44 +101,42 @@ func toFloat(v any) (float64, bool) {
 }
 
 // TestFullRegistryParity runs every registered algorithm on a CSR graph
-// and its compressed counterpart and requires identical results: the
-// compressed backend is a drop-in View, not an approximation — any
-// divergence is a decode bug.
+// and on every other representation of it in the viewtest matrix —
+// compressed, mmap, and delta snapshots shallow, deep, compacted and over
+// the compressed base — and requires identical results: every backend is
+// a drop-in View, not an approximation. Any divergence is a decode bug or
+// a row the overlay serves wrong.
 func TestFullRegistryParity(t *testing.T) {
 	g := mustRMAT(t, 9, 11)
-	w := mustRMAT(t, 9, 11).AddWeights(graph.HashWeight(100))
-	cg, err := Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := Compress(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := viewtest.Matrix(t, g, viewtest.NetZero(g)...)
+	w := g.AddWeights(graph.HashWeight(100))
+	weighted := viewtest.Matrix(t, w, viewtest.NetZero(w)...)
 	ctx := context.Background()
 	for _, r := range algo.Runners() {
 		r := r
 		t.Run(r.Name, func(t *testing.T) {
-			csr, comp := graph.View(g), graph.View(cg)
+			views := plain
 			if r.NeedsWeights {
-				csr, comp = w, cw
+				views = weighted
 			}
 			p := parityParams(r, core.Options{})
-			want, err := r.Run(ctx, csr, p)
+			want, err := r.Run(ctx, views["heap"], p)
 			if err != nil {
 				t.Fatalf("csr: %v", err)
 			}
-			got, err := r.Run(ctx, comp, p)
-			if err != nil {
-				t.Fatalf("compressed: %v", err)
+			for vname, v := range views {
+				got, err := r.Run(ctx, v, p)
+				if err != nil {
+					t.Fatalf("%s: %v", vname, err)
+				}
+				// Summaries render the Details (including any
+				// schedule-dependent round counts), so only compare them
+				// verbatim for fully deterministic algorithms.
+				if _, nondet := nondetDetails[r.Name]; !nondet && want.Summary != got.Summary {
+					t.Errorf("summary differs:\n  csr: %s\n  %s: %s", want.Summary, vname, got.Summary)
+				}
+				closeDetails(t, vname+"/"+r.Name, maps.Clone(want.Details), got.Details)
 			}
-			// Summaries render the Details (including any
-			// schedule-dependent round counts), so only compare them
-			// verbatim for fully deterministic algorithms.
-			if _, nondet := nondetDetails[r.Name]; !nondet && want.Summary != got.Summary {
-				t.Errorf("summary differs:\n  csr:        %s\n  compressed: %s", want.Summary, got.Summary)
-			}
-			closeDetails(t, r.Name, want.Details, got.Details)
 		})
 	}
 }
@@ -168,7 +178,7 @@ func TestTraversalStatsParity(t *testing.T) {
 	}
 	ctx := context.Background()
 	for gname, g := range graphs {
-		c, err := Compress(g)
+		c, err := compress.Compress(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +221,7 @@ type perEdge struct{ graph.View }
 // produce identical results on the compressed backend.
 func TestBlockedDecodeAblation(t *testing.T) {
 	g := mustRMAT(t, 10, 5)
-	c, err := Compress(g)
+	c, err := compress.Compress(g)
 	if err != nil {
 		t.Fatal(err)
 	}

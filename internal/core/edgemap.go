@@ -108,14 +108,12 @@ type Options struct {
 	// the context, if any.
 	Procs int
 	// SeqCutoff tunes the sequential small-round bypass: a round whose
-	// total estimated work |U| + outDegrees(U) is at or below the cutoff
-	// (and that the direction heuristic sends sparse) runs entirely on
-	// the calling goroutine, with none of the chunk/dispatch machinery.
-	// This is the common case for the long frontier tails of BFS and
-	// BellmanFord on high-diameter graphs, where a round touches a
-	// handful of edges. 0 selects DefaultSeqCutoff; a negative value
-	// disables the bypass. Bypassed rounds are counted in
-	// TraversalStats.SeqRounds.
+	// estimated work |U| + outDegrees(U) is at or below the cutoff (and
+	// that the direction heuristic sends sparse) runs entirely on the
+	// calling goroutine, with none of the chunk/dispatch machinery — the
+	// common case in the long frontier tails of BFS and BellmanFord on
+	// high-diameter graphs. 0 selects DefaultSeqCutoff; a negative value
+	// disables the bypass. Bypassed rounds count in TraversalStats.SeqRounds.
 	SeqCutoff int64
 }
 
@@ -176,8 +174,7 @@ func putScratch(s []uint32) { scratchPool.Put(s) }
 func EdgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSubset {
 	out, err := EdgeMapCtx(nil, g, u, f, opts)
 	if err != nil {
-		// Without a context the only possible error is a contained worker
-		// panic; surface it as the panic the non-ctx API promises.
+		// With no context the only error is a contained worker panic: re-raise it.
 		panic(err)
 	}
 	return out
@@ -236,15 +233,14 @@ func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs,
 
 	var out *VertexSubset
 	seq := !dense && seqBypass(opts, int64(u.Size())+outDeg)
-	if seq {
+	switch {
+	case seq:
 		out, err = edgeMapSparseSeq(ctx, g, u, f, opts)
-	} else if dense {
-		if opts.DenseForward {
-			out, err = edgeMapDenseForward(ctx, g, u, f, opts)
-		} else {
-			out, err = edgeMapDense(ctx, g, u, f, opts)
-		}
-	} else {
+	case dense && opts.DenseForward:
+		out, err = edgeMapDenseForward(ctx, g, u, f, opts)
+	case dense:
+		out, err = edgeMapDense(ctx, g, u, f, opts)
+	default:
 		out, err = edgeMapSparse(ctx, g, u, f, opts)
 	}
 	if err != nil {
@@ -257,12 +253,11 @@ func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs,
 
 // seqBypass decides whether a round the heuristic already sent sparse is
 // small enough to run sequentially. total is |U| + outDegrees(U) as
-// weighed by the direction heuristic; because the heuristic's degree scan
-// short-circuits only after exceeding the dense threshold, a capped
-// (partial) sum can under-report total only when it already exceeds the
-// threshold — and for any graph where the threshold is at least the
-// cutoff, such a round fails the comparison anyway, so the bypass never
-// mistakes a large round for a small one beyond tiny-graph noise.
+// weighed by the direction heuristic, whose degree scan stops early only
+// once the sum exceeds the dense threshold: a partial sum under-reports
+// total only when it is already past the threshold, and wherever the
+// threshold is at least the cutoff such a round fails the comparison
+// anyway, so a large round is never mistaken for a small one.
 func seqBypass(opts Options, total int64) bool {
 	cutoff := opts.SeqCutoff
 	if cutoff == 0 {
@@ -295,17 +290,15 @@ const (
 )
 
 // frontierOutDegrees computes the total out-degree of the frontier, the
-// quantity the paper's switch heuristic compares against |E|/20.
-//
-// The caller only needs to know whether the sum exceeds stopAfter, so the
-// scan short-circuits: once the running sum passes stopAfter, remaining
-// blocks are skipped and the returned value is a partial sum that is
-// guaranteed to exceed stopAfter. Pass a negative stopAfter to force the
-// short-circuit immediately, or math.MaxInt64 for an exact total.
+// quantity the paper's switch heuristic compares against |E|/20. The
+// caller only needs to know whether the sum exceeds stopAfter, so the scan
+// short-circuits: once the running sum passes stopAfter, remaining blocks
+// are skipped and the returned value is a partial sum that is guaranteed
+// to exceed stopAfter. Pass a negative stopAfter to force the short-circuit
+// immediately, or math.MaxInt64 for an exact total.
 func frontierOutDegrees(ctx context.Context, g graph.View, u *VertexSubset, stopAfter int64) (int64, error) {
 	if u.Size() == u.UniverseSize() {
-		// Full frontier (the first round of most algorithms): the sum of all
-		// out-degrees is the edge count, no scan needed.
+		// Full frontier (most algorithms' first round): the sum is |E|.
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return 0, err
@@ -331,8 +324,7 @@ func frontierOutDegrees(ctx context.Context, g graph.View, u *VertexSubset, stop
 		})
 		return sum.Load(), err
 	}
-	// Dense: walk the frontier bitset a word at a time, skipping empty
-	// words, instead of testing all n bits individually.
+	// Dense: walk the frontier bitset a word at a time, skipping empty words.
 	words := u.ToDense().Words()
 	blocks := (len(words) + outDegGrainWords - 1) / outDegGrainWords
 	err := parallel.ForGrainCtx(ctx, blocks, 1, func(b int) {
@@ -375,23 +367,22 @@ type sparseWorkerBuf struct {
 // edgeMapSparse is Ligra's edgeMapSparse: push over the out-edges of the
 // frontier vertices. Successful targets are appended to per-worker output
 // buffers (no shared cursor, no atomics, no degree-sized scratch with
-// sentinel holes) and concatenated afterward in chunk order, so the
-// output is exactly the old prefix-sum-and-pack result — successes in
-// frontier edge order — at the cost of writing only the successes instead
-// of one slot per scanned edge. CSR graphs take a raw-slice fast path
-// that avoids the per-edge iterator callback.
+// sentinel holes) and concatenated afterward in chunk order: successes in
+// frontier edge order, writing only the successes instead of one slot per
+// scanned edge. A graph.RowView (raw CSR, a delta snapshot over it) takes
+// a raw-slice fast path with no per-edge iterator callback.
 func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	ids := u.ToSparse()
 	update := f.pushUpdate()
 	cond := f.Cond
-	csr, _ := g.(*graph.Graph)
+	rows, _ := g.(graph.RowView)
 
 	if opts.NoOutput {
 		err := parallel.ForCtx(ctx, len(ids), func(i int) {
 			s := ids[i]
-			if csr != nil {
-				row, wts := csr.OutEdgesSlice(s)
+			if rows != nil {
+				row, wts := rows.OutRow(s)
 				for j, d := range row {
 					if cond == nil || cond(d) {
 						w := int32(1)
@@ -426,8 +417,8 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 		start := len(buf)
 		for i := lo; i < hi; i++ {
 			s := ids[i]
-			if csr != nil {
-				row, wts := csr.OutEdgesSlice(s)
+			if rows != nil {
+				row, wts := rows.OutRow(s)
 				for j, d := range row {
 					w := int32(1)
 					if wts != nil {
@@ -469,16 +460,15 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
 }
 
-// edgeMapSparseSeq is the sequential small-round bypass: the same push
-// traversal and output contract as edgeMapSparse — successes in frontier
-// edge order, identical dedup semantics — but run entirely on the calling
-// goroutine. Rounds this small (see Options.SeqCutoff) are dominated by
-// dispatch and reassembly cost, not edge work; here the only per-round
-// overhead is one output slice. Panic containment matches the parallel
-// path (*parallel.PanicError), cancellation is observed once on entry and
-// once on return (the whole round is smaller than one parallel chunk),
-// and the fault-injection chunk hook fires once so injection tests reach
-// this path too.
+// edgeMapSparseSeq is the sequential small-round bypass: edgeMapSparse's
+// push traversal and output contract — successes in frontier edge order,
+// identical dedup semantics — run entirely on the calling goroutine. Rounds
+// this small (see Options.SeqCutoff) are dominated by dispatch and
+// reassembly cost, not edge work; here the only per-round overhead is one
+// output slice. Panics are contained as on the parallel path
+// (*parallel.PanicError), cancellation is observed on entry and on return
+// (the round is smaller than one parallel chunk), and the fault-injection
+// chunk hook fires once so injection tests reach this path too.
 func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (out *VertexSubset, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -499,12 +489,12 @@ func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f Edge
 	ids := u.ToSparse()
 	update := f.pushUpdate()
 	cond := f.Cond
-	csr, _ := g.(*graph.Graph)
+	rows, _ := g.(graph.RowView)
 	var outIDs []uint32
 	noOutput := opts.NoOutput
 	for _, s := range ids {
-		if csr != nil {
-			row, wts := csr.OutEdgesSlice(s)
+		if rows != nil {
+			row, wts := rows.OutRow(s)
 			for j, d := range row {
 				w := int32(1)
 				if wts != nil {
@@ -534,8 +524,7 @@ func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f Edge
 	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
 }
 
-// dedupOutput applies the RemoveDuplicates option to a sparse output
-// frontier.
+// dedupOutput applies Options.RemoveDuplicates to a sparse output frontier.
 func dedupOutput(n int, ids []uint32, opts Options) []uint32 {
 	if !opts.RemoveDuplicates || len(ids) < 2 {
 		return ids
@@ -563,11 +552,10 @@ func removeDuplicates(n int, ids []uint32) []uint32 {
 	out := parallel.FilterIndex(ids, func(i int, d uint32) bool {
 		return scratch[d] == uint32(i)
 	})
-	// Restore the all-None invariant before pooling. Restore over the
-	// deduplicated output, not ids: out holds every distinct ID exactly
-	// once, so each slot has a single writer (ids would have two workers
-	// racing plain stores on duplicate entries) and the loop does less
-	// work.
+	// Restore the all-None invariant before pooling — over the deduplicated
+	// output, not ids: out holds every distinct ID exactly once, so each
+	// slot has a single writer (ids would have two workers racing plain
+	// stores on duplicate entries) and the loop does less work.
 	parallel.For(len(out), func(i int) {
 		scratch[out[i]] = None
 	})
@@ -578,8 +566,7 @@ func removeDuplicates(n int, ids []uint32) []uint32 {
 // denseBlock is the per-chunk scratch of the dense driver's decoded-row
 // path: the decoded slab plus Cond's verdict per destination, sampled once
 // so a row Cond rules out is neither decoded nor handed to the kernel.
-// Blocks are pooled, so iterative algorithms pay the allocations once, not
-// once per (round, chunk).
+// Blocks are pooled: iterative algorithms allocate once, not per round.
 type denseBlock struct {
 	graph.InBlock
 	skipped []bool
@@ -588,13 +575,12 @@ type denseBlock struct {
 var denseBlockPool = sync.Pool{New: func() any { return new(denseBlock) }}
 
 // denseBlockAlign is the alignment of the dense traversal's destination
-// blocks: a multiple of the bitset word size, so every block owns whole
-// words of the output bit vector and can set output bits without atomics.
+// blocks: the bitset word size, so every block owns whole words of the
+// output bit vector and sets output bits without atomics.
 const denseBlockAlign = 64
 
 // denseGrain picks the destination-block size for the dense traversals:
-// the automatic load-balancing grain, rounded up to whole bitset words so
-// blocks never share an output word.
+// the automatic load-balancing grain, rounded up to whole bitset words.
 func denseGrain(n int) int {
 	g := parallel.AutoGrain(n)
 	return (g + denseBlockAlign - 1) &^ (denseBlockAlign - 1)
@@ -655,17 +641,17 @@ func perEdgeRow(update func(s, d uint32, w int32) bool, cond func(d uint32) bool
 }
 
 // edgeMapDense is Ligra's edgeMapDense as a row driver: for every vertex d
-// whose Cond holds it fetches d's in-row as slices — straight from raw CSR,
-// or from a cache-sized block decoded by a graph.InBlockDecoder (the
-// GPOP-style blocked sweep of the compressed backend) — and hands it to
-// the row kernel: f.PullRow, or perEdgeRow over Update/Cond when the
-// caller set none. d is processed by exactly one goroutine, so kernels
-// need no atomics on d's state, and destinations are processed in blocks
-// aligned to output bitset words, so output bits are set with plain
-// stores. Views that cannot expose a row (ad-hoc wrappers, a transposed
-// non-CSR view), and decodable views under DenseEarlyExit — where the
-// lazy per-vertex decoder beats an eager decode of rows that stop at
-// their first hit — keep the per-edge iterator path.
+// whose Cond holds it fetches d's in-row as slices — in place from a
+// graph.RowView (raw CSR, a delta snapshot over it), or from a cache-sized
+// block decoded by a graph.InBlockDecoder (the GPOP-style blocked sweep of
+// the compressed backend and of snapshots over it) — and hands it to the
+// row kernel: f.PullRow, or perEdgeRow over Update/Cond when the caller set
+// none. d is processed by exactly one goroutine, so kernels need no atomics
+// on d's state, and in blocks aligned to output bitset words, so output
+// bits are set with plain stores. Views that cannot expose a row (ad-hoc
+// wrappers), and decodable views under DenseEarlyExit — where the lazy
+// per-vertex decoder beats an eager decode of rows that stop at their
+// first hit — go per edge.
 func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	update := f.Update
@@ -692,13 +678,28 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 
 	var body func(lo, hi int)
 	if csr, ok := g.(*graph.Graph); ok {
+		// The RowView loop below with the row fetch inlined: behind the
+		// interface BenchmarkDensePullFull cost 10 % more (6.1 vs 5.5 ms).
 		body = func(lo, hi int) {
 			for di := lo; di < hi; di++ {
 				d := uint32(di)
 				if cond != nil && !cond(d) {
 					continue
 				}
-				srcs, wts := csr.InEdgesSlice(d)
+				srcs, wts := csr.InRow(d)
+				if kernel(d, srcs, wts, uw) && out != nil {
+					out.Set(di) // this block owns the word
+				}
+			}
+		}
+	} else if rows, ok := g.(graph.RowView); ok {
+		body = func(lo, hi int) {
+			for di := lo; di < hi; di++ {
+				d := uint32(di)
+				if cond != nil && !cond(d) {
+					continue
+				}
+				srcs, wts := rows.InRow(d)
 				if kernel(d, srcs, wts, uw) && out != nil {
 					out.Set(di) // this block owns the word
 				}
@@ -767,15 +768,14 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 // vertices, and for frontier members push over out-edges with atomic
 // updates. It avoids the transpose (useful for graphs stored only forward)
 // at the cost of atomics and no early exit. The frontier bit vector is
-// scanned a word at a time, so the 63/64ths of a sparse-ish frontier that
-// is empty words costs one load each instead of 64 bit tests.
+// scanned a word at a time: an empty word costs one load, not 64 bit tests.
 func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	ud := u.ToDense()
 	update := f.pushUpdate()
 	cond := f.Cond
 
-	csr, _ := g.(*graph.Graph)
+	rows, _ := g.(graph.RowView)
 	var out *bitset.Bitset
 	if !opts.NoOutput {
 		out = bitset.New(n)
@@ -791,8 +791,8 @@ func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f E
 			for w != 0 {
 				s := base + uint32(bits.TrailingZeros64(w))
 				w &= w - 1
-				if csr != nil {
-					row, wts := csr.OutEdgesSlice(s)
+				if rows != nil {
+					row, wts := rows.OutRow(s)
 					for j, d := range row {
 						ew := int32(1)
 						if wts != nil {

@@ -178,15 +178,29 @@ func TestPullRowMatchesPerEdge(t *testing.T) {
 }
 
 // TestPullRowNoOutputAndEarlyExitViews pins the two driver decisions a
-// kernel cannot see: NoOutput drops its verdicts, and a decodable view
-// under DenseEarlyExit keeps the lazy per-edge path (UpdateAtomic) rather
-// than decoding whole rows for a kernel that would leave them at once.
+// kernel cannot see: NoOutput drops its verdicts, and under DenseEarlyExit
+// a view with rows (raw CSR, and a delta snapshot over it, shallow, deep or
+// compacted) still runs the kernel on every row, while a view whose rows
+// must be decoded (compressed, mmap, a snapshot over either) keeps the
+// lazy per-edge path (UpdateAtomic) rather than decoding whole rows for a
+// kernel that would leave them at once.
 func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomWeighted(t, rng, 200, 1600, true)
 	n := g.NumVertices()
 	all := core.NewAll(n)
-	for vname, v := range rowViews(t, rng, g) {
+	earlyExitRows := map[string]int{
+		"heap": n, "snapshot": n, "snapshot-deep": n, "snapshot-compacted": n,
+		"compressed": 0, "mmap": 0, "snapshot-compressed": 0,
+	}
+	views := rowViews(t, rng, g)
+	if len(views) != len(earlyExitRows) {
+		t.Fatalf("view matrix has %d views, routing table %d", len(views), len(earlyExitRows))
+	}
+	for vname, v := range views {
+		if _, hasRows := v.(graph.RowView); hasRows != (earlyExitRows[vname] == n) {
+			t.Errorf("%s: graph.RowView = %v", vname, hasRows)
+		}
 		rows := 0
 		f := core.EdgeFuncs{
 			UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
@@ -209,8 +223,8 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 		if _, err := core.EdgeMapCtx(nil, v, all, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: true, Procs: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if wantRows := map[bool]int{true: n, false: 0}[vname == "heap"]; rows != wantRows {
-			t.Errorf("%s under DenseEarlyExit: kernel ran on %d rows, want %d", vname, rows, wantRows)
+		if rows != earlyExitRows[vname] {
+			t.Errorf("%s under DenseEarlyExit: kernel ran on %d rows, want %d", vname, rows, earlyExitRows[vname])
 		}
 	}
 }

@@ -17,8 +17,10 @@
 package delta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ligra/internal/graph"
@@ -58,28 +60,20 @@ func ValidateOps(ops []EdgeOp) error {
 	return nil
 }
 
-// row is one replacement adjacency row: targets sorted ascending,
-// weights parallel (nil on unweighted graphs). Rows built by apply are
-// sets — a batch that touches a row also deduplicates it.
-type row struct {
-	targets []uint32
-	weights []int32
-}
-
 // overlay is a graph.View layered over a base view: adjacency rows the
 // delta log dirtied are replaced wholesale, everything else reads
 // through. It is immutable after construction (apply builds a new
-// overlay per batch, sharing untouched rows), so concurrent traversal
-// needs no synchronization — the same contract as *graph.Graph.
+// overlay per batch, sharing every row-table page the batch left alone),
+// so concurrent traversal needs no synchronization — the same contract as
+// *graph.Graph.
 type overlay struct {
 	base  graph.View
 	baseN int
 	n     int
 	m     int64
-	// out/in map a dirty vertex to its full replacement row. in is nil
-	// for symmetric graphs (out serves both directions).
-	out map[uint32]row
-	in  map[uint32]row
+	// out/in hold the full replacement row of every dirty vertex. On
+	// symmetric graphs in is out (the same pages).
+	out, in rowTable
 
 	weighted, symmetric bool
 	// churn accumulates effective ops applied since the base was last
@@ -95,7 +89,7 @@ func (o *overlay) Weighted() bool   { return o.weighted }
 func (o *overlay) Symmetric() bool  { return o.symmetric }
 
 func (o *overlay) OutDegree(v uint32) int {
-	if r, ok := o.out[v]; ok {
+	if r, ok := o.out.get(v); ok {
 		return len(r.targets)
 	}
 	if int(v) < o.baseN {
@@ -105,10 +99,7 @@ func (o *overlay) OutDegree(v uint32) int {
 }
 
 func (o *overlay) InDegree(v uint32) int {
-	if o.symmetric {
-		return o.OutDegree(v)
-	}
-	if r, ok := o.in[v]; ok {
+	if r, ok := o.in.get(v); ok {
 		return len(r.targets)
 	}
 	if int(v) < o.baseN {
@@ -134,7 +125,7 @@ func (r row) iterate(fn func(d uint32, w int32) bool) {
 }
 
 func (o *overlay) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
-	if r, ok := o.out[v]; ok {
+	if r, ok := o.out.get(v); ok {
 		r.iterate(fn)
 		return
 	}
@@ -144,11 +135,7 @@ func (o *overlay) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
 }
 
 func (o *overlay) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
-	if o.symmetric {
-		o.OutNeighbors(v, fn)
-		return
-	}
-	if r, ok := o.in[v]; ok {
+	if r, ok := o.in.get(v); ok {
 		r.iterate(fn)
 		return
 	}
@@ -159,13 +146,12 @@ func (o *overlay) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
 
 var _ graph.InBlockDecoder = (*overlay)(nil)
 
-// DecodeInBlock implements graph.InBlockDecoder, so dense pull rounds
-// hand a row kernel (core.EdgeFuncs.PullRow) an overlay's in-rows as
-// slices like any other backend's: a dirty row is copied from its
-// replacement, a clean one from the base's CSR arrays — or gathered
-// through the base's iterator when the base has none. The copy is a
-// sequential append per row; what it buys is a traversal with no per-edge
-// callback.
+// DecodeInBlock implements graph.InBlockDecoder for overlays whose base
+// has no rows to hand out (compressed, mmap): a dirty row is copied from
+// its replacement, a clean one gathered through the base's iterator, so
+// dense pull rounds still run a row kernel (core.EdgeFuncs.PullRow) with
+// no per-edge callback. An overlay over raw CSR never gets here — it is a
+// graph.RowView (csrOverlay) and edgeMap reads its rows in place.
 func (o *overlay) DecodeInBlock(lo, hi uint32, skip func(v uint32) bool, blk *graph.InBlock) {
 	k := int(hi - lo)
 	if cap(blk.Offsets) < k+1 {
@@ -173,26 +159,15 @@ func (o *overlay) DecodeInBlock(lo, hi uint32, skip func(v uint32) bool, blk *gr
 	}
 	blk.Offsets = blk.Offsets[:k+1]
 	targets, weights := blk.Targets[:0], blk.Weights[:0]
-	dirty := o.in
-	if o.symmetric {
-		dirty = o.out
-	}
-	csr, _ := o.base.(*graph.Graph)
 	for v := lo; v < hi; v++ {
 		blk.Offsets[v-lo] = int64(len(targets))
 		if skip != nil && skip(v) {
 			continue
 		}
-		if r, ok := dirty[v]; ok {
+		if r, ok := o.in.get(v); ok {
 			targets = append(targets, r.targets...)
 			weights = append(weights, r.weights...)
-		} else if int(v) >= o.baseN {
-			continue
-		} else if csr != nil {
-			ts, ws := csr.InEdgesSlice(v)
-			targets = append(targets, ts...)
-			weights = append(weights, ws...)
-		} else {
+		} else if int(v) < o.baseN {
 			o.base.InNeighbors(v, func(s uint32, w int32) bool {
 				targets = append(targets, s)
 				if o.weighted {
@@ -210,8 +185,59 @@ func (o *overlay) DecodeInBlock(lo, hi uint32, skip func(v uint32) bool, blk *gr
 	}
 }
 
+// csrOverlay is an overlay whose base is raw CSR. Every row of it, dirty
+// or clean, already exists as a slice, so it is a graph.RowView and
+// edgeMap traverses a live snapshot the way it traverses a flat graph.
+type csrOverlay struct {
+	*overlay
+	csr *graph.Graph
+}
+
+var _ graph.RowView = csrOverlay{}
+
+func (o csrOverlay) OutRow(v uint32) ([]uint32, []int32) {
+	if r, ok := o.out.get(v); ok {
+		return r.targets, r.weights
+	}
+	if int(v) < o.baseN {
+		return o.csr.OutRow(v)
+	}
+	return nil, nil
+}
+
+func (o csrOverlay) InRow(v uint32) ([]uint32, []int32) {
+	if r, ok := o.in.get(v); ok {
+		return r.targets, r.weights
+	}
+	if int(v) < o.baseN {
+		return o.csr.InRow(v)
+	}
+	return nil, nil
+}
+
+// view returns o as the view readers get: a csrOverlay when the base is
+// raw CSR, o itself otherwise.
+func (o *overlay) view() graph.View {
+	if csr, ok := o.base.(*graph.Graph); ok {
+		return csrOverlay{o, csr}
+	}
+	return o
+}
+
+// asOverlay undoes view: the overlay behind v, or nil when v is not a
+// delta snapshot with un-compacted rows.
+func asOverlay(v graph.View) *overlay {
+	switch o := v.(type) {
+	case *overlay:
+		return o
+	case csrOverlay:
+		return o.overlay
+	}
+	return nil
+}
+
 // MemoryFootprint estimates heap bytes: the base's footprint plus the
-// replacement rows.
+// replacement rows and their page directory.
 func (o *overlay) MemoryFootprint() int64 {
 	var total int64
 	if f, ok := o.base.(interface{ MemoryFootprint() int64 }); ok {
@@ -221,11 +247,12 @@ func (o *overlay) MemoryFootprint() int64 {
 	if o.weighted {
 		perEdge += 4
 	}
-	for _, r := range o.out {
-		total += 48 + perEdge*int64(len(r.targets))
+	tables := []rowTable{o.out, o.in}
+	if o.symmetric {
+		tables = tables[:1]
 	}
-	for _, r := range o.in {
-		total += 48 + perEdge*int64(len(r.targets))
+	for _, t := range tables {
+		total += 8*int64(len(t.pages)) + 48*int64(t.rows) + perEdge*t.edges
 	}
 	return total
 }
@@ -250,7 +277,12 @@ func (o *overlay) MappedBytes() int64 {
 }
 
 // DirtyRows reports how many adjacency rows the overlay replaces.
-func (o *overlay) DirtyRows() int { return len(o.out) + len(o.in) }
+func (o *overlay) DirtyRows() int {
+	if o.symmetric {
+		return o.out.rows
+	}
+	return o.out.rows + o.in.rows
+}
 
 // applyStats summarizes one batch application.
 type applyStats struct {
@@ -259,172 +291,269 @@ type applyStats struct {
 	ignored  int64 // no-op ops (insert-existing / delete-missing)
 }
 
-// opRef is one directed op in batch order, grouped per source row.
-type opRef struct {
-	dst uint32
-	w   int32
-	del bool
-	seq int
+// rowOp is one directed op of a batch, keyed by the row it edits: row is
+// the source and nbr the target when out-rows are rebuilt, the reverse
+// for in-rows.
+type rowOp struct {
+	row, nbr uint32
+	w        int32
+	del      bool
+}
+
+// sortRowOps orders ops by (row, nbr), keeping batch order among ops on
+// the same edge, so insert-then-delete and delete-then-insert resolve the
+// way the client wrote them.
+func sortRowOps(ops []rowOp) {
+	slices.SortStableFunc(ops, func(a, b rowOp) int {
+		if c := cmp.Compare(a.row, b.row); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.nbr, b.nbr)
+	})
 }
 
 // apply layers ops over prev, returning the new view, the effective
 // directed ops (for symmetric graphs each effective undirected op
-// appears once per direction), and counts. prev is not modified. The
-// returned view shares the untouched rows of prev, so it is cheap in
-// the number of dirtied rows, not in |V| or |E|.
+// appears once per direction), and counts. prev is not modified. Touched
+// rows are rebuilt in ascending vertex order, so the effective-op list is
+// the same on every run — ordered by (Src, Dst), batch order among ops on
+// one edge — and the returned view shares prev's untouched row-table
+// pages, so the cost is in the rows the batch dirties, not in |V|, |E|
+// or the rows dirtied before it.
 func apply(prev graph.View, ops []EdgeOp) (graph.View, []EdgeOp, applyStats) {
-	symmetric, weighted := prev.Symmetric(), prev.Weighted()
+	symmetric := prev.Symmetric()
 	prevN := prev.NumVertices()
 
-	// Group directed ops by source row, preserving batch order within a
-	// row so insert-then-delete and delete-then-insert resolve the way
-	// the client wrote them. For symmetric graphs both directions of an
-	// op see the same subsequence, so the two rows decide consistently.
-	byRow := make(map[uint32][]opRef)
+	// Both directions of a symmetric op see the same subsequence of the
+	// batch, so the two rows decide consistently.
+	outOps := make([]rowOp, 0, len(ops))
 	n := prevN
-	for seq, op := range ops {
-		byRow[op.Src] = append(byRow[op.Src], opRef{dst: op.Dst, w: op.Weight, del: op.Del, seq: seq})
+	for _, op := range ops {
+		outOps = append(outOps, rowOp{row: op.Src, nbr: op.Dst, w: op.Weight, del: op.Del})
 		if symmetric {
-			byRow[op.Dst] = append(byRow[op.Dst], opRef{dst: op.Src, w: op.Weight, del: op.Del, seq: seq})
+			outOps = append(outOps, rowOp{row: op.Dst, nbr: op.Src, w: op.Weight, del: op.Del})
 		}
-		if int(op.Src) >= n {
-			n = int(op.Src) + 1
-		}
-		if int(op.Dst) >= n {
-			n = int(op.Dst) + 1
-		}
+		n = max(n, int(op.Src)+1, int(op.Dst)+1)
 	}
+	sortRowOps(outOps)
 
 	next := &overlay{
 		base:      prev,
 		baseN:     prevN,
 		n:         n,
-		m:         prev.NumEdges(),
-		weighted:  weighted,
+		weighted:  prev.Weighted(),
 		symmetric: symmetric,
 	}
-	// Flatten overlay-over-overlay: share the previous overlay's base
-	// and clone its row maps, so chains of batches never deepen the
-	// read path past one indirection.
-	if po, ok := prev.(*overlay); ok {
+	// Flatten overlay-over-overlay: share the previous overlay's base and
+	// row tables, so chains of batches never deepen the read path.
+	if po := asOverlay(prev); po != nil {
 		next.base, next.baseN = po.base, po.baseN
-		next.out = make(map[uint32]row, len(po.out)+len(byRow))
-		for v, r := range po.out {
-			next.out[v] = r
-		}
-		if !symmetric {
-			next.in = make(map[uint32]row, len(po.in)+len(byRow))
-			for v, r := range po.in {
-				next.in[v] = r
-			}
-		}
+		next.out, next.in = po.out, po.in
 		next.churn = po.churn
+	}
+
+	b := rowBuilder{prev: prev}
+	b.rows, _ = prev.(graph.RowView)
+	vs, rows, eff, stats := b.rebuild(outOps, false)
+	next.out = next.out.with(vs, rows)
+	next.m = prev.NumEdges()
+	for i, v := range vs {
+		next.m += int64(len(rows[i].targets))
+		if int(v) < prevN {
+			next.m -= int64(prev.OutDegree(v))
+		}
+	}
+	if symmetric {
+		next.in = next.out
 	} else {
-		next.out = make(map[uint32]row, len(byRow))
-		if !symmetric {
-			next.in = make(map[uint32]row, len(byRow))
+		// Directed graphs mirror the effective ops onto the in-rows so
+		// pull traversals see the same edge set as push traversals.
+		inOps := make([]rowOp, len(eff))
+		for i, e := range eff {
+			inOps[i] = rowOp{row: e.Dst, nbr: e.Src, w: e.Weight, del: e.Del}
 		}
-	}
-
-	var stats applyStats
-	var eff []EdgeOp
-	for v, refs := range byRow {
-		oldDeg := 0
-		if int(v) < prev.NumVertices() {
-			oldDeg = prev.OutDegree(v)
-		}
-		cur := make(map[uint32]int32, oldDeg+len(refs))
-		if int(v) < prev.NumVertices() {
-			prev.OutNeighbors(v, func(d uint32, w int32) bool {
-				cur[d] = w
-				return true
-			})
-		}
-		// Apply in batch order; membership decides effectiveness.
-		sort.Slice(refs, func(i, j int) bool { return refs[i].seq < refs[j].seq })
-		for _, ref := range refs {
-			_, present := cur[ref.dst]
-			if ref.del {
-				if !present {
-					stats.ignored++
-					continue
-				}
-				delete(cur, ref.dst)
-				stats.deleted++
-				eff = append(eff, EdgeOp{Src: v, Dst: ref.dst, Del: true})
-			} else {
-				if present {
-					stats.ignored++
-					continue
-				}
-				w := ref.w
-				if !weighted {
-					w = 1
-				}
-				cur[ref.dst] = w
-				stats.inserted++
-				eff = append(eff, EdgeOp{Src: v, Dst: ref.dst, Weight: w})
-			}
-		}
-		nr := row{targets: make([]uint32, 0, len(cur))}
-		for d := range cur {
-			nr.targets = append(nr.targets, d)
-		}
-		sort.Slice(nr.targets, func(i, j int) bool { return nr.targets[i] < nr.targets[j] })
-		if weighted {
-			nr.weights = make([]int32, len(nr.targets))
-			for i, d := range nr.targets {
-				nr.weights[i] = cur[d]
-			}
-		}
-		next.out[v] = nr
-		next.m += int64(len(nr.targets) - oldDeg)
-	}
-
-	// Directed graphs mirror the effective ops onto the in-rows so pull
-	// traversals see the same edge set as push traversals.
-	if !symmetric {
-		byDst := make(map[uint32][]EdgeOp)
-		for _, e := range eff {
-			byDst[e.Dst] = append(byDst[e.Dst], e)
-		}
-		for v, es := range byDst {
-			cur := make(map[uint32]int32)
-			if int(v) < prev.NumVertices() {
-				prev.InNeighbors(v, func(s uint32, w int32) bool {
-					cur[s] = w
-					return true
-				})
-			}
-			for _, e := range es {
-				if e.Del {
-					delete(cur, e.Src)
-				} else {
-					cur[e.Src] = e.Weight
-				}
-			}
-			nr := row{targets: make([]uint32, 0, len(cur))}
-			for s := range cur {
-				nr.targets = append(nr.targets, s)
-			}
-			sort.Slice(nr.targets, func(i, j int) bool { return nr.targets[i] < nr.targets[j] })
-			if weighted {
-				nr.weights = make([]int32, len(nr.targets))
-				for i, s := range nr.targets {
-					nr.weights[i] = cur[s]
-				}
-			}
-			next.in[v] = nr
-		}
+		sortRowOps(inOps)
+		vs, rows, _, _ = b.rebuild(inOps, true)
+		next.in = next.in.with(vs, rows)
 	}
 	next.churn += stats.inserted + stats.deleted
-	return next, eff, stats
+	return next.view(), eff, stats
+}
+
+// rowBuilder rebuilds the rows a batch touches. It reads prev's rows in
+// place when prev has them (graph.RowView) and through the iterator into
+// scratch otherwise.
+type rowBuilder struct {
+	prev    graph.View
+	rows    graph.RowView // prev, when it has rows
+	scratch row
+}
+
+// rebuild applies ops — sorted by sortRowOps — to prev's out-rows (or
+// in-rows) and returns the touched vertices in ascending order, their
+// replacement rows, the effective ops and the counts. Rows are allocated
+// one by one in vertex order, which is what lays a large batch's rows out
+// nearly like CSR: the allocator hands out each size class sequentially.
+// (One slab per batch read no faster and kept the whole slab alive until
+// the last row in it was replaced: +10 MiB on a 26 MiB deep overlay.) A
+// row the batch touches comes out sorted and deduplicated even when every
+// op on it was a no-op.
+func (b *rowBuilder) rebuild(ops []rowOp, in bool) (vs []uint32, rows []row, eff []EdgeOp, st applyStats) {
+	weighted := b.prev.Weighted()
+	for i := 0; i < len(ops); {
+		v := ops[i].row
+		oldT, oldW := b.read(v, in)
+		size := len(oldT)
+		for j := i; j < len(ops) && ops[j].row == v; j++ {
+			if !ops[j].del {
+				size++
+			}
+		}
+		r := row{targets: make([]uint32, 0, size)}
+		if weighted {
+			r.weights = make([]int32, 0, size)
+		}
+		// keep copies prev's edges [pos, hi) of the row through.
+		pos := 0
+		keep := func(hi int) {
+			r.targets = append(r.targets, oldT[pos:hi]...)
+			if weighted {
+				r.weights = append(r.weights, oldW[pos:hi]...)
+			}
+			pos = hi
+		}
+		for i < len(ops) && ops[i].row == v {
+			nbr := ops[i].nbr
+			k, present := slices.BinarySearch(oldT[pos:], nbr)
+			keep(pos + k)
+			w := int32(1)
+			if present {
+				if weighted {
+					w = oldW[pos]
+				}
+				pos++
+			}
+			// Every op on this edge, in batch order; membership decides
+			// effectiveness.
+			for ; i < len(ops) && ops[i].row == v && ops[i].nbr == nbr; i++ {
+				switch op := ops[i]; {
+				case op.del && present:
+					present = false
+					st.deleted++
+					eff = append(eff, EdgeOp{Src: v, Dst: nbr, Del: true})
+				case !op.del && !present:
+					present = true
+					if weighted {
+						w = op.w
+					}
+					st.inserted++
+					eff = append(eff, EdgeOp{Src: v, Dst: nbr, Weight: w})
+				default:
+					st.ignored++
+				}
+			}
+			if present {
+				r.targets = append(r.targets, nbr)
+				if weighted {
+					r.weights = append(r.weights, w)
+				}
+			}
+		}
+		keep(len(oldT))
+		vs, rows = append(vs, v), append(rows, r)
+	}
+	return vs, rows, eff, st
+}
+
+// read returns v's row in prev, strictly ascending: in place when prev
+// has rows and they are already sorted sets (the builders' and apply's
+// own are), otherwise in the builder's scratch, valid until the next read.
+func (b *rowBuilder) read(v uint32, in bool) ([]uint32, []int32) {
+	if int(v) >= b.prev.NumVertices() {
+		return nil, nil
+	}
+	var ts []uint32
+	var ws []int32
+	if b.rows != nil {
+		if in {
+			ts, ws = b.rows.InRow(v)
+		} else {
+			ts, ws = b.rows.OutRow(v)
+		}
+		if isStrictlyAscending(ts) {
+			return ts, ws
+		}
+		b.scratch.targets = append(b.scratch.targets[:0], ts...)
+		b.scratch.weights = append(b.scratch.weights[:0], ws...)
+	} else {
+		weighted := b.prev.Weighted()
+		b.scratch.targets, b.scratch.weights = b.scratch.targets[:0], b.scratch.weights[:0]
+		gather := func(d uint32, w int32) bool {
+			b.scratch.targets = append(b.scratch.targets, d)
+			if weighted {
+				b.scratch.weights = append(b.scratch.weights, w)
+			}
+			return true
+		}
+		if in {
+			b.prev.InNeighbors(v, gather)
+		} else {
+			b.prev.OutNeighbors(v, gather)
+		}
+	}
+	ts, ws = b.scratch.targets, b.scratch.weights
+	if len(ws) == 0 {
+		ws = nil
+	}
+	if !isStrictlyAscending(ts) {
+		ts, ws = sortedSet(ts, ws)
+	}
+	return ts, ws
+}
+
+func isStrictlyAscending(ts []uint32) bool {
+	for i := 1; i < len(ts); i++ {
+		if ts[i-1] >= ts[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedSet sorts a row in place by target and drops duplicate targets,
+// keeping the last occurrence's weight.
+func sortedSet(ts []uint32, ws []int32) ([]uint32, []int32) {
+	if ws == nil {
+		slices.Sort(ts)
+		return slices.Compact(ts), nil
+	}
+	sort.Stable(rowByTarget{ts, ws})
+	k := 0
+	for i := range ts {
+		if i+1 < len(ts) && ts[i+1] == ts[i] {
+			continue
+		}
+		ts[k], ws[k] = ts[i], ws[i]
+		k++
+	}
+	return ts[:k], ws[:k]
+}
+
+type rowByTarget row
+
+func (r rowByTarget) Len() int           { return len(r.targets) }
+func (r rowByTarget) Less(i, j int) bool { return r.targets[i] < r.targets[j] }
+func (r rowByTarget) Swap(i, j int) {
+	r.targets[i], r.targets[j] = r.targets[j], r.targets[i]
+	r.weights[i], r.weights[j] = r.weights[j], r.weights[i]
 }
 
 // Materialize walks v and lays it out as a flat heap CSR graph — the
 // compaction step that collapses an overlay chain (or converts any
 // backend, e.g. a compressed/mmap view, into mutable-friendly CSR).
-// The result is independent of v's backing storage.
+// Rows are copied as slices when v has them (graph.RowView) and through
+// the iterator otherwise. The result is independent of v's backing
+// storage.
 func Materialize(v graph.View) (*graph.Graph, error) {
 	n := v.NumVertices()
 	if n == 0 {
@@ -440,6 +569,16 @@ func Materialize(v graph.View) (*graph.Graph, error) {
 	var weights []int32
 	if v.Weighted() {
 		weights = make([]int32, m)
+	}
+	if rows, ok := v.(graph.RowView); ok {
+		parallel.For(n, func(i int) {
+			ts, ws := rows.OutRow(uint32(i))
+			copy(edges[offsets[i]:], ts)
+			if weights != nil {
+				copy(weights[offsets[i]:], ws)
+			}
+		})
+		return graph.FromCSR(offsets, edges, weights, v.Symmetric())
 	}
 	parallel.For(n, func(i int) {
 		k := offsets[i]

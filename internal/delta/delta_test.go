@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -323,7 +324,7 @@ func TestMaterializeEqualsOverlay(t *testing.T) {
 		ref.apply(ops)
 	}
 	cur, _ := st.Current()
-	if _, ok := cur.(*overlay); !ok {
+	if asOverlay(cur) == nil {
 		t.Fatalf("expected overlay with compaction off, got %T", cur)
 	}
 	csr, err := Materialize(cur)
@@ -523,4 +524,76 @@ func TestConcurrentReadersNeverBlockOnWriters(t *testing.T) {
 	}
 	close(stop)
 	<-writerDone
+}
+
+// TestApplyEffectiveOpsAreOrdered: the effective-op list apply hands to
+// the history and the logs is a function of the batch, not of a map's
+// iteration order — sorted by (Src, Dst), batch order among ops on one
+// edge — and so identical run after run.
+func TestApplyEffectiveOpsAreOrdered(t *testing.T) {
+	g := mustRMAT(t, 8)
+	rng := rand.New(rand.NewSource(17))
+	ops := randomOps(rng, g, 400)
+	ops = append(ops, EdgeOp{Src: 3, Dst: 200}, EdgeOp{Src: 3, Dst: 200, Del: true}, EdgeOp{Src: 3, Dst: 200})
+	_, first, _ := apply(g, ops)
+	if len(first) < 100 {
+		t.Fatalf("only %d effective ops", len(first))
+	}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		if a.Src > b.Src || (a.Src == b.Src && a.Dst > b.Dst) {
+			t.Fatalf("effective ops %d, %d out of order: %+v then %+v", i-1, i, a, b)
+		}
+	}
+	for run := 0; run < 5; run++ {
+		if _, again, _ := apply(g, ops); !slices.Equal(again, first) {
+			t.Fatalf("run %d produced a different effective-op list", run)
+		}
+	}
+}
+
+// TestApplyOverUnsortedRows: a base whose rows are neither sorted nor
+// sets (a hand-written adjacency file, graph.FromCSR) is still merged
+// correctly — through its slices and through its iterator — and a touched
+// row comes out a sorted set with the last duplicate's weight, as it did
+// when apply went through a map.
+func TestApplyOverUnsortedRows(t *testing.T) {
+	offsets := []int64{0, 4, 5, 5, 5, 5, 5}
+	edges := []uint32{3, 1, 3, 2, 0}
+	weights := []int32{30, 10, 31, 20, 7}
+	for _, weighted := range []bool{true, false} {
+		ws := weights
+		if !weighted {
+			ws = nil
+		}
+		g, err := graph.FromCSR(offsets, edges, ws, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type hidden struct{ graph.View } // no rows: apply must gather through the iterator
+		for name, base := range map[string]graph.View{"rows": g, "iterator": hidden{g}} {
+			ops := []EdgeOp{{Src: 0, Dst: 5, Weight: 50}, {Src: 0, Dst: 2, Del: true}, {Src: 0, Dst: 3, Weight: 99}}
+			next, eff, st := apply(base, ops)
+			if st.inserted != 1 || st.deleted != 1 || st.ignored != 1 || len(eff) != 2 {
+				t.Fatalf("%s weighted=%v: stats %+v, effective ops %v", name, weighted, st, eff)
+			}
+			var gotT []uint32
+			var gotW []int32
+			next.OutNeighbors(0, func(d uint32, w int32) bool {
+				gotT, gotW = append(gotT, d), append(gotW, w)
+				return true
+			})
+			wantW := []int32{10, 31, 50}
+			if !weighted {
+				wantW = []int32{1, 1, 1}
+			}
+			if !slices.Equal(gotT, []uint32{1, 3, 5}) || !slices.Equal(gotW, wantW) {
+				t.Errorf("%s weighted=%v: row 0 = %v weights %v, want [1 3 5] %v", name, weighted, gotT, gotW, wantW)
+			}
+			if next.NumEdges() != 4 || next.OutDegree(0) != 3 || next.InDegree(5) != 1 || next.InDegree(2) != 0 {
+				t.Errorf("%s weighted=%v: m=%d deg(0)=%d in(5)=%d in(2)=%d", name, weighted,
+					next.NumEdges(), next.OutDegree(0), next.InDegree(5), next.InDegree(2))
+			}
+		}
+	}
 }

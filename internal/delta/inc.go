@@ -17,7 +17,9 @@ import (
 
 // errNotIncremental reports that the delta log cannot carry a previous
 // result to the requested version (history gap, vertex growth, changed
-// parameters); callers fall back to a full recompute.
+// parameters) or that doing so would cost more than recomputing (deletes
+// inside a component too large to re-propagate); callers fall back to a
+// full recompute.
 var errNotIncremental = errors.New("delta: incremental refresh not applicable")
 
 // netOps collapses a replayed op sequence to its net effect: an edge
@@ -84,11 +86,14 @@ func (mv maskedView) InNeighbors(s uint32, fn func(d uint32, w int32) bool) {
 // inserts merge component labels through a union-find over label
 // values, and net deletes re-propagate labels only inside the old
 // components they touched (a masked traversal), so work scales with the
-// affected components, not |V|+|E|. The result is bit-identical to a
-// full ConnectedComponentsCtx run on g: labels stay "minimum vertex ID
-// in the component". g must be symmetric (as connected components
-// requires); prev may be shorter than g.NumVertices() when the delta
-// grew the graph — new vertices start as their own component.
+// affected components, not |V|+|E| — and when those components hold more
+// than |E|/DefaultThresholdDenominator vertices + edges it returns
+// errNotIncremental instead of re-propagating most of the graph. The
+// result is bit-identical to a full ConnectedComponentsCtx run on g:
+// labels stay "minimum vertex ID in the component". g must be symmetric
+// (as connected components requires); prev may be shorter than
+// g.NumVertices() when the delta grew the graph — new vertices start as
+// their own component.
 func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeOp, opts core.Options) (*algo.CCResult, error) {
 	n := g.NumVertices()
 	if len(prev) > n {
@@ -112,21 +117,42 @@ func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeO
 	// Inserted edges crossing out of the set are handled by the union
 	// phase below.
 	if len(del) > 0 {
-		affectedLabels := make(map[uint32]struct{})
+		// A net-deleted edge existed at the old version, so both of its
+		// endpoints are within prev, and labels are vertex IDs below n.
+		affectedLabel := make([]bool, n)
 		for _, e := range del {
-			// A net-deleted edge existed at the old version, so both
-			// endpoints are within prev.
-			affectedLabels[labels[e.Src]] = struct{}{}
-			affectedLabels[labels[e.Dst]] = struct{}{}
+			affectedLabel[labels[e.Src]] = true
+			affectedLabel[labels[e.Dst]] = true
+		}
+		// The re-propagation below is push-only, so it is attempted only
+		// while push is the right direction for the region it starts from —
+		// the paper's |U| + outDeg(U) rule with edgeMap's own constant, no
+		// new one — and otherwise left to the full run, which pulls. The
+		// two BENCH_baseline.json rows on either side of the budget, against
+		// delta/components/full-overlay-deep = 5.0 ms: a 16-op batch cutting
+		// 16 four-vertex components is refreshed in 0.38 ms
+		// (delta/components/incremental-delete-small, 64 vertices in the
+		// region); one deleting 4 edges inside the giant component puts
+		// nearly the whole graph in the region and falls back, 5.2 ms
+		// (delta/components/incremental-delete-giant) where re-propagating
+		// it took 38.9 ms. rMat has nothing in between to place the constant
+		// more finely.
+		budget := g.NumEdges() / core.DefaultThresholdDenominator
+		var affected []uint32
+		var work int64
+		for v := 0; v < n; v++ {
+			if affectedLabel[labels[v]] {
+				affected = append(affected, uint32(v))
+				if work += 1 + int64(g.OutDegree(uint32(v))); work > budget {
+					return nil, fmt.Errorf("%w: deletes touch components of more than |E|/%d vertices + edges",
+						errNotIncremental, core.DefaultThresholdDenominator)
+				}
+			}
 		}
 		mask := make([]bool, n)
-		var affected []uint32
-		for v := 0; v < n; v++ {
-			if _, ok := affectedLabels[labels[v]]; ok {
-				mask[v] = true
-				affected = append(affected, uint32(v))
-				labels[v] = uint32(v)
-			}
+		for _, v := range affected {
+			mask[v] = true
+			labels[v] = v
 		}
 		var err error
 		rounds, err = maskedCC(ctx, g, labels, affected, mask, opts)

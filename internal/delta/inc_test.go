@@ -49,73 +49,165 @@ func incGraphs(t *testing.T) map[string]*graph.Graph {
 	return map[string]*graph.Graph{"rmat": rmat, "grid": grid}
 }
 
-// TestIncrementalCCMatchesFull is the headline property test: after each
-// randomized insert/delete batch, RefreshCC's incremental replay must
-// produce labels bit-identical to a full recompute on the same snapshot.
+// TestIncrementalCCMatchesFull is the headline property test: whichever
+// path RefreshCC takes, its labels are bit-identical to a full recompute
+// on the same snapshot — and it takes the path the cost gate says it
+// should. Three cases, in order, on one store per (graph, backend):
+// insert-only batches (one of which grows the graph by a small island)
+// stay incremental; a delete inside that island, in a batch that also
+// bridges one of its fragments to the rest, stays incremental; a delete
+// inside the giant component falls back to the full run.
 func TestIncrementalCCMatchesFull(t *testing.T) {
+	ctx := context.Background()
 	for gname, g := range incGraphs(t) {
 		for bname, base := range incBackends(t, g) {
 			t.Run(gname+"/"+bname, func(t *testing.T) {
 				st := NewStore(base, Config{InitialVersion: 1, Policy: Policy{CompactEvery: -1, HistoryDepth: 16}})
 				defer st.Release()
-				pin, err := st.Acquire()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Prime the tracker with a full run at v1.
-				res, incremental, err := st.RefreshCC(context.Background(), pin, core.Options{})
-				pin.Release()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if incremental {
-					t.Fatal("first refresh claimed to be incremental")
-				}
-				if res.Components == 0 {
-					t.Fatal("no components")
-				}
-
-				rng := rand.New(rand.NewSource(int64(len(gname) + len(bname))))
-				sawIncremental := false
-				for round := 0; round < 5; round++ {
-					cur, _ := st.Current()
-					ops := randomOps(rng, cur, 120)
-					if _, err := st.Update(context.Background(), ops); err != nil {
-						t.Fatal(err)
-					}
+				// refresh runs RefreshCC on the current snapshot, checks it
+				// against a full run, and reports the path and the result.
+				refresh := func(t *testing.T) (*algo.CCResult, bool) {
+					t.Helper()
 					pin, err := st.Acquire()
 					if err != nil {
 						t.Fatal(err)
 					}
-					inc, incremental, err := st.RefreshCC(context.Background(), pin, core.Options{})
+					defer pin.Release()
+					before := st.Stats()
+					res, incremental, err := st.RefreshCC(ctx, pin, core.Options{})
 					if err != nil {
-						pin.Release()
 						t.Fatal(err)
 					}
+					after := st.Stats()
+					wantInc, wantFull := before.IncrementalRuns, before.FullRuns+1
 					if incremental {
-						sawIncremental = true
+						wantInc, wantFull = before.IncrementalRuns+1, before.FullRuns
 					}
-					full, err := algo.ConnectedComponentsCtx(context.Background(), pin.View(), core.Options{})
-					pin.Release()
+					if after.IncrementalRuns != wantInc || after.FullRuns != wantFull {
+						t.Fatalf("incremental=%v but counters went (%d, %d) -> (%d, %d)", incremental,
+							before.IncrementalRuns, before.FullRuns, after.IncrementalRuns, after.FullRuns)
+					}
+					full, err := algo.ConnectedComponentsCtx(ctx, pin.View(), core.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if inc.Components != full.Components {
-						t.Fatalf("round %d: incremental %d components, full %d", round, inc.Components, full.Components)
+					if res.Components != full.Components {
+						t.Fatalf("refreshed %d components, full %d", res.Components, full.Components)
 					}
 					for i := range full.Labels {
-						if inc.Labels[i] != full.Labels[i] {
-							t.Fatalf("round %d: label[%d] = %d incremental, %d full", round, i, inc.Labels[i], full.Labels[i])
+						if res.Labels[i] != full.Labels[i] {
+							t.Fatalf("label[%d] = %d refreshed, %d full", i, res.Labels[i], full.Labels[i])
 						}
 					}
+					return res, incremental
 				}
-				if !sawIncremental {
-					t.Fatal("incremental CC path never taken")
+				update := func(t *testing.T, ops []EdgeOp) {
+					t.Helper()
+					if _, err := st.Update(ctx, ops); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if st.Stats().IncrementalRuns == 0 {
-					t.Fatal("IncrementalRuns counter not bumped")
+				if _, incremental := refresh(t); incremental {
+					t.Fatal("first refresh claimed to be incremental")
 				}
+
+				n := uint32(g.NumVertices())
+				rng := rand.New(rand.NewSource(int64(len(gname) + len(bname))))
+				// The island: a 6-cycle on new vertices n..n+5.
+				var island []EdgeOp
+				for i := uint32(0); i < 6; i++ {
+					island = append(island, EdgeOp{Src: n + i, Dst: n + (i+1)%6})
+				}
+
+				t.Run("insert-only", func(t *testing.T) {
+					for round := 0; round < 3; round++ {
+						var ops []EdgeOp
+						for len(ops) < 60 {
+							if s, d := uint32(rng.Intn(int(n))), uint32(rng.Intn(int(n))); s != d {
+								ops = append(ops, EdgeOp{Src: s, Dst: d})
+							}
+						}
+						if round == 1 {
+							ops = append(ops, island...)
+						}
+						update(t, ops)
+						if _, incremental := refresh(t); !incremental {
+							t.Fatalf("round %d: insert-only batch was not refreshed incrementally", round)
+						}
+					}
+				})
+
+				t.Run("delete-small-component", func(t *testing.T) {
+					before, _ := refresh(t) // memoized: same version
+					// Cut the cycle twice, {n, n+1, n+2} | {n+3, n+4, n+5}, and
+					// bridge the second half to vertex 0's component.
+					update(t, []EdgeOp{
+						{Src: n + 2, Dst: n + 3, Del: true},
+						{Src: n + 5, Dst: n, Del: true},
+						{Src: 0, Dst: n + 4},
+					})
+					after, incremental := refresh(t)
+					if !incremental {
+						t.Fatal("a delete inside a 6-vertex component fell back to the full run")
+					}
+					if after.Components != before.Components {
+						t.Fatalf("components %d -> %d, want unchanged (island split in two, one half absorbed)",
+							before.Components, after.Components)
+					}
+					if after.Labels[n+1] != n || after.Labels[n+4] != after.Labels[0] {
+						t.Fatalf("island labels %v, label[0] = %d", after.Labels[n:], after.Labels[0])
+					}
+				})
+
+				t.Run("delete-giant-component", func(t *testing.T) {
+					// An edge of the base graph whose component is most of it.
+					cur, _ := refresh(t)
+					var del []EdgeOp
+					for v := uint32(0); v < n && del == nil; v++ {
+						size := 0
+						for _, l := range cur.Labels {
+							if l == cur.Labels[v] {
+								size++
+							}
+						}
+						if size > int(n)/2 {
+							g.OutNeighbors(v, func(d uint32, _ int32) bool {
+								del = []EdgeOp{{Src: v, Dst: d, Del: true}}
+								return false
+							})
+						}
+					}
+					if del == nil {
+						t.Fatal("test graph has no giant component")
+					}
+					update(t, del)
+					if _, incremental := refresh(t); incremental {
+						t.Fatal("a delete inside the giant component was re-propagated instead of recomputed")
+					}
+				})
 			})
+		}
+	}
+}
+
+// TestFilteringViewsHaveNoRows: a wrapper that drops edges must not leak
+// its base's raw rows, or edgeMap would traverse the unfiltered graph.
+// Embedding a graph.View promotes only View's methods, so this holds by
+// construction; the test keeps it from being "fixed" by embedding a
+// graph.RowView.
+func TestFilteringViewsHaveNoRows(t *testing.T) {
+	g, err := gen.Grid3D(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, _ := apply(g, []EdgeOp{{Src: 0, Dst: 9}})
+	for name, base := range map[string]graph.View{"csr": g, "snapshot": snap} {
+		if _, ok := base.(graph.RowView); !ok {
+			t.Fatalf("%s: base view lost its rows", name)
+		}
+		var masked graph.View = maskedView{View: base, in: make([]bool, base.NumVertices())}
+		if _, ok := masked.(graph.RowView); ok {
+			t.Errorf("maskedView over %s satisfies graph.RowView", name)
 		}
 	}
 }
@@ -203,7 +295,7 @@ func TestIncrementalCCGrowth(t *testing.T) {
 	}
 	n0 := g.NumVertices()
 	ops := []EdgeOp{
-		{Src: 0, Dst: uint32(n0 + 2)},      // attach a new vertex to component of 0
+		{Src: 0, Dst: uint32(n0 + 2)},          // attach a new vertex to component of 0
 		{Src: uint32(n0), Dst: uint32(n0 + 1)}, // an island pair of new vertices
 	}
 	next, eff, _ := apply(g, ops)
@@ -228,7 +320,7 @@ func TestIncrementalCCGrowth(t *testing.T) {
 // TestNetOps collapses replayed multi-batch sequences by parity.
 func TestNetOps(t *testing.T) {
 	ops := []EdgeOp{
-		{Src: 1, Dst: 2},            // ins then del -> nothing
+		{Src: 1, Dst: 2}, // ins then del -> nothing
 		{Src: 1, Dst: 2, Del: true},
 		{Src: 3, Dst: 4, Del: true}, // del then ins -> nothing
 		{Src: 3, Dst: 4},

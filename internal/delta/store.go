@@ -336,7 +336,7 @@ func (s *Store) Gauges() Gauges {
 		Edges:         s.cur.view.NumEdges(),
 		HistoryLen:    len(s.history),
 	}
-	if ov, ok := s.cur.view.(*overlay); ok {
+	if ov := asOverlay(s.cur.view); ov != nil {
 		g.DirtyRows = ov.DirtyRows()
 	}
 	return g
@@ -451,7 +451,7 @@ func (s *Store) applyCommit(ops []EdgeOp) (ApplyResult, error) {
 		return res, nil
 	}
 
-	if ov, ok := view.(*overlay); ok {
+	if ov := asOverlay(view); ov != nil {
 		if t := s.cfg.compactThreshold(ov.m); t > 0 && ov.churn >= t {
 			s.mu.Lock()
 			s.compacting = true

@@ -63,7 +63,7 @@ func BenchmarkTraversal(b *testing.B) {
 		var sum int64
 		for i := 0; i < b.N; i++ {
 			for v := uint32(0); int(v) < n; v++ {
-				row, _ := g.OutEdgesSlice(v)
+				row, _ := g.OutRow(v)
 				for _, d := range row {
 					sum += int64(d)
 				}

@@ -39,6 +39,20 @@ type View interface {
 	Symmetric() bool
 }
 
+// RowView is the optional interface of a view whose adjacency rows already
+// exist in memory as slices: raw CSR, and a delta overlay over raw CSR
+// (clean rows are the base's, dirty ones the overlay's). OutRow and InRow
+// return v's targets and the parallel weights (nil: every weight is 1);
+// callers must not mutate them. edgeMap traverses a RowView row by row —
+// no per-edge iterator callback in push rounds, no block decode in pull
+// rounds. A view that filters or rewrites edges (a mask, a transpose
+// wrapper) must not implement it: its rows are not its base's rows.
+type RowView interface {
+	View
+	OutRow(v uint32) ([]uint32, []int32)
+	InRow(v uint32) ([]uint32, []int32)
+}
+
 // Graph is a CSR (compressed sparse row) graph. Out-edges of vertex v are
 // edges[offsets[v]:offsets[v+1]]; weights, if present, are parallel to
 // edges. Directed graphs additionally store the transpose for pull-based
@@ -61,7 +75,7 @@ type Graph struct {
 	symmetric bool
 }
 
-var _ View = (*Graph)(nil)
+var _ RowView = (*Graph)(nil)
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return g.n }
@@ -130,11 +144,9 @@ func (g *Graph) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
 	}
 }
 
-// OutEdgesSlice returns the raw CSR target slice for v (and the parallel
-// weight slice, or nil). It is a fast path for performance-critical inner
-// loops that want to avoid per-edge callbacks; callers must not mutate the
-// returned slices.
-func (g *Graph) OutEdgesSlice(v uint32) ([]uint32, []int32) {
+// OutRow returns the raw CSR target slice for v (and the parallel weight
+// slice, or nil).
+func (g *Graph) OutRow(v uint32) ([]uint32, []int32) {
 	lo, hi := g.offsets[v], g.offsets[v+1]
 	if g.weights == nil {
 		return g.edges[lo:hi], nil
@@ -142,10 +154,10 @@ func (g *Graph) OutEdgesSlice(v uint32) ([]uint32, []int32) {
 	return g.edges[lo:hi], g.weights[lo:hi]
 }
 
-// InEdgesSlice is OutEdgesSlice for in-edges.
-func (g *Graph) InEdgesSlice(v uint32) ([]uint32, []int32) {
+// InRow is OutRow for in-edges.
+func (g *Graph) InRow(v uint32) ([]uint32, []int32) {
 	if g.symmetric {
-		return g.OutEdgesSlice(v)
+		return g.OutRow(v)
 	}
 	lo, hi := g.inOffsets[v], g.inOffsets[v+1]
 	if g.inWeights == nil {
