@@ -109,13 +109,6 @@ func KCore(g View, opts Options) *KCoreResult {
 	return algo.KCore(g, opts)
 }
 
-// KCoreJulienne computes the k-core decomposition using Julienne's
-// work-efficient bucketing structure (extension); identical output to
-// KCore with asymptotically less peel-set-selection work.
-func KCoreJulienne(g View, opts Options) *KCoreResult {
-	return algo.KCoreJulienne(g, opts)
-}
-
 // MIS computes a maximal independent set with priority-based parallel
 // greedy selection (extension).
 func MIS(g View, seed uint64, opts Options) *MISResult {

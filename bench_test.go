@@ -270,11 +270,6 @@ func BenchmarkExtensions(b *testing.B) {
 			ligra.KCore(g, ligra.Options{})
 		}
 	})
-	b.Run("KCore-julienne", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ligra.KCoreJulienne(g, ligra.Options{})
-		}
-	})
 	b.Run("DeltaStepping", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := ligra.DeltaStepping(wg, 0, 0, ligra.Options{}); err != nil {

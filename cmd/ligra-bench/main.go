@@ -9,11 +9,11 @@
 //	threshold     edgeMap switch-threshold sensitivity sweep
 //	denseforward  read-based vs write-based dense traversal
 //	compress      Ligra+ byte-compression space/time ablation
-//	bucketing     Julienne bucketing ablation
+//	bucketing     Bellman-Ford vs delta-stepping over Julienne buckets
 //	hotpath       edgeMap hot-path timings (the BENCH_baseline.json suite)
-//	scheduler     worker-pool scheduler: small-round workloads with the
-//	              sequential cutoff on vs off
-//	spmv          execution-backend race: edgeMap vs semiring kernels
+//	scheduler     worker-pool scheduler: small-round workloads with their
+//	              one-chunk round and dispatch counters
+//	spmv          execution-backend race: BFS on edgeMap vs the semiring kernel
 //	all           everything above, in order
 //
 // -json writes a machine-readable report; -against FILE compares the

@@ -118,11 +118,6 @@ func KCoreCtx(ctx context.Context, g View, opts Options) (*KCoreResult, error) {
 	return algo.KCoreCtx(ctx, g, opts)
 }
 
-// KCoreJulienneCtx is KCoreJulienne with cooperative cancellation.
-func KCoreJulienneCtx(ctx context.Context, g View, opts Options) (*KCoreResult, error) {
-	return algo.KCoreJulienneCtx(ctx, g, opts)
-}
-
 // MISCtx is MIS with cooperative cancellation; InSet is a valid (possibly
 // not yet maximal) independent set on interruption.
 func MISCtx(ctx context.Context, g View, seed uint64, opts Options) (*MISResult, error) {

@@ -443,16 +443,6 @@ func TestMISIndependentAndMaximal(t *testing.T) {
 	}
 }
 
-func TestTriangleCountMatchesSequential(t *testing.T) {
-	for _, gname := range []string{"rmat", "grid3d", "randlocal", "tree", "er-sparse"} {
-		g := testGraphs(t)[gname]
-		want := seq.TriangleCount(g)
-		if got := TriangleCount(g); got != want {
-			t.Errorf("%s: TriangleCount = %d, want %d", gname, got, want)
-		}
-	}
-}
-
 func TestTriangleCountKnownValues(t *testing.T) {
 	k4, _ := gen.Complete(4)
 	if got := TriangleCount(k4); got != 4 {

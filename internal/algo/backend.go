@@ -9,15 +9,15 @@ import (
 	"ligra/internal/spmv"
 )
 
-// This file is the execution-backend abstraction: bfs and triangles have
-// GraphBLAS-style semiring kernels (internal/spmv) and can run via edgeMap
-// or via SpMV, selected per run by Params.Backend. Both backends produce
-// bit-identical results (enforced by internal/spmv's property tests),
-// which is why the backend is excluded from Params.Canonical — a cached
-// result from either backend answers a query for the other. pagerank
-// accepts the same names but has one implementation: its edgeMap row
-// kernel (PageRankCtx's PullRow) is the (+, x) pull gather the spmv
-// package used to spell a second time.
+// This file is the execution-backend abstraction: bfs has a GraphBLAS-style
+// semiring kernel (internal/spmv) and can run via edgeMap or via SpMV,
+// selected per run by Params.Backend. Both backends produce bit-identical
+// results (enforced by internal/spmv's property tests), which is why the
+// backend is excluded from Params.Canonical — a cached result from either
+// backend answers a query for the other. pagerank and triangles accept the
+// same names but have one implementation each: PageRankCtx's row kernel is
+// the (+, x) pull gather, and TriangleCountCtx the masked row product, that
+// the spmv package used to spell a second time.
 
 // Backend names accepted by Params.Backend.
 const (
@@ -25,7 +25,7 @@ const (
 	// describes; every algorithm supports it. It is the default.
 	BackendEdgeMap = "edgemap"
 	// BackendSpMV executes via the semiring kernels in internal/spmv;
-	// only the algorithms with kernels (SpMVKernels) accept it.
+	// only the algorithms in spmvKernels accept it.
 	BackendSpMV = "spmv"
 	// BackendAuto picks per algorithm and graph shape: see ResolveBackend.
 	BackendAuto = "auto"
@@ -45,16 +45,14 @@ func HasSpMVKernel(name string) bool { return spmvKernels[name] }
 //   - "spmv": the semiring kernel; an error if the algorithm has none.
 //   - "auto": edgemap for algorithms without a kernel; otherwise the
 //     shape rule measured by `ligra-bench -experiment spmv` (see
-//     docs/PERFORMANCE.md): spmv whenever the view exposes raw CSR
-//     arrays, edgemap otherwise. The scale-16 race has both kernels
-//     winning on CSR — triangles ~2x, and BFS by 15-17% even on the
-//     low-degree high-diameter 3d-grid, where the word-walk push beats
-//     sparse edgeMap's frontier-array build. (PageRank's former ~3.5x
-//     was the per-edge callback, not the formulation; with a row kernel
-//     the two gathers were the same loop, and only one was kept.)
-//     Compressed / mapped / snapshot views reach the kernels through
-//     neighbor iterators, where spmv has no gather advantage over
-//     edgeMap's tuned decode paths, so they stay on edgemap.
+//     docs/PERFORMANCE.md): spmv whenever the view is raw CSR, edgemap
+//     otherwise. The scale-16 race has the BFS kernel winning on CSR even
+//     on the low-degree high-diameter 3d-grid, where the word-walk push
+//     beats sparse edgeMap's frontier-array build. Compressed / mapped /
+//     snapshot views reach it through neighbor iterators, where spmv has
+//     no gather advantage over edgeMap's tuned decode paths, so they stay
+//     on edgemap. (For pagerank and triangles the answer only names what
+//     the reply echoes: both run their one implementation either way.)
 //
 // Anything else is an error (same wording contract as Params.Validate).
 func ResolveBackend(name string, g graph.View, p Params) (string, error) {
@@ -70,13 +68,13 @@ func ResolveBackend(name string, g graph.View, p Params) (string, error) {
 		if !HasSpMVKernel(name) {
 			return BackendEdgeMap, nil
 		}
-		return autoBackend(name, g), nil
+		return autoBackend(g), nil
 	default:
 		return "", fmt.Errorf("unknown backend %q (have edgemap | spmv | auto)", p.Backend)
 	}
 }
 
-func autoBackend(name string, g graph.View) string {
+func autoBackend(g graph.View) string {
 	if _, isCSR := g.(*graph.Graph); !isCSR {
 		return BackendEdgeMap
 	}
@@ -107,13 +105,4 @@ func spmvBFSRun(ctx context.Context, g graph.View, p Params) (RunResult, error) 
 		return RunResult{}, err
 	}
 	return bfsRunResult(p.Source, res.Visited, res.Rounds, BackendSpMV), roundErr("bfs", res.Rounds, err)
-}
-
-// spmvTrianglesRun executes the triangles runner on the spmv backend.
-func spmvTrianglesRun(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-	count, err := spmv.TriangleCount(backendCtx(ctx, p), g)
-	return RunResult{
-		Summary: fmt.Sprintf("Triangles: %d", count),
-		Details: map[string]any{"triangles": count, "backend": BackendSpMV},
-	}, roundErr("triangles", 0, err)
 }

@@ -88,72 +88,3 @@ func LocalClusteringCoefficients(g graph.View) []float64 {
 	})
 	return out
 }
-
-// countTrianglesPerVertex accumulates, per vertex, the number of
-// triangles containing it (each triangle credited to all three corners).
-func countTrianglesPerVertex(g graph.View, acc []int64) {
-	n := g.NumVertices()
-	if n == 0 {
-		return
-	}
-	higher := func(v, d uint32) bool {
-		dv, dd := g.OutDegree(v), g.OutDegree(d)
-		return dd > dv || (dd == dv && d > v)
-	}
-	fwdDeg := make([]int64, n)
-	parallel.For(n, func(i int) {
-		v := uint32(i)
-		var c int64
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
-			if higher(v, d) {
-				c++
-			}
-			return true
-		})
-		fwdDeg[i] = c
-	})
-	offsets := make([]int64, n+1)
-	total := parallel.ScanExclusive(fwdDeg, offsets[:n])
-	offsets[n] = total
-	fwd := make([]uint32, total)
-	parallel.For(n, func(i int) {
-		v := uint32(i)
-		k := offsets[i]
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
-			if higher(v, d) {
-				fwd[k] = d
-				k++
-			}
-			return true
-		})
-		parallel.Sort(fwd[offsets[i]:k])
-	})
-	row := func(v uint32) []uint32 { return fwd[offsets[v]:offsets[v+1]] }
-	// Credit each triangle (v, u, w) with u, w in fwd(v), w in fwd(u) to
-	// all three corners. Atomic adds: multiple v race on shared corners.
-	parallel.For(n, func(i int) {
-		v := uint32(i)
-		rv := row(v)
-		for _, u := range rv {
-			ru := row(u)
-			// merge-intersect rv x ru, crediting each hit.
-			a, b := rv, ru
-			x, y := 0, 0
-			for x < len(a) && y < len(b) {
-				switch {
-				case a[x] < b[y]:
-					x++
-				case a[x] > b[y]:
-					y++
-				default:
-					w := a[x]
-					atomicAdd64(&acc[v], 1)
-					atomicAdd64(&acc[u], 1)
-					atomicAdd64(&acc[w], 1)
-					x++
-					y++
-				}
-			}
-		}
-	})
-}

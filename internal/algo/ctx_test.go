@@ -143,13 +143,6 @@ func TestCtxVariantsPreCancelled(t *testing.T) {
 			}
 			return err
 		}},
-		{"kcore-julienne", func(ctx context.Context) error {
-			res, err := KCoreJulienneCtx(ctx, g, opts)
-			if res == nil || len(res.Coreness) != n {
-				t.Error("kcore-julienne: missing partial result")
-			}
-			return err
-		}},
 		{"mis", func(ctx context.Context) error {
 			res, err := MISCtx(ctx, g, 3, opts)
 			if res == nil || len(res.InSet) != n {

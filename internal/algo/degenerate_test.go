@@ -50,9 +50,6 @@ func TestAlgorithmsOnSingleVertex(t *testing.T) {
 	if res := KCore(g, core.Options{}); res.Coreness[0] != 0 {
 		t.Errorf("KCore = %v", res.Coreness)
 	}
-	if res := KCoreJulienne(g, core.Options{}); res.Coreness[0] != 0 {
-		t.Errorf("KCoreJulienne = %v", res.Coreness)
-	}
 	if res := MIS(g, 1, core.Options{}); !res.InSet[0] {
 		t.Error("MIS must contain the only vertex")
 	}

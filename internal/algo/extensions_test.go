@@ -203,41 +203,6 @@ func TestSCCOnSymmetricEqualsCC(t *testing.T) {
 	}
 }
 
-func TestKCoreJulienneMatchesPeeling(t *testing.T) {
-	for gname, g := range testGraphs(t) {
-		if !g.Symmetric() {
-			continue
-		}
-		a := KCore(g, core.Options{})
-		b := KCoreJulienne(g, core.Options{})
-		if a.MaxCore != b.MaxCore {
-			t.Fatalf("%s: MaxCore %d vs %d", gname, a.MaxCore, b.MaxCore)
-		}
-		for v := range a.Coreness {
-			if a.Coreness[v] != b.Coreness[v] {
-				t.Fatalf("%s: coreness[%d] = %d vs %d", gname, v, a.Coreness[v], b.Coreness[v])
-			}
-		}
-	}
-}
-
-func TestKCoreJulienneKnownValues(t *testing.T) {
-	k5, _ := gen.Complete(5)
-	res := KCoreJulienne(k5, core.Options{})
-	for v, c := range res.Coreness {
-		if c != 4 {
-			t.Errorf("K5 coreness[%d] = %d, want 4", v, c)
-		}
-	}
-	st, _ := gen.Star(10)
-	res = KCoreJulienne(st, core.Options{})
-	for v, c := range res.Coreness {
-		if c != 1 {
-			t.Errorf("star coreness[%d] = %d, want 1", v, c)
-		}
-	}
-}
-
 func TestSpanningForestProperties(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		if !g.Symmetric() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"ligra/internal/buckets"
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -93,88 +92,4 @@ func KCoreCtx(ctx context.Context, g graph.View, opts core.Options) (*KCoreResul
 		k++
 	}
 	return partial(nil)
-}
-
-// KCoreJulienne computes the same k-core decomposition using the
-// work-efficient bucketing structure of Julienne (Dhulipala, Blelloch,
-// Shun, SPAA 2017): vertices live in buckets keyed by remaining degree;
-// the smallest bucket is peeled, its members' coreness is the bucket
-// index, and decremented neighbors move to bucket max(newDegree, k).
-// Unlike KCore's scan for the next peel set (O(|V|) per round), the
-// bucket structure charges each vertex move O(1).
-func KCoreJulienne(g graph.View, opts core.Options) *KCoreResult {
-	res, err := KCoreJulienneCtx(nil, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// KCoreJulienneCtx is KCoreJulienne with cooperative cancellation,
-// observed before each bucket extraction and inside each peeling edgeMap.
-// The partial-result contract matches KCoreCtx: Coreness is exact for
-// peeled vertices, -1 otherwise.
-func KCoreJulienneCtx(ctx context.Context, g graph.View, opts core.Options) (*KCoreResult, error) {
-	n := g.NumVertices()
-	coreness := make([]int32, n)
-	parallel.Fill(coreness, int32(-1))
-	deg := make([]int32, n)
-	parallel.For(n, func(i int) { deg[i] = int32(g.OutDegree(uint32(i))) })
-
-	bkts := buckets.New(n, func(v uint32) int64 { return int64(deg[v]) })
-
-	// Touched neighbors join the output frontier once per peel round;
-	// duplicates are possible (several peeled neighbors), so dedup.
-	opts.RemoveDuplicates = true
-	var k int64
-	funcs := core.EdgeFuncs{
-		UpdateAtomic: func(_, d uint32, _ int32) bool {
-			if atomic.LoadInt32(&coreness[d]) != -1 {
-				return false
-			}
-			atomic.AddInt32(&deg[d], -1)
-			return true
-		},
-	}
-
-	rounds := 0
-	maxCore := int32(0)
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return &KCoreResult{Coreness: coreness, MaxCore: maxCore, Rounds: rounds},
-				roundErr("kcore-julienne", rounds, err)
-		}
-		id, members, ok := bkts.Next()
-		if !ok {
-			break
-		}
-		k = id
-		rounds++
-		for _, v := range members {
-			coreness[v] = int32(k)
-		}
-		if int32(k) > maxCore {
-			maxCore = int32(k)
-		}
-		frontier := core.NewSparse(n, members)
-		out, err := core.EdgeMapCtx(ctx, g, frontier, funcs, opts)
-		if err != nil {
-			return &KCoreResult{Coreness: coreness, MaxCore: maxCore, Rounds: rounds},
-				roundErr("kcore-julienne", rounds, err)
-		}
-		out.ForEachSeq(func(d uint32) {
-			if coreness[d] != -1 {
-				return
-			}
-			nd := int64(deg[d])
-			if nd < k {
-				nd = k
-			}
-			bkts.Update(d, nd)
-		})
-	}
-	if n == 0 {
-		maxCore = 0
-	}
-	return &KCoreResult{Coreness: coreness, MaxCore: maxCore, Rounds: rounds}, nil
 }

@@ -459,13 +459,11 @@ var runners = []Runner{
 			if berr != nil {
 				return RunResult{}, berr
 			}
-			if backend == BackendSpMV {
-				return spmvTrianglesRun(ctx, g, p)
-			}
+			// One kernel whatever the backend; the name is kept on the wire.
 			count, err := TriangleCountCtx(backendCtx(ctx, p), g)
 			return RunResult{
 				Summary: fmt.Sprintf("Triangles: %d", count),
-				Details: map[string]any{"triangles": count, "backend": BackendEdgeMap},
+				Details: map[string]any{"triangles": count, "backend": backend},
 			}, err
 		},
 	},

@@ -1,6 +1,6 @@
 // Package atomicx provides the atomic read-modify-write primitives Ligra's
 // update functions are written with: compare-and-swap on slice elements,
-// priority updates (writeMin/writeMax), fetch-and-add, and an atomic
+// priority updates (writeMin), fetch-and-add, and an atomic
 // accumulator for float64 values built on CAS of the value's bit pattern.
 //
 // The priority-update operation (Shun, Blelloch, Fineman, Gibbons, SPAA
@@ -26,16 +26,6 @@ func CASInt32(addr *int32, old, new int32) bool {
 	return atomic.CompareAndSwapInt32(addr, old, new)
 }
 
-// CASInt64 atomically replaces *addr with new iff it still holds old.
-func CASInt64(addr *int64, old, new int64) bool {
-	return atomic.CompareAndSwapInt64(addr, old, new)
-}
-
-// CASUint64 atomically replaces *addr with new iff it still holds old.
-func CASUint64(addr *uint64, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(addr, old, new)
-}
-
 // WriteMinUint32 atomically sets *addr = min(*addr, v) and reports whether v
 // strictly lowered the stored value (i.e. this caller won the priority
 // update).
@@ -51,20 +41,6 @@ func WriteMinUint32(addr *uint32, v uint32) bool {
 	}
 }
 
-// WriteMinInt32 atomically sets *addr = min(*addr, v), reporting whether v
-// won.
-func WriteMinInt32(addr *int32, v int32) bool {
-	for {
-		old := atomic.LoadInt32(addr)
-		if v >= old {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(addr, old, v) {
-			return true
-		}
-	}
-}
-
 // WriteMinInt64 atomically sets *addr = min(*addr, v), reporting whether v
 // won.
 func WriteMinInt64(addr *int64, v int64) bool {
@@ -74,34 +50,6 @@ func WriteMinInt64(addr *int64, v int64) bool {
 			return false
 		}
 		if atomic.CompareAndSwapInt64(addr, old, v) {
-			return true
-		}
-	}
-}
-
-// WriteMaxUint32 atomically sets *addr = max(*addr, v), reporting whether v
-// won.
-func WriteMaxUint32(addr *uint32, v uint32) bool {
-	for {
-		old := atomic.LoadUint32(addr)
-		if v <= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(addr, old, v) {
-			return true
-		}
-	}
-}
-
-// WriteMaxInt32 atomically sets *addr = max(*addr, v), reporting whether v
-// won.
-func WriteMaxInt32(addr *int32, v int32) bool {
-	for {
-		old := atomic.LoadInt32(addr)
-		if v <= old {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(addr, old, v) {
 			return true
 		}
 	}

@@ -65,27 +65,6 @@ func TestWriteMinInt64(t *testing.T) {
 	}
 }
 
-func TestWriteMaxVariants(t *testing.T) {
-	a := uint32(5)
-	if !WriteMaxUint32(&a, 9) || a != 9 {
-		t.Errorf("WriteMaxUint32: a=%d", a)
-	}
-	if WriteMaxUint32(&a, 3) {
-		t.Error("WriteMaxUint32 should not lower")
-	}
-	b := int32(-7)
-	if !WriteMaxInt32(&b, -1) || b != -1 {
-		t.Errorf("WriteMaxInt32: b=%d", b)
-	}
-}
-
-func TestWriteMinInt32(t *testing.T) {
-	x := int32(3)
-	if !WriteMinInt32(&x, -3) || x != -3 {
-		t.Errorf("WriteMinInt32: x=%d", x)
-	}
-}
-
 func TestCASHelpers(t *testing.T) {
 	u32 := uint32(1)
 	if !CASUint32(&u32, 1, 2) || u32 != 2 {
@@ -97,14 +76,6 @@ func TestCASHelpers(t *testing.T) {
 	i32 := int32(-1)
 	if !CASInt32(&i32, -1, 7) || i32 != 7 {
 		t.Error("CASInt32 failed")
-	}
-	i64 := int64(10)
-	if !CASInt64(&i64, 10, 20) || i64 != 20 {
-		t.Error("CASInt64 failed")
-	}
-	u64 := uint64(5)
-	if !CASUint64(&u64, 5, 6) || u64 != 6 {
-		t.Error("CASUint64 failed")
 	}
 }
 

@@ -96,16 +96,6 @@ func Apps() []App {
 	}
 }
 
-// FindApp returns the named app.
-func FindApp(name string) (App, bool) {
-	for _, a := range Apps() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return App{}, false
-}
-
 // WeightGraph returns the weighted version of g used by Bellman-Ford:
 // deterministic hash weights in [1, 32), mirroring the paper's random
 // integer weights.

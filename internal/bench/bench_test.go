@@ -67,17 +67,6 @@ func TestFindInput(t *testing.T) {
 	}
 }
 
-func TestFindApp(t *testing.T) {
-	for _, name := range []string{"BFS", "BC", "Radii", "Components", "PageRank", "BellmanFord"} {
-		if _, ok := FindApp(name); !ok {
-			t.Errorf("missing app %s", name)
-		}
-	}
-	if _, ok := FindApp("nope"); ok {
-		t.Error("unknown app found")
-	}
-}
-
 func TestAppsRunAtTinyScale(t *testing.T) {
 	suite := DefaultSuite(9)
 	in, err := FindInput(suite, "rMat")

@@ -425,9 +425,9 @@ func CompressAblation(cfg Config) error {
 	return w.Flush()
 }
 
-// BucketingAblation compares the scan-based k-core peeling against the
-// Julienne bucket structure, and delta-stepping against frontier
-// Bellman-Ford — the workloads that motivated the Julienne extension.
+// BucketingAblation compares delta-stepping over the Julienne bucket
+// structure against frontier Bellman-Ford, on the scale-free rMat and on
+// the weighted mesh the Julienne paper targets.
 func BucketingAblation(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	in, err := FindInput(suite, "rMat")
@@ -444,12 +444,6 @@ func BucketingAblation(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "Bucketing (Julienne extension) on %s (seconds, median of %d)\n", in.Name, cfg.rounds())
 	w := cfg.tab()
 	fmt.Fprintln(w, "Workload\tbaseline\tbucketed")
-	if cfg.budgetExhausted(w) {
-		return w.Flush()
-	}
-	tk1 := Measure(cfg.rounds(), func() { algo.KCore(g, core.Options{}) })
-	tk2 := Measure(cfg.rounds(), func() { algo.KCoreJulienne(g, core.Options{}) })
-	fmt.Fprintf(w, "k-core (scan vs buckets)\t%.4f\t%.4f\n", tk1.Median.Seconds(), tk2.Median.Seconds())
 	if cfg.budgetExhausted(w) {
 		return w.Flush()
 	}

@@ -10,23 +10,22 @@ import (
 )
 
 // SpMV races the two execution backends — edgeMap traversal versus the
-// GraphBLAS-style semiring kernels — on the algorithms that have spmv
-// kernels, across both suite shapes (the scale-free rMat and the
-// high-diameter 3d-grid). For each (graph, application) cell it:
+// GraphBLAS-style semiring kernel — on BFS, the one algorithm with an spmv
+// kernel, across both suite shapes (the scale-free rMat and the
+// high-diameter 3d-grid). For each graph it:
 //
-//   - cross-validates the backends once, un-timed: BFS must agree on
-//     rounds and visited count, triangle counting on the count — the
-//     identity contract that lets the result cache ignore the backend
+//   - cross-validates the backends once, un-timed: they must agree on
+//     rounds and visited count — the identity contract that lets the
+//     result cache ignore the backend
 //   - times three variants: backend=edgemap, backend=spmv, and
 //     backend=auto (ResolveBackend dispatch + the chosen kernel, exactly
 //     the runner's auto path), recording each as
-//     "spmv/<App>-<graph>-<backend>"
+//     "spmv/BFS-<graph>-<backend>"
 //
 // The auto column should track min(edgemap, spmv) to within dispatch
 // overhead; a larger gap means the auto heuristic picked the losing
-// backend for that shape. PageRank is not raced: since its edgeMap row
-// kernel became the pull gather, backend "spmv" runs the same code (the
-// hotpath experiment's PageRank1 pair records what the callback cost).
+// backend for that shape. PageRank and triangles are not raced: backend
+// "spmv" runs the same code as "edgemap" for both.
 func SpMV(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	w := cfg.tab()
@@ -47,71 +46,45 @@ func SpMV(cfg Config) error {
 			return fmt.Errorf("%s: backends diverge: %w", gname, err)
 		}
 
-		apps := []struct {
-			name string
-			em   func() // backend=edgemap
-			sv   func() // backend=spmv
-		}{
-			{"BFS",
-				func() { algo.BFS(g, src, core.Options{}) },
-				func() { mustSpMV(spmvBFSErr(g, src)) }},
-			{"Triangles",
-				func() { algo.TriangleCount(g) },
-				func() { mustSpMV(spmvTrianglesErr(g)) }},
+		if cfg.budgetExhausted(w) {
+			return w.Flush()
 		}
-		algoNames := []string{"bfs", "triangles"}
-		for i, a := range apps {
-			if cfg.budgetExhausted(w) {
-				return w.Flush()
+		em := func() { algo.BFS(g, src, core.Options{}) }
+		sv := func() {
+			if _, err := spmv.BFSLevels(nil, g, src, spmv.BFSOptions{}); err != nil {
+				panic(err)
 			}
-			tEM := Measure(cfg.rounds(), a.em)
-			tSV := Measure(cfg.rounds(), a.sv)
-			// auto is dispatch + whichever backend ResolveBackend picks for
-			// this graph shape, the same sequence the registry runner executes.
-			var pick string
-			run := func() {
-				b, err := algo.ResolveBackend(algoNames[i], g, algo.Params{Backend: algo.BackendAuto})
-				if err != nil {
-					panic(err)
-				}
-				pick = b
-				if b == algo.BackendSpMV {
-					a.sv()
-				} else {
-					a.em()
-				}
-			}
-			tAuto := Measure(cfg.rounds(), run)
-			fmt.Fprintf(w, "%s\t%s\t%.4f\t%.4f\t%.4f\t%s\t%.2fx\n",
-				gname, a.name,
-				tEM.Median.Seconds(), tSV.Median.Seconds(), tAuto.Median.Seconds(),
-				pick, tSV.Median.Seconds()/tEM.Median.Seconds())
-			cfg.record("spmv/"+a.name+"-"+gname+"-edgemap", tEM.Median.Seconds())
-			cfg.record("spmv/"+a.name+"-"+gname+"-spmv", tSV.Median.Seconds())
-			cfg.record("spmv/"+a.name+"-"+gname+"-auto", tAuto.Median.Seconds())
 		}
+		tEM := Measure(cfg.rounds(), em)
+		tSV := Measure(cfg.rounds(), sv)
+		// auto is dispatch + whichever backend ResolveBackend picks for
+		// this graph shape, the same sequence the registry runner executes.
+		var pick string
+		tAuto := Measure(cfg.rounds(), func() {
+			b, err := algo.ResolveBackend("bfs", g, algo.Params{Backend: algo.BackendAuto})
+			if err != nil {
+				panic(err)
+			}
+			pick = b
+			if b == algo.BackendSpMV {
+				sv()
+			} else {
+				em()
+			}
+		})
+		fmt.Fprintf(w, "%s\tBFS\t%.4f\t%.4f\t%.4f\t%s\t%.2fx\n",
+			gname,
+			tEM.Median.Seconds(), tSV.Median.Seconds(), tAuto.Median.Seconds(),
+			pick, tSV.Median.Seconds()/tEM.Median.Seconds())
+		cfg.record("spmv/BFS-"+gname+"-edgemap", tEM.Median.Seconds())
+		cfg.record("spmv/BFS-"+gname+"-spmv", tSV.Median.Seconds())
+		cfg.record("spmv/BFS-"+gname+"-auto", tAuto.Median.Seconds())
 	}
 	return w.Flush()
 }
 
-func spmvBFSErr(g graph.View, src uint32) error {
-	_, err := spmv.BFSLevels(nil, g, src, spmv.BFSOptions{})
-	return err
-}
-
-func spmvTrianglesErr(g graph.View) error {
-	_, err := spmv.TriangleCount(nil, g)
-	return err
-}
-
-func mustSpMV(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-// spmvCrossValidate runs every kernel once under both backends and
-// verifies the results match: the equality claim the timed race (and the
+// spmvCrossValidate runs BFS once under both backends and verifies the
+// results match: the equality claim the timed race (and the
 // backend-agnostic result cache) rests on.
 func spmvCrossValidate(g graph.View, src uint32) error {
 	emBFS := algo.BFS(g, src, core.Options{})
@@ -122,14 +95,6 @@ func spmvCrossValidate(g graph.View, src uint32) error {
 	if emBFS.Rounds != svBFS.Rounds || emBFS.Visited != svBFS.Visited {
 		return fmt.Errorf("BFS: edgemap %d rounds/%d visited, spmv %d/%d",
 			emBFS.Rounds, emBFS.Visited, svBFS.Rounds, svBFS.Visited)
-	}
-	emTri := algo.TriangleCount(g)
-	svTri, err := spmv.TriangleCount(nil, g)
-	if err != nil {
-		return err
-	}
-	if emTri != svTri {
-		return fmt.Errorf("Triangles: edgemap %d, spmv %d", emTri, svTri)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/bits"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,26 +106,20 @@ type Options struct {
 	// the machine (see parallel.WithProcs); 0 inherits the cap already on
 	// the context, if any.
 	Procs int
-	// SeqCutoff tunes the sequential small-round bypass: a round whose
-	// estimated work |U| + outDegrees(U) is at or below the cutoff (and
-	// that the direction heuristic sends sparse) runs entirely on the
-	// calling goroutine, with none of the chunk/dispatch machinery — the
-	// common case in the long frontier tails of BFS and BellmanFord on
-	// high-diameter graphs. 0 selects DefaultSeqCutoff; a negative value
-	// disables the bypass. Bypassed rounds count in TraversalStats.SeqRounds.
-	SeqCutoff int64
 }
 
 // DefaultThresholdDenominator is the paper's frontier-size switch constant:
 // edgeMap goes dense when |U| + outDegrees(U) > |E|/20.
 const DefaultThresholdDenominator = 20
 
-// DefaultSeqCutoff is the default Options.SeqCutoff: sparse rounds with
-// |U| + outDegrees(U) at or below this run sequentially. Roughly a
-// thousand cheap per-edge updates cost less than one scheduler dispatch
-// plus the per-worker buffer and reassembly machinery of the parallel
-// sparse path.
-const DefaultSeqCutoff = 1024
+// smallRoundWork is the |U| + outDegrees(U) at or below which a sparse
+// round runs as one chunk on the calling goroutine. It keeps the automatic
+// grain, which targets eight chunks per worker whatever the round's size,
+// from cutting a frontier of a few dozen vertices into one-vertex chunks
+// and dispatching those to the pool. The value is not tuned: with the
+// bound off, the scheduler experiment's rows read between 0.79x and 1.26x
+// of themselves on consecutive runs.
+const smallRoundWork = 1024
 
 // TraceEntry records one EdgeMap invocation for the fig-frontier
 // experiment.
@@ -231,17 +224,19 @@ func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs,
 		dense = true
 	}
 
+	// The degree scan stops early only once the sum has passed the dense
+	// threshold, so a partial sum can pass for a small round only where
+	// that threshold is itself below smallRoundWork and the caller forced
+	// the round sparse: graphs too small for the chunking to matter.
+	seq := !dense && int64(u.Size())+outDeg <= smallRoundWork
 	var out *VertexSubset
-	seq := !dense && seqBypass(opts, int64(u.Size())+outDeg)
 	switch {
-	case seq:
-		out, err = edgeMapSparseSeq(ctx, g, u, f, opts)
 	case dense && opts.DenseForward:
 		out, err = edgeMapDenseForward(ctx, g, u, f, opts)
 	case dense:
 		out, err = edgeMapDense(ctx, g, u, f, opts)
 	default:
-		out, err = edgeMapSparse(ctx, g, u, f, opts)
+		out, err = edgeMapSparse(ctx, g, u, f, opts, seq)
 	}
 	if err != nil {
 		return nil, err
@@ -249,21 +244,6 @@ func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs,
 	globalStats.record(u.Size(), outDeg, dense, dense && opts.DenseForward, seq, out.Size())
 	traceRecord(opts.Trace, u, outDeg, dense, dense && opts.DenseForward, out, start)
 	return out, nil
-}
-
-// seqBypass decides whether a round the heuristic already sent sparse is
-// small enough to run sequentially. total is |U| + outDegrees(U) as
-// weighed by the direction heuristic, whose degree scan stops early only
-// once the sum exceeds the dense threshold: a partial sum under-reports
-// total only when it is already past the threshold, and wherever the
-// threshold is at least the cutoff such a round fails the comparison
-// anyway, so a large round is never mistaken for a small one.
-func seqBypass(opts Options, total int64) bool {
-	cutoff := opts.SeqCutoff
-	if cutoff == 0 {
-		cutoff = DefaultSeqCutoff
-	}
-	return cutoff > 0 && total <= cutoff
 }
 
 func traceRecord(t *Trace, u *VertexSubset, outDeg int64, dense, fwd bool, out *VertexSubset, start time.Time) {
@@ -370,44 +350,22 @@ type sparseWorkerBuf struct {
 // sentinel holes) and concatenated afterward in chunk order: successes in
 // frontier edge order, writing only the successes instead of one slot per
 // scanned edge. A graph.RowView (raw CSR, a delta snapshot over it) takes
-// a raw-slice fast path with no per-edge iterator callback.
-func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
+// a raw-slice fast path with no per-edge iterator callback. A round the
+// caller found small (see smallRoundWork) asks for a single chunk, which
+// parallel.ForWorkerChunksCtx runs on the calling goroutine with the same
+// panic containment, ctx checks and fault-injection hook as any other.
+func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options, oneChunk bool) (*VertexSubset, error) {
 	n := g.NumVertices()
 	ids := u.ToSparse()
 	update := f.pushUpdate()
 	cond := f.Cond
 	rows, _ := g.(graph.RowView)
+	keep := !opts.NoOutput
 
-	if opts.NoOutput {
-		err := parallel.ForCtx(ctx, len(ids), func(i int) {
-			s := ids[i]
-			if rows != nil {
-				row, wts := rows.OutRow(s)
-				for j, d := range row {
-					if cond == nil || cond(d) {
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						update(s, d, w)
-					}
-				}
-				return
-			}
-			g.OutNeighbors(s, func(d uint32, w int32) bool {
-				if cond == nil || cond(d) {
-					update(s, d, w)
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewEmpty(n), nil
+	grain := len(ids)
+	if !oneChunk {
+		grain = parallel.AutoGrainCtx(ctx, len(ids))
 	}
-
-	grain := parallel.AutoGrainCtx(ctx, len(ids))
 	nchunks := (len(ids) + grain - 1) / grain
 	workers := make([]sparseWorkerBuf, parallel.CtxProcs(ctx))
 	segLen := make([]int64, nchunks)
@@ -424,14 +382,14 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 					if wts != nil {
 						w = wts[j]
 					}
-					if (cond == nil || cond(d)) && update(s, d, w) {
+					if (cond == nil || cond(d)) && update(s, d, w) && keep {
 						buf = append(buf, d)
 					}
 				}
 				continue
 			}
 			g.OutNeighbors(s, func(d uint32, w int32) bool {
-				if (cond == nil || cond(d)) && update(s, d, w) {
+				if (cond == nil || cond(d)) && update(s, d, w) && keep {
 					buf = append(buf, d)
 				}
 				return true
@@ -447,6 +405,9 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 		// be derived from the partial buffers.
 		return nil, err
 	}
+	if !keep {
+		return NewEmpty(n), nil
+	}
 	// Exclusive scan turns per-chunk lengths into output offsets; each
 	// worker then copies its segments into place in parallel.
 	total := parallel.ScanExclusive(segLen, segLen)
@@ -457,70 +418,6 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 			copy(outIDs[segLen[sg.chunk]:], wb.ids[sg.start:sg.end])
 		}
 	})
-	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
-}
-
-// edgeMapSparseSeq is the sequential small-round bypass: edgeMapSparse's
-// push traversal and output contract — successes in frontier edge order,
-// identical dedup semantics — run entirely on the calling goroutine. Rounds
-// this small (see Options.SeqCutoff) are dominated by dispatch and
-// reassembly cost, not edge work; here the only per-round overhead is one
-// output slice. Panics are contained as on the parallel path
-// (*parallel.PanicError), cancellation is observed on entry and on return
-// (the round is smaller than one parallel chunk), and the fault-injection
-// chunk hook fires once so injection tests reach this path too.
-func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (out *VertexSubset, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*parallel.PanicError); ok {
-				err = pe
-				return
-			}
-			err = &parallel.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	faultinject.OnChunk()
-	n := g.NumVertices()
-	ids := u.ToSparse()
-	update := f.pushUpdate()
-	cond := f.Cond
-	rows, _ := g.(graph.RowView)
-	var outIDs []uint32
-	noOutput := opts.NoOutput
-	for _, s := range ids {
-		if rows != nil {
-			row, wts := rows.OutRow(s)
-			for j, d := range row {
-				w := int32(1)
-				if wts != nil {
-					w = wts[j]
-				}
-				if (cond == nil || cond(d)) && update(s, d, w) && !noOutput {
-					outIDs = append(outIDs, d)
-				}
-			}
-			continue
-		}
-		g.OutNeighbors(s, func(d uint32, w int32) bool {
-			if (cond == nil || cond(d)) && update(s, d, w) && !noOutput {
-				outIDs = append(outIDs, d)
-			}
-			return true
-		})
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if noOutput {
-		return NewEmpty(n), nil
-	}
 	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
 }
 

@@ -3,52 +3,76 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 )
 
-// TestSeqBypassEquivalence runs the same sparse round with the bypass on
-// (default) and off (SeqCutoff: -1) and demands identical output plus a
-// SeqRounds increment only on the bypassed run. The test graph is tiny,
-// so |U| + outDegrees(U) is far below DefaultSeqCutoff and every round
-// qualifies — but the default |E|/20 threshold is 0 on 7 edges, which
-// would send every Auto round dense, so the tests raise it explicitly to
-// keep the rounds on the sparse (bypassable) side of the heuristic.
+// ringGraph is v -> v+1, v+2 (mod n): every frontier of k vertices weighs
+// exactly 3k, so a test picks the side of smallRoundWork by frontier size.
+func ringGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	edges := make([]graph.Edge, 0, 2*n)
+	for v := 0; v < n; v++ {
+		edges = append(edges,
+			graph.Edge{Src: uint32(v), Dst: uint32((v + 1) % n)},
+			graph.Edge{Src: uint32(v), Dst: uint32((v + 2) % n)})
+	}
+	g, err := graph.FromEdges(n, edges, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSeqBypassEquivalence runs the one sparse traversal on both sides of
+// smallRoundWork — a frontier that weighs 300 and one that weighs 3000,
+// both forced sparse — and demands the same output contract from each:
+// every success in frontier edge order, deduplicated on request, nothing
+// under NoOutput. Only the small round may count in SeqRounds, and it must
+// reach the scheduler as an inline run, never as a dispatch; the large one
+// is chunked and dispatched (TestMain sets four workers). The graph is big
+// enough that |E|/20 exceeds both weights, so the degree scan is exact.
 func TestSeqBypassEquivalence(t *testing.T) {
-	g := testGraph(t)
+	const n = 1 << 15
+	g := ringGraph(t, n)
+	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
 	for _, opts := range []Options{
-		{Threshold: 100},
-		{Threshold: 100, RemoveDuplicates: true},
-		{Threshold: 100, NoOutput: true},
+		{Mode: ForceSparse},
+		{Mode: ForceSparse, RemoveDuplicates: true},
+		{Mode: ForceSparse, NoOutput: true},
 	} {
-		u := NewSparse(6, []uint32{0, 2, 3})
-		f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
-
-		before := SnapshotStats()
-		seqOut := EdgeMap(g, u, f, opts)
-		d := SnapshotStats().Sub(before)
-		if d.SeqRounds != 1 || d.Sparse != 1 {
-			t.Fatalf("opts=%+v: seq_rounds=%d sparse=%d, want 1/1", opts, d.SeqRounds, d.Sparse)
-		}
-
-		noBypass := opts
-		noBypass.SeqCutoff = -1
-		u2 := NewSparse(6, []uint32{0, 2, 3})
-		before = SnapshotStats()
-		parOut := EdgeMap(g, u2, f, noBypass)
-		d = SnapshotStats().Sub(before)
-		if d.SeqRounds != 0 || d.Sparse != 1 {
-			t.Fatalf("opts=%+v SeqCutoff=-1: seq_rounds=%d sparse=%d, want 0/1", opts, d.SeqRounds, d.Sparse)
-		}
-
-		got, want := sortedIDs(seqOut), sortedIDs(parOut)
-		if len(got) != len(want) {
-			t.Fatalf("opts=%+v: bypass output %v, parallel output %v", opts, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("opts=%+v: bypass output %v, parallel output %v", opts, got, want)
+		for _, tc := range []struct {
+			size    int
+			wantSeq int64
+		}{{100, 1}, {1000, 0}} {
+			ids := make([]uint32, tc.size)
+			var want []uint32
+			seen := map[uint32]bool{}
+			for i := range ids {
+				ids[i] = uint32(i)
+				for _, d := range []uint32{uint32(i+1) % n, uint32(i+2) % n} {
+					if opts.NoOutput || (opts.RemoveDuplicates && seen[d]) {
+						continue
+					}
+					seen[d] = true
+					want = append(want, d)
+				}
+			}
+			before, schedBefore := SnapshotStats(), parallel.SchedulerSnapshot()
+			out := EdgeMap(g, NewSparse(n, ids), f, opts)
+			d := SnapshotStats().Sub(before)
+			sched := parallel.SchedulerSnapshot().Sub(schedBefore)
+			if d.SeqRounds != tc.wantSeq || d.Sparse != 1 {
+				t.Fatalf("opts=%+v |U|=%d: seq_rounds=%d sparse=%d, want %d/1", opts, tc.size, d.SeqRounds, d.Sparse, tc.wantSeq)
+			}
+			if small := tc.wantSeq == 1; small != (sched.Dispatches == 0) {
+				t.Fatalf("opts=%+v |U|=%d: %d dispatches, %d inline runs", opts, tc.size, sched.Dispatches, sched.InlineRuns)
+			}
+			if got := out.ToSparse(); !slices.Equal(got, want) {
+				t.Fatalf("opts=%+v |U|=%d: output (%d ids) differs from the %d expected in edge order", opts, tc.size, len(got), len(want))
 			}
 		}
 	}
@@ -131,42 +155,5 @@ func TestSeqBypassPanicContainment(t *testing.T) {
 	}
 	if d := SnapshotStats().Sub(before); d.SeqRounds != 0 {
 		t.Errorf("failed round recorded seq_rounds=%d, want 0", d.SeqRounds)
-	}
-}
-
-// TestSeqBypassRespectsCustomCutoff checks Options.SeqCutoff semantics:
-// a positive cutoff below the round size disables the bypass for that
-// round, and a generous one enables it on larger frontiers.
-func TestSeqBypassRespectsCustomCutoff(t *testing.T) {
-	// A star graph: vertex 0 points at 1..128, so a {0} frontier weighs
-	// 1 + 128 = 129.
-	edges := make([]graph.Edge, 0, 128)
-	for d := uint32(1); d <= 128; d++ {
-		edges = append(edges, graph.Edge{Src: 0, Dst: d})
-	}
-	g, err := graph.FromEdges(129, edges, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
-
-	for _, tc := range []struct {
-		cutoff   int64
-		wantSeq  int64
-		wantDesc string
-	}{
-		{cutoff: 64, wantSeq: 0, wantDesc: "round weighs 129 > cutoff 64"},
-		{cutoff: 256, wantSeq: 1, wantDesc: "round weighs 129 <= cutoff 256"},
-	} {
-		u := NewSparse(129, []uint32{0})
-		before := SnapshotStats()
-		out := EdgeMap(g, u, f, Options{Mode: ForceSparse, SeqCutoff: tc.cutoff})
-		if d := SnapshotStats().Sub(before); d.SeqRounds != tc.wantSeq {
-			t.Errorf("cutoff=%d: seq_rounds=%d, want %d (%s)",
-				tc.cutoff, d.SeqRounds, tc.wantSeq, tc.wantDesc)
-		}
-		if got := sortedIDs(out); len(got) != 128 || got[0] != 1 || got[127] != 128 {
-			t.Errorf("cutoff=%d: output size %d, want all 128 leaves", tc.cutoff, len(got))
-		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // loops behind ForEach/ForEachCtx are auto-grain, so a frontier at or
 // below the parallel package's cutoff runs inline on the calling
 // goroutine with zero dispatch — the vertexMap analogue of edgeMap's
-// Options.SeqCutoff bypass (which is counted in TraversalStats.SeqRounds;
+// one-chunk small rounds (which are counted in TraversalStats.SeqRounds;
 // per-vertex rounds are visible in the scheduler's inline-run counter
 // instead).
 func VertexMap(u *VertexSubset, fn func(v uint32)) {

@@ -204,12 +204,3 @@ func (g *Graph) Edges() []uint32 { return g.edges }
 // Weights returns the CSR weight array (nil if unweighted). Callers must
 // not mutate it.
 func (g *Graph) Weights() []int32 { return g.weights }
-
-// OutDegreesSum returns the total out-degree of the given vertices.
-func OutDegreesSum(g View, vs []uint32) int64 {
-	var total int64
-	for _, v := range vs {
-		total += int64(g.OutDegree(v))
-	}
-	return total
-}

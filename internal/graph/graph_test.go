@@ -282,15 +282,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := diamond(t, false)
-	h := DegreeHistogram(g)
-	// degrees: 0:2, 1:1, 2:1, 3:0 -> hist[0]=1, hist[1]=2, hist[2]=1
-	if len(h) != 3 || h[0] != 1 || h[1] != 2 || h[2] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 func TestValidateCatchesAsymmetry(t *testing.T) {
 	// Claim symmetric but provide a one-way edge.
 	g, err := FromCSR([]int64{0, 1, 1}, []uint32{1}, nil, true)

@@ -78,21 +78,6 @@ func (s Stats) String() string {
 		kind, w, s.Vertices, s.Edges, s.AvgDeg, s.MaxOutDeg, s.MaxInDeg, s.ZeroDegree, s.SelfLoops, s.MemoryBytes)
 }
 
-// DegreeHistogram returns counts[k] = number of vertices with out-degree k,
-// for k up to the maximum out-degree.
-func DegreeHistogram(g View) []int64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	maxDeg := parallel.MaxFunc(n, func(i int) int { return g.OutDegree(uint32(i)) })
-	counts := make([]int64, maxDeg+1)
-	for v := 0; v < n; v++ {
-		counts[g.OutDegree(uint32(v))]++
-	}
-	return counts
-}
-
 // Validate checks internal CSR invariants and, for symmetric graphs, that
 // every edge has its reverse. It returns nil if the graph is well formed.
 func Validate(g *Graph) error {

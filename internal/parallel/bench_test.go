@@ -63,7 +63,7 @@ func BenchmarkReduceSum(b *testing.B) {
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sum(xs)
+		SumFunc(n, func(i int) int64 { return xs[i] })
 	}
 }
 

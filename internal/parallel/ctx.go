@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"runtime/debug"
 
 	"ligra/internal/faultinject"
 )
@@ -89,7 +88,7 @@ func ForRangeGrainCtx(ctx context.Context, n, grain int, body func(lo, hi int)) 
 func forSeq(ctx context.Context, n, grain, chunks int, body func(lo, hi int)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			err = AsPanicError(r)
 		}
 	}()
 	for c := 0; c < chunks; c++ {

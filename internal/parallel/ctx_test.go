@@ -163,3 +163,42 @@ func TestForCtxDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
+
+// nestedBoom is the origin frame TestNestedPanicKeepsOrigin looks for.
+func nestedBoom() { panic("boom") }
+
+// TestNestedPanicKeepsOrigin: a plain primitive inside a ctx-aware body
+// re-panics with the *PanicError it built; the outer primitive must hand
+// that error on — original value, stack of the origin — not wrap it in a
+// second one whose stack is the re-panic site. Every capture site is
+// covered: forSeq and forWorkerSeq (inline), panicBox (dispatched).
+func TestNestedPanicKeepsOrigin(t *testing.T) {
+	ctx := context.Background()
+	for _, innerN := range []int{8, dispatchN} {
+		body := func() {
+			For(innerN, func(i int) {
+				if i == 3 {
+					nestedBoom()
+				}
+			})
+		}
+		for name, run := range map[string]func() error{
+			"ForCtx/inline":                 func() error { return ForCtx(ctx, 4, func(int) { body() }) },
+			"ForCtx/dispatched":             func() error { return ForGrainCtx(ctx, 64, 1, func(int) { body() }) },
+			"ForWorkerChunksCtx/inline":     func() error { return ForWorkerChunksCtx(ctx, 4, 4, func(_, _, _, _ int) { body() }) },
+			"ForWorkerChunksCtx/dispatched": func() error { return ForWorkerChunksCtx(ctx, 64, 1, func(_, _, _, _ int) { body() }) },
+		} {
+			err := run()
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s/inner=%d: err = %v (%T), want *PanicError", name, innerN, err, err)
+			}
+			if pe.Value != "boom" {
+				t.Errorf("%s/inner=%d: Value = %v (%T), want the original \"boom\"", name, innerN, pe.Value, pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), "nestedBoom") {
+				t.Errorf("%s/inner=%d: Stack does not reach the origin frame:\n%s", name, innerN, pe.Stack)
+			}
+		}
+	}
+}

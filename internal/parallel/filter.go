@@ -119,14 +119,3 @@ func Fill[T any](s []T, v T) {
 func Iota[T Number](s []T, base T) {
 	For(len(s), func(i int) { s[i] = base + T(i) })
 }
-
-// CopyInto copies src into dst (which must have the same length) in
-// parallel.
-func CopyInto[T any](dst, src []T) {
-	if len(dst) != len(src) {
-		panic("parallel: CopyInto length mismatch")
-	}
-	ForRange(len(src), func(lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
-}

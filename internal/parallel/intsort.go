@@ -100,35 +100,3 @@ func RadixSortByKey[T any](in []T, keyBound int64, key func(T) int64) {
 		copy(in, src)
 	}
 }
-
-// Histogram returns counts[k] = number of i in [0, n) with key(i) == k,
-// for keys in [0, buckets), computed with per-block partial histograms.
-func Histogram(n, buckets int, key func(i int) int) []int64 {
-	out := make([]int64, buckets)
-	if n == 0 {
-		return out
-	}
-	blocks := numBlocks(n)
-	if blocks == 1 {
-		for i := 0; i < n; i++ {
-			out[key(i)]++
-		}
-		return out
-	}
-	partial := make([]int64, blocks*buckets)
-	ForGrain(blocks, 1, func(b int) {
-		lo, hi := blockBounds(n, blocks, b)
-		row := partial[b*buckets : (b+1)*buckets]
-		for i := lo; i < hi; i++ {
-			row[key(i)]++
-		}
-	})
-	For(buckets, func(k int) {
-		var acc int64
-		for b := 0; b < blocks; b++ {
-			acc += partial[b*buckets+k]
-		}
-		out[k] = acc
-	})
-	return out
-}

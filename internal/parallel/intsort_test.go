@@ -102,21 +102,3 @@ func TestRadixSortLargeKeys(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	n := 100000
-	const buckets = 17
-	h := Histogram(n, buckets, func(i int) int { return i % buckets })
-	for k := 0; k < buckets; k++ {
-		want := int64(n / buckets)
-		if k < n%buckets {
-			want++
-		}
-		if h[k] != want {
-			t.Errorf("h[%d] = %d, want %d", k, h[k], want)
-		}
-	}
-	if got := Histogram(0, 3, nil); len(got) != 3 || got[0] != 0 {
-		t.Error("empty histogram wrong")
-	}
-}

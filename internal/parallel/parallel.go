@@ -78,11 +78,22 @@ type panicBox struct {
 
 func (b *panicBox) capture() {
 	if r := recover(); r != nil {
-		b.once.Do(func() {
-			b.err = &PanicError{Value: r, Stack: debug.Stack()}
-		})
+		b.once.Do(func() { b.err = AsPanicError(r) })
 		b.stopped.Store(true)
 	}
+}
+
+// AsPanicError turns a recovered value into the *PanicError a primitive
+// reports. A value that already is one — a nested plain primitive re-raised
+// it on its way out — passes through, so Value and Stack stay those of the
+// original panic instead of being wrapped a second time at the re-panic
+// site. Call it from the deferred function that recovered r: debug.Stack
+// still sees the panicking frames there.
+func AsPanicError(r any) *PanicError {
+	if pe, ok := r.(*PanicError); ok {
+		return pe
+	}
+	return &PanicError{Value: r, Stack: debug.Stack()}
 }
 
 // For runs body(i) for every i in [0, n) using all configured workers and an
@@ -115,27 +126,6 @@ func ForRange(n int, body func(lo, hi int)) {
 // *PanicError; ForRangeGrainCtx is the variant that returns it instead.
 func ForRangeGrain(n, grain int, body func(lo, hi int)) {
 	if err := ForRangeGrainCtx(nil, n, grain, body); err != nil {
-		panic(err)
-	}
-}
-
-// ForEachWorker runs body(worker, workers) once on each of the configured
-// workers. It is used by primitives that keep per-worker state (e.g. blocked
-// scans). The worker index is in [0, workers). The bodies run on the
-// persistent pool (one "chunk" per worker index); the caller executes at
-// least one of them itself.
-func ForEachWorker(body func(worker, workers int)) {
-	workers := Procs()
-	if workers == 1 {
-		body(0, 1)
-		return
-	}
-	// The chunk index, not the pool slot, is the worker identity here:
-	// each index in [0, workers) is dispatched exactly once.
-	err := runParallel(nil, workers, 1, workers, workers, func(_, c, _, _ int) {
-		body(c, workers)
-	})
-	if err != nil {
 		panic(err)
 	}
 }

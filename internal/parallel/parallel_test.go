@@ -123,21 +123,6 @@ func TestDoPanicPropagates(t *testing.T) {
 	Do(func() {}, func() { panic("boom") })
 }
 
-func TestForEachWorker(t *testing.T) {
-	counts := make([]int32, Procs())
-	ForEachWorker(func(w, workers int) {
-		if workers != Procs() {
-			t.Errorf("workers = %d, want %d", workers, Procs())
-		}
-		atomic.AddInt32(&counts[w], 1)
-	})
-	for w, c := range counts {
-		if c != 1 {
-			t.Errorf("worker %d ran %d times", w, c)
-		}
-	}
-}
-
 func TestBlockBounds(t *testing.T) {
 	for _, tc := range []struct{ n, blocks int }{
 		{10, 3}, {10, 10}, {10, 1}, {7, 4}, {1000, 13},

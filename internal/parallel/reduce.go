@@ -47,11 +47,6 @@ func SumFunc[T Number](n int, fn func(i int) T) T {
 	return Reduce(n, zero, fn, func(a, b T) T { return a + b })
 }
 
-// Sum returns the sum of the elements of s computed in parallel.
-func Sum[T Number](s []T) T {
-	return SumFunc(len(s), func(i int) T { return s[i] })
-}
-
 // MaxFunc returns the maximum of fn(i) over [0, n). n must be positive.
 func MaxFunc[T Number](n int, fn func(i int) T) T {
 	if n <= 0 {
@@ -66,28 +61,9 @@ func MaxFunc[T Number](n int, fn func(i int) T) T {
 	})
 }
 
-// MinFunc returns the minimum of fn(i) over [0, n). n must be positive.
-func MinFunc[T Number](n int, fn func(i int) T) T {
-	if n <= 0 {
-		panic("parallel: MinFunc on empty range")
-	}
-	first := fn(0)
-	return Reduce(n, first, fn, func(a, b T) T {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
 // Max returns the maximum element of s. s must be non-empty.
 func Max[T Number](s []T) T {
 	return MaxFunc(len(s), func(i int) T { return s[i] })
-}
-
-// Min returns the minimum element of s. s must be non-empty.
-func Min[T Number](s []T) T {
-	return MinFunc(len(s), func(i int) T { return s[i] })
 }
 
 // CountFunc returns the number of i in [0, n) for which pred(i) is true.
@@ -98,46 +74,6 @@ func CountFunc(n int, pred func(i int) bool) int {
 		}
 		return 0
 	})
-}
-
-// Count returns the number of elements of s satisfying pred.
-func Count[T any](s []T, pred func(T) bool) int {
-	return CountFunc(len(s), func(i int) bool { return pred(s[i]) })
-}
-
-// Any reports whether pred(i) holds for at least one i in [0, n).
-// It does not guarantee early exit but short-circuits per block.
-func Any(n int, pred func(i int) bool) bool {
-	blocks := numBlocks(n)
-	if blocks == 1 {
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				return true
-			}
-		}
-		return false
-	}
-	found := make([]bool, blocks)
-	ForGrain(blocks, 1, func(b int) {
-		lo, hi := blockBounds(n, blocks, b)
-		for i := lo; i < hi; i++ {
-			if pred(i) {
-				found[b] = true
-				return
-			}
-		}
-	})
-	for _, f := range found {
-		if f {
-			return true
-		}
-	}
-	return false
-}
-
-// All reports whether pred(i) holds for every i in [0, n).
-func All(n int, pred func(i int) bool) bool {
-	return !Any(n, func(i int) bool { return !pred(i) })
 }
 
 // MaxIndexFunc returns the index i in [0, n) maximizing key(i), breaking

@@ -51,53 +51,6 @@ func ScanExclusive[T Number](in, out []T) T {
 	return total
 }
 
-// ScanInclusive computes the inclusive prefix sum of in into out
-// (out[i] = in[0] + ... + in[i]) and returns the total. in and out may
-// alias.
-func ScanInclusive[T Number](in, out []T) T {
-	n := len(in)
-	if len(out) != n {
-		panic("parallel: ScanInclusive length mismatch")
-	}
-	if n == 0 {
-		var zero T
-		return zero
-	}
-	blocks := numBlocks(n)
-	if blocks == 1 {
-		var acc T
-		for i := 0; i < n; i++ {
-			acc += in[i]
-			out[i] = acc
-		}
-		return acc
-	}
-	sums := make([]T, blocks)
-	ForGrain(blocks, 1, func(b int) {
-		lo, hi := blockBounds(n, blocks, b)
-		var acc T
-		for i := lo; i < hi; i++ {
-			acc += in[i]
-		}
-		sums[b] = acc
-	})
-	var total T
-	for b := 0; b < blocks; b++ {
-		s := sums[b]
-		sums[b] = total
-		total += s
-	}
-	ForGrain(blocks, 1, func(b int) {
-		lo, hi := blockBounds(n, blocks, b)
-		acc := sums[b]
-		for i := lo; i < hi; i++ {
-			acc += in[i]
-			out[i] = acc
-		}
-	})
-	return total
-}
-
 // ScanFunc computes the exclusive prefix sum of fn(i) for i in [0, n) into a
 // freshly allocated slice and returns it together with the total. It is the
 // form used to build edge offsets from vertex degrees.

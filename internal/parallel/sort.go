@@ -103,8 +103,3 @@ func merge[T any](a, b, out []T, less func(x, y T) bool) {
 func Sort[T Number](s []T) {
 	SortFunc(s, func(a, b T) bool { return a < b })
 }
-
-// IsSorted reports whether s is non-decreasing under less.
-func IsSorted[T any](s []T, less func(a, b T) bool) bool {
-	return All(len(s)-1, func(i int) bool { return !less(s[i+1], s[i]) })
-}

@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"runtime/debug"
 
 	"ligra/internal/faultinject"
 )
@@ -63,7 +62,7 @@ func ForWorkerChunksCtx(ctx context.Context, n, grain int, body func(worker, chu
 func forWorkerSeq(ctx context.Context, n, grain, chunks int, body func(worker, chunk, lo, hi int)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			err = AsPanicError(r)
 		}
 	}()
 	for c := 0; c < chunks; c++ {

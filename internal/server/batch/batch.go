@@ -13,7 +13,6 @@ package batch
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -308,11 +307,7 @@ func (c *Collector) runBatch(b *batch, bctx context.Context, slots []Request) {
 func safeRun(run RunFunc, ctx context.Context, procs int, slots []Request) (vals []engine.Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if pe, ok := r.(*parallel.PanicError); ok {
-				err = pe
-				return
-			}
-			err = &parallel.PanicError{Value: r, Stack: debug.Stack()}
+			err = parallel.AsPanicError(r)
 		}
 	}()
 	return run(ctx, procs, slots)

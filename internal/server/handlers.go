@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -634,11 +633,7 @@ func sanitizeDetails(d map[string]any) map[string]any {
 func safeRun(runner algo.Runner, ctx context.Context, g graph.View, p algo.Params) (res algo.RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if pe, ok := r.(*parallel.PanicError); ok {
-				err = pe
-				return
-			}
-			err = &parallel.PanicError{Value: r, Stack: debug.Stack()}
+			err = parallel.AsPanicError(r)
 		}
 	}()
 	return runner.Run(ctx, g, p)

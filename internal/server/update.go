@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"ligra/internal/algo"
@@ -101,11 +100,7 @@ func incrementalRun(ctx context.Context, pin *delta.Pin, algoName string, p algo
 	// must surface as a contained error, never take down the process.
 	defer func() {
 		if r := recover(); r != nil {
-			if pe, ok := r.(*parallel.PanicError); ok {
-				err = pe
-				return
-			}
-			err = &parallel.PanicError{Value: r, Stack: debug.Stack()}
+			err = parallel.AsPanicError(r)
 		}
 	}()
 	switch algoName {

@@ -2,18 +2,14 @@
 // semiring kernels in the LAGraph tradition, operating directly over the
 // existing CSR / transpose arrays (no new graph representation, no copy).
 // Where edgeMap expresses an algorithm as per-round frontier expansion with
-// user callbacks, these kernels express the same algorithms as sparse
-// matrix-vector products:
+// user callbacks, a kernel here expresses the same algorithm as a sparse
+// matrix-vector product: BFS levels are y = A^T ⊗ f over the (boolean, |, &)
+// semiring with the visited set as a complement mask (bfs.go).
 //
-//   - BFS levels: y = A^T ⊗ f over the (boolean, |, &) semiring with the
-//     visited set as a complement mask (bfs.go),
-//   - Triangle counting: tr(U·U ∘ U)-style masked SpGEMM over the rank-
-//     oriented adjacency, realized as sorted-row intersections (triangles.go).
-//
-// PageRank's (+, ×) pull gather used to live here as well. It was the same
-// in-row loop as edgeMap's dense round minus the per-edge callback; since
-// core.EdgeFuncs.PullRow removed the callback, algo.PageRankCtx is that
-// gather and the copy is gone (backend "spmv" still names it on the wire).
+// PageRank and triangle counting have no kernel here although the wire
+// accepts backend "spmv" for them: algo.PageRankCtx's row kernel already is
+// the (+, ×) pull gather and algo.TriangleCountCtx the masked row product,
+// so a copy in this package would be the same loop twice.
 //
 // The kernels run on the same worker-pool scheduler as edgeMap (package
 // parallel), honor per-ctx proc leases, stop cooperatively at chunk

@@ -1,4 +1,4 @@
-// Cross-backend property tests: every kernel must be bit-identical to its
+// Cross-backend property tests: the kernel must be bit-identical to its
 // edgeMap realization on every view backend (heap CSR, compressed, mmap,
 // delta-store snapshot). The tests live in package spmv_test because the
 // edgeMap oracles are in internal/algo, which itself imports internal/spmv
@@ -93,25 +93,6 @@ func TestBFSLevelsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestTriangleCountIdentical(t *testing.T) {
-	for gname, g := range testGraphs(t) {
-		for vname, v := range viewMatrix(t, g) {
-			want := algo.TriangleCount(v)
-			got, err := spmv.TriangleCount(nil, v)
-			if err != nil {
-				t.Fatalf("%s/%s: spmv: %v", gname, vname, err)
-			}
-			if got != want {
-				t.Fatalf("%s/%s: triangles = %d, edgemap %d", gname, vname, got, want)
-			}
-			// Grids are triangle-free; the rMat case must be non-degenerate.
-			if gname == "rmat" && want == 0 {
-				t.Fatalf("%s/%s: degenerate input: no triangles", gname, vname)
-			}
-		}
-	}
-}
-
 // TestBFSDirected exercises the transpose arrays: on a directed graph the
 // pull realization gathers over in-edges that are distinct from out-edges.
 func TestBFSDirected(t *testing.T) {
@@ -149,9 +130,6 @@ func TestCancelledContext(t *testing.T) {
 	if _, err := spmv.BFSLevels(ctx, g, 0, spmv.BFSOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("bfs: err = %v, want context.Canceled", err)
 	}
-	if _, err := spmv.TriangleCount(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Fatalf("triangles: err = %v, want context.Canceled", err)
-	}
 }
 
 // panicView panics during neighbor iteration; it is not a *graph.Graph, so
@@ -179,9 +157,6 @@ func TestPanicContainment(t *testing.T) {
 	}
 	if _, err := spmv.BFSLevels(nil, v, 0, spmv.BFSOptions{Mode: core.ForceDense}); !errors.As(err, &pe) {
 		t.Fatalf("bfs pull: err = %v, want *parallel.PanicError", err)
-	}
-	if _, err := spmv.TriangleCount(nil, v); !errors.As(err, &pe) {
-		t.Fatalf("triangles: err = %v, want *parallel.PanicError", err)
 	}
 }
 

@@ -227,15 +227,6 @@ func TestPublicExtensionAlgorithms(t *testing.T) {
 		}
 	}
 
-	// k-core variants agree.
-	a := ligra.KCore(g, ligra.Options{})
-	b := ligra.KCoreJulienne(g, ligra.Options{})
-	for v := range a.Coreness {
-		if a.Coreness[v] != b.Coreness[v] {
-			t.Fatalf("k-core variants disagree at %d", v)
-		}
-	}
-
 	// Coloring is proper; matching is symmetric.
 	col := ligra.Coloring(g, 2, ligra.Options{})
 	mm := ligra.MaximalMatching(g, 2)
