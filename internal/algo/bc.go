@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 
 	"ligra/internal/atomicx"
@@ -181,12 +182,22 @@ func TransposeView(g graph.View) graph.View {
 	case *graph.Graph:
 		return t.Transpose() // shares the arrays, and keeps raw CSR rows
 	}
-	return transposeView{g}
+	return transposeView{graph.Rows(g)}
 }
 
-// transposeView flips the edge orientation of an arbitrary graph.View.
+// transposeView flips the edge orientation of an arbitrary graph.View,
+// rows included.
 type transposeView struct {
-	g graph.View
+	g graph.RowView
+}
+
+func (t transposeView) OutRow(v uint32, buf *graph.Row) ([]uint32, []int32) {
+	return t.g.InRow(v, buf, math.MaxInt)
+}
+
+func (t transposeView) InRow(v uint32, buf *graph.Row, max int) ([]uint32, []int32) {
+	ts, ws := t.g.OutRow(v, buf)
+	return graph.Prefix(ts, ws, max)
 }
 
 func (t transposeView) NumVertices() int       { return t.g.NumVertices() }

@@ -15,8 +15,8 @@ import (
 )
 
 // perEdge hides everything about a view except the graph.View methods, so
-// core's dense driver cannot fetch a row from it and runs the per-edge
-// iterator path: an algorithm on perEdge{v} is its own PullRow-less self.
+// core's drivers read its rows through graph.Rows' adapter, which gathers
+// them from the per-edge iterators.
 type perEdge struct{ graph.View }
 
 // rowGraphs are the inputs of the differential tests: scale-free,
@@ -64,14 +64,15 @@ func sameBits(a, b []float64) (int, bool) {
 	return 0, len(a) == len(b)
 }
 
-// TestRowKernelsMatchPerEdgeAndOracle: on every representation, each
-// algorithm with a PullRow equals the sequential oracle and its per-edge
-// self — BFS levels, component labels, spanning-forest roots and
-// Bellman-Ford distances exactly, BC within 1e-9 — in auto mode (the
-// rounds a query really runs) and with every round forced through the
-// pull kernel.
+// TestRowKernelsMatchPerEdgeAndOracle: on every representation, directly
+// and through the row adapter, each algorithm with a PullRow equals the
+// sequential oracle — BFS levels, component labels, spanning-forest roots
+// and Bellman-Ford distances exactly, BC within 1e-9 — in auto mode (the
+// rounds a query really runs), with every round forced through the pull
+// kernel, and with every round forced through its per-edge UpdateAtomic
+// self.
 func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
-	modes := map[string]core.Options{"auto": {}, "dense": {Mode: core.ForceDense}}
+	modes := map[string]core.Options{"auto": {}, "dense": {Mode: core.ForceDense}, "sparse": {Mode: core.ForceSparse}}
 	for gname, g := range rowGraphs(t) {
 		const src = 1
 		wantLevels := seq.BFSLevels(g, src)
@@ -91,7 +92,7 @@ func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
 		}
 		for vname, v := range rowViews(t, g) {
 			for mname, opts := range modes {
-				for sname, view := range map[string]graph.View{"row": v, "per-edge": perEdge{v}} {
+				for sname, view := range map[string]graph.View{"native": v, "adapter": perEdge{v}} {
 					name := fmt.Sprintf("%s/%s/%s/%s", gname, vname, mname, sname)
 
 					levels, err := algo.BFSLevelsCtx(nil, view, src, opts)
@@ -162,54 +163,57 @@ func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
 	}
 }
 
-// TestPageRankBitIdentical: PageRank through the row kernel equals
-// PageRank through per-edge updates to the last bit of every rank and of
-// the residual, on every representation — both gather each in-row in row
-// order and reduce with the same fixed-block tree — which is what lets
-// backend "spmv" and "edgemap" share one implementation and one cache
-// entry. PageRank-Delta holds the same identity as long as every round is
-// a pull (its sparse rounds add concurrently, in no fixed order).
+// TestPageRankBitIdentical: PageRank is the same to the last bit of every
+// rank and of the residual on every representation, directly and through
+// the row adapter — each gathers every in-row in row order and reduces
+// with the same fixed-block tree — which is what lets backend "spmv" and
+// "edgemap" share one implementation and one cache entry. PageRank-Delta
+// holds the same identity as long as every round is a pull (its sparse
+// rounds add concurrently, in no fixed order).
 func TestPageRankBitIdentical(t *testing.T) {
 	for gname, g := range rowGraphs(t) {
 		oracle := seq.PageRank(g, 0.85, 0, 20)
+		opts := algo.DefaultPageRankOptions()
+		opts.MaxIterations = 20 // bounded: identity per iteration implies identity at convergence
+		opts.Epsilon = 0
+		deltaOpts := opts
+		deltaOpts.EdgeMap.Mode = core.ForceDense
+		want, err := algo.PageRankCtx(nil, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range oracle {
+			if math.Abs(want.Ranks[i]-o) > 1e-12 {
+				t.Fatalf("%s: rank[%d] = %v, oracle %v", gname, i, want.Ranks[i], o)
+			}
+		}
+		wantD, err := algo.PageRankDeltaCtx(nil, g, deltaOpts, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for vname, v := range rowViews(t, g) {
-			name := gname + "/" + vname
-			opts := algo.DefaultPageRankOptions()
-			opts.MaxIterations = 20 // bounded: identity per iteration implies identity at convergence
-			opts.Epsilon = 0
-			row, err := algo.PageRankCtx(nil, v, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			edge, err := algo.PageRankCtx(nil, perEdge{v}, opts)
-			if err != nil {
-				t.Fatalf("%s per-edge: %v", name, err)
-			}
-			if row.Iterations != edge.Iterations || math.Float64bits(row.Err) != math.Float64bits(edge.Err) {
-				t.Fatalf("%s: %d iterations, residual %x; per-edge %d, %x", name,
-					row.Iterations, math.Float64bits(row.Err), edge.Iterations, math.Float64bits(edge.Err))
-			}
-			if i, ok := sameBits(row.Ranks, edge.Ranks); !ok {
-				t.Fatalf("%s: rank[%d] = %.17g, per-edge %.17g", name, i, row.Ranks[i], edge.Ranks[i])
-			}
-			for i, want := range oracle {
-				if math.Abs(row.Ranks[i]-want) > 1e-12 {
-					t.Fatalf("%s: rank[%d] = %v, oracle %v", name, i, row.Ranks[i], want)
+			for sname, view := range map[string]graph.View{"": v, "/adapter": perEdge{v}} {
+				name := gname + "/" + vname + sname
+				got, err := algo.PageRankCtx(nil, view, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-			}
+				if got.Iterations != want.Iterations || math.Float64bits(got.Err) != math.Float64bits(want.Err) {
+					t.Fatalf("%s: %d iterations, residual %x; heap %d, %x", name,
+						got.Iterations, math.Float64bits(got.Err), want.Iterations, math.Float64bits(want.Err))
+				}
+				if i, ok := sameBits(got.Ranks, want.Ranks); !ok {
+					t.Fatalf("%s: rank[%d] = %.17g, heap %.17g", name, i, got.Ranks[i], want.Ranks[i])
+				}
 
-			opts.EdgeMap.Mode = core.ForceDense
-			rowD, err := algo.PageRankDeltaCtx(nil, v, opts, 1e-3)
-			if err != nil {
-				t.Fatalf("%s delta: %v", name, err)
-			}
-			edgeD, err := algo.PageRankDeltaCtx(nil, perEdge{v}, opts, 1e-3)
-			if err != nil {
-				t.Fatalf("%s delta per-edge: %v", name, err)
-			}
-			if i, ok := sameBits(rowD.Ranks, edgeD.Ranks); !ok || rowD.Iterations != edgeD.Iterations {
-				t.Fatalf("%s delta: %d iterations, rank[%d] = %.17g; per-edge %d, %.17g", name,
-					rowD.Iterations, i, rowD.Ranks[i], edgeD.Iterations, edgeD.Ranks[i])
+				gotD, err := algo.PageRankDeltaCtx(nil, view, deltaOpts, 1e-3)
+				if err != nil {
+					t.Fatalf("%s delta: %v", name, err)
+				}
+				if i, ok := sameBits(gotD.Ranks, wantD.Ranks); !ok || gotD.Iterations != wantD.Iterations {
+					t.Fatalf("%s delta: %d iterations, rank[%d] = %.17g; heap %d, %.17g", name,
+						gotD.Iterations, i, gotD.Ranks[i], wantD.Iterations, wantD.Ranks[i])
+				}
 			}
 		}
 	}
@@ -219,8 +223,8 @@ func TestPageRankBitIdentical(t *testing.T) {
 // saturation exit and all — reports per source exactly the levels of K
 // independent BFSLevels runs, for the K that exercise the full-mask edge
 // cases (1: the mask is one bit; 64: it is every bit), with duplicate
-// sources sharing a vertex, on every representation and on the per-edge
-// path.
+// sources sharing a vertex, on every representation and through the row
+// adapter.
 func TestClusterBFSRowSweepMatchesKBFS(t *testing.T) {
 	for gname, g := range rowGraphs(t) {
 		n := g.NumVertices()
@@ -232,7 +236,7 @@ func TestClusterBFSRowSweepMatchesKBFS(t *testing.T) {
 			return oracle[s]
 		}
 		views := rowViews(t, g)
-		views["per-edge"] = perEdge{g}
+		views["adapter"] = perEdge{g}
 		for _, k := range []int{1, 2, 8, 64} {
 			sources := make([]uint32, k)
 			for i := range sources {

@@ -21,8 +21,8 @@ func (r forwardRows) row(v uint32) []uint32 { return r.fwd[r.offsets[v]:r.offset
 // orientByRank builds the forward rows of g, observing ctx (nil =
 // background) at chunk granularity. Degrees are cached once — the rank
 // comparison runs twice per directed edge and View.OutDegree is an
-// interface call — and adjacency is read as slices from a graph.RowView,
-// through the neighbor iterator from any other view.
+// interface call — and adjacency is read through g's row source into
+// per-chunk scratch.
 func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 	n := g.NumVertices()
 	deg := make([]int32, n)
@@ -36,31 +36,23 @@ func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 		dv, dd := deg[v], deg[d]
 		return dd > dv || (dd == dv && d > v)
 	}
-	rows, _ := g.(graph.RowView)
+	rows := graph.Rows(g)
 	// forward calls fn on the neighbors of v that outrank it.
-	forward := func(v uint32, fn func(d uint32)) {
-		if rows != nil {
-			row, _ := rows.OutRow(v)
-			for _, d := range row {
-				if higher(v, d) {
-					fn(d)
-				}
-			}
-			return
-		}
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+	forward := func(v uint32, buf *graph.Row, fn func(d uint32)) {
+		row, _ := rows.OutRow(v, buf)
+		for _, d := range row {
 			if higher(v, d) {
 				fn(d)
 			}
-			return true
-		})
+		}
 	}
 
 	fwdDeg := make([]int64, n)
-	if err := parallel.ForCtx(ctx, n, func(i int) {
-		var c int64
-		forward(uint32(i), func(uint32) { c++ })
-		fwdDeg[i] = c
+	if err := parallel.ForRangeCtx(ctx, n, func(lo, hi int) {
+		var buf graph.Row
+		for i := lo; i < hi; i++ {
+			forward(uint32(i), &buf, func(uint32) { fwdDeg[i]++ })
+		}
 	}); err != nil {
 		return forwardRows{}, err
 	}
@@ -68,13 +60,16 @@ func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 	offsets[n] = parallel.ScanExclusive(fwdDeg, offsets[:n])
 
 	fwd := make([]uint32, offsets[n])
-	err := parallel.ForCtx(ctx, n, func(i int) {
-		k := offsets[i]
-		forward(uint32(i), func(d uint32) {
-			fwd[k] = d
-			k++
-		})
-		parallel.Sort(fwd[offsets[i]:k]) // rows are short (O(sqrt m)); sorts sequentially
+	err := parallel.ForRangeCtx(ctx, n, func(lo, hi int) {
+		var buf graph.Row
+		for i := lo; i < hi; i++ {
+			k := offsets[i]
+			forward(uint32(i), &buf, func(d uint32) {
+				fwd[k] = d
+				k++
+			})
+			parallel.Sort(fwd[offsets[i]:k]) // rows are short (O(sqrt m)); sorts sequentially
+		}
 	})
 	return forwardRows{offsets: offsets, fwd: fwd}, err
 }

@@ -73,7 +73,8 @@ func TestTriangleCountCancelled(t *testing.T) {
 }
 
 // panicView panics during neighbor iteration; it is not a graph.RowView,
-// so the orientation pass takes the iterator path and must contain it.
+// so the orientation pass reads it through the row adapter's iterator and
+// must contain the panic.
 type panicView struct{ graph.View }
 
 func (p panicView) OutNeighbors(v uint32, fn func(uint32, int32) bool) { panic("boom out") }

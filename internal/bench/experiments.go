@@ -327,18 +327,19 @@ func DenseForward(cfg Config) error {
 }
 
 // CompressAblation measures the compressed backend end to end (the Ligra+
-// extension experiment, plus this repo's LIGRAGC1 format and the
-// GPOP-style partition-blocked dense sweep):
+// extension experiment, plus this repo's LIGRAGC1 format):
 //
 //   - resident footprint: CSR MemoryFootprint vs compressed SizeBytes vs
 //     the mmap-backed heap footprint (~0; the bytes live in the page cache)
 //   - format round-trip cost: WriteCompressed / ReadCompressed (full
 //     validation decode) / OpenMapped on a temp file
-//   - traversal time per backend: CSR, compressed (blocked dense sweep)
-//     and the mmap-backed graph
+//   - traversal time per backend: CSR, the heap compressed graph and the
+//     mmap-backed one, both decoding rows into edgeMap's scratch
 //
 // Per-measurement ids are recorded ("compress/<app>-<backend>") so
-// ligra-bench -against can diff decoder regressions individually.
+// ligra-bench -against can diff decoder regressions individually. The
+// heap compressed backend keeps the id "blocked" from the retired
+// partition-blocked decoder, so its rows stay comparable across versions.
 func CompressAblation(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	in, err := FindInput(suite, "rMat")
@@ -407,7 +408,7 @@ func CompressAblation(cfg Config) error {
 		{"mmap", mapped},
 	}
 	w := cfg.tab()
-	fmt.Fprintln(w, "Application\tCSR\tcompressed(blocked)\tcompressed(mmap)\tslowdown(blocked)")
+	fmt.Fprintln(w, "Application\tCSR\tcompressed(heap)\tcompressed(mmap)\tslowdown(heap)")
 	for _, a := range apps {
 		if cfg.budgetExhausted(w) {
 			break

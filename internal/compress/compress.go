@@ -17,13 +17,17 @@
 // ~2x size reduction on power-law graphs (the gap distribution is what
 // compresses — locality-skewed rows encode in 1-2 bytes per edge against
 // CSR's fixed 4, low-locality rows approach parity). Decoding is the
-// recurring cost: every edge visit in a traversal pays a varint decode
-// (one branch per continuation byte) instead of an array index, which on
-// a single warm-cache core costs 2-3x in end-to-end traversal time. The
-// regime where compression approaches CSR speed is bandwidth-bound
-// multicore, where decode hides behind memory stalls. Degrees are stored
-// explicitly, so degree(v) and the direction heuristic's prefix sums
-// never decode anything.
+// recurring cost: edgeMap fetches each row through graph.RowView, and
+// CompressedGraph decodes it into the caller's scratch with one varint
+// loop (one branch per continuation byte) where CSR hands out a slice in
+// place. A pull round under DenseEarlyExit asks for a short prefix first,
+// so BFS decodes little past a destination's first frontier hit. At scale
+// 16 on two cores that costs ~1.5x CSR for BFS and 3.5-4x for PageRank and
+// Components (the compress/* rows of BENCH_baseline.json). The regime
+// where compression approaches CSR speed is bandwidth-bound multicore,
+// where decode hides behind memory stalls. Degrees are stored explicitly,
+// so degree(v) and the direction heuristic's prefix sums never decode
+// anything.
 //
 // # On-disk format and loading
 //
@@ -39,6 +43,8 @@ package compress
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -214,6 +220,60 @@ func (c *CompressedGraph) decode(v uint32, offsets []int64, degs []int32, data [
 			return
 		}
 	}
+}
+
+var _ graph.RowView = (*CompressedGraph)(nil)
+
+// OutRow decodes v's out-row into buf.
+func (c *CompressedGraph) OutRow(v uint32, buf *graph.Row) ([]uint32, []int32) {
+	return c.decodeRow(v, c.outOffsets, c.outDeg, c.outData, buf, math.MaxInt)
+}
+
+// InRow decodes the first max edges of v's in-row into buf.
+func (c *CompressedGraph) InRow(v uint32, buf *graph.Row, max int) ([]uint32, []int32) {
+	if c.symmetric {
+		return c.decodeRow(v, c.outOffsets, c.outDeg, c.outData, buf, max)
+	}
+	return c.decodeRow(v, c.inOffsets, c.inDeg, c.inData, buf, max)
+}
+
+// decodeRow is the traversal decoder: one varint loop writing the first
+// max edges of v's row into buf's arrays, grown only when a row outgrows
+// them.
+func (c *CompressedGraph) decodeRow(v uint32, offsets []int64, degs []int32, data []byte, buf *graph.Row, max int) ([]uint32, []int32) {
+	k := min(int(degs[v]), max)
+	if k <= 0 {
+		return nil, nil
+	}
+	ts := slices.Grow(buf.Targets[:0], k)[:k]
+	buf.Targets = ts
+	p := data[offsets[v]:offsets[v+1]]
+	// First target: signed delta from v; the rest: gaps.
+	delta, p := readZigzag(p)
+	d := uint32(int64(v) + delta)
+	if !c.weighted {
+		ts[0] = d
+		for i := 1; i < k; i++ {
+			var gap uint64
+			gap, p = readUvarint(p)
+			d += uint32(gap)
+			ts[i] = d
+		}
+		return ts, nil
+	}
+	ws := slices.Grow(buf.Weights[:0], k)[:k]
+	buf.Weights = ws
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			var gap uint64
+			gap, p = readUvarint(p)
+			d += uint32(gap)
+		}
+		var w int64
+		w, p = readZigzag(p)
+		ts[i], ws[i] = d, int32(w)
+	}
+	return ts, ws
 }
 
 // SizeBytes returns the byte footprint of the compressed edge arrays plus

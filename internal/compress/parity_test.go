@@ -211,15 +211,15 @@ func TestTraversalStatsParity(t *testing.T) {
 	}
 }
 
-// perEdge hides everything about a view except the graph.View methods, so
-// core's dense driver cannot decode a block from it and runs the per-edge
-// iterator path.
-type perEdge struct{ graph.View }
+// iteratorsOnly hides everything about a view except the graph.View
+// methods, so core's drivers read its rows through graph.Rows' adapter
+// over the per-vertex decode callback.
+type iteratorsOnly struct{ graph.View }
 
-// TestBlockedDecodeAblation forces dense rounds and checks the
-// partition-blocked decoder and the plain per-vertex decode callback
-// produce identical results on the compressed backend.
-func TestBlockedDecodeAblation(t *testing.T) {
+// TestNativeRowsMatchAdapter forces dense rounds and checks the compressed
+// graph's own row decoder and the graph.Rows adapter over its iterators
+// produce identical results.
+func TestNativeRowsMatchAdapter(t *testing.T) {
 	g := mustRMAT(t, 10, 5)
 	c, err := compress.Compress(g)
 	if err != nil {
@@ -234,17 +234,17 @@ func TestBlockedDecodeAblation(t *testing.T) {
 		r := byName[app]
 		p := parityParams(r, core.Options{})
 		p.Mode = "dense"
-		blocked, err := r.Run(ctx, c, p)
+		native, err := r.Run(ctx, c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		peredge, err := r.Run(ctx, perEdge{c}, p)
+		adapted, err := r.Run(ctx, iteratorsOnly{c}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, nondet := nondetDetails[app]; !nondet && blocked.Summary != peredge.Summary {
-			t.Errorf("%s: summary differs:\n  blocked: %s\n  per-edge: %s", app, blocked.Summary, peredge.Summary)
+		if _, nondet := nondetDetails[app]; !nondet && native.Summary != adapted.Summary {
+			t.Errorf("%s: summary differs:\n  native: %s\n  adapter: %s", app, native.Summary, adapted.Summary)
 		}
-		closeDetails(t, app, blocked.Details, peredge.Details)
+		closeDetails(t, app, native.Details, adapted.Details)
 	}
 }

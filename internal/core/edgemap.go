@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -38,9 +39,10 @@ import (
 //     per d, so d's state needs no atomics; the kernel owns its loop —
 //     a register accumulator, a mid-row exit — and returns whether d joins
 //     the output. It is the algorithm's pull implementation as UpdateAtomic
-//     is its push, and a round may run either: views that cannot expose a
-//     row (see edgeMapDense) still go per edge. DESIGN.md §5a has the
-//     full contract.
+//     is its push. Under DenseEarlyExit the driver may hand d's row in two
+//     consecutive calls, a short prefix and then, only if that call
+//     returned false and Cond(d) still holds, the rest (see
+//     edgeMapDense). DESIGN.md §5a has the full contract.
 //
 // For unweighted graphs w is 1.
 type EdgeFuncs struct {
@@ -334,32 +336,33 @@ type sparseSeg struct {
 	chunk, start, end int
 }
 
-// sparseWorkerBuf is one worker's private output accumulation for
-// edgeMapSparse. Workers only ever touch their own entry, so appends are
-// contention-free; the trailing pad keeps neighbouring workers' slice
-// headers on different cache lines.
+// sparseWorkerBuf is one worker's private output accumulation and row
+// scratch for edgeMapSparse. Workers only ever touch their own entry, so
+// appends are contention-free; the trailing pad keeps neighbouring
+// workers' slice headers on different cache lines.
 type sparseWorkerBuf struct {
 	ids  []uint32
 	segs []sparseSeg
-	_    [16]byte
+	row  graph.Row
+	_    [32]byte
 }
 
 // edgeMapSparse is Ligra's edgeMapSparse: push over the out-edges of the
-// frontier vertices. Successful targets are appended to per-worker output
+// frontier vertices, each row fetched from the view's row source into the
+// worker's scratch. Successful targets are appended to per-worker output
 // buffers (no shared cursor, no atomics, no degree-sized scratch with
 // sentinel holes) and concatenated afterward in chunk order: successes in
 // frontier edge order, writing only the successes instead of one slot per
-// scanned edge. A graph.RowView (raw CSR, a delta snapshot over it) takes
-// a raw-slice fast path with no per-edge iterator callback. A round the
-// caller found small (see smallRoundWork) asks for a single chunk, which
-// parallel.ForWorkerChunksCtx runs on the calling goroutine with the same
-// panic containment, ctx checks and fault-injection hook as any other.
+// scanned edge. A round the caller found small (see smallRoundWork) asks
+// for a single chunk, which parallel.ForWorkerChunksCtx runs on the
+// calling goroutine with the same panic containment, ctx checks and
+// fault-injection hook as any other.
 func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options, oneChunk bool) (*VertexSubset, error) {
 	n := g.NumVertices()
 	ids := u.ToSparse()
 	update := f.pushUpdate()
 	cond := f.Cond
-	rows, _ := g.(graph.RowView)
+	rows := graph.Rows(g)
 	keep := !opts.NoOutput
 
 	grain := len(ids)
@@ -375,25 +378,16 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 		start := len(buf)
 		for i := lo; i < hi; i++ {
 			s := ids[i]
-			if rows != nil {
-				row, wts := rows.OutRow(s)
-				for j, d := range row {
-					w := int32(1)
-					if wts != nil {
-						w = wts[j]
-					}
-					if (cond == nil || cond(d)) && update(s, d, w) && keep {
-						buf = append(buf, d)
-					}
+			row, wts := rows.OutRow(s, &wb.row)
+			for j, d := range row {
+				w := int32(1)
+				if wts != nil {
+					w = wts[j]
 				}
-				continue
-			}
-			g.OutNeighbors(s, func(d uint32, w int32) bool {
 				if (cond == nil || cond(d)) && update(s, d, w) && keep {
 					buf = append(buf, d)
 				}
-				return true
-			})
+			}
 		}
 		wb.ids = buf
 		wb.segs = append(wb.segs, sparseSeg{chunk: c, start: start, end: len(buf)})
@@ -459,17 +453,6 @@ func removeDuplicates(n int, ids []uint32) []uint32 {
 	putScratch(scratch)
 	return out
 }
-
-// denseBlock is the per-chunk scratch of the dense driver's decoded-row
-// path: the decoded slab plus Cond's verdict per destination, sampled once
-// so a row Cond rules out is neither decoded nor handed to the kernel.
-// Blocks are pooled: iterative algorithms allocate once, not per round.
-type denseBlock struct {
-	graph.InBlock
-	skipped []bool
-}
-
-var denseBlockPool = sync.Pool{New: func() any { return new(denseBlock) }}
 
 // denseBlockAlign is the alignment of the dense traversal's destination
 // blocks: the bitset word size, so every block owns whole words of the
@@ -537,18 +520,30 @@ func perEdgeRow(update func(s, d uint32, w int32) bool, cond func(d uint32) bool
 	}
 }
 
+// denseEarlyPrefix is how many in-edges a DenseEarlyExit round hands the
+// kernel before the rest of the row. Most destinations a BFS-like claim
+// reaches find a frontier parent among their first few in-edges, so a
+// decoding view (compressed, mmap) decodes those instead of whole rows.
+// Chosen by sweeping it in the compress experiment (scale 16, 2-vCPU VM,
+// GOMAXPROCS 2, median of 9, two sweeps of five and six alternating runs):
+// compress/BFS-blocked's median read 3.7-3.8 ms at 1, 3.2-3.7 at 2,
+// 3.6-3.9 at 4, 3.7-4.4 at 8, 4.5 at 16 and 5.2 decoding whole rows; 4
+// sits in the middle of the flat region.
+const denseEarlyPrefix = 4
+
 // edgeMapDense is Ligra's edgeMapDense as a row driver: for every vertex d
-// whose Cond holds it fetches d's in-row as slices — in place from a
-// graph.RowView (raw CSR, a delta snapshot over it), or from a cache-sized
-// block decoded by a graph.InBlockDecoder (the GPOP-style blocked sweep of
-// the compressed backend and of snapshots over it) — and hands it to the
-// row kernel: f.PullRow, or perEdgeRow over Update/Cond when the caller set
-// none. d is processed by exactly one goroutine, so kernels need no atomics
-// on d's state, and in blocks aligned to output bitset words, so output
-// bits are set with plain stores. Views that cannot expose a row (ad-hoc
-// wrappers), and decodable views under DenseEarlyExit — where the lazy
-// per-vertex decoder beats an eager decode of rows that stop at their
-// first hit — go per edge.
+// whose Cond holds it fetches d's in-row from the view's row source — in
+// place from raw CSR and an overlay's replaced rows, decoded into per-chunk
+// scratch from the compressed byte stream — and hands it to the row
+// kernel: f.PullRow, or perEdgeRow over Update/Cond when the caller set
+// none. Under DenseEarlyExit, on any view but raw CSR, it fetches and hands
+// over only the first denseEarlyPrefix edges, then the rest only if the
+// kernel found nothing there and Cond(d) still holds: by DenseEarlyExit's
+// definition, whatever a later edge would have done after a hit is
+// redundant. d is processed by
+// exactly one goroutine, so kernels need no atomics on d's state, and in
+// blocks aligned to output bitset words, so output bits are set with plain
+// stores.
 func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	update := f.Update
@@ -556,10 +551,17 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 		update = f.UpdateAtomic
 	}
 	cond := f.Cond
-	earlyExit := opts.DenseEarlyExit
 	kernel := f.PullRow
 	if kernel == nil {
-		kernel = perEdgeRow(update, cond, earlyExit)
+		kernel = perEdgeRow(update, cond, opts.DenseEarlyExit)
+	}
+	// Raw CSR gets whole rows: it has nothing to decode, and splitting them
+	// cost BenchmarkHotPathBFS 4 % (2.89 vs 2.77 ms medians, whole rows
+	// ahead in 15 of 16 alternating pairs at one worker).
+	rows := graph.Rows(g)
+	prefix := math.MaxInt
+	if _, csr := g.(*graph.Graph); opts.DenseEarlyExit && !csr {
+		prefix = denseEarlyPrefix
 	}
 	// Full frontier (PageRank iterations, components round one): every
 	// source passes the membership test, so the words stay nil and the
@@ -573,85 +575,28 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 		out = bitset.New(n)
 	}
 
-	var body func(lo, hi int)
-	if csr, ok := g.(*graph.Graph); ok {
-		// The RowView loop below with the row fetch inlined: behind the
-		// interface BenchmarkDensePullFull cost 10 % more (6.1 vs 5.5 ms).
-		body = func(lo, hi int) {
-			for di := lo; di < hi; di++ {
-				d := uint32(di)
-				if cond != nil && !cond(d) {
-					continue
+	err := parallel.ForRangeGrainCtx(ctx, n, denseGrain(n), func(lo, hi int) {
+		var buf graph.Row
+		for di := lo; di < hi; di++ {
+			d := uint32(di)
+			if cond != nil && !cond(d) {
+				continue
+			}
+			srcs, wts := rows.InRow(d, &buf, prefix)
+			hit := kernel(d, srcs, wts, uw)
+			if !hit && len(srcs) == prefix && (cond == nil || cond(d)) {
+				// Nothing in the prefix: the rest of the row, if any.
+				srcs, wts = rows.InRow(d, &buf, math.MaxInt)
+				if wts != nil {
+					wts = wts[prefix:]
 				}
-				srcs, wts := csr.InRow(d)
-				if kernel(d, srcs, wts, uw) && out != nil {
-					out.Set(di) // this block owns the word
-				}
+				hit = len(srcs) > prefix && kernel(d, srcs[prefix:], wts, uw)
+			}
+			if hit && out != nil {
+				out.Set(di) // this block owns the word
 			}
 		}
-	} else if rows, ok := g.(graph.RowView); ok {
-		body = func(lo, hi int) {
-			for di := lo; di < hi; di++ {
-				d := uint32(di)
-				if cond != nil && !cond(d) {
-					continue
-				}
-				srcs, wts := rows.InRow(d)
-				if kernel(d, srcs, wts, uw) && out != nil {
-					out.Set(di) // this block owns the word
-				}
-			}
-		}
-	} else if bd, ok := g.(graph.InBlockDecoder); ok && !earlyExit {
-		body = func(lo, hi int) {
-			blk := denseBlockPool.Get().(*denseBlock)
-			var skip func(uint32) bool
-			if cond != nil {
-				blk.skipped = blk.skipped[:0]
-				for di := lo; di < hi; di++ {
-					blk.skipped = append(blk.skipped, !cond(uint32(di)))
-				}
-				skip = func(d uint32) bool { return blk.skipped[int(d)-lo] }
-			}
-			bd.DecodeInBlock(uint32(lo), uint32(hi), skip, &blk.InBlock)
-			for di := lo; di < hi; di++ {
-				if skip != nil && blk.skipped[di-lo] {
-					continue
-				}
-				srcs, wts := blk.Row(di - lo)
-				if kernel(uint32(di), srcs, wts, uw) && out != nil {
-					out.Set(di) // this block owns the word
-				}
-			}
-			denseBlockPool.Put(blk)
-		}
-	} else {
-		body = func(lo, hi int) {
-			for di := lo; di < hi; di++ {
-				d := uint32(di)
-				if cond != nil && !cond(d) {
-					continue
-				}
-				g.InNeighbors(d, func(s uint32, w int32) bool {
-					if InFrontier(uw, s) {
-						if update(s, d, w) {
-							if out != nil {
-								out.Set(di) // this block owns the word
-							}
-							if earlyExit {
-								return false
-							}
-						}
-						if cond != nil && !cond(d) {
-							return false // early exit: d needs no more updates
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	err := parallel.ForRangeGrainCtx(ctx, n, denseGrain(n), body)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -672,13 +617,14 @@ func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f E
 	update := f.pushUpdate()
 	cond := f.Cond
 
-	rows, _ := g.(graph.RowView)
+	rows := graph.Rows(g)
 	var out *bitset.Bitset
 	if !opts.NoOutput {
 		out = bitset.New(n)
 	}
 	words := ud.Words()
 	err := parallel.ForRangeCtx(ctx, len(words), func(lo, hi int) {
+		var buf graph.Row
 		for wi := lo; wi < hi; wi++ {
 			w := words[wi]
 			if w == 0 {
@@ -688,25 +634,16 @@ func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f E
 			for w != 0 {
 				s := base + uint32(bits.TrailingZeros64(w))
 				w &= w - 1
-				if rows != nil {
-					row, wts := rows.OutRow(s)
-					for j, d := range row {
-						ew := int32(1)
-						if wts != nil {
-							ew = wts[j]
-						}
-						if (cond == nil || cond(d)) && update(s, d, ew) && out != nil {
-							out.SetAtomic(int(d))
-						}
+				row, wts := rows.OutRow(s, &buf)
+				for j, d := range row {
+					ew := int32(1)
+					if wts != nil {
+						ew = wts[j]
 					}
-					continue
-				}
-				g.OutNeighbors(s, func(d uint32, ew int32) bool {
 					if (cond == nil || cond(d)) && update(s, d, ew) && out != nil {
 						out.SetAtomic(int(d))
 					}
-					return true
-				})
+				}
 			}
 		}
 	})

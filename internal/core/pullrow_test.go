@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ligra/internal/core"
@@ -43,9 +45,9 @@ func (st *rowState) funcs(limit int32) core.EdgeFuncs {
 }
 
 // withDerivedPullRow adds the PullRow that follows mechanically from
-// Update/Cond: the contract the hand-written kernels in internal/algo are
-// held to.
-func withDerivedPullRow(f core.EdgeFuncs) core.EdgeFuncs {
+// Update/Cond (and, under DenseEarlyExit, the stop after the first hit):
+// the contract the hand-written kernels in internal/algo are held to.
+func withDerivedPullRow(f core.EdgeFuncs, earlyExit bool) core.EdgeFuncs {
 	update, cond := f.Update, f.Cond
 	f.PullRow = func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool {
 		hit := false
@@ -59,6 +61,9 @@ func withDerivedPullRow(f core.EdgeFuncs) core.EdgeFuncs {
 			}
 			if update(s, d, w) {
 				hit = true
+				if earlyExit {
+					break
+				}
 			}
 			if !cond(d) {
 				break
@@ -71,7 +76,7 @@ func withDerivedPullRow(f core.EdgeFuncs) core.EdgeFuncs {
 
 // oracleDense applies f the way edgeMapDense is specified to, one vertex
 // at a time through the view's iterator, and returns the output set.
-func oracleDense(g graph.View, u *core.VertexSubset, f core.EdgeFuncs) []bool {
+func oracleDense(g graph.View, u *core.VertexSubset, f core.EdgeFuncs, earlyExit bool) []bool {
 	out := make([]bool, g.NumVertices())
 	for d := uint32(0); int(d) < g.NumVertices(); d++ {
 		if !f.Cond(d) {
@@ -83,6 +88,9 @@ func oracleDense(g graph.View, u *core.VertexSubset, f core.EdgeFuncs) []bool {
 			}
 			if f.Update(s, d, w) {
 				out[d] = true
+				if earlyExit {
+					return false
+				}
 			}
 			return f.Cond(d)
 		})
@@ -106,7 +114,8 @@ func randomWeighted(t *testing.T, rng *rand.Rand, n, m int, symmetric bool) *gra
 }
 
 // rowViews is g behind every representation the dense driver fetches rows
-// from, the snapshot after a batch of random inserts and deletes.
+// from, the snapshots after a batch of random inserts and deletes, plus
+// the row adapter over raw CSR.
 func rowViews(t *testing.T, rng *rand.Rand, g *graph.Graph) map[string]graph.View {
 	t.Helper()
 	n := g.NumVertices()
@@ -120,13 +129,16 @@ func rowViews(t *testing.T, rng *rand.Rand, g *graph.Graph) map[string]graph.Vie
 			return false
 		})
 	}
-	return viewtest.Matrix(t, g, ops)
+	views := viewtest.Matrix(t, g, ops)
+	views["adapter"] = struct{ graph.View }{g}
+	return views
 }
 
-// TestPullRowMatchesPerEdge: on every representation, worker count and
-// frontier shape, a dense round through a derived PullRow leaves the same
-// output subset and per-vertex state as the per-edge path, and both match
-// a sequential reading of the edgeMapDense contract.
+// TestPullRowMatchesPerEdge: on every representation, worker count,
+// frontier shape and DenseEarlyExit setting, a dense round through a
+// derived PullRow leaves the same output subset and per-vertex state as
+// the default per-edge kernel over Update/Cond, and both match a
+// sequential reading of the edgeMapDense contract.
 func TestPullRowMatchesPerEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 6; trial++ {
@@ -147,27 +159,29 @@ func TestPullRowMatchesPerEdge(t *testing.T) {
 		limit := int32(1 + rng.Intn(6))
 		for vname, v := range rowViews(t, rng, g) {
 			for fname, u := range frontiers {
-				want := newRowState(n)
-				wantOut := oracleDense(v, u, want.funcs(limit))
-				for _, procs := range []int{1, 4} {
-					for _, row := range []bool{false, true} {
-						name := fmt.Sprintf("trial %d %s/%s procs=%d row=%v", trial, vname, fname, procs, row)
-						st := newRowState(n)
-						f := st.funcs(limit)
-						if row {
-							f = withDerivedPullRow(f)
-						}
-						out, err := core.EdgeMapCtx(nil, v, u, f, core.Options{Mode: core.ForceDense, Procs: procs})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						for d := 0; d < n; d++ {
-							if st.hash[d] != want.hash[d] || st.count[d] != want.count[d] {
-								t.Fatalf("%s: vertex %d state (%x, %d), want (%x, %d)",
-									name, d, st.hash[d], st.count[d], want.hash[d], want.count[d])
+				for _, early := range []bool{false, true} {
+					want := newRowState(n)
+					wantOut := oracleDense(v, u, want.funcs(limit), early)
+					for _, procs := range []int{1, 4} {
+						for _, row := range []bool{false, true} {
+							name := fmt.Sprintf("trial %d %s/%s early=%v procs=%d row=%v", trial, vname, fname, early, procs, row)
+							st := newRowState(n)
+							f := st.funcs(limit)
+							if row {
+								f = withDerivedPullRow(f, early)
 							}
-							if out.Contains(uint32(d)) != wantOut[d] {
-								t.Fatalf("%s: vertex %d in output = %v, want %v", name, d, !wantOut[d], wantOut[d])
+							out, err := core.EdgeMapCtx(nil, v, u, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: early, Procs: procs})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							for d := 0; d < n; d++ {
+								if st.hash[d] != want.hash[d] || st.count[d] != want.count[d] {
+									t.Fatalf("%s: vertex %d state (%x, %d), want (%x, %d)",
+										name, d, st.hash[d], st.count[d], want.hash[d], want.count[d])
+								}
+								if out.Contains(uint32(d)) != wantOut[d] {
+									t.Fatalf("%s: vertex %d in output = %v, want %v", name, d, !wantOut[d], wantOut[d])
+								}
 							}
 						}
 					}
@@ -177,30 +191,19 @@ func TestPullRowMatchesPerEdge(t *testing.T) {
 	}
 }
 
-// TestPullRowNoOutputAndEarlyExitViews pins the two driver decisions a
-// kernel cannot see: NoOutput drops its verdicts, and under DenseEarlyExit
-// a view with rows (raw CSR, and a delta snapshot over it, shallow, deep or
-// compacted) still runs the kernel on every row, while a view whose rows
-// must be decoded (compressed, mmap, a snapshot over either) keeps the
-// lazy per-edge path (UpdateAtomic) rather than decoding whole rows for a
-// kernel that would leave them at once.
+// TestPullRowNoOutputAndEarlyExitViews pins what a kernel cannot see of the
+// driver, on every view: NoOutput drops its verdicts, and under
+// DenseEarlyExit a row longer than the prefix arrives in two pieces — the
+// first DenseEarlyPrefix edges, then the rest only if the prefix call
+// returned false — that together are the row, so a decoding view decodes
+// past the prefix only for destinations the prefix did not settle. Raw
+// CSR, which has nothing to decode, hands over every row whole.
 func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomWeighted(t, rng, 200, 1600, true)
 	n := g.NumVertices()
 	all := core.NewAll(n)
-	earlyExitRows := map[string]int{
-		"heap": n, "snapshot": n, "snapshot-deep": n, "snapshot-compacted": n,
-		"compressed": 0, "mmap": 0, "snapshot-compressed": 0,
-	}
-	views := rowViews(t, rng, g)
-	if len(views) != len(earlyExitRows) {
-		t.Fatalf("view matrix has %d views, routing table %d", len(views), len(earlyExitRows))
-	}
-	for vname, v := range views {
-		if _, hasRows := v.(graph.RowView); hasRows != (earlyExitRows[vname] == n) {
-			t.Errorf("%s: graph.RowView = %v", vname, hasRows)
-		}
+	for vname, v := range rowViews(t, rng, g) {
 		rows := 0
 		f := core.EdgeFuncs{
 			UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
@@ -219,12 +222,59 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 		if rows != n || !out.IsEmpty() {
 			t.Errorf("%s: kernel ran on %d of %d rows, NoOutput returned %d vertices", vname, rows, n, out.Size())
 		}
-		rows = 0
-		if _, err := core.EdgeMapCtx(nil, v, all, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: true, Procs: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if rows != earlyExitRows[vname] {
-			t.Errorf("%s under DenseEarlyExit: kernel ran on %d rows, want %d", vname, rows, earlyExitRows[vname])
+
+		for _, hit := range []bool{true, false} {
+			// Per destination: the calls, the first call's length, and
+			// every edge handed over, in order.
+			type seen struct {
+				calls, first int
+				srcs         []uint32
+				wts          []int32
+			}
+			got := make([]seen, n)
+			f.PullRow = func(d uint32, srcs []uint32, wts []int32, _ []uint64) bool {
+				s := &got[d]
+				if s.calls == 0 {
+					s.first = len(srcs)
+				}
+				s.calls++
+				s.srcs, s.wts = append(s.srcs, srcs...), append(s.wts, wts...)
+				return hit
+			}
+			if _, err := core.EdgeMapCtx(nil, v, all, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: true, Procs: 1}); err != nil {
+				t.Fatal(err)
+			}
+			prefix := core.DenseEarlyPrefix
+			if _, csr := v.(*graph.Graph); csr {
+				prefix = math.MaxInt
+			}
+			long := 0
+			for d := range got {
+				var row []uint32
+				var wts []int32
+				v.InNeighbors(uint32(d), func(s uint32, w int32) bool {
+					row, wts = append(row, s), append(wts, w)
+					return true
+				})
+				first, calls := min(len(row), prefix), 1
+				if len(row) > core.DenseEarlyPrefix {
+					long++
+				}
+				if len(row) > prefix && !hit {
+					calls = 2
+				}
+				if hit {
+					row, wts = row[:first], wts[:first]
+				}
+				s := got[d]
+				if s.calls != calls || s.first != first || !slices.Equal(s.srcs, row) || !slices.Equal(s.wts, wts) {
+					t.Fatalf("%s hit=%v: row %d handed over in %d calls (first %d edges) as %v %v, want %d calls (first %d) of %v %v",
+						vname, hit, d, s.calls, s.first, s.srcs, s.wts, calls, first, row, wts)
+				}
+			}
+			if long == 0 {
+				t.Fatalf("%s: no row longer than the prefix", vname)
+			}
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -60,14 +61,14 @@ func ValidateOps(ops []EdgeOp) error {
 	return nil
 }
 
-// overlay is a graph.View layered over a base view: adjacency rows the
-// delta log dirtied are replaced wholesale, everything else reads
-// through. It is immutable after construction (apply builds a new
-// overlay per batch, sharing every row-table page the batch left alone),
-// so concurrent traversal needs no synchronization — the same contract as
-// *graph.Graph.
+// overlay is a graph.RowView layered over a base view (through
+// graph.Rows): adjacency rows the delta log dirtied are replaced
+// wholesale, everything else reads through. It is immutable after
+// construction (apply builds a new overlay per batch, sharing every
+// row-table page the batch left alone), so concurrent traversal needs no
+// synchronization — the same contract as *graph.Graph.
 type overlay struct {
-	base  graph.View
+	base  graph.RowView
 	baseN int
 	n     int
 	m     int64
@@ -81,7 +82,7 @@ type overlay struct {
 	churn int64
 }
 
-var _ graph.View = (*overlay)(nil)
+var _ graph.RowView = (*overlay)(nil)
 
 func (o *overlay) NumVertices() int { return o.n }
 func (o *overlay) NumEdges() int64  { return o.m }
@@ -144,96 +145,27 @@ func (o *overlay) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
 	}
 }
 
-var _ graph.InBlockDecoder = (*overlay)(nil)
-
-// DecodeInBlock implements graph.InBlockDecoder for overlays whose base
-// has no rows to hand out (compressed, mmap): a dirty row is copied from
-// its replacement, a clean one gathered through the base's iterator, so
-// dense pull rounds still run a row kernel (core.EdgeFuncs.PullRow) with
-// no per-edge callback. An overlay over raw CSR never gets here — it is a
-// graph.RowView (csrOverlay) and edgeMap reads its rows in place.
-func (o *overlay) DecodeInBlock(lo, hi uint32, skip func(v uint32) bool, blk *graph.InBlock) {
-	k := int(hi - lo)
-	if cap(blk.Offsets) < k+1 {
-		blk.Offsets = make([]int64, k+1)
-	}
-	blk.Offsets = blk.Offsets[:k+1]
-	targets, weights := blk.Targets[:0], blk.Weights[:0]
-	for v := lo; v < hi; v++ {
-		blk.Offsets[v-lo] = int64(len(targets))
-		if skip != nil && skip(v) {
-			continue
-		}
-		if r, ok := o.in.get(v); ok {
-			targets = append(targets, r.targets...)
-			weights = append(weights, r.weights...)
-		} else if int(v) < o.baseN {
-			o.base.InNeighbors(v, func(s uint32, w int32) bool {
-				targets = append(targets, s)
-				if o.weighted {
-					weights = append(weights, w)
-				}
-				return true
-			})
-		}
-	}
-	blk.Offsets[k] = int64(len(targets))
-	blk.Targets = targets
-	blk.Weights = nil
-	if o.weighted {
-		blk.Weights = weights
-	}
-}
-
-// csrOverlay is an overlay whose base is raw CSR. Every row of it, dirty
-// or clean, already exists as a slice, so it is a graph.RowView and
-// edgeMap traverses a live snapshot the way it traverses a flat graph.
-type csrOverlay struct {
-	*overlay
-	csr *graph.Graph
-}
-
-var _ graph.RowView = csrOverlay{}
-
-func (o csrOverlay) OutRow(v uint32) ([]uint32, []int32) {
+// OutRow returns a dirty row in place and a clean one from the base, so
+// edgeMap traverses a live snapshot the way it traverses its base.
+func (o *overlay) OutRow(v uint32, buf *graph.Row) ([]uint32, []int32) {
 	if r, ok := o.out.get(v); ok {
 		return r.targets, r.weights
 	}
 	if int(v) < o.baseN {
-		return o.csr.OutRow(v)
+		return o.base.OutRow(v, buf)
 	}
 	return nil, nil
 }
 
-func (o csrOverlay) InRow(v uint32) ([]uint32, []int32) {
+// InRow is OutRow for in-edges, cut to the first max.
+func (o *overlay) InRow(v uint32, buf *graph.Row, max int) ([]uint32, []int32) {
 	if r, ok := o.in.get(v); ok {
-		return r.targets, r.weights
+		return graph.Prefix(r.targets, r.weights, max)
 	}
 	if int(v) < o.baseN {
-		return o.csr.InRow(v)
+		return o.base.InRow(v, buf, max)
 	}
 	return nil, nil
-}
-
-// view returns o as the view readers get: a csrOverlay when the base is
-// raw CSR, o itself otherwise.
-func (o *overlay) view() graph.View {
-	if csr, ok := o.base.(*graph.Graph); ok {
-		return csrOverlay{o, csr}
-	}
-	return o
-}
-
-// asOverlay undoes view: the overlay behind v, or nil when v is not a
-// delta snapshot with un-compacted rows.
-func asOverlay(v graph.View) *overlay {
-	switch o := v.(type) {
-	case *overlay:
-		return o
-	case csrOverlay:
-		return o.overlay
-	}
-	return nil
 }
 
 // MemoryFootprint estimates heap bytes: the base's footprint plus the
@@ -337,8 +269,9 @@ func apply(prev graph.View, ops []EdgeOp) (graph.View, []EdgeOp, applyStats) {
 	}
 	sortRowOps(outOps)
 
+	b := rowBuilder{rows: graph.Rows(prev)}
 	next := &overlay{
-		base:      prev,
+		base:      b.rows,
 		baseN:     prevN,
 		n:         n,
 		weighted:  prev.Weighted(),
@@ -346,14 +279,12 @@ func apply(prev graph.View, ops []EdgeOp) (graph.View, []EdgeOp, applyStats) {
 	}
 	// Flatten overlay-over-overlay: share the previous overlay's base and
 	// row tables, so chains of batches never deepen the read path.
-	if po := asOverlay(prev); po != nil {
+	if po, ok := prev.(*overlay); ok {
 		next.base, next.baseN = po.base, po.baseN
 		next.out, next.in = po.out, po.in
 		next.churn = po.churn
 	}
 
-	b := rowBuilder{prev: prev}
-	b.rows, _ = prev.(graph.RowView)
 	vs, rows, eff, stats := b.rebuild(outOps, false)
 	next.out = next.out.with(vs, rows)
 	next.m = prev.NumEdges()
@@ -377,15 +308,14 @@ func apply(prev graph.View, ops []EdgeOp) (graph.View, []EdgeOp, applyStats) {
 		next.in = next.in.with(vs, rows)
 	}
 	next.churn += stats.inserted + stats.deleted
-	return next.view(), eff, stats
+	return next, eff, stats
 }
 
-// rowBuilder rebuilds the rows a batch touches. It reads prev's rows in
-// place when prev has them (graph.RowView) and through the iterator into
-// scratch otherwise.
+// rowBuilder rebuilds the rows a batch touches, reading prev's rows
+// through the row contract.
 type rowBuilder struct {
-	prev    graph.View
-	rows    graph.RowView // prev, when it has rows
+	rows    graph.RowView // prev's
+	buf     graph.Row
 	scratch row
 }
 
@@ -399,7 +329,7 @@ type rowBuilder struct {
 // row the batch touches comes out sorted and deduplicated even when every
 // op on it was a no-op.
 func (b *rowBuilder) rebuild(ops []rowOp, in bool) (vs []uint32, rows []row, eff []EdgeOp, st applyStats) {
-	weighted := b.prev.Weighted()
+	weighted := b.rows.Weighted()
 	for i := 0; i < len(ops); {
 		v := ops[i].row
 		oldT, oldW := b.read(v, in)
@@ -465,50 +395,32 @@ func (b *rowBuilder) rebuild(ops []rowOp, in bool) (vs []uint32, rows []row, eff
 	return vs, rows, eff, st
 }
 
-// read returns v's row in prev, strictly ascending: in place when prev
-// has rows and they are already sorted sets (the builders' and apply's
-// own are), otherwise in the builder's scratch, valid until the next read.
+// read returns v's row in prev, strictly ascending and valid until the
+// next read: as prev's row source returns it when that is already a sorted
+// set (the builders' and apply's own rows are), otherwise sorted and
+// deduplicated in the builder's scratch.
 func (b *rowBuilder) read(v uint32, in bool) ([]uint32, []int32) {
-	if int(v) >= b.prev.NumVertices() {
+	if int(v) >= b.rows.NumVertices() {
 		return nil, nil
 	}
 	var ts []uint32
 	var ws []int32
-	if b.rows != nil {
-		if in {
-			ts, ws = b.rows.InRow(v)
-		} else {
-			ts, ws = b.rows.OutRow(v)
-		}
-		if isStrictlyAscending(ts) {
-			return ts, ws
-		}
-		b.scratch.targets = append(b.scratch.targets[:0], ts...)
-		b.scratch.weights = append(b.scratch.weights[:0], ws...)
+	if in {
+		ts, ws = b.rows.InRow(v, &b.buf, math.MaxInt)
 	} else {
-		weighted := b.prev.Weighted()
-		b.scratch.targets, b.scratch.weights = b.scratch.targets[:0], b.scratch.weights[:0]
-		gather := func(d uint32, w int32) bool {
-			b.scratch.targets = append(b.scratch.targets, d)
-			if weighted {
-				b.scratch.weights = append(b.scratch.weights, w)
-			}
-			return true
-		}
-		if in {
-			b.prev.InNeighbors(v, gather)
-		} else {
-			b.prev.OutNeighbors(v, gather)
-		}
+		ts, ws = b.rows.OutRow(v, &b.buf)
 	}
+	if isStrictlyAscending(ts) {
+		return ts, ws
+	}
+	// An in-place row belongs to prev: sort a copy.
+	b.scratch.targets = append(b.scratch.targets[:0], ts...)
+	b.scratch.weights = append(b.scratch.weights[:0], ws...)
 	ts, ws = b.scratch.targets, b.scratch.weights
 	if len(ws) == 0 {
 		ws = nil
 	}
-	if !isStrictlyAscending(ts) {
-		ts, ws = sortedSet(ts, ws)
-	}
-	return ts, ws
+	return sortedSet(ts, ws)
 }
 
 func isStrictlyAscending(ts []uint32) bool {
@@ -551,9 +463,8 @@ func (r rowByTarget) Swap(i, j int) {
 // Materialize walks v and lays it out as a flat heap CSR graph — the
 // compaction step that collapses an overlay chain (or converts any
 // backend, e.g. a compressed/mmap view, into mutable-friendly CSR).
-// Rows are copied as slices when v has them (graph.RowView) and through
-// the iterator otherwise. The result is independent of v's backing
-// storage.
+// Rows are copied from v's row source; the result is independent of v's
+// backing storage.
 func Materialize(v graph.View) (*graph.Graph, error) {
 	n := v.NumVertices()
 	if n == 0 {
@@ -570,26 +481,16 @@ func Materialize(v graph.View) (*graph.Graph, error) {
 	if v.Weighted() {
 		weights = make([]int32, m)
 	}
-	if rows, ok := v.(graph.RowView); ok {
-		parallel.For(n, func(i int) {
-			ts, ws := rows.OutRow(uint32(i))
+	rows := graph.Rows(v)
+	parallel.ForRange(n, func(lo, hi int) {
+		var buf graph.Row
+		for i := lo; i < hi; i++ {
+			ts, ws := rows.OutRow(uint32(i), &buf)
 			copy(edges[offsets[i]:], ts)
 			if weights != nil {
 				copy(weights[offsets[i]:], ws)
 			}
-		})
-		return graph.FromCSR(offsets, edges, weights, v.Symmetric())
-	}
-	parallel.For(n, func(i int) {
-		k := offsets[i]
-		v.OutNeighbors(uint32(i), func(d uint32, w int32) bool {
-			edges[k] = d
-			if weights != nil {
-				weights[k] = w
-			}
-			k++
-			return true
-		})
+		}
 	})
 	return graph.FromCSR(offsets, edges, weights, v.Symmetric())
 }

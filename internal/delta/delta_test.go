@@ -324,7 +324,7 @@ func TestMaterializeEqualsOverlay(t *testing.T) {
 		ref.apply(ops)
 	}
 	cur, _ := st.Current()
-	if asOverlay(cur) == nil {
+	if _, ok := cur.(*overlay); !ok {
 		t.Fatalf("expected overlay with compaction off, got %T", cur)
 	}
 	csr, err := Materialize(cur)
@@ -554,7 +554,7 @@ func TestApplyEffectiveOpsAreOrdered(t *testing.T) {
 
 // TestApplyOverUnsortedRows: a base whose rows are neither sorted nor
 // sets (a hand-written adjacency file, graph.FromCSR) is still merged
-// correctly — through its slices and through its iterator — and a touched
+// correctly — read in place and through graph.Rows' adapter — and a touched
 // row comes out a sorted set with the last duplicate's weight, as it did
 // when apply went through a map.
 func TestApplyOverUnsortedRows(t *testing.T) {
@@ -570,7 +570,7 @@ func TestApplyOverUnsortedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		type hidden struct{ graph.View } // no rows: apply must gather through the iterator
+		type hidden struct{ graph.View } // no rows of its own: apply reads it through the adapter
 		for name, base := range map[string]graph.View{"rows": g, "iterator": hidden{g}} {
 			ops := []EdgeOp{{Src: 0, Dst: 5, Weight: 50}, {Src: 0, Dst: 2, Del: true}, {Src: 0, Dst: 3, Weight: 99}}
 			next, eff, st := apply(base, ops)

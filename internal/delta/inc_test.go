@@ -191,7 +191,8 @@ func TestIncrementalCCMatchesFull(t *testing.T) {
 }
 
 // TestFilteringViewsHaveNoRows: a wrapper that drops edges must not leak
-// its base's raw rows, or edgeMap would traverse the unfiltered graph.
+// its base's raw rows, or edgeMap would traverse the unfiltered graph
+// instead of the adapter graph.Rows puts over the wrapper's iterators.
 // Embedding a graph.View promotes only View's methods, so this holds by
 // construction; the test keeps it from being "fixed" by embedding a
 // graph.RowView.

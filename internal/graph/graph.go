@@ -7,6 +7,8 @@
 // Ligra's AdjacencyGraph exchange format, and structural statistics.
 package graph
 
+import "math"
+
 // Vertex identifiers are dense integers in [0, NumVertices). uint32 matches
 // Ligra's default 32-bit vertex IDs and halves memory traffic versus int64,
 // which matters for traversal-bound workloads.
@@ -39,18 +41,78 @@ type View interface {
 	Symmetric() bool
 }
 
-// RowView is the optional interface of a view whose adjacency rows already
-// exist in memory as slices: raw CSR, and a delta overlay over raw CSR
-// (clean rows are the base's, dirty ones the overlay's). OutRow and InRow
-// return v's targets and the parallel weights (nil: every weight is 1);
-// callers must not mutate them. edgeMap traverses a RowView row by row —
-// no per-edge iterator callback in push rounds, no block decode in pull
-// rounds. A view that filters or rewrites edges (a mask, a transpose
-// wrapper) must not implement it: its rows are not its base's rows.
+// RowView is the row contract edgeMap traverses. OutRow and InRow return
+// v's targets and the parallel weights (nil: every weight is 1). A view
+// whose rows exist as slices (raw CSR, a delta overlay's replaced rows)
+// returns them in place and ignores buf; one that must produce them (the
+// compressed byte stream) decodes into buf, reusing its capacity. Either
+// way the result is valid until buf's next use and must not be mutated.
+// InRow returns the first min(max, in-degree) edges of the row, so a pull
+// kernel that may stop early does not pay to decode the rest; max >= 0.
+// Rows adapts every other view.
 type RowView interface {
 	View
-	OutRow(v uint32) ([]uint32, []int32)
-	InRow(v uint32) ([]uint32, []int32)
+	OutRow(v uint32, buf *Row) ([]uint32, []int32)
+	InRow(v uint32, buf *Row, max int) ([]uint32, []int32)
+}
+
+// Row is a caller's scratch for RowView: one per goroutine, reused from
+// row to row.
+type Row struct {
+	Targets []uint32
+	Weights []int32
+}
+
+// Rows returns g's row source: g itself when it implements RowView, and
+// otherwise an adapter that gathers each row from g's iterators into buf.
+// A view that filters or rewrites edges (a mask, a transpose wrapper) must
+// not get RowView by embedding its base's: its rows are not its base's.
+func Rows(g View) RowView {
+	if r, ok := g.(RowView); ok {
+		return r
+	}
+	return iteratorRows{g}
+}
+
+// iteratorRows is the adapter Rows puts over a view without rows.
+type iteratorRows struct{ View }
+
+func (r iteratorRows) OutRow(v uint32, buf *Row) ([]uint32, []int32) {
+	return buf.gather(r.Weighted(), math.MaxInt, func(fn func(uint32, int32) bool) { r.OutNeighbors(v, fn) })
+}
+
+func (r iteratorRows) InRow(v uint32, buf *Row, max int) ([]uint32, []int32) {
+	return buf.gather(r.Weighted(), max, func(fn func(uint32, int32) bool) { r.InNeighbors(v, fn) })
+}
+
+// gather refills buf with the first max edges iterate yields.
+func (buf *Row) gather(weighted bool, max int, iterate func(fn func(uint32, int32) bool)) ([]uint32, []int32) {
+	ts, ws := buf.Targets[:0], buf.Weights[:0]
+	if max > 0 {
+		iterate(func(d uint32, w int32) bool {
+			ts = append(ts, d)
+			if weighted {
+				ws = append(ws, w)
+			}
+			return len(ts) < max
+		})
+	}
+	buf.Targets, buf.Weights = ts, ws
+	if !weighted {
+		return ts, nil
+	}
+	return ts, ws
+}
+
+// Prefix cuts a row to its first max edges, as InRow must.
+func Prefix(ts []uint32, ws []int32, max int) ([]uint32, []int32) {
+	if max < len(ts) {
+		ts = ts[:max]
+		if ws != nil {
+			ws = ws[:max]
+		}
+	}
+	return ts, ws
 }
 
 // Graph is a CSR (compressed sparse row) graph. Out-edges of vertex v are
@@ -145,8 +207,8 @@ func (g *Graph) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
 }
 
 // OutRow returns the raw CSR target slice for v (and the parallel weight
-// slice, or nil).
-func (g *Graph) OutRow(v uint32) ([]uint32, []int32) {
+// slice, or nil). It never touches buf, which may be nil.
+func (g *Graph) OutRow(v uint32, _ *Row) ([]uint32, []int32) {
 	lo, hi := g.offsets[v], g.offsets[v+1]
 	if g.weights == nil {
 		return g.edges[lo:hi], nil
@@ -154,16 +216,17 @@ func (g *Graph) OutRow(v uint32) ([]uint32, []int32) {
 	return g.edges[lo:hi], g.weights[lo:hi]
 }
 
-// InRow is OutRow for in-edges.
-func (g *Graph) InRow(v uint32) ([]uint32, []int32) {
+// InRow is OutRow for in-edges, cut to the first max.
+func (g *Graph) InRow(v uint32, _ *Row, max int) ([]uint32, []int32) {
+	offsets, edges, weights := g.inOffsets, g.inEdges, g.inWeights
 	if g.symmetric {
-		return g.OutRow(v)
+		offsets, edges, weights = g.offsets, g.edges, g.weights
 	}
-	lo, hi := g.inOffsets[v], g.inOffsets[v+1]
-	if g.inWeights == nil {
-		return g.inEdges[lo:hi], nil
+	lo, hi := offsets[v], offsets[v+1]
+	if weights == nil {
+		return Prefix(edges[lo:hi], nil, max)
 	}
-	return g.inEdges[lo:hi], g.inWeights[lo:hi]
+	return Prefix(edges[lo:hi], weights[lo:hi], max)
 }
 
 // Offsets returns the CSR offset array (length NumVertices+1). Callers must

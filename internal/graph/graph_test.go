@@ -110,6 +110,34 @@ func TestEarlyExitIteration(t *testing.T) {
 	}
 }
 
+// countingView counts the edges its in-iterator yields and has no rows.
+type countingView struct {
+	View
+	visits *int
+}
+
+func (c countingView) InNeighbors(v uint32, fn func(uint32, int32) bool) {
+	c.View.InNeighbors(v, func(s uint32, w int32) bool {
+		*c.visits++
+		return fn(s, w)
+	})
+}
+
+// TestRowsAdapterStopsAtMax: the adapter over a view without rows stops
+// the iterator at InRow's max instead of gathering the whole row.
+func TestRowsAdapterStopsAtMax(t *testing.T) {
+	visits := 0
+	rows := Rows(countingView{diamond(t, true), &visits})
+	var buf Row
+	for _, max := range []int{0, 1, 2} {
+		visits = 0
+		ts, ws := rows.InRow(3, &buf, max)
+		if len(ts) != max || len(ws) != max || visits != max {
+			t.Errorf("InRow(3, max=%d) = %v %v after %d iterator visits", max, ts, ws, visits)
+		}
+	}
+}
+
 func TestSymmetrize(t *testing.T) {
 	edges := []Edge{{0, 1, 0}, {1, 2, 0}}
 	g, err := FromEdges(3, edges, BuildOptions{Symmetrize: true})

@@ -133,7 +133,7 @@ func Validate(g *Graph) error {
 // hasEdge reports whether g has a directed edge s->d (binary search over the
 // sorted CSR row when rows are sorted, falling back to a linear scan).
 func hasEdge(g *Graph, s, d uint32) bool {
-	row, _ := g.OutRow(s)
+	row, _ := g.OutRow(s, nil)
 	// Rows built by FromEdges are sorted; rows from arbitrary CSR may not
 	// be. Detect sortedness cheaply for the common case.
 	lo, hi := 0, len(row)

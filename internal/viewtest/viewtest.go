@@ -13,17 +13,19 @@ import (
 	"ligra/internal/graph"
 )
 
-// Matrix returns g as "heap" (raw CSR), "compressed" (decoded blocks),
-// "mmap" (the same blocks from a mapped file, closed at test cleanup) and
-// four delta-store snapshots of g after the batches, applied in order:
+// Matrix returns g behind every implementer of graph.RowView: "heap" (raw
+// CSR rows, in place), "compressed" (rows decoded into the caller's
+// scratch), "mmap" (the same decoder over a mapped file, closed at test
+// cleanup) and four delta-store snapshots of g after the batches, applied
+// in order:
 //
-//   - "snapshot": a shallow overlay over raw CSR (a graph.RowView);
+//   - "snapshot": a shallow overlay over raw CSR;
 //   - "snapshot-deep": the same after a first batch that deletes and
 //     re-inserts one edge of every vertex, so at least half the rows are
 //     served from the overlay's row table while the edge set is unchanged;
 //   - "snapshot-compacted": the deep overlay materialized to flat CSR;
-//   - "snapshot-compressed": an overlay over the compressed base, which
-//     has no rows to hand out (graph.InBlockDecoder, per-edge iterators).
+//   - "snapshot-compressed": an overlay over the compressed base, whose
+//     dirty rows are in place and clean ones decoded.
 //
 // Only the snapshots see the batches; a caller whose views must share an
 // oracle passes batches that net out to g (and, on a weighted symmetric
