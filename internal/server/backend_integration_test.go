@@ -41,7 +41,7 @@ func TestCrossBackendCacheHit(t *testing.T) {
 	if second["backend"] != "edgemap" {
 		t.Errorf("cached reply backend = %v, want edgemap (the filling execution)", second["backend"])
 	}
-	if es := s.Engine().Snapshot(); es.Executions != 1 {
+	if es := s.engine.Snapshot(); es.Executions != 1 {
 		t.Errorf("runner executed %d times for cross-backend pair, want 1", es.Executions)
 	}
 

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"ligra/internal/algo"
-	"ligra/internal/parallel"
 	"ligra/internal/server/engine"
 )
 
@@ -276,13 +275,14 @@ func (c *Collector) fire(b *batch, byTimer bool) {
 	go c.runBatch(b, bctx, slots)
 }
 
-// runBatch executes the sweep under a governor lease with panic
-// containment, fills the cache per slot, and publishes the outcome.
+// runBatch executes the sweep through engine.Run (one governor lease,
+// panic containment), fills the cache per slot, and publishes the outcome.
 func (c *Collector) runBatch(b *batch, bctx context.Context, slots []Request) {
-	procs, release := c.eng.Governor().Acquire()
-	defer release()
-
-	vals, err := safeRun(b.run, parallel.WithProcs(bctx, procs), procs, slots)
+	var vals []engine.Value
+	procs, err := c.eng.Run(bctx, func(ctx context.Context, procs int) (err error) {
+		vals, err = b.run(ctx, procs, slots)
+		return err
+	})
 	if err == nil && len(vals) != len(slots) {
 		err = fmt.Errorf("batch: run returned %d values for %d slots", len(vals), len(slots))
 	}
@@ -299,18 +299,6 @@ func (c *Collector) runBatch(b *batch, bctx context.Context, slots []Request) {
 	b.vals, b.err, b.procs = vals, err, procs
 	close(b.done)
 	b.cancel()
-}
-
-// safeRun invokes the batch RunFunc with the same panic containment the
-// single-query path has: a panic anywhere in the sweep becomes a
-// *parallel.PanicError delivered to every waiter, never a process crash.
-func safeRun(run RunFunc, ctx context.Context, procs int, slots []Request) (vals []engine.Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = parallel.AsPanicError(r)
-		}
-	}()
-	return run(ctx, procs, slots)
 }
 
 // detach abandons one caller's seat. The batch (and its other waiters) is

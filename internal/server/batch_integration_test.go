@@ -57,7 +57,7 @@ func holdBatchLoad(t *testing.T, s *Server, name string) (release func()) {
 		go func(i int) {
 			defer done.Done()
 			key := engine.Key{Graph: name, Generation: version, Algo: "bfs", Params: fmt.Sprintf("ballast-%d", i)}
-			s.Batcher().Execute(context.Background(), batch.Request{Key: key, Algo: "bfs"},
+			s.batcher.Execute(context.Background(), batch.Request{Key: key, Algo: "bfs"},
 				func(context.Context, int) (engine.Value, error) {
 					entered.Done()
 					<-gate
@@ -273,7 +273,7 @@ func TestFollowerSurvivesLeaderTimeoutOverHTTP(t *testing.T) {
 		!strings.Contains(l.body["error"].(string), "interrupted after round") {
 		t.Errorf("leader: status %d, body %v, want 504 with the partial result", l.status, l.body)
 	}
-	if es := s.Engine().Snapshot(); es.Coalesced < 1 {
+	if es := s.engine.Snapshot(); es.Coalesced < 1 {
 		t.Errorf("the two queries never coalesced (coalesced = %d); the test proved nothing", es.Coalesced)
 	}
 }

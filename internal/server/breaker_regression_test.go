@@ -66,7 +66,7 @@ func TestBreakerProbeServedFromCacheReleasesSlot(t *testing.T) {
 	if st, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "bfs", "source": 4}); st != http.StatusOK {
 		t.Fatalf("query after cached probe: status %d body %v, want 200 (probe slot leaked?)", st, body)
 	}
-	if n := s.Breakers().OpenCount(); n != 0 {
+	if n := s.breakers.OpenCount(); n != 0 {
 		t.Fatalf("open breakers = %d after a successful probe, want 0", n)
 	}
 }
@@ -96,7 +96,7 @@ func TestClientShortTimeoutsDoNotOpenBreaker(t *testing.T) {
 	// The expiries were the client's choice, not the combination's
 	// fault: the breaker stays closed and a normally-budgeted query
 	// runs fine.
-	if n := s.Breakers().OpenCount(); n != 0 {
+	if n := s.breakers.OpenCount(); n != 0 {
 		t.Fatalf("open breakers = %d after client-chosen short timeouts, want 0", n)
 	}
 	if st, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "pagerank"}); st != http.StatusOK {

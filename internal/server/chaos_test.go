@@ -429,7 +429,7 @@ func TestWatchdogTripOnStuckQuery(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("stuck query: status %d body %v, want 504 once the worker unsticks", status, body)
 	}
-	if got := s.Watchdog().Trips(); got != 1 {
+	if got := s.watchdog.Trips(); got != 1 {
 		t.Fatalf("watchdog trips = %d, want exactly 1", got)
 	}
 	// The trip is surfaced on /healthz and /metrics.

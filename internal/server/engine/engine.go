@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"ligra/internal/parallel"
 )
@@ -44,11 +45,7 @@ type Engine struct {
 	mu      sync.Mutex
 	flights map[Key]*flight
 
-	stats struct {
-		sync.Mutex
-		executions int64
-		coalesced  int64
-	}
+	executions, coalesced atomic.Int64
 }
 
 // New builds an engine. cache may be nil (caching disabled); gov must not
@@ -90,9 +87,7 @@ func (e *Engine) Execute(ctx context.Context, k Key, run RunFunc) (Value, Info, 
 	e.mu.Lock()
 	if f, ok := e.flights[k]; ok {
 		e.mu.Unlock()
-		e.stats.Lock()
-		e.stats.coalesced++
-		e.stats.Unlock()
+		e.coalesced.Add(1)
 		select {
 		case <-f.done:
 			if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
@@ -106,15 +101,13 @@ func (e *Engine) Execute(ctx context.Context, k Key, run RunFunc) (Value, Info, 
 	f := &flight{done: make(chan struct{})}
 	e.flights[k] = f
 	e.mu.Unlock()
+	e.executions.Add(1)
 
-	e.stats.Lock()
-	e.stats.executions++
-	e.stats.Unlock()
-
-	procs, release := e.gov.Acquire()
-	v, err := run(parallel.WithProcs(ctx, procs), procs)
-	release()
-
+	var v Value
+	procs, err := e.Run(ctx, func(ctx context.Context, procs int) (err error) {
+		v, err = run(ctx, procs)
+		return err
+	})
 	if err == nil {
 		e.cache.Put(k, v)
 	}
@@ -124,6 +117,25 @@ func (e *Engine) Execute(ctx context.Context, k Key, run RunFunc) (Value, Info, 
 	f.val, f.err = v, err
 	close(f.done)
 	return v, Info{Procs: procs}, err
+}
+
+// Run is where every query execution runs — a plain run led through
+// Execute, an incremental refresh inside one, a batch's shared sweep: under
+// a governor lease, with fn's ctx carrying the lease as its proc cap, and
+// with the one panic containment on the query path. Worker panics already
+// arrive as *parallel.PanicError from the Ctx entry points; a panic on
+// fn's own goroutine (a re-panic from a non-cancellable algorithm, a bug
+// between rounds) is converted to one here, so a bad query can never take
+// down the process. The lease is returned either way.
+func (e *Engine) Run(ctx context.Context, fn func(ctx context.Context, procs int) error) (procs int, err error) {
+	procs, release := e.gov.Acquire()
+	defer release()
+	defer func() {
+		if r := recover(); r != nil {
+			err = parallel.AsPanicError(r)
+		}
+	}()
+	return procs, fn(parallel.WithProcs(ctx, procs), procs)
 }
 
 // Stats is the engine's counter snapshot for /metrics.
@@ -144,12 +156,9 @@ func (e *Engine) Snapshot() Stats {
 	e.mu.Lock()
 	inFlight := len(e.flights)
 	e.mu.Unlock()
-	e.stats.Lock()
-	ex, co := e.stats.executions, e.stats.coalesced
-	e.stats.Unlock()
 	return Stats{
-		Executions: ex,
-		Coalesced:  co,
+		Executions: e.executions.Load(),
+		Coalesced:  e.coalesced.Load(),
 		InFlight:   inFlight,
 		Cache:      e.cache.Stats(),
 		Governor:   e.gov.Stats(),

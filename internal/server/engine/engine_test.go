@@ -403,3 +403,62 @@ func TestInvalidateGraphDropsOnlyThatGraph(t *testing.T) {
 		t.Error("graph a still served from cache after invalidation")
 	}
 }
+
+// TestExecuteContainsPanic: a run that panics inside Execute reaches its
+// leader and every coalesced follower as a *parallel.PanicError; the
+// governor lease comes back, the flight is retired, and the next Execute
+// on the key runs fresh.
+func TestExecuteContainsPanic(t *testing.T) {
+	e := New(NewCache(1<<20), NewGovernor(4, 2))
+	k := testKey("g", 1, "source=0")
+	entered, finish := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 3)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				errs <- fmt.Errorf("panic escaped Execute: %v", r)
+			}
+		}()
+		_, _, err := e.Execute(context.Background(), k, func(ctx context.Context, procs int) (Value, error) {
+			close(entered)
+			<-finish
+			panic("run exploded")
+		})
+		errs <- err
+	}()
+	<-entered
+	const followers = 2
+	for i := 0; i < followers; i++ {
+		go func() {
+			_, _, err := e.Execute(context.Background(), k, func(ctx context.Context, procs int) (Value, error) {
+				t.Error("follower of a panicking leader ran the runner")
+				return Value{}, nil
+			})
+			errs <- err
+		}()
+	}
+	for e.Snapshot().Coalesced < followers {
+		time.Sleep(time.Millisecond)
+	}
+	close(finish)
+	for i := 0; i < 1+followers; i++ {
+		select {
+		case err := <-errs:
+			var pe *parallel.PanicError
+			if !errors.As(err, &pe) {
+				t.Errorf("caller err = %v, want *parallel.PanicError", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a caller never returned from the panicking flight")
+		}
+	}
+	if n := e.Governor().Stats().InUse; n != 0 {
+		t.Errorf("governor InUse = %d after the panic, want 0", n)
+	}
+	v, info, err := e.Execute(context.Background(), k, func(ctx context.Context, procs int) (Value, error) {
+		return Value{Data: "fresh"}, nil
+	})
+	if err != nil || v.Data != "fresh" || info.Cached || info.Coalesced {
+		t.Errorf("Execute after the panic: (%v, %+v, %v), want a fresh run", v.Data, info, err)
+	}
+}

@@ -38,7 +38,7 @@ func TestQueryResultCaching(t *testing.T) {
 	if second["summary"] != first["summary"] {
 		t.Errorf("cached summary %q differs from computed %q", second["summary"], first["summary"])
 	}
-	if es := s.Engine().Snapshot(); es.Executions != 1 {
+	if es := s.engine.Snapshot(); es.Executions != 1 {
 		t.Errorf("runner executed %d times for 2 identical queries, want 1", es.Executions)
 	}
 
@@ -46,7 +46,7 @@ func TestQueryResultCaching(t *testing.T) {
 	if status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "components", "mode": "sparse"}); status != http.StatusOK || body["cached"] == true {
 		t.Errorf("distinct-params query: status %d, cached %v", status, body["cached"])
 	}
-	if es := s.Engine().Snapshot(); es.Executions != 2 {
+	if es := s.engine.Snapshot(); es.Executions != 2 {
 		t.Errorf("executions = %d after a distinct-params query, want 2", es.Executions)
 	}
 
@@ -94,7 +94,7 @@ func TestQueryCoalescingOverHTTP(t *testing.T) {
 	if r := <-done; r.status != http.StatusOK {
 		t.Fatalf("leader query: status %d, body %v", r.status, r.body)
 	}
-	es := s.Engine().Snapshot()
+	es := s.engine.Snapshot()
 	if es.Executions != 1 {
 		t.Errorf("2 identical concurrent queries ran %d executions, want 1", es.Executions)
 	}

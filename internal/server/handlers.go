@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 
 	"ligra"
 	"ligra/internal/algo"
+	"ligra/internal/delta"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -43,15 +45,43 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// retryAfter sets the Retry-After header (seconds, rounded up, at least
-// 1) so well-behaved clients back off instead of hammering; see
-// docs/SERVING.md for the header contract.
-func retryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
+// reject turns a request away for now: a Retry-After header (seconds,
+// rounded up, at least 1) so well-behaved clients back off instead of
+// hammering, and a JSON body of the error, its error_type (omitted when
+// empty) and any extra fields. docs/SERVING.md lists every reject reply.
+func reject(w http.ResponseWriter, status int, retry time.Duration, errorType, msg string, extra map[string]any) {
+	w.Header().Set("Retry-After", strconv.FormatInt(max(int64(math.Ceil(retry.Seconds())), 1), 10))
+	body := map[string]any{"error": msg}
+	if errorType != "" {
+		body["error_type"] = errorType
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	maps.Copy(body, extra)
+	writeJSON(w, status, body)
+}
+
+// decode is the preamble of every request that loads, updates or queries
+// a graph: a draining server refuses it with 503 (retry in a second,
+// against another replica), and the JSON body is decoded into v, a 400 if
+// it does not parse. It reports whether the handler goes on.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	if s.Draining() {
+		reject(w, http.StatusServiceUnavailable, time.Second, "", "server is draining", nil)
+		return false
+	}
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad %s request: %v", what, err)
+		return false
+	}
+	return true
+}
+
+// lookupStatus is the status of a failed registry lookup: 404 for an
+// unknown or evicted name, 500 for anything else (a failed load).
+func lookupStatus(err error) int {
+	if errors.Is(err, ErrNotFound) {
+		return http.StatusNotFound
+	}
+	return http.StatusInternalServerError
 }
 
 // healthGraph is one graph's load state in the readiness document.
@@ -86,9 +116,9 @@ type healthResponse struct {
 // handleHealthz distinguishes liveness from readiness. Plain /healthz
 // is the readiness probe: structured JSON with per-graph load state and
 // breaker states, HTTP 200 for "ok"/"degraded" and 503 while draining.
-// /healthz?live=1 is the liveness probe with the original bare
-// contract — 200 {"status":"ok"} unless draining (503) — kept for
-// load-balancer drain checks that only look at the status code.
+// /healthz?live=1 is the liveness probe — 200 {"status":"ok","graphs":N}
+// unless draining (503 {"status":"draining"}) — kept for load-balancer
+// drain checks that only look at the status code.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("live") == "1" {
 		if s.Draining() {
@@ -133,19 +163,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.reg, s.engine, s.resilienceSnapshot(), s.batcher))
-}
-
-// resilienceSnapshot assembles the /metrics resilience block from the
-// subsystem's live components.
-func (s *Server) resilienceSnapshot() ResilienceSnapshot {
-	return ResilienceSnapshot{
-		ShedderStats:  s.shed.Stats(),
-		BreakerStats:  s.breakers.Stats(),
-		BudgetStats:   s.reg.RetryBudget().Stats(),
-		WatchdogTrips: s.watchdog.Trips(),
-		Breakers:      s.breakers.States(),
-	}
+	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -155,11 +173,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	_, info, err := s.reg.Get(r.Context(), r.PathValue("name"))
 	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, ErrNotFound) {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, "%v", err)
+		writeError(w, lookupStatus(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -263,17 +277,11 @@ func (lr loadRequest) plan() (string, func() (graph.View, error), error) {
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		retryAfter(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	var req loadRequest
+	if !s.decode(w, r, "load", &req) {
 		return
 	}
 	name := r.PathValue("name")
-	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad load request: %v", err)
-		return
-	}
 	source, build, err := req.plan()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -346,80 +354,130 @@ type queryResponse struct {
 	Backend string `json:"backend,omitempty"`
 }
 
+// handleQuery is the query pipeline: decode → plan → admit → execute →
+// render, each stage below.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		retryAfter(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	name := r.PathValue("name")
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad query request: %v", err)
+	if !s.decode(w, r, "query", &req) {
 		return
 	}
-	runner, ok := algo.FindRunner(req.Algo)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "%v", algo.UnknownAlgoError(req.Algo))
-		return
-	}
-	if err := req.Params.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// Pin the graph's current snapshot for the whole query: the view —
-	// including an mmap-backed base — stays valid until the pin is
-	// released, even if the graph is evicted or updated mid-query.
-	pin, info, err := s.reg.Acquire(r.Context(), name)
+	q, status, err := s.plan(r.Context(), r.PathValue("name"), req)
 	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, ErrNotFound) {
-			status = http.StatusInternalServerError
-		}
 		writeError(w, status, "%v", err)
 		return
 	}
-	defer pin.Release()
-	g := pin.View()
-	source := info.DefaultSource
+	defer q.pin.Release()
+	s.admit(w, r, q, func(ctx context.Context) resilience.Outcome {
+		val, how, elapsed, err := s.execute(ctx, q)
+		return s.render(w, q, val, how, elapsed, err)
+	})
+}
+
+// query is one planned query. It owns the pin on the snapshot it runs
+// against; the handler releases it when the reply is written.
+type query struct {
+	graph  string
+	runner algo.Runner
+	params algo.Params // validated, Source resolved
+	pin    *delta.Pin
+	key    engine.Key
+	bkey   resilience.BreakerKey
+	// timeout is the deadline the query runs under (0: none);
+	// deadlineIndicts says whether its expiry counts against the breaker.
+	timeout         time.Duration
+	deadlineIndicts bool
+}
+
+// plan resolves a decoded request into a query, or fails with the status
+// to answer: 400 for what the request got wrong, 404/500 for the graph.
+func (s *Server) plan(ctx context.Context, name string, req queryRequest) (*query, int, error) {
+	runner, ok := algo.FindRunner(req.Algo)
+	if !ok {
+		return nil, http.StatusBadRequest, algo.UnknownAlgoError(req.Algo)
+	}
+	if err := req.Params.Validate(); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	// Pin the graph's current snapshot for the whole query: the view —
+	// including an mmap-backed base — stays valid until the pin is
+	// released, even if the graph is evicted or updated mid-query.
+	pin, info, err := s.reg.Acquire(ctx, name)
+	if err != nil {
+		return nil, lookupStatus(err), err
+	}
+	params, err := bindParams(runner.Name, pin.View(), info.DefaultSource, req)
+	if err != nil {
+		pin.Release()
+		return nil, http.StatusBadRequest, err
+	}
+	q := &query{
+		graph: name, runner: runner, params: params, pin: pin,
+		// The cache generation is the pinned snapshot's version: load
+		// generations and update versions share one per-name sequence, so
+		// a cached result is provably from exactly this snapshot — queries
+		// racing an update batch simply key under the version they pinned.
+		key:  engine.Key{Graph: name, Generation: pin.Version(), Algo: runner.Name, Params: params.Canonical()},
+		bkey: resilience.BreakerKey{Algo: runner.Name, Graph: name},
+		// A deadline expiry only indicts the (algorithm, graph)
+		// combination when the server imposed the deadline. timeout_ms is
+		// client-chosen with no minimum, and short-timeout bounded
+		// partial-result queries are documented usage — if their expiries
+		// counted as breaker failures, a handful of cheap requests from one
+		// unauthenticated client would open the breaker and 503 every
+		// tenant on a healthy combination.
+		timeout: s.cfg.DefaultTimeout, deadlineIndicts: true,
+	}
+	if req.TimeoutMs > 0 {
+		q.timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+		q.deadlineIndicts = s.cfg.DefaultTimeout > 0 && q.timeout >= s.cfg.DefaultTimeout
+	}
+	if max := s.cfg.maxTimeout(); q.timeout > max {
+		q.timeout = max
+		q.deadlineIndicts = true // clamped: the query got all the server allows
+	}
+	return q, 0, nil
+}
+
+// bindParams checks the request's parameters against the pinned view and
+// returns them with the source resolved (omitted: the graph's
+// highest-out-degree vertex).
+func bindParams(algoName string, g graph.View, defaultSource uint32, req queryRequest) (algo.Params, error) {
+	p := req.Params
+	p.Source = defaultSource
 	if req.Source != nil {
 		if *req.Source < 0 || *req.Source >= int64(g.NumVertices()) {
-			writeError(w, http.StatusBadRequest, "source %d out of range (n=%d)", *req.Source, g.NumVertices())
-			return
+			return p, fmt.Errorf("source %d out of range (n=%d)", *req.Source, g.NumVertices())
 		}
-		source = uint32(*req.Source)
+		p.Source = uint32(*req.Source)
 	}
 	// Batchable algorithms validate their extra parameters (reach
 	// targets, landmark lists) up front: the batched path extracts
 	// answers straight from the shared sweep, so a range error must be
 	// rejected here rather than silently read as "unreachable".
-	if err := algo.BatchValidate(runner.Name, g.NumVertices(), req.Params); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	if err := algo.BatchValidate(algoName, g.NumVertices(), p); err != nil {
+		return p, err
 	}
 	// Resolve the execution backend against the pinned view (Validate only
 	// checked the name; whether this algorithm has an spmv kernel is
 	// decided here, the runner resolves it again to dispatch).
-	if _, err := algo.ResolveBackend(runner.Name, g, req.Params); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	_, err := algo.ResolveBackend(algoName, g, p)
+	return p, err
+}
 
+// admit gates q on its circuit breaker, then on the shedder, answering a
+// refusal itself; an admitted query runs under its own context — cancelled
+// when the server hard-stops (CancelInflight), when the client
+// disconnects, or when its deadline expires — and a watchdog entry, and
+// the breaker records the outcome run returns.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, q *query, run func(context.Context) resilience.Outcome) {
 	// Circuit breaker: a combination that keeps panicking or blowing
 	// through deadlines fails fast — before consuming an admission slot
 	// — with a typed body a router can act on.
-	bkey := resilience.BreakerKey{Algo: runner.Name, Graph: name}
-	allowed, probe, wait := s.breakers.Allow(bkey)
+	allowed, probe, wait := s.breakers.Allow(q.bkey)
 	if !allowed {
-		retryAfter(w, wait)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":          fmt.Sprintf("circuit breaker open for %s on %q (repeated panics/timeouts); retry after the cooldown", runner.Name, name),
-			"error_type":     "breaker_open",
-			"algo":           runner.Name,
-			"graph":          name,
-			"retry_after_ms": wait.Milliseconds(),
-		})
+		reject(w, http.StatusServiceUnavailable, wait, "breaker_open",
+			fmt.Sprintf("circuit breaker open for %s on %q (repeated panics/timeouts); retry after the cooldown", q.runner.Name, q.graph),
+			map[string]any{"algo": q.runner.Name, "graph": q.graph, "retry_after_ms": wait.Milliseconds()})
 		return
 	}
 	// From here on every return path must settle the breaker: a true
@@ -428,9 +486,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// default Aborted outcome releases a probe slot without moving the
 	// state machine or the failure streak.
 	outcome := resilience.OutcomeAborted
-	defer func() {
-		s.breakers.Record(bkey, outcome, probe)
-	}()
+	defer func() { s.breakers.Record(q.bkey, outcome, probe) }()
 
 	// Admission: adaptive shedding over bounded concurrency — shed with
 	// 429 + Retry-After when past the service-level target, after the
@@ -438,12 +494,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dec := s.shed.Admit(r.Context(), s.tenantOf(r))
 	if !dec.OK {
 		s.metrics.Rejected.Add(1)
-		retryAfter(w, dec.RetryAfter)
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error":      fmt.Sprintf("server overloaded (%s), retry later", dec.Reason),
-			"error_type": "shed",
-			"reason":     string(dec.Reason),
-		})
+		reject(w, http.StatusTooManyRequests, dec.RetryAfter, "shed",
+			fmt.Sprintf("server overloaded (%s), retry later", dec.Reason), map[string]any{"reason": string(dec.Reason)})
 		return
 	}
 	admitted := time.Now()
@@ -453,72 +505,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.metrics.Admitted.Add(1)
 
-	// The query context: cancelled when the server hard-stops
-	// (CancelInflight), when the client disconnects, or when the
-	// query's deadline expires.
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	// Parenting on baseCtx, not the request's context, is what lets drain
+	// cancel every query; AfterFunc carries a client hang-up across.
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if q.timeout > 0 {
+		ctx, cancel = context.WithTimeout(s.baseCtx, q.timeout)
+	} else {
+		ctx, cancel = context.WithCancel(s.baseCtx)
+	}
 	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-	// A deadline expiry only indicts the (algorithm, graph) combination
-	// when the server imposed the deadline. timeout_ms is client-chosen
-	// with no minimum, and short-timeout bounded partial-result queries
-	// are documented usage — if their expiries counted as breaker
-	// failures, a handful of cheap requests from one unauthenticated
-	// client would open the breaker and 503 every tenant on a healthy
-	// combination.
-	timeout := s.cfg.DefaultTimeout
-	deadlineIndicts := true
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		deadlineIndicts = s.cfg.DefaultTimeout > 0 && timeout >= s.cfg.DefaultTimeout
-	}
-	if max := s.cfg.maxTimeout(); timeout > max {
-		timeout = max
-		deadlineIndicts = true // clamped: the query got all the server allows
-	}
-	if timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		defer tcancel()
-	}
-
-	params := req.Params
-	params.Source = source
-	// The cache generation is the pinned snapshot's version: load
-	// generations and update versions share one per-name sequence, so a
-	// cached result is provably from exactly this snapshot — queries
-	// racing an update batch simply key under the version they pinned.
-	key := engine.Key{
-		Graph:      name,
-		Generation: pin.Version(),
-		Algo:       runner.Name,
-		Params:     params.Canonical(),
-	}
-	am := s.metrics.Algo(runner.Name)
-	am.Requests.Add(1)
-	s.metrics.InFlight.Add(1)
+	defer context.AfterFunc(r.Context(), cancel)()
 	// Watchdog: register the deadline so a query the cancellation layer
 	// fails to stop is detected, stack-dumped, and counted.
-	var qDeadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		qDeadline = d
-	}
-	wid := s.watchdog.Watch(name, runner.Name, qDeadline)
-	start := time.Now()
+	deadline, _ := ctx.Deadline()
+	defer s.watchdog.Done(s.watchdog.Watch(q.graph, q.runner.Name, deadline))
+	outcome = run(ctx)
+}
+
+// execute runs q through the batch collector, which answers it from the
+// cache, a coalesced flight, the plain runner or a shared sweep, and
+// reports the wall time in milliseconds.
+func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Info, float64, error) {
+	am := s.metrics.Algo(q.runner.Name)
+	am.Requests.Add(1)
+	s.metrics.InFlight.Add(1)
+	g := q.pin.View()
 	// The plain runner, one closure for every algorithm; the collector
 	// decides whether a batchable query (bfs, reach, landmarks) runs it or
 	// rides a shared sweep, and hands everything else straight to the engine.
 	plain := func(runCtx context.Context, procs int) (engine.Value, error) {
-		p := params
+		p := q.params
 		p.EdgeMap.Procs = procs // cap every edgeMap of the run at the lease
 		// Algorithms with incremental refresh paths are served from
 		// the snapshot store's memoized state when the delta log can
 		// carry it forward; everything else runs the plain runner.
-		if v, handled, err := incrementalRun(runCtx, pin, runner.Name, p); handled {
-			return v, err
+		res, handled, err := incrementalRun(runCtx, q.pin, q.runner.Name, p)
+		if !handled {
+			res, err = q.runner.Run(runCtx, g, p)
 		}
-		res, err := safeRun(runner, runCtx, g, p)
 		return engine.Value{Data: res, Bytes: res.EstimateBytes()}, err
 	}
 	// A sweep's slots share (graph, version, mode, threshold), so every
@@ -526,19 +551,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// handler's pin (it is detached from any one caller), so it re-pins at
 	// execution time and aborts if the graph was evicted.
 	sweep := func(sweepCtx context.Context, procs int, slots []batch.Request) ([]engine.Value, error) {
-		sweepPin, ok := pin.Store().TryAcquire()
+		sweepPin, ok := q.pin.Store().TryAcquire()
 		if !ok {
-			return nil, fmt.Errorf("graph %q evicted before its batched sweep ran", name)
+			return nil, fmt.Errorf("graph %q evicted before its batched sweep ran", q.graph)
 		}
 		defer sweepPin.Release()
 		return batch.ClusterRun(sweepCtx, g, procs, slots)
 	}
-	val, how, err := s.batcher.Execute(ctx, batch.Request{Key: key, Algo: runner.Name, Params: params}, plain, sweep)
+	start := time.Now()
+	val, how, err := s.batcher.Execute(ctx, batch.Request{Key: q.key, Algo: q.runner.Name, Params: q.params}, plain, sweep)
 	elapsed := float64(time.Since(start).Microseconds()) / 1000
-	s.watchdog.Done(wid)
 	s.metrics.InFlight.Add(-1)
 	am.LatencyMsSum.Add(elapsed)
+	return val, how, elapsed, err
+}
 
+// render maps an execution's result onto the reply — status, counters and
+// body — and returns the breaker outcome it proves.
+func (s *Server) render(w http.ResponseWriter, q *query, val engine.Value, how batch.Info, elapsed float64, err error) resilience.Outcome {
 	// Cached and coalesced replies prove nothing new about the
 	// (algorithm, graph) combination (recording them would also
 	// double-count the coalesced leader's outcome), so only an actual
@@ -547,42 +577,42 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// probe slot, where skipping Record would wedge the breaker
 	// half-open with every later Allow refused.
 	executed := !how.Cached && !how.Coalesced
-
 	res, _ := val.Data.(algo.RunResult)
 	resBackend, _ := res.Details["backend"].(string)
 	if executed && resBackend != "" {
 		s.metrics.Backend(resBackend).Add(1)
 	}
 	resp := queryResponse{
-		Graph: name, Algo: runner.Name,
+		Graph: q.graph, Algo: q.runner.Name,
 		Summary: res.Summary, Details: sanitizeDetails(res.Details), ElapsedMs: elapsed,
 		Cached: how.Cached, Coalesced: how.Coalesced, Procs: how.Procs,
 		Batched: how.Batched, BatchSize: how.BatchSize,
 		Backend: resBackend,
 	}
+	am := s.metrics.Algo(q.runner.Name)
+	status, outcome := http.StatusOK, resilience.OutcomeSuccess
+	if err != nil {
+		resp.Error = err.Error()
+	}
 	var pe *parallel.PanicError
 	var re *algo.RoundError
 	switch {
 	case err == nil:
-		if executed {
-			outcome = resilience.OutcomeSuccess
-		}
-		writeJSON(w, http.StatusOK, resp)
 	case errors.As(err, &pe):
-		if executed {
-			outcome = resilience.OutcomeFailure
-		}
+		status, outcome = http.StatusInternalServerError, resilience.OutcomeFailure
 		am.Panics.Add(1)
-		s.log.Error("query panic contained", "graph", name, "algo", runner.Name,
+		s.log.Error("query panic contained", "graph", q.graph, "algo", q.runner.Name,
 			"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 		resp.Summary, resp.Details = "", nil
 		resp.Error = fmt.Sprintf("query panicked (contained): %v", pe.Value)
-		writeJSON(w, http.StatusInternalServerError, resp)
-	case errors.Is(err, context.DeadlineExceeded):
-		// Expiry of a client-requested timeout shorter than the server's
-		// own is legitimate bounded-work usage, not a failure: the
-		// outcome stays Aborted.
-		if executed && deadlineIndicts {
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		// 504 with the partial result. Only the expiry of a deadline the
+		// server imposed is the combination's failure; a client-requested
+		// timeout shorter than the server's own is legitimate bounded-work
+		// usage, and a client disconnect or drain cancellation is not the
+		// combination's fault, so those stay Aborted.
+		status, outcome = http.StatusGatewayTimeout, resilience.OutcomeAborted
+		if q.deadlineIndicts && errors.Is(err, context.DeadlineExceeded) {
 			outcome = resilience.OutcomeFailure
 		}
 		am.Timeouts.Add(1)
@@ -590,27 +620,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &re) {
 			resp.InterruptedAfterRound = re.Round
 		}
-		resp.Error = err.Error()
-		writeJSON(w, http.StatusGatewayTimeout, resp)
-	case errors.Is(err, context.Canceled):
-		// Client disconnect or drain cancellation: not the
-		// combination's fault, so the breaker records nothing
-		// (outcome stays Aborted).
-		am.Timeouts.Add(1)
-		resp.Partial = true
-		if errors.As(err, &re) {
-			resp.InterruptedAfterRound = re.Round
-		}
-		resp.Error = err.Error()
-		writeJSON(w, http.StatusGatewayTimeout, resp)
 	default:
 		// The query's own fault (e.g. invalid input for the
 		// algorithm); says nothing about the combination's health.
+		status, outcome = http.StatusBadRequest, resilience.OutcomeAborted
 		am.Errors.Add(1)
 		resp.Summary, resp.Details = "", nil
-		resp.Error = err.Error()
-		writeJSON(w, http.StatusBadRequest, resp)
 	}
+	writeJSON(w, status, resp)
+	if !executed {
+		return resilience.OutcomeAborted
+	}
+	return outcome
 }
 
 // sanitizeDetails renders non-finite floats as strings, which
@@ -623,18 +644,4 @@ func sanitizeDetails(d map[string]any) map[string]any {
 		}
 	}
 	return d
-}
-
-// safeRun executes one query with panic containment: worker panics
-// already surface as *parallel.PanicError from the Ctx entry points, and
-// any panic on the query goroutine itself (including re-panics from
-// non-cancellable algorithms) is converted to one here, so a bad query
-// can never take down the process.
-func safeRun(runner algo.Runner, ctx context.Context, g graph.View, p algo.Params) (res algo.RunResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = parallel.AsPanicError(r)
-		}
-	}()
-	return runner.Run(ctx, g, p)
 }

@@ -64,27 +64,21 @@ func NewMetrics() *Metrics {
 
 // Backend returns (creating on first use) the named execution backend's
 // executed-query counter.
-func (m *Metrics) Backend(name string) *expvar.Int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.backends[name]
-	if !ok {
-		b = &expvar.Int{}
-		m.backends[name] = b
-	}
-	return b
-}
+func (m *Metrics) Backend(name string) *expvar.Int { return counters(m, m.backends, name) }
 
 // Algo returns (creating on first use) the named algorithm's counters.
-func (m *Metrics) Algo(name string) *AlgoMetrics {
+func (m *Metrics) Algo(name string) *AlgoMetrics { return counters(m, m.algos, name) }
+
+// counters returns set[name], creating it on first use, under m.mu.
+func counters[T any](m *Metrics, set map[string]*T, name string) *T {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a, ok := m.algos[name]
+	c, ok := set[name]
 	if !ok {
-		a = &AlgoMetrics{}
-		m.algos[name] = a
+		c = new(T)
+		set[name] = c
 	}
-	return a
+	return c
 }
 
 // AlgoSnapshot is the JSON rendering of one algorithm's counters.
@@ -159,12 +153,11 @@ type ResilienceSnapshot struct {
 	Breakers []resilience.BreakerStatus `json:"breakers,omitempty"`
 }
 
-// Snapshot captures every counter plus the registry's per-graph memory
-// estimates, the query engine's counters (eng may be nil), the
-// resilience block assembled by the caller, and the batch collector's
-// counters (bat may be nil).
-func (m *Metrics) Snapshot(reg *Registry, eng *engine.Engine, res ResilienceSnapshot, bat *batch.Collector) Snapshot {
-	s := Snapshot{
+// snapshot captures every counter plus the registry's per-graph memory
+// estimates and the engine, resilience and batch collector blocks.
+func (s *Server) snapshot() Snapshot {
+	m := s.metrics
+	snap := Snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		InFlight:      m.InFlight.Value(),
 		Admitted:      m.Admitted.Value(),
@@ -173,7 +166,7 @@ func (m *Metrics) Snapshot(reg *Registry, eng *engine.Engine, res ResilienceSnap
 	}
 	m.mu.Lock()
 	for name, a := range m.algos {
-		s.Algos[name] = AlgoSnapshot{
+		snap.Algos[name] = AlgoSnapshot{
 			Requests:     a.Requests.Value(),
 			Errors:       a.Errors.Value(),
 			Timeouts:     a.Timeouts.Value(),
@@ -182,28 +175,28 @@ func (m *Metrics) Snapshot(reg *Registry, eng *engine.Engine, res ResilienceSnap
 		}
 	}
 	if len(m.backends) > 0 {
-		s.Backends = make(map[string]int64, len(m.backends))
+		snap.Backends = make(map[string]int64, len(m.backends))
 		for name, b := range m.backends {
-			s.Backends[name] = b.Value()
+			snap.Backends[name] = b.Value()
 		}
 	}
 	m.mu.Unlock()
-	if reg != nil {
-		s.Graphs = reg.List()
-		for _, info := range s.Graphs {
-			s.GraphBytes += info.MemoryBytes
-			s.GraphMappedBytes += info.MappedBytes
-		}
-		s.Updates = reg.UpdateStats()
+	snap.Graphs = s.reg.List()
+	for _, info := range snap.Graphs {
+		snap.GraphBytes += info.MemoryBytes
+		snap.GraphMappedBytes += info.MappedBytes
 	}
-	if eng != nil {
-		s.Query = eng.Snapshot()
+	snap.Updates = s.reg.UpdateStats()
+	snap.Query = s.engine.Snapshot()
+	snap.Traversal = core.SnapshotStats()
+	snap.Scheduler = parallel.SchedulerSnapshot()
+	snap.Resilience = ResilienceSnapshot{
+		ShedderStats:  s.shed.Stats(),
+		BreakerStats:  s.breakers.Stats(),
+		BudgetStats:   s.reg.retryBudget.Stats(),
+		WatchdogTrips: s.watchdog.Trips(),
+		Breakers:      s.breakers.States(),
 	}
-	s.Traversal = core.SnapshotStats()
-	s.Scheduler = parallel.SchedulerSnapshot()
-	s.Resilience = res
-	if bat != nil {
-		s.Batch = bat.Stats()
-	}
-	return s
+	snap.Batch = s.batcher.Stats()
+	return snap
 }

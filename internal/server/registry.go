@@ -115,8 +115,9 @@ type Registry struct {
 	retryCfg    resilience.RetryConfig
 
 	// updatePolicy parameterizes each graph's delta store (group-commit
-	// window, pending-op budget, compaction threshold). Set before
-	// serving via SetUpdatePolicy.
+	// window, pending-op budget, compaction threshold). New sets it and
+	// the retry fields before serving; nothing synchronizes them with
+	// in-flight loads.
 	updatePolicy delta.Policy
 }
 
@@ -124,20 +125,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*regEntry), gens: make(map[string]uint64)}
 }
-
-// SetLoadRetry arms transient-failure retries for builds. Call before
-// serving; it is not synchronized with in-flight loads.
-func (r *Registry) SetLoadRetry(budget *resilience.Budget, cfg resilience.RetryConfig) {
-	r.retryBudget, r.retryCfg = budget, cfg
-}
-
-// RetryBudget exposes the load-retry budget (nil when retries are off).
-func (r *Registry) RetryBudget() *resilience.Budget { return r.retryBudget }
-
-// SetUpdatePolicy sets the delta-store policy applied to graphs loaded
-// from now on. Call before serving; it is not synchronized with
-// in-flight loads.
-func (r *Registry) SetUpdatePolicy(p delta.Policy) { r.updatePolicy = p }
 
 // nextGen advances name's generation counter. It backs both load
 // generations and snapshot versions, so the two share one strictly
@@ -147,23 +134,6 @@ func (r *Registry) nextGen(name string) uint64 {
 	defer r.mu.Unlock()
 	r.gens[name]++
 	return r.gens[name]
-}
-
-// runBuild executes one build, retrying transient failures under the
-// registry's budget. ctx bounds the backoff sleeps (the first
-// requester's context): if the requester gives up mid-backoff, the
-// load fails and the entry is forgotten, so the name stays retryable.
-func (r *Registry) runBuild(ctx context.Context, build func() (graph.View, error)) (graph.View, error) {
-	if r.retryBudget == nil {
-		return build()
-	}
-	var g graph.View
-	err := resilience.Do(ctx, r.retryBudget, r.retryCfg, func() error {
-		var err error
-		g, err = build()
-		return err
-	})
-	return g, err
 }
 
 // Load registers name, building the graph with build if it is not already
@@ -190,7 +160,16 @@ func (r *Registry) Load(ctx context.Context, name, source string, build func() (
 	r.mu.Unlock()
 
 	start := time.Now()
-	g, err := r.runBuild(ctx, build)
+	// The build retries transient failures under the registry's budget
+	// (a nil budget never grants one). ctx bounds the backoff sleeps (the
+	// first requester's context): if the requester gives up mid-backoff,
+	// the load fails and the entry is forgotten, so the name stays
+	// retryable.
+	var g graph.View
+	err := resilience.Do(ctx, r.retryBudget, r.retryCfg, func() (err error) {
+		g, err = build()
+		return err
+	})
 	if err != nil {
 		e.err = fmt.Errorf("loading %q: %w", name, err)
 		r.mu.Lock()
@@ -246,18 +225,35 @@ func (r *Registry) wait(ctx context.Context, e *regEntry) (GraphInfo, error) {
 	}
 }
 
+// resident waits for name's load to settle and returns its entry, its
+// listing and its delta store. A name that is not registered, or whose
+// load left no store (evicted mid-load), is ErrNotFound.
+func (r *Registry) resident(ctx context.Context, name string) (*regEntry, GraphInfo, *delta.Store, error) {
+	r.mu.Lock()
+	e, ok := r.entries[name]
+	r.mu.Unlock()
+	if !ok {
+		return nil, GraphInfo{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	info, err := r.wait(ctx, e)
+	if err != nil {
+		return nil, info, nil, err
+	}
+	r.mu.Lock()
+	store := e.store
+	r.mu.Unlock()
+	if store == nil {
+		return nil, GraphInfo{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	return e, info, store, nil
+}
+
 // Get returns the named resident graph's base view, blocking on an
 // in-flight load until it settles or ctx is done. The base view does not
 // include applied update batches — query paths should Acquire a pinned
 // snapshot instead.
 func (r *Registry) Get(ctx context.Context, name string) (graph.View, GraphInfo, error) {
-	r.mu.Lock()
-	e, ok := r.entries[name]
-	r.mu.Unlock()
-	if !ok {
-		return nil, GraphInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	info, err := r.wait(ctx, e)
+	e, info, _, err := r.resident(ctx, name)
 	if err != nil {
 		return nil, info, err
 	}
@@ -269,21 +265,9 @@ func (r *Registry) Get(ctx context.Context, name string) (graph.View, GraphInfo,
 // the pin is released, even across eviction. Blocks on an in-flight load
 // until it settles or ctx is done.
 func (r *Registry) Acquire(ctx context.Context, name string) (*delta.Pin, GraphInfo, error) {
-	r.mu.Lock()
-	e, ok := r.entries[name]
-	r.mu.Unlock()
-	if !ok {
-		return nil, GraphInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	info, err := r.wait(ctx, e)
+	_, info, store, err := r.resident(ctx, name)
 	if err != nil {
 		return nil, info, err
-	}
-	r.mu.Lock()
-	store := e.store
-	r.mu.Unlock()
-	if store == nil {
-		return nil, GraphInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	pin, err := store.Acquire()
 	if err != nil {
@@ -298,20 +282,9 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*delta.Pin, GraphI
 // /metrics reflect the new snapshot. Fails with ErrNotFound for unknown
 // or evicted names and delta.ErrBusy when the update backlog is full.
 func (r *Registry) Update(ctx context.Context, name string, ops []delta.EdgeOp) (delta.ApplyResult, error) {
-	r.mu.Lock()
-	e, ok := r.entries[name]
-	r.mu.Unlock()
-	if !ok {
-		return delta.ApplyResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if _, err := r.wait(ctx, e); err != nil {
+	e, _, store, err := r.resident(ctx, name)
+	if err != nil {
 		return delta.ApplyResult{}, err
-	}
-	r.mu.Lock()
-	store := e.store
-	r.mu.Unlock()
-	if store == nil {
-		return delta.ApplyResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	res, err := store.Update(ctx, ops)
 	if err != nil {
@@ -329,31 +302,11 @@ func (r *Registry) Update(ctx context.Context, name string, ops []delta.EdgeOp) 
 			e.info.SnapshotVersion = res.Version
 			e.info.Vertices = res.Vertices
 			e.info.Edges = res.Edges
-			e.info.Format = "csr"
-			if f, ok := view.(interface{ FormatName() string }); ok {
-				e.info.Format = f.FormatName()
-			}
-			if f, ok := view.(interface{ MemoryFootprint() int64 }); ok {
-				e.info.MemoryBytes = f.MemoryFootprint()
-			}
-			if f, ok := view.(interface{ MappedBytes() int64 }); ok {
-				e.info.MappedBytes = f.MappedBytes()
-			}
+			e.info.Format, e.info.MemoryBytes, e.info.MappedBytes = probe(view)
 		}
 		r.mu.Unlock()
 	}
 	return res, nil
-}
-
-// Store returns the named graph's delta store once its load has
-// settled, or nil.
-func (r *Registry) Store(name string) *delta.Store {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		return e.store
-	}
-	return nil
 }
 
 // Evict removes the named graph, reporting whether it was registered. An
@@ -427,29 +380,7 @@ func (r *Registry) UpdateStats() delta.Stats {
 	return total
 }
 
-// TotalMemoryBytes sums the heap footprint of every resident graph.
-func (r *Registry) TotalMemoryBytes() int64 {
-	var total int64
-	for _, info := range r.List() {
-		total += info.MemoryBytes
-	}
-	return total
-}
-
-// TotalMappedBytes sums the memory-mapped bytes of every resident graph
-// (page-cache residency, reported separately from heap footprint).
-func (r *Registry) TotalMappedBytes() int64 {
-	var total int64
-	for _, info := range r.List() {
-		total += info.MappedBytes
-	}
-	return total
-}
-
-// describe builds the registry's listing entry for a loaded graph. The
-// registry hosts any graph.View; footprint, backend name, and mmap
-// residency come from the optional interfaces both backends implement
-// (the CSR *graph.Graph reports format "csr" and no mapped bytes).
+// describe builds the registry's listing entry for a loaded graph.
 func describe(name, source string, g graph.View) GraphInfo {
 	info := GraphInfo{
 		Name:      name,
@@ -458,17 +389,8 @@ func describe(name, source string, g graph.View) GraphInfo {
 		Edges:     g.NumEdges(),
 		Symmetric: g.Symmetric(),
 		Weighted:  g.Weighted(),
-		Format:    "csr",
 	}
-	if f, ok := g.(interface{ MemoryFootprint() int64 }); ok {
-		info.MemoryBytes = f.MemoryFootprint()
-	}
-	if f, ok := g.(interface{ FormatName() string }); ok {
-		info.Format = f.FormatName()
-	}
-	if f, ok := g.(interface{ MappedBytes() int64 }); ok {
-		info.MappedBytes = f.MappedBytes()
-	}
+	info.Format, info.MemoryBytes, info.MappedBytes = probe(g)
 	bestDeg := -1
 	for v := 0; v < g.NumVertices(); v++ {
 		if d := g.OutDegree(uint32(v)); d > bestDeg {
@@ -476,4 +398,22 @@ func describe(name, source string, g graph.View) GraphInfo {
 		}
 	}
 	return info
+}
+
+// probe reads a view's backend name, heap footprint and mmap residency.
+// The registry hosts any graph.View, so they come from the optional
+// interfaces the backends implement (the CSR *graph.Graph reports format
+// "csr" and no mapped bytes).
+func probe(g graph.View) (format string, memory, mapped int64) {
+	format = "csr"
+	if f, ok := g.(interface{ FormatName() string }); ok {
+		format = f.FormatName()
+	}
+	if f, ok := g.(interface{ MemoryFootprint() int64 }); ok {
+		memory = f.MemoryFootprint()
+	}
+	if f, ok := g.(interface{ MappedBytes() int64 }); ok {
+		mapped = f.MappedBytes()
+	}
+	return format, memory, mapped
 }

@@ -138,7 +138,4 @@ func TestListSortedWithMemory(t *testing.T) {
 	if infos[0].MemoryBytes <= 0 {
 		t.Error("memory estimate missing")
 	}
-	if total := r.TotalMemoryBytes(); total != infos[0].MemoryBytes+infos[1].MemoryBytes {
-		t.Errorf("TotalMemoryBytes = %d", total)
-	}
 }

@@ -46,8 +46,6 @@ const ewmaAlpha = 0.2
 type ShedReason string
 
 const (
-	// ShedNone: the query was admitted.
-	ShedNone ShedReason = ""
 	// ShedOverload: the admission controller predicts the queue wait
 	// would exceed the service-level target.
 	ShedOverload ShedReason = "overload"
@@ -152,10 +150,9 @@ func (s *Shedder) Admit(ctx context.Context, tenant string) Decision {
 			share = 1
 		}
 		if s.holding[tenant] >= share {
-			retry := s.retryAfterLocked()
 			s.mu.Unlock()
 			s.shedTenant.Add(1)
-			return Decision{Reason: ShedTenant, RetryAfter: retry}
+			return Decision{Reason: ShedTenant, RetryAfter: s.RetryAfter()}
 		}
 	}
 	// Overload: shed rather than queue when waits are already past the
@@ -168,10 +165,9 @@ func (s *Shedder) Admit(ctx context.Context, tenant string) Decision {
 			}
 		}
 		if predicted > t {
-			retry := s.retryAfterLocked()
 			s.mu.Unlock()
 			s.shedOverload.Add(1)
-			return Decision{Reason: ShedOverload, RetryAfter: retry}
+			return Decision{Reason: ShedOverload, RetryAfter: s.RetryAfter()}
 		}
 	}
 	s.waiting++
@@ -269,15 +265,7 @@ func (s *Shedder) recordWait(d time.Duration) {
 func (s *Shedder) RetryAfter() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.retryAfterLocked()
-}
-
-func (s *Shedder) retryAfterLocked() time.Duration {
-	est := time.Duration(s.latency) * time.Millisecond
-	if est < time.Second {
-		est = time.Second
-	}
-	return est
+	return max(time.Duration(s.latency)*time.Millisecond, time.Second)
 }
 
 // ShedderStats is the shedder's counter snapshot.

@@ -117,60 +117,21 @@ func (c Config) maxTimeout() time.Duration {
 	return 60 * time.Second
 }
 
-func (c Config) shedTarget() time.Duration {
+// setting is the one default rule of ShedTarget, BreakerThreshold,
+// WatchdogGrace, RetryBudget and UpdateWindow: a positive value is used as
+// given, a negative value turns the feature off (zero), and zero selects
+// def.
+func setting[T int | time.Duration](v, def T) T {
 	switch {
-	case c.ShedTarget > 0:
-		return c.ShedTarget
-	case c.ShedTarget < 0:
-		return 0 // adaptive shedding off
-	default:
-		return time.Second
+	case v > 0:
+		return v
+	case v < 0:
+		return 0
 	}
+	return def
 }
 
-func (c Config) breakerThreshold() int {
-	switch {
-	case c.BreakerThreshold > 0:
-		return c.BreakerThreshold
-	case c.BreakerThreshold < 0:
-		return 0 // breakers off
-	default:
-		return 5
-	}
-}
-
-func (c Config) watchdogGrace() time.Duration {
-	switch {
-	case c.WatchdogGrace > 0:
-		return c.WatchdogGrace
-	case c.WatchdogGrace < 0:
-		return 0 // watchdog off
-	default:
-		return 2 * time.Second
-	}
-}
-
-func (c Config) updateWindow() time.Duration {
-	switch {
-	case c.UpdateWindow > 0:
-		return c.UpdateWindow
-	case c.UpdateWindow < 0:
-		return 0 // apply immediately
-	default:
-		return 5 * time.Millisecond
-	}
-}
-
-func (c Config) retryBudget() float64 {
-	switch {
-	case c.RetryBudget > 0:
-		return float64(c.RetryBudget)
-	case c.RetryBudget < 0:
-		return 0 // retries off
-	default:
-		return 10
-	}
-}
+func (c Config) updateWindow() time.Duration { return setting(c.UpdateWindow, 5*time.Millisecond) }
 
 // Server is the ligra-serve service: registry + query engine +
 // resilience layer + metrics. Create one with New, mount Handler on an
@@ -213,23 +174,21 @@ func New(cfg Config) *Server {
 		shed: resilience.NewShedder(resilience.ShedderConfig{
 			Capacity:  cfg.maxConcurrent(),
 			QueueWait: cfg.QueueWait,
-			Target:    cfg.shedTarget(),
+			Target:    setting(cfg.ShedTarget, time.Second),
 		}),
-		breakers: resilience.NewBreakers(cfg.breakerThreshold(), cfg.BreakerCooldown),
+		breakers: resilience.NewBreakers(setting(cfg.BreakerThreshold, 5), cfg.BreakerCooldown),
 	}
-	if grace := cfg.watchdogGrace(); grace > 0 {
+	if grace := setting(cfg.WatchdogGrace, 2*time.Second); grace > 0 {
 		s.watchdog = resilience.NewWatchdog(grace, logger)
 	}
-	s.reg.SetLoadRetry(
-		resilience.NewBudget(cfg.retryBudget(), 0),
-		resilience.RetryConfig{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second},
-	)
-	s.reg.SetUpdatePolicy(delta.Policy{
+	s.reg.retryBudget = resilience.NewBudget(float64(setting(cfg.RetryBudget, 10)), 0)
+	s.reg.retryCfg = resilience.RetryConfig{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second}
+	s.reg.updatePolicy = delta.Policy{
 		Window:       cfg.updateWindow(),
 		MaxPending:   cfg.UpdateMaxPending,
 		CompactEvery: cfg.CompactEvery,
 		HistoryDepth: cfg.UpdateHistoryDepth,
-	})
+	}
 	s.baseCtx, s.cancelInflight = context.WithCancel(context.Background())
 	s.batcher = batch.New(s.baseCtx, s.engine, batch.Config{Window: cfg.BatchWindow, MaxBatch: cfg.BatchMax})
 	s.mux = http.NewServeMux()
@@ -243,21 +202,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 
 // Metrics exposes the counter set.
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Engine exposes the query engine (cache + coalescer + governor).
-func (s *Server) Engine() *engine.Engine { return s.engine }
-
-// Batcher exposes the batch collector.
-func (s *Server) Batcher() *batch.Collector { return s.batcher }
-
-// Breakers exposes the per-(algorithm, graph) circuit-breaker table.
-func (s *Server) Breakers() *resilience.Breakers { return s.breakers }
-
-// Watchdog exposes the query watchdog (nil when disabled).
-func (s *Server) Watchdog() *resilience.Watchdog { return s.watchdog }
-
-// Shedder exposes the adaptive admission controller.
-func (s *Server) Shedder() *resilience.Shedder { return s.shed }
 
 // Handler returns the root handler: the API mux wrapped in request
 // logging.

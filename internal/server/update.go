@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,8 +9,6 @@ import (
 
 	"ligra/internal/algo"
 	"ligra/internal/delta"
-	"ligra/internal/parallel"
-	"ligra/internal/server/engine"
 )
 
 // updateRequest is the body of POST /v1/graphs/{name}/update: a batch of
@@ -38,17 +35,11 @@ type updateResponse struct {
 // 429 + Retry-After, and the response reports the snapshot version the
 // batch produced.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		retryAfter(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	var req updateRequest
+	if !s.decode(w, r, "update", &req) {
 		return
 	}
 	name := r.PathValue("name")
-	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad update request: %v", err)
-		return
-	}
 	start := time.Now()
 	res, err := s.reg.Update(r.Context(), name, req.Ops)
 	elapsed := float64(time.Since(start).Microseconds()) / 1000
@@ -58,11 +49,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	case errors.Is(err, delta.ErrBusy):
-		retryAfter(w, s.cfg.updateWindow()+50*time.Millisecond)
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error":      fmt.Sprintf("update backlog full for %q, retry later", name),
-			"error_type": "update_busy",
-		})
+		reject(w, http.StatusTooManyRequests, s.cfg.updateWindow()+50*time.Millisecond,
+			"update_busy", fmt.Sprintf("update backlog full for %q, retry later", name), nil)
 		return
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client went away while waiting on the group commit; its
@@ -88,38 +76,30 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // store: when the store's previous result can be carried forward by
 // replaying the delta log, the refresh touches only delta-affected
 // vertices; otherwise it falls back to a full recompute internally.
-// Reports ok=false for every other algorithm, sending the caller to the
+// Reports false for every other algorithm, sending the caller to the
 // plain runner path. The result mirrors the registry runner's shape,
-// plus an "incremental" detail reporting which path served it.
-func incrementalRun(ctx context.Context, pin *delta.Pin, algoName string, p algo.Params) (val engine.Value, handled bool, err error) {
+// plus an "incremental" detail reporting which path served it. It runs
+// inside engine.Run, whose panic containment covers the refresh.
+func incrementalRun(ctx context.Context, pin *delta.Pin, algoName string, p algo.Params) (algo.RunResult, bool, error) {
 	st := pin.Store()
 	if st == nil {
-		return engine.Value{}, false, nil
+		return algo.RunResult{}, false, nil
 	}
-	// Same panic containment as safeRun: a worker panic inside a refresh
-	// must surface as a contained error, never take down the process.
-	defer func() {
-		if r := recover(); r != nil {
-			err = parallel.AsPanicError(r)
-		}
-	}()
 	switch algoName {
 	case "components":
 		res, incremental, err := st.RefreshCC(ctx, pin, p.EdgeMapOptions())
-		rr := algo.RunResult{
+		return algo.RunResult{
 			Summary: fmt.Sprintf("Components: %d components in %d rounds", res.Components, res.Rounds),
 			Details: map[string]any{"components": res.Components, "rounds": res.Rounds, "incremental": incremental},
-		}
-		return engine.Value{Data: rr, Bytes: rr.EstimateBytes()}, true, err
+		}, true, err
 	case "pagerank-delta":
 		o := algo.DefaultPageRankOptions()
 		o.EdgeMap = p.EdgeMapOptions()
 		res, incremental, err := st.RefreshPageRankDelta(ctx, pin, o, 1e-3)
-		rr := algo.RunResult{
+		return algo.RunResult{
 			Summary: fmt.Sprintf("PageRank-Delta: %d iterations, final L1 change %.3g", res.Iterations, res.Err),
 			Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "incremental": incremental},
-		}
-		return engine.Value{Data: rr, Bytes: rr.EstimateBytes()}, true, err
+		}, true, err
 	}
-	return engine.Value{}, false, nil
+	return algo.RunResult{}, false, nil
 }
