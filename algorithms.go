@@ -1,6 +1,8 @@
 package ligra
 
 import (
+	"context"
+
 	"ligra/internal/algo"
 	"ligra/internal/parallel"
 )
@@ -47,88 +49,155 @@ type (
 	APPRResult = algo.APPRResult
 	// SweepCutResult is the output of SweepCut / LocalCluster.
 	SweepCutResult = algo.SweepCutResult
+	// DensestResult is the output of DensestSubgraph.
+	DensestResult = algo.DensestResult
+
+	// PanicError is a panic captured inside a parallel worker, carrying
+	// the original panic value and stack.
+	PanicError = parallel.PanicError
+	// RoundError wraps an interruption error with the algorithm name and
+	// the round it was interrupted after; Unwrap exposes the cause.
+	RoundError = algo.RoundError
 )
 
 // InfDist is the distance of unreachable vertices in SSSPResult.
 const InfDist = algo.InfDist
 
-// BFS runs breadth-first search from source (paper §5.1).
-func BFS(g View, source uint32, opts Options) *BFSResult {
-	return algo.BFS(g, source, opts)
+// WithParallelism returns a context that caps the worker goroutines used
+// by every ctx-taking function run under it at p, letting concurrent
+// computations share one machine with different worker budgets. The
+// effective count is min(p, Parallelism()).
+func WithParallelism(ctx context.Context, p int) context.Context {
+	return parallel.WithProcs(ctx, p)
+}
+
+// Parallelism reports the process-wide worker count. Cap it per
+// computation with WithParallelism or Options.Procs.
+func Parallelism() int { return parallel.Procs() }
+
+// contain runs a ctx-first algorithm and returns a panic raised anywhere
+// inside it — in a worker of one of its plain parallel steps, or on the
+// calling goroutine — as the *PanicError it carries, so these functions
+// report every failure as an error and never panic.
+func contain[T any](run func() (T, error)) (res T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = parallel.AsPanicError(r)
+		}
+	}()
+	return run()
+}
+
+// BFS runs breadth-first search from source (paper §5.1). Parents is a
+// valid partial BFS forest on interruption.
+func BFS(ctx context.Context, g View, source uint32, opts Options) (*BFSResult, error) {
+	return contain(func() (*BFSResult, error) { return algo.BFSCtx(ctx, g, source, opts) })
 }
 
 // BFSLevels returns per-vertex BFS distances from source (-1 when
 // unreachable).
-func BFSLevels(g View, source uint32, opts Options) []int32 {
-	return algo.BFSLevels(g, source, opts)
+func BFSLevels(ctx context.Context, g View, source uint32, opts Options) ([]int32, error) {
+	return contain(func() ([]int32, error) { return algo.BFSLevelsCtx(ctx, g, source, opts) })
 }
 
 // BC runs single-source betweenness centrality (paper §5.2).
-func BC(g View, source uint32, opts Options) *BCResult {
-	return algo.BC(g, source, opts)
+func BC(ctx context.Context, g View, source uint32, opts Options) (*BCResult, error) {
+	return contain(func() (*BCResult, error) { return algo.BCCtx(ctx, g, source, opts) })
+}
+
+// BCApprox estimates whole-graph betweenness centrality by sampling k BC
+// sources and scaling (extension); on interruption the estimator is
+// rescaled over the sources that completed.
+func BCApprox(ctx context.Context, g View, k int, seed uint64, opts Options) (*BCApproxResult, error) {
+	return contain(func() (*BCApproxResult, error) { return algo.BCApproxCtx(ctx, g, k, seed, opts) })
 }
 
 // Radii estimates per-vertex eccentricities with K simultaneous BFS
-// sharing 64-bit visit vectors (paper §5.3).
-func Radii(g View, opts RadiiOptions) *RadiiResult {
-	return algo.Radii(g, opts)
+// sharing 64-bit visit vectors (paper §5.3); estimates remain valid lower
+// bounds on interruption.
+func Radii(ctx context.Context, g View, opts RadiiOptions) (*RadiiResult, error) {
+	return contain(func() (*RadiiResult, error) { return algo.RadiiCtx(ctx, g, opts) })
+}
+
+// RadiiMulti extends Radii beyond 64 sources by batching 64-way
+// shared-bit-vector multi-BFS runs (extension).
+func RadiiMulti(ctx context.Context, g View, k int, seed uint64, opts Options) (*RadiiResult, error) {
+	return contain(func() (*RadiiResult, error) { return algo.RadiiMultiCtx(ctx, g, k, seed, opts) })
 }
 
 // DefaultRadiiOptions returns the paper's parameters (K=64).
 func DefaultRadiiOptions() RadiiOptions { return algo.DefaultRadiiOptions() }
 
-// ConnectedComponents runs label-propagation components (paper §5.4).
-func ConnectedComponents(g View, opts Options) *CCResult {
-	return algo.ConnectedComponents(g, opts)
+// TwoPassEccentricity estimates per-vertex eccentricities with two rounds
+// of shared-bit-vector multi-BFS: a random sample, then the periphery the
+// first pass discovered (extension).
+func TwoPassEccentricity(ctx context.Context, g View, k int, seed uint64, opts Options) (*EccentricityResult, error) {
+	return contain(func() (*EccentricityResult, error) { return algo.TwoPassEccentricityCtx(ctx, g, k, seed, opts) })
+}
+
+// ConnectedComponents runs label-propagation components (paper §5.4);
+// Labels form a valid coarsening on interruption.
+func ConnectedComponents(ctx context.Context, g View, opts Options) (*CCResult, error) {
+	return contain(func() (*CCResult, error) { return algo.ConnectedComponentsCtx(ctx, g, opts) })
 }
 
 // PageRank runs power iteration with damping and a dangling-mass
-// correction (paper §5.5).
-func PageRank(g View, opts PageRankOptions) *PageRankResult {
-	return algo.PageRank(g, opts)
+// correction (paper §5.5); Ranks are those of the last fully completed
+// iteration on interruption.
+func PageRank(ctx context.Context, g View, opts PageRankOptions) (*PageRankResult, error) {
+	return contain(func() (*PageRankResult, error) { return algo.PageRankCtx(ctx, g, opts) })
 }
 
 // PageRankDelta runs the frontier-based approximate variant (paper §5.5):
 // only vertices whose rank moved by more than delta (relative to their
 // rank) remain active.
-func PageRankDelta(g View, opts PageRankOptions, delta float64) *PageRankResult {
-	return algo.PageRankDelta(g, opts, delta)
+func PageRankDelta(ctx context.Context, g View, opts PageRankOptions, delta float64) (*PageRankResult, error) {
+	return contain(func() (*PageRankResult, error) { return algo.PageRankDeltaCtx(ctx, g, opts, delta) })
 }
 
 // DefaultPageRankOptions returns the paper's PageRank parameters.
 func DefaultPageRankOptions() PageRankOptions { return algo.DefaultPageRankOptions() }
 
 // BellmanFord runs frontier-based single-source shortest paths (paper
-// §5.6), detecting reachable negative cycles.
-func BellmanFord(g View, source uint32, opts Options) *SSSPResult {
-	return algo.BellmanFord(g, source, opts)
+// §5.6), detecting reachable negative cycles; Dist holds valid distance
+// upper bounds on interruption.
+func BellmanFord(ctx context.Context, g View, source uint32, opts Options) (*SSSPResult, error) {
+	return contain(func() (*SSSPResult, error) { return algo.BellmanFordCtx(ctx, g, source, opts) })
 }
-
-// KCore computes the k-core decomposition by parallel peeling (extension).
-func KCore(g View, opts Options) *KCoreResult {
-	return algo.KCore(g, opts)
-}
-
-// MIS computes a maximal independent set with priority-based parallel
-// greedy selection (extension).
-func MIS(g View, seed uint64, opts Options) *MISResult {
-	return algo.MIS(g, seed, opts)
-}
-
-// TriangleCount counts triangles of a symmetric simple graph (extension).
-func TriangleCount(g View) int64 { return algo.TriangleCount(g) }
 
 // DeltaStepping computes single-source shortest paths with non-negative
 // weights using bucketed delta-stepping on top of edgeMap (extension
-// after Julienne; delta <= 0 picks a heuristic bucket width).
-func DeltaStepping(g View, source uint32, delta int64, opts Options) (*DeltaSteppingResult, error) {
-	return algo.DeltaStepping(g, source, delta, opts)
+// after Julienne; delta <= 0 picks a heuristic bucket width). Dist holds
+// valid distance upper bounds on interruption.
+func DeltaStepping(ctx context.Context, g View, source uint32, delta int64, opts Options) (*DeltaSteppingResult, error) {
+	return contain(func() (*DeltaSteppingResult, error) { return algo.DeltaSteppingCtx(ctx, g, source, delta, opts) })
 }
 
-// BCApprox estimates whole-graph betweenness centrality by sampling k BC
-// sources and scaling (extension).
-func BCApprox(g View, k int, seed uint64, opts Options) *BCApproxResult {
-	return algo.BCApprox(g, k, seed, opts)
+// KCore computes the k-core decomposition by parallel peeling
+// (extension); Coreness is exact for already-peeled vertices on
+// interruption.
+func KCore(ctx context.Context, g View, opts Options) (*KCoreResult, error) {
+	return contain(func() (*KCoreResult, error) { return algo.KCoreCtx(ctx, g, opts) })
+}
+
+// MIS computes a maximal independent set with priority-based parallel
+// greedy selection (extension); InSet is a valid (possibly not yet
+// maximal) independent set on interruption.
+func MIS(ctx context.Context, g View, seed uint64, opts Options) (*MISResult, error) {
+	return contain(func() (*MISResult, error) { return algo.MISCtx(ctx, g, seed, opts) })
+}
+
+// SCC computes strongly connected components of a directed graph with
+// parallel forward-backward decomposition (extension); Labels is exact
+// for components finished before an interruption.
+func SCC(ctx context.Context, g View, opts Options) (*SCCResult, error) {
+	return contain(func() (*SCCResult, error) { return algo.SCCCtx(ctx, g, opts) })
+}
+
+// TriangleCount counts triangles of a symmetric simple graph (extension).
+// An interrupted count is 0: a global count has no useful partial result.
+func TriangleCount(ctx context.Context, g View) (int64, error) {
+	return contain(func() (int64, error) { return algo.TriangleCountCtx(ctx, g) })
 }
 
 // LocalClusteringCoefficients returns each vertex's triangle-closure
@@ -149,12 +218,6 @@ func Coloring(g View, seed uint64, opts Options) *ColoringResult {
 	return algo.Coloring(g, seed, opts)
 }
 
-// SCC computes strongly connected components of a directed graph with
-// parallel forward-backward decomposition (extension).
-func SCC(g View, opts Options) *SCCResult {
-	return algo.SCC(g, opts)
-}
-
 // LDD computes a low-diameter decomposition with exponential start-time
 // shifts (Miller-Peng-Xu style; extension). Larger beta yields more,
 // smaller clusters.
@@ -169,23 +232,16 @@ func ConnectedComponentsLDD(g View, beta float64, seed uint64, opts Options) *CC
 	return algo.ConnectedComponentsLDD(g, beta, seed, opts)
 }
 
-// TwoPassEccentricity estimates per-vertex eccentricities with two rounds
-// of shared-bit-vector multi-BFS: a random sample, then the periphery the
-// first pass discovered (extension).
-func TwoPassEccentricity(g View, k int, seed uint64, opts Options) *EccentricityResult {
-	return algo.TwoPassEccentricity(g, k, seed, opts)
-}
-
 // SpanningForest computes a spanning forest of a symmetric graph via BFS
 // waves (extension).
 func SpanningForest(g View, opts Options) *ForestResult {
 	return algo.SpanningForest(g, opts)
 }
 
-// RadiiMulti extends Radii beyond 64 sources by batching 64-way
-// shared-bit-vector multi-BFS runs (extension).
-func RadiiMulti(g View, k int, seed uint64, opts Options) *RadiiResult {
-	return algo.RadiiMulti(g, k, seed, opts)
+// DensestSubgraph computes a 2-approximate densest subgraph by Charikar
+// peeling over the bucket structure (extension).
+func DensestSubgraph(g View, opts Options) *DensestResult {
+	return algo.DensestSubgraph(g, opts)
 }
 
 // APPR computes an approximate personalized PageRank vector from a seed
@@ -203,17 +259,4 @@ func SweepCut(g View, p map[uint32]float64) *SweepCutResult {
 // plus a sweep cut (extension).
 func LocalCluster(g View, seed uint32, alpha, eps float64) (*SweepCutResult, error) {
 	return algo.LocalCluster(g, seed, alpha, eps)
-}
-
-// Parallelism reports the process-wide worker count. Cap it per
-// computation with WithParallelism or Options.Procs.
-func Parallelism() int { return parallel.Procs() }
-
-// DensestResult is the output of DensestSubgraph.
-type DensestResult = algo.DensestResult
-
-// DensestSubgraph computes a 2-approximate densest subgraph by Charikar
-// peeling over the bucket structure (extension).
-func DensestSubgraph(g View, opts Options) *DensestResult {
-	return algo.DensestSubgraph(g, opts)
 }

@@ -16,6 +16,7 @@
 package ligra_test
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"sync"
@@ -128,7 +129,7 @@ func BenchmarkFigThreshold(b *testing.B) {
 	src := uint32(0)
 	run := func(b *testing.B, opts ligra.Options) {
 		for i := 0; i < b.N; i++ {
-			ligra.BFS(g, src, opts)
+			must(ligra.BFS(context.Background(), g, src, opts))
 		}
 	}
 	b.Run("sparse-only", func(b *testing.B) { run(b, ligra.Options{Mode: ligra.ForceSparse}) })
@@ -147,7 +148,7 @@ func BenchmarkFigFrontier(b *testing.B) {
 	g := gs["rMat"]
 	for i := 0; i < b.N; i++ {
 		tr := &ligra.Trace{}
-		ligra.BFS(g, 0, ligra.Options{Trace: tr})
+		must(ligra.BFS(context.Background(), g, 0, ligra.Options{Trace: tr}))
 		if len(tr.Entries) == 0 {
 			b.Fatal("empty trace")
 		}
@@ -168,14 +169,14 @@ func BenchmarkFigDenseForward(b *testing.B) {
 	} {
 		b.Run("PageRank/"+tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ligra.PageRank(g, ligra.PageRankOptions{
+				must(ligra.PageRank(context.Background(), g, ligra.PageRankOptions{
 					Damping: 0.85, MaxIterations: 1, EdgeMap: tc.opts,
-				})
+				}))
 			}
 		})
 		b.Run("Components/"+tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ligra.ConnectedComponents(g, tc.opts)
+				must(ligra.ConnectedComponents(context.Background(), g, tc.opts))
 			}
 		})
 	}
@@ -195,12 +196,12 @@ func BenchmarkAblationCompress(b *testing.B) {
 	}{{"csr", g}, {"compressed", c}} {
 		b.Run("BFS/"+tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ligra.BFS(tc.view, 0, ligra.Options{})
+				must(ligra.BFS(context.Background(), tc.view, 0, ligra.Options{}))
 			}
 		})
 		b.Run("PageRank/"+tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ligra.PageRank(tc.view, ligra.PageRankOptions{Damping: 0.85, MaxIterations: 1})
+				must(ligra.PageRank(context.Background(), tc.view, ligra.PageRankOptions{Damping: 0.85, MaxIterations: 1}))
 			}
 		})
 	}
@@ -231,7 +232,7 @@ func BenchmarkEdgeMap(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ligra.EdgeMap(g, frontier, funcs, tc.opts)
+				must(ligra.EdgeMap(context.Background(), g, frontier, funcs, tc.opts))
 			}
 		})
 	}
@@ -267,19 +268,19 @@ func BenchmarkExtensions(b *testing.B) {
 	wg := ws["rMat"]
 	b.Run("KCore-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.KCore(g, ligra.Options{})
+			must(ligra.KCore(context.Background(), g, ligra.Options{}))
 		}
 	})
 	b.Run("DeltaStepping", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ligra.DeltaStepping(wg, 0, 0, ligra.Options{}); err != nil {
+			if _, err := ligra.DeltaStepping(context.Background(), wg, 0, 0, ligra.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("MIS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.MIS(g, 1, ligra.Options{})
+			must(ligra.MIS(context.Background(), g, 1, ligra.Options{}))
 		}
 	})
 	b.Run("MaximalMatching", func(b *testing.B) {
@@ -294,7 +295,7 @@ func BenchmarkExtensions(b *testing.B) {
 	})
 	b.Run("TriangleCount", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.TriangleCount(g)
+			must(ligra.TriangleCount(context.Background(), g))
 		}
 	})
 	b.Run("SCC-directed", func(b *testing.B) {
@@ -304,7 +305,7 @@ func BenchmarkExtensions(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ligra.SCC(dg, ligra.Options{})
+			must(ligra.SCC(context.Background(), dg, ligra.Options{}))
 		}
 	})
 	b.Run("LDD", func(b *testing.B) {
@@ -331,7 +332,7 @@ func BenchmarkExtensions(b *testing.B) {
 	})
 	b.Run("TwoPassEccentricity", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.TwoPassEccentricity(g, 16, 1, ligra.Options{})
+			must(ligra.TwoPassEccentricity(context.Background(), g, 16, 1, ligra.Options{}))
 		}
 	})
 }

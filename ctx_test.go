@@ -24,7 +24,7 @@ func TestPublicDeadlineFlow(t *testing.T) {
 	opts := ligra.DefaultPageRankOptions()
 	opts.Epsilon = 0
 	opts.MaxIterations = 1 << 20
-	res, rerr := ligra.PageRankCtx(ctx, g, opts)
+	res, rerr := ligra.PageRank(ctx, g, opts)
 	if !errors.Is(rerr, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", rerr)
 	}
@@ -40,7 +40,7 @@ func TestPublicDeadlineFlow(t *testing.T) {
 	}
 }
 
-// TestPublicCancelFlow checks that BFSCtx through the public wrapper
+// TestPublicCancelFlow checks that BFS through the public wrapper
 // honours an already-cancelled context and still returns a valid minimal
 // forest.
 func TestPublicCancelFlow(t *testing.T) {
@@ -50,7 +50,7 @@ func TestPublicCancelFlow(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, rerr := ligra.BFSCtx(ctx, g, 0, ligra.Options{})
+	res, rerr := ligra.BFS(ctx, g, 0, ligra.Options{})
 	if !errors.Is(rerr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", rerr)
 	}
@@ -65,8 +65,8 @@ func TestPublicCancelFlow(t *testing.T) {
 }
 
 // TestPublicPanicContainment checks that a worker fault injected into a
-// plain (non-ctx) public entry point surfaces as the typed
-// *ligra.PanicError the API promises, never a bare runtime panic.
+// public entry point surfaces as the typed *ligra.PanicError the API
+// promises, returned as an error, never a bare runtime panic.
 func TestPublicPanicContainment(t *testing.T) {
 	g, err := ligra.RMAT(10, 8, ligra.PBBSRMAT, 42)
 	if err != nil {
@@ -74,21 +74,15 @@ func TestPublicPanicContainment(t *testing.T) {
 	}
 	disarm := faultinject.PanicOnChunk(2, "injected public fault")
 	defer disarm()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("fault did not fire")
-		}
-		pe, ok := r.(*ligra.PanicError)
-		if !ok {
-			t.Fatalf("panic value is %T (%v), want *ligra.PanicError", r, r)
-		}
-		if pe.Value != "injected public fault" {
-			t.Errorf("PanicError.Value = %v", pe.Value)
-		}
-		if len(pe.Stack) == 0 {
-			t.Error("PanicError.Stack is empty")
-		}
-	}()
-	ligra.BFS(g, 0, ligra.Options{})
+	_, rerr := ligra.BFS(context.Background(), g, 0, ligra.Options{})
+	var pe *ligra.PanicError
+	if !errors.As(rerr, &pe) {
+		t.Fatalf("err = %v (%T), want a *ligra.PanicError", rerr, rerr)
+	}
+	if pe.Value != "injected public fault" {
+		t.Errorf("PanicError.Value = %v", pe.Value)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("PanicError.Stack is empty")
+	}
 }

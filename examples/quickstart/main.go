@@ -4,22 +4,28 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"sync/atomic"
 
 	"ligra"
 )
 
 func main() {
+	ctx := context.Background()
 	// A small power-law graph: 2^14 vertices, ~16 edges per vertex.
 	g, err := ligra.RMAT(14, 16, ligra.PBBSRMAT, 42)
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	fmt.Println(ligra.ComputeStats(g))
 
 	// 1. Use a built-in application.
-	res := ligra.BFS(g, 0, ligra.Options{})
+	res, err := ligra.BFS(ctx, g, 0, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("BFS: visited %d/%d vertices in %d rounds\n",
 		res.Visited, g.NumVertices(), res.Rounds)
 
@@ -53,7 +59,10 @@ func main() {
 	trace := &ligra.Trace{}
 	rounds := 0
 	for !frontier.IsEmpty() {
-		frontier = ligra.EdgeMap(g, frontier, funcs, ligra.Options{Trace: trace})
+		frontier, err = ligra.EdgeMap(ctx, g, frontier, funcs, ligra.Options{Trace: trace})
+		if err != nil {
+			log.Fatal(err)
+		}
 		rounds++
 	}
 	fmt.Printf("hand-written BFS finished in %d rounds; edgeMap chose:\n", rounds)

@@ -5,13 +5,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"time"
 
 	"ligra"
 )
 
 func main() {
+	ctx := context.Background()
 	inputs := []struct {
 		name  string
 		build func() (*ligra.Graph, error)
@@ -27,7 +30,7 @@ func main() {
 	for _, in := range inputs {
 		g, err := in.build()
 		if err != nil {
-			panic(err)
+			log.Fatal(err)
 		}
 		fmt.Printf("== %s: n=%d m=%d ==\n", in.name, g.NumVertices(), g.NumEdges())
 
@@ -35,7 +38,10 @@ func main() {
 		// diameter lower bound and the coverage.
 		for _, k := range []int{4, 16, 64} {
 			start := time.Now()
-			res := ligra.Radii(g, ligra.RadiiOptions{K: k, Seed: 99})
+			res, err := ligra.Radii(ctx, g, ligra.RadiiOptions{K: k, Seed: 99})
+			if err != nil {
+				log.Fatal(err)
+			}
 			maxR := int32(0)
 			sum := int64(0)
 			reached := 0
@@ -55,14 +61,20 @@ func main() {
 
 		// Contrast with K separate BFS (what the bit-vector trick
 		// amortizes): same answer, K times the traversals.
-		res := ligra.Radii(g, ligra.RadiiOptions{K: 16, Seed: 99})
+		res, err := ligra.Radii(ctx, g, ligra.RadiiOptions{K: 16, Seed: 99})
+		if err != nil {
+			log.Fatal(err)
+		}
 		start := time.Now()
 		sep := make([]int32, g.NumVertices())
 		for i := range sep {
 			sep[i] = -1
 		}
 		for _, s := range res.Sources {
-			lv := ligra.BFSLevels(g, s, ligra.Options{})
+			lv, err := ligra.BFSLevels(ctx, g, s, ligra.Options{})
+			if err != nil {
+				log.Fatal(err)
+			}
 			for v, l := range lv {
 				if l > sep[v] {
 					sep[v] = l
@@ -82,8 +94,14 @@ func main() {
 
 		// The refinements beyond the paper: a periphery-seeded second
 		// pass, and batching past the 64-bit word limit.
-		tp := ligra.TwoPassEccentricity(g, 64, 99, ligra.Options{})
-		wide := ligra.RadiiMulti(g, 128, 99, ligra.Options{})
+		tp, err := ligra.TwoPassEccentricity(ctx, g, 64, 99, ligra.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		wide, err := ligra.RadiiMulti(ctx, g, 128, 99, ligra.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		wideMax := int32(0)
 		for _, r := range wide.Radii {
 			if r > wideMax {

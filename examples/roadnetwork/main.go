@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"ligra"
 )
@@ -12,9 +14,10 @@ import (
 func main() {
 	// A 3-D torus mesh stands in for a road network: bounded degree, high
 	// diameter. Deterministic hash weights in [1, 100] model travel times.
+	ctx := context.Background()
 	g, err := ligra.Grid3D(32) // 32^3 = 32768 intersections
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	wg := g.AddWeights(ligra.HashWeight(100))
 	fmt.Println("road network:", ligra.ComputeStats(wg))
@@ -22,11 +25,17 @@ func main() {
 	src := uint32(0)
 
 	// Unweighted hop distance (BFS) vs weighted travel time (Bellman-Ford).
-	hops := ligra.BFSLevels(wg, src, ligra.Options{})
+	hops, err := ligra.BFSLevels(ctx, wg, src, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	tr := &ligra.Trace{}
-	sp := ligra.BellmanFord(wg, src, ligra.Options{Trace: tr})
+	sp, err := ligra.BellmanFord(ctx, wg, src, ligra.Options{Trace: tr})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if sp.NegativeCycle {
-		panic("unexpected negative cycle")
+		log.Fatal("unexpected negative cycle")
 	}
 
 	// Sparse share of rounds: on a mesh the frontier is a wavefront, so
@@ -56,7 +65,10 @@ func main() {
 		farTime, hops[farTime], sp.Dist[farTime])
 
 	// Estimated network diameter via the radii application.
-	radii := ligra.Radii(wg, ligra.DefaultRadiiOptions())
+	radii, err := ligra.Radii(ctx, wg, ligra.DefaultRadiiOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 	maxR := int32(0)
 	for _, r := range radii.Radii {
 		if r > maxR {

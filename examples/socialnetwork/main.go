@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"sort"
 
 	"ligra"
@@ -16,15 +18,19 @@ import (
 func main() {
 	// Twitter-like: Graph500 R-MAT parameters give the heavy degree skew
 	// of follower graphs.
+	ctx := context.Background()
 	g, err := ligra.RMAT(15, 20, ligra.Graph500RMAT, 2024)
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	stats := ligra.ComputeStats(g)
 	fmt.Println("follower graph:", stats)
 
 	// --- Connectivity: how much of the network is one community? ---
-	cc := ligra.ConnectedComponents(g, ligra.Options{})
+	cc, err := ligra.ConnectedComponents(ctx, g, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	sizes := map[uint32]int{}
 	for _, l := range cc.Labels {
 		sizes[l]++
@@ -39,9 +45,12 @@ func main() {
 		cc.Components, 100*float64(largest)/float64(g.NumVertices()), cc.Rounds)
 
 	// --- Influence: PageRank to convergence. ---
-	pr := ligra.PageRank(g, ligra.PageRankOptions{
+	pr, err := ligra.PageRank(ctx, g, ligra.PageRankOptions{
 		Damping: 0.85, Epsilon: 1e-8, MaxIterations: 100,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	type ranked struct {
 		v    uint32
 		rank float64
@@ -59,14 +68,20 @@ func main() {
 
 	// The approximate frontier-based variant gets close at a fraction of
 	// the touched edges.
-	prd := ligra.PageRankDelta(g, ligra.PageRankOptions{
+	prd, err := ligra.PageRankDelta(ctx, g, ligra.PageRankOptions{
 		Damping: 0.85, Epsilon: 1e-8, MaxIterations: 100,
 	}, 1e-3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("PageRank-Delta: %d iterations; top-1 agrees: %v\n",
 		prd.Iterations, maxIndex(prd.Ranks) == int(top[0].v))
 
 	// --- Engagement core: k-core decomposition. ---
-	kc := ligra.KCore(g, ligra.Options{})
+	kc, err := ligra.KCore(ctx, g, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	inMax := 0
 	for _, c := range kc.Coreness {
 		if c == kc.MaxCore {
@@ -76,11 +91,17 @@ func main() {
 	fmt.Printf("degeneracy %d; %d vertices in the innermost core\n", kc.MaxCore, inMax)
 
 	// --- Cohesion: triangles (3x the number of closed wedges). ---
-	tris := ligra.TriangleCount(g)
+	tris, err := ligra.TriangleCount(ctx, g)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("triangles: %d\n", tris)
 
 	// --- Brokerage: betweenness contribution from the top influencer. ---
-	bc := ligra.BC(g, top[0].v, ligra.Options{})
+	bc, err := ligra.BC(ctx, g, top[0].v, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("BC from vertex %d: max dependency %.1f (graph depth %d)\n",
 		top[0].v, maxVal(bc.Scores), bc.Rounds)
 
@@ -88,7 +109,7 @@ func main() {
 	// touches only the seed's neighborhood, never the whole graph. ---
 	lc, err := ligra.LocalCluster(g, top[0].v, 0.15, 1e-5)
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	fmt.Printf("local community around vertex %d: %d members, conductance %.4f\n",
 		top[0].v, len(lc.Cluster), lc.Conductance)

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"sort"
 
 	"ligra"
@@ -14,14 +16,18 @@ import (
 
 func main() {
 	// Directed power-law graph: hyperlink-like structure.
+	ctx := context.Background()
 	g, err := ligra.RMATDirected(15, 12, ligra.Graph500RMAT, 99)
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	fmt.Println("web graph:", ligra.ComputeStats(g))
 
 	// --- Bow-tie: SCC structure. ---
-	scc := ligra.SCC(g, ligra.Options{})
+	scc, err := ligra.SCC(ctx, g, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	sizes := map[uint32]int{}
 	for _, l := range scc.Labels {
 		sizes[l]++
@@ -38,14 +44,23 @@ func main() {
 	// --- IN / OUT sets relative to the core (the bow-tie wings):
 	// vertices reaching the core vs. reachable from it. ---
 	coreVertex := coreLabel // labels are member vertices
-	out := ligra.BFS(g, coreVertex, ligra.Options{})
+	out, err := ligra.BFS(ctx, g, coreVertex, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	// For the IN side, BFS over the transpose by loading the reversed
 	// graph: Transpose is free for CSR graphs.
-	in := ligra.BFS(g.Transpose(), coreVertex, ligra.Options{})
+	in, err := ligra.BFS(ctx, g.Transpose(), coreVertex, ligra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("OUT(core): %d vertices; IN(core): %d vertices\n", out.Visited, in.Visited)
 
 	// --- Link-based ranking. ---
-	pr := ligra.PageRank(g, ligra.PageRankOptions{Damping: 0.85, Epsilon: 1e-9, MaxIterations: 100})
+	pr, err := ligra.PageRank(ctx, g, ligra.PageRankOptions{Damping: 0.85, Epsilon: 1e-9, MaxIterations: 100})
+	if err != nil {
+		log.Fatal(err)
+	}
 	type kv struct {
 		v uint32
 		r float64

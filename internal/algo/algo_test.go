@@ -60,7 +60,7 @@ func TestBFSMatchesSequential(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		want := seq.BFSLevels(g, 0)
 		for mname, opts := range modes {
-			res := BFS(g, 0, opts)
+			res := must(BFSCtx(nil, g, 0, opts))
 			// Parent arrays are non-deterministic; validate the implied
 			// levels instead: parent None iff unreachable, and parent at
 			// distance level-1.
@@ -131,7 +131,7 @@ func TestBFSLevelsMatchesSequential(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		want := seq.BFSLevels(g, 0)
 		for mname, opts := range modes {
-			got := BFSLevels(g, 0, opts)
+			got := must(BFSLevelsCtx(nil, g, 0, opts))
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("%s/%s: level[%d] = %d, want %d", gname, mname, v, got[v], want[v])
@@ -148,7 +148,7 @@ func TestConnectedComponentsMatchesUnionFind(t *testing.T) {
 		}
 		want := seq.ConnectedComponents(g)
 		for mname, opts := range modes {
-			res := ConnectedComponents(g, opts)
+			res := must(ConnectedComponentsCtx(nil, g, opts))
 			for v := range want {
 				if res.Labels[v] != want[v] {
 					t.Fatalf("%s/%s: label[%d] = %d, want %d", gname, mname, v, res.Labels[v], want[v])
@@ -171,7 +171,7 @@ func TestBellmanFordMatchesDijkstra(t *testing.T) {
 		wg := g.AddWeights(graph.HashWeight(32))
 		want := seq.Dijkstra(wg, 0)
 		for mname, opts := range modes {
-			res := BellmanFord(wg, 0, opts)
+			res := must(BellmanFordCtx(nil, wg, 0, opts))
 			if res.NegativeCycle {
 				t.Fatalf("%s/%s: spurious negative cycle", gname, mname)
 			}
@@ -186,7 +186,7 @@ func TestBellmanFordMatchesDijkstra(t *testing.T) {
 
 func TestBellmanFordUnweightedEqualsBFS(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	res := BellmanFord(g, 0, core.Options{})
+	res := must(BellmanFordCtx(nil, g, 0, core.Options{}))
 	lv := seq.BFSLevels(g, 0)
 	for v := range lv {
 		want := int64(lv[v])
@@ -207,7 +207,7 @@ func TestBellmanFordNegativeWeightsAndCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BellmanFord(g1, 0, core.Options{})
+	res := must(BellmanFordCtx(nil, g1, 0, core.Options{}))
 	if res.NegativeCycle {
 		t.Error("flagged a DAG as having a negative cycle")
 	}
@@ -226,7 +226,7 @@ func TestBellmanFordNegativeWeightsAndCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := BellmanFord(g2, 0, core.Options{})
+	res2 := must(BellmanFordCtx(nil, g2, 0, core.Options{}))
 	if !res2.NegativeCycle {
 		t.Error("negative cycle not detected")
 	}
@@ -240,7 +240,7 @@ func TestPageRankMatchesSequential(t *testing.T) {
 		want := seq.PageRank(g, 0.85, 1e-10, 50)
 		for mname, base := range modes {
 			opts := PageRankOptions{Damping: 0.85, Epsilon: 1e-10, MaxIterations: 50, EdgeMap: base}
-			res := PageRank(g, opts)
+			res := must(PageRankCtx(nil, g, opts))
 			var mass float64
 			for v := range want {
 				if math.Abs(res.Ranks[v]-want[v]) > 1e-9 {
@@ -257,7 +257,7 @@ func TestPageRankMatchesSequential(t *testing.T) {
 
 func TestPageRankSingleIteration(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	res := PageRank(g, PageRankOptions{Damping: 0.85, MaxIterations: 1})
+	res := must(PageRankCtx(nil, g, PageRankOptions{Damping: 0.85, MaxIterations: 1}))
 	if res.Iterations != 1 {
 		t.Errorf("Iterations = %d, want 1", res.Iterations)
 	}
@@ -266,7 +266,7 @@ func TestPageRankSingleIteration(t *testing.T) {
 func TestPageRankDeltaApproximatesPageRank(t *testing.T) {
 	g := testGraphs(t)["rmat"]
 	exact := seq.PageRank(g, 0.85, 1e-12, 100)
-	res := PageRankDelta(g, PageRankOptions{Damping: 0.85, Epsilon: 1e-9, MaxIterations: 100}, 1e-4)
+	res := must(PageRankDeltaCtx(nil, g, PageRankOptions{Damping: 0.85, Epsilon: 1e-9, MaxIterations: 100}, 1e-4))
 	// Rank ordering of the top vertices should agree and values be close.
 	var maxErr float64
 	for v := range exact {
@@ -284,7 +284,7 @@ func TestRadiiMatchesMultiBFS(t *testing.T) {
 		g := testGraphs(t)[gname]
 		for mname, base := range modes {
 			opts := RadiiOptions{K: 8, Seed: 5, EdgeMap: base}
-			res := Radii(g, opts)
+			res := must(RadiiCtx(nil, g, opts))
 			want := seq.Eccentricities(g, res.Sources)
 			for v := range want {
 				if res.Radii[v] != want[v] {
@@ -297,7 +297,7 @@ func TestRadiiMatchesMultiBFS(t *testing.T) {
 
 func TestRadiiSourcesDistinct(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	res := Radii(g, RadiiOptions{K: 64, Seed: 9})
+	res := must(RadiiCtx(nil, g, RadiiOptions{K: 64, Seed: 9}))
 	seen := map[uint32]bool{}
 	for _, s := range res.Sources {
 		if seen[s] {
@@ -314,7 +314,7 @@ func TestBCMatchesBrandes(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		want := seq.BC(g, 0)
 		for mname, opts := range modes {
-			res := BC(g, 0, opts)
+			res := must(BCCtx(nil, g, 0, opts))
 			for v := range want {
 				if math.Abs(res.Scores[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {
 					t.Fatalf("%s/%s: BC[%d] = %v, want %v", gname, mname, v, res.Scores[v], want[v])
@@ -333,7 +333,7 @@ func TestBCPathCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for mname, opts := range modes {
-		res := BC(g, 0, opts)
+		res := must(BCCtx(nil, g, 0, opts))
 		if res.NumPaths[3] != 2 {
 			t.Errorf("%s: sigma(3) = %v, want 2", mname, res.NumPaths[3])
 		}
@@ -351,7 +351,7 @@ func TestKCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := KCore(k5, core.Options{})
+	res := must(KCoreCtx(nil, k5, core.Options{}))
 	for v, c := range res.Coreness {
 		if c != 4 {
 			t.Errorf("K5 coreness[%d] = %d, want 4", v, c)
@@ -366,7 +366,7 @@ func TestKCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = KCore(p, core.Options{})
+	res = must(KCoreCtx(nil, p, core.Options{}))
 	for v, c := range res.Coreness {
 		if c != 1 {
 			t.Errorf("path coreness[%d] = %d, want 1", v, c)
@@ -381,7 +381,7 @@ func TestKCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = KCore(g, core.Options{})
+	res = must(KCoreCtx(nil, g, core.Options{}))
 	want := []int32{3, 3, 3, 3, 1}
 	for v := range want {
 		if res.Coreness[v] != want[v] {
@@ -394,7 +394,7 @@ func TestKCoreInvariant(t *testing.T) {
 	// Against definition: in the subgraph induced by {v: coreness >= k},
 	// every vertex has degree >= k, for every k up to MaxCore.
 	g := testGraphs(t)["rmat"]
-	res := KCore(g, core.Options{})
+	res := must(KCoreCtx(nil, g, core.Options{}))
 	for k := int32(1); k <= res.MaxCore; k++ {
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
 			if res.Coreness[v] < k {
@@ -417,7 +417,7 @@ func TestKCoreInvariant(t *testing.T) {
 func TestMISIndependentAndMaximal(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "path", "star", "tree", "er-sparse"} {
 		g := testGraphs(t)[gname]
-		res := MIS(g, 123, core.Options{})
+		res := must(MISCtx(nil, g, 123, core.Options{}))
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
 			if res.InSet[v] {
 				g.OutNeighbors(v, func(d uint32, _ int32) bool {
@@ -445,19 +445,19 @@ func TestMISIndependentAndMaximal(t *testing.T) {
 
 func TestTriangleCountKnownValues(t *testing.T) {
 	k4, _ := gen.Complete(4)
-	if got := TriangleCount(k4); got != 4 {
+	if got := must(TriangleCountCtx(nil, k4)); got != 4 {
 		t.Errorf("K4 triangles = %d, want 4", got)
 	}
 	k5, _ := gen.Complete(5)
-	if got := TriangleCount(k5); got != 10 {
+	if got := must(TriangleCountCtx(nil, k5)); got != 10 {
 		t.Errorf("K5 triangles = %d, want 10", got)
 	}
 	p, _ := gen.Path(100)
-	if got := TriangleCount(p); got != 0 {
+	if got := must(TriangleCountCtx(nil, p)); got != 0 {
 		t.Errorf("path triangles = %d, want 0", got)
 	}
 	c3, _ := gen.Cycle(3)
-	if got := TriangleCount(c3); got != 1 {
+	if got := must(TriangleCountCtx(nil, c3)); got != 1 {
 		t.Errorf("C3 triangles = %d, want 1", got)
 	}
 }
@@ -467,7 +467,7 @@ func TestBFSFromEveryVertexSmall(t *testing.T) {
 	g := testGraphs(t)["er-sparse"]
 	for src := uint32(0); src < 50; src++ {
 		want := seq.BFSLevels(g, src)
-		got := BFSLevels(g, src, core.Options{})
+		got := must(BFSLevelsCtx(nil, g, src, core.Options{}))
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("src=%d: level[%d] = %d, want %d", src, v, got[v], want[v])

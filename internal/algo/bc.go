@@ -24,9 +24,10 @@ type BCResult struct {
 	Rounds int
 }
 
-// BC runs the paper's betweenness-centrality application (§5.2): Brandes'
-// algorithm for one source, with both the forward shortest-path counting
-// sweep and the backward dependency accumulation expressed as edgeMaps.
+// BCCtx runs the paper's betweenness-centrality application (§5.2):
+// Brandes' algorithm for one source, with both the forward shortest-path
+// counting sweep and the backward dependency accumulation expressed as
+// edgeMaps.
 //
 // Forward: path counts accumulate into unvisited destinations (plain adds
 // in dense rounds where each destination has one writer, fetch-and-add in
@@ -35,21 +36,13 @@ type BCResult struct {
 // first over the transposed edges, accumulating Brandes' dependency
 // delta[d] += sigma[d]/sigma[s] * (1 + delta[s]) from each successor s one
 // level deeper.
-func BC(g graph.View, source uint32, opts core.Options) *BCResult {
-	res, err := BCCtx(nil, g, source, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// BCCtx is BC with cooperative cancellation, observed per chunk in both
-// the forward and the backward sweep. On interruption it returns the
-// state computed so far — Levels and NumPaths are valid for all completed
-// forward rounds; Scores holds whatever dependency mass the backward
-// sweep had accumulated — together with a *RoundError (its Round counts
-// forward rounds during the forward phase, and remaining backward levels
-// during the backward phase).
+//
+// Cancellation is observed per chunk in both the forward and the backward
+// sweep. On interruption it returns the state computed so far — Levels
+// and NumPaths are valid for all completed forward rounds; Scores holds
+// whatever dependency mass the backward sweep had accumulated — together
+// with a *RoundError (its Round counts forward rounds during the forward
+// phase, and remaining backward levels during the backward phase).
 func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) (*BCResult, error) {
 	n := g.NumVertices()
 	numPaths := atomicx.NewFloat64Slice(n)
@@ -95,6 +88,8 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	}
 
 	delta := atomicx.NewFloat64Slice(n)
+	// result reports the state so far; once the forward loop has run its
+	// final, empty round, round-1 is the number of non-empty ones.
 	result := func() *BCResult {
 		return &BCResult{
 			Scores:   delta.ToSlice(),
@@ -118,7 +113,6 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 			frontiers = append(frontiers, frontier)
 		}
 	}
-	rounds := len(frontiers) - 1
 
 	// --- Backward phase: accumulate dependencies in reverse level order.
 	// An original edge (d -> s) with level(s) == level(d)+1 carries
@@ -161,13 +155,7 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 			return result(), roundErr("bc-backward", i, err)
 		}
 	}
-
-	return &BCResult{
-		Scores:   delta.ToSlice(),
-		NumPaths: numPaths.ToSlice(),
-		Levels:   levels,
-		Rounds:   rounds,
-	}, nil
+	return result(), nil
 }
 
 // TransposeView returns a graph.View presenting g with every edge

@@ -2,15 +2,11 @@ package algo
 
 import (
 	"context"
-	"sync/atomic"
 
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
 )
-
-// atomicAdd64 is a shorthand for atomic addition on a slice element.
-func atomicAdd64(addr *int64, delta int64) { atomic.AddInt64(addr, delta) }
 
 // BCApproxResult carries the output of sampled betweenness centrality.
 type BCApproxResult struct {
@@ -22,20 +18,12 @@ type BCApproxResult struct {
 	Sources []uint32
 }
 
-// BCApprox estimates betweenness centrality by running the paper's
+// BCApproxCtx estimates betweenness centrality by running the paper's
 // single-source BC from k sampled sources and scaling — the standard
 // sampling estimator, matching how the paper's evaluation exercises BC
 // "from a (sampled) vertex" while providing whole-graph scores.
-func BCApprox(g graph.View, k int, seed uint64, opts core.Options) *BCApproxResult {
-	res, err := BCApproxCtx(nil, g, k, seed, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// BCApproxCtx is BCApprox with cooperative cancellation, observed between
-// sampled sources and inside each per-source BC run. On interruption it
+// Cancellation is observed between sampled sources and inside each
+// per-source BC run. On interruption it
 // returns the estimator computed from the sources completed so far
 // (scaled by n/completed; all-zero if none completed), with a
 // *RoundError whose Round counts completed sources.

@@ -25,7 +25,7 @@ func TestBCApproxExactWhenAllSources(t *testing.T) {
 			want[v] += d[v]
 		}
 	}
-	res := BCApprox(g, n, 3, core.Options{})
+	res := must(BCApproxCtx(nil, g, n, 3, core.Options{}))
 	if len(res.Sources) != n {
 		t.Fatalf("%d sources, want %d", len(res.Sources), n)
 	}
@@ -41,7 +41,7 @@ func TestBCApproxRanksStarCenterHighest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BCApprox(g, 10, 7, core.Options{})
+	res := must(BCApproxCtx(nil, g, 10, 7, core.Options{}))
 	for v := 1; v < 50; v++ {
 		if res.Scores[v] > res.Scores[0] {
 			t.Fatalf("leaf %d scored above the center", v)
@@ -57,7 +57,7 @@ func TestBCApproxDefaultsK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BCApprox(g, 0, 1, core.Options{})
+	res := must(BCApproxCtx(nil, g, 0, 1, core.Options{}))
 	if len(res.Sources) != 16 {
 		t.Errorf("default k = %d, want 16", len(res.Sources))
 	}
@@ -110,7 +110,7 @@ func TestClusteringConsistentWithTriangles(t *testing.T) {
 	for _, c := range acc {
 		sum += c
 	}
-	if want := 3 * TriangleCount(g); sum != want {
+	if want := 3 * must(TriangleCountCtx(nil, g)); sum != want {
 		t.Errorf("per-vertex sum %d, want %d", sum, want)
 	}
 }

@@ -28,21 +28,12 @@ type SSSPResult struct {
 	NegativeCycle bool
 }
 
-// BellmanFord runs the paper's frontier-based Bellman-Ford (§5.6): each
+// BellmanFordCtx runs the paper's frontier-based Bellman-Ford (§5.6): each
 // round relaxes the out-edges of vertices whose distance improved in the
 // previous round, using writeMin as the priority update. A Visited flag
 // per round makes each destination join the output frontier once; the
-// flags are reset by a vertexMap over the new frontier.
-func BellmanFord(g graph.View, source uint32, opts core.Options) *SSSPResult {
-	res, err := BellmanFordCtx(nil, g, source, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// BellmanFordCtx is BellmanFord with cooperative cancellation. On
-// interruption Dist holds valid upper bounds on the true shortest-path
+// flags are reset by a vertexMap over the new frontier. On interruption
+// Dist holds valid upper bounds on the true shortest-path
 // distances (writeMin only ever tightens them), returned with a
 // *RoundError.
 func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) (*SSSPResult, error) {

@@ -28,22 +28,13 @@ type BFSResult struct {
 	Visited int
 }
 
-// BFS runs the paper's breadth-first search (Figure 1/§5.1): the frontier
-// expands one level per round; Update claims unvisited destinations with a
-// compare-and-swap on the parent array.
-func BFS(g graph.View, source uint32, opts core.Options) *BFSResult {
-	res, err := BFSCtx(nil, g, source, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// BFSCtx is BFS with cooperative cancellation: ctx (nil = background) is
-// observed at chunk granularity inside every round. On interruption it
-// returns the partial result — Parents holds a valid BFS forest over all
-// vertices claimed so far — together with a *RoundError wrapping the
-// cause.
+// BFSCtx runs the paper's breadth-first search (Figure 1/§5.1): the
+// frontier expands one level per round; Update claims unvisited
+// destinations with a compare-and-swap on the parent array. ctx (nil =
+// background) is observed at chunk granularity inside every round. On
+// interruption it returns the partial result — Parents holds a valid BFS
+// forest over all vertices claimed so far — together with a *RoundError
+// wrapping the cause.
 func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) (*BFSResult, error) {
 	n := g.NumVertices()
 	parents := make([]uint32, n)
@@ -95,21 +86,12 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 	return &BFSResult{Parents: parents, Rounds: rounds, Visited: visited}, nil
 }
 
-// BFSLevels derives per-vertex BFS levels (distance in edges from the
+// BFSLevelsCtx derives per-vertex BFS levels (distance in edges from the
 // source; -1 for unreachable) by rerunning the traversal with a level
-// counter. It shares BFS's edgeMap structure and exists because several
-// experiments report level-by-level behaviour.
-func BFSLevels(g graph.View, source uint32, opts core.Options) []int32 {
-	levels, err := BFSLevelsCtx(nil, g, source, opts)
-	if err != nil {
-		panic(err)
-	}
-	return levels
-}
-
-// BFSLevelsCtx is BFSLevels with cooperative cancellation. On
-// interruption the returned slice holds correct levels for every vertex
-// reached in completed rounds (-1 elsewhere) alongside a *RoundError.
+// counter. It shares BFSCtx's edgeMap structure and exists because several
+// experiments report level-by-level behaviour. On interruption the
+// returned slice holds correct levels for every vertex reached in
+// completed rounds (-1 elsewhere) alongside a *RoundError.
 func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) ([]int32, error) {
 	n := g.NumVertices()
 	levels := make([]int32, n)

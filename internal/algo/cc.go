@@ -21,7 +21,7 @@ type CCResult struct {
 	Rounds int
 }
 
-// ConnectedComponents runs the paper's label-propagation algorithm (§5.4):
+// ConnectedComponentsCtx runs the paper's label-propagation algorithm (§5.4):
 // every vertex starts with its own ID; each round the frontier's labels
 // propagate to neighbors via writeMin (a priority update), and a vertex
 // enters the next frontier the first time its label shrinks in a round.
@@ -36,16 +36,8 @@ type CCResult struct {
 // sparse update functions use atomic loads and priority updates; the
 // per-round "first change" test makes frontier membership near-unique and a
 // deduplication pass removes the remaining repeats.
-func ConnectedComponents(g graph.View, opts core.Options) *CCResult {
-	res, err := ConnectedComponentsCtx(nil, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ConnectedComponentsCtx is ConnectedComponents with cooperative
-// cancellation. On interruption the partial result's Labels form a valid
+//
+// On interruption the partial result's Labels form a valid
 // coarsening of the true components (every label is some member's ID and
 // propagation simply hasn't converged); Components counts the labels that
 // are still their own representative.

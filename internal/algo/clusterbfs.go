@@ -85,26 +85,18 @@ func (r *ClusterBFSResult) LevelTo(i int, v uint32) int32 {
 	return -1
 }
 
-// ClusterBFS runs up to 64 breadth-first searches as one traversal: every
-// vertex carries a uint64 visit word with one bit per source, and one
-// edgeMap sweep propagates all bits simultaneously, so K concurrent
+// ClusterBFSCtx runs up to 64 breadth-first searches as one traversal:
+// every vertex carries a uint64 visit word with one bit per source, and
+// one edgeMap sweep propagates all bits simultaneously, so K concurrent
 // single-source queries cost roughly one pass over the edge set instead
 // of K (the trick §5.3 of the paper buries inside the eccentricity
-// estimator, promoted to a reusable primitive). It panics on error; use
-// ClusterBFSCtx to handle interruption.
-func ClusterBFS(g graph.View, sources []uint32, opts ClusterBFSOptions) *ClusterBFSResult {
-	res, err := ClusterBFSCtx(nil, g, sources, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ClusterBFSCtx is ClusterBFS with cooperative cancellation, observed
-// between rounds and at chunk granularity inside them. On interruption the
-// partial result is returned with a *RoundError: every non-negative level
-// is a genuine BFS distance, every set visit bit a genuine reachability,
-// and per-source aggregates cover the rounds that completed.
+// estimator, promoted to a reusable primitive).
+//
+// Cancellation is observed between rounds and at chunk granularity inside
+// them. On interruption the partial result is returned with a *RoundError:
+// every non-negative level is a genuine BFS distance, every set visit bit
+// a genuine reachability, and per-source aggregates cover the rounds that
+// completed.
 func ClusterBFSCtx(ctx context.Context, g graph.View, sources []uint32, opts ClusterBFSOptions) (*ClusterBFSResult, error) {
 	res, err := clusterSweep(ctx, g, sources, opts)
 	return res, roundErr("cluster-bfs", res.Rounds, err)
@@ -166,8 +158,7 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		}
 	}
 	if k == 0 {
-		res.Rounds = -1 // mirrors the historical empty-sample radii result
-		return res, ctxErr(ctx)
+		return res, parallel.CtxErr(ctx)
 	}
 
 	// The settled (cur) and in-flight (next) visit words live interleaved

@@ -171,7 +171,7 @@ func TestClusterBFSLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != -1 || len(res.Sources) != 0 {
+	if res.Rounds != 0 || len(res.Sources) != 0 {
 		t.Fatalf("empty sweep: rounds=%d sources=%d", res.Rounds, len(res.Sources))
 	}
 }

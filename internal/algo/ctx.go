@@ -1,9 +1,6 @@
 package algo
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // RoundError is the error returned by the algorithms' Ctx entry points
 // when a run is interrupted: it records which algorithm stopped and after
@@ -39,11 +36,12 @@ func roundErr(name string, round int, err error) error {
 	return &RoundError{Algo: name, Round: round, Err: err}
 }
 
-// ctxErr reports ctx's cancellation state, tolerating a nil ctx (the
-// convention all Ctx entry points share: nil means context.Background()).
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
+// must serves the algorithms without a ctx: a run under an uncancellable
+// context can only fail with a contained worker panic, which it re-raises
+// as the package's plain parallel loops do.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
 	}
-	return ctx.Err()
+	return v
 }

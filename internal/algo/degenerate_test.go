@@ -29,31 +29,31 @@ func edgeless(t *testing.T, n int) *graph.Graph {
 
 func TestAlgorithmsOnSingleVertex(t *testing.T) {
 	g := singleVertex(t)
-	if res := BFS(g, 0, core.Options{}); res.Visited != 1 || res.Rounds != 0 {
+	if res := must(BFSCtx(nil, g, 0, core.Options{})); res.Visited != 1 || res.Rounds != 0 {
 		t.Errorf("BFS: %+v", res)
 	}
-	if res := ConnectedComponents(g, core.Options{}); res.Components != 1 {
+	if res := must(ConnectedComponentsCtx(nil, g, core.Options{})); res.Components != 1 {
 		t.Errorf("CC components = %d", res.Components)
 	}
-	if res := PageRank(g, PageRankOptions{Damping: 0.85, MaxIterations: 5}); len(res.Ranks) != 1 || res.Ranks[0] < 0.99 {
+	if res := must(PageRankCtx(nil, g, PageRankOptions{Damping: 0.85, MaxIterations: 5})); len(res.Ranks) != 1 || res.Ranks[0] < 0.99 {
 		t.Errorf("PageRank = %v", res.Ranks)
 	}
-	if res := BellmanFord(g, 0, core.Options{}); res.Dist[0] != 0 {
+	if res := must(BellmanFordCtx(nil, g, 0, core.Options{})); res.Dist[0] != 0 {
 		t.Errorf("BF dist = %v", res.Dist)
 	}
-	if res := BC(g, 0, core.Options{}); res.Scores[0] != 0 {
+	if res := must(BCCtx(nil, g, 0, core.Options{})); res.Scores[0] != 0 {
 		t.Errorf("BC = %v", res.Scores)
 	}
-	if res := Radii(g, RadiiOptions{K: 64, Seed: 1}); res.Radii[0] != 0 {
+	if res := must(RadiiCtx(nil, g, RadiiOptions{K: 64, Seed: 1})); res.Radii[0] != 0 {
 		t.Errorf("Radii = %v", res.Radii)
 	}
-	if res := KCore(g, core.Options{}); res.Coreness[0] != 0 {
+	if res := must(KCoreCtx(nil, g, core.Options{})); res.Coreness[0] != 0 {
 		t.Errorf("KCore = %v", res.Coreness)
 	}
-	if res := MIS(g, 1, core.Options{}); !res.InSet[0] {
+	if res := must(MISCtx(nil, g, 1, core.Options{})); !res.InSet[0] {
 		t.Error("MIS must contain the only vertex")
 	}
-	if got := TriangleCount(g); got != 0 {
+	if got := must(TriangleCountCtx(nil, g)); got != 0 {
 		t.Errorf("triangles = %d", got)
 	}
 	if res := MaximalMatching(g, 1); res.Size != 0 {
@@ -62,10 +62,10 @@ func TestAlgorithmsOnSingleVertex(t *testing.T) {
 	if res := Coloring(g, 1, core.Options{}); res.NumColors != 1 {
 		t.Errorf("colors = %d", res.NumColors)
 	}
-	if res := SCC(g, core.Options{}); res.Components != 1 {
+	if res := must(SCCCtx(nil, g, core.Options{})); res.Components != 1 {
 		t.Errorf("SCC = %d", res.Components)
 	}
-	if res, err := DeltaStepping(g, 0, 1, core.Options{}); err != nil || res.Dist[0] != 0 {
+	if res, err := DeltaSteppingCtx(nil, g, 0, 1, core.Options{}); err != nil || res.Dist[0] != 0 {
 		t.Errorf("delta-stepping: %v %v", res, err)
 	}
 	if res := LDD(g, 0.5, 1, core.Options{}); res.NumClusters != 1 {
@@ -75,13 +75,13 @@ func TestAlgorithmsOnSingleVertex(t *testing.T) {
 
 func TestAlgorithmsOnEdgelessGraph(t *testing.T) {
 	g := edgeless(t, 50)
-	if res := BFS(g, 7, core.Options{}); res.Visited != 1 {
+	if res := must(BFSCtx(nil, g, 7, core.Options{})); res.Visited != 1 {
 		t.Errorf("BFS visited %d", res.Visited)
 	}
-	if res := ConnectedComponents(g, core.Options{}); res.Components != 50 {
+	if res := must(ConnectedComponentsCtx(nil, g, core.Options{})); res.Components != 50 {
 		t.Errorf("components = %d", res.Components)
 	}
-	pr := PageRank(g, PageRankOptions{Damping: 0.85, MaxIterations: 10, Epsilon: 1e-12})
+	pr := must(PageRankCtx(nil, g, PageRankOptions{Damping: 0.85, MaxIterations: 10, Epsilon: 1e-12}))
 	var mass float64
 	for _, r := range pr.Ranks {
 		mass += r
@@ -89,7 +89,7 @@ func TestAlgorithmsOnEdgelessGraph(t *testing.T) {
 	if mass < 0.999 || mass > 1.001 {
 		t.Errorf("PageRank mass on dangling-only graph = %v", mass)
 	}
-	if res := MIS(g, 1, core.Options{}); countTrue(res.InSet) != 50 {
+	if res := must(MISCtx(nil, g, 1, core.Options{})); countTrue(res.InSet) != 50 {
 		t.Error("MIS on edgeless graph must include everything")
 	}
 	if res := MaximalMatching(g, 1); res.Size != 0 {
@@ -98,10 +98,10 @@ func TestAlgorithmsOnEdgelessGraph(t *testing.T) {
 	if res := Coloring(g, 1, core.Options{}); res.NumColors != 1 {
 		t.Errorf("edgeless coloring used %d colors", res.NumColors)
 	}
-	if res := SCC(g, core.Options{}); res.Components != 50 {
+	if res := must(SCCCtx(nil, g, core.Options{})); res.Components != 50 {
 		t.Errorf("SCC = %d", res.Components)
 	}
-	kc := KCore(g, core.Options{})
+	kc := must(KCoreCtx(nil, g, core.Options{}))
 	for v, c := range kc.Coreness {
 		if c != 0 {
 			t.Errorf("coreness[%d] = %d", v, c)
@@ -127,7 +127,7 @@ func TestBFSFromIsolatedVertexInLargerGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BFS(g, 5, core.Options{})
+	res := must(BFSCtx(nil, g, 5, core.Options{}))
 	if res.Visited != 1 || res.Rounds != 0 {
 		t.Errorf("BFS from isolated vertex: %+v", res)
 	}
@@ -151,14 +151,14 @@ func TestSelfLoopsAreHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := BFSLevels(g, 0, core.Options{})
+	lv := must(BFSLevelsCtx(nil, g, 0, core.Options{}))
 	want := []int32{0, 1, 2}
 	for v := range want {
 		if lv[v] != want[v] {
 			t.Errorf("level[%d] = %d, want %d", v, lv[v], want[v])
 		}
 	}
-	if res := BellmanFord(g, 0, core.Options{}); res.NegativeCycle {
+	if res := must(BellmanFordCtx(nil, g, 0, core.Options{})); res.NegativeCycle {
 		t.Error("self-loops flagged as negative cycle")
 	}
 }
@@ -170,7 +170,7 @@ func TestDisconnectedBellmanFord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BellmanFord(g, 0, core.Options{})
+	res := must(BellmanFordCtx(nil, g, 0, core.Options{}))
 	if res.Dist[1] != 3 || res.Dist[2] != InfDist || res.Dist[3] != InfDist {
 		t.Errorf("dist = %v", res.Dist)
 	}
@@ -181,7 +181,7 @@ func TestPageRankNoStoppingRuleDefaults(t *testing.T) {
 	// implementation falls back to a default iteration bound instead of
 	// looping forever.
 	g := edgeless(t, 4)
-	res := PageRank(g, PageRankOptions{Damping: 0.85, MaxIterations: 0, Epsilon: 0})
+	res := must(PageRankCtx(nil, g, PageRankOptions{Damping: 0.85, MaxIterations: 0, Epsilon: 0}))
 	if res.Iterations <= 0 || res.Iterations > 1000 {
 		t.Errorf("iterations = %d, expected a bounded default", res.Iterations)
 	}

@@ -24,7 +24,7 @@ type DeltaSteppingResult struct {
 	Phases int
 }
 
-// DeltaStepping computes single-source shortest paths with non-negative
+// DeltaSteppingCtx computes single-source shortest paths with non-negative
 // integer weights using the delta-stepping algorithm of Meyer and
 // Sanders, expressed on top of edgeMap with lazy bucketing — the workload
 // that motivated the Julienne extension of Ligra (Dhulipala, Blelloch,
@@ -35,56 +35,34 @@ type DeltaSteppingResult struct {
 //
 // delta <= 0 selects a simple heuristic (the average edge weight + 1).
 // Negative edge weights are rejected.
-func DeltaStepping(g graph.View, source uint32, delta int64, opts core.Options) (*DeltaSteppingResult, error) {
-	res, err := DeltaSteppingCtx(nil, g, source, delta, opts)
-	var pe *parallel.PanicError
-	if errors.As(err, &pe) {
-		// Preserve the historical contract: worker panics propagate as
-		// panics from the non-ctx entry point; only input errors return.
-		panic(pe)
-	}
-	return res, err
-}
-
-// DeltaSteppingCtx is DeltaStepping with cooperative cancellation,
-// observed between buckets, between light-edge fixpoint phases, and at
-// chunk granularity inside every edgeMap. On interruption Dist holds
-// valid upper bounds on the true distances (writeMin only tightens),
-// returned with a *RoundError whose Round counts completed edgeMap
-// phases.
+//
+// Cancellation is observed between buckets, between light-edge fixpoint
+// phases, and at chunk granularity inside every edgeMap. On interruption
+// Dist holds valid upper bounds on the true distances (writeMin only
+// tightens), returned with a *RoundError whose Round counts completed
+// edgeMap phases.
 func DeltaSteppingCtx(ctx context.Context, g graph.View, source uint32, delta int64, opts core.Options) (*DeltaSteppingResult, error) {
 	n := g.NumVertices()
+	// One pass rejects negative weights and sums the rest for the delta
+	// heuristic.
 	var negErr atomic.Bool
-	if delta <= 0 {
-		var sum atomic.Int64
-		parallel.For(n, func(i int) {
-			g.OutNeighbors(uint32(i), func(_ uint32, w int32) bool {
-				if w < 0 {
-					negErr.Store(true)
-					return false
-				}
-				sum.Add(int64(w))
-				return true
-			})
+	sum := parallel.SumFunc(n, func(i int) int64 {
+		var s int64
+		g.OutNeighbors(uint32(i), func(_ uint32, w int32) bool {
+			if w < 0 {
+				negErr.Store(true)
+				return false
+			}
+			s += int64(w)
+			return true
 		})
-		if m := g.NumEdges(); m > 0 {
-			delta = sum.Load()/m + 1
-		} else {
-			delta = 1
-		}
-	} else {
-		parallel.For(n, func(i int) {
-			g.OutNeighbors(uint32(i), func(_ uint32, w int32) bool {
-				if w < 0 {
-					negErr.Store(true)
-					return false
-				}
-				return true
-			})
-		})
-	}
+		return s
+	})
 	if negErr.Load() {
 		return nil, errors.New("algo: delta-stepping requires non-negative weights")
+	}
+	if delta <= 0 {
+		delta = sum/max(g.NumEdges(), 1) + 1
 	}
 
 	dist := make([]int64, n)
@@ -138,7 +116,7 @@ func DeltaSteppingCtx(ctx context.Context, g graph.View, source uint32, delta in
 			roundErr("delta-stepping", phases, err)
 	}
 	for {
-		if err := ctxErr(ctx); err != nil {
+		if err := parallel.CtxErr(ctx); err != nil {
 			return partial(err)
 		}
 		k, cur, ok := bkts.Next()

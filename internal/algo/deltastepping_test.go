@@ -15,7 +15,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 		wg := g.AddWeights(graph.HashWeight(32))
 		want := seq.Dijkstra(wg, 0)
 		for _, delta := range []int64{0, 1, 4, 16, 1 << 30} {
-			res, err := DeltaStepping(wg, 0, delta, core.Options{})
+			res, err := DeltaSteppingCtx(nil, wg, 0, delta, core.Options{})
 			if err != nil {
 				t.Fatalf("%s delta=%d: %v", gname, delta, err)
 			}
@@ -38,11 +38,11 @@ func TestDeltaSteppingDeltaOneVsHuge(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg := g.AddWeights(graph.HashWeight(32))
-	fine, err := DeltaStepping(wg, 0, 1, core.Options{})
+	fine, err := DeltaSteppingCtx(nil, wg, 0, 1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := DeltaStepping(wg, 0, 1<<40, core.Options{})
+	coarse, err := DeltaSteppingCtx(nil, wg, 0, 1<<40, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestDeltaSteppingRejectsNegativeWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DeltaStepping(g, 0, 1, core.Options{}); err == nil {
+	if _, err := DeltaSteppingCtx(nil, g, 0, 1, core.Options{}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := DeltaStepping(g, 0, 0, core.Options{}); err == nil {
+	if _, err := DeltaSteppingCtx(nil, g, 0, 0, core.Options{}); err == nil {
 		t.Error("negative weight accepted with auto delta")
 	}
 }
@@ -95,7 +95,7 @@ func TestDeltaSteppingRandomized(t *testing.T) {
 		src := uint32(rng.Intn(n))
 		want := seq.Dijkstra(g, src)
 		delta := int64(rng.Intn(40))
-		res, err := DeltaStepping(g, src, delta, core.Options{})
+		res, err := DeltaSteppingCtx(nil, g, src, delta, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestDeltaSteppingUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DeltaStepping(g, 0, 1, core.Options{})
+	res, err := DeltaSteppingCtx(nil, g, 0, 1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestDensestSubgraphApproximation(t *testing.T) {
 		if res.Density < whole-1e-9 {
 			t.Errorf("%s: density %v below whole-graph %v", gname, res.Density, whole)
 		}
-		kc := KCore(g, core.Options{})
+		kc := must(KCoreCtx(nil, g, core.Options{}))
 		if res.Density < float64(kc.MaxCore)/2-1e-9 {
 			t.Errorf("%s: density %v below maxcore/2 = %v (violates 2-approx)",
 				gname, res.Density, float64(kc.MaxCore)/2)

@@ -19,24 +19,16 @@ type EccentricityResult struct {
 	Rounds int
 }
 
-// TwoPassEccentricity estimates per-vertex eccentricities with the simple
-// two-pass multi-BFS scheme that Shun's KDD 2015 study found to be
+// TwoPassEccentricityCtx estimates per-vertex eccentricities with the
+// simple two-pass multi-BFS scheme that Shun's KDD 2015 study found to be
 // surprisingly effective: run K simultaneous BFS from a random sample
 // (pass 1), then re-run from the vertices the first pass found to be
 // farthest from the sample — good candidates for the graph's periphery —
 // and keep the per-vertex maximum distance observed in either pass.
 // Estimates are lower bounds that typically approach the true
 // eccentricities on small-diameter graphs.
-func TwoPassEccentricity(g graph.View, k int, seed uint64, opts core.Options) *EccentricityResult {
-	res, err := TwoPassEccentricityCtx(nil, g, k, seed, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// TwoPassEccentricityCtx is TwoPassEccentricity with cooperative
-// cancellation threaded through both multi-BFS passes. On interruption
+//
+// Cancellation is threaded through both multi-BFS passes. On interruption
 // Ecc holds the per-vertex maximum over whatever rounds completed (still
 // valid lower bounds) with a *RoundError.
 func TwoPassEccentricityCtx(ctx context.Context, g graph.View, k int, seed uint64, opts core.Options) (*EccentricityResult, error) {

@@ -11,8 +11,8 @@ import (
 func TestTwoPassEccentricityBounds(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "path", "tree"} {
 		g := testGraphs(t)[gname]
-		res := TwoPassEccentricity(g, 16, 3, core.Options{})
-		onePass := Radii(g, RadiiOptions{K: 16, Seed: 3})
+		res := must(TwoPassEccentricityCtx(nil, g, 16, 3, core.Options{}))
+		onePass := must(RadiiCtx(nil, g, RadiiOptions{K: 16, Seed: 3}))
 		n := g.NumVertices()
 		for v := 0; v < n; v++ {
 			// The two-pass estimate dominates the one-pass estimate.
@@ -59,7 +59,7 @@ func TestTwoPassFindsPathDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := TwoPassEccentricity(g, 8, 1, core.Options{})
+	res := must(TwoPassEccentricityCtx(nil, g, 8, 1, core.Options{}))
 	if res.DiameterLowerBound != 299 {
 		t.Errorf("path diameter bound %d, want 299", res.DiameterLowerBound)
 	}
@@ -67,8 +67,8 @@ func TestTwoPassFindsPathDiameter(t *testing.T) {
 
 func TestTwoPassImprovesOnGrid(t *testing.T) {
 	g := testGraphs(t)["grid3d"]
-	one := Radii(g, RadiiOptions{K: 4, Seed: 9})
-	two := TwoPassEccentricity(g, 4, 9, core.Options{})
+	one := must(RadiiCtx(nil, g, RadiiOptions{K: 4, Seed: 9}))
+	two := must(TwoPassEccentricityCtx(nil, g, 4, 9, core.Options{}))
 	var oneMax, twoMax int32
 	for v := range one.Radii {
 		if one.Radii[v] > oneMax {
@@ -85,7 +85,7 @@ func TestTwoPassImprovesOnGrid(t *testing.T) {
 
 func TestRadiiMultiMatchesOracle(t *testing.T) {
 	g := testGraphs(t)["er-sparse"]
-	res := RadiiMulti(g, 150, 4, core.Options{})
+	res := must(RadiiMultiCtx(nil, g, 150, 4, core.Options{}))
 	if len(res.Sources) != 150 {
 		t.Fatalf("%d sources, want 150", len(res.Sources))
 	}
@@ -99,7 +99,7 @@ func TestRadiiMultiMatchesOracle(t *testing.T) {
 
 func TestRadiiMultiSmallK(t *testing.T) {
 	g := testGraphs(t)["path"]
-	res := RadiiMulti(g, 8, 1, core.Options{})
+	res := must(RadiiMultiCtx(nil, g, 8, 1, core.Options{}))
 	want := seq.Eccentricities(g, res.Sources)
 	for v := range want {
 		if res.Radii[v] != want[v] {

@@ -143,7 +143,7 @@ func TestSCCMatchesTarjan(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := seq.SCC(g)
-	got := SCC(g, core.Options{})
+	got := must(SCCCtx(nil, g, core.Options{}))
 	for v := range want {
 		if got.Labels[v] != want[v] {
 			t.Fatalf("label[%d] = %d, want %d", v, got.Labels[v], want[v])
@@ -168,7 +168,7 @@ func TestSCCRandomizedAgainstTarjan(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := seq.SCC(g)
-		got := SCC(g, core.Options{})
+		got := must(SCCCtx(nil, g, core.Options{}))
 		for v := range want {
 			if got.Labels[v] != want[v] {
 				t.Fatalf("trial %d: label[%d] = %d, want %d", trial, v, got.Labels[v], want[v])
@@ -183,7 +183,7 @@ func TestSCCDirectedRMAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := seq.SCC(g)
-	got := SCC(g, core.Options{})
+	got := must(SCCCtx(nil, g, core.Options{}))
 	for v := range want {
 		if got.Labels[v] != want[v] {
 			t.Fatalf("label[%d] = %d, want %d", v, got.Labels[v], want[v])
@@ -195,7 +195,7 @@ func TestSCCOnSymmetricEqualsCC(t *testing.T) {
 	// On an undirected graph SCCs are the connected components.
 	g := testGraphs(t)["er-sparse"]
 	want := seq.ConnectedComponents(g)
-	got := SCC(g, core.Options{})
+	got := must(SCCCtx(nil, g, core.Options{}))
 	for v := range want {
 		if got.Labels[v] != want[v] {
 			t.Fatalf("label[%d] = %d, want %d", v, got.Labels[v], want[v])

@@ -20,25 +20,18 @@ type KCoreResult struct {
 	Rounds int
 }
 
-// KCore computes the k-core decomposition of a symmetric graph by parallel
-// peeling, the bucketing-style workload that motivated the Julienne
-// extension of Ligra: for k = 1, 2, ... it repeatedly removes vertices
-// whose induced degree is below k (assigning them coreness k-1), pushing
-// degree decrements to neighbors through edgeMap. A neighbor joins the
-// next peel set exactly when its degree first drops below k, which the
+// KCoreCtx computes the k-core decomposition of a symmetric graph by
+// parallel peeling, the bucketing-style workload that motivated the
+// Julienne extension of Ligra: for k = 1, 2, ... it repeatedly removes
+// vertices whose induced degree is below k (assigning them coreness k-1),
+// pushing degree decrements to neighbors through edgeMap. A neighbor joins
+// the next peel set exactly when its degree first drops below k, which the
 // fetch-and-add detects without extra flags.
-func KCore(g graph.View, opts core.Options) *KCoreResult {
-	res, err := KCoreCtx(nil, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// KCoreCtx is KCore with cooperative cancellation, observed before each
-// peel round and at chunk granularity inside the peeling edgeMaps. On
-// interruption Coreness is exact for every already-peeled vertex (-1 for
-// vertices not yet assigned) and is returned with a *RoundError.
+//
+// Cancellation is observed before each peel round and at chunk granularity
+// inside the peeling edgeMaps. On interruption Coreness is exact for every
+// already-peeled vertex (-1 for vertices not yet assigned) and is returned
+// with a *RoundError.
 func KCoreCtx(ctx context.Context, g graph.View, opts core.Options) (*KCoreResult, error) {
 	n := g.NumVertices()
 	coreness := make([]int32, n)
@@ -58,7 +51,7 @@ func KCoreCtx(ctx context.Context, g graph.View, opts core.Options) (*KCoreResul
 	}
 	k := int32(1)
 	for alive > 0 {
-		if err := ctxErr(ctx); err != nil {
+		if err := parallel.CtxErr(ctx); err != nil {
 			return partial(err)
 		}
 		peel := core.NewFromFunc(n, func(v uint32) bool {

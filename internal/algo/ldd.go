@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 
@@ -141,7 +142,7 @@ func ConnectedComponentsLDD(g graph.View, beta float64, seed uint64, opts core.O
 		// The decomposition did not contract anything (e.g. beta too
 		// large for this graph): recursing would not terminate, so finish
 		// with label propagation on the original graph.
-		return ConnectedComponents(g, opts)
+		return must(ConnectedComponentsCtx(context.TODO(), g, opts))
 	}
 	cg, err := graph.FromEdges(len(clusterIDs), crossing, graph.BuildOptions{
 		RemoveDuplicates: true,
@@ -149,7 +150,7 @@ func ConnectedComponentsLDD(g graph.View, beta float64, seed uint64, opts core.O
 	if err != nil {
 		// Cannot happen with valid cluster IDs; fall back to label
 		// propagation to stay total.
-		return ConnectedComponents(g, opts)
+		return must(ConnectedComponentsCtx(context.TODO(), g, opts))
 	}
 	// The contracted graph is symmetric as an edge set (each crossing
 	// undirected edge appears in both directions) even though FromEdges

@@ -6,6 +6,7 @@ import (
 
 	"ligra/internal/core"
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 )
 
 // MISResult carries the output of the maximal-independent-set computation.
@@ -23,25 +24,18 @@ const (
 	misOut
 )
 
-// MIS computes a maximal independent set of a symmetric graph with the
+// MISCtx computes a maximal independent set of a symmetric graph with the
 // priority-based parallel greedy algorithm analyzed by Blelloch, Fineman
 // and Shun (SPAA 2012): each vertex gets a random priority; every round,
 // undecided vertices that dominate all their undecided neighbors
 // (strictly higher priority, ties broken by ID) join the set, and their
 // neighbors drop out. Expected O(log n) rounds.
-func MIS(g graph.View, seed uint64, opts core.Options) *MISResult {
-	res, err := MISCtx(nil, g, seed, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// MISCtx is MIS with cooperative cancellation, observed before each
-// selection round and at chunk granularity inside the knock-out edgeMap.
-// On interruption InSet is a valid *independent* set (every member was
-// selected as a round's dominator) that may not yet be maximal; it is
-// returned with a *RoundError.
+//
+// Cancellation is observed before each selection round and at chunk
+// granularity inside the knock-out edgeMap. On interruption InSet is a
+// valid *independent* set (every member was selected as a round's
+// dominator) that may not yet be maximal; it is returned with a
+// *RoundError.
 func MISCtx(ctx context.Context, g graph.View, seed uint64, opts core.Options) (*MISResult, error) {
 	n := g.NumVertices()
 	status := make([]int32, n)
@@ -64,7 +58,7 @@ func MISCtx(ctx context.Context, g graph.View, seed uint64, opts core.Options) (
 		return &MISResult{InSet: in, Rounds: rounds}, roundErr("mis", rounds, err)
 	}
 	for !undecided.IsEmpty() {
-		if err := ctxErr(ctx); err != nil {
+		if err := parallel.CtxErr(ctx); err != nil {
 			return partial(err)
 		}
 		// Roots: undecided vertices dominating all undecided neighbors.

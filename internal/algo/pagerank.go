@@ -39,21 +39,13 @@ type PageRankResult struct {
 	Err float64
 }
 
-// PageRank runs the paper's PageRank (§5.5): every round is a dense-leaning
-// edgeMap over the full vertex set accumulating p[s]/deg⁺(s) into each
-// destination, followed by a vertexMap applying damping. Dangling vertices
-// (out-degree 0) have their rank redistributed uniformly, the standard
-// correction that preserves probability mass.
-func PageRank(g graph.View, opts PageRankOptions) *PageRankResult {
-	res, err := PageRankCtx(nil, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// PageRankCtx is PageRank with cooperative cancellation: ctx (nil =
-// background) is checked before each power iteration and at chunk
+// PageRankCtx runs the paper's PageRank (§5.5): every round is a
+// dense-leaning edgeMap over the full vertex set accumulating p[s]/deg⁺(s)
+// into each destination, followed by a vertexMap applying damping.
+// Dangling vertices (out-degree 0) have their rank redistributed
+// uniformly, the standard correction that preserves probability mass.
+//
+// ctx (nil = background) is checked before each power iteration and at chunk
 // granularity inside the edgeMap. On interruption it returns the ranks of
 // the last fully completed iteration (rank updates are only committed
 // after a round's edgeMap finishes, so a round aborted mid-traversal
@@ -61,7 +53,7 @@ func PageRank(g graph.View, opts PageRankOptions) *PageRankResult {
 func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*PageRankResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
-		return &PageRankResult{Ranks: nil}, ctxErr(ctx)
+		return &PageRankResult{Ranks: nil}, parallel.CtxErr(ctx)
 	}
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		opts.Damping = 0.85
@@ -113,7 +105,7 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
 			break
 		}
-		if err := ctxErr(ctx); err != nil {
+		if err := parallel.CtxErr(ctx); err != nil {
 			return partial(err)
 		}
 		// Dangling mass: rank held by out-degree-0 vertices, spread evenly.
@@ -161,26 +153,16 @@ func outDegrees(g graph.View) []float64 {
 	return deg
 }
 
-// PageRankDelta runs the paper's PageRank-Delta variant (§5.5): only
+// PageRankDeltaCtx runs the paper's PageRank-Delta variant (§5.5): only
 // vertices whose rank changed by more than a fraction delta of their
 // current rank stay in the frontier, so later iterations touch a shrinking
-// active set instead of the whole graph.
-func PageRankDelta(g graph.View, opts PageRankOptions, delta float64) *PageRankResult {
-	res, err := PageRankDeltaCtx(nil, g, opts, delta)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// PageRankDeltaCtx is PageRankDelta with cooperative cancellation. On
-// interruption it returns the accumulated ranks of the last completed
-// iteration plus a *RoundError (the same commit-after-edgeMap contract as
-// PageRankCtx).
+// active set instead of the whole graph. On interruption it returns the
+// accumulated ranks of the last completed iteration plus a *RoundError
+// (the same commit-after-edgeMap contract as PageRankCtx).
 func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, delta float64) (*PageRankResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
-		return &PageRankResult{Ranks: nil}, ctxErr(ctx)
+		return &PageRankResult{Ranks: nil}, parallel.CtxErr(ctx)
 	}
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		opts.Damping = 0.85
@@ -235,7 +217,7 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
 			break
 		}
-		if err := ctxErr(ctx); err != nil {
+		if err := parallel.CtxErr(ctx); err != nil {
 			return partial(err)
 		}
 		core.VertexMap(frontier, func(v uint32) {

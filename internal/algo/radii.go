@@ -37,67 +37,45 @@ type RadiiResult struct {
 	Rounds int
 }
 
-// Radii runs the paper's graph-eccentricity estimation (§5.3): K
+// RadiiCtx runs the paper's graph-eccentricity estimation (§5.3): K
 // simultaneous BFS from random sources, sharing work through per-vertex
 // 64-bit visit vectors. Each round, a vertex whose visit word gains new
 // bits updates its radius estimate to the current round, so the final
 // estimate of v is its distance to the farthest sampled source reaching v.
 // The sweep itself is the ClusterBFS primitive; Radii keeps only the
 // sampling and the per-vertex maximum.
-func Radii(g graph.View, opts RadiiOptions) *RadiiResult {
-	res, err := RadiiCtx(nil, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RadiiCtx is Radii with cooperative cancellation, observed before every
-// multi-BFS round and at chunk granularity inside the edgeMaps. On
-// interruption Radii holds lower bounds on the true estimates — every
-// non-negative entry is a genuine distance to some sampled source —
-// returned with a *RoundError.
+//
+// Cancellation is observed before every multi-BFS round and at chunk
+// granularity inside the edgeMaps. On interruption Radii holds lower
+// bounds on the true estimates — every non-negative entry is a genuine
+// distance to some sampled source — returned with a *RoundError.
 func RadiiCtx(ctx context.Context, g graph.View, opts RadiiOptions) (*RadiiResult, error) {
-	n := g.NumVertices()
 	if opts.K <= 0 || opts.K > 64 {
 		opts.K = 64
 	}
-	if opts.K > n {
-		opts.K = n
-	}
-	// Sample K distinct sources deterministically.
-	sources := sampleVertices(n, opts.K, opts.Seed)
-	radii, rounds, err := radiiFromSources(ctx, g, sources, opts.EdgeMap)
-	return &RadiiResult{Radii: radii, Sources: sources, Rounds: rounds},
-		roundErr("radii", rounds, err)
+	return radiiSample(ctx, "radii", g, opts.K, opts.Seed, opts.EdgeMap)
 }
 
-// RadiiMulti extends the estimator beyond the paper's K=64: any number of
-// sources is accepted and processed in batches of 64 by radiiFromSources.
-// Sources are sampled without replacement across the whole run.
-func RadiiMulti(g graph.View, k int, seed uint64, opts core.Options) *RadiiResult {
-	res, err := RadiiMultiCtx(nil, g, k, seed, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RadiiMultiCtx is RadiiMulti with cooperative cancellation; the
-// partial-result contract matches RadiiCtx (estimates from every batch
-// and round that completed are retained).
+// RadiiMultiCtx extends the estimator beyond the paper's K=64: any number
+// of sources is accepted and processed in batches of 64 by
+// radiiFromSources. Sources are sampled without replacement across the
+// whole run. The partial-result contract matches RadiiCtx (estimates from
+// every batch and round that completed are retained).
 func RadiiMultiCtx(ctx context.Context, g graph.View, k int, seed uint64, opts core.Options) (*RadiiResult, error) {
-	n := g.NumVertices()
 	if k <= 0 {
 		k = 64
 	}
-	if k > n {
-		k = n
-	}
-	sources := sampleVertices(n, k, seed)
-	radii, rounds, err := radiiFromSources(ctx, g, sources, opts)
+	return radiiSample(ctx, "radii-multi", g, k, seed, opts)
+}
+
+// radiiSample runs radiiFromSources from min(k, n) distinct sources
+// sampled deterministically from seed, naming interruptions after algo.
+func radiiSample(ctx context.Context, algo string, g graph.View, k int, seed uint64, emOpts core.Options) (*RadiiResult, error) {
+	n := g.NumVertices()
+	sources := sampleVertices(n, min(k, n), seed)
+	radii, rounds, err := radiiFromSources(ctx, g, sources, emOpts)
 	return &RadiiResult{Radii: radii, Sources: sources, Rounds: rounds},
-		roundErr("radii-multi", rounds, err)
+		roundErr(algo, rounds, err)
 }
 
 // radiiFromSources runs the shared-bit-vector multi-BFS from the given

@@ -9,6 +9,7 @@ import (
 
 	"ligra/internal/core"
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 )
 
 // This file is the single algorithm-dispatch table shared by cmd/ligra-run
@@ -258,12 +259,7 @@ var runners = []Runner{
 				o.Seed = p.Seed
 			}
 			res, err := RadiiCtx(ctx, g, o)
-			maxR := int32(-1)
-			for _, r := range res.Radii {
-				if r > maxR {
-					maxR = r
-				}
-			}
+			maxR := maxOrMinusOne(res.Radii)
 			return RunResult{
 				Summary: fmt.Sprintf("Radii (K=%d): %d rounds; estimated diameter lower bound %d",
 					len(res.Sources), res.Rounds, maxR),
@@ -357,12 +353,7 @@ var runners = []Runner{
 		Name: "mis", Cancellable: true,
 		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := MISCtx(ctx, g, p.seed(123), p.EdgeMapOptions())
-			size := 0
-			for _, in := range res.InSet {
-				if in {
-					size++
-				}
-			}
+			size := parallel.CountFunc(len(res.InSet), func(v int) bool { return res.InSet[v] })
 			return RunResult{
 				Summary: fmt.Sprintf("MIS: %d vertices in %d rounds", size, res.Rounds),
 				Details: map[string]any{"size": size, "rounds": res.Rounds},
@@ -475,7 +466,10 @@ var runners = []Runner{
 			for _, c := range lcc {
 				sum += c
 			}
-			mean := sum / float64(len(lcc))
+			mean := 0.0 // the mean over no vertices, kept a number on the wire
+			if len(lcc) > 0 {
+				mean = sum / float64(len(lcc))
+			}
 			return RunResult{
 				Summary: fmt.Sprintf("Clustering: mean local coefficient %.4f", mean),
 				Details: map[string]any{"mean_coefficient": mean},

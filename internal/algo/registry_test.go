@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,6 +37,34 @@ func TestEveryRunnerRuns(t *testing.T) {
 		}
 		if len(res.Details) == 0 {
 			t.Errorf("%s: no details", r.Name)
+		}
+	}
+}
+
+// TestRunnersOnZeroVertexGraph: every runner that needs no source answers
+// on the empty graph with a well-formed reply — no error, every float a
+// finite number (JSON has no NaN), and no negative round count.
+func TestRunnersOnZeroVertexGraph(t *testing.T) {
+	g, err := graph.ReadAdjacency(strings.NewReader("AdjacencyGraph\n0\n0\n"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range Runners() {
+		if r.NeedsSource {
+			continue
+		}
+		res, err := r.Run(context.Background(), g, Params{})
+		if err != nil {
+			t.Errorf("%s: %v", r.Name, err)
+			continue
+		}
+		for k, v := range res.Details {
+			if f, ok := v.(float64); ok && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				t.Errorf("%s: %s = %v", r.Name, k, f)
+			}
+			if n, ok := v.(int); ok && k == "rounds" && n < 0 {
+				t.Errorf("%s: rounds = %d", r.Name, n)
+			}
 		}
 	}
 }

@@ -18,26 +18,19 @@ type SCCResult struct {
 	Components int
 }
 
-// SCC computes strongly connected components of a directed graph with the
-// classic parallel forward-backward (FW-BW) decomposition: pick a pivot,
-// find its descendants (BFS over out-edges) and ancestors (BFS over
+// SCCCtx computes strongly connected components of a directed graph with
+// the classic parallel forward-backward (FW-BW) decomposition: pick a
+// pivot, find its descendants (BFS over out-edges) and ancestors (BFS over
 // in-edges); their intersection is the pivot's SCC, and the three
 // remaining regions (descendants-only, ancestors-only, rest) contain no
 // crossing SCC, so they recurse independently. Reachability searches are
 // edgeMaps restricted to the active region via Cond.
-func SCC(g graph.View, opts core.Options) *SCCResult {
-	res, err := SCCCtx(nil, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// SCCCtx is SCC with cooperative cancellation, observed between FW-BW
-// pivot steps and at chunk granularity inside the reachability edgeMaps.
-// On interruption Labels is exact for every component finished so far
-// (core.None for the rest) and Components counts only finished
-// components; the *RoundError's Round counts completed pivot steps.
+//
+// Cancellation is observed between FW-BW pivot steps and at chunk
+// granularity inside the reachability edgeMaps. On interruption Labels is
+// exact for every component finished so far (core.None for the rest) and
+// Components counts only finished components; the *RoundError's Round
+// counts completed pivot steps.
 func SCCCtx(ctx context.Context, g graph.View, opts core.Options) (*SCCResult, error) {
 	n := g.NumVertices()
 	labels := make([]uint32, n)
@@ -67,7 +60,7 @@ func SCCCtx(ctx context.Context, g graph.View, opts core.Options) (*SCCResult, e
 			roundErr("scc", pivots, err)
 	}
 	for len(stack) > 0 {
-		if err := ctxErr(ctx); err != nil {
+		if err := parallel.CtxErr(ctx); err != nil {
 			return finish(err)
 		}
 		t := stack[len(stack)-1]
@@ -162,9 +155,7 @@ func reachableWithin(ctx context.Context, g graph.View, pivot uint32, region []u
 	visited := newVisitedBits(n)
 	visited.SetAtomic(int(pivot))
 	funcs := core.EdgeFuncs{
-		Update: func(_, d uint32, _ int32) bool {
-			return visited.SetAtomic(int(d))
-		},
+		// The one update serves both directions: the set is atomic anyway.
 		UpdateAtomic: func(_, d uint32, _ int32) bool {
 			return visited.SetAtomic(int(d))
 		},

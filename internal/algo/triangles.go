@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"sync/atomic"
 
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -80,22 +81,14 @@ func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 // merging it.
 const markCutoff = 16
 
-// TriangleCount counts the triangles of a symmetric simple graph with the
-// rank-ordered intersection algorithm of Shun and Tangwongsan (ICDE 2015):
-// orient every edge from lower to higher (degree, ID) rank, so each
+// TriangleCountCtx counts the triangles of a symmetric simple graph with
+// the rank-ordered intersection algorithm of Shun and Tangwongsan (ICDE
+// 2015): orient every edge from lower to higher (degree, ID) rank, so each
 // triangle is counted exactly once as a wedge whose two forward adjacency
 // lists intersect. Work is O(m^{3/2}) and the per-vertex loop parallelizes
 // directly.
-func TriangleCount(g graph.View) int64 {
-	count, err := TriangleCountCtx(nil, g)
-	if err != nil {
-		panic(err)
-	}
-	return count
-}
-
-// TriangleCountCtx is TriangleCount with cooperative cancellation: ctx
-// (nil = background) is observed at chunk granularity in every phase. On
+//
+// ctx (nil = background) is observed at chunk granularity in every phase. On
 // interruption the returned count is meaningless (0) — there is no useful
 // partial result for a global count — and the error wraps the cause as a
 // *RoundError.
@@ -108,7 +101,7 @@ func TriangleCount(g graph.View) int64 {
 func TriangleCountCtx(ctx context.Context, g graph.View) (int64, error) {
 	n := g.NumVertices()
 	if n == 0 {
-		return 0, roundErr("triangles", 0, ctxErr(ctx))
+		return 0, roundErr("triangles", 0, parallel.CtxErr(ctx))
 	}
 	u, err := orientByRank(ctx, g)
 	if err != nil {
@@ -168,10 +161,7 @@ func TriangleCountCtx(ctx context.Context, g graph.View) (int64, error) {
 // countTrianglesPerVertex accumulates, per vertex, the number of
 // triangles containing it (each triangle credited to all three corners).
 func countTrianglesPerVertex(g graph.View, acc []int64) {
-	u, err := orientByRank(nil, g)
-	if err != nil {
-		panic(err) // no ctx: a contained worker panic
-	}
+	u := must(orientByRank(nil, g))
 	// Credit each triangle (v, x, w) with x, w in row(v), w in row(x) to
 	// all three corners. Atomic adds: multiple v race on shared corners.
 	parallel.For(g.NumVertices(), func(i int) {
@@ -186,9 +176,9 @@ func countTrianglesPerVertex(g graph.View, acc []int64) {
 				case a[ai] > b[bi]:
 					bi++
 				default:
-					atomicAdd64(&acc[v], 1)
-					atomicAdd64(&acc[x], 1)
-					atomicAdd64(&acc[a[ai]], 1)
+					atomic.AddInt64(&acc[v], 1)
+					atomic.AddInt64(&acc[x], 1)
+					atomic.AddInt64(&acc[a[ai]], 1)
 					ai++
 					bi++
 				}

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"ligra/internal/algo"
 	"ligra/internal/core"
 	"ligra/internal/graph"
@@ -39,21 +41,21 @@ func Apps() []App {
 		{
 			Name: "BFS",
 			Run: func(g graph.View, opts core.Options) {
-				algo.BFS(g, pickSource(g), opts)
+				must(algo.BFSCtx(context.Background(), g, pickSource(g), opts))
 			},
 			RunSeq: func(g graph.View) { seq.BFS(g, pickSource(g)) },
 		},
 		{
 			Name: "BC",
 			Run: func(g graph.View, opts core.Options) {
-				algo.BC(g, pickSource(g), opts)
+				must(algo.BCCtx(context.Background(), g, pickSource(g), opts))
 			},
 			RunSeq: func(g graph.View) { seq.BC(g, pickSource(g)) },
 		},
 		{
 			Name: "Radii",
 			Run: func(g graph.View, opts core.Options) {
-				algo.Radii(g, algo.RadiiOptions{K: 64, Seed: 1, EdgeMap: opts})
+				must(algo.RadiiCtx(context.Background(), g, algo.RadiiOptions{K: 64, Seed: 1, EdgeMap: opts}))
 			},
 			RunSeq: func(g graph.View) {
 				// The sequential equivalent of the estimator: 64 plain BFS.
@@ -72,16 +74,16 @@ func Apps() []App {
 		{
 			Name: "Components",
 			Run: func(g graph.View, opts core.Options) {
-				algo.ConnectedComponents(g, opts)
+				must(algo.ConnectedComponentsCtx(context.Background(), g, opts))
 			},
 			RunSeq: func(g graph.View) { seq.ConnectedComponents(g) },
 		},
 		{
 			Name: "PageRank",
 			Run: func(g graph.View, opts core.Options) {
-				algo.PageRank(g, algo.PageRankOptions{
+				must(algo.PageRankCtx(context.Background(), g, algo.PageRankOptions{
 					Damping: 0.85, MaxIterations: 1, EdgeMap: opts,
-				})
+				}))
 			},
 			RunSeq: func(g graph.View) { seq.PageRank(g, 0.85, 0, 1) },
 		},
@@ -89,7 +91,7 @@ func Apps() []App {
 			Name:         "BellmanFord",
 			NeedsWeights: true,
 			Run: func(g graph.View, opts core.Options) {
-				algo.BellmanFord(g, pickSource(g), opts)
+				must(algo.BellmanFordCtx(context.Background(), g, pickSource(g), opts))
 			},
 			RunSeq: func(g graph.View) { seq.Dijkstra(g, pickSource(g)) },
 		},

@@ -242,13 +242,13 @@ func deepOverlay(cfg Config, g *graph.Graph, mkOps func(count int, seed uint64) 
 	w := cfg.tab()
 	fmt.Fprintln(w, "measurement\tcsr\toverlay\tratio")
 	src := pickSource(flat)
-	bfsFlat := Measure(rounds, func() { algo.BFS(flat, src, core.Options{}) }).Median.Seconds()
-	bfsDeep := Measure(rounds, func() { algo.BFS(overlay, src, core.Options{}) }).Median.Seconds()
+	bfsFlat := Measure(rounds, func() { must(algo.BFSCtx(context.Background(), flat, src, core.Options{})) }).Median.Seconds()
+	bfsDeep := Measure(rounds, func() { must(algo.BFSCtx(context.Background(), overlay, src, core.Options{})) }).Median.Seconds()
 	cfg.record("delta/bfs/csr", bfsFlat)
 	cfg.record("delta/bfs/overlay-deep", bfsDeep)
 	fmt.Fprintf(w, "BFS\t%.5f\t%.5f\t%.2fx\n", bfsFlat, bfsDeep, bfsDeep/bfsFlat)
-	ccFlat := Measure(rounds, func() { algo.ConnectedComponents(flat, core.Options{}) }).Median.Seconds()
-	ccDeep := Measure(rounds, func() { algo.ConnectedComponents(overlay, core.Options{}) }).Median.Seconds()
+	ccFlat := Measure(rounds, func() { must(algo.ConnectedComponentsCtx(context.Background(), flat, core.Options{})) }).Median.Seconds()
+	ccDeep := Measure(rounds, func() { must(algo.ConnectedComponentsCtx(context.Background(), overlay, core.Options{})) }).Median.Seconds()
 	cfg.record("delta/components/full-overlay-deep", ccDeep)
 	fmt.Fprintf(w, "Components\t%.5f\t%.5f\t%.2fx\n", ccFlat, ccDeep, ccDeep/ccFlat)
 	if err := w.Flush(); err != nil {

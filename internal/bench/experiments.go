@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -214,7 +215,7 @@ func Frontier(cfg Config) error {
 			return err
 		}
 		tr := &core.Trace{}
-		algo.BFS(g, pickSource(g), core.Options{Trace: tr})
+		must(algo.BFSCtx(context.Background(), g, pickSource(g), core.Options{Trace: tr}))
 		fmt.Fprintf(cfg.Out, "BFS frontier trace on %s (n=%d, m=%d, threshold=m/20=%d)\n",
 			in.Name, g.NumVertices(), g.NumEdges(), g.NumEdges()/core.DefaultThresholdDenominator)
 		w := cfg.tab()
@@ -268,8 +269,8 @@ func Threshold(cfg Config) error {
 		name string
 		run  func(opts core.Options)
 	}{
-		{"BFS", func(o core.Options) { algo.BFS(g, pickSource(g), o) }},
-		{"Components", func(o core.Options) { algo.ConnectedComponents(g, o) }},
+		{"BFS", func(o core.Options) { must(algo.BFSCtx(context.Background(), g, pickSource(g), o)) }},
+		{"Components", func(o core.Options) { must(algo.ConnectedComponentsCtx(context.Background(), g, o)) }},
 	}
 	fmt.Fprintf(cfg.Out, "EdgeMap threshold sensitivity on %s (seconds, median of %d; paper default m/20)\n",
 		in.Name, cfg.rounds())
@@ -306,9 +307,9 @@ func DenseForward(cfg Config) error {
 		run  func(opts core.Options)
 	}{
 		{"PageRank(1 iter)", func(o core.Options) {
-			algo.PageRank(g, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1, EdgeMap: o})
+			must(algo.PageRankCtx(context.Background(), g, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1, EdgeMap: o}))
 		}},
-		{"Components", func(o core.Options) { algo.ConnectedComponents(g, o) }},
+		{"Components", func(o core.Options) { must(algo.ConnectedComponentsCtx(context.Background(), g, o)) }},
 	}
 	fmt.Fprintf(cfg.Out, "Dense vs dense-forward on %s (seconds, median of %d)\n", in.Name, cfg.rounds())
 	w := cfg.tab()
@@ -393,11 +394,11 @@ func CompressAblation(cfg Config) error {
 		name string
 		run  func(v graph.View)
 	}{
-		{"BFS", func(v graph.View) { algo.BFS(v, pickSource(v), core.Options{}) }},
+		{"BFS", func(v graph.View) { must(algo.BFSCtx(context.Background(), v, pickSource(v), core.Options{})) }},
 		{"PageRank1", func(v graph.View) {
-			algo.PageRank(v, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1})
+			must(algo.PageRankCtx(context.Background(), v, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1}))
 		}},
-		{"Components", func(v graph.View) { algo.ConnectedComponents(v, core.Options{}) }},
+		{"Components", func(v graph.View) { must(algo.ConnectedComponentsCtx(context.Background(), v, core.Options{})) }},
 	}
 	backends := []struct {
 		id string
@@ -448,9 +449,9 @@ func BucketingAblation(cfg Config) error {
 	if cfg.budgetExhausted(w) {
 		return w.Flush()
 	}
-	tb1 := Measure(cfg.rounds(), func() { algo.BellmanFord(wg, src, core.Options{}) })
+	tb1 := Measure(cfg.rounds(), func() { must(algo.BellmanFordCtx(context.Background(), wg, src, core.Options{})) })
 	tb2 := Measure(cfg.rounds(), func() {
-		if _, err := algo.DeltaStepping(wg, src, 0, core.Options{}); err != nil {
+		if _, err := algo.DeltaSteppingCtx(context.Background(), wg, src, 0, core.Options{}); err != nil {
 			panic(err)
 		}
 	})
@@ -473,9 +474,9 @@ func BucketingAblation(cfg Config) error {
 	}
 	wgrid := grid.AddWeights(graph.HashWeight(1000))
 	gsrc := pickSource(wgrid)
-	tg1 := Measure(cfg.rounds(), func() { algo.BellmanFord(wgrid, gsrc, core.Options{}) })
+	tg1 := Measure(cfg.rounds(), func() { must(algo.BellmanFordCtx(context.Background(), wgrid, gsrc, core.Options{})) })
 	tg2 := Measure(cfg.rounds(), func() {
-		if _, err := algo.DeltaStepping(wgrid, gsrc, 0, core.Options{}); err != nil {
+		if _, err := algo.DeltaSteppingCtx(context.Background(), wgrid, gsrc, 0, core.Options{}); err != nil {
 			panic(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"ligra/internal/algo"
@@ -55,18 +56,18 @@ func HotPath(cfg Config) error {
 		sources[i] = uint32(i * (g.NumVertices() - 1) / len(sources))
 	}
 	workloads := []workload{
-		{"BFS", func() { algo.BFS(g, src, core.Options{}) }},
-		{"BFS-sparse", func() { algo.BFS(g, src, core.Options{Mode: core.ForceSparse}) }},
-		{"Components", func() { algo.ConnectedComponents(g, core.Options{}) }},
+		{"BFS", func() { must(algo.BFSCtx(context.Background(), g, src, core.Options{})) }},
+		{"BFS-sparse", func() { must(algo.BFSCtx(context.Background(), g, src, core.Options{Mode: core.ForceSparse})) }},
+		{"Components", func() { must(algo.ConnectedComponentsCtx(context.Background(), g, core.Options{})) }},
 		{"PageRank1", func() {
-			algo.PageRank(g, algo.PageRankOptions{
+			must(algo.PageRankCtx(context.Background(), g, algo.PageRankOptions{
 				Damping: 0.85, MaxIterations: 1,
 				EdgeMap: core.Options{Mode: core.ForceDense},
-			})
+			}))
 		}},
-		{"Radii", func() { algo.Radii(g, algo.DefaultRadiiOptions()) }},
-		{"ClusterBFS-K2", func() { algo.ClusterBFS(g, sources[:2], algo.ClusterBFSOptions{}) }},
-		{"ClusterBFS-K64", func() { algo.ClusterBFS(g, sources, algo.ClusterBFSOptions{}) }},
+		{"Radii", func() { must(algo.RadiiCtx(context.Background(), g, algo.DefaultRadiiOptions())) }},
+		{"ClusterBFS-K2", func() { must(algo.ClusterBFSCtx(context.Background(), g, sources[:2], algo.ClusterBFSOptions{})) }},
+		{"ClusterBFS-K64", func() { must(algo.ClusterBFSCtx(context.Background(), g, sources, algo.ClusterBFSOptions{})) }},
 	}
 	w := cfg.tab()
 	fmt.Fprintln(w, "Workload\tmedian\tmin\tcalls\tsparse\tdense\tfwd\tedges weighed")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -45,7 +46,7 @@ func BenchmarkHotPathBFS(b *testing.B) {
 	g, src := benchInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.BFS(g, src, core.Options{})
+		must(algo.BFSCtx(context.Background(), g, src, core.Options{}))
 	}
 }
 
@@ -53,7 +54,7 @@ func BenchmarkHotPathBFSSparse(b *testing.B) {
 	g, src := benchInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.BFS(g, src, core.Options{Mode: core.ForceSparse})
+		must(algo.BFSCtx(context.Background(), g, src, core.Options{Mode: core.ForceSparse}))
 	}
 }
 
@@ -61,7 +62,7 @@ func BenchmarkHotPathComponents(b *testing.B) {
 	g, _ := benchInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.ConnectedComponents(g, core.Options{})
+		must(algo.ConnectedComponentsCtx(context.Background(), g, core.Options{}))
 	}
 }
 
@@ -69,9 +70,9 @@ func BenchmarkHotPathPageRank1(b *testing.B) {
 	g, _ := benchInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.PageRank(g, algo.PageRankOptions{
+		must(algo.PageRankCtx(context.Background(), g, algo.PageRankOptions{
 			Damping: 0.85, MaxIterations: 1,
 			EdgeMap: core.Options{Mode: core.ForceDense},
-		})
+		}))
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"ligra/internal/algo"
@@ -51,9 +52,9 @@ func Scheduler(cfg Config) error {
 		id  string
 		run func()
 	}{
-		{"BFS-3dgrid", func() { algo.BFS(grid, gridSrc, core.Options{}) }},
-		{"BellmanFord-3dgrid", func() { algo.BellmanFord(wgrid, gridSrc, core.Options{}) }},
-		{"BFS-rMat", func() { algo.BFS(rmat, rmatSrc, core.Options{}) }},
+		{"BFS-3dgrid", func() { must(algo.BFSCtx(context.Background(), grid, gridSrc, core.Options{})) }},
+		{"BellmanFord-3dgrid", func() { must(algo.BellmanFordCtx(context.Background(), wgrid, gridSrc, core.Options{})) }},
+		{"BFS-rMat", func() { must(algo.BFSCtx(context.Background(), rmat, rmatSrc, core.Options{})) }},
 	}
 	w := cfg.tab()
 	fmt.Fprintln(w, "Workload\tmedian\trounds\tseq rounds\tdispatches\tinline")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"ligra/internal/algo"
@@ -49,7 +50,7 @@ func SpMV(cfg Config) error {
 		if cfg.budgetExhausted(w) {
 			return w.Flush()
 		}
-		em := func() { algo.BFS(g, src, core.Options{}) }
+		em := func() { must(algo.BFSCtx(context.Background(), g, src, core.Options{})) }
 		sv := func() {
 			if _, err := spmv.BFSLevels(nil, g, src, spmv.BFSOptions{}); err != nil {
 				panic(err)
@@ -87,7 +88,7 @@ func SpMV(cfg Config) error {
 // results match: the equality claim the timed race (and the
 // backend-agnostic result cache) rests on.
 func spmvCrossValidate(g graph.View, src uint32) error {
-	emBFS := algo.BFS(g, src, core.Options{})
+	emBFS := must(algo.BFSCtx(context.Background(), g, src, core.Options{}))
 	svBFS, err := spmv.BFSLevels(nil, g, src, spmv.BFSOptions{})
 	if err != nil {
 		return err

@@ -34,5 +34,15 @@ func Measure(rounds int, fn func()) Timing {
 	}
 }
 
+// must unwraps a measured algorithm run. The harness passes no deadline,
+// so the only possible error is a contained worker panic, which it
+// re-raises as the panic it was.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // Seconds renders a duration the way the paper's tables do.
 func Seconds(d time.Duration) float64 { return d.Seconds() }

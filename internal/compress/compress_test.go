@@ -151,6 +151,15 @@ func TestCompressionSavesSpace(t *testing.T) {
 		float64(csrBytes)/float64(c.SizeBytes()), csrBytes, c.SizeBytes())
 }
 
+// must unwraps an algorithm run that has no deadline: its only possible
+// error is a contained worker panic, re-raised here.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestAlgorithmsOnCompressedGraphs(t *testing.T) {
 	g := mustRMAT(t, 9, 5)
 	c, err := Compress(g)
@@ -159,7 +168,7 @@ func TestAlgorithmsOnCompressedGraphs(t *testing.T) {
 	}
 	// BFS levels agree with the sequential oracle run on the CSR graph.
 	want := seq.BFSLevels(g, 0)
-	got := algo.BFSLevels(c, 0, core.Options{})
+	got := must(algo.BFSLevelsCtx(nil, c, 0, core.Options{}))
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("BFS level[%d] = %d, want %d", v, got[v], want[v])
@@ -167,7 +176,7 @@ func TestAlgorithmsOnCompressedGraphs(t *testing.T) {
 	}
 	// Components agree.
 	wantCC := seq.ConnectedComponents(g)
-	gotCC := algo.ConnectedComponents(c, core.Options{})
+	gotCC := must(algo.ConnectedComponentsCtx(nil, c, core.Options{}))
 	for v := range wantCC {
 		if gotCC.Labels[v] != wantCC[v] {
 			t.Fatalf("CC label[%d] = %d, want %d", v, gotCC.Labels[v], wantCC[v])
@@ -180,7 +189,7 @@ func TestAlgorithmsOnCompressedGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantD := seq.Dijkstra(wg, 0)
-	gotD := algo.BellmanFord(cw, 0, core.Options{})
+	gotD := must(algo.BellmanFordCtx(nil, cw, 0, core.Options{}))
 	for v := range wantD {
 		if gotD.Dist[v] != wantD[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, gotD.Dist[v], wantD[v])
@@ -212,39 +221,39 @@ func TestMoreAlgorithmsOnCompressedGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// PageRank agrees to numerical tolerance.
-	a := algo.PageRank(g, algo.PageRankOptions{Damping: 0.85, Epsilon: 1e-10, MaxIterations: 50})
-	b := algo.PageRank(c, algo.PageRankOptions{Damping: 0.85, Epsilon: 1e-10, MaxIterations: 50})
+	a := must(algo.PageRankCtx(nil, g, algo.PageRankOptions{Damping: 0.85, Epsilon: 1e-10, MaxIterations: 50}))
+	b := must(algo.PageRankCtx(nil, c, algo.PageRankOptions{Damping: 0.85, Epsilon: 1e-10, MaxIterations: 50}))
 	for v := range a.Ranks {
 		if diff := a.Ranks[v] - b.Ranks[v]; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("PageRank differs at %d: %v vs %v", v, a.Ranks[v], b.Ranks[v])
 		}
 	}
 	// BC agrees.
-	ba := algo.BC(g, 0, core.Options{})
-	bb := algo.BC(c, 0, core.Options{})
+	ba := must(algo.BCCtx(nil, g, 0, core.Options{}))
+	bb := must(algo.BCCtx(nil, c, 0, core.Options{}))
 	for v := range ba.Scores {
 		if diff := ba.Scores[v] - bb.Scores[v]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("BC differs at %d", v)
 		}
 	}
 	// Radii agrees exactly (same sampled sources for same seed).
-	ra := algo.Radii(g, algo.RadiiOptions{K: 16, Seed: 2})
-	rb := algo.Radii(c, algo.RadiiOptions{K: 16, Seed: 2})
+	ra := must(algo.RadiiCtx(nil, g, algo.RadiiOptions{K: 16, Seed: 2}))
+	rb := must(algo.RadiiCtx(nil, c, algo.RadiiOptions{K: 16, Seed: 2}))
 	for v := range ra.Radii {
 		if ra.Radii[v] != rb.Radii[v] {
 			t.Fatalf("Radii differs at %d", v)
 		}
 	}
 	// KCore agrees.
-	ka := algo.KCore(g, core.Options{})
-	kb := algo.KCore(c, core.Options{})
+	ka := must(algo.KCoreCtx(nil, g, core.Options{}))
+	kb := must(algo.KCoreCtx(nil, c, core.Options{}))
 	for v := range ka.Coreness {
 		if ka.Coreness[v] != kb.Coreness[v] {
 			t.Fatalf("KCore differs at %d", v)
 		}
 	}
 	// Triangles agree.
-	if x, y := algo.TriangleCount(g), algo.TriangleCount(c); x != y {
+	if x, y := must(algo.TriangleCountCtx(nil, g)), must(algo.TriangleCountCtx(nil, c)); x != y {
 		t.Fatalf("triangles %d vs %d", x, y)
 	}
 }

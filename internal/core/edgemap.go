@@ -197,10 +197,8 @@ func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs,
 	if opts.Procs > 0 {
 		ctx = parallel.WithProcs(ctx, opts.Procs)
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := parallel.CtxErr(ctx); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	if u.IsEmpty() {
@@ -281,12 +279,7 @@ const (
 func frontierOutDegrees(ctx context.Context, g graph.View, u *VertexSubset, stopAfter int64) (int64, error) {
 	if u.Size() == u.UniverseSize() {
 		// Full frontier (most algorithms' first round): the sum is |E|.
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		return g.NumEdges(), nil
+		return g.NumEdges(), parallel.CtxErr(ctx)
 	}
 	var sum atomic.Int64
 	if u.HasSparse() {

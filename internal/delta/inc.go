@@ -366,10 +366,8 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
 			break
 		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return partial(err)
-			}
+		if err := parallel.CtxErr(ctx); err != nil {
+			return partial(err)
 		}
 		core.VertexMap(frontier, func(v uint32) {
 			if deg := g.OutDegree(v); deg > 0 {

@@ -11,7 +11,7 @@ func BenchmarkForGrain(b *testing.B) {
 	for _, grain := range []int{64, 1024, 4096} {
 		b.Run(benchName("grain", grain), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ForGrain(n, grain, func(j int) { sink[j]++ })
+				forGrain(n, grain, func(j int) { sink[j]++ })
 			}
 		})
 	}
@@ -120,7 +120,7 @@ func BenchmarkCountingSortByKey(b *testing.B) {
 	out := make([]uint32, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CountingSortByKey(in, out, bucketCount, func(v uint32) int { return int(v) })
+		countingSortByKey(in, out, bucketCount, func(v uint32) int { return int(v) })
 	}
 }
 

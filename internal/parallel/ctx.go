@@ -20,8 +20,10 @@ import (
 //     workers stop claiming chunks, and the panic is returned as a
 //     *PanicError instead of re-panicking.
 //
-// A nil ctx disables the cancellation checks (it behaves like
-// context.Background()) but keeps the panic-to-error conversion.
+// A ctx that can never be cancelled — nil, context.Background(), or
+// WithProcs over either — disables the cancellation checks and the
+// per-chunk yields (see cancellable), so it costs what nil costs, but
+// keeps the panic-to-error conversion.
 //
 // The context can additionally carry a per-call worker cap (WithProcs):
 // every primitive here sizes its worker pool by CtxProcs(ctx) instead of
@@ -32,7 +34,7 @@ func ForCtx(ctx context.Context, n int, body func(i int)) error {
 	return ForGrainCtx(ctx, n, 0, body)
 }
 
-// ForGrainCtx is the context-aware ForGrain.
+// ForGrainCtx is the context-aware forGrain.
 func ForGrainCtx(ctx context.Context, n, grain int, body func(i int)) error {
 	return ForRangeGrainCtx(ctx, n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -46,16 +48,14 @@ func ForRangeCtx(ctx context.Context, n int, body func(lo, hi int)) error {
 	return ForRangeGrainCtx(ctx, n, 0, body)
 }
 
-// ForRangeGrainCtx is the context-aware ForRangeGrain and the engine
+// ForRangeGrainCtx is the context-aware forRangeGrain and the engine
 // behind every parallel loop in the package. Work is dispatched onto
 // the persistent worker pool (see pool.go) — no goroutines are spawned
 // per call — unless the loop runs inline: procs == 1, a single chunk,
 // or an auto-grain loop small enough for the sequential cutoff.
 func ForRangeGrainCtx(ctx context.Context, n, grain int, body func(lo, hi int)) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := CtxErr(ctx); err != nil {
+		return err
 	}
 	if n <= 0 {
 		return nil
@@ -71,7 +71,7 @@ func ForRangeGrainCtx(ctx context.Context, n, grain int, body func(lo, hi int)) 
 		if procs > 1 && chunks > 1 {
 			schedStats.cutoffRuns.Add(1)
 		}
-		if ctx == nil {
+		if !cancellable(ctx) {
 			// No cancellation to observe: run as one chunk, preserving the
 			// plain primitives' zero per-chunk overhead.
 			return forSeq(nil, n, n, 1, body)
@@ -91,8 +91,9 @@ func forSeq(ctx context.Context, n, grain, chunks int, body func(lo, hi int)) (e
 			err = AsPanicError(r)
 		}
 	}()
+	cancel := cancellable(ctx)
 	for c := 0; c < chunks; c++ {
-		if ctx != nil {
+		if cancel {
 			// Yield between chunks so the goroutine that cancels the
 			// context (a deadline timer, a signal handler) can run even on
 			// GOMAXPROCS=1, where it would otherwise wait ~10ms for the
@@ -115,16 +116,16 @@ func forSeq(ctx context.Context, n, grain, chunks int, body func(lo, hi int)) (e
 	// Match the parallel path, which reports ctx.Err() after the workers
 	// drain: a cancellation raised inside the final (or only) chunk is
 	// still surfaced.
-	return ctxErr(ctx)
+	return CtxErr(ctx)
 }
 
-// DoCtx is the context-aware Do: thunks observed after cancellation are
+// doCtx is the context-aware do: thunks observed after cancellation are
 // skipped (already-running ones complete), and a panic in any thunk is
 // returned as a *PanicError. Thunks are dispatched onto the persistent
 // worker pool; the caller always executes at least the first one.
-func DoCtx(ctx context.Context, thunks ...func()) error {
+func doCtx(ctx context.Context, thunks ...func()) error {
 	if len(thunks) == 0 {
-		return ctxErr(ctx)
+		return CtxErr(ctx)
 	}
 	procs := CtxProcs(ctx)
 	if procs == 1 || len(thunks) == 1 {
@@ -133,7 +134,7 @@ func DoCtx(ctx context.Context, thunks ...func()) error {
 		for _, t := range thunks {
 			func() {
 				defer box.capture()
-				if box.stopped.Load() || (ctx != nil && ctx.Err() != nil) {
+				if box.stopped.Load() || CtxErr(ctx) != nil {
 					return
 				}
 				t()
@@ -142,7 +143,7 @@ func DoCtx(ctx context.Context, thunks ...func()) error {
 		if box.err != nil {
 			return box.err
 		}
-		return ctxErr(ctx)
+		return CtxErr(ctx)
 	}
 	// One chunk per thunk; the pool's chunk loop provides the stop-on-
 	// panic and skip-after-cancellation semantics.
@@ -151,10 +152,10 @@ func DoCtx(ctx context.Context, thunks ...func()) error {
 	})
 }
 
-// ReduceCtx is the context-aware Reduce.
-func ReduceCtx[T any](ctx context.Context, n int, id T, fn func(i int) T, combine func(a, b T) T) (T, error) {
+// reduceCtx is the context-aware reduce.
+func reduceCtx[T any](ctx context.Context, n int, id T, fn func(i int) T, combine func(a, b T) T) (T, error) {
 	if n <= 0 {
-		return id, ctxErr(ctx)
+		return id, CtxErr(ctx)
 	}
 	blocks := numBlocks(n)
 	partial := make([]T, blocks)
@@ -179,11 +180,22 @@ func ReduceCtx[T any](ctx context.Context, n int, id T, fn func(i int) T, combin
 // SumFuncCtx is the context-aware SumFunc.
 func SumFuncCtx[T Number](ctx context.Context, n int, fn func(i int) T) (T, error) {
 	var zero T
-	return ReduceCtx(ctx, n, zero, fn, func(a, b T) T { return a + b })
+	return reduceCtx(ctx, n, zero, fn, func(a, b T) T { return a + b })
 }
 
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
+// cancellable reports whether ctx can ever be cancelled; it is the one
+// test behind every cancellation check and yield in this package. nil,
+// context.Background() and WithProcs over either have no Done channel, so
+// loops under them run exactly as under nil; the WithProcs cap is still
+// read through CtxProcs.
+func cancellable(ctx context.Context) bool {
+	return ctx != nil && ctx.Done() != nil
+}
+
+// CtxErr is ctx.Err() for any ctx the primitives accept: nil for a nil
+// ctx or one that can never be cancelled, without asking it.
+func CtxErr(ctx context.Context) error {
+	if !cancellable(ctx) {
 		return nil
 	}
 	return ctx.Err()

@@ -112,18 +112,50 @@ func TestForCtxSequentialPathPanic(t *testing.T) {
 	}
 }
 
+// TestUncancellableCtxCostsWhatNilDoes: a ctx that can never be cancelled
+// takes nil's inline path — the loop body runs once over the whole range,
+// not once per chunk with a check and a yield between — while a WithProcs
+// cap on it is still honoured.
+func TestUncancellableCtxCostsWhatNilDoes(t *testing.T) {
+	calls := func(ctx context.Context, n, grain int) int {
+		c := 0
+		if err := ForRangeGrainCtx(ctx, n, grain, func(lo, hi int) { c++ }); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	bg := context.Background()
+	// Inline by the sequential cutoff (auto grain, several chunks).
+	want := calls(nil, seqCutoff, 0)
+	for name, ctx := range map[string]context.Context{"Background": bg, "WithProcs(Background, 1)": WithProcs(bg, 1)} {
+		if got := calls(ctx, seqCutoff, 0); got != want {
+			t.Errorf("cutoff loop under %s: %d body calls, nil makes %d", name, got, want)
+		}
+	}
+	// Inline by a one-worker cap, with an explicit grain of 100 chunks.
+	prev := SetProcs(1)
+	want = calls(nil, 1000, 10)
+	SetProcs(prev)
+	if got := calls(WithProcs(bg, 1), 1000, 10); got != want {
+		t.Errorf("one-worker loop under WithProcs(Background, 1): %d body calls, nil makes %d", got, want)
+	}
+	if CtxProcs(WithProcs(bg, 1)) != 1 {
+		t.Error("WithProcs cap lost on an uncancellable ctx")
+	}
+}
+
 func TestDoCtx(t *testing.T) {
 	var a, b atomic.Bool
-	if err := DoCtx(nil, func() { a.Store(true) }, func() { b.Store(true) }); err != nil {
+	if err := doCtx(nil, func() { a.Store(true) }, func() { b.Store(true) }); err != nil {
 		t.Fatal(err)
 	}
 	if !a.Load() || !b.Load() {
-		t.Error("DoCtx skipped a thunk")
+		t.Error("doCtx skipped a thunk")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := DoCtx(ctx, func() {}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled DoCtx err = %v", err)
+	if err := doCtx(ctx, func() {}); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled doCtx err = %v", err)
 	}
 }
 

@@ -24,7 +24,7 @@ func FilterIndex[T any](in []T, pred func(i int, v T) bool) []T {
 		return out
 	}
 	counts := make([]int, blocks)
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		c := 0
 		for i := lo; i < hi; i++ {
@@ -36,7 +36,7 @@ func FilterIndex[T any](in []T, pred func(i int, v T) bool) []T {
 	})
 	total := ScanExclusive(counts, counts)
 	out := make([]T, total)
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		k := counts[b]
 		for i := lo; i < hi; i++ {
@@ -67,7 +67,7 @@ func PackIndex[T Number](n int, flag func(i int) bool) []T {
 		return out
 	}
 	counts := make([]int, blocks)
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		c := 0
 		for i := lo; i < hi; i++ {
@@ -79,7 +79,7 @@ func PackIndex[T Number](n int, flag func(i int) bool) []T {
 	})
 	total := ScanExclusive(counts, counts)
 	out := make([]T, total)
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		k := counts[b]
 		for i := lo; i < hi; i++ {
@@ -92,8 +92,8 @@ func PackIndex[T Number](n int, flag func(i int) bool) []T {
 	return out
 }
 
-// MapInto fills out[i] = fn(i) for i in [0, len(out)) in parallel.
-func MapInto[T any](out []T, fn func(i int) T) {
+// mapInto fills out[i] = fn(i) for i in [0, len(out)) in parallel.
+func mapInto[T any](out []T, fn func(i int) T) {
 	For(len(out), func(i int) { out[i] = fn(i) })
 }
 
@@ -101,7 +101,7 @@ func MapInto[T any](out []T, fn func(i int) T) {
 // fn(i), computed in parallel.
 func MapNew[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	MapInto(out, fn)
+	mapInto(out, fn)
 	return out
 }
 

@@ -5,15 +5,15 @@ package parallel
 // CSR graphs (much faster than comparison sorting) and as the inner pass
 // of a radix sort for larger key spaces.
 
-// CountingSortByKey stably sorts the items of in into out (same length)
+// countingSortByKey stably sorts the items of in into out (same length)
 // by key(item), where every key lies in [0, buckets). It returns the
 // bucket boundary offsets (length buckets+1), which CSR construction uses
 // directly as the row offsets. Runs the standard two-pass parallel
 // counting sort with per-block count matrices.
-func CountingSortByKey[T any](in, out []T, buckets int, key func(T) int) []int64 {
+func countingSortByKey[T any](in, out []T, buckets int, key func(T) int) []int64 {
 	n := len(in)
 	if len(out) != n {
-		panic("parallel: CountingSortByKey length mismatch")
+		panic("parallel: countingSortByKey length mismatch")
 	}
 	offsets := make([]int64, buckets+1)
 	if n == 0 {
@@ -43,7 +43,7 @@ func CountingSortByKey[T any](in, out []T, buckets int, key func(T) int) []int64
 
 	// counts[b*buckets + k] = occurrences of key k in block b.
 	counts := make([]int64, blocks*buckets)
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		row := counts[b*buckets : (b+1)*buckets]
 		for i := lo; i < hi; i++ {
@@ -61,7 +61,7 @@ func CountingSortByKey[T any](in, out []T, buckets int, key func(T) int) []int64
 		}
 	}
 	offsets[buckets] = acc
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		row := counts[b*buckets : (b+1)*buckets]
 		for i := lo; i < hi; i++ {
@@ -78,7 +78,7 @@ const radixBits = 11
 
 // RadixSortByKey stably sorts in by the non-negative integer key, which
 // must be < keyBound, using least-significant-digit radix passes of
-// CountingSortByKey. A scratch slice of the same length is allocated
+// countingSortByKey. A scratch slice of the same length is allocated
 // internally.
 func RadixSortByKey[T any](in []T, keyBound int64, key func(T) int64) {
 	n := len(in)
@@ -90,7 +90,7 @@ func RadixSortByKey[T any](in []T, keyBound int64, key func(T) int64) {
 	swapped := false
 	for shift := 0; int64(1)<<shift < keyBound; shift += radixBits {
 		s := shift
-		CountingSortByKey(src, dst, 1<<radixBits, func(v T) int {
+		countingSortByKey(src, dst, 1<<radixBits, func(v T) int {
 			return int((key(v) >> uint(s)) & ((1 << radixBits) - 1))
 		})
 		src, dst = dst, src

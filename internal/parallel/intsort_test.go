@@ -16,7 +16,7 @@ func TestCountingSortByKeyBasic(t *testing.T) {
 			in[i] = kv{rng.Intn(buckets), i}
 		}
 		out := make([]kv, n)
-		offsets := CountingSortByKey(in, out, buckets, func(v kv) int { return v.k })
+		offsets := countingSortByKey(in, out, buckets, func(v kv) int { return v.k })
 		if len(offsets) != buckets+1 {
 			t.Fatalf("offsets length %d", len(offsets))
 		}
@@ -46,7 +46,7 @@ func TestCountingSortLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	CountingSortByKey(make([]int, 3), make([]int, 4), 2, func(int) int { return 0 })
+	countingSortByKey(make([]int, 3), make([]int, 4), 2, func(int) int { return 0 })
 }
 
 func TestRadixSortByKeyMatchesComparison(t *testing.T) {

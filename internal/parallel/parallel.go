@@ -55,7 +55,7 @@ func defaultGrain(n, procs int) int {
 
 // PanicError is the typed error produced when a worker goroutine panics
 // inside a parallel primitive. The context-aware primitives (ForCtx,
-// ReduceCtx, ...) return it; the plain primitives re-panic with it as the
+// SumFuncCtx, ...) return it; the plain primitives re-panic with it as the
 // panic value, so recover sites can errors.As it either way.
 type PanicError struct {
 	// Value is the original value passed to panic.
@@ -99,15 +99,15 @@ func AsPanicError(r any) *PanicError {
 // For runs body(i) for every i in [0, n) using all configured workers and an
 // automatically chosen grain size.
 func For(n int, body func(i int)) {
-	ForGrain(n, 0, body)
+	forGrain(n, 0, body)
 }
 
-// ForGrain runs body(i) for every i in [0, n). Iterations are dispatched to
+// forGrain runs body(i) for every i in [0, n). Iterations are dispatched to
 // workers in contiguous chunks of the given grain size; grain <= 0 selects
 // an automatic value. Chunks are claimed dynamically, so uneven per-
 // iteration costs (e.g. skewed vertex degrees) still balance.
-func ForGrain(n, grain int, body func(i int)) {
-	ForRangeGrain(n, grain, func(lo, hi int) {
+func forGrain(n, grain int, body func(i int)) {
+	forRangeGrain(n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
@@ -118,22 +118,22 @@ func ForGrain(n, grain int, body func(i int)) {
 // [0, n). It is the blocked form of For, useful when the body can process a
 // run of iterations more efficiently than one at a time.
 func ForRange(n int, body func(lo, hi int)) {
-	ForRangeGrain(n, 0, body)
+	forRangeGrain(n, 0, body)
 }
 
-// ForRangeGrain is ForRange with an explicit grain size (grain <= 0 selects
+// forRangeGrain is ForRange with an explicit grain size (grain <= 0 selects
 // an automatic value). A worker panic propagates as a panic whose value is a
 // *PanicError; ForRangeGrainCtx is the variant that returns it instead.
-func ForRangeGrain(n, grain int, body func(lo, hi int)) {
+func forRangeGrain(n, grain int, body func(lo, hi int)) {
 	if err := ForRangeGrainCtx(nil, n, grain, body); err != nil {
 		panic(err)
 	}
 }
 
-// Do runs the given thunks concurrently and waits for all of them; it is the
+// do runs the given thunks concurrently and waits for all of them; it is the
 // binary/spawn form of fork-join parallelism (Cilk's spawn/sync). A panic in
 // any thunk propagates with a *PanicError value once all thunks settle.
-func Do(thunks ...func()) {
+func do(thunks ...func()) {
 	switch len(thunks) {
 	case 0:
 		return
@@ -141,7 +141,7 @@ func Do(thunks ...func()) {
 		thunks[0]()
 		return
 	}
-	if err := DoCtx(nil, thunks...); err != nil {
+	if err := doCtx(nil, thunks...); err != nil {
 		panic(err)
 	}
 }

@@ -42,7 +42,7 @@ func TestForGrainCoversAllIndices(t *testing.T) {
 	for _, grain := range []int{1, 2, 13, 4096, 1 << 20} {
 		n := 10000
 		seen := make([]int32, n)
-		ForGrain(n, grain, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		forGrain(n, grain, func(i int) { atomic.AddInt32(&seen[i], 1) })
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("grain=%d: index %d visited %d times", grain, i, c)
@@ -98,29 +98,29 @@ func TestForPanicPropagates(t *testing.T) {
 
 func TestDoRunsAll(t *testing.T) {
 	var a, b, c atomic.Int32
-	Do(
+	do(
 		func() { a.Store(1) },
 		func() { b.Store(2) },
 		func() { c.Store(3) },
 	)
 	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Errorf("Do results = %d %d %d", a.Load(), b.Load(), c.Load())
+		t.Errorf("do results = %d %d %d", a.Load(), b.Load(), c.Load())
 	}
-	Do() // no-op
+	do() // no-op
 	ran := false
-	Do(func() { ran = true })
+	do(func() { ran = true })
 	if !ran {
-		t.Error("single-thunk Do did not run")
+		t.Error("single-thunk do did not run")
 	}
 }
 
 func TestDoPanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("panic did not propagate from Do")
+			t.Fatal("panic did not propagate from do")
 		}
 	}()
-	Do(func() {}, func() { panic("boom") })
+	do(func() {}, func() { panic("boom") })
 }
 
 func TestBlockBounds(t *testing.T) {

@@ -77,7 +77,7 @@ type token struct {
 // the caller (worker slot 0) and any pool workers that claim a token.
 type job struct {
 	n, grain, chunks int
-	ctx              context.Context
+	ctx              context.Context // nil unless cancellable: run skips its checks
 	yield            bool
 	body             func(worker, chunk, lo, hi int)
 	next             atomic.Int64 // shared chunk-claim counter
@@ -273,6 +273,9 @@ func runParallel(ctx context.Context, n, grain, chunks, procs int, body func(wor
 	if workers > maxPoolWorkers+1 {
 		workers = maxPoolWorkers + 1
 	}
+	if !cancellable(ctx) {
+		ctx = nil
+	}
 	j := &job{
 		n: n, grain: grain, chunks: chunks,
 		ctx:      ctx,
@@ -316,5 +319,5 @@ func runParallel(ctx context.Context, n, grain, chunks, procs int, body func(wor
 	if j.box.err != nil {
 		return j.box.err
 	}
-	return ctxErr(ctx)
+	return CtxErr(ctx)
 }

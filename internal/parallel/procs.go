@@ -6,7 +6,7 @@ import "context"
 // server sharing one machine between concurrent queries cannot use: one
 // query's override would leak into every other query. WithProcs instead
 // rides the worker cap on the context, so every context-aware primitive
-// (ForCtx, ForRangeGrainCtx, ForWorkerChunksCtx, DoCtx, ReduceCtx, ...)
+// (ForCtx, ForRangeGrainCtx, ForWorkerChunksCtx, SumFuncCtx, ...)
 // run under that context — however deep in a call tree — uses at most the
 // given number of workers, while unrelated computations keep the full
 // machine.

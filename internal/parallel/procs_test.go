@@ -121,11 +121,11 @@ func TestWithProcsDoCtx(t *testing.T) {
 	prev := SetProcs(8)
 	defer SetProcs(prev)
 
-	// With a cap of 1, DoCtx must run thunks on the calling goroutine in
+	// With a cap of 1, doCtx must run thunks on the calling goroutine in
 	// order.
 	var order []int
 	ctx := WithProcs(context.Background(), 1)
-	err := DoCtx(ctx,
+	err := doCtx(ctx,
 		func() { order = append(order, 0) },
 		func() { order = append(order, 1) },
 		func() { order = append(order, 2) },
@@ -135,7 +135,7 @@ func TestWithProcsDoCtx(t *testing.T) {
 	}
 	for i, v := range order {
 		if i != v {
-			t.Fatalf("DoCtx under cap 1 ran out of order: %v", order)
+			t.Fatalf("doCtx under cap 1 ran out of order: %v", order)
 		}
 	}
 }

@@ -8,12 +8,12 @@ type Number interface {
 		~float32 | ~float64
 }
 
-// Reduce combines fn(i) for i in [0, n) with the associative operation
+// reduce combines fn(i) for i in [0, n) with the associative operation
 // combine, starting from the identity element id. The reduction tree shape
 // is unspecified, so combine must be associative; it need not be
 // commutative only if the per-block order is acceptable, so in practice use
 // associative+commutative operations or order-insensitive ones.
-func Reduce[T any](n int, id T, fn func(i int) T, combine func(a, b T) T) T {
+func reduce[T any](n int, id T, fn func(i int) T, combine func(a, b T) T) T {
 	if n <= 0 {
 		return id
 	}
@@ -26,7 +26,7 @@ func Reduce[T any](n int, id T, fn func(i int) T, combine func(a, b T) T) T {
 		return acc
 	}
 	partial := make([]T, blocks)
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		acc := id
 		for i := lo; i < hi; i++ {
@@ -44,7 +44,7 @@ func Reduce[T any](n int, id T, fn func(i int) T, combine func(a, b T) T) T {
 // SumFunc returns the sum of fn(i) over [0, n) computed in parallel.
 func SumFunc[T Number](n int, fn func(i int) T) T {
 	var zero T
-	return Reduce(n, zero, fn, func(a, b T) T { return a + b })
+	return reduce(n, zero, fn, func(a, b T) T { return a + b })
 }
 
 // MaxFunc returns the maximum of fn(i) over [0, n). n must be positive.
@@ -53,7 +53,7 @@ func MaxFunc[T Number](n int, fn func(i int) T) T {
 		panic("parallel: MaxFunc on empty range")
 	}
 	first := fn(0)
-	return Reduce(n, first, fn, func(a, b T) T {
+	return reduce(n, first, fn, func(a, b T) T {
 		if a > b {
 			return a
 		}
@@ -86,7 +86,7 @@ func MaxIndexFunc[T Number](n int, key func(i int) T) int {
 		i int
 		k T
 	}
-	best := Reduce(n, kv{0, key(0)},
+	best := reduce(n, kv{0, key(0)},
 		func(i int) kv { return kv{i, key(i)} },
 		func(a, b kv) kv {
 			if b.k > a.k || (b.k == a.k && b.i < a.i) {

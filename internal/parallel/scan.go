@@ -25,7 +25,7 @@ func ScanExclusive[T Number](in, out []T) T {
 		return acc
 	}
 	sums := make([]T, blocks)
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		var acc T
 		for i := lo; i < hi; i++ {
@@ -39,7 +39,7 @@ func ScanExclusive[T Number](in, out []T) T {
 		sums[b] = total
 		total += s
 	}
-	ForGrain(blocks, 1, func(b int) {
+	forGrain(blocks, 1, func(b int) {
 		lo, hi := blockBounds(n, blocks, b)
 		acc := sums[b]
 		for i := lo; i < hi; i++ {

@@ -62,7 +62,7 @@ func parMergeSort[T any](s, buf []T, less func(a, b T) bool, procs int) {
 		return
 	}
 	mid := len(s) / 2
-	Do(
+	do(
 		func() { parMergeSort(s[:mid], buf[:mid], less, procs/2) },
 		func() { parMergeSort(s[mid:], buf[mid:], less, procs-procs/2) },
 	)

@@ -33,10 +33,8 @@ func AutoGrain(n int) int {
 // background) is observed at chunk granularity, and a worker panic is
 // returned as a *PanicError.
 func ForWorkerChunksCtx(ctx context.Context, n, grain int, body func(worker, chunk, lo, hi int)) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := CtxErr(ctx); err != nil {
+		return err
 	}
 	if n <= 0 {
 		return nil
@@ -65,8 +63,9 @@ func forWorkerSeq(ctx context.Context, n, grain, chunks int, body func(worker, c
 			err = AsPanicError(r)
 		}
 	}()
+	cancel := cancellable(ctx)
 	for c := 0; c < chunks; c++ {
-		if ctx != nil {
+		if cancel {
 			if c > 0 {
 				runtime.Gosched()
 			}
@@ -84,5 +83,5 @@ func forWorkerSeq(ctx context.Context, n, grain, chunks int, body func(worker, c
 	}
 	// Match ForRangeGrainCtx: surface a cancellation raised inside the
 	// final (or only) chunk.
-	return ctxErr(ctx)
+	return CtxErr(ctx)
 }

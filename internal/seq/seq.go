@@ -214,7 +214,7 @@ func BellmanFord(g graph.View, source uint32) ([]int64, bool) {
 }
 
 // PageRank runs sequential power iteration with the same dangling-mass
-// correction as algo.PageRank, for use as an oracle.
+// correction as algo.PageRankCtx, for use as an oracle.
 func PageRank(g graph.View, damping, epsilon float64, maxIters int) []float64 {
 	n := g.NumVertices()
 	if n == 0 {

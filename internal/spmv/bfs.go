@@ -28,7 +28,7 @@ type BFSOptions struct {
 // Visited counts reachable vertices including the source.
 type BFSResult struct {
 	// Levels[v] is the distance in edges from the source, -1 if
-	// unreachable. Identical to algo.BFSLevels output.
+	// unreachable. Identical to algo.BFSLevelsCtx output.
 	Levels  []int32
 	Rounds  int
 	Visited int

@@ -18,10 +18,30 @@
 // generalization of direction-optimizing BFS that is the paper's central
 // contribution.
 //
+// # Cancellation
+//
+// Every operation has one spelling. One that takes a context.Context as
+// its first argument observes it; one that does not, cannot be
+// interrupted. The context (nil is treated as context.Background()) is
+// observed cooperatively at chunk granularity inside parallel loops: a
+// cancelled or expired context stops the computation within roughly one
+// chunk of parallel work, and an uncancellable one such as
+// context.Background() costs no more than nil. An interrupted algorithm
+// returns its partial result — each result type documents what "partial"
+// means — together with a *RoundError that wraps the cause, so
+// errors.Is(err, context.DeadlineExceeded) and friends see through it. A
+// worker panic inside any parallel region is captured as a *PanicError:
+// the ctx-taking functions return it (the algorithms return any panic
+// raised inside them that way), the others re-panic with it.
+//
 // # Quick start
 //
+//	ctx := context.Background()
 //	g, _ := ligra.RMAT(16, 16, ligra.PBBSRMAT, 42)
-//	res := ligra.BFS(g, 0, ligra.Options{})
+//	res, err := ligra.BFS(ctx, g, 0, ligra.Options{})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Println("reached", res.Visited, "vertices in", res.Rounds, "rounds")
 //
 // See examples/ for complete programs and cmd/ligra-bench for the
@@ -29,6 +49,8 @@
 package ligra
 
 import (
+	"context"
+
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -89,14 +111,15 @@ const DefaultThresholdDenominator = core.DefaultThresholdDenominator
 
 // EdgeMap applies f over the edges out of u and returns the subset of
 // destinations whose update returned true, choosing the sparse or dense
-// traversal per the options. See core.EdgeMap.
-func EdgeMap(g View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSubset {
-	return core.EdgeMap(g, u, f, opts)
+// traversal per the options. It returns a nil frontier and an error if
+// the traversal was interrupted or a worker panicked. See core.EdgeMapCtx.
+func EdgeMap(ctx context.Context, g View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
+	return core.EdgeMapCtx(ctx, g, u, f, opts)
 }
 
 // VertexMap applies fn to every vertex in u in parallel.
-func VertexMap(u *VertexSubset, fn func(v uint32)) {
-	core.VertexMap(u, fn)
+func VertexMap(ctx context.Context, u *VertexSubset, fn func(v uint32)) error {
+	return core.VertexMapCtx(ctx, u, fn)
 }
 
 // VertexFilter returns the members of u satisfying pred.

@@ -17,6 +17,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// must unwraps a run under a context that is never cancelled: its only
+// possible error is a contained worker panic, re-raised here.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
 	g, err := ligra.RMAT(10, 8, ligra.PBBSRMAT, 42)
 	if err != nil {
@@ -30,15 +39,15 @@ func TestPublicQuickstartFlow(t *testing.T) {
 		t.Errorf("stats mismatch: %+v", s)
 	}
 
-	res := ligra.BFS(g, 0, ligra.Options{})
+	res := must(ligra.BFS(context.Background(), g, 0, ligra.Options{}))
 	if res.Visited < 2 {
 		t.Errorf("BFS visited only %d", res.Visited)
 	}
-	cc := ligra.ConnectedComponents(g, ligra.Options{})
+	cc := must(ligra.ConnectedComponents(context.Background(), g, ligra.Options{}))
 	if cc.Components < 1 {
 		t.Error("no components?")
 	}
-	pr := ligra.PageRank(g, ligra.DefaultPageRankOptions())
+	pr := must(ligra.PageRank(context.Background(), g, ligra.DefaultPageRankOptions()))
 	var mass float64
 	for _, r := range pr.Ranks {
 		mass += r
@@ -74,9 +83,9 @@ func TestPublicHandWrittenBFSAgrees(t *testing.T) {
 	}
 	frontier := ligra.NewSingle(n, 0)
 	for !frontier.IsEmpty() {
-		frontier = ligra.EdgeMap(g, frontier, f, ligra.Options{})
+		frontier = must(ligra.EdgeMap(context.Background(), g, frontier, f, ligra.Options{}))
 	}
-	want := ligra.BFS(g, 0, ligra.Options{})
+	want := must(ligra.BFS(context.Background(), g, 0, ligra.Options{}))
 	for v := 0; v < n; v++ {
 		if (parents[v] == ligra.None) != (want.Parents[v] == ligra.None) {
 			t.Fatalf("reachability differs at %d", v)
@@ -123,8 +132,8 @@ func TestPublicCompressedGraphRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ligra.BFSLevels(g, 0, ligra.Options{})
-	b := ligra.BFSLevels(c, 0, ligra.Options{})
+	a := must(ligra.BFSLevels(context.Background(), g, 0, ligra.Options{}))
+	b := must(ligra.BFSLevels(context.Background(), c, 0, ligra.Options{}))
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("level[%d]: csr %d vs compressed %d", v, a[v], b[v])
@@ -150,7 +159,7 @@ func TestPublicParallelismControls(t *testing.T) {
 		return true
 	}}
 	ctx := ligra.WithParallelism(context.Background(), 1)
-	if _, err := ligra.EdgeMapCtx(ctx, g, ligra.NewAll(g.NumVertices()), f, ligra.Options{Mode: ligra.ForceSparse}); err != nil {
+	if _, err := ligra.EdgeMap(ctx, g, ligra.NewAll(g.NumVertices()), f, ligra.Options{Mode: ligra.ForceSparse}); err != nil {
 		t.Fatal(err)
 	}
 	if peak.Load() != 1 {
@@ -164,7 +173,7 @@ func TestPublicWeightedRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg := g.AddWeights(ligra.HashWeight(50))
-	sp := ligra.BellmanFord(wg, 0, ligra.Options{})
+	sp := must(ligra.BellmanFord(context.Background(), wg, 0, ligra.Options{}))
 	if sp.NegativeCycle {
 		t.Fatal("unexpected negative cycle")
 	}
@@ -184,10 +193,10 @@ func TestPublicTriangleAndMISAndKCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc := ligra.TriangleCount(g); tc <= 0 {
+	if tc := must(ligra.TriangleCount(context.Background(), g)); tc <= 0 {
 		t.Errorf("triangles = %d on a dense power-law graph", tc)
 	}
-	mis := ligra.MIS(g, 1, ligra.Options{})
+	mis := must(ligra.MIS(context.Background(), g, 1, ligra.Options{}))
 	size := 0
 	for _, in := range mis.InSet {
 		if in {
@@ -197,7 +206,7 @@ func TestPublicTriangleAndMISAndKCore(t *testing.T) {
 	if size == 0 {
 		t.Error("empty MIS")
 	}
-	kc := ligra.KCore(g, ligra.Options{})
+	kc := must(ligra.KCore(context.Background(), g, ligra.Options{}))
 	if kc.MaxCore < 1 {
 		t.Errorf("MaxCore = %d", kc.MaxCore)
 	}
@@ -210,7 +219,7 @@ func TestPublicExtensionAlgorithms(t *testing.T) {
 	}
 
 	// Spanning forest spans all components.
-	cc := ligra.ConnectedComponents(g, ligra.Options{})
+	cc := must(ligra.ConnectedComponents(context.Background(), g, ligra.Options{}))
 	sf := ligra.SpanningForest(g, ligra.Options{})
 	if len(sf.Edges) != g.NumVertices()-cc.Components {
 		t.Errorf("forest edges %d, want %d", len(sf.Edges), g.NumVertices()-cc.Components)
@@ -243,15 +252,15 @@ func TestPublicExtensionAlgorithms(t *testing.T) {
 	}
 
 	// Eccentricity bound is sane.
-	ecc := ligra.TwoPassEccentricity(g, 16, 3, ligra.Options{})
+	ecc := must(ligra.TwoPassEccentricity(context.Background(), g, 16, 3, ligra.Options{}))
 	if ecc.DiameterLowerBound < 1 {
 		t.Errorf("diameter bound %d", ecc.DiameterLowerBound)
 	}
 
 	// Delta-stepping matches Bellman-Ford on hash weights.
 	wg := g.AddWeights(ligra.HashWeight(20))
-	bf := ligra.BellmanFord(wg, 0, ligra.Options{})
-	ds, err := ligra.DeltaStepping(wg, 0, 0, ligra.Options{})
+	bf := must(ligra.BellmanFord(context.Background(), wg, 0, ligra.Options{}))
+	ds, err := ligra.DeltaStepping(context.Background(), wg, 0, 0, ligra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +276,12 @@ func TestPublicDirectedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scc := ligra.SCC(g, ligra.Options{})
+	scc := must(ligra.SCC(context.Background(), g, ligra.Options{}))
 	if scc.Components < 1 || scc.Components > g.NumVertices() {
 		t.Errorf("SCC components = %d", scc.Components)
 	}
 	// Transpose BFS reaches at least the source.
-	res := ligra.BFS(g.Transpose(), 0, ligra.Options{})
+	res := must(ligra.BFS(context.Background(), g.Transpose(), 0, ligra.Options{}))
 	if res.Visited < 1 {
 		t.Error("transpose BFS broken")
 	}
@@ -292,8 +301,8 @@ func TestPublicGraphTransforms(t *testing.T) {
 		t.Error("relabel changed edge count")
 	}
 	// Relabeling must not change component structure sizes.
-	a := ligra.ConnectedComponents(g, ligra.Options{})
-	b := ligra.ConnectedComponents(rg, ligra.Options{})
+	a := must(ligra.ConnectedComponents(context.Background(), g, ligra.Options{}))
+	b := must(ligra.ConnectedComponents(context.Background(), rg, ligra.Options{}))
 	if a.Components != b.Components {
 		t.Errorf("components changed: %d vs %d", a.Components, b.Components)
 	}
@@ -356,11 +365,11 @@ func TestPublicEdgeListAndLocalClustering(t *testing.T) {
 	}
 
 	// RadiiMulti with K > 64.
-	rm := ligra.RadiiMulti(g, 100, 1, ligra.Options{})
+	rm := must(ligra.RadiiMulti(context.Background(), g, 100, 1, ligra.Options{}))
 	if len(rm.Sources) != 100 {
 		t.Errorf("%d sources", len(rm.Sources))
 	}
-	base := ligra.Radii(g, ligra.RadiiOptions{K: 64, Seed: 1})
+	base := must(ligra.Radii(context.Background(), g, ligra.RadiiOptions{K: 64, Seed: 1}))
 	_ = base // different samples; just ensure both run and are in range
 	for _, r := range rm.Radii {
 		if r < -1 {
@@ -376,7 +385,7 @@ func TestPublicDedupStrategies(t *testing.T) {
 	}
 	// Forced sparse, so duplicate removal runs every round.
 	opts := ligra.Options{Mode: ligra.ForceSparse, RemoveDuplicates: true}
-	if res := ligra.ConnectedComponents(g, opts); res.Components != 1 {
+	if res := must(ligra.ConnectedComponents(context.Background(), g, opts)); res.Components != 1 {
 		t.Errorf("%d components on a torus", res.Components)
 	}
 }
