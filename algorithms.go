@@ -76,9 +76,9 @@ func WithParallelism(ctx context.Context, p int) context.Context {
 func Parallelism() int { return parallel.Procs() }
 
 // contain runs a ctx-first algorithm and returns a panic raised anywhere
-// inside it — in a worker of one of its plain parallel steps, or on the
-// calling goroutine — as the *PanicError it carries, so these functions
-// report every failure as an error and never panic.
+// inside it — on the calling goroutine, between its parallel passes — as a
+// *PanicError (a worker's panic already comes back as one), so these
+// functions report every failure as an error and never panic.
 func contain[T any](run func() (T, error)) (res T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -201,62 +201,66 @@ func TriangleCount(ctx context.Context, g View) (int64, error) {
 }
 
 // LocalClusteringCoefficients returns each vertex's triangle-closure
-// fraction on a symmetric simple graph (extension).
-func LocalClusteringCoefficients(g View) []float64 {
-	return algo.LocalClusteringCoefficients(g)
+// fraction on a symmetric simple graph (extension); nil on interruption.
+func LocalClusteringCoefficients(ctx context.Context, g View) ([]float64, error) {
+	return contain(func() ([]float64, error) { return algo.LocalClusteringCoefficients(ctx, g) })
 }
 
 // MaximalMatching computes a maximal matching of a symmetric simple graph
-// by parallel greedy local-maxima selection (extension).
-func MaximalMatching(g View, seed uint64) *MatchingResult {
-	return algo.MaximalMatching(g, seed)
+// by parallel greedy local-maxima selection (extension); Partner is a
+// valid, possibly not yet maximal, matching on interruption.
+func MaximalMatching(ctx context.Context, g View, seed uint64) (*MatchingResult, error) {
+	return contain(func() (*MatchingResult, error) { return algo.MaximalMatching(ctx, g, seed) })
 }
 
 // Coloring computes a proper vertex coloring with deterministic parallel
-// greedy coloring (extension); uses at most maxdegree+1 colors.
-func Coloring(g View, seed uint64, opts Options) *ColoringResult {
-	return algo.Coloring(g, seed, opts)
+// greedy coloring (extension); uses at most maxdegree+1 colors. Colors is
+// a proper partial coloring on interruption.
+func Coloring(ctx context.Context, g View, seed uint64, opts Options) (*ColoringResult, error) {
+	return contain(func() (*ColoringResult, error) { return algo.Coloring(ctx, g, seed, opts) })
 }
 
 // LDD computes a low-diameter decomposition with exponential start-time
 // shifts (Miller-Peng-Xu style; extension). Larger beta yields more,
-// smaller clusters.
-func LDD(g View, beta float64, seed uint64, opts Options) *LDDResult {
-	return algo.LDD(g, beta, seed, opts)
+// smaller clusters. Cluster holds the balls grown so far on interruption.
+func LDD(ctx context.Context, g View, beta float64, seed uint64, opts Options) (*LDDResult, error) {
+	return contain(func() (*LDDResult, error) { return algo.LDD(ctx, g, beta, seed, opts) })
 }
 
 // ConnectedComponentsLDD computes connected components by repeated
 // LDD-based contraction — the expected linear-work connectivity algorithm
-// of Shun, Dhulipala and Blelloch (extension).
-func ConnectedComponentsLDD(g View, beta float64, seed uint64, opts Options) *CCResult {
-	return algo.ConnectedComponentsLDD(g, beta, seed, opts)
+// of Shun, Dhulipala and Blelloch (extension); no labels on interruption.
+func ConnectedComponentsLDD(ctx context.Context, g View, beta float64, seed uint64, opts Options) (*CCResult, error) {
+	return contain(func() (*CCResult, error) { return algo.ConnectedComponentsLDD(ctx, g, beta, seed, opts) })
 }
 
 // SpanningForest computes a spanning forest of a symmetric graph via BFS
-// waves (extension).
-func SpanningForest(g View, opts Options) *ForestResult {
-	return algo.SpanningForest(g, opts)
+// waves (extension); the forest of the vertices reached on interruption.
+func SpanningForest(ctx context.Context, g View, opts Options) (*ForestResult, error) {
+	return contain(func() (*ForestResult, error) { return algo.SpanningForest(ctx, g, opts) })
 }
 
 // DensestSubgraph computes a 2-approximate densest subgraph by Charikar
-// peeling over the bucket structure (extension).
-func DensestSubgraph(g View, opts Options) *DensestResult {
-	return algo.DensestSubgraph(g, opts)
+// peeling over the bucket structure (extension); the best density so far,
+// without its vertices, on interruption.
+func DensestSubgraph(ctx context.Context, g View, opts Options) (*DensestResult, error) {
+	return contain(func() (*DensestResult, error) { return algo.DensestSubgraph(ctx, g, opts) })
 }
 
 // APPR computes an approximate personalized PageRank vector from a seed
-// with the local push algorithm (extension after Shun et al., VLDB 2016).
-func APPR(g View, seed uint32, alpha, eps float64) (*APPRResult, error) {
-	return algo.APPR(g, seed, alpha, eps)
+// with the local push algorithm (extension after Shun et al., VLDB 2016);
+// the vector after the pushes made so far on interruption.
+func APPR(ctx context.Context, g View, seed uint32, alpha, eps float64) (*APPRResult, error) {
+	return contain(func() (*APPRResult, error) { return algo.APPR(ctx, g, seed, alpha, eps) })
 }
 
 // SweepCut scans a PPR vector for the best-conductance prefix cluster.
-func SweepCut(g View, p map[uint32]float64) *SweepCutResult {
-	return algo.SweepCut(g, p)
+func SweepCut(ctx context.Context, g View, p map[uint32]float64) (*SweepCutResult, error) {
+	return contain(func() (*SweepCutResult, error) { return algo.SweepCut(ctx, g, p) })
 }
 
 // LocalCluster finds a low-conductance cluster around the seed via APPR
 // plus a sweep cut (extension).
-func LocalCluster(g View, seed uint32, alpha, eps float64) (*SweepCutResult, error) {
-	return algo.LocalCluster(g, seed, alpha, eps)
+func LocalCluster(ctx context.Context, g View, seed uint32, alpha, eps float64) (*SweepCutResult, error) {
+	return contain(func() (*SweepCutResult, error) { return algo.LocalCluster(ctx, g, seed, alpha, eps) })
 }

@@ -214,9 +214,10 @@ func BenchmarkEdgeMap(b *testing.B) {
 	g := gs["rMat"]
 	n := g.NumVertices()
 	// Build a frontier of ~1/8 of the vertices.
-	frontier := ligra.NewFromFunc(n, func(v uint32) bool { return v%8 == 0 })
-	frontier.ToSparse()
-	frontier.ToDense()
+	ctx := context.Background()
+	frontier := must(ligra.NewFromFunc(ctx, n, func(v uint32) bool { return v%8 == 0 }))
+	must(frontier.ToSparse(ctx))
+	must(frontier.ToDense(ctx))
 	visited := make([]uint32, n)
 	funcs := ligra.EdgeFuncs{
 		Update:       func(_, d uint32, _ int32) bool { visited[d] = 1; return false },
@@ -232,7 +233,7 @@ func BenchmarkEdgeMap(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				must(ligra.EdgeMap(context.Background(), g, frontier, funcs, tc.opts))
+				must(ligra.EdgeMap(ctx, g, frontier, funcs, tc.opts))
 			}
 		})
 	}
@@ -240,6 +241,7 @@ func BenchmarkEdgeMap(b *testing.B) {
 
 // BenchmarkVertexSubset microbenchmarks the representation conversions.
 func BenchmarkVertexSubset(b *testing.B) {
+	ctx := context.Background()
 	n := 1 << benchScale()
 	b.Run("sparse-to-dense", func(b *testing.B) {
 		ids := make([]uint32, n/8)
@@ -248,14 +250,14 @@ func BenchmarkVertexSubset(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			vs := ligra.NewSparse(n, ids)
-			vs.ToDense()
+			must(vs.ToDense(ctx))
 		}
 	})
 	b.Run("dense-to-sparse", func(b *testing.B) {
-		proto := ligra.NewFromFunc(n, func(v uint32) bool { return v%8 == 0 })
+		proto := must(ligra.NewFromFunc(ctx, n, func(v uint32) bool { return v%8 == 0 }))
 		for i := 0; i < b.N; i++ {
 			vs := proto.Clone()
-			vs.ToSparse()
+			must(vs.ToSparse(ctx))
 		}
 	})
 }
@@ -285,12 +287,12 @@ func BenchmarkExtensions(b *testing.B) {
 	})
 	b.Run("MaximalMatching", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.MaximalMatching(g, 1)
+			must(ligra.MaximalMatching(context.Background(), g, 1))
 		}
 	})
 	b.Run("Coloring", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.Coloring(g, 1, ligra.Options{})
+			must(ligra.Coloring(context.Background(), g, 1, ligra.Options{}))
 		}
 	})
 	b.Run("TriangleCount", func(b *testing.B) {
@@ -310,22 +312,22 @@ func BenchmarkExtensions(b *testing.B) {
 	})
 	b.Run("LDD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.LDD(g, 0.2, 1, ligra.Options{})
+			must(ligra.LDD(context.Background(), g, 0.2, 1, ligra.Options{}))
 		}
 	})
 	b.Run("CC-LDD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.ConnectedComponentsLDD(g, 0.2, 1, ligra.Options{})
+			must(ligra.ConnectedComponentsLDD(context.Background(), g, 0.2, 1, ligra.Options{}))
 		}
 	})
 	b.Run("SpanningForest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ligra.SpanningForest(g, ligra.Options{})
+			must(ligra.SpanningForest(context.Background(), g, ligra.Options{}))
 		}
 	})
 	b.Run("LocalCluster", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ligra.LocalCluster(g, 0, 0.15, 1e-6); err != nil {
+			if _, err := ligra.LocalCluster(context.Background(), g, 0, 0.15, 1e-6); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -107,7 +107,7 @@ func main() {
 
 	// --- Community around a user: local clustering (APPR + sweep cut)
 	// touches only the seed's neighborhood, never the whole graph. ---
-	lc, err := ligra.LocalCluster(g, top[0].v, 0.15, 1e-5)
+	lc, err := ligra.LocalCluster(ctx, g, top[0].v, 0.15, 1e-5)
 	if err != nil {
 		log.Fatal(err)
 	}

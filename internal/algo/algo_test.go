@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -15,6 +16,17 @@ import (
 func TestMain(m *testing.M) {
 	parallel.SetProcs(4)
 	os.Exit(m.Run())
+}
+
+// bg is the context of runs that have nothing to observe.
+var bg = context.Background()
+
+// must returns v, panicking (and so failing the calling test) on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // modes are the edgeMap strategies every algorithm must agree across.

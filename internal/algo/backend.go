@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 	"ligra/internal/spmv"
 )
 
@@ -81,23 +80,13 @@ func autoBackend(g graph.View) string {
 	return BackendSpMV
 }
 
-// backendCtx applies the one EdgeMap extra that is meaningful to both
-// backends — the per-call proc lease — mirroring what core's edgeMap does
-// internally with the same Options.
-func backendCtx(ctx context.Context, p Params) context.Context {
-	if p.EdgeMap.Procs > 0 {
-		ctx = parallel.WithProcs(ctx, p.EdgeMap.Procs)
-	}
-	return ctx
-}
-
 // spmvBFSRun executes the bfs runner on the spmv backend. Mode and
 // Threshold keep their edgeMap meaning (per-round direction forcing and
 // dense-switch threshold); "dense-forward" degrades to the pull kernel,
 // which is the closest spmv realization.
 func spmvBFSRun(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 	o := p.EdgeMapOptions()
-	res, err := spmv.BFSLevels(backendCtx(ctx, p), g, p.Source, spmv.BFSOptions{
+	res, err := spmv.BFSLevels(ctx, g, p.Source, spmv.BFSOptions{
 		Mode:      o.Mode,
 		Threshold: o.Threshold,
 	})

@@ -8,7 +8,6 @@ import (
 	"ligra/internal/atomicx"
 	"ligra/internal/core"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 )
 
 // BCResult carries the output of single-source betweenness centrality.
@@ -47,9 +46,13 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	n := g.NumVertices()
 	numPaths := atomicx.NewFloat64Slice(n)
 	levels := make([]int32, n)
-	parallel.Fill(levels, int32(-1))
+	err := fill(ctx, levels, int32(-1))
 	levels[source] = 0
 	numPaths.StoreNonAtomic(int(source), 1)
+	if err != nil {
+		return &BCResult{Scores: make([]float64, n), NumPaths: numPaths.ToSlice(), Levels: levels},
+			roundErr("bc", 0, err)
+	}
 
 	// --- Forward phase: count shortest paths level by level. ---
 	//
@@ -103,12 +106,14 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	frontier := frontiers[0]
 	for !frontier.IsEmpty() {
 		atomic.AddInt32(&round, 1)
-		next, err := core.EdgeMapCtx(ctx, g, frontier, fwd, opts)
+		next, err := core.EdgeMap(ctx, g, frontier, fwd, opts)
 		if err != nil {
 			return result(), roundErr("bc", int(roundLoad(&round))-1, err)
 		}
 		frontier = next
-		core.VertexMap(frontier, func(v uint32) { visited[v] = 1 })
+		if err := core.VertexMap(ctx, frontier, func(v uint32) { visited[v] = 1 }); err != nil {
+			return result(), roundErr("bc", int(roundLoad(&round))-1, err)
+		}
 		if !frontier.IsEmpty() {
 			frontiers = append(frontiers, frontier)
 		}
@@ -151,7 +156,7 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	bwdOpts.NoOutput = true
 	for i := len(frontiers) - 1; i >= 1; i-- {
 		atomic.StoreInt32(&backRound, int32(i))
-		if _, err := core.EdgeMapCtx(ctx, gT, frontiers[i], bwd, bwdOpts); err != nil {
+		if _, err := core.EdgeMap(ctx, gT, frontiers[i], bwd, bwdOpts); err != nil {
 			return result(), roundErr("bc-backward", i, err)
 		}
 	}

@@ -69,7 +69,7 @@ func TestLocalClusteringCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, c := range LocalClusteringCoefficients(k5) {
+	for v, c := range must(LocalClusteringCoefficients(bg, k5)) {
 		if math.Abs(c-1) > 1e-12 {
 			t.Errorf("K5 lcc[%d] = %v, want 1", v, c)
 		}
@@ -79,7 +79,7 @@ func TestLocalClusteringCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, c := range LocalClusteringCoefficients(p) {
+	for v, c := range must(LocalClusteringCoefficients(bg, p)) {
 		if c != 0 {
 			t.Errorf("path lcc[%d] = %v, want 0", v, c)
 		}
@@ -92,7 +92,7 @@ func TestLocalClusteringCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcc := LocalClusteringCoefficients(g)
+	lcc := must(LocalClusteringCoefficients(bg, g))
 	want := []float64{1, 1, 1.0 / 3, 0}
 	for v := range want {
 		if math.Abs(lcc[v]-want[v]) > 1e-12 {
@@ -105,7 +105,9 @@ func TestClusteringConsistentWithTriangles(t *testing.T) {
 	// Sum over vertices of per-vertex triangles = 3 * total triangles.
 	g := testGraphs(t)["rmat"]
 	acc := make([]int64, g.NumVertices())
-	countTrianglesPerVertex(g, acc)
+	if err := countTrianglesPerVertex(bg, g, acc); err != nil {
+		t.Fatal(err)
+	}
 	var sum int64
 	for _, c := range acc {
 		sum += c

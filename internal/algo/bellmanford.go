@@ -8,7 +8,6 @@ import (
 	"ligra/internal/atomicx"
 	"ligra/internal/core"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 )
 
 // InfDist is the distance assigned to unreachable vertices.
@@ -39,8 +38,11 @@ type SSSPResult struct {
 func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) (*SSSPResult, error) {
 	n := g.NumVertices()
 	dist := make([]int64, n)
-	parallel.Fill(dist, InfDist)
+	err := fill(ctx, dist, InfDist)
 	dist[source] = 0
+	if err != nil {
+		return &SSSPResult{Dist: dist}, roundErr("bellman-ford", 0, err)
+	}
 
 	// visited[d] != 0 means d already joined this round's output frontier.
 	visited := make([]uint32, n)
@@ -91,14 +93,16 @@ func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.
 		if rounds >= n {
 			return &SSSPResult{Dist: dist, Rounds: rounds, NegativeCycle: true}, nil
 		}
-		next, err := core.EdgeMapCtx(ctx, g, frontier, funcs, opts)
+		next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
 		if err != nil {
 			return &SSSPResult{Dist: dist, Rounds: rounds},
 				roundErr("bellman-ford", rounds, err)
 		}
 		frontier = next
-		core.VertexMap(frontier, func(v uint32) { visited[v] = 0 })
 		rounds++
+		if err := core.VertexMap(ctx, frontier, func(v uint32) { visited[v] = 0 }); err != nil {
+			return &SSSPResult{Dist: dist, Rounds: rounds}, roundErr("bellman-ford", rounds, err)
+		}
 	}
 	return &SSSPResult{Dist: dist, Rounds: rounds, NegativeCycle: false}, nil
 }

@@ -6,6 +6,9 @@
 // algorithm is expressed against the core.EdgeMap / core.VertexMap
 // interface exactly as in the paper, and accepts a core.Options so the
 // benchmark harness can force sparse/dense modes and sweep thresholds.
+// Every algorithm takes the ctx it runs under first: its worker cap and
+// deadline reach every pass of the run, edgeMap rounds and vertex phases
+// alike.
 package algo
 
 import (
@@ -14,7 +17,6 @@ import (
 
 	"ligra/internal/core"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 )
 
 // BFSResult carries the output of a breadth-first search.
@@ -31,15 +33,18 @@ type BFSResult struct {
 // BFSCtx runs the paper's breadth-first search (Figure 1/§5.1): the
 // frontier expands one level per round; Update claims unvisited
 // destinations with a compare-and-swap on the parent array. ctx (nil =
-// background) is observed at chunk granularity inside every round. On
+// background) is observed at chunk granularity inside every pass. On
 // interruption it returns the partial result — Parents holds a valid BFS
 // forest over all vertices claimed so far — together with a *RoundError
 // wrapping the cause.
 func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) (*BFSResult, error) {
 	n := g.NumVertices()
 	parents := make([]uint32, n)
-	parallel.Fill(parents, core.None)
+	err := fill(ctx, parents, core.None)
 	parents[source] = source
+	if err != nil {
+		return &BFSResult{Parents: parents, Visited: 1}, roundErr("bfs", 0, err)
+	}
 
 	funcs := core.EdgeFuncs{
 		// Push: CAS claims the parent exactly once.
@@ -72,7 +77,7 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 	visited := 1
 	rounds := 0
 	for !frontier.IsEmpty() {
-		next, err := core.EdgeMapCtx(ctx, g, frontier, funcs, opts)
+		next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
 		if err != nil {
 			return &BFSResult{Parents: parents, Rounds: rounds, Visited: visited},
 				roundErr("bfs", rounds, err)
@@ -95,8 +100,11 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) ([]int32, error) {
 	n := g.NumVertices()
 	levels := make([]int32, n)
-	parallel.Fill(levels, int32(-1))
+	err := fill(ctx, levels, int32(-1))
 	levels[source] = 0
+	if err != nil {
+		return levels, roundErr("bfs-levels", 0, err)
+	}
 
 	round := int32(0)
 	funcs := core.EdgeFuncs{
@@ -122,7 +130,7 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 	frontier := core.NewSingle(n, source)
 	for !frontier.IsEmpty() {
 		round++
-		next, err := core.EdgeMapCtx(ctx, g, frontier, funcs, opts)
+		next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
 		if err != nil {
 			return levels, roundErr("bfs-levels", int(round-1), err)
 		}

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"context"
 	"sync/atomic"
 
@@ -40,13 +41,25 @@ type CCResult struct {
 // On interruption the partial result's Labels form a valid
 // coarsening of the true components (every label is some member's ID and
 // propagation simply hasn't converged); Components counts the labels that
-// are still their own representative.
+// are still their own representative, as far as the count got under the
+// interrupted ctx.
 func ConnectedComponentsCtx(ctx context.Context, g graph.View, opts core.Options) (*CCResult, error) {
 	n := g.NumVertices()
 	ids := make([]uint32, n)
 	prev := make([]uint32, n)
-	parallel.Iota(ids, 0)
-	parallel.Iota(prev, 0)
+	rounds := 0
+	finish := func(err error) (*CCResult, error) {
+		// A label l names a component iff its own label is itself.
+		components, cerr := parallel.CountFunc(ctx, n, func(i int) bool { return ids[i] == uint32(i) })
+		return &CCResult{Labels: ids, Components: components, Rounds: rounds},
+			roundErr("components", rounds, cmp.Or(err, cerr))
+	}
+	if err := parallel.Iota(ctx, ids, 0); err != nil {
+		for i := range ids {
+			ids[i] = uint32(i) // the initial labeling, as fill would leave it
+		}
+		return finish(err)
+	}
 
 	funcs := core.EdgeFuncs{
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
@@ -84,18 +97,11 @@ func ConnectedComponentsCtx(ctx context.Context, g graph.View, opts core.Options
 	opts.RemoveDuplicates = true
 
 	frontier := core.NewAll(n)
-	rounds := 0
-	finish := func(err error) (*CCResult, error) {
-		// A label l names a component iff its own label is itself.
-		components := parallel.CountFunc(n, func(i int) bool { return ids[i] == uint32(i) })
-		return &CCResult{Labels: ids, Components: components, Rounds: rounds},
-			roundErr("components", rounds, err)
-	}
 	for !frontier.IsEmpty() {
-		if err := core.VertexMapCtx(ctx, frontier, func(v uint32) { prev[v] = ids[v] }); err != nil {
+		if err := core.VertexMap(ctx, frontier, func(v uint32) { prev[v] = ids[v] }); err != nil {
 			return finish(err)
 		}
-		next, err := core.EdgeMapCtx(ctx, g, frontier, funcs, opts)
+		next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
 		if err != nil {
 			return finish(err)
 		}

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -120,10 +121,10 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		Rounds:   0,
 		n:        n,
 	}
-	parallel.Fill(res.MaxLevel, int32(-1))
+	err := fill(ctx, res.MaxLevel, int32(-1))
 	if opts.WantLevels && k > 0 {
 		res.Levels = make([]int32, k*n)
-		parallel.Fill(res.Levels, int32(-1))
+		err = cmp.Or(err, fill(ctx, res.Levels, int32(-1)))
 	}
 	if len(opts.Probes) > 0 {
 		res.Probes = append([]uint32(nil), opts.Probes...)
@@ -157,8 +158,8 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 			res.ProbeLevels[j][i] = 0
 		}
 	}
-	if k == 0 {
-		return res, parallel.CtxErr(ctx)
+	if k == 0 || err != nil {
+		return res, cmp.Or(err, parallel.CtxErr(ctx))
 	}
 
 	// The settled (cur) and in-flight (next) visit words live interleaved
@@ -241,27 +242,36 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 
 	// Per-worker accumulators for "which sources gained ground this
 	// round" — folded into Depth after each round.
-	active := make([]uint64, parallel.Procs())
+	active := make([]uint64, parallel.CtxProcs(ctx))
 
 	frontier := core.NewSparse(n, roots)
 	iters := 0
+	// An interrupted sweep still publishes what it settled; under a
+	// cancelled ctx the aggregation itself stops short, which the
+	// partial-result contract allows.
+	fail := func(err error) (*ClusterBFSResult, error) {
+		res.Rounds = iters
+		_ = finishAggregates(ctx, res, words)
+		return res, err
+	}
 	for !frontier.IsEmpty() {
 		atomic.AddInt32(&round, 1)
-		next, err := core.EdgeMapCtx(ctx, g, frontier, funcs, emOpts)
+		next, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts)
 		if err != nil {
-			res.Rounds = iters
-			finishAggregates(ctx, res, words)
-			return res, err
+			return fail(err)
 		}
 		frontier = next
 		// Fold the round's new bits into the visit words (single writer
 		// per frontier vertex), recording levels where asked.
-		ids := frontier.ToSparse()
+		ids, err := frontier.ToSparse(ctx)
+		if err != nil {
+			return fail(err)
+		}
 		r := roundLoad(&round)
 		for w := range active {
 			active[w] = 0
 		}
-		err = parallel.ForWorkerChunksCtx(ctx, len(ids), 0, func(worker, _, lo, hi int) {
+		err = parallel.ForWorkerChunks(ctx, len(ids), 0, func(worker, _, lo, hi int) {
 			var mask uint64
 			for j := lo; j < hi; j++ {
 				v := ids[j]
@@ -288,9 +298,7 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 			active[worker] |= mask
 		})
 		if err != nil {
-			res.Rounds = iters
-			finishAggregates(ctx, res, words)
-			return res, err
+			return fail(err)
 		}
 		var roundMask uint64
 		for _, m := range active {
@@ -304,8 +312,7 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 	// The final iteration found no new vertices, so the largest level
 	// assigned is iters-1 (radii's historical Rounds convention).
 	res.Rounds = iters - 1
-	finishAggregates(nil, res, words)
-	return res, nil
+	return res, finishAggregates(ctx, res, words)
 }
 
 // visitPair interleaves a vertex's settled and in-flight visit words so
@@ -316,16 +323,16 @@ type visitPair struct{ cur, next uint64 }
 // computes the per-source reach counts from them (Depth is maintained
 // round by round). Safe on partial sweeps; a cancelled aggregation
 // leaves counts short, which the partial-result contract allows.
-func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitPair) {
+func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitPair) error {
 	if len(res.Sources) == 0 {
-		return
+		return nil
 	}
 	type counts struct {
 		c [MaxClusterSources]int64
 		_ [56]byte // keep workers off each other's cache lines
 	}
-	per := make([]counts, parallel.Procs())
-	_ = parallel.ForWorkerChunksCtx(ctx, len(words), 0, func(worker, _, lo, hi int) {
+	per := make([]counts, parallel.CtxProcs(ctx))
+	err := parallel.ForWorkerChunks(ctx, len(words), 0, func(worker, _, lo, hi int) {
 		c := &per[worker].c
 		for v := lo; v < hi; v++ {
 			w := words[v].cur
@@ -342,6 +349,7 @@ func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitP
 		}
 		res.Reached[i] = total
 	}
+	return err
 }
 
 // containsU32 reports membership in a tiny slice (at most 64 sources, so

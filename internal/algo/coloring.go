@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"sync/atomic"
 
 	"ligra/internal/core"
@@ -27,10 +28,20 @@ type ColoringResult struct {
 // priority order (the internally deterministic style of Blelloch,
 // Fineman, Gibbons, Shun, PPoPP 2012), and expected rounds are
 // O(log n) for random priorities.
-func Coloring(g graph.View, seed uint64, opts core.Options) *ColoringResult {
+//
+// ctx is observed at chunk granularity in every pass. On interruption
+// Colors is a proper partial coloring (-1 for vertices not yet colored)
+// and NumColors is 0, returned with a *RoundError.
+func Coloring(ctx context.Context, g graph.View, seed uint64, opts core.Options) (*ColoringResult, error) {
 	n := g.NumVertices()
 	colors := make([]int32, n)
-	parallel.Fill(colors, int32(-1))
+	rounds := 0
+	partial := func(err error) (*ColoringResult, error) {
+		return &ColoringResult{Colors: colors, Rounds: rounds}, roundErr("coloring", rounds, err)
+	}
+	if err := fill(ctx, colors, int32(-1)); err != nil {
+		return partial(err)
+	}
 	pri := make([]uint64, n)
 	for v := 0; v < n; v++ {
 		pri[v] = hashU64(seed, uint64(v))
@@ -40,10 +51,9 @@ func Coloring(g graph.View, seed uint64, opts core.Options) *ColoringResult {
 	}
 
 	uncolored := core.NewAll(n)
-	rounds := 0
 	for !uncolored.IsEmpty() {
 		// Roots: uncolored vertices dominating their uncolored neighbors.
-		roots := core.VertexFilter(uncolored, func(v uint32) bool {
+		roots, err := core.VertexFilter(ctx, uncolored, func(v uint32) bool {
 			if atomic.LoadInt32(&colors[v]) != -1 {
 				return false
 			}
@@ -57,10 +67,13 @@ func Coloring(g graph.View, seed uint64, opts core.Options) *ColoringResult {
 			})
 			return !dominated
 		})
+		if err != nil {
+			return partial(err)
+		}
 		// Color each root with the smallest color free among neighbors.
 		// Roots are pairwise non-adjacent, so their choices cannot
 		// conflict within a round; already-colored neighbors are frozen.
-		core.VertexMap(roots, func(v uint32) {
+		if err := core.VertexMap(ctx, roots, func(v uint32) {
 			deg := g.OutDegree(v)
 			used := make([]bool, deg+1)
 			g.OutNeighbors(v, func(d uint32, _ int32) bool {
@@ -74,16 +87,24 @@ func Coloring(g graph.View, seed uint64, opts core.Options) *ColoringResult {
 				c++
 			}
 			atomic.StoreInt32(&colors[v], c)
-		})
-		uncolored = core.VertexFilter(uncolored, func(v uint32) bool {
+		}); err != nil {
+			return partial(err)
+		}
+		if uncolored, err = core.VertexFilter(ctx, uncolored, func(v uint32) bool {
 			return atomic.LoadInt32(&colors[v]) == -1
-		})
+		}); err != nil {
+			return partial(err)
+		}
 		rounds++
 	}
 
 	numColors := 0
 	if n > 0 {
-		numColors = int(parallel.Max(colors)) + 1
+		maxColor, err := parallel.Max(ctx, colors)
+		if err != nil {
+			return partial(err)
+		}
+		numColors = int(maxColor) + 1
 	}
-	return &ColoringResult{Colors: colors, NumColors: numColors, Rounds: rounds}
+	return &ColoringResult{Colors: colors, NumColors: numColors, Rounds: rounds}, nil
 }

@@ -56,10 +56,10 @@ func TestAlgorithmsOnSingleVertex(t *testing.T) {
 	if got := must(TriangleCountCtx(nil, g)); got != 0 {
 		t.Errorf("triangles = %d", got)
 	}
-	if res := MaximalMatching(g, 1); res.Size != 0 {
+	if res := must(MaximalMatching(bg, g, 1)); res.Size != 0 {
 		t.Errorf("matching size = %d", res.Size)
 	}
-	if res := Coloring(g, 1, core.Options{}); res.NumColors != 1 {
+	if res := must(Coloring(bg, g, 1, core.Options{})); res.NumColors != 1 {
 		t.Errorf("colors = %d", res.NumColors)
 	}
 	if res := must(SCCCtx(nil, g, core.Options{})); res.Components != 1 {
@@ -68,7 +68,7 @@ func TestAlgorithmsOnSingleVertex(t *testing.T) {
 	if res, err := DeltaSteppingCtx(nil, g, 0, 1, core.Options{}); err != nil || res.Dist[0] != 0 {
 		t.Errorf("delta-stepping: %v %v", res, err)
 	}
-	if res := LDD(g, 0.5, 1, core.Options{}); res.NumClusters != 1 {
+	if res := must(LDD(bg, g, 0.5, 1, core.Options{})); res.NumClusters != 1 {
 		t.Errorf("LDD clusters = %d", res.NumClusters)
 	}
 }
@@ -92,10 +92,10 @@ func TestAlgorithmsOnEdgelessGraph(t *testing.T) {
 	if res := must(MISCtx(nil, g, 1, core.Options{})); countTrue(res.InSet) != 50 {
 		t.Error("MIS on edgeless graph must include everything")
 	}
-	if res := MaximalMatching(g, 1); res.Size != 0 {
+	if res := must(MaximalMatching(bg, g, 1)); res.Size != 0 {
 		t.Errorf("matching on edgeless graph = %d", res.Size)
 	}
-	if res := Coloring(g, 1, core.Options{}); res.NumColors != 1 {
+	if res := must(Coloring(bg, g, 1, core.Options{})); res.NumColors != 1 {
 		t.Errorf("edgeless coloring used %d colors", res.NumColors)
 	}
 	if res := must(SCCCtx(nil, g, core.Options{})); res.Components != 50 {

@@ -43,10 +43,21 @@ type DeltaSteppingResult struct {
 // edgeMap phases.
 func DeltaSteppingCtx(ctx context.Context, g graph.View, source uint32, delta int64, opts core.Options) (*DeltaSteppingResult, error) {
 	n := g.NumVertices()
+	dist := make([]int64, n)
+	nBuckets, phases := 0, 0
+	partial := func(err error) (*DeltaSteppingResult, error) {
+		return &DeltaSteppingResult{Dist: dist, Buckets: nBuckets, Phases: phases},
+			roundErr("delta-stepping", phases, err)
+	}
+	err := fill(ctx, dist, InfDist)
+	dist[source] = 0
+	if err != nil {
+		return partial(err)
+	}
 	// One pass rejects negative weights and sums the rest for the delta
 	// heuristic.
 	var negErr atomic.Bool
-	sum := parallel.SumFunc(n, func(i int) int64 {
+	sum, err := parallel.SumFunc(ctx, n, func(i int) int64 {
 		var s int64
 		g.OutNeighbors(uint32(i), func(_ uint32, w int32) bool {
 			if w < 0 {
@@ -58,16 +69,15 @@ func DeltaSteppingCtx(ctx context.Context, g graph.View, source uint32, delta in
 		})
 		return s
 	})
+	if err != nil {
+		return partial(err)
+	}
 	if negErr.Load() {
 		return nil, errors.New("algo: delta-stepping requires non-negative weights")
 	}
 	if delta <= 0 {
 		delta = sum/max(g.NumEdges(), 1) + 1
 	}
-
-	dist := make([]int64, n)
-	parallel.Fill(dist, InfDist)
-	dist[source] = 0
 
 	// visited flags give exactly-once output-frontier membership per
 	// edgeMap phase (reset after each phase, as in Bellman-Ford).
@@ -106,15 +116,10 @@ func DeltaSteppingCtx(ctx context.Context, g graph.View, source uint32, delta in
 		return buckets.Finished
 	})
 	bucketOf := func(v uint32) int64 { return dist[v] / delta }
-	resetVisited := func(out *core.VertexSubset) {
-		core.VertexMap(out, func(v uint32) { visited[v] = 0 })
+	resetVisited := func(out *core.VertexSubset) error {
+		return core.VertexMap(ctx, out, func(v uint32) { visited[v] = 0 })
 	}
 
-	nBuckets, phases := 0, 0
-	partial := func(err error) (*DeltaSteppingResult, error) {
-		return &DeltaSteppingResult{Dist: dist, Buckets: nBuckets, Phases: phases},
-			roundErr("delta-stepping", phases, err)
-	}
 	for {
 		if err := parallel.CtxErr(ctx); err != nil {
 			return partial(err)
@@ -133,11 +138,13 @@ func DeltaSteppingCtx(ctx context.Context, g graph.View, source uint32, delta in
 		}
 		for len(cur) > 0 {
 			frontier := core.NewSparse(n, cur)
-			out, err := core.EdgeMapCtx(ctx, g, frontier, lightFuncs, opts)
+			out, err := core.EdgeMap(ctx, g, frontier, lightFuncs, opts)
+			if err == nil {
+				err = resetVisited(out)
+			}
 			if err != nil {
 				return partial(err)
 			}
-			resetVisited(out)
 			phases++
 			cur = nil
 			out.ForEachSeq(func(v uint32) {
@@ -159,11 +166,13 @@ func DeltaSteppingCtx(ctx context.Context, g graph.View, source uint32, delta in
 		// One heavy-edge pass from everything settled in this bucket;
 		// heavy targets land strictly beyond bucket k.
 		frontier := core.NewSparse(n, settled)
-		out, err := core.EdgeMapCtx(ctx, g, frontier, heavyFuncs, opts)
+		out, err := core.EdgeMap(ctx, g, frontier, heavyFuncs, opts)
+		if err == nil {
+			err = resetVisited(out)
+		}
 		if err != nil {
 			return partial(err)
 		}
-		resetVisited(out)
 		phases++
 		out.ForEachSeq(func(v uint32) {
 			bkts.Update(v, bucketOf(v))

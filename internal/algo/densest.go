@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"cmp"
+	"context"
 	"sync/atomic"
 
 	"ligra/internal/buckets"
@@ -25,15 +27,23 @@ type DensestResult struct {
 // whole minimum bucket at a time, which preserves the approximation
 // factor) and return the intermediate subgraph of maximum density.
 // Uses the Julienne bucket structure keyed by current degree.
-func DensestSubgraph(g graph.View, opts core.Options) *DensestResult {
+//
+// ctx is observed at chunk granularity inside every peel's edgeMap. On
+// interruption Density is the best found over the peels completed,
+// Vertices is nil, and the *RoundError counts the peels.
+func DensestSubgraph(ctx context.Context, g graph.View, opts core.Options) (*DensestResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
-		return &DensestResult{}
+		return &DensestResult{}, roundErr("densest", 0, parallel.CtxErr(ctx))
 	}
 	deg := make([]int32, n)
-	parallel.For(n, func(i int) { deg[i] = int32(g.OutDegree(uint32(i))) })
 	removed := make([]int32, n) // peel order stamp; -1 = still present
-	parallel.Fill(removed, int32(-1))
+	if err := cmp.Or(
+		parallel.For(ctx, n, func(i int) { deg[i] = int32(g.OutDegree(uint32(i))) }),
+		fill(ctx, removed, int32(-1)),
+	); err != nil {
+		return &DensestResult{}, roundErr("densest", 0, err)
+	}
 
 	bkts := buckets.New(n, func(v uint32) int64 { return int64(deg[v]) })
 
@@ -82,7 +92,12 @@ func DensestSubgraph(g graph.View, opts core.Options) *DensestResult {
 		removedEdges -= internalPairs / 2
 
 		frontier := core.NewSparse(n, members)
-		out := core.EdgeMap(g, frontier, funcs, opts)
+		out, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
+		if err != nil {
+			// This peel's stamps are set but its edges never left: the
+			// density so far is that of the peels before it.
+			return &DensestResult{Density: bestDensity, Peels: peels - 1}, roundErr("densest", peels-1, err)
+		}
 		out.ForEachSeq(func(d uint32) {
 			if removed[d] != -1 {
 				return
@@ -106,5 +121,5 @@ func DensestSubgraph(g graph.View, opts core.Options) *DensestResult {
 			verts = append(verts, uint32(v))
 		}
 	}
-	return &DensestResult{Vertices: verts, Density: bestDensity, Peels: peels}
+	return &DensestResult{Vertices: verts, Density: bestDensity, Peels: peels}, nil
 }

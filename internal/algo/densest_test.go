@@ -44,7 +44,7 @@ func TestDensestSubgraphCliqueWithTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := DensestSubgraph(g, core.Options{})
+	res := must(DensestSubgraph(bg, g, core.Options{}))
 	if math.Abs(res.Density-4.5) > 1e-9 {
 		t.Errorf("density = %v, want 4.5", res.Density)
 	}
@@ -77,7 +77,7 @@ func TestDensestSubgraphApproximation(t *testing.T) {
 	// maxCore/4; also the whole graph's density is a trivial lower bound.
 	for _, gname := range []string{"rmat", "grid3d", "er-sparse"} {
 		g := testGraphs(t)[gname]
-		res := DensestSubgraph(g, core.Options{})
+		res := must(DensestSubgraph(bg, g, core.Options{}))
 		whole := float64(g.NumEdges()/2) / float64(g.NumVertices())
 		if res.Density < whole-1e-9 {
 			t.Errorf("%s: density %v below whole-graph %v", gname, res.Density, whole)
@@ -95,12 +95,12 @@ func TestDensestSubgraphApproximation(t *testing.T) {
 
 func TestDensestSubgraphDegenerate(t *testing.T) {
 	p, _ := gen.Path(10)
-	res := DensestSubgraph(p, core.Options{})
+	res := must(DensestSubgraph(bg, p, core.Options{}))
 	if res.Density < 0.9-1e-9 { // path density approaches 1 (cycle-free max 9/10)
 		t.Errorf("path density %v", res.Density)
 	}
 	single, _ := graph.FromEdges(1, nil, graph.BuildOptions{Symmetrize: true})
-	res = DensestSubgraph(single, core.Options{})
+	res = must(DensestSubgraph(bg, single, core.Options{}))
 	if res.Density != 0 {
 		t.Errorf("single vertex density %v", res.Density)
 	}

@@ -13,7 +13,7 @@ import (
 func TestMaximalMatchingValid(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "path", "star", "tree", "er-sparse"} {
 		g := testGraphs(t)[gname]
-		res := MaximalMatching(g, 7)
+		res := must(MaximalMatching(bg, g, 7))
 		const none = ^uint32(0)
 		n := g.NumVertices()
 		matchedEdges := 0
@@ -63,18 +63,18 @@ func TestMaximalMatchingValid(t *testing.T) {
 func TestMaximalMatchingKnownSizes(t *testing.T) {
 	// Path of 2: exactly one matched edge.
 	p2, _ := gen.Path(2)
-	if res := MaximalMatching(p2, 1); res.Size != 1 {
+	if res := must(MaximalMatching(bg, p2, 1)); res.Size != 1 {
 		t.Errorf("P2 matching size %d, want 1", res.Size)
 	}
 	// Star: exactly one edge can match.
 	st, _ := gen.Star(20)
-	if res := MaximalMatching(st, 1); res.Size != 1 {
+	if res := must(MaximalMatching(bg, st, 1)); res.Size != 1 {
 		t.Errorf("star matching size %d, want 1", res.Size)
 	}
 	// Complete graph K6: perfect matching of size 3 is maximal, and any
 	// maximal matching in K6 has size >= 2; greedy yields 3 or 2.
 	k6, _ := gen.Complete(6)
-	if res := MaximalMatching(k6, 1); res.Size < 2 || res.Size > 3 {
+	if res := must(MaximalMatching(bg, k6, 1)); res.Size < 2 || res.Size > 3 {
 		t.Errorf("K6 matching size %d", res.Size)
 	}
 }
@@ -82,7 +82,7 @@ func TestMaximalMatchingKnownSizes(t *testing.T) {
 func TestColoringProper(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "path", "star", "tree", "er-sparse"} {
 		g := testGraphs(t)[gname]
-		res := Coloring(g, 3, core.Options{})
+		res := must(Coloring(bg, g, 3, core.Options{}))
 		maxDeg := 0
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
 			if d := g.OutDegree(v); d > maxDeg {
@@ -109,13 +109,13 @@ func TestColoringKnownCounts(t *testing.T) {
 	// can use 2 (never 3 on a path processed in any priority order? greedy
 	// on a path can use 3 in adversarial orders, but <= maxdeg+1 = 3).
 	p, _ := gen.Path(50)
-	res := Coloring(p, 5, core.Options{})
+	res := must(Coloring(bg, p, 5, core.Options{}))
 	if res.NumColors > 3 {
 		t.Errorf("path colored with %d colors", res.NumColors)
 	}
 	// Complete graph needs exactly n colors.
 	k5, _ := gen.Complete(5)
-	res = Coloring(k5, 5, core.Options{})
+	res = must(Coloring(bg, k5, 5, core.Options{}))
 	if res.NumColors != 5 {
 		t.Errorf("K5 colored with %d colors, want 5", res.NumColors)
 	}
@@ -123,8 +123,8 @@ func TestColoringKnownCounts(t *testing.T) {
 
 func TestColoringDeterministic(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	a := Coloring(g, 42, core.Options{})
-	b := Coloring(g, 42, core.Options{Mode: core.ForceSparse})
+	a := must(Coloring(bg, g, 42, core.Options{}))
+	b := must(Coloring(bg, g, 42, core.Options{Mode: core.ForceSparse}))
 	for v := range a.Colors {
 		if a.Colors[v] != b.Colors[v] {
 			t.Fatalf("coloring not internally deterministic at vertex %d", v)
@@ -208,7 +208,7 @@ func TestSpanningForestProperties(t *testing.T) {
 		if !g.Symmetric() {
 			continue
 		}
-		res := SpanningForest(g, core.Options{})
+		res := must(SpanningForest(bg, g, core.Options{}))
 		n := g.NumVertices()
 		comps := map[uint32]bool{}
 		for _, l := range seq.ConnectedComponents(g) {

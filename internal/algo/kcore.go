@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"context"
 	"sync/atomic"
 
@@ -35,28 +36,30 @@ type KCoreResult struct {
 func KCoreCtx(ctx context.Context, g graph.View, opts core.Options) (*KCoreResult, error) {
 	n := g.NumVertices()
 	coreness := make([]int32, n)
-	parallel.Fill(coreness, int32(-1))
 	deg := make([]int32, n)
-	parallel.For(n, func(i int) { deg[i] = int32(g.OutDegree(uint32(i))) })
-
 	alive := n
 	rounds := 0
+	// k only grows, so the largest coreness assigned so far is the last
+	// peel's k-1.
+	maxCore := int32(0)
 	partial := func(err error) (*KCoreResult, error) {
-		maxCore := int32(0)
-		if n > 0 {
-			maxCore = parallel.Max(coreness)
-		}
 		return &KCoreResult{Coreness: coreness, MaxCore: maxCore, Rounds: rounds},
 			roundErr("kcore", rounds, err)
 	}
+	if err := cmp.Or(
+		fill(ctx, coreness, int32(-1)),
+		parallel.For(ctx, n, func(i int) { deg[i] = int32(g.OutDegree(uint32(i))) }),
+	); err != nil {
+		return partial(err)
+	}
 	k := int32(1)
 	for alive > 0 {
-		if err := parallel.CtxErr(ctx); err != nil {
-			return partial(err)
-		}
-		peel := core.NewFromFunc(n, func(v uint32) bool {
+		peel, err := core.NewFromFunc(ctx, n, func(v uint32) bool {
 			return coreness[v] == -1 && deg[v] < k
 		})
+		if err != nil {
+			return partial(err)
+		}
 		if peel.IsEmpty() {
 			k++
 			continue
@@ -73,9 +76,12 @@ func KCoreCtx(ctx context.Context, g graph.View, opts core.Options) (*KCoreResul
 			},
 		}
 		for !peel.IsEmpty() {
-			core.VertexMap(peel, func(v uint32) { coreness[v] = k - 1 })
+			if err := core.VertexMap(ctx, peel, func(v uint32) { coreness[v] = k - 1 }); err != nil {
+				return partial(err)
+			}
+			maxCore = k - 1
 			alive -= peel.Size()
-			next, err := core.EdgeMapCtx(ctx, g, peel, funcs, opts)
+			next, err := core.EdgeMap(ctx, g, peel, funcs, opts)
 			if err != nil {
 				return partial(err)
 			}

@@ -11,7 +11,7 @@ import (
 func TestLDDCoversAllVertices(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "path", "er-sparse"} {
 		g := testGraphs(t)[gname]
-		res := LDD(g, 0.2, 11, core.Options{})
+		res := must(LDD(bg, g, 0.2, 11, core.Options{}))
 		n := g.NumVertices()
 		for v := 0; v < n; v++ {
 			if res.Cluster[v] == core.None {
@@ -36,7 +36,7 @@ func TestLDDClustersAreConnected(t *testing.T) {
 	// Every cluster must be internally connected: a BFS within the
 	// cluster from its center reaches all members.
 	g := testGraphs(t)["rmat"]
-	res := LDD(g, 0.3, 5, core.Options{})
+	res := must(LDD(bg, g, 0.3, 5, core.Options{}))
 	n := g.NumVertices()
 	members := map[uint32][]uint32{}
 	for v := 0; v < n; v++ {
@@ -68,8 +68,8 @@ func TestLDDBetaControlsGranularity(t *testing.T) {
 	// Larger beta (earlier starts everywhere) yields more, smaller
 	// clusters on average.
 	g := testGraphs(t)["grid3d"]
-	small := LDD(g, 0.05, 3, core.Options{})
-	large := LDD(g, 2.0, 3, core.Options{})
+	small := must(LDD(bg, g, 0.05, 3, core.Options{}))
+	large := must(LDD(bg, g, 2.0, 3, core.Options{}))
 	if large.NumClusters <= small.NumClusters {
 		t.Errorf("beta=2.0 gave %d clusters, beta=0.05 gave %d — expected more clusters at larger beta",
 			large.NumClusters, small.NumClusters)
@@ -81,7 +81,7 @@ func TestConnectedComponentsLDDMatchesUnionFind(t *testing.T) {
 		g := testGraphs(t)[gname]
 		want := seq.ConnectedComponents(g)
 		for _, beta := range []float64{0.1, 0.5, 2.0} {
-			res := ConnectedComponentsLDD(g, beta, 7, core.Options{})
+			res := must(ConnectedComponentsLDD(bg, g, beta, 7, core.Options{}))
 			for v := range want {
 				if res.Labels[v] != want[v] {
 					t.Fatalf("%s beta=%v: label[%d] = %d, want %d",
@@ -100,7 +100,7 @@ func TestConnectedComponentsLDDDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := seq.ConnectedComponents(g)
-	res := ConnectedComponentsLDD(g, 0.2, 2, core.Options{})
+	res := must(ConnectedComponentsLDD(bg, g, 0.2, 2, core.Options{}))
 	for v := range want {
 		if res.Labels[v] != want[v] {
 			t.Fatalf("label[%d] = %d, want %d", v, res.Labels[v], want[v])

@@ -1,12 +1,14 @@
 package algo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sort"
 	"sync"
 
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 )
 
 // APPRResult carries an approximate personalized PageRank vector.
@@ -32,9 +34,14 @@ type APPRResult struct {
 //
 // alpha is the teleport probability (typical 0.1–0.2); eps the residual
 // tolerance (typical 1e-4 .. 1e-7, smaller = larger support).
-func APPR(g graph.View, seed uint32, alpha, eps float64) (*APPRResult, error) {
-	sc, pushes, err := appr(g, seed, alpha, eps)
-	if err != nil {
+//
+// The push loop is sequential; it checks ctx every pushBatch pops. On
+// interruption P and R hold the vector after the pushes made so far —
+// every push conserves mass, so it is a valid, less converged
+// approximation — returned with a *RoundError counting the pushes.
+func APPR(ctx context.Context, g graph.View, seed uint32, alpha, eps float64) (*APPRResult, error) {
+	sc, pushes, err := appr(ctx, g, seed, alpha, eps)
+	if sc == nil {
 		return nil, err
 	}
 	defer sc.release()
@@ -47,7 +54,7 @@ func APPR(g graph.View, seed uint32, alpha, eps float64) (*APPRResult, error) {
 			res.R[v] = sc.r[v]
 		}
 	}
-	return res, nil
+	return res, err
 }
 
 // localScratch is the per-vertex state of one local-clustering query:
@@ -96,10 +103,15 @@ func (sc *localScratch) release() {
 	localScratchPool.Put(sc)
 }
 
-// appr is APPR on a pooled dense scratch, which the caller releases: same
-// queue discipline, push order and floating-point operations as the
+// pushBatch is how many queue pops the sequential loops of local
+// clustering make between checks of their ctx: their chunk.
+const pushBatch = 1024
+
+// appr is APPR on a pooled dense scratch, which the caller releases
+// whenever it is non-nil (an interrupted run returns it with the error):
+// same queue discipline, push order and floating-point operations as the
 // map-based formulation it replaces (kept as the reference in the tests).
-func appr(g graph.View, seed uint32, alpha, eps float64) (*localScratch, int, error) {
+func appr(ctx context.Context, g graph.View, seed uint32, alpha, eps float64) (*localScratch, int, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, 0, errors.New("algo: APPR alpha must be in (0, 1)")
 	}
@@ -124,6 +136,12 @@ func appr(g graph.View, seed uint32, alpha, eps float64) (*localScratch, int, er
 	queue := append(sc.queue, seed)
 	pushes := 0
 	for head := 0; head < len(queue); head++ {
+		if head%pushBatch == 0 {
+			if err := parallel.CtxErr(ctx); err != nil {
+				sc.queue = queue
+				return sc, pushes, roundErr("appr", pushes, err)
+			}
+		}
 		v := queue[head]
 		flag[v] &^= queued
 		deg := float64(g.OutDegree(v))
@@ -175,18 +193,21 @@ type SweepCutResult struct {
 // volume incrementally, and return the prefix with minimum conductance —
 // the local-clustering step that, with APPR, finds a low-conductance
 // cluster around the seed (Andersen-Chung-Lang).
-func SweepCut(g graph.View, p map[uint32]float64) *SweepCutResult {
+//
+// The scan checks ctx every pushBatch prefixes. On interruption the
+// result is the empty cluster (conductance 1) with a *RoundError.
+func SweepCut(ctx context.Context, g graph.View, p map[uint32]float64) (*SweepCutResult, error) {
 	sc := getLocalScratch(g.NumVertices())
 	defer sc.release()
 	for v, pv := range p {
 		sc.touch(v)
 		sc.p[v] = pv
 	}
-	return sweep(g, sc)
+	return sweep(ctx, g, sc)
 }
 
 // sweep is SweepCut over the PPR vector held in sc.
-func sweep(g graph.View, sc *localScratch) *SweepCutResult {
+func sweep(ctx context.Context, g graph.View, sc *localScratch) (*SweepCutResult, error) {
 	type scored struct {
 		v     uint32
 		score float64
@@ -200,7 +221,7 @@ func sweep(g graph.View, sc *localScratch) *SweepCutResult {
 		order = append(order, scored{v, pv / float64(deg)})
 	}
 	if len(order) == 0 {
-		return &SweepCutResult{Conductance: 1}
+		return &SweepCutResult{Conductance: 1}, nil
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].score != order[j].score {
@@ -215,6 +236,11 @@ func sweep(g graph.View, sc *localScratch) *SweepCutResult {
 	best := math.Inf(1)
 	bestEnd := 0
 	for i, s := range order {
+		if i%pushBatch == 0 {
+			if err := parallel.CtxErr(ctx); err != nil {
+				return &SweepCutResult{Conductance: 1}, roundErr("sweep-cut", i, err)
+			}
+		}
 		v := s.v
 		deg := int64(g.OutDegree(v))
 		vol += deg
@@ -246,16 +272,21 @@ func sweep(g graph.View, sc *localScratch) *SweepCutResult {
 	for i := 0; i < bestEnd; i++ {
 		cluster[i] = order[i].v
 	}
-	return &SweepCutResult{Cluster: cluster, Conductance: best}
+	return &SweepCutResult{Cluster: cluster, Conductance: best}, nil
 }
 
 // LocalCluster runs APPR from the seed and sweeps the result, returning
-// a low-conductance cluster around the seed.
-func LocalCluster(g graph.View, seed uint32, alpha, eps float64) (*SweepCutResult, error) {
-	sc, _, err := appr(g, seed, alpha, eps)
-	if err != nil {
+// a low-conductance cluster around the seed. Invalid parameters return a
+// nil result; an interruption in either step returns the empty cluster
+// (conductance 1) with a *RoundError.
+func LocalCluster(ctx context.Context, g graph.View, seed uint32, alpha, eps float64) (*SweepCutResult, error) {
+	sc, _, err := appr(ctx, g, seed, alpha, eps)
+	if sc == nil {
 		return nil, err
 	}
 	defer sc.release()
-	return sweep(g, sc), nil
+	if err != nil {
+		return &SweepCutResult{Conductance: 1}, err
+	}
+	return sweep(ctx, g, sc)
 }

@@ -32,7 +32,7 @@ func barbell(t *testing.T, k int) *graph.Graph {
 func TestAPPRMassConservation(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "tree"} {
 		g := testGraphs(t)[gname]
-		res, err := APPR(g, 0, 0.15, 1e-5)
+		res, err := APPR(bg, g, 0, 0.15, 1e-5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestAPPRIsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := APPR(small, 0, 0.2, 1e-4)
+	a, err := APPR(bg, small, 0, 0.2, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := APPR(large, 0, 0.2, 1e-4)
+	b, err := APPR(bg, large, 0, 0.2, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +87,16 @@ func TestAPPRIsLocal(t *testing.T) {
 
 func TestAPPRErrors(t *testing.T) {
 	g := testGraphs(t)["path"]
-	if _, err := APPR(g, 0, 0, 1e-4); err == nil {
+	if _, err := APPR(bg, g, 0, 0, 1e-4); err == nil {
 		t.Error("alpha=0 accepted")
 	}
-	if _, err := APPR(g, 0, 1.5, 1e-4); err == nil {
+	if _, err := APPR(bg, g, 0, 1.5, 1e-4); err == nil {
 		t.Error("alpha>1 accepted")
 	}
-	if _, err := APPR(g, 0, 0.2, 0); err == nil {
+	if _, err := APPR(bg, g, 0, 0.2, 0); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := APPR(g, 1<<30, 0.2, 1e-4); err == nil {
+	if _, err := APPR(bg, g, 1<<30, 0.2, 1e-4); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestAPPRIsolatedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := APPR(g, 0, 0.2, 1e-4)
+	res, err := APPR(bg, g, 0, 0.2, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAPPRIsolatedSeed(t *testing.T) {
 func TestLocalClusterFindsPlantedClique(t *testing.T) {
 	const k = 12
 	g := barbell(t, k)
-	res, err := LocalCluster(g, 3, 0.15, 1e-7) // seed inside clique A
+	res, err := LocalCluster(bg, g, 3, 0.15, 1e-7) // seed inside clique A
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLocalClusterFindsPlantedClique(t *testing.T) {
 
 func TestSweepCutEmpty(t *testing.T) {
 	g := testGraphs(t)["path"]
-	res := SweepCut(g, map[uint32]float64{})
+	res := must(SweepCut(bg, g, map[uint32]float64{}))
 	if len(res.Cluster) != 0 || res.Conductance != 1 {
 		t.Errorf("empty sweep = %+v", res)
 	}
@@ -148,7 +148,7 @@ func TestSweepCutEmpty(t *testing.T) {
 
 func TestLocalClusterOnPowerLaw(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	res, err := LocalCluster(g, pickFirstNonZeroDeg(g), 0.15, 1e-6)
+	res, err := LocalCluster(bg, g, pickFirstNonZeroDeg(g), 0.15, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestLocalClusterMatchesMapReference(t *testing.T) {
 		for _, seed := range []uint32{0, 3, 17, uint32(g.NumVertices() - 1)} {
 			for _, eps := range []float64{1e-4, 1e-7} {
 				want := refAPPR(g, seed, 0.15, eps)
-				got, err := APPR(g, seed, 0.15, eps)
+				got, err := APPR(bg, g, seed, 0.15, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -309,11 +309,11 @@ func TestLocalClusterMatchesMapReference(t *testing.T) {
 						got.Pushes, len(got.P), len(got.R), want.Pushes, len(want.P), len(want.R))
 				}
 				wantCut := refSweepCut(g, want.P)
-				lc, err := LocalCluster(g, seed, 0.15, eps)
+				lc, err := LocalCluster(bg, g, seed, 0.15, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for name, cut := range map[string]*SweepCutResult{"SweepCut": SweepCut(g, got.P), "LocalCluster": lc} {
+				for name, cut := range map[string]*SweepCutResult{"SweepCut": must(SweepCut(bg, g, got.P)), "LocalCluster": lc} {
 					if cut.Conductance != wantCut.Conductance || !slices.Equal(cut.Cluster, wantCut.Cluster) {
 						t.Fatalf("%s seed %d eps %g: %s found %d vertices at %v, reference %d at %v", gname, seed, eps,
 							name, len(cut.Cluster), cut.Conductance, len(wantCut.Cluster), wantCut.Conductance)
@@ -329,14 +329,16 @@ func TestLocalClusterMatchesMapReference(t *testing.T) {
 // clean without clearing |V| entries.
 func TestLocalScratchReleasedZero(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	sc, _, err := appr(g, 0, 0.15, 1e-7)
+	sc, _, err := appr(bg, g, 0, 0.15, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sc.touched) == 0 {
 		t.Fatal("query touched nothing")
 	}
-	sweep(g, sc)
+	if _, err := sweep(bg, g, sc); err != nil {
+		t.Fatal(err)
+	}
 	sc.release()
 	if len(sc.touched) != 0 || len(sc.queue) != 0 {
 		t.Errorf("released scratch keeps %d touched, %d queued", len(sc.touched), len(sc.queue))

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"sync/atomic"
 
 	"ligra/internal/atomicx"
@@ -24,11 +25,21 @@ type MatchingResult struct {
 // Shun (SPAA 2012): edges get random priorities; every round, edges that
 // are the priority maximum at both endpoints join the matching and their
 // endpoints retire. Expected O(log n) rounds.
-func MaximalMatching(g graph.View, seed uint64) *MatchingResult {
+//
+// ctx caps every pass's workers and is observed at chunk granularity. On
+// interruption Partner is a valid matching that may not yet be maximal
+// and Size is 0, returned with a *RoundError.
+func MaximalMatching(ctx context.Context, g graph.View, seed uint64) (*MatchingResult, error) {
 	n := g.NumVertices()
 	const none = ^uint32(0)
 	partner := make([]uint32, n)
-	parallel.Fill(partner, none)
+	rounds := 0
+	partial := func(err error) (*MatchingResult, error) {
+		return &MatchingResult{Partner: partner, Rounds: rounds}, roundErr("matching", rounds, err)
+	}
+	if err := fill(ctx, partner, none); err != nil {
+		return partial(err)
+	}
 
 	// Edge priority, symmetric in the endpoints.
 	edgePri := func(a, b uint32) uint64 {
@@ -42,12 +53,11 @@ func MaximalMatching(g graph.View, seed uint64) *MatchingResult {
 	live := func(v uint32) bool { return atomic.LoadUint32(&partner[v]) == none }
 
 	best := make([]uint64, n) // per-round best incident edge priority
-	rounds := 0
 	for {
 		// Phase 1: every live vertex computes the max priority among its
 		// live incident edges.
 		var anyLive atomic.Bool
-		parallel.For(n, func(i int) {
+		if err := parallel.For(ctx, n, func(i int) {
 			v := uint32(i)
 			best[i] = 0
 			if !live(v) {
@@ -66,17 +76,18 @@ func MaximalMatching(g graph.View, seed uint64) *MatchingResult {
 			if b != 0 && !anyLive.Load() {
 				anyLive.Store(true)
 			}
-		})
+		}); err != nil {
+			return partial(err)
+		}
 		if !anyLive.Load() {
 			break
 		}
-		rounds++
 
 		// Phase 2: an edge that is the maximum at both endpoints matches.
 		// The lower endpoint claims both sides; CAS guards against the
 		// (impossible by priority-uniqueness, but cheap to exclude)
 		// double-claim.
-		parallel.For(n, func(i int) {
+		if err := parallel.For(ctx, n, func(i int) {
 			v := uint32(i)
 			if best[i] == 0 || !live(v) {
 				return
@@ -98,11 +109,17 @@ func MaximalMatching(g graph.View, seed uint64) *MatchingResult {
 				}
 				return true
 			})
-		})
+		}); err != nil {
+			return partial(err)
+		}
+		rounds++
 	}
 
-	size := parallel.CountFunc(n, func(i int) bool {
+	size, err := parallel.CountFunc(ctx, n, func(i int) bool {
 		return partner[i] != none && partner[i] > uint32(i)
 	})
-	return &MatchingResult{Partner: partner, Size: size, Rounds: rounds}
+	if err != nil {
+		return partial(err)
+	}
+	return &MatchingResult{Partner: partner, Size: size, Rounds: rounds}, nil
 }

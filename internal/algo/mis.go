@@ -6,7 +6,6 @@ import (
 
 	"ligra/internal/core"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 )
 
 // MISResult carries the output of the maximal-independent-set computation.
@@ -58,11 +57,8 @@ func MISCtx(ctx context.Context, g graph.View, seed uint64, opts core.Options) (
 		return &MISResult{InSet: in, Rounds: rounds}, roundErr("mis", rounds, err)
 	}
 	for !undecided.IsEmpty() {
-		if err := parallel.CtxErr(ctx); err != nil {
-			return partial(err)
-		}
 		// Roots: undecided vertices dominating all undecided neighbors.
-		roots := core.VertexFilter(undecided, func(v uint32) bool {
+		roots, err := core.VertexFilter(ctx, undecided, func(v uint32) bool {
 			if atomic.LoadInt32(&status[v]) != misUndecided {
 				return false
 			}
@@ -76,7 +72,12 @@ func MISCtx(ctx context.Context, g graph.View, seed uint64, opts core.Options) (
 			})
 			return !dominated
 		})
-		core.VertexMap(roots, func(v uint32) { atomic.StoreInt32(&status[v], misIn) })
+		if err != nil {
+			return partial(err)
+		}
+		if err := core.VertexMap(ctx, roots, func(v uint32) { atomic.StoreInt32(&status[v], misIn) }); err != nil {
+			return partial(err)
+		}
 		// Knock out the roots' neighbors.
 		funcs := core.EdgeFuncs{
 			UpdateAtomic: func(_, d uint32, _ int32) bool {
@@ -85,13 +86,15 @@ func MISCtx(ctx context.Context, g graph.View, seed uint64, opts core.Options) (
 		}
 		emOpts := opts
 		emOpts.NoOutput = true
-		if _, err := core.EdgeMapCtx(ctx, g, roots, funcs, emOpts); err != nil {
+		if _, err := core.EdgeMap(ctx, g, roots, funcs, emOpts); err != nil {
 			return partial(err)
 		}
 		// Remaining undecided vertices.
-		undecided = core.VertexFilter(undecided, func(v uint32) bool {
+		if undecided, err = core.VertexFilter(ctx, undecided, func(v uint32) bool {
 			return atomic.LoadInt32(&status[v]) == misUndecided
-		})
+		}); err != nil {
+			return partial(err)
+		}
 		rounds++
 	}
 	return partial(nil)

@@ -45,15 +45,16 @@ type PageRankResult struct {
 // Dangling vertices (out-degree 0) have their rank redistributed
 // uniformly, the standard correction that preserves probability mass.
 //
-// ctx (nil = background) is checked before each power iteration and at chunk
-// granularity inside the edgeMap. On interruption it returns the ranks of
-// the last fully completed iteration (rank updates are only committed
-// after a round's edgeMap finishes, so a round aborted mid-traversal
-// leaves Ranks untouched) together with a *RoundError.
+// ctx (nil = background) is checked before each power iteration and at
+// chunk granularity inside every pass of it. On interruption it returns
+// the ranks of the last fully completed iteration together with a
+// *RoundError: rank updates are committed only after a round's edgeMap
+// finishes, by a pass that runs to its end under ctx's worker cap without
+// its cancellation, so an aborted round leaves Ranks untouched.
 func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*PageRankResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
-		return &PageRankResult{Ranks: nil}, parallel.CtxErr(ctx)
+		return &PageRankResult{Ranks: nil}, roundErr("pagerank", 0, parallel.CtxErr(ctx))
 	}
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		opts.Damping = 0.85
@@ -66,8 +67,19 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 
 	p := make([]float64, n)
 	pDiv := make([]float64, n) // p[v] / outdeg(v), read-only during a round
-	parallel.Fill(p, 1/float64(n))
-	outDeg := outDegrees(g)
+	iters := 0
+	errL1 := math.Inf(1)
+	partial := func(err error) (*PageRankResult, error) {
+		return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1},
+			roundErr("pagerank", iters, err)
+	}
+	if err := fill(ctx, p, 1/float64(n)); err != nil {
+		return partial(err)
+	}
+	outDeg, err := outDegrees(ctx, g)
+	if err != nil {
+		return partial(err)
+	}
 
 	nghSum := atomicx.NewFloat64Slice(n)
 	all := core.NewAll(n)
@@ -92,12 +104,7 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 	emOpts := opts.EdgeMap
 	emOpts.NoOutput = true
 
-	iters := 0
-	errL1 := math.Inf(1)
-	partial := func(err error) (*PageRankResult, error) {
-		return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1},
-			roundErr("pagerank", iters, err)
-	}
+	commit := detached(ctx)
 	for {
 		if opts.MaxIterations > 0 && iters >= opts.MaxIterations {
 			break
@@ -105,38 +112,44 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
 			break
 		}
-		if err := parallel.CtxErr(ctx); err != nil {
-			return partial(err)
-		}
 		// Dangling mass: rank held by out-degree-0 vertices, spread evenly.
-		dangling := parallel.SumFunc(n, func(i int) float64 {
+		dangling, err := parallel.SumFunc(ctx, n, func(i int) float64 {
 			if outDeg[i] == 0 {
 				return p[i]
 			}
 			return 0
 		})
-		parallel.For(n, func(i int) {
+		if err != nil {
+			return partial(err)
+		}
+		if err := parallel.For(ctx, n, func(i int) {
 			if outDeg[i] > 0 {
 				pDiv[i] = p[i] / outDeg[i]
 			} else {
 				pDiv[i] = 0
 			}
 			nghSum.StoreNonAtomic(i, 0)
-		})
+		}); err != nil {
+			return partial(err)
+		}
 
-		if _, err := core.EdgeMapCtx(ctx, g, all, funcs, emOpts); err != nil {
+		if _, err := core.EdgeMap(ctx, g, all, funcs, emOpts); err != nil {
 			// p has not been touched this round: the ranks are exactly
 			// those of the last completed iteration.
 			return partial(err)
 		}
 
 		base := (1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n)
-		errL1 = parallel.SumFunc(n, func(i int) float64 {
+		l1, err := parallel.SumFunc(commit, n, func(i int) float64 {
 			next := base + opts.Damping*nghSum.LoadNonAtomic(i)
 			delta := math.Abs(next - p[i])
 			p[i] = next
 			return delta
 		})
+		if err != nil {
+			return partial(err)
+		}
+		errL1 = l1
 		iters++
 	}
 	return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, nil
@@ -147,10 +160,9 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 // twice per vertex per iteration. (The degree, not its inverse: p/deg
 // keeps the ranks bit-identical to the sequential oracle's, p*(1/deg)
 // does not.)
-func outDegrees(g graph.View) []float64 {
+func outDegrees(ctx context.Context, g graph.View) ([]float64, error) {
 	deg := make([]float64, g.NumVertices())
-	parallel.For(len(deg), func(i int) { deg[i] = float64(g.OutDegree(uint32(i))) })
-	return deg
+	return deg, parallel.For(ctx, len(deg), func(i int) { deg[i] = float64(g.OutDegree(uint32(i))) })
 }
 
 // PageRankDeltaCtx runs the paper's PageRank-Delta variant (§5.5): only
@@ -162,7 +174,7 @@ func outDegrees(g graph.View) []float64 {
 func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, delta float64) (*PageRankResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
-		return &PageRankResult{Ranks: nil}, parallel.CtxErr(ctx)
+		return &PageRankResult{Ranks: nil}, roundErr("pagerank-delta", 0, parallel.CtxErr(ctx))
 	}
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		opts.Damping = 0.85
@@ -177,10 +189,19 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 	p := make([]float64, n)
 	deltas := make([]float64, n) // change in rank in the last iteration
 	deltaDiv := make([]float64, n)
-	parallel.Fill(p, 0)
-	parallel.Fill(deltas, 1/float64(n)) // first round: everything moved
-
-	outDeg := outDegrees(g)
+	iters := 0
+	errL1 := math.Inf(1)
+	partial := func(err error) (*PageRankResult, error) {
+		return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1},
+			roundErr("pagerank-delta", iters, err)
+	}
+	if err := fill(ctx, deltas, 1/float64(n)); err != nil { // first round: everything moved
+		return partial(err)
+	}
+	outDeg, err := outDegrees(ctx, g)
+	if err != nil {
+		return partial(err)
+	}
 
 	nghSum := atomicx.NewFloat64Slice(n)
 	funcs := core.EdgeFuncs{
@@ -203,13 +224,9 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 	emOpts := opts.EdgeMap
 	emOpts.NoOutput = true
 
+	active := func(v uint32) bool { return math.Abs(deltas[v]) > delta*p[v] }
+	commit := detached(ctx)
 	frontier := core.NewAll(n)
-	iters := 0
-	errL1 := math.Inf(1)
-	partial := func(err error) (*PageRankResult, error) {
-		return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1},
-			roundErr("pagerank-delta", iters, err)
-	}
 	for !frontier.IsEmpty() {
 		if opts.MaxIterations > 0 && iters >= opts.MaxIterations {
 			break
@@ -217,22 +234,25 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
 			break
 		}
-		if err := parallel.CtxErr(ctx); err != nil {
-			return partial(err)
-		}
-		core.VertexMap(frontier, func(v uint32) {
+		if err := core.VertexMap(ctx, frontier, func(v uint32) {
 			if outDeg[v] > 0 {
 				deltaDiv[v] = deltas[v] / outDeg[v]
 			} else {
 				deltaDiv[v] = 0
 			}
-		})
-		parallel.For(n, func(i int) { nghSum.StoreNonAtomic(i, 0) })
-
-		if _, err := core.EdgeMapCtx(ctx, g, frontier, funcs, emOpts); err != nil {
+		}); err != nil {
+			return partial(err)
+		}
+		if err := parallel.For(ctx, n, func(i int) { nghSum.StoreNonAtomic(i, 0) }); err != nil {
 			return partial(err)
 		}
 
+		if _, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts); err != nil {
+			return partial(err)
+		}
+
+		// The commit runs to its end (see PageRankCtx).
+		var l1 float64
 		if iters == 0 {
 			// First round: p was implicitly 1/n everywhere, so the rank
 			// after one power step is damping*nghSum + (1-damping)/n and
@@ -240,25 +260,29 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 			// PR_Vertex_F_FirstRound).
 			oneOverN := 1 / float64(n)
 			base := (1 - opts.Damping) * oneOverN
-			errL1 = parallel.SumFunc(n, func(i int) float64 {
+			l1, err = parallel.SumFunc(commit, n, func(i int) float64 {
 				rank := opts.Damping*nghSum.LoadNonAtomic(i) + base
 				p[i] = rank
 				deltas[i] = rank - oneOverN
 				return math.Abs(deltas[i])
 			})
 		} else {
-			errL1 = parallel.SumFunc(n, func(i int) float64 {
+			l1, err = parallel.SumFunc(commit, n, func(i int) float64 {
 				change := opts.Damping * nghSum.LoadNonAtomic(i)
 				deltas[i] = change
 				p[i] += change
 				return math.Abs(change)
 			})
 		}
-		// Keep vertices whose rank moved by more than delta * p[v].
-		frontier = core.NewFromFunc(n, func(v uint32) bool {
-			return math.Abs(deltas[v]) > delta*p[v]
-		})
+		if err != nil {
+			return partial(err)
+		}
+		errL1 = l1
 		iters++
+		// Keep vertices whose rank moved by more than delta * p[v].
+		if frontier, err = core.NewFromFunc(ctx, n, active); err != nil {
+			return partial(err)
+		}
 	}
 	return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, nil
 }

@@ -125,7 +125,10 @@ func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
 							}
 						}
 
-						sf := algo.SpanningForest(view, opts)
+						sf, err := algo.SpanningForest(nil, view, opts)
+						if err != nil {
+							t.Fatalf("%s: spanning forest: %v", name, err)
+						}
 						if !slices.Equal(sf.Roots, wantRoots) || len(sf.Edges) != len(wantLabels)-len(wantRoots) {
 							t.Fatalf("%s: forest has %d roots, %d edges; want roots %v", name, len(sf.Roots), len(sf.Edges), wantRoots)
 						}

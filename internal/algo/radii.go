@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"context"
 
 	"ligra/internal/core"
@@ -92,7 +93,9 @@ func radiiFromSources(ctx context.Context, g graph.View, sources []uint32, emOpt
 	}
 	n := g.NumVertices()
 	radii := make([]int32, n)
-	parallel.Fill(radii, int32(-1))
+	if err := fill(ctx, radii, int32(-1)); err != nil {
+		return radii, 0, err
+	}
 	rounds := 0
 	for lo := 0; lo < len(sources); lo += MaxClusterSources {
 		hi := lo + MaxClusterSources
@@ -103,12 +106,14 @@ func radiiFromSources(ctx context.Context, g graph.View, sources []uint32, emOpt
 		if res.Rounds > rounds {
 			rounds = res.Rounds
 		}
+		// The merge runs to its end under ctx's worker cap without its
+		// cancellation: an interrupted batch's completed rounds are kept.
 		batch := res.MaxLevel
-		parallel.For(n, func(i int) {
+		err = cmp.Or(err, parallel.For(detached(ctx), n, func(i int) {
 			if batch[i] > radii[i] {
 				radii[i] = batch[i]
 			}
-		})
+		}))
 		if err != nil {
 			return radii, rounds, err
 		}

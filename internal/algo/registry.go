@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -166,13 +167,18 @@ type Runner struct {
 	// NeedsWeights reports whether the algorithm interprets edge weights
 	// (runs on unweighted graphs treat every weight as 1).
 	NeedsWeights bool
-	// Cancellable reports whether the algorithm has a Ctx entry point: a
-	// cancelled or expired context stops it cooperatively and Run returns
-	// the partial result alongside a *RoundError. Non-cancellable
-	// algorithms ignore ctx and run to completion.
-	Cancellable bool
-	// Run executes the algorithm. A nil ctx means no deadline.
-	Run func(ctx context.Context, g graph.View, p Params) (RunResult, error)
+	// run is the algorithm itself, called by Run.
+	run func(ctx context.Context, g graph.View, p Params) (RunResult, error)
+}
+
+// Run executes the algorithm under ctx (nil means no deadline), with
+// Params.EdgeMap.Procs, when set, applied to ctx once as its worker cap
+// (parallel.WithProcs) so it bounds every pass of the run, not only the
+// edgeMap rounds. Every algorithm observes ctx: a cancelled or expired
+// one stops the run cooperatively, and Run returns the partial result
+// alongside a *RoundError.
+func (r Runner) Run(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+	return r.run(parallel.WithProcs(ctx, p.EdgeMap.Procs), g, p)
 }
 
 // Runners returns the dispatch table in presentation order.
@@ -208,8 +214,8 @@ func UnknownAlgoError(name string) error {
 
 var runners = []Runner{
 	{
-		Name: "bfs", NeedsSource: true, Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "bfs", NeedsSource: true,
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			backend, berr := ResolveBackend("bfs", g, p)
 			if berr != nil {
 				return RunResult{}, berr
@@ -221,11 +227,11 @@ var runners = []Runner{
 			return bfsRunResult(p.Source, res.Visited, res.Rounds, BackendEdgeMap), err
 		},
 	},
-	{Name: "reach", NeedsSource: true, Cancellable: true, Run: levelsRunner("reach")},
-	{Name: "landmarks", NeedsSource: true, Cancellable: true, Run: levelsRunner("landmarks")},
+	{Name: "reach", NeedsSource: true, run: levelsRunner("reach")},
+	{Name: "landmarks", NeedsSource: true, run: levelsRunner("landmarks")},
 	{
-		Name: "bc", NeedsSource: true, Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "bc", NeedsSource: true,
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := BCCtx(ctx, g, p.Source, p.EdgeMapOptions())
 			maxV, maxS := maxScore(res.Scores)
 			return RunResult{
@@ -236,8 +242,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "bc-approx", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "bc-approx",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := BCApproxCtx(ctx, g, p.k(16), p.seed(1), p.EdgeMapOptions())
 			maxV, maxS := maxScore(res.Scores)
 			return RunResult{
@@ -248,8 +254,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "radii", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "radii",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			o := DefaultRadiiOptions()
 			o.EdgeMap = p.EdgeMapOptions()
 			if p.K > 0 {
@@ -268,8 +274,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "components", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "components",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := ConnectedComponentsCtx(ctx, g, p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Components: %d components in %d rounds", res.Components, res.Rounds),
@@ -278,8 +284,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "pagerank", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "pagerank",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			backend, berr := ResolveBackend("pagerank", g, p)
 			if berr != nil {
 				return RunResult{}, berr
@@ -296,8 +302,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "pagerank-delta", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "pagerank-delta",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			o := DefaultPageRankOptions()
 			o.EdgeMap = p.EdgeMapOptions()
 			res, err := PageRankDeltaCtx(ctx, g, o, 1e-3)
@@ -308,8 +314,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "bellman-ford", NeedsSource: true, NeedsWeights: true, Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "bellman-ford", NeedsSource: true, NeedsWeights: true,
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := BellmanFordCtx(ctx, g, p.Source, p.EdgeMapOptions())
 			if res.NegativeCycle {
 				return RunResult{
@@ -325,8 +331,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "delta-stepping", NeedsSource: true, NeedsWeights: true, Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "delta-stepping", NeedsSource: true, NeedsWeights: true,
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := DeltaSteppingCtx(ctx, g, p.Source, p.Delta, p.EdgeMapOptions())
 			if res == nil {
 				return RunResult{}, err
@@ -340,8 +346,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "kcore", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "kcore",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := KCoreCtx(ctx, g, p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("KCore: degeneracy %d in %d peeling rounds", res.MaxCore, res.Rounds),
@@ -350,10 +356,11 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "mis", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "mis",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := MISCtx(ctx, g, p.seed(123), p.EdgeMapOptions())
-			size := parallel.CountFunc(len(res.InSet), func(v int) bool { return res.InSet[v] })
+			size, cerr := parallel.CountFunc(ctx, len(res.InSet), func(v int) bool { return res.InSet[v] })
+			err = cmp.Or(err, roundErr("mis", res.Rounds, cerr))
 			return RunResult{
 				Summary: fmt.Sprintf("MIS: %d vertices in %d rounds", size, res.Rounds),
 				Details: map[string]any{"size": size, "rounds": res.Rounds},
@@ -361,8 +368,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "scc", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "scc",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := SCCCtx(ctx, g, p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("SCC: %d strongly connected components", res.Components),
@@ -372,37 +379,37 @@ var runners = []Runner{
 	},
 	{
 		Name: "coloring",
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			res := Coloring(g, p.seed(7), p.EdgeMapOptions())
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+			res, err := Coloring(ctx, g, p.seed(7), p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Coloring: %d colors in %d rounds", res.NumColors, res.Rounds),
 				Details: map[string]any{"colors": res.NumColors, "rounds": res.Rounds},
-			}, nil
+			}, err
 		},
 	},
 	{
 		Name: "matching",
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			res := MaximalMatching(g, p.seed(7))
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+			res, err := MaximalMatching(ctx, g, p.seed(7))
 			return RunResult{
 				Summary: fmt.Sprintf("Matching: %d edges in %d rounds", res.Size, res.Rounds),
 				Details: map[string]any{"edges": res.Size, "rounds": res.Rounds},
-			}, nil
+			}, err
 		},
 	},
 	{
 		Name: "cc-ldd",
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			res := ConnectedComponentsLDD(g, 0.2, p.seed(7), p.EdgeMapOptions())
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+			res, err := ConnectedComponentsLDD(ctx, g, 0.2, p.seed(7), p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Components (LDD contraction): %d components", res.Components),
 				Details: map[string]any{"components": res.Components},
-			}, nil
+			}, err
 		},
 	},
 	{
-		Name: "eccentricity", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "eccentricity",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := TwoPassEccentricityCtx(ctx, g, p.k(64), p.seed(7), p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Two-pass eccentricity: diameter >= %d (%d rounds)",
@@ -413,18 +420,18 @@ var runners = []Runner{
 	},
 	{
 		Name: "densest",
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			res := DensestSubgraph(g, p.EdgeMapOptions())
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+			res, err := DensestSubgraph(ctx, g, p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Densest subgraph: %d vertices, density %.3f (%d peels)",
 					len(res.Vertices), res.Density, res.Peels),
 				Details: map[string]any{"vertices": len(res.Vertices), "density": res.Density, "peels": res.Peels},
-			}, nil
+			}, err
 		},
 	},
 	{
 		Name: "local-cluster", NeedsSource: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			alpha, eps := p.Alpha, p.Eps
 			if alpha == 0 {
 				alpha = 0.15
@@ -432,26 +439,26 @@ var runners = []Runner{
 			if eps == 0 {
 				eps = 1e-6
 			}
-			res, err := LocalCluster(g, p.Source, alpha, eps)
-			if err != nil {
+			res, err := LocalCluster(ctx, g, p.Source, alpha, eps)
+			if res == nil {
 				return RunResult{}, err
 			}
 			return RunResult{
 				Summary: fmt.Sprintf("Local cluster around %d: %d vertices, conductance %.4f",
 					p.Source, len(res.Cluster), res.Conductance),
 				Details: map[string]any{"source": p.Source, "cluster_size": len(res.Cluster), "conductance": res.Conductance},
-			}, nil
+			}, err
 		},
 	},
 	{
-		Name: "triangles", Cancellable: true,
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "triangles",
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			backend, berr := ResolveBackend("triangles", g, p)
 			if berr != nil {
 				return RunResult{}, berr
 			}
 			// One kernel whatever the backend; the name is kept on the wire.
-			count, err := TriangleCountCtx(backendCtx(ctx, p), g)
+			count, err := TriangleCountCtx(ctx, g)
 			return RunResult{
 				Summary: fmt.Sprintf("Triangles: %d", count),
 				Details: map[string]any{"triangles": count, "backend": backend},
@@ -460,8 +467,8 @@ var runners = []Runner{
 	},
 	{
 		Name: "clustering",
-		Run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			lcc := LocalClusteringCoefficients(g)
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+			lcc, err := LocalClusteringCoefficients(ctx, g)
 			var sum float64
 			for _, c := range lcc {
 				sum += c
@@ -473,7 +480,7 @@ var runners = []Runner{
 			return RunResult{
 				Summary: fmt.Sprintf("Clustering: mean local coefficient %.4f", mean),
 				Details: map[string]any{"mean_coefficient": mean},
-			}, nil
+			}, err
 		},
 	},
 }

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"ligra/internal/faultinject"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 )
 
 // TestEveryRunnerRuns executes each table entry on a small graph and
@@ -71,7 +73,7 @@ func TestRunnersOnZeroVertexGraph(t *testing.T) {
 
 func TestFindRunner(t *testing.T) {
 	r, ok := FindRunner("bfs")
-	if !ok || r.Name != "bfs" || !r.NeedsSource || !r.Cancellable {
+	if !ok || r.Name != "bfs" || !r.NeedsSource {
 		t.Fatalf("bfs runner = %+v, ok=%t", r, ok)
 	}
 	if _, ok := FindRunner("nope"); ok {
@@ -85,21 +87,67 @@ func TestFindRunner(t *testing.T) {
 	}
 }
 
-// TestCancellableRunnersReturnPartial proves every runner marked
-// Cancellable honors an already-expired context: it returns a deadline
-// error (wrapped in *RoundError) together with a usable partial summary.
+// TestCancellableRunnersReturnPartial proves every runner honors an
+// already-cancelled context: it returns the cancellation (wrapped in
+// *RoundError) together with a usable partial summary.
 func TestCancellableRunnersReturnPartial(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	forEachRunner(t, func(r Runner, g graph.View, p Params) {
+		res, err := r.Run(ctx, g, p)
+		requireInterrupted(t, err, context.Canceled)
+		if res.Summary == "" {
+			t.Errorf("%s: no partial summary", r.Name)
+		}
+	})
+}
+
+// TestRunnersPreCancelledRunNoChunk: a ctx cancelled on entry stops every
+// runner before its first parallel pass. With the chunk hook armed to
+// panic, any chunk that ran would turn the reply into a *PanicError.
+func TestRunnersPreCancelledRunNoChunk(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	forEachRunner(t, func(r Runner, g graph.View, p Params) {
+		disarm := faultinject.PanicOnChunk(1, "a chunk ran under a cancelled ctx")
+		_, err := r.Run(ctx, g, p)
+		disarm()
+		if errors.As(err, new(*parallel.PanicError)) {
+			t.Errorf("%s: %v", r.Name, err)
+			return
+		}
+		requireInterrupted(t, err, context.Canceled)
+	})
+}
+
+// TestRunnersUnderOneProcLeaseNeverDispatch: a query leased one proc runs
+// every pass of it — edgeMap rounds and vertex phases — on its own
+// goroutine, so no registered runner hands the worker pool a single loop.
+func TestRunnersUnderOneProcLeaseNeverDispatch(t *testing.T) {
+	ctx := parallel.WithProcs(context.Background(), 1)
+	forEachRunner(t, func(r Runner, g graph.View, p Params) {
+		before := parallel.SchedulerSnapshot()
+		if _, err := r.Run(ctx, g, p); err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		if d := parallel.SchedulerSnapshot().Sub(before).Dispatches; d != 0 {
+			t.Errorf("%s: %d dispatches under a one-proc lease", r.Name, d)
+		}
+	})
+}
+
+// forEachRunner calls fn for every registered runner with valid inputs on
+// a graph above the sequential cutoff, under four workers, so any loop
+// not bounded by a ctx dispatches.
+func forEachRunner(t *testing.T, fn func(r Runner, g graph.View, p Params)) {
+	t.Helper()
+	defer parallel.SetProcs(parallel.SetProcs(4))
 	g, err := gen.RMAT(10, 8, gen.PBBSRMAT, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wg := g.AddWeights(graph.HashWeight(31))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	for _, r := range Runners() {
-		if !r.Cancellable {
-			continue
-		}
 		view := graph.View(g)
 		if r.NeedsWeights {
 			view = wg
@@ -108,13 +156,6 @@ func TestCancellableRunnersReturnPartial(t *testing.T) {
 		if r.Name == "landmarks" {
 			p.Landmarks = []uint32{1} // validation precedes the sweep
 		}
-		_, err := r.Run(ctx, view, p)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", r.Name, err)
-		}
-		var re *RoundError
-		if !errors.As(err, &re) {
-			t.Errorf("%s: error is not a *RoundError: %v", r.Name, err)
-		}
+		fn(r, view, p)
 	}
 }

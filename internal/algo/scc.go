@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"context"
 	"sync/atomic"
 
@@ -34,41 +35,41 @@ type SCCResult struct {
 func SCCCtx(ctx context.Context, g graph.View, opts core.Options) (*SCCResult, error) {
 	n := g.NumVertices()
 	labels := make([]uint32, n)
-	parallel.Fill(labels, core.None)
+	pivots := 0
+	finish := func(err error) (*SCCResult, error) {
+		components, cerr := parallel.CountFunc(ctx, n, func(i int) bool { return labels[i] == uint32(i) })
+		return &SCCResult{Labels: labels, Components: components},
+			roundErr("scc", pivots, cmp.Or(err, cerr))
+	}
 
 	// region[v] identifies the partition piece v currently belongs to;
 	// pieces are processed from an explicit stack of region IDs with one
 	// representative member set each. Unassigned = labeled already.
 	region := make([]uint32, n)
-	parallel.Fill(region, 0)
 
 	type task struct {
 		id      uint32   // region ID to match
 		members []uint32 // vertices of the region (sparse)
 	}
 	all := make([]uint32, n)
-	parallel.Iota(all, 0)
+	if err := cmp.Or(fill(ctx, labels, core.None), parallel.Iota(ctx, all, 0)); err != nil {
+		return finish(err)
+	}
 	stack := []task{{id: 0, members: all}}
 	nextRegion := uint32(1)
 
 	gT := TransposeView(g)
 
-	pivots := 0
-	finish := func(err error) (*SCCResult, error) {
-		components := parallel.CountFunc(n, func(i int) bool { return labels[i] == uint32(i) })
-		return &SCCResult{Labels: labels, Components: components},
-			roundErr("scc", pivots, err)
-	}
 	for len(stack) > 0 {
-		if err := parallel.CtxErr(ctx); err != nil {
-			return finish(err)
-		}
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		// Filter out members already labeled (region changed).
-		members := parallel.Filter(t.members, func(v uint32) bool {
+		members, err := parallel.Filter(ctx, t.members, func(v uint32) bool {
 			return labels[v] == core.None && region[v] == t.id
 		})
+		if err != nil {
+			return finish(err)
+		}
 		if len(members) == 0 {
 			continue
 		}
@@ -96,7 +97,7 @@ func SCCCtx(ctx context.Context, g graph.View, opts core.Options) (*SCCResult, e
 		nextRegion += 3
 		var sccMin atomic.Uint32
 		sccMin.Store(pivot)
-		parallel.For(len(members), func(i int) {
+		if err := parallel.For(ctx, len(members), func(i int) {
 			v := members[i]
 			inF, inB := fwd.Get(int(v)), bwd.Get(int(v))
 			switch {
@@ -115,7 +116,9 @@ func SCCCtx(ctx context.Context, g graph.View, opts core.Options) (*SCCResult, e
 			default:
 				region[v] = idRest
 			}
-		})
+		}); err != nil {
+			return finish(err)
+		}
 		minID := sccMin.Load()
 		var fwdM, bwdM, restM []uint32
 		for _, v := range members {
@@ -165,7 +168,7 @@ func reachableWithin(ctx context.Context, g graph.View, pivot uint32, region []u
 	}
 	frontier := core.NewSingle(n, pivot)
 	for !frontier.IsEmpty() {
-		next, err := core.EdgeMapCtx(ctx, g, frontier, funcs, opts)
+		next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
 		if err != nil {
 			return visited, err
 		}

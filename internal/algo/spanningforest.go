@@ -1,11 +1,11 @@
 package algo
 
 import (
+	"context"
 	"sync/atomic"
 
 	"ligra/internal/core"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 )
 
 // ForestResult carries a spanning forest.
@@ -22,10 +22,22 @@ type ForestResult struct {
 // own edgeMap — a CAS claim on the parent array — and the tree edge of
 // every vertex a round discovers is read back from that array. All
 // components are processed, so the result spans the whole graph.
-func SpanningForest(g graph.View, opts core.Options) *ForestResult {
+//
+// ctx is observed at chunk granularity inside every round. On interruption
+// Edges and Roots are those of the waves and rounds completed so far (a
+// spanning forest of the vertices reached), returned with a *RoundError.
+func SpanningForest(ctx context.Context, g graph.View, opts core.Options) (*ForestResult, error) {
 	n := g.NumVertices()
 	parents := make([]uint32, n)
-	parallel.Fill(parents, core.None)
+	var forest []graph.Edge
+	var roots []uint32
+	rounds := 0
+	partial := func(err error) (*ForestResult, error) {
+		return &ForestResult{Edges: forest, Roots: roots}, roundErr("spanning-forest", rounds, err)
+	}
+	if err := fill(ctx, parents, core.None); err != nil {
+		return partial(err)
+	}
 
 	funcs := core.EdgeFuncs{
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
@@ -36,8 +48,6 @@ func SpanningForest(g graph.View, opts core.Options) *ForestResult {
 	// One claim per destination per round, as in BFS.
 	opts.DenseEarlyExit = true
 
-	var forest []graph.Edge
-	var roots []uint32
 	for start := uint32(0); int(start) < n; start++ {
 		if parents[start] != core.None {
 			continue
@@ -46,11 +56,16 @@ func SpanningForest(g graph.View, opts core.Options) *ForestResult {
 		roots = append(roots, start)
 		frontier := core.NewSingle(n, start)
 		for !frontier.IsEmpty() {
-			frontier = core.EdgeMap(g, frontier, funcs, opts)
+			next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
+			if err != nil {
+				return partial(err)
+			}
+			frontier = next
 			frontier.ForEachSeq(func(d uint32) {
 				forest = append(forest, graph.Edge{Src: parents[d], Dst: d})
 			})
+			rounds++
 		}
 	}
-	return &ForestResult{Edges: forest, Roots: roots}
+	return &ForestResult{Edges: forest, Roots: roots}, nil
 }

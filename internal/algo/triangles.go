@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"ligra/internal/graph"
@@ -19,15 +20,14 @@ type forwardRows struct {
 
 func (r forwardRows) row(v uint32) []uint32 { return r.fwd[r.offsets[v]:r.offsets[v+1]] }
 
-// orientByRank builds the forward rows of g, observing ctx (nil =
-// background) at chunk granularity. Degrees are cached once — the rank
+// orientByRank builds the forward rows of g under ctx (nil = background). Degrees are cached once — the rank
 // comparison runs twice per directed edge and View.OutDegree is an
 // interface call — and adjacency is read through g's row source into
 // per-chunk scratch.
 func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 	n := g.NumVertices()
 	deg := make([]int32, n)
-	if err := parallel.ForCtx(ctx, n, func(i int) {
+	if err := parallel.For(ctx, n, func(i int) {
 		deg[i] = int32(g.OutDegree(uint32(i)))
 	}); err != nil {
 		return forwardRows{}, err
@@ -49,7 +49,7 @@ func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 	}
 
 	fwdDeg := make([]int64, n)
-	if err := parallel.ForRangeCtx(ctx, n, func(lo, hi int) {
+	if err := parallel.ForRange(ctx, n, func(lo, hi int) {
 		var buf graph.Row
 		for i := lo; i < hi; i++ {
 			forward(uint32(i), &buf, func(uint32) { fwdDeg[i]++ })
@@ -58,10 +58,14 @@ func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 		return forwardRows{}, err
 	}
 	offsets := make([]int64, n+1)
-	offsets[n] = parallel.ScanExclusive(fwdDeg, offsets[:n])
+	total, err := parallel.ScanExclusive(ctx, fwdDeg, offsets[:n])
+	if err != nil {
+		return forwardRows{}, err
+	}
+	offsets[n] = total
 
-	fwd := make([]uint32, offsets[n])
-	err := parallel.ForRangeCtx(ctx, n, func(lo, hi int) {
+	fwd := make([]uint32, total)
+	err = parallel.ForRange(ctx, n, func(lo, hi int) {
 		var buf graph.Row
 		for i := lo; i < hi; i++ {
 			k := offsets[i]
@@ -69,7 +73,7 @@ func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 				fwd[k] = d
 				k++
 			})
-			parallel.Sort(fwd[offsets[i]:k]) // rows are short (O(sqrt m)); sorts sequentially
+			slices.Sort(fwd[offsets[i]:k]) // rows are short (O(sqrt m)): a sequential sort per row
 		}
 	})
 	return forwardRows{offsets: offsets, fwd: fwd}, err
@@ -88,10 +92,10 @@ const markCutoff = 16
 // lists intersect. Work is O(m^{3/2}) and the per-vertex loop parallelizes
 // directly.
 //
-// ctx (nil = background) is observed at chunk granularity in every phase. On
-// interruption the returned count is meaningless (0) — there is no useful
-// partial result for a global count — and the error wraps the cause as a
-// *RoundError.
+// ctx (nil = background) is observed at chunk granularity in every phase.
+// On interruption the returned count is meaningless (0) — there is no
+// useful partial result for a global count — and the error wraps the cause
+// as a *RoundError.
 //
 // In matrix terms the count is sum(U·U ∘ U), one row product at a time:
 // scatter row U(v) into a per-worker mark vector (the mask), then gather
@@ -117,7 +121,7 @@ func TriangleCountCtx(ctx context.Context, g graph.View) (int64, error) {
 		_ [56]byte
 	}
 	counts := make([]padded, procs)
-	err = parallel.ForWorkerChunksCtx(ctx, n, 0, func(worker, _, lo, hi int) {
+	err = parallel.ForWorkerChunks(ctx, n, 0, func(worker, _, lo, hi int) {
 		mk := marks[worker]
 		var c int64
 		for i := lo; i < hi; i++ {
@@ -160,11 +164,14 @@ func TriangleCountCtx(ctx context.Context, g graph.View) (int64, error) {
 
 // countTrianglesPerVertex accumulates, per vertex, the number of
 // triangles containing it (each triangle credited to all three corners).
-func countTrianglesPerVertex(g graph.View, acc []int64) {
-	u := must(orientByRank(nil, g))
+func countTrianglesPerVertex(ctx context.Context, g graph.View, acc []int64) error {
+	u, err := orientByRank(ctx, g)
+	if err != nil {
+		return err
+	}
 	// Credit each triangle (v, x, w) with x, w in row(v), w in row(x) to
 	// all three corners. Atomic adds: multiple v race on shared corners.
-	parallel.For(g.NumVertices(), func(i int) {
+	return parallel.For(ctx, g.NumVertices(), func(i int) {
 		v := uint32(i)
 		a := u.row(v)
 		for _, x := range a {

@@ -28,9 +28,9 @@ type App struct {
 // in for the paper's "random source" while keeping runs reproducible.
 func pickSource(g graph.View) uint32 {
 	n := g.NumVertices()
-	return uint32(parallel.MaxIndexFunc(n, func(i int) int {
+	return uint32(must(parallel.MaxIndexFunc(context.Background(), n, func(i int) int {
 		return g.OutDegree(uint32(i))
-	}))
+	})))
 }
 
 // Apps returns the paper's six applications with the evaluation's
@@ -41,21 +41,21 @@ func Apps() []App {
 		{
 			Name: "BFS",
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.BFSCtx(context.Background(), g, pickSource(g), opts))
+				must(algo.BFSCtx(leased(opts), g, pickSource(g), opts))
 			},
 			RunSeq: func(g graph.View) { seq.BFS(g, pickSource(g)) },
 		},
 		{
 			Name: "BC",
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.BCCtx(context.Background(), g, pickSource(g), opts))
+				must(algo.BCCtx(leased(opts), g, pickSource(g), opts))
 			},
 			RunSeq: func(g graph.View) { seq.BC(g, pickSource(g)) },
 		},
 		{
 			Name: "Radii",
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.RadiiCtx(context.Background(), g, algo.RadiiOptions{K: 64, Seed: 1, EdgeMap: opts}))
+				must(algo.RadiiCtx(leased(opts), g, algo.RadiiOptions{K: 64, Seed: 1, EdgeMap: opts}))
 			},
 			RunSeq: func(g graph.View) {
 				// The sequential equivalent of the estimator: 64 plain BFS.
@@ -74,14 +74,14 @@ func Apps() []App {
 		{
 			Name: "Components",
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.ConnectedComponentsCtx(context.Background(), g, opts))
+				must(algo.ConnectedComponentsCtx(leased(opts), g, opts))
 			},
 			RunSeq: func(g graph.View) { seq.ConnectedComponents(g) },
 		},
 		{
 			Name: "PageRank",
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.PageRankCtx(context.Background(), g, algo.PageRankOptions{
+				must(algo.PageRankCtx(leased(opts), g, algo.PageRankOptions{
 					Damping: 0.85, MaxIterations: 1, EdgeMap: opts,
 				}))
 			},
@@ -91,11 +91,17 @@ func Apps() []App {
 			Name:         "BellmanFord",
 			NeedsWeights: true,
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.BellmanFordCtx(context.Background(), g, pickSource(g), opts))
+				must(algo.BellmanFordCtx(leased(opts), g, pickSource(g), opts))
 			},
 			RunSeq: func(g graph.View) { seq.Dijkstra(g, pickSource(g)) },
 		},
 	}
+}
+
+// leased is the ctx one measured run executes under: opts.Procs, when
+// set, caps every pass of it, as Runner.Run does for a query.
+func leased(opts core.Options) context.Context {
+	return parallel.WithProcs(context.Background(), opts.Procs)
 }
 
 // WeightGraph returns the weighted version of g used by Bellman-Ford:

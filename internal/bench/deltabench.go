@@ -232,7 +232,7 @@ func deepOverlay(cfg Config, g *graph.Graph, mkOps func(count int, seed uint64) 
 	}
 	defer pin.Release()
 	overlay := pin.View()
-	flat, err := delta.Materialize(overlay)
+	flat, err := delta.Materialize(ctx, overlay)
 	if err != nil {
 		return err
 	}

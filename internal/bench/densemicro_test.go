@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"cmp"
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -20,13 +22,14 @@ func benchDenseRound(b *testing.B, fullFrontier bool) {
 	if fullFrontier {
 		frontier = core.NewAll(n)
 	} else {
-		frontier = core.NewFromFunc(n, func(v uint32) bool { return v%16 != 0 })
+		frontier = must(core.NewFromFunc(context.Background(), n, func(v uint32) bool { return v%16 != 0 }))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		parallel.Iota(ids, 0)
-		parallel.Iota(prev, 0)
+		if err := cmp.Or(parallel.Iota(context.Background(), ids, 0), parallel.Iota(context.Background(), prev, 0)); err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
 		update := func(s, d uint32, _ int32) bool {
 			sid := atomic.LoadUint32(&ids[s])
@@ -36,8 +39,8 @@ func benchDenseRound(b *testing.B, fullFrontier bool) {
 			}
 			return false
 		}
-		core.EdgeMap(g, frontier, core.EdgeFuncs{Update: update, UpdateAtomic: update},
-			core.Options{Mode: core.ForceDense})
+		must(core.EdgeMap(context.Background(), g, frontier, core.EdgeFuncs{Update: update, UpdateAtomic: update},
+			core.Options{Mode: core.ForceDense}))
 	}
 }
 

@@ -130,11 +130,9 @@ func Table2(cfg Config) error {
 			tSeq := Measure(cfg.rounds(), func() { app.RunSeq(g) })
 
 			// Worker counts ride per-call ctx leases (Options.Procs →
-			// parallel.WithProcs), never the global SetProcs: the sweep
-			// must not leak its cap into anything running concurrently.
-			// The lease caps every ctx-aware loop of the run; the few
-			// plain init loops (array fills) stay at full parallelism,
-			// which only flatters the (1) column negligibly.
+			// parallel.WithProcs, see leased), never the global SetProcs:
+			// the sweep must not leak its cap into anything running
+			// concurrently. The lease caps every loop of the run.
 			t1 := Measure(cfg.rounds(), func() { app.Run(g, core.Options{Procs: 1}) })
 			tP := Measure(cfg.rounds(), func() { app.Run(g, core.Options{}) })
 

@@ -34,9 +34,9 @@ func Measure(rounds int, fn func()) Timing {
 	}
 }
 
-// must unwraps a measured algorithm run. The harness passes no deadline,
-// so the only possible error is a contained worker panic, which it
-// re-raises as the panic it was.
+// must unwraps a measured run — an algorithm or a parallel pass. The
+// harness passes no deadline, so the only possible error is a contained
+// worker panic, which it re-raises as the panic it was.
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)

@@ -14,11 +14,7 @@
 // bucket retires its members.
 package buckets
 
-import (
-	"sort"
-
-	"ligra/internal/parallel"
-)
+import "sort"
 
 // Finished marks a vertex with no bucket (retired or never bucketed).
 const Finished = int64(-1)
@@ -99,11 +95,15 @@ func (b *Buckets) Next() (id int64, members []uint32, ok bool) {
 }
 
 // Remaining returns the number of vertices that still belong to some
-// bucket (retired vertices excluded).
+// bucket (retired vertices excluded) — diagnostic/testing helper.
 func (b *Buckets) Remaining() int {
-	return parallel.CountFunc(len(b.bucketOf), func(i int) bool {
-		return b.bucketOf[i] != Finished
-	})
+	count := 0
+	for _, id := range b.bucketOf {
+		if id != Finished {
+			count++
+		}
+	}
+	return count
 }
 
 // NonEmptyBuckets returns the sorted list of bucket IDs with at least one

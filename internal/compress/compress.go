@@ -41,6 +41,7 @@
 package compress
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -111,7 +112,10 @@ func encodeSide(n int, weighted bool, iterate func(v uint32, fn func(uint32, int
 	// (parallel), then concatenate with a scan.
 	rows := make([][]byte, n)
 	var encErr error
-	parallel.For(n, func(i int) {
+	// Encoding has no deadline to observe: its loops fail only with a
+	// contained panic, which is returned.
+	ctx := context.Background()
+	if err := parallel.For(ctx, n, func(i int) {
 		v := uint32(i)
 		var buf []byte
 		prev := uint32(0)
@@ -136,19 +140,25 @@ func encodeSide(n int, weighted bool, iterate func(v uint32, fn func(uint32, int
 			return true
 		})
 		rows[i] = buf
+		offsets[i] = int64(len(buf)) // the row's length until the scan below
 		degs[i] = deg
-	})
+	}); err != nil {
+		return nil, nil, nil, err
+	}
 	if encErr != nil {
 		return nil, nil, nil, encErr
 	}
-	lens := make([]int64, n)
-	parallel.For(n, func(i int) { lens[i] = int64(len(rows[i])) })
-	total := parallel.ScanExclusive(lens, offsets[:n])
+	total, err := parallel.ScanExclusive(ctx, offsets[:n], offsets[:n])
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	offsets[n] = total
 	data := make([]byte, total)
-	parallel.For(n, func(i int) {
+	if err := parallel.For(ctx, n, func(i int) {
 		copy(data[offsets[i]:], rows[i])
-	})
+	}); err != nil {
+		return nil, nil, nil, err
+	}
 	return offsets, degs, data, nil
 }
 
@@ -302,7 +312,7 @@ func (c *CompressedGraph) Decompress() (*graph.Graph, error) {
 	if c.weighted {
 		weights = make([]int32, c.m)
 	}
-	parallel.For(c.n, func(i int) {
+	if err := parallel.For(context.Background(), c.n, func(i int) {
 		k := offsets[i]
 		c.OutNeighbors(uint32(i), func(d uint32, w int32) bool {
 			edges[k] = d
@@ -312,7 +322,9 @@ func (c *CompressedGraph) Decompress() (*graph.Graph, error) {
 			k++
 			return true
 		})
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromCSR(offsets, edges, weights, c.symmetric)
 }
 

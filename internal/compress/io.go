@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -314,7 +315,8 @@ func validateSide(n int, m int64, weighted bool, offsets []int64, degs []int32, 
 		failed.Store(true)
 		once.Do(func() { decodeErr = err })
 	}
-	parallel.For(n, func(i int) {
+	// The check has no deadline to observe; a contained panic is returned.
+	if err := parallel.For(context.Background(), n, func(i int) {
 		if failed.Load() {
 			return
 		}
@@ -322,7 +324,9 @@ func validateSide(n int, m int64, weighted bool, offsets []int64, degs []int32, 
 		if err := validateRow(v, uint32(n), weighted, degs[i], data[offsets[i]:offsets[i+1]]); err != nil {
 			fail(fmt.Errorf("compress: %s row of vertex %d: %w", what, v, err))
 		}
-	})
+	}); err != nil {
+		return err
+	}
 	return decodeErr
 }
 

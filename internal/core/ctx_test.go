@@ -20,12 +20,12 @@ func TestEdgeMapCtxPreCancelled(t *testing.T) {
 		applied.Add(1)
 		return true
 	}}
-	out, err := EdgeMapCtx(ctx, g, u, f, Options{})
+	out, err := EdgeMap(ctx, g, u, f, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if out != nil {
-		t.Errorf("interrupted EdgeMapCtx returned a frontier: %v", out.ToSparse())
+		t.Errorf("interrupted EdgeMap returned a frontier of %d", out.Size())
 	}
 	if applied.Load() != 0 {
 		t.Errorf("edge function applied %d times on a pre-cancelled context", applied.Load())
@@ -41,19 +41,23 @@ func TestEdgeMapCtxCancelDuringTraversal(t *testing.T) {
 		cancel()
 		return true
 	}}
-	_, err := EdgeMapCtx(ctx, g, u, f, Options{})
+	_, err := EdgeMap(ctx, g, u, f, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestEdgeMapCtxMatchesEdgeMapWithoutContext: a live cancellable ctx
+// changes nothing about the round's output.
 func TestEdgeMapCtxMatchesEdgeMapWithoutContext(t *testing.T) {
 	g := testGraph(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, opts := range []Options{{}, {Mode: ForceDense}, {Mode: ForceDense, DenseForward: true}} {
 		u := NewSingle(g.NumVertices(), 0)
 		f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
-		want := sortedIDs(EdgeMap(g, u, f, opts))
-		got, err := EdgeMapCtx(nil, g, u, f, opts)
+		want := sortedIDs(must(EdgeMap(nil, g, u, f, opts)))
+		got, err := EdgeMap(ctx, g, u, f, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +79,7 @@ func TestEdgeMapCtxWorkerPanicBecomesError(t *testing.T) {
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool {
 		panic("bad update")
 	}}
-	_, err := EdgeMapCtx(context.Background(), g, u, f, Options{})
+	_, err := EdgeMap(context.Background(), g, u, f, Options{})
 	var pe *parallel.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *parallel.PanicError", err)
@@ -85,26 +89,11 @@ func TestEdgeMapCtxWorkerPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestEdgeMapPlainPanicIsTyped(t *testing.T) {
-	g := testGraph(t)
-	u := NewSingle(g.NumVertices(), 0)
-	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool {
-		panic("plain boom")
-	}}
-	defer func() {
-		r := recover()
-		if _, ok := r.(*parallel.PanicError); !ok {
-			t.Fatalf("recovered %T (%v), want *parallel.PanicError", r, r)
-		}
-	}()
-	EdgeMap(g, u, f, Options{})
-}
-
 func TestVertexMapCtx(t *testing.T) {
 	g := testGraph(t)
 	u := NewAll(g.NumVertices())
 	var visited atomic.Int64
-	if err := VertexMapCtx(nil, u, func(v uint32) { visited.Add(1) }); err != nil {
+	if err := VertexMap(nil, u, func(v uint32) { visited.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if visited.Load() != int64(g.NumVertices()) {
@@ -114,7 +103,7 @@ func TestVertexMapCtx(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	visited.Store(0)
-	err := VertexMapCtx(ctx, u, func(v uint32) { visited.Add(1) })
+	err := VertexMap(ctx, u, func(v uint32) { visited.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -130,7 +119,7 @@ func TestEdgeMapCtxFaultInjectedCancel(t *testing.T) {
 	defer disarm()
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
 	// Round 1 (the first EdgeMap invocation) trips the injected cancel.
-	_, err := EdgeMapCtx(ctx, g, u, f, Options{})
+	_, err := EdgeMap(ctx, g, u, f, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled from injected round fault", err)
 	}
@@ -158,7 +147,7 @@ func TestEdgeMapCtxOptionsProcsCapsConcurrency(t *testing.T) {
 	for _, mode := range []Mode{ForceSparse, ForceDense} {
 		cur.Store(0)
 		peak.Store(0)
-		_, err := EdgeMapCtx(nil, g, u, f, Options{Mode: mode, Procs: 1})
+		_, err := EdgeMap(nil, g, u, f, Options{Mode: mode, Procs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -164,26 +164,15 @@ func putScratch(s []uint32) { scratchPool.Put(s) }
 // in-edges of all vertices) according to the frontier-size heuristic; see
 // Options to force a mode or tune the threshold.
 //
-// A worker panic propagates as a panic whose value is a
-// *parallel.PanicError. Use EdgeMapCtx for cooperative cancellation.
-func EdgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSubset {
-	out, err := EdgeMapCtx(nil, g, u, f, opts)
-	if err != nil {
-		// With no context the only error is a contained worker panic: re-raise it.
-		panic(err)
-	}
-	return out
-}
-
-// EdgeMapCtx is EdgeMap with cooperative cancellation and panic
-// containment. ctx is the cancellation context (nil behaves like
-// context.Background()). Cancellation is observed at chunk granularity:
-// the traversal stops dispatching work within one chunk and returns
-// (nil, ctx.Err()). Updates already applied when the traversal aborts are
-// NOT rolled back — per-vertex state mutated by f keeps all completed
-// writes, which is what gives algorithms their partial results. A panic in
-// a worker is returned as a *parallel.PanicError instead of panicking.
-func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
+// ctx is the context the round runs under (nil behaves like
+// context.Background()): its worker cap bounds every loop of the round,
+// and cancellation is observed at chunk granularity — the traversal stops
+// dispatching work within one chunk and returns (nil, ctx.Err()). Updates
+// already applied when the traversal aborts are NOT rolled back —
+// per-vertex state mutated by f keeps all completed writes, which is what
+// gives algorithms their partial results. A panic in a worker is returned
+// as a *parallel.PanicError instead of panicking.
+func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	if u.UniverseSize() != n {
 		panic("core: EdgeMap frontier universe does not match graph")
@@ -283,9 +272,12 @@ func frontierOutDegrees(ctx context.Context, g graph.View, u *VertexSubset, stop
 	}
 	var sum atomic.Int64
 	if u.HasSparse() {
-		ids := u.ToSparse()
+		ids, err := u.ToSparse(ctx)
+		if err != nil {
+			return 0, err
+		}
 		blocks := (len(ids) + outDegGrainIDs - 1) / outDegGrainIDs
-		err := parallel.ForGrainCtx(ctx, blocks, 1, func(b int) {
+		err = parallel.ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
 			if sum.Load() > stopAfter {
 				return
 			}
@@ -300,9 +292,13 @@ func frontierOutDegrees(ctx context.Context, g graph.View, u *VertexSubset, stop
 		return sum.Load(), err
 	}
 	// Dense: walk the frontier bitset a word at a time, skipping empty words.
-	words := u.ToDense().Words()
+	ud, err := u.ToDense(ctx)
+	if err != nil {
+		return 0, err
+	}
+	words := ud.Words()
 	blocks := (len(words) + outDegGrainWords - 1) / outDegGrainWords
-	err := parallel.ForGrainCtx(ctx, blocks, 1, func(b int) {
+	err = parallel.ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
 		if sum.Load() > stopAfter {
 			return
 		}
@@ -347,12 +343,15 @@ type sparseWorkerBuf struct {
 // sentinel holes) and concatenated afterward in chunk order: successes in
 // frontier edge order, writing only the successes instead of one slot per
 // scanned edge. A round the caller found small (see smallRoundWork) asks
-// for a single chunk, which parallel.ForWorkerChunksCtx runs on the
+// for a single chunk, which parallel.ForWorkerChunks runs on the
 // calling goroutine with the same panic containment, ctx checks and
 // fault-injection hook as any other.
 func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options, oneChunk bool) (*VertexSubset, error) {
 	n := g.NumVertices()
-	ids := u.ToSparse()
+	ids, err := u.ToSparse(ctx)
+	if err != nil {
+		return nil, err
+	}
 	update := f.pushUpdate()
 	cond := f.Cond
 	rows := graph.Rows(g)
@@ -360,12 +359,12 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 
 	grain := len(ids)
 	if !oneChunk {
-		grain = parallel.AutoGrainCtx(ctx, len(ids))
+		grain = parallel.AutoGrain(ctx, len(ids))
 	}
 	nchunks := (len(ids) + grain - 1) / grain
 	workers := make([]sparseWorkerBuf, parallel.CtxProcs(ctx))
 	segLen := make([]int64, nchunks)
-	err := parallel.ForWorkerChunksCtx(ctx, len(ids), grain, func(wk, c, lo, hi int) {
+	err = parallel.ForWorkerChunks(ctx, len(ids), grain, func(wk, c, lo, hi int) {
 		wb := &workers[wk]
 		buf := wb.ids
 		start := len(buf)
@@ -397,30 +396,33 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 	}
 	// Exclusive scan turns per-chunk lengths into output offsets; each
 	// worker then copies its segments into place in parallel.
-	total := parallel.ScanExclusive(segLen, segLen)
+	total, err := parallel.ScanExclusive(ctx, segLen, segLen)
+	if err != nil {
+		return nil, err
+	}
 	outIDs := make([]uint32, total)
-	parallel.For(len(workers), func(wk int) {
+	if err := parallel.For(ctx, len(workers), func(wk int) {
 		wb := &workers[wk]
 		for _, sg := range wb.segs {
 			copy(outIDs[segLen[sg.chunk]:], wb.ids[sg.start:sg.end])
 		}
-	})
-	return NewSparse(n, dedupOutput(n, outIDs, opts)), nil
-}
-
-// dedupOutput applies Options.RemoveDuplicates to a sparse output frontier.
-func dedupOutput(n int, ids []uint32, opts Options) []uint32 {
-	if !opts.RemoveDuplicates || len(ids) < 2 {
-		return ids
+	}); err != nil {
+		return nil, err
 	}
-	return removeDuplicates(n, ids)
+	if opts.RemoveDuplicates && len(outIDs) > 1 {
+		if outIDs, err = removeDuplicates(ctx, n, outIDs); err != nil {
+			return nil, err
+		}
+	}
+	return NewSparse(n, outIDs), nil
 }
 
 // removeDuplicates keeps one occurrence of each vertex ID using a pooled
-// CAS-claimed scratch array (Ligra's remDuplicates).
-func removeDuplicates(n int, ids []uint32) []uint32 {
+// CAS-claimed scratch array (Ligra's remDuplicates). An interrupted call
+// leaves the scratch dirty, so it is dropped rather than pooled.
+func removeDuplicates(ctx context.Context, n int, ids []uint32) ([]uint32, error) {
 	scratch := getScratch(n)
-	parallel.For(len(ids), func(i int) {
+	if err := parallel.For(ctx, len(ids), func(i int) {
 		d := ids[i]
 		// Claim d with the smallest index; ties broken by writeMin.
 		for {
@@ -432,19 +434,26 @@ func removeDuplicates(n int, ids []uint32) []uint32 {
 				return
 			}
 		}
-	})
-	out := parallel.FilterIndex(ids, func(i int, d uint32) bool {
+	}); err != nil {
+		return nil, err
+	}
+	out, err := parallel.FilterIndex(ctx, ids, func(i int, d uint32) bool {
 		return scratch[d] == uint32(i)
 	})
+	if err != nil {
+		return nil, err
+	}
 	// Restore the all-None invariant before pooling — over the deduplicated
 	// output, not ids: out holds every distinct ID exactly once, so each
 	// slot has a single writer (ids would have two workers racing plain
 	// stores on duplicate entries) and the loop does less work.
-	parallel.For(len(out), func(i int) {
+	if err := parallel.For(ctx, len(out), func(i int) {
 		scratch[out[i]] = None
-	})
+	}); err != nil {
+		return nil, err
+	}
 	putScratch(scratch)
-	return out
+	return out, nil
 }
 
 // denseBlockAlign is the alignment of the dense traversal's destination
@@ -453,9 +462,10 @@ func removeDuplicates(n int, ids []uint32) []uint32 {
 const denseBlockAlign = 64
 
 // denseGrain picks the destination-block size for the dense traversals:
-// the automatic load-balancing grain, rounded up to whole bitset words.
-func denseGrain(n int) int {
-	g := parallel.AutoGrain(n)
+// the automatic load-balancing grain under ctx's worker count, rounded up
+// to whole bitset words.
+func denseGrain(ctx context.Context, n int) int {
+	g := parallel.AutoGrain(ctx, n)
 	return (g + denseBlockAlign - 1) &^ (denseBlockAlign - 1)
 }
 
@@ -561,14 +571,18 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 	// kernels skip the per-edge bit probe.
 	var uw []uint64
 	if u.Size() != n {
-		uw = u.ToDense().Words()
+		ud, err := u.ToDense(ctx)
+		if err != nil {
+			return nil, err
+		}
+		uw = ud.Words()
 	}
 	var out *bitset.Bitset
 	if !opts.NoOutput {
 		out = bitset.New(n)
 	}
 
-	err := parallel.ForRangeGrainCtx(ctx, n, denseGrain(n), func(lo, hi int) {
+	err := parallel.ForRangeGrain(ctx, n, denseGrain(ctx, n), func(lo, hi int) {
 		var buf graph.Row
 		for di := lo; di < hi; di++ {
 			d := uint32(di)
@@ -606,7 +620,10 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 // scanned a word at a time: an empty word costs one load, not 64 bit tests.
 func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
-	ud := u.ToDense()
+	ud, err := u.ToDense(ctx)
+	if err != nil {
+		return nil, err
+	}
 	update := f.pushUpdate()
 	cond := f.Cond
 
@@ -616,7 +633,7 @@ func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f E
 		out = bitset.New(n)
 	}
 	words := ud.Words()
-	err := parallel.ForRangeCtx(ctx, len(words), func(lo, hi int) {
+	err = parallel.ForRange(ctx, len(words), func(lo, hi int) {
 		var buf graph.Row
 		for wi := lo; wi < hi; wi++ {
 			w := words[wi]

@@ -42,7 +42,7 @@ func collectEdges(g graph.View, u *VertexSubset, opts Options) (map[[2]uint32]in
 		},
 	}
 	opts.RemoveDuplicates = true
-	out := EdgeMap(g, u, f, opts)
+	out := edgeMap(g, u, f, opts)
 	return counts, out
 }
 
@@ -57,8 +57,16 @@ func (m *chanMutex) Lock() {
 }
 func (m *chanMutex) Unlock() { <-m.ch }
 
+// edgeMap runs one round with nothing to observe, panicking on an error.
+func edgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSubset {
+	return must(EdgeMap(bg, g, u, f, opts))
+}
+
+// sparseIDs is vs's sparse form, panicking on an error.
+func sparseIDs(vs *VertexSubset) []uint32 { return must(vs.ToSparse(bg)) }
+
 func sortedIDs(vs *VertexSubset) []uint32 {
-	ids := append([]uint32(nil), vs.ToSparse()...)
+	ids := append([]uint32(nil), sparseIDs(vs)...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -114,7 +122,7 @@ func TestEdgeMapCondFilters(t *testing.T) {
 			UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
 			Cond:         func(d uint32) bool { return d != 2 },
 		}
-		out := EdgeMap(g, u, f, Options{Mode: mode})
+		out := edgeMap(g, u, f, Options{Mode: mode})
 		if out.Contains(2) || !out.Contains(1) {
 			t.Errorf("mode=%v: Cond not applied: %v", mode, sortedIDs(out))
 		}
@@ -128,7 +136,7 @@ func TestEdgeMapUpdateFalseExcludesFromOutput(t *testing.T) {
 		UpdateAtomic: func(_, d uint32, _ int32) bool { return d == 1 },
 	}
 	for _, mode := range []Mode{ForceSparse, ForceDense} {
-		out := EdgeMap(g, u, f, Options{Mode: mode})
+		out := edgeMap(g, u, f, Options{Mode: mode})
 		if out.Size() != 1 || !out.Contains(1) {
 			t.Errorf("mode=%v: output = %v, want {1}", mode, sortedIDs(out))
 		}
@@ -137,7 +145,7 @@ func TestEdgeMapUpdateFalseExcludesFromOutput(t *testing.T) {
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	g := testGraph(t)
-	out := EdgeMap(g, NewEmpty(6), EdgeFuncs{
+	out := edgeMap(g, NewEmpty(6), EdgeFuncs{
 		UpdateAtomic: func(_, _ uint32, _ int32) bool { t.Error("called"); return true },
 	}, Options{})
 	if !out.IsEmpty() {
@@ -153,7 +161,7 @@ func TestEdgeMapNoOutput(t *testing.T) {
 	}
 	for _, mode := range []Mode{ForceSparse, ForceDense} {
 		applied.Store(0)
-		out := EdgeMap(g, NewSparse(6, []uint32{0}), f, Options{Mode: mode, NoOutput: true})
+		out := edgeMap(g, NewSparse(6, []uint32{0}), f, Options{Mode: mode, NoOutput: true})
 		if !out.IsEmpty() {
 			t.Errorf("mode=%v: NoOutput returned nonempty subset", mode)
 		}
@@ -177,7 +185,7 @@ func TestEdgeMapDenseEarlyExit(t *testing.T) {
 		},
 		Cond: func(d uint32) bool { return hits[d] == 0 },
 	}
-	out := EdgeMap(g, u, f, Options{Mode: ForceDense})
+	out := edgeMap(g, u, f, Options{Mode: ForceDense})
 	if hits[3] != 1 {
 		t.Errorf("vertex 3 updated %d times, want 1 (early exit)", hits[3])
 	}
@@ -194,11 +202,11 @@ func TestEdgeMapRemoveDuplicates(t *testing.T) {
 		UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
 	}
 	u := NewSparse(6, []uint32{1, 2})
-	noDedup := EdgeMap(g, u, f, Options{Mode: ForceSparse})
-	if len(noDedup.ToSparse()) != 3 { // 3, 3, 4
-		t.Errorf("expected raw duplicates, got %v", noDedup.ToSparse())
+	noDedup := edgeMap(g, u, f, Options{Mode: ForceSparse})
+	if len(sparseIDs(noDedup)) != 3 { // 3, 3, 4
+		t.Errorf("expected raw duplicates, got %v", sparseIDs(noDedup))
 	}
-	dedup := EdgeMap(g, NewSparse(6, []uint32{1, 2}), f, Options{Mode: ForceSparse, RemoveDuplicates: true})
+	dedup := edgeMap(g, NewSparse(6, []uint32{1, 2}), f, Options{Mode: ForceSparse, RemoveDuplicates: true})
 	got := sortedIDs(dedup)
 	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Errorf("dedup output = %v, want [3 4]", got)
@@ -210,12 +218,12 @@ func TestEdgeMapAutoSwitches(t *testing.T) {
 	f := EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool { return true }}
 	tr := &Trace{}
 	// Tiny graph: |U|+outdeg(U) > m/20 = 0 always, so Auto must go dense.
-	EdgeMap(g, NewSparse(6, []uint32{0}), f, Options{Trace: tr})
+	edgeMap(g, NewSparse(6, []uint32{0}), f, Options{Trace: tr})
 	if !tr.Entries[0].Dense {
 		t.Error("Auto chose sparse despite exceeding threshold")
 	}
 	// With a huge threshold it must go sparse.
-	EdgeMap(g, NewSparse(6, []uint32{0}), f, Options{Threshold: 1000, Trace: tr})
+	edgeMap(g, NewSparse(6, []uint32{0}), f, Options{Threshold: 1000, Trace: tr})
 	if tr.Entries[1].Dense {
 		t.Error("Auto chose dense despite large threshold")
 	}
@@ -239,7 +247,7 @@ func TestEdgeMapWeightsPropagate(t *testing.T) {
 			}
 			return true
 		}}
-		EdgeMap(g, NewSingle(3, 0), f, Options{Mode: mode})
+		edgeMap(g, NewSingle(3, 0), f, Options{Mode: mode})
 		if got.Load() != 9 {
 			t.Errorf("mode=%v: weight = %d, want 9", mode, got.Load())
 		}
@@ -253,7 +261,7 @@ func TestEdgeMapUniverseMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	EdgeMap(g, NewEmpty(5), EdgeFuncs{}, Options{})
+	edgeMap(g, NewEmpty(5), EdgeFuncs{}, Options{})
 }
 
 // TestEdgeMapKernelOnlyFuncsRejected: a bundle with a PullRow and no push
@@ -277,7 +285,7 @@ func TestEdgeMapKernelOnlyFuncsRejected(t *testing.T) {
 					t.Errorf("%s: recovered %q, want the named EdgeFuncs rejection", tc.name, msg)
 				}
 			}()
-			_, _ = EdgeMapCtx(context.Background(), g, tc.u, f, Options{Mode: tc.mode})
+			_, _ = EdgeMap(context.Background(), g, tc.u, f, Options{Mode: tc.mode})
 		}()
 	}
 }
@@ -291,7 +299,7 @@ func TestEdgeMapSymmetricGraphDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool { return true }}
-	out := EdgeMap(g, NewSingle(4, 1), f, Options{Mode: ForceDense, RemoveDuplicates: true})
+	out := edgeMap(g, NewSingle(4, 1), f, Options{Mode: ForceDense, RemoveDuplicates: true})
 	got := sortedIDs(out)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("output = %v, want [0 2]", got)

@@ -98,8 +98,8 @@ func TestEdgeMapModesAgreeOnRandomGraphs(t *testing.T) {
 				UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
 				Cond:         cond,
 			}
-			out := EdgeMap(g, u.Clone(), f, tc.opts)
-			got := append([]uint32(nil), out.ToSparse()...)
+			out := edgeMap(g, u.Clone(), f, tc.opts)
+			got := append([]uint32(nil), sparseIDs(out)...)
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %s: got %d vertices, want %d\ngot  %v\nwant %v",
@@ -146,7 +146,7 @@ func TestEdgeMapEdgeCountConsistency(t *testing.T) {
 					return false
 				},
 			}
-			out := EdgeMap(g, u.Clone(), f, tc.opts)
+			out := edgeMap(g, u.Clone(), f, tc.opts)
 			if applied.Load() != wantEdges {
 				t.Fatalf("trial %d %s: applied %d edges, want %d",
 					trial, tc.name, applied.Load(), wantEdges)
@@ -176,7 +176,7 @@ func TestEdgeMapWeightsAgreeAcrossModes(t *testing.T) {
 					return false
 				},
 			}
-			EdgeMap(g, u.Clone(), f, opts)
+			edgeMap(g, u.Clone(), f, opts)
 			out := map[[2]uint32]int64{}
 			for s := 0; s < n; s++ {
 				for d := 0; d < n; d++ {
@@ -212,7 +212,7 @@ func TestRemoveDuplicatesScratchReuse(t *testing.T) {
 		for v := 0; v < 500; v++ {
 			ids = append(ids, uint32(v), uint32(v)) // every ID twice
 		}
-		out := removeDuplicates(n, ids)
+		out := must(removeDuplicates(bg, n, ids))
 		if len(out) != 500 {
 			t.Fatalf("round %d: dedup kept %d, want 500", round, len(out))
 		}
@@ -250,8 +250,8 @@ func TestEdgeMapThresholdSweepAgrees(t *testing.T) {
 				UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
 				Cond:         cond,
 			}
-			out := EdgeMap(g, u.Clone(), f, Options{Threshold: th, RemoveDuplicates: true})
-			got := append([]uint32(nil), out.ToSparse()...)
+			out := edgeMap(g, u.Clone(), f, Options{Threshold: th, RemoveDuplicates: true})
+			got := append([]uint32(nil), sparseIDs(out)...)
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			if len(got) != len(want) {
 				t.Fatalf("trial %d threshold %d: got %d vertices, want %d",
@@ -295,8 +295,8 @@ func TestEdgeMapDenseEarlyExitRandom(t *testing.T) {
 			},
 			Cond: cond,
 		}
-		out := EdgeMap(g, u.Clone(), f, Options{Mode: ForceDense, DenseEarlyExit: true})
-		got := append([]uint32(nil), out.ToSparse()...)
+		out := edgeMap(g, u.Clone(), f, Options{Mode: ForceDense, DenseEarlyExit: true})
+		got := append([]uint32(nil), sparseIDs(out)...)
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d vertices, want %d", trial, len(got), len(want))

@@ -170,7 +170,7 @@ func TestPullRowMatchesPerEdge(t *testing.T) {
 							if row {
 								f = withDerivedPullRow(f, early)
 							}
-							out, err := core.EdgeMapCtx(nil, v, u, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: early, Procs: procs})
+							out, err := core.EdgeMap(nil, v, u, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: early, Procs: procs})
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -215,7 +215,7 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 				return true
 			},
 		}
-		out, err := core.EdgeMapCtx(nil, v, all, f, core.Options{Mode: core.ForceDense, NoOutput: true, Procs: 1})
+		out, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.ForceDense, NoOutput: true, Procs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 				s.srcs, s.wts = append(s.srcs, srcs...), append(s.wts, wts...)
 				return hit
 			}
-			if _, err := core.EdgeMapCtx(nil, v, all, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: true, Procs: 1}); err != nil {
+			if _, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: true, Procs: 1}); err != nil {
 				t.Fatal(err)
 			}
 			prefix := core.DenseEarlyPrefix
@@ -304,7 +304,7 @@ func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
 	for name, f := range variants(func() { t.Error("user code ran under a cancelled context") }) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if out, err := core.EdgeMapCtx(ctx, g, all, f, dense); !errors.Is(err, context.Canceled) || out != nil {
+		if out, err := core.EdgeMap(ctx, g, all, f, dense); !errors.Is(err, context.Canceled) || out != nil {
 			t.Errorf("%s pre-cancelled: out=%v err=%v, want nil, context.Canceled", name, out, err)
 		}
 	}
@@ -312,7 +312,7 @@ func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for name, f := range variants(cancel) {
-		if _, err := core.EdgeMapCtx(ctx, g, all, f, dense); !errors.Is(err, context.Canceled) {
+		if _, err := core.EdgeMap(ctx, g, all, f, dense); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s cancelled mid-round: err=%v, want context.Canceled", name, err)
 		}
 	}
@@ -320,7 +320,7 @@ func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
 	var pe *parallel.PanicError
 	for name, f := range variants(func() {}) {
 		disarm := faultinject.PanicOnChunk(1, "injected chunk fault")
-		_, err := core.EdgeMapCtx(context.Background(), g, all, f, dense)
+		_, err := core.EdgeMap(context.Background(), g, all, f, dense)
 		disarm()
 		if !errors.As(err, &pe) || pe.Value != "injected chunk fault" {
 			t.Errorf("%s injected chunk panic: err=%v, want *parallel.PanicError", name, err)
@@ -328,16 +328,8 @@ func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
 	}
 
 	for name, f := range variants(func() { panic("bad kernel") }) {
-		if _, err := core.EdgeMapCtx(context.Background(), g, all, f, dense); !errors.As(err, &pe) || pe.Value != "bad kernel" {
+		if _, err := core.EdgeMap(context.Background(), g, all, f, dense); !errors.As(err, &pe) || pe.Value != "bad kernel" {
 			t.Errorf("%s user panic: err=%v, want *parallel.PanicError", name, err)
 		}
-		func() {
-			defer func() {
-				if _, ok := recover().(*parallel.PanicError); !ok {
-					t.Errorf("%s user panic through EdgeMap: not a *parallel.PanicError", name)
-				}
-			}()
-			core.EdgeMap(g, all, f, dense)
-		}()
 	}
 }

@@ -62,7 +62,7 @@ func TestSeqBypassEquivalence(t *testing.T) {
 				}
 			}
 			before, schedBefore := SnapshotStats(), parallel.SchedulerSnapshot()
-			out := EdgeMap(g, NewSparse(n, ids), f, opts)
+			out := edgeMap(g, NewSparse(n, ids), f, opts)
 			d := SnapshotStats().Sub(before)
 			sched := parallel.SchedulerSnapshot().Sub(schedBefore)
 			if d.SeqRounds != tc.wantSeq || d.Sparse != 1 {
@@ -71,7 +71,7 @@ func TestSeqBypassEquivalence(t *testing.T) {
 			if small := tc.wantSeq == 1; small != (sched.Dispatches == 0) {
 				t.Fatalf("opts=%+v |U|=%d: %d dispatches, %d inline runs", opts, tc.size, sched.Dispatches, sched.InlineRuns)
 			}
-			if got := out.ToSparse(); !slices.Equal(got, want) {
+			if got := sparseIDs(out); !slices.Equal(got, want) {
 				t.Fatalf("opts=%+v |U|=%d: output (%d ids) differs from the %d expected in edge order", opts, tc.size, len(got), len(want))
 			}
 		}
@@ -90,7 +90,7 @@ func TestSeqBypassPreservesEdgeOrderAndUpdateFallback(t *testing.T) {
 		return true
 	}}
 	before := SnapshotStats()
-	out := EdgeMap(g, u, f, Options{Threshold: 100})
+	out := edgeMap(g, u, f, Options{Threshold: 100})
 	if d := SnapshotStats().Sub(before); d.SeqRounds != 1 {
 		t.Fatalf("seq_rounds=%d, want 1 (bypass did not engage)", d.SeqRounds)
 	}
@@ -121,7 +121,7 @@ func TestSeqBypassNeverOnDense(t *testing.T) {
 	u := NewSparse(6, []uint32{0, 3})
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
 	before := SnapshotStats()
-	EdgeMap(g, u, f, Options{Mode: ForceDense})
+	edgeMap(g, u, f, Options{Mode: ForceDense})
 	d := SnapshotStats().Sub(before)
 	if d.SeqRounds != 0 || d.Dense != 1 {
 		t.Errorf("ForceDense round: seq_rounds=%d dense=%d, want 0/1", d.SeqRounds, d.Dense)
@@ -136,7 +136,7 @@ func TestSeqBypassCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
-	_, err := EdgeMapCtx(ctx, g, u, f, Options{Threshold: 100})
+	_, err := EdgeMap(ctx, g, u, f, Options{Threshold: 100})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
 	}
@@ -149,7 +149,7 @@ func TestSeqBypassPanicContainment(t *testing.T) {
 	u := NewSparse(6, []uint32{0})
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { panic("seq update panic") }}
 	before := SnapshotStats()
-	_, err := EdgeMapCtx(context.Background(), g, u, f, Options{Threshold: 100})
+	_, err := EdgeMap(context.Background(), g, u, f, Options{Threshold: 100})
 	if err == nil {
 		t.Fatal("panic on the sequential path was not contained")
 	}

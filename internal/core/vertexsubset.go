@@ -73,16 +73,19 @@ func NewAll(n int) *VertexSubset {
 }
 
 // NewFromFunc returns the subset of vertices v in [0, n) with pred(v) true.
-func NewFromFunc(n int, pred func(v uint32) bool) *VertexSubset {
+func NewFromFunc(ctx context.Context, n int, pred func(v uint32) bool) (*VertexSubset, error) {
 	b := bitset.New(n)
-	count := parallel.CountFunc(n, func(i int) bool {
+	count, err := parallel.CountFunc(ctx, n, func(i int) bool {
 		if pred(uint32(i)) {
 			b.SetAtomic(i)
 			return true
 		}
 		return false
 	})
-	return &VertexSubset{n: n, size: count, dense: b}
+	if err != nil {
+		return nil, err
+	}
+	return &VertexSubset{n: n, size: count, dense: b}, nil
 }
 
 // UniverseSize returns n, the size of the vertex ID space.
@@ -101,12 +104,17 @@ func (vs *VertexSubset) HasSparse() bool { return vs.sparse != nil }
 func (vs *VertexSubset) HasDense() bool { return vs.dense != nil }
 
 // ToSparse materializes (and caches) the sparse ID array, in increasing
-// vertex order. The returned slice must not be mutated.
-func (vs *VertexSubset) ToSparse() []uint32 {
+// vertex order, under ctx; an interrupted conversion caches nothing. The
+// returned slice must not be mutated.
+func (vs *VertexSubset) ToSparse(ctx context.Context) ([]uint32, error) {
 	if vs.sparse == nil {
-		vs.sparse = packBits(vs.dense)
+		ids, err := packBits(ctx, vs.dense)
+		if err != nil {
+			return nil, err
+		}
+		vs.sparse = ids
 	}
-	return vs.sparse
+	return vs.sparse, nil
 }
 
 // packBits converts a dense bit vector to its sorted ID array one word at
@@ -114,16 +122,16 @@ func (vs *VertexSubset) ToSparse() []uint32 {
 // exactly the member count (no full-universe allocation for tiny
 // frontiers), then every word decodes its set bits into its own slot
 // range independently.
-func packBits(b *bitset.Bitset) []uint32 {
+func packBits(ctx context.Context, b *bitset.Bitset) ([]uint32, error) {
 	words := b.Words()
-	offsets, total := parallel.ScanFunc(len(words), func(wi int) int64 {
+	offsets, total, err := parallel.ScanFunc(ctx, len(words), func(wi int) int64 {
 		return int64(bits.OnesCount64(words[wi]))
 	})
-	if total == 0 {
-		return []uint32{}
+	if err != nil || total == 0 {
+		return []uint32{}, err
 	}
 	out := make([]uint32, total)
-	parallel.ForRange(len(words), func(lo, hi int) {
+	err = parallel.ForRange(ctx, len(words), func(lo, hi int) {
 		for wi := lo; wi < hi; wi++ {
 			w := words[wi]
 			if w == 0 {
@@ -138,21 +146,24 @@ func packBits(b *bitset.Bitset) []uint32 {
 			}
 		}
 	})
-	return out
+	return out, err
 }
 
-// ToDense materializes (and caches) the dense bit vector. The returned
-// bitset must not be mutated.
-func (vs *VertexSubset) ToDense() *bitset.Bitset {
+// ToDense materializes (and caches) the dense bit vector under ctx; an
+// interrupted conversion caches nothing. The returned bitset must not be
+// mutated.
+func (vs *VertexSubset) ToDense(ctx context.Context) (*bitset.Bitset, error) {
 	if vs.dense == nil {
 		b := bitset.New(vs.n)
 		ids := vs.sparse
-		parallel.For(len(ids), func(i int) {
+		if err := parallel.For(ctx, len(ids), func(i int) {
 			b.SetAtomic(int(ids[i]))
-		})
+		}); err != nil {
+			return nil, err
+		}
 		vs.dense = b
 	}
-	return vs.dense
+	return vs.dense, nil
 }
 
 // Contains reports whether v is in the subset.
@@ -168,24 +179,17 @@ func (vs *VertexSubset) Contains(v uint32) bool {
 	return false
 }
 
-// ForEach calls fn for every member vertex, in parallel. Dense subsets
-// are walked a word at a time, skipping empty words entirely.
-func (vs *VertexSubset) ForEach(fn func(v uint32)) {
-	if err := vs.ForEachCtx(nil, fn); err != nil {
-		panic(err)
-	}
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: ctx (nil =
-// background) is checked at chunk granularity, and a panic in fn is
-// returned as a *parallel.PanicError instead of propagating.
-func (vs *VertexSubset) ForEachCtx(ctx context.Context, fn func(v uint32)) error {
+// ForEach calls fn for every member vertex, in parallel, under ctx (nil =
+// background): its worker cap bounds the loop, it is checked at chunk
+// granularity, and a panic in fn is returned as a *parallel.PanicError.
+// Dense subsets are walked a word at a time, skipping empty words entirely.
+func (vs *VertexSubset) ForEach(ctx context.Context, fn func(v uint32)) error {
 	if vs.sparse != nil {
 		ids := vs.sparse
-		return parallel.ForCtx(ctx, len(ids), func(i int) { fn(ids[i]) })
+		return parallel.For(ctx, len(ids), func(i int) { fn(ids[i]) })
 	}
 	words := vs.dense.Words()
-	return parallel.ForRangeCtx(ctx, len(words), func(lo, hi int) {
+	return parallel.ForRange(ctx, len(words), func(lo, hi int) {
 		for wi := lo; wi < hi; wi++ {
 			w := words[wi]
 			base := uint32(wi * 64)

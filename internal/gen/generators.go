@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"fmt"
 
 	"ligra/internal/graph"
@@ -37,10 +38,12 @@ func RMAT(scale int, edgeFactor int, params RMATParams, seed uint64) (*graph.Gra
 	n := 1 << scale
 	m := n * edgeFactor
 	edges := make([]graph.Edge, m)
-	parallel.For(m, func(i int) {
+	if err := parallel.For(context.Background(), m, func(i int) {
 		s, d := rmatEdge(scale, params, seed, uint64(i))
 		edges[i] = graph.Edge{Src: s, Dst: d}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromEdges(n, edges, graph.BuildOptions{
 		Symmetrize:       true,
 		RemoveSelfLoops:  true,
@@ -56,10 +59,12 @@ func RMATDirected(scale int, edgeFactor int, params RMATParams, seed uint64) (*g
 	n := 1 << scale
 	m := n * edgeFactor
 	edges := make([]graph.Edge, m)
-	parallel.For(m, func(i int) {
+	if err := parallel.For(context.Background(), m, func(i int) {
 		s, d := rmatEdge(scale, params, seed, uint64(i))
 		edges[i] = graph.Edge{Src: s, Dst: d}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromEdges(n, edges, graph.BuildOptions{
 		RemoveSelfLoops:  true,
 		RemoveDuplicates: true,
@@ -110,7 +115,7 @@ func RandomLocal(n, degree, window int, seed uint64) (*graph.Graph, error) {
 	}
 	m := n * degree
 	edges := make([]graph.Edge, m)
-	parallel.For(m, func(i int) {
+	if err := parallel.For(context.Background(), m, func(i int) {
 		v := i / degree
 		h := hash3(seed, uint64(v), uint64(i%degree))
 		off := int(uniformN(h, uint64(window)))
@@ -119,7 +124,9 @@ func RandomLocal(n, degree, window int, seed uint64) (*graph.Graph, error) {
 			d += n
 		}
 		edges[i] = graph.Edge{Src: uint32(v), Dst: uint32(d)}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromEdges(n, edges, graph.BuildOptions{
 		Symmetrize:       true,
 		RemoveSelfLoops:  true,
@@ -141,7 +148,7 @@ func Grid3D(side int) (*graph.Graph, error) {
 	// Each vertex emits +x, +y, +z edges; symmetrization adds the rest.
 	m := 3 * n
 	edges := make([]graph.Edge, m)
-	parallel.For(n, func(v int) {
+	if err := parallel.For(context.Background(), n, func(v int) {
 		x := v % side
 		y := (v / side) % side
 		z := v / (side * side)
@@ -151,7 +158,9 @@ func Grid3D(side int) (*graph.Graph, error) {
 		edges[3*v+0] = graph.Edge{Src: uint32(v), Dst: id(x+1, y, z)}
 		edges[3*v+1] = graph.Edge{Src: uint32(v), Dst: id(x, y+1, z)}
 		edges[3*v+2] = graph.Edge{Src: uint32(v), Dst: id(x, y, z+1)}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromEdges(n, edges, graph.BuildOptions{
 		Symmetrize:       true,
 		RemoveSelfLoops:  true,
@@ -166,12 +175,14 @@ func ErdosRenyi(n, m int, seed uint64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gen: bad ER parameters n=%d m=%d", n, m)
 	}
 	edges := make([]graph.Edge, m)
-	parallel.For(m, func(i int) {
+	if err := parallel.For(context.Background(), m, func(i int) {
 		h := hash2(seed, uint64(i))
 		s := uint32(uniformN(h, uint64(n)))
 		d := uint32(uniformN(mix64(h), uint64(n)))
 		edges[i] = graph.Edge{Src: s, Dst: d}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromEdges(n, edges, graph.BuildOptions{
 		Symmetrize:       true,
 		RemoveSelfLoops:  true,
@@ -192,7 +203,7 @@ func WattsStrogatz(n, k int, p float64, seed uint64) (*graph.Graph, error) {
 	}
 	m := n * k
 	edges := make([]graph.Edge, m)
-	parallel.For(m, func(i int) {
+	if err := parallel.For(context.Background(), m, func(i int) {
 		v := i / k
 		j := i%k + 1
 		d := (v + j) % n
@@ -201,7 +212,9 @@ func WattsStrogatz(n, k int, p float64, seed uint64) (*graph.Graph, error) {
 			d = int(uniformN(mix64(h), uint64(n)))
 		}
 		edges[i] = graph.Edge{Src: uint32(v), Dst: uint32(d)}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return graph.FromEdges(n, edges, graph.BuildOptions{
 		Symmetrize:       true,
 		RemoveSelfLoops:  true,

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -46,16 +47,25 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 		}
 	}
 
+	// Construction has no deadline to observe; its loops fail only with a
+	// contained panic, which FromEdges returns.
+	ctx := context.Background()
 	work := make([]Edge, len(edges))
 	copy(work, edges)
+	var err error
 	if opts.RemoveSelfLoops {
-		work = parallel.Filter(work, func(e Edge) bool { return e.Src != e.Dst })
+		if work, err = parallel.Filter(ctx, work, func(e Edge) bool { return e.Src != e.Dst }); err != nil {
+			return nil, err
+		}
 	}
 	if opts.Symmetrize {
-		rev := parallel.MapNew(len(work), func(i int) Edge {
+		rev, err := parallel.MapNew(ctx, len(work), func(i int) Edge {
 			e := work[i]
 			return Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
 		})
+		if err != nil {
+			return nil, err
+		}
 		work = append(work, rev...)
 	}
 
@@ -64,12 +74,16 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 	// falls out of weight being the last key. Implemented as stable LSD
 	// radix passes over the integer keys (least-significant key first),
 	// which beats comparison sorting by a wide margin on edge arrays.
-	sortEdges(work, n, opts.Weighted, true)
+	if err := sortEdges(ctx, work, n, opts.Weighted, true); err != nil {
+		return nil, err
+	}
 
 	if opts.RemoveDuplicates {
-		work = parallel.FilterIndex(work, func(i int, e Edge) bool {
+		if work, err = parallel.FilterIndex(ctx, work, func(i int, e Edge) bool {
 			return i == 0 || work[i-1].Src != e.Src || work[i-1].Dst != e.Dst
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	g := &Graph{
@@ -77,39 +91,49 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 		m:         int64(len(work)),
 		symmetric: opts.Symmetrize,
 	}
-	g.offsets, g.edges, g.weights = buildCSR(n, work, opts.Weighted,
-		func(e Edge) uint32 { return e.Src }, func(e Edge) uint32 { return e.Dst })
+	if g.offsets, g.edges, g.weights, err = buildCSR(ctx, n, work, opts.Weighted,
+		func(e Edge) uint32 { return e.Src }, func(e Edge) uint32 { return e.Dst }); err != nil {
+		return nil, err
+	}
 
 	if !opts.Symmetrize {
 		// Build the transpose for pull-based dense traversal.
-		sortEdges(work, n, opts.Weighted, false)
-		g.inOffsets, g.inEdges, g.inWeights = buildCSR(n, work, opts.Weighted,
-			func(e Edge) uint32 { return e.Dst }, func(e Edge) uint32 { return e.Src })
+		if err := sortEdges(ctx, work, n, opts.Weighted, false); err != nil {
+			return nil, err
+		}
+		if g.inOffsets, g.inEdges, g.inWeights, err = buildCSR(ctx, n, work, opts.Weighted,
+			func(e Edge) uint32 { return e.Dst }, func(e Edge) uint32 { return e.Src }); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
 
 // sortEdges stably sorts edges lexicographically by (Src, Dst, Weight)
 // when bySrc, else (Dst, Src, Weight), via LSD counting-sort passes.
-func sortEdges(edges []Edge, n int, weighted, bySrc bool) {
+func sortEdges(ctx context.Context, edges []Edge, n int, weighted, bySrc bool) error {
 	if weighted {
-		parallel.RadixSortByKey(edges, 1<<32, func(e Edge) int64 {
+		if err := parallel.RadixSortByKey(ctx, edges, 1<<32, func(e Edge) int64 {
 			return int64(e.Weight) + (1 << 31)
-		})
+		}); err != nil {
+			return err
+		}
 	}
 	minor := func(e Edge) int64 { return int64(e.Dst) }
 	major := func(e Edge) int64 { return int64(e.Src) }
 	if !bySrc {
 		minor, major = major, minor
 	}
-	parallel.RadixSortByKey(edges, int64(n), minor)
-	parallel.RadixSortByKey(edges, int64(n), major)
+	if err := parallel.RadixSortByKey(ctx, edges, int64(n), minor); err != nil {
+		return err
+	}
+	return parallel.RadixSortByKey(ctx, edges, int64(n), major)
 }
 
 // buildCSR lays a sorted edge list out as offsets+targets(+weights). key
 // extracts the CSR row (must be the sort key), val the stored endpoint.
-func buildCSR(n int, sorted []Edge, weighted bool,
-	key, val func(Edge) uint32) ([]int64, []uint32, []int32) {
+func buildCSR(ctx context.Context, n int, sorted []Edge, weighted bool,
+	key, val func(Edge) uint32) ([]int64, []uint32, []int32, error) {
 
 	m := len(sorted)
 	counts := make([]int64, n)
@@ -125,13 +149,17 @@ func buildCSR(n int, sorted []Edge, weighted bool,
 	offsets[n] = acc
 
 	targets := make([]uint32, m)
-	parallel.For(m, func(i int) { targets[i] = val(sorted[i]) })
 	var weights []int32
 	if weighted {
 		weights = make([]int32, m)
-		parallel.For(m, func(i int) { weights[i] = sorted[i].Weight })
 	}
-	return offsets, targets, weights
+	err := parallel.For(ctx, m, func(i int) {
+		targets[i] = val(sorted[i])
+		if weights != nil {
+			weights[i] = sorted[i].Weight
+		}
+	})
+	return offsets, targets, weights, err
 }
 
 // FromCSR wraps pre-built CSR arrays as a Graph, validating invariants.

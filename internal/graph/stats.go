@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 
 	"ligra/internal/parallel"
@@ -32,13 +34,17 @@ func ComputeStats(g View) Stats {
 		Symmetric: g.Symmetric(),
 		Weighted:  g.Weighted(),
 	}
+	// A scan with no deadline to observe: its loops fail only with a
+	// contained panic, which is re-raised below.
+	ctx := context.Background()
+	var errs [4]error
 	if n > 0 {
-		s.MaxOutDeg = parallel.MaxFunc(n, func(i int) int { return g.OutDegree(uint32(i)) })
-		s.MaxInDeg = parallel.MaxFunc(n, func(i int) int { return g.InDegree(uint32(i)) })
+		s.MaxOutDeg, errs[0] = parallel.MaxFunc(ctx, n, func(i int) int { return g.OutDegree(uint32(i)) })
+		s.MaxInDeg, errs[1] = parallel.MaxFunc(ctx, n, func(i int) int { return g.InDegree(uint32(i)) })
 		s.AvgDeg = float64(g.NumEdges()) / float64(n)
-		s.ZeroDegree = parallel.CountFunc(n, func(i int) bool { return g.OutDegree(uint32(i)) == 0 })
+		s.ZeroDegree, errs[2] = parallel.CountFunc(ctx, n, func(i int) bool { return g.OutDegree(uint32(i)) == 0 })
 	}
-	s.SelfLoops = parallel.SumFunc(n, func(i int) int64 {
+	s.SelfLoops, errs[3] = parallel.SumFunc(ctx, n, func(i int) int64 {
 		v := uint32(i)
 		var c int64
 		g.OutNeighbors(v, func(d uint32, _ int32) bool {
@@ -49,6 +55,9 @@ func ComputeStats(g View) Stats {
 		})
 		return c
 	})
+	if err := cmp.Or(errs[:]...); err != nil {
+		panic(err)
+	}
 	if mf, ok := g.(interface{ MemoryFootprint() int64 }); ok {
 		s.MemoryBytes = mf.MemoryFootprint()
 	}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 
 	"ligra/internal/parallel"
@@ -44,17 +46,24 @@ func Relabel(g *Graph, perm []uint32) (*Graph, error) {
 // decreasing out-degree order (ties by original ID): perm[old] = rank.
 func DegreeOrderPermutation(g View) []uint32 {
 	n := g.NumVertices()
+	// No deadline to observe: the loops fail only with a contained panic,
+	// which is re-raised.
+	ctx := context.Background()
 	order := make([]uint32, n)
-	parallel.Iota(order, 0)
-	parallel.SortFunc(order, func(a, b uint32) bool {
-		da, db := g.OutDegree(a), g.OutDegree(b)
-		if da != db {
-			return da > db
-		}
-		return a < b
-	})
 	perm := make([]uint32, n)
-	parallel.For(n, func(rank int) { perm[order[rank]] = uint32(rank) })
+	if err := cmp.Or(
+		parallel.Iota(ctx, order, 0),
+		parallel.SortFunc(ctx, order, func(a, b uint32) bool {
+			da, db := g.OutDegree(a), g.OutDegree(b)
+			if da != db {
+				return da > db
+			}
+			return a < b
+		}),
+		parallel.For(ctx, n, func(rank int) { perm[order[rank]] = uint32(rank) }),
+	); err != nil {
+		panic(err)
+	}
 	return perm
 }
 

@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func BenchmarkForGrain(b *testing.B) {
@@ -11,7 +13,31 @@ func BenchmarkForGrain(b *testing.B) {
 	for _, grain := range []int{64, 1024, 4096} {
 		b.Run(benchName("grain", grain), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				forGrain(n, grain, func(j int) { sink[j]++ })
+				ok(ForRangeGrain(bg, n, grain, func(lo, hi int) {
+					for j := lo; j < hi; j++ {
+						sink[j]++
+					}
+				}))
+			}
+		})
+	}
+}
+
+// BenchmarkSmallLoop pins what a deadline costs a loop at or under the
+// sequential cutoff — every vertex phase over a small frontier: run as one
+// chunk, the 200-iteration loop under a cancellable ctx should stay within
+// 1.5x of the same loop under context.Background().
+func BenchmarkSmallLoop(b *testing.B) {
+	sink := make([]int64, 200)
+	deadline, cancel := context.WithTimeout(bg, time.Hour)
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"background", bg}, {"cancellable", deadline}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ok(For(tc.ctx, len(sink), func(j int) { sink[j]++ }))
 			}
 		})
 	}
@@ -50,7 +76,7 @@ func BenchmarkScanExclusive(b *testing.B) {
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanExclusive(in, out)
+		must(ScanExclusive(bg, in, out))
 	}
 }
 
@@ -63,7 +89,7 @@ func BenchmarkReduceSum(b *testing.B) {
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SumFunc(n, func(i int) int64 { return xs[i] })
+		must(SumFunc(bg, n, func(i int) int64 { return xs[i] }))
 	}
 }
 
@@ -75,7 +101,7 @@ func BenchmarkFilter(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Filter(xs, func(x uint32) bool { return x%3 == 0 })
+		must(Filter(bg, xs, func(x uint32) bool { return x%3 == 0 }))
 	}
 }
 
@@ -90,7 +116,7 @@ func BenchmarkSortFunc(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, proto)
-		SortFunc(work, func(a, c uint64) bool { return a < c })
+		ok(SortFunc(bg, work, func(a, c uint64) bool { return a < c }))
 	}
 }
 
@@ -105,7 +131,7 @@ func BenchmarkRadixSortByKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, proto)
-		RadixSortByKey(work, 1<<32, func(v uint64) int64 { return int64(v) })
+		ok(RadixSortByKey(bg, work, 1<<32, func(v uint64) int64 { return int64(v) }))
 	}
 }
 
@@ -120,13 +146,13 @@ func BenchmarkCountingSortByKey(b *testing.B) {
 	out := make([]uint32, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		countingSortByKey(in, out, bucketCount, func(v uint32) int { return int(v) })
+		must(countingSortByKey(bg, in, out, bucketCount, func(v uint32) int { return int(v) }))
 	}
 }
 
 func BenchmarkPackIndex(b *testing.B) {
 	const n = 1 << 20
 	for i := 0; i < b.N; i++ {
-		PackIndex[uint32](n, func(j int) bool { return j%8 == 0 })
+		must(PackIndex[uint32](bg, n, func(j int) bool { return j%8 == 0 }))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ligra/internal/faultinject"
 )
@@ -13,7 +14,7 @@ import (
 func TestForCtxNilContextCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 4097} {
 		var count atomic.Int64
-		if err := ForCtx(nil, n, func(i int) { count.Add(1) }); err != nil {
+		if err := For(nil, n, func(i int) { count.Add(1) }); err != nil {
 			t.Fatalf("n=%d: unexpected error %v", n, err)
 		}
 		if int(count.Load()) != n {
@@ -26,7 +27,7 @@ func TestForCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var count atomic.Int64
-	err := ForCtx(ctx, 1000, func(i int) { count.Add(1) })
+	err := For(ctx, 1000, func(i int) { count.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -42,9 +43,11 @@ func TestForCtxMidLoopCancelStopsWithinChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var count atomic.Int64
-	err := ForGrainCtx(ctx, n, 64, func(i int) {
-		if count.Add(1) == 10 {
-			cancel()
+	err := ForRangeGrain(ctx, n, 64, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if count.Add(1) == 10 {
+				cancel()
+			}
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -56,7 +59,7 @@ func TestForCtxMidLoopCancelStopsWithinChunks(t *testing.T) {
 }
 
 func TestForCtxReturnsPanicError(t *testing.T) {
-	err := ForCtx(nil, 1000, func(i int) {
+	err := For(nil, 1000, func(i int) {
 		if i == 500 {
 			panic("boom at 500")
 		}
@@ -76,32 +79,11 @@ func TestForCtxReturnsPanicError(t *testing.T) {
 	}
 }
 
-func TestForRepanicsWithTypedPanicError(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("For did not propagate the worker panic")
-		}
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %T, want *PanicError", r)
-		}
-		if pe.Value != "typed" {
-			t.Errorf("PanicError.Value = %v, want %q", pe.Value, "typed")
-		}
-	}()
-	For(100, func(i int) {
-		if i == 42 {
-			panic("typed")
-		}
-	})
-}
-
 func TestForCtxSequentialPathPanic(t *testing.T) {
 	// procs=1 forces the sequential path; panics must still convert.
 	prev := SetProcs(1)
 	defer SetProcs(prev)
-	err := ForCtx(context.Background(), 10, func(i int) {
+	err := For(context.Background(), 10, func(i int) {
 		if i == 3 {
 			panic("seq boom")
 		}
@@ -113,30 +95,14 @@ func TestForCtxSequentialPathPanic(t *testing.T) {
 }
 
 // TestUncancellableCtxCostsWhatNilDoes: a ctx that can never be cancelled
-// takes nil's inline path — the loop body runs once over the whole range,
-// not once per chunk with a check and a yield between — while a WithProcs
-// cap on it is still honoured.
+// runs a loop exactly as nil does — the same chunks, with no check and no
+// yield between them — while a WithProcs cap on it is still honoured.
 func TestUncancellableCtxCostsWhatNilDoes(t *testing.T) {
-	calls := func(ctx context.Context, n, grain int) int {
-		c := 0
-		if err := ForRangeGrainCtx(ctx, n, grain, func(lo, hi int) { c++ }); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	bg := context.Background()
-	// Inline by the sequential cutoff (auto grain, several chunks).
-	want := calls(nil, seqCutoff, 0)
-	for name, ctx := range map[string]context.Context{"Background": bg, "WithProcs(Background, 1)": WithProcs(bg, 1)} {
-		if got := calls(ctx, seqCutoff, 0); got != want {
-			t.Errorf("cutoff loop under %s: %d body calls, nil makes %d", name, got, want)
-		}
-	}
 	// Inline by a one-worker cap, with an explicit grain of 100 chunks.
 	prev := SetProcs(1)
-	want = calls(nil, 1000, 10)
+	want := rangeCalls(t, nil, 1000, 10)
 	SetProcs(prev)
-	if got := calls(WithProcs(bg, 1), 1000, 10); got != want {
+	if got := rangeCalls(t, WithProcs(bg, 1), 1000, 10); got != want {
 		t.Errorf("one-worker loop under WithProcs(Background, 1): %d body calls, nil makes %d", got, want)
 	}
 	if CtxProcs(WithProcs(bg, 1)) != 1 {
@@ -144,40 +110,68 @@ func TestUncancellableCtxCostsWhatNilDoes(t *testing.T) {
 	}
 }
 
+// TestSmallLoopIsOneChunkWhateverItsCtx: an auto-grain loop at or under
+// the sequential cutoff runs as a single chunk under every ctx — a
+// deadline adds a check before and after, not one check and one yield per
+// chunk — so a vertex phase over a small frontier costs the same under a
+// query's deadline as under none.
+func TestSmallLoopIsOneChunkWhateverItsCtx(t *testing.T) {
+	deadline, cancel := context.WithTimeout(bg, time.Hour)
+	defer cancel()
+	for name, ctx := range map[string]context.Context{
+		"nil": nil, "Background": bg, "WithProcs(Background, 1)": WithProcs(bg, 1),
+		"WithTimeout": deadline, "WithProcs(WithTimeout, 1)": WithProcs(deadline, 1),
+	} {
+		if got := rangeCalls(t, ctx, seqCutoff, 0); got != 1 {
+			t.Errorf("cutoff loop under %s: %d body calls, want 1", name, got)
+		}
+	}
+}
+
+// rangeCalls counts the chunks a ForRangeGrain call hands its body.
+func rangeCalls(t *testing.T, ctx context.Context, n, grain int) int {
+	t.Helper()
+	c := 0
+	if err := ForRangeGrain(ctx, n, grain, func(lo, hi int) { c++ }); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestDoCtx(t *testing.T) {
 	var a, b atomic.Bool
-	if err := doCtx(nil, func() { a.Store(true) }, func() { b.Store(true) }); err != nil {
+	if err := do(nil, func() { a.Store(true) }, func() { b.Store(true) }); err != nil {
 		t.Fatal(err)
 	}
 	if !a.Load() || !b.Load() {
-		t.Error("doCtx skipped a thunk")
+		t.Error("do skipped a thunk")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := doCtx(ctx, func() {}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled doCtx err = %v", err)
+	if err := do(ctx, func() {}); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled do err = %v", err)
 	}
 }
 
 func TestReduceAndSumCtx(t *testing.T) {
-	got, err := SumFuncCtx(nil, 1000, func(i int) int64 { return int64(i) })
+	got, err := SumFunc(nil, 1000, func(i int) int64 { return int64(i) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(999 * 1000 / 2); got != want {
-		t.Errorf("SumFuncCtx = %d, want %d", got, want)
+		t.Errorf("SumFunc = %d, want %d", got, want)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SumFuncCtx(ctx, 1000, func(i int) int64 { return 1 }); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled SumFuncCtx err = %v", err)
+	if _, err := SumFunc(ctx, 1000, func(i int) int64 { return 1 }); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled SumFunc err = %v", err)
 	}
 }
 
 func TestFaultInjectPanicOnChunkSurfacesAsPanicError(t *testing.T) {
 	disarm := faultinject.PanicOnChunk(2, "injected chunk fault")
 	defer disarm()
-	err := ForGrainCtx(context.Background(), 10000, 16, func(i int) {})
+	err := ForRangeGrain(context.Background(), 10000, 16, func(lo, hi int) {})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError from injected fault", err)
@@ -190,7 +184,7 @@ func TestFaultInjectPanicOnChunkSurfacesAsPanicError(t *testing.T) {
 func TestForCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	err := ForCtx(ctx, 100, func(i int) {})
+	err := For(ctx, 100, func(i int) {})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -199,26 +193,26 @@ func TestForCtxDeadline(t *testing.T) {
 // nestedBoom is the origin frame TestNestedPanicKeepsOrigin looks for.
 func nestedBoom() { panic("boom") }
 
-// TestNestedPanicKeepsOrigin: a plain primitive inside a ctx-aware body
-// re-panics with the *PanicError it built; the outer primitive must hand
-// that error on — original value, stack of the origin — not wrap it in a
-// second one whose stack is the re-panic site. Every capture site is
-// covered: forSeq and forWorkerSeq (inline), panicBox (dispatched).
+// TestNestedPanicKeepsOrigin: a body re-panics with the *PanicError a
+// nested loop returned; the outer loop must hand that error on — original
+// value, stack of the origin — not wrap it in a second one whose stack is
+// the re-panic site. Both capture paths are covered: the caller's own
+// chunk loop (inline) and the pool's (dispatched).
 func TestNestedPanicKeepsOrigin(t *testing.T) {
 	ctx := context.Background()
 	for _, innerN := range []int{8, dispatchN} {
 		body := func() {
-			For(innerN, func(i int) {
+			ok(For(ctx, innerN, func(i int) {
 				if i == 3 {
 					nestedBoom()
 				}
-			})
+			}))
 		}
 		for name, run := range map[string]func() error{
-			"ForCtx/inline":                 func() error { return ForCtx(ctx, 4, func(int) { body() }) },
-			"ForCtx/dispatched":             func() error { return ForGrainCtx(ctx, 64, 1, func(int) { body() }) },
-			"ForWorkerChunksCtx/inline":     func() error { return ForWorkerChunksCtx(ctx, 4, 4, func(_, _, _, _ int) { body() }) },
-			"ForWorkerChunksCtx/dispatched": func() error { return ForWorkerChunksCtx(ctx, 64, 1, func(_, _, _, _ int) { body() }) },
+			"For/inline":                 func() error { return For(ctx, 4, func(int) { body() }) },
+			"ForRangeGrain/dispatched":   func() error { return ForRangeGrain(ctx, 64, 1, func(int, int) { body() }) },
+			"ForWorkerChunks/inline":     func() error { return ForWorkerChunks(ctx, 4, 4, func(_, _, _, _ int) { body() }) },
+			"ForWorkerChunks/dispatched": func() error { return ForWorkerChunks(ctx, 64, 1, func(_, _, _, _ int) { body() }) },
 		} {
 			err := run()
 			var pe *PanicError

@@ -14,7 +14,8 @@
 // space is small or when only one worker is configured, so they can be used
 // unconditionally without branching at call sites.
 //
-// Panics raised inside loop bodies are captured and re-raised on the calling
-// goroutine once all workers have stopped, preserving the usual Go
-// panic-propagation contract across the fork/join boundary.
+// Every primitive takes the context it runs under first and returns an
+// error: the context's worker cap and deadline reach every loop, and a
+// panic raised inside a loop body comes back as a *PanicError once all
+// workers have stopped (see ctx.go).
 package parallel

@@ -1,5 +1,7 @@
 package parallel
 
+import "context"
+
 // Integer sorting primitives in the style of PBBS: stable counting sort
 // over small integer keys, used to bucket edges by endpoint when building
 // CSR graphs (much faster than comparison sorting) and as the inner pass
@@ -10,46 +12,50 @@ package parallel
 // bucket boundary offsets (length buckets+1), which CSR construction uses
 // directly as the row offsets. Runs the standard two-pass parallel
 // counting sort with per-block count matrices.
-func countingSortByKey[T any](in, out []T, buckets int, key func(T) int) []int64 {
+func countingSortByKey[T any](ctx context.Context, in, out []T, buckets int, key func(T) int) ([]int64, error) {
 	n := len(in)
 	if len(out) != n {
 		panic("parallel: countingSortByKey length mismatch")
 	}
 	offsets := make([]int64, buckets+1)
 	if n == 0 {
-		return offsets
+		return offsets, CtxErr(ctx)
 	}
-	blocks := numBlocks(n)
+	blocks := numBlocks(ctx, n)
 	if blocks == 1 {
-		counts := make([]int64, buckets)
-		for i := 0; i < n; i++ {
-			counts[key(in[i])]++
-		}
-		var acc int64
-		for b := 0; b < buckets; b++ {
-			offsets[b] = acc
-			acc += counts[b]
-		}
-		offsets[buckets] = acc
-		cursor := make([]int64, buckets)
-		copy(cursor, offsets[:buckets])
-		for i := 0; i < n; i++ {
-			k := key(in[i])
-			out[cursor[k]] = in[i]
-			cursor[k]++
-		}
-		return offsets
+		err := sequential(ctx, func() {
+			counts := make([]int64, buckets)
+			for i := 0; i < n; i++ {
+				counts[key(in[i])]++
+			}
+			var acc int64
+			for b := 0; b < buckets; b++ {
+				offsets[b] = acc
+				acc += counts[b]
+			}
+			offsets[buckets] = acc
+			cursor := make([]int64, buckets)
+			copy(cursor, offsets[:buckets])
+			for i := 0; i < n; i++ {
+				k := key(in[i])
+				out[cursor[k]] = in[i]
+				cursor[k]++
+			}
+		})
+		return offsets, err
 	}
 
 	// counts[b*buckets + k] = occurrences of key k in block b.
 	counts := make([]int64, blocks*buckets)
-	forGrain(blocks, 1, func(b int) {
+	if err := ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
 		lo, hi := blockBounds(n, blocks, b)
 		row := counts[b*buckets : (b+1)*buckets]
 		for i := lo; i < hi; i++ {
 			row[key(in[i])]++
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	// Column-major scan: for each key, blocks in order — gives stability.
 	var acc int64
 	for k := 0; k < buckets; k++ {
@@ -61,7 +67,7 @@ func countingSortByKey[T any](in, out []T, buckets int, key func(T) int) []int64
 		}
 	}
 	offsets[buckets] = acc
-	forGrain(blocks, 1, func(b int) {
+	err := ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
 		lo, hi := blockBounds(n, blocks, b)
 		row := counts[b*buckets : (b+1)*buckets]
 		for i := lo; i < hi; i++ {
@@ -70,7 +76,7 @@ func countingSortByKey[T any](in, out []T, buckets int, key func(T) int) []int64
 			row[k]++
 		}
 	})
-	return offsets
+	return offsets, err
 }
 
 // radixBits is the digit width of RadixSortByKey passes.
@@ -80,23 +86,26 @@ const radixBits = 11
 // must be < keyBound, using least-significant-digit radix passes of
 // countingSortByKey. A scratch slice of the same length is allocated
 // internally.
-func RadixSortByKey[T any](in []T, keyBound int64, key func(T) int64) {
+func RadixSortByKey[T any](ctx context.Context, in []T, keyBound int64, key func(T) int64) error {
 	n := len(in)
 	if n <= 1 || keyBound <= 1 {
-		return
+		return CtxErr(ctx)
 	}
 	buf := make([]T, n)
 	src, dst := in, buf
 	swapped := false
 	for shift := 0; int64(1)<<shift < keyBound; shift += radixBits {
 		s := shift
-		countingSortByKey(src, dst, 1<<radixBits, func(v T) int {
+		if _, err := countingSortByKey(ctx, src, dst, 1<<radixBits, func(v T) int {
 			return int((key(v) >> uint(s)) & ((1 << radixBits) - 1))
-		})
+		}); err != nil {
+			return err
+		}
 		src, dst = dst, src
 		swapped = !swapped
 	}
 	if swapped {
 		copy(in, src)
 	}
+	return nil
 }

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,7 +17,7 @@ func TestCountingSortByKeyBasic(t *testing.T) {
 			in[i] = kv{rng.Intn(buckets), i}
 		}
 		out := make([]kv, n)
-		offsets := countingSortByKey(in, out, buckets, func(v kv) int { return v.k })
+		offsets := must(countingSortByKey(bg, in, out, buckets, func(v kv) int { return v.k }))
 		if len(offsets) != buckets+1 {
 			t.Fatalf("offsets length %d", len(offsets))
 		}
@@ -46,7 +47,7 @@ func TestCountingSortLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	countingSortByKey(make([]int, 3), make([]int, 4), 2, func(int) int { return 0 })
+	_, _ = countingSortByKey(bg, make([]int, 3), make([]int, 4), 2, func(int) int { return 0 })
 }
 
 func TestRadixSortByKeyMatchesComparison(t *testing.T) {
@@ -56,8 +57,8 @@ func TestRadixSortByKeyMatchesComparison(t *testing.T) {
 			in[i] = int64(r)
 		}
 		want := append([]int64(nil), in...)
-		Sort(want)
-		RadixSortByKey(in, 1<<32, func(v int64) int64 { return v })
+		slices.Sort(want)
+		ok(RadixSortByKey(bg, in, 1<<32, func(v int64) int64 { return v }))
 		for i := range in {
 			if in[i] != want[i] {
 				return false
@@ -81,7 +82,7 @@ func TestRadixSortStability(t *testing.T) {
 	for i := range in {
 		in[i] = kv{int64(rng.Intn(1000)), i}
 	}
-	RadixSortByKey(in, 1000, func(v kv) int64 { return v.k })
+	ok(RadixSortByKey(bg, in, 1000, func(v kv) int64 { return v.k }))
 	for i := 1; i < n; i++ {
 		if in[i-1].k > in[i].k {
 			t.Fatalf("order violated at %d", i)
@@ -94,7 +95,7 @@ func TestRadixSortStability(t *testing.T) {
 
 func TestRadixSortLargeKeys(t *testing.T) {
 	in := []int64{1 << 40, 3, 1<<40 + 1, 0, 1 << 20}
-	RadixSortByKey(in, 1<<41, func(v int64) int64 { return v })
+	ok(RadixSortByKey(bg, in, 1<<41, func(v int64) int64 { return v }))
 	want := []int64{0, 3, 1 << 20, 1 << 40, 1<<40 + 1}
 	for i := range want {
 		if in[i] != want[i] {

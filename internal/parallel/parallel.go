@@ -1,10 +1,10 @@
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 )
 
@@ -53,10 +53,9 @@ func defaultGrain(n, procs int) int {
 	return g
 }
 
-// PanicError is the typed error produced when a worker goroutine panics
-// inside a parallel primitive. The context-aware primitives (ForCtx,
-// SumFuncCtx, ...) return it; the plain primitives re-panic with it as the
-// panic value, so recover sites can errors.As it either way.
+// PanicError is the typed error every primitive returns when a loop body
+// panics, on a pool worker or on the calling goroutine, so recover sites
+// can errors.As it.
 type PanicError struct {
 	// Value is the original value passed to panic.
 	Value any
@@ -69,81 +68,30 @@ func (e *PanicError) Error() string {
 }
 
 // panicBox records the first panic raised by any worker and flags the
-// remaining workers to stop claiming chunks.
+// remaining workers to stop claiming chunks. err is written once, by the
+// worker whose panic set stopped, and read after every worker has left.
 type panicBox struct {
-	once    sync.Once
 	err     *PanicError
 	stopped atomic.Bool
 }
 
 func (b *panicBox) capture() {
-	if r := recover(); r != nil {
-		b.once.Do(func() { b.err = AsPanicError(r) })
-		b.stopped.Store(true)
+	if r := recover(); r != nil && b.stopped.CompareAndSwap(false, true) {
+		b.err = AsPanicError(r)
 	}
 }
 
 // AsPanicError turns a recovered value into the *PanicError a primitive
-// reports. A value that already is one — a nested plain primitive re-raised
-// it on its way out — passes through, so Value and Stack stay those of the
-// original panic instead of being wrapped a second time at the re-panic
-// site. Call it from the deferred function that recovered r: debug.Stack
-// still sees the panicking frames there.
+// reports. A value that already is one — a body re-raised a nested
+// primitive's error on its way out — passes through, so Value and Stack
+// stay those of the original panic instead of being wrapped a second time
+// at the re-panic site. Call it from the deferred function that recovered
+// r: debug.Stack still sees the panicking frames there.
 func AsPanicError(r any) *PanicError {
 	if pe, ok := r.(*PanicError); ok {
 		return pe
 	}
 	return &PanicError{Value: r, Stack: debug.Stack()}
-}
-
-// For runs body(i) for every i in [0, n) using all configured workers and an
-// automatically chosen grain size.
-func For(n int, body func(i int)) {
-	forGrain(n, 0, body)
-}
-
-// forGrain runs body(i) for every i in [0, n). Iterations are dispatched to
-// workers in contiguous chunks of the given grain size; grain <= 0 selects
-// an automatic value. Chunks are claimed dynamically, so uneven per-
-// iteration costs (e.g. skewed vertex degrees) still balance.
-func forGrain(n, grain int, body func(i int)) {
-	forRangeGrain(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// ForRange runs body over contiguous sub-ranges [lo, hi) that exactly cover
-// [0, n). It is the blocked form of For, useful when the body can process a
-// run of iterations more efficiently than one at a time.
-func ForRange(n int, body func(lo, hi int)) {
-	forRangeGrain(n, 0, body)
-}
-
-// forRangeGrain is ForRange with an explicit grain size (grain <= 0 selects
-// an automatic value). A worker panic propagates as a panic whose value is a
-// *PanicError; ForRangeGrainCtx is the variant that returns it instead.
-func forRangeGrain(n, grain int, body func(lo, hi int)) {
-	if err := ForRangeGrainCtx(nil, n, grain, body); err != nil {
-		panic(err)
-	}
-}
-
-// do runs the given thunks concurrently and waits for all of them; it is the
-// binary/spawn form of fork-join parallelism (Cilk's spawn/sync). A panic in
-// any thunk propagates with a *PanicError value once all thunks settle.
-func do(thunks ...func()) {
-	switch len(thunks) {
-	case 0:
-		return
-	case 1:
-		thunks[0]()
-		return
-	}
-	if err := doCtx(nil, thunks...); err != nil {
-		panic(err)
-	}
 }
 
 // blockBounds splits [0, n) into nblocks nearly equal contiguous blocks and
@@ -158,9 +106,10 @@ func blockBounds(n, nblocks, b int) (lo, hi int) {
 	return lo, hi
 }
 
-// numBlocks picks how many blocks two-pass primitives (scan, filter) use.
-func numBlocks(n int) int {
-	procs := Procs()
+// numBlocks picks how many blocks the two-pass primitives (scan, filter,
+// reduce, counting sort) use for n elements under ctx's worker count.
+func numBlocks(ctx context.Context, n int) int {
+	procs := CtxProcs(ctx)
 	if procs == 1 || n < 2048 {
 		return 1
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,24 @@ import (
 func TestMain(m *testing.M) {
 	SetProcs(4)
 	os.Exit(m.Run())
+}
+
+// bg is the context of loops that have nothing to observe.
+var bg = context.Background()
+
+// must returns v, failing the calling test (by panicking) on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// ok panics on a loop error, for calls with no value.
+func ok(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 func TestProcsOverride(t *testing.T) {
@@ -29,7 +48,7 @@ func TestProcsOverride(t *testing.T) {
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 100, 4097, 100000} {
 		seen := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		ok(For(bg, n, func(i int) { atomic.AddInt32(&seen[i], 1) }))
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
@@ -42,7 +61,11 @@ func TestForGrainCoversAllIndices(t *testing.T) {
 	for _, grain := range []int{1, 2, 13, 4096, 1 << 20} {
 		n := 10000
 		seen := make([]int32, n)
-		forGrain(n, grain, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		ok(ForRangeGrain(bg, n, grain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
+		}))
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("grain=%d: index %d visited %d times", grain, i, c)
@@ -55,7 +78,7 @@ func TestForRangePartitions(t *testing.T) {
 	n := 54321
 	var total atomic.Int64
 	seen := make([]int32, n)
-	ForRange(n, func(lo, hi int) {
+	ok(ForRange(bg, n, func(lo, hi int) {
 		if lo < 0 || hi > n || lo > hi {
 			t.Errorf("bad range [%d, %d)", lo, hi)
 		}
@@ -63,7 +86,7 @@ func TestForRangePartitions(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&seen[i], 1)
 		}
-	})
+	}))
 	if total.Load() != int64(n) {
 		t.Fatalf("ranges cover %d elements, want %d", total.Load(), n)
 	}
@@ -76,51 +99,46 @@ func TestForRangePartitions(t *testing.T) {
 
 func TestForNegativeAndZero(t *testing.T) {
 	called := false
-	For(0, func(int) { called = true })
-	For(-5, func(int) { called = true })
+	ok(For(bg, 0, func(int) { called = true }))
+	ok(For(bg, -5, func(int) { called = true }))
 	if called {
 		t.Error("body called for empty range")
 	}
 }
 
 func TestForPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic did not propagate from worker")
-		}
-	}()
-	For(100000, func(i int) {
+	err := For(bg, 100000, func(i int) {
 		if i == 54321 {
 			panic("boom")
 		}
 	})
+	if pe, ok := err.(*PanicError); !ok || pe.Value != "boom" {
+		t.Fatalf("err = %v, want the worker's panic as a *PanicError", err)
+	}
 }
 
 func TestDoRunsAll(t *testing.T) {
 	var a, b, c atomic.Int32
-	do(
+	ok(do(bg,
 		func() { a.Store(1) },
 		func() { b.Store(2) },
 		func() { c.Store(3) },
-	)
+	))
 	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
 		t.Errorf("do results = %d %d %d", a.Load(), b.Load(), c.Load())
 	}
-	do() // no-op
+	ok(do(bg)) // no-op
 	ran := false
-	do(func() { ran = true })
+	ok(do(bg, func() { ran = true }))
 	if !ran {
 		t.Error("single-thunk do did not run")
 	}
 }
 
 func TestDoPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic did not propagate from do")
-		}
-	}()
-	do(func() {}, func() { panic("boom") })
+	if _, ok := do(bg, func() {}, func() { panic("boom") }).(*PanicError); !ok {
+		t.Fatal("panic did not propagate from do")
+	}
 }
 
 func TestBlockBounds(t *testing.T) {

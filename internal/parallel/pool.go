@@ -41,12 +41,13 @@ import (
 // the calling goroutine with zero dispatch.
 
 // seqCutoff is the iteration count at or below which an auto-grain loop
-// runs inline on the calling goroutine instead of dispatching to the
-// pool. It applies only when the caller did not choose a grain: an
-// explicit grain is a statement that iterations are coarse (block loops
-// in scan/filter/reduce process thousands of elements per "iteration"),
-// so those always dispatch. 512 one-word iterations cost well under the
-// ~1–2µs of a park/wake round trip.
+// runs inline on the calling goroutine, as one chunk, instead of
+// dispatching to the pool. It applies only when the caller did not choose
+// a grain: an explicit grain is a statement that iterations are coarse
+// (block loops in scan/filter/reduce process thousands of elements per
+// "iteration"), so those always dispatch. 512 one-word iterations cost well under the
+// ~1–2µs of a park/wake round trip, and — under a cancellable ctx — well
+// under the ctx check and yield a chunk boundary would add.
 const seqCutoff = 512
 
 // maxPoolWorkers bounds the pool size regardless of SetProcs abuse.
@@ -88,10 +89,11 @@ type job struct {
 }
 
 // run executes the chunk-claiming loop as worker slot w. It is the same
-// loop the spawning implementation inlined into each goroutine: stop on
-// a sibling's panic, observe ctx at chunk granularity (yielding first on
-// single-P runtimes so the cancelling goroutine can run), claim the next
-// chunk, fire the fault-injection hook, call the body.
+// loop the spawning implementation inlined into each goroutine (runInline
+// is its form for a caller alone): stop on a sibling's panic, observe ctx
+// at chunk granularity (yielding first on single-P runtimes so the
+// cancelling goroutine can run), claim the next chunk, fire the
+// fault-injection hook, call the body.
 func (j *job) run(w int) {
 	defer j.box.capture()
 	for {
@@ -263,8 +265,8 @@ func (p *pool) worker() {
 // runParallel executes the chunk-claiming loop for [0, n) across at most
 // `procs` workers drawn from the persistent pool, with the caller always
 // participating as worker slot 0. It is the single dispatch path behind
-// every parallel primitive; callers have already decided against the
-// sequential path (procs > 1 and chunks > 1 and above the cutoff).
+// every parallel primitive; ForWorkerChunks has already decided against
+// running inline (procs > 1 and chunks > 1 and above the cutoff).
 func runParallel(ctx context.Context, n, grain, chunks, procs int, body func(worker, chunk, lo, hi int)) error {
 	workers := procs
 	if workers > chunks {
@@ -273,15 +275,10 @@ func runParallel(ctx context.Context, n, grain, chunks, procs int, body func(wor
 	if workers > maxPoolWorkers+1 {
 		workers = maxPoolWorkers + 1
 	}
-	if !cancellable(ctx) {
-		ctx = nil
-	}
-	j := &job{
-		n: n, grain: grain, chunks: chunks,
-		ctx:      ctx,
-		yield:    ctx != nil && runtime.GOMAXPROCS(0) == 1,
-		body:     body,
-		maxSlots: workers,
+	j := &job{n: n, grain: grain, chunks: chunks, body: body, maxSlots: workers}
+	if cancellable(ctx) {
+		j.ctx = ctx
+		j.yield = runtime.GOMAXPROCS(0) == 1
 	}
 	p := getPool()
 	p.ensure(workers - 1)
@@ -319,5 +316,5 @@ func runParallel(ctx context.Context, n, grain, chunks, procs int, body func(wor
 	if j.box.err != nil {
 		return j.box.err
 	}
-	return CtxErr(ctx)
+	return CtxErr(j.ctx)
 }

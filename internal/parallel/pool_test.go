@@ -22,7 +22,7 @@ const dispatchN = 1 << 13
 func TestPoolNoGoroutineLeak(t *testing.T) {
 	// Warm the pool so lazy worker creation happens before measuring.
 	for i := 0; i < 100; i++ {
-		if err := ForRangeGrainCtx(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
+		if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 
 	var sum atomic.Int64
 	for i := 0; i < 10000; i++ {
-		if err := ForRangeGrainCtx(context.Background(), dispatchN, 0, func(lo, hi int) {
+		if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
 			sum.Add(int64(hi - lo))
 		}); err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 // carrying the value, and the pool still computes correctly afterward.
 func TestPoolSurvivesRepeatedPanics(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		err := ForRangeGrainCtx(context.Background(), dispatchN, 0, func(lo, hi int) {
+		err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
 			if lo == 0 {
 				panic("pool panic probe")
 			}
@@ -81,7 +81,7 @@ func TestPoolSurvivesRepeatedPanics(t *testing.T) {
 		}
 	}
 	var sum atomic.Int64
-	if err := ForRangeGrainCtx(context.Background(), dispatchN, 0, func(lo, hi int) {
+	if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			sum.Add(int64(j))
 		}
@@ -102,9 +102,11 @@ func TestPoolMidRoundCancellation(t *testing.T) {
 	defer cancel()
 	const n = 1 << 16
 	var executed atomic.Int64
-	err := ForGrainCtx(ctx, n, 64, func(i int) {
-		if executed.Add(1) == 100 {
-			cancel()
+	err := ForRangeGrain(ctx, n, 64, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if executed.Add(1) == 100 {
+				cancel()
+			}
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -124,11 +126,11 @@ func TestLeaseCapThroughNestedPrimitives(t *testing.T) {
 	if got := CtxProcs(ctx); got != 2 {
 		t.Fatalf("CtxProcs = %d, want 2", got)
 	}
-	err := ForWorkerChunksCtx(ctx, 8, 1, func(worker, chunk, lo, hi int) {
+	err := ForWorkerChunks(ctx, 8, 1, func(worker, chunk, lo, hi int) {
 		if worker >= 2 {
 			t.Errorf("outer worker index %d under a 2-proc lease", worker)
 		}
-		inner := ForWorkerChunksCtx(ctx, 2048, 64, func(w, c, ilo, ihi int) {
+		inner := ForWorkerChunks(ctx, 2048, 64, func(w, c, ilo, ihi int) {
 			if w >= 2 {
 				t.Errorf("inner worker index %d under a 2-proc lease", w)
 			}
@@ -149,8 +151,8 @@ func TestLeaseCapThroughNestedPrimitives(t *testing.T) {
 // invitations instead of blocking on them.
 func TestNestedDispatchCompletes(t *testing.T) {
 	var sum atomic.Int64
-	err := ForWorkerChunksCtx(context.Background(), 16, 1, func(worker, chunk, lo, hi int) {
-		if err := ForRangeGrainCtx(context.Background(), dispatchN, 0, func(ilo, ihi int) {
+	err := ForWorkerChunks(context.Background(), 16, 1, func(worker, chunk, lo, hi int) {
+		if err := ForRangeGrain(context.Background(), dispatchN, 0, func(ilo, ihi int) {
 			sum.Add(int64(ihi - ilo))
 		}); err != nil {
 			t.Error(err)
@@ -169,7 +171,7 @@ func TestNestedDispatchCompletes(t *testing.T) {
 // while the same loop above the cutoff dispatches.
 func TestSequentialCutoffInline(t *testing.T) {
 	prev := SchedulerSnapshot()
-	if err := ForRangeGrainCtx(context.Background(), 256, 0, func(lo, hi int) {}); err != nil {
+	if err := ForRangeGrain(context.Background(), 256, 0, func(lo, hi int) {}); err != nil {
 		t.Fatal(err)
 	}
 	d := SchedulerSnapshot().Sub(prev)
@@ -179,7 +181,7 @@ func TestSequentialCutoffInline(t *testing.T) {
 	}
 
 	prev = SchedulerSnapshot()
-	if err := ForRangeGrainCtx(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
+	if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
 		t.Fatal(err)
 	}
 	d = SchedulerSnapshot().Sub(prev)
@@ -191,7 +193,7 @@ func TestSequentialCutoffInline(t *testing.T) {
 	// An explicit grain opts out of the cutoff: the caller asserted the
 	// iterations are coarse, so even a 32-iteration loop dispatches.
 	prev = SchedulerSnapshot()
-	if err := ForGrainCtx(context.Background(), 32, 1, func(i int) {}); err != nil {
+	if err := ForRangeGrain(context.Background(), 32, 1, func(lo, hi int) {}); err != nil {
 		t.Fatal(err)
 	}
 	d = SchedulerSnapshot().Sub(prev)
@@ -207,7 +209,7 @@ func TestSequentialCutoffInline(t *testing.T) {
 func TestFaultInjectInPoolDispatch(t *testing.T) {
 	disarm := faultinject.PanicOnChunk(5, "injected pool fault")
 	defer disarm()
-	err := ForGrainCtx(context.Background(), 1<<14, 16, func(i int) {})
+	err := ForRangeGrain(context.Background(), 1<<14, 16, func(lo, hi int) {})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v (%T), want *PanicError", err, err)

@@ -5,23 +5,21 @@ import "context"
 // Per-call parallelism. SetProcs is a process-wide override, which a
 // server sharing one machine between concurrent queries cannot use: one
 // query's override would leak into every other query. WithProcs instead
-// rides the worker cap on the context, so every context-aware primitive
-// (ForCtx, ForRangeGrainCtx, ForWorkerChunksCtx, SumFuncCtx, ...)
-// run under that context — however deep in a call tree — uses at most the
+// rides the worker cap on the context, and every primitive takes the
+// context it runs under, so every loop run under that context — however
+// deep in a call tree, edgeMap round or vertex phase — uses at most the
 // given number of workers, while unrelated computations keep the full
 // machine.
 //
 // The cap composes with the global setting: the effective worker count is
-// min(Procs(), cap). Nesting WithProcs keeps the innermost cap. Plain
-// (non-ctx) primitives are unaffected; they always use Procs().
+// min(Procs(), cap). Nesting WithProcs keeps the innermost cap.
 
 // procsKey is the context key carrying the per-call worker cap.
 type procsKey struct{}
 
 // WithProcs returns a context that caps the number of worker goroutines
-// used by every context-aware primitive invoked under it at p. A nil ctx
-// is treated as context.Background(); p <= 0 returns ctx unchanged (no
-// cap).
+// used by every primitive invoked under it at p. A nil ctx is treated as
+// context.Background(); p <= 0 returns ctx unchanged (no cap).
 func WithProcs(ctx context.Context, p int) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
@@ -32,9 +30,9 @@ func WithProcs(ctx context.Context, p int) context.Context {
 	return context.WithValue(ctx, procsKey{}, p)
 }
 
-// CtxProcs reports the number of workers context-aware primitives will
-// use under ctx: the global Procs() setting, capped by any WithProcs
-// limit carried on the context. A nil or uncapped ctx yields Procs().
+// CtxProcs reports the number of workers the primitives will use under
+// ctx: the global Procs() setting, capped by any WithProcs limit carried
+// on the context. A nil or uncapped ctx yields Procs().
 func CtxProcs(ctx context.Context) int {
 	p := Procs()
 	if ctx != nil {
@@ -43,11 +41,4 @@ func CtxProcs(ctx context.Context) int {
 		}
 	}
 	return p
-}
-
-// AutoGrainCtx is AutoGrain computed against the worker count effective
-// under ctx, so callers that pre-compute chunk structure (per-chunk output
-// slots) agree with what the ctx-aware dispatch will do.
-func AutoGrainCtx(ctx context.Context, n int) int {
-	return defaultGrain(n, CtxProcs(ctx))
 }

@@ -30,7 +30,7 @@ func TestWithProcsCapsForCtxConcurrency(t *testing.T) {
 
 	var hw highWater
 	ctx := WithProcs(context.Background(), 2)
-	err := ForGrainCtx(ctx, 64, 1, func(i int) {
+	err := ForRangeGrain(ctx, 64, 1, func(lo, hi int) {
 		hw.enter()
 		time.Sleep(100 * time.Microsecond) // encourage overlap if uncapped
 		hw.exit()
@@ -52,7 +52,7 @@ func TestWithProcsCapsWorkerIndices(t *testing.T) {
 		t.Fatalf("CtxProcs = %d, want 3", got)
 	}
 	var maxWorker atomic.Int64
-	err := ForWorkerChunksCtx(ctx, 1000, 10, func(worker, _, _, _ int) {
+	err := ForWorkerChunks(ctx, 1000, 10, func(worker, _, _, _ int) {
 		for {
 			m := maxWorker.Load()
 			if int64(worker) <= m || maxWorker.CompareAndSwap(m, int64(worker)) {
@@ -100,7 +100,7 @@ func TestWithProcsOneRunsSequentially(t *testing.T) {
 
 	var hw highWater
 	ctx := WithProcs(context.Background(), 1)
-	err := ForCtx(ctx, 256, func(i int) {
+	err := For(ctx, 256, func(i int) {
 		hw.enter()
 		hw.exit()
 	})
@@ -110,10 +110,10 @@ func TestWithProcsOneRunsSequentially(t *testing.T) {
 	if peak := hw.peak.Load(); peak != 1 {
 		t.Errorf("WithProcs(1): observed %d concurrent workers, want 1", peak)
 	}
-	// AutoGrainCtx agrees with the capped dispatch (one chunk per 8th of
-	// the loop at procs=1 means a larger grain than at procs=8).
-	if g1, g8 := AutoGrainCtx(ctx, 1<<16), AutoGrainCtx(context.Background(), 1<<16); g1 < g8 {
-		t.Errorf("AutoGrainCtx capped=%d uncapped=%d; capped should not be finer", g1, g8)
+	// AutoGrain agrees with the capped dispatch (one chunk per 8th of the
+	// loop at procs=1 means a larger grain than at procs=8).
+	if g1, g8 := AutoGrain(ctx, 1<<16), AutoGrain(context.Background(), 1<<16); g1 < g8 {
+		t.Errorf("AutoGrain capped=%d uncapped=%d; capped should not be finer", g1, g8)
 	}
 }
 
@@ -121,11 +121,11 @@ func TestWithProcsDoCtx(t *testing.T) {
 	prev := SetProcs(8)
 	defer SetProcs(prev)
 
-	// With a cap of 1, doCtx must run thunks on the calling goroutine in
+	// With a cap of 1, do must run thunks on the calling goroutine in
 	// order.
 	var order []int
 	ctx := WithProcs(context.Background(), 1)
-	err := doCtx(ctx,
+	err := do(ctx,
 		func() { order = append(order, 0) },
 		func() { order = append(order, 1) },
 		func() { order = append(order, 2) },
@@ -135,7 +135,7 @@ func TestWithProcsDoCtx(t *testing.T) {
 	}
 	for i, v := range order {
 		if i != v {
-			t.Fatalf("doCtx under cap 1 ran out of order: %v", order)
+			t.Fatalf("do under cap 1 ran out of order: %v", order)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package parallel
 
+import "context"
+
 // Number is the constraint satisfied by the built-in numeric types used
 // throughout the framework (vertex IDs, degrees, weights, ranks).
 type Number interface {
@@ -9,24 +11,17 @@ type Number interface {
 }
 
 // reduce combines fn(i) for i in [0, n) with the associative operation
-// combine, starting from the identity element id. The reduction tree shape
-// is unspecified, so combine must be associative; it need not be
-// commutative only if the per-block order is acceptable, so in practice use
-// associative+commutative operations or order-insensitive ones.
-func reduce[T any](n int, id T, fn func(i int) T, combine func(a, b T) T) T {
+// combine, starting from the identity element id. The blocks are fixed by
+// n and ctx's worker count and combined in block order, so a reduction is
+// deterministic for a given worker count — floating-point sums included.
+// combine must be associative; it need not be commutative.
+func reduce[T any](ctx context.Context, n int, id T, fn func(i int) T, combine func(a, b T) T) (T, error) {
 	if n <= 0 {
-		return id
+		return id, CtxErr(ctx)
 	}
-	blocks := numBlocks(n)
-	if blocks == 1 {
-		acc := id
-		for i := 0; i < n; i++ {
-			acc = combine(acc, fn(i))
-		}
-		return acc
-	}
+	blocks := numBlocks(ctx, n)
 	partial := make([]T, blocks)
-	forGrain(blocks, 1, func(b int) {
+	err := ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
 		lo, hi := blockBounds(n, blocks, b)
 		acc := id
 		for i := lo; i < hi; i++ {
@@ -34,26 +29,29 @@ func reduce[T any](n int, id T, fn func(i int) T, combine func(a, b T) T) T {
 		}
 		partial[b] = acc
 	})
+	if err != nil {
+		return id, err
+	}
 	acc := id
 	for _, p := range partial {
 		acc = combine(acc, p)
 	}
-	return acc
+	return acc, nil
 }
 
 // SumFunc returns the sum of fn(i) over [0, n) computed in parallel.
-func SumFunc[T Number](n int, fn func(i int) T) T {
+func SumFunc[T Number](ctx context.Context, n int, fn func(i int) T) (T, error) {
 	var zero T
-	return reduce(n, zero, fn, func(a, b T) T { return a + b })
+	return reduce(ctx, n, zero, fn, func(a, b T) T { return a + b })
 }
 
 // MaxFunc returns the maximum of fn(i) over [0, n). n must be positive.
-func MaxFunc[T Number](n int, fn func(i int) T) T {
+func MaxFunc[T Number](ctx context.Context, n int, fn func(i int) T) (T, error) {
 	if n <= 0 {
 		panic("parallel: MaxFunc on empty range")
 	}
 	first := fn(0)
-	return reduce(n, first, fn, func(a, b T) T {
+	return reduce(ctx, n, first, fn, func(a, b T) T {
 		if a > b {
 			return a
 		}
@@ -62,13 +60,13 @@ func MaxFunc[T Number](n int, fn func(i int) T) T {
 }
 
 // Max returns the maximum element of s. s must be non-empty.
-func Max[T Number](s []T) T {
-	return MaxFunc(len(s), func(i int) T { return s[i] })
+func Max[T Number](ctx context.Context, s []T) (T, error) {
+	return MaxFunc(ctx, len(s), func(i int) T { return s[i] })
 }
 
 // CountFunc returns the number of i in [0, n) for which pred(i) is true.
-func CountFunc(n int, pred func(i int) bool) int {
-	return SumFunc(n, func(i int) int {
+func CountFunc(ctx context.Context, n int, pred func(i int) bool) (int, error) {
+	return SumFunc(ctx, n, func(i int) int {
 		if pred(i) {
 			return 1
 		}
@@ -78,7 +76,7 @@ func CountFunc(n int, pred func(i int) bool) int {
 
 // MaxIndexFunc returns the index i in [0, n) maximizing key(i), breaking
 // ties toward the smallest index. n must be positive.
-func MaxIndexFunc[T Number](n int, key func(i int) T) int {
+func MaxIndexFunc[T Number](ctx context.Context, n int, key func(i int) T) (int, error) {
 	if n <= 0 {
 		panic("parallel: MaxIndexFunc on empty range")
 	}
@@ -86,7 +84,7 @@ func MaxIndexFunc[T Number](n int, key func(i int) T) int {
 		i int
 		k T
 	}
-	best := reduce(n, kv{0, key(0)},
+	best, err := reduce(ctx, n, kv{0, key(0)},
 		func(i int) kv { return kv{i, key(i)} },
 		func(a, b kv) kv {
 			if b.k > a.k || (b.k == a.k && b.i < a.i) {
@@ -94,5 +92,5 @@ func MaxIndexFunc[T Number](n int, key func(i int) T) int {
 			}
 			return a
 		})
-	return best.i
+	return best.i, err
 }

@@ -9,7 +9,7 @@ import (
 
 func TestReduceSum(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 1000, 50000} {
-		got := SumFunc(n, func(i int) int64 { return int64(i) })
+		got := must(SumFunc(bg, n, func(i int) int64 { return int64(i) }))
 		want := int64(n) * int64(n-1) / 2
 		if got != want {
 			t.Errorf("SumFunc(%d) = %d, want %d", n, got, want)
@@ -23,7 +23,7 @@ func TestSumMatchesSequential(t *testing.T) {
 		for _, x := range xs {
 			want += int64(x)
 		}
-		return SumFunc(len(xs), func(i int) int64 { return int64(xs[i]) }) == want
+		return must(SumFunc(bg, len(xs), func(i int) int64 { return int64(xs[i]) })) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -32,10 +32,10 @@ func TestSumMatchesSequential(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []int{5, -2, 9, 0, 7, -2, 9}
-	if got := Max(xs); got != 9 {
+	if got := must(Max(bg, xs)); got != 9 {
 		t.Errorf("Max = %d, want 9", got)
 	}
-	if got := MaxIndexFunc(len(xs), func(i int) int { return xs[i] }); got != 2 {
+	if got := must(MaxIndexFunc(bg, len(xs), func(i int) int { return xs[i] })); got != 2 {
 		t.Errorf("MaxIndexFunc = %d, want 2 (first max)", got)
 	}
 }
@@ -46,12 +46,12 @@ func TestMaxPanicsOnEmpty(t *testing.T) {
 			t.Fatal("Max on empty slice did not panic")
 		}
 	}()
-	Max([]int{})
+	_, _ = Max(bg, []int{})
 }
 
 func TestCountAnyAll(t *testing.T) {
 	n := 10000
-	if got := CountFunc(n, func(i int) bool { return i%3 == 0 }); got != (n+2)/3 {
+	if got := must(CountFunc(bg, n, func(i int) bool { return i%3 == 0 })); got != (n+2)/3 {
 		t.Errorf("CountFunc = %d, want %d", got, (n+2)/3)
 	}
 }
@@ -63,7 +63,7 @@ func TestScanExclusiveProperty(t *testing.T) {
 			in[i] = int64(x)
 		}
 		out := make([]int64, len(in))
-		total := ScanExclusive(in, out)
+		total := must(ScanExclusive(bg, in, out))
 		var acc int64
 		for i := range in {
 			if out[i] != acc {
@@ -90,7 +90,7 @@ func TestScanInPlaceAliasing(t *testing.T) {
 		want[i] = acc
 		acc += xs[i]
 	}
-	total := ScanExclusive(xs, xs) // aliased
+	total := must(ScanExclusive(bg, xs, xs)) // aliased
 	if total != acc {
 		t.Fatalf("total = %d, want %d", total, acc)
 	}
@@ -107,11 +107,14 @@ func TestScanLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	ScanExclusive(make([]int, 3), make([]int, 4))
+	_, _ = ScanExclusive(bg, make([]int, 3), make([]int, 4))
 }
 
 func TestScanFunc(t *testing.T) {
-	offsets, total := ScanFunc(5, func(i int) int { return i + 1 })
+	offsets, total, err := ScanFunc(bg, 5, func(i int) int { return i + 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []int{0, 1, 3, 6, 10}
 	for i := range want {
 		if offsets[i] != want[i] {
@@ -126,7 +129,7 @@ func TestScanFunc(t *testing.T) {
 func TestFilterProperty(t *testing.T) {
 	f := func(xs []int16) bool {
 		pred := func(x int16) bool { return x%2 == 0 }
-		got := Filter(xs, pred)
+		got := must(Filter(bg, xs, pred))
 		var want []int16
 		for _, x := range xs {
 			if pred(x) {
@@ -154,7 +157,7 @@ func TestFilterLarge(t *testing.T) {
 	for i := range xs {
 		xs[i] = i
 	}
-	got := Filter(xs, func(x int) bool { return x%10 == 3 })
+	got := must(Filter(bg, xs, func(x int) bool { return x%10 == 3 }))
 	if len(got) != n/10 {
 		t.Fatalf("filter kept %d, want %d", len(got), n/10)
 	}
@@ -167,7 +170,7 @@ func TestFilterLarge(t *testing.T) {
 
 func TestPackIndex(t *testing.T) {
 	n := 65537
-	got := PackIndex[uint32](n, func(i int) bool { return i%5 == 0 })
+	got := must(PackIndex[uint32](bg, n, func(i int) bool { return i%5 == 0 }))
 	if len(got) != (n+4)/5 {
 		t.Fatalf("pack kept %d, want %d", len(got), (n+4)/5)
 	}
@@ -180,13 +183,13 @@ func TestPackIndex(t *testing.T) {
 
 func TestFillIotaCopy(t *testing.T) {
 	s := make([]int, 12345)
-	Fill(s, 7)
+	ok(Fill(bg, s, 7))
 	for _, v := range s {
 		if v != 7 {
 			t.Fatal("Fill missed an element")
 		}
 	}
-	Iota(s, 100)
+	ok(Iota(bg, s, 100))
 	for i, v := range s {
 		if v != 100+i {
 			t.Fatalf("Iota wrong at %d: %d", i, v)
@@ -195,7 +198,7 @@ func TestFillIotaCopy(t *testing.T) {
 }
 
 func TestMapNew(t *testing.T) {
-	got := MapNew(1000, func(i int) int { return i * i })
+	got := must(MapNew(bg, 1000, func(i int) int { return i * i }))
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("MapNew wrong at %d", i)
@@ -212,7 +215,7 @@ func TestSortFuncMatchesStdlib(t *testing.T) {
 		}
 		want := append([]int(nil), xs...)
 		sort.Ints(want)
-		SortFunc(xs, func(a, b int) bool { return a < b })
+		ok(SortFunc(bg, xs, func(a, b int) bool { return a < b }))
 		for i := range xs {
 			if xs[i] != want[i] {
 				t.Fatalf("n=%d: sorted[%d] = %d, want %d", n, i, xs[i], want[i])
@@ -229,7 +232,7 @@ func TestSortStability(t *testing.T) {
 	for i := range xs {
 		xs[i] = kv{rng.Intn(50), i}
 	}
-	SortFunc(xs, func(a, b kv) bool { return a.k < b.k })
+	ok(SortFunc(bg, xs, func(a, b kv) bool { return a.k < b.k }))
 	for i := 1; i < n; i++ {
 		if xs[i-1].k == xs[i].k && xs[i-1].idx > xs[i].idx {
 			t.Fatalf("stability violated at %d: (%v) before (%v)", i, xs[i-1], xs[i])

@@ -1,5 +1,10 @@
 package parallel
 
+import (
+	"cmp"
+	"context"
+)
+
 // sortSequentialCutoff is the size below which subtrees are sorted
 // sequentially rather than forked.
 const sortSequentialCutoff = 4096
@@ -8,21 +13,13 @@ const sortSequentialCutoff = 4096
 const insertionCutoff = 24
 
 // SortFunc stably sorts s in place using the strict weak ordering less.
-// Large inputs are sorted by a parallel merge sort; the sequential base is
-// a buffered merge sort with an insertion-sort leaf, implemented directly
-// on the generic element type (no reflection, unlike sort.SliceStable,
-// which matters for the edge-array sorts that dominate graph building).
-func SortFunc[T any](s []T, less func(a, b T) bool) {
-	if len(s) <= insertionCutoff {
-		insertionSort(s, less)
-		return
-	}
-	buf := make([]T, len(s))
-	if len(s) < sortSequentialCutoff || Procs() == 1 {
-		seqMergeSort(s, buf, less)
-		return
-	}
-	parMergeSort(s, buf, less, Procs())
+// Large inputs are sorted by a parallel merge sort over ctx's workers; the
+// sequential base is a buffered merge sort with an insertion-sort leaf,
+// implemented directly on the generic element type (no reflection, unlike
+// sort.SliceStable, which matters for the edge-array sorts that dominate
+// graph building).
+func SortFunc[T any](ctx context.Context, s []T, less func(a, b T) bool) error {
+	return parMergeSort(ctx, s, make([]T, len(s)), less, CtxProcs(ctx))
 }
 
 // insertionSort is the stable leaf sort.
@@ -56,21 +53,27 @@ func seqMergeSort[T any](s, buf []T, less func(a, b T) bool) {
 
 // parMergeSort sorts s using buf as scratch; procs bounds the remaining
 // parallelism budget for this subtree.
-func parMergeSort[T any](s, buf []T, less func(a, b T) bool, procs int) {
+func parMergeSort[T any](ctx context.Context, s, buf []T, less func(a, b T) bool, procs int) error {
 	if len(s) < sortSequentialCutoff || procs <= 1 {
-		seqMergeSort(s, buf, less)
-		return
+		return sequential(ctx, func() { seqMergeSort(s, buf, less) })
 	}
 	mid := len(s) / 2
-	do(
-		func() { parMergeSort(s[:mid], buf[:mid], less, procs/2) },
-		func() { parMergeSort(s[mid:], buf[mid:], less, procs-procs/2) },
-	)
+	var errLo, errHi error
+	if err := do(ctx,
+		func() { errLo = parMergeSort(ctx, s[:mid], buf[:mid], less, procs/2) },
+		func() { errHi = parMergeSort(ctx, s[mid:], buf[mid:], less, procs-procs/2) },
+	); err != nil {
+		return err
+	}
+	if err := cmp.Or(errLo, errHi); err != nil {
+		return err
+	}
 	if !less(s[mid], s[mid-1]) {
-		return
+		return nil
 	}
 	merge(s[:mid], s[mid:], buf, less)
 	copy(s, buf)
+	return nil
 }
 
 // merge merges sorted a and b into out (len(out) == len(a)+len(b)),
@@ -97,9 +100,4 @@ func merge[T any](a, b, out []T, less func(x, y T) bool) {
 		j++
 		k++
 	}
-}
-
-// Sort sorts a slice of ordered numbers ascending.
-func Sort[T Number](s []T) {
-	SortFunc(s, func(a, b T) bool { return a < b })
 }

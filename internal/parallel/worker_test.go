@@ -12,13 +12,16 @@ func TestForWorkerChunksCtxCoversEveryChunkOnce(t *testing.T) {
 		for _, grain := range []int{0, 1, 7, 64, 4096} {
 			seen := make([]atomic.Int32, n)
 			var chunks atomic.Int64
-			err := ForWorkerChunksCtx(nil, n, grain, func(worker, chunk, lo, hi int) {
+			err := ForWorkerChunks(nil, n, grain, func(worker, chunk, lo, hi int) {
 				if worker < 0 || worker >= Procs() {
 					t.Errorf("worker %d out of range", worker)
 				}
 				g := grain
 				if g <= 0 {
-					g = AutoGrain(n)
+					g = AutoGrain(nil, n)
+					if n <= seqCutoff {
+						g = n // one chunk under the cutoff
+					}
 				}
 				if chunk != lo/g {
 					t.Errorf("chunk %d does not match lo %d / grain %d", chunk, lo, g)
@@ -48,7 +51,7 @@ func TestForWorkerChunksCtxChunkOrderIsReassemblable(t *testing.T) {
 	nchunks := (n + grain - 1) / grain
 	los := make([]int, nchunks)
 	his := make([]int, nchunks)
-	err := ForWorkerChunksCtx(nil, n, grain, func(_, chunk, lo, hi int) {
+	err := ForWorkerChunks(nil, n, grain, func(_, chunk, lo, hi int) {
 		los[chunk] = lo
 		his[chunk] = hi
 	})
@@ -70,7 +73,7 @@ func TestForWorkerChunksCtxChunkOrderIsReassemblable(t *testing.T) {
 func TestForWorkerChunksCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	err := ForWorkerChunksCtx(ctx, 1<<20, 64, func(_, _, _, _ int) {
+	err := ForWorkerChunks(ctx, 1<<20, 64, func(_, _, _, _ int) {
 		if calls.Add(1) == 3 {
 			cancel()
 		}
@@ -84,7 +87,7 @@ func TestForWorkerChunksCtxCancellation(t *testing.T) {
 }
 
 func TestForWorkerChunksCtxPanicContained(t *testing.T) {
-	err := ForWorkerChunksCtx(nil, 1000, 10, func(_, chunk, _, _ int) {
+	err := ForWorkerChunks(nil, 1000, 10, func(_, chunk, _, _ int) {
 		if chunk == 5 {
 			panic("boom")
 		}
@@ -97,14 +100,14 @@ func TestForWorkerChunksCtxPanicContained(t *testing.T) {
 
 func TestAutoGrainMatchesDispatch(t *testing.T) {
 	for _, n := range []int{1, 100, 4096, 1 << 20} {
-		g := AutoGrain(n)
+		g := AutoGrain(nil, n)
 		if g <= 0 {
 			t.Fatalf("AutoGrain(%d) = %d", n, g)
 		}
 		// The first chunk dispatched with grain 0 must span exactly
-		// AutoGrain(n) iterations (or all of them).
+		// AutoGrain(n) iterations (or all of them, under the cutoff).
 		var lo0, hi0 int
-		err := ForWorkerChunksCtx(nil, n, 0, func(_, chunk, lo, hi int) {
+		err := ForWorkerChunks(nil, n, 0, func(_, chunk, lo, hi int) {
 			if chunk == 0 {
 				lo0, hi0 = lo, hi
 			}
@@ -113,7 +116,7 @@ func TestAutoGrainMatchesDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := g
-		if want > n {
+		if want > n || n <= seqCutoff {
 			want = n
 		}
 		if lo0 != 0 || hi0-lo0 != want {

@@ -578,7 +578,7 @@ func TestClusterRunEndToEnd(t *testing.T) {
 		})
 	}
 	sweep := func(ctx context.Context, procs int, slots []Request) ([]engine.Value, error) {
-		return ClusterRun(ctx, g, procs, slots)
+		return ClusterRun(ctx, g, slots)
 	}
 	var plains atomic.Int64
 	got, infos, errs := gather(c, context.Background(), reqs, &plains, sweep)

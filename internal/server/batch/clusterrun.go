@@ -13,8 +13,9 @@ import (
 // every slot's probe vertices (reach targets, landmark lists) recorded,
 // then per-slot extraction through the same algo.BatchResult the
 // unbatched runners use — so a batched answer is byte-identical to the
-// answer the query would have gotten alone.
-func ClusterRun(ctx context.Context, g graph.View, procs int, slots []Request) ([]engine.Value, error) {
+// answer the query would have gotten alone. ctx carries the governor
+// lease, which caps every pass of the sweep.
+func ClusterRun(ctx context.Context, g graph.View, slots []Request) ([]engine.Value, error) {
 	sources := make([]uint32, len(slots))
 	var probes []uint32
 	for i, s := range slots {
@@ -22,12 +23,9 @@ func ClusterRun(ctx context.Context, g graph.View, procs int, slots []Request) (
 		probes = append(probes, algo.BatchProbes(s.Algo, s.Params)...)
 	}
 	// Every slot shares the batch's shape, so slot 0's traversal
-	// options speak for the sweep; the governor lease caps its
-	// parallelism.
-	emOpts := slots[0].Params.EdgeMapOptions()
-	emOpts.Procs = procs
+	// options speak for the sweep.
 	res, err := algo.ClusterBFSCtx(ctx, g, sources, algo.ClusterBFSOptions{
-		EdgeMap: emOpts,
+		EdgeMap: slots[0].Params.EdgeMapOptions(),
 		Probes:  probes,
 	})
 	if err != nil {

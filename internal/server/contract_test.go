@@ -140,6 +140,12 @@ func TestQueryReplyContract(t *testing.T) {
 		{name: "504 client cancel", graph: "path", body: `{"algo":"bfs","source":0}`,
 			reqCtx: func() (context.Context, func()) { return faultinject.CancelOnRound(context.Background(), 3) },
 			status: 504, keys: partial, metrics: ran("bfs", "algos.bfs.timeouts", "backends.edgemap"), breaker: "none"},
+		// densest ran to completion whatever its ctx before every runner
+		// observed it; now it stops after its second peel.
+		{name: "504 peeling runner", algo: "densest", body: `{"algo":"densest"}`,
+			reqCtx: func() (context.Context, func()) { return faultinject.CancelOnRound(context.Background(), 3) },
+			status: 504, keys: slices.DeleteFunc(slices.Clone(partial), func(k string) bool { return k == "backend" }),
+			metrics: ran("densest", "algos.densest.timeouts"), breaker: "none"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { runReplyCase(t, c) })
@@ -214,6 +220,10 @@ func runReplyCase(t *testing.T, c replyCase) {
 	}
 	if c.status == http.StatusGatewayTimeout && (body["partial"] != true || !strings.Contains(body["error"].(string), "interrupted after round")) {
 		t.Errorf("504 without its partial result: %v", body)
+	}
+	// Every reply, a 504 included, comes after the run gave its lease back.
+	if inUse := s.engine.Governor().Stats().InUse; inUse != 0 {
+		t.Errorf("%d governor procs still leased after the reply", inUse)
 	}
 	want := c.metrics
 	if want == nil {

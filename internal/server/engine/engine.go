@@ -10,9 +10,9 @@ import (
 )
 
 // RunFunc computes a query result. ctx already carries the governor's
-// proc cap (parallel.CtxProcs(ctx) <= procs), so every ctx-aware parallel
-// loop reached by the run is bounded; procs is also passed explicitly for
-// callers that want to record it or plumb it further.
+// proc cap (parallel.CtxProcs(ctx) <= procs), and every parallel loop
+// takes the ctx it runs under, so every pass of the run is bounded; procs
+// is also passed explicitly for callers that want to record it.
 type RunFunc func(ctx context.Context, procs int) (Value, error)
 
 // Info describes how Execute satisfied a query.
@@ -123,10 +123,10 @@ func (e *Engine) Execute(ctx context.Context, k Key, run RunFunc) (Value, Info, 
 // Execute, an incremental refresh inside one, a batch's shared sweep: under
 // a governor lease, with fn's ctx carrying the lease as its proc cap, and
 // with the one panic containment on the query path. Worker panics already
-// arrive as *parallel.PanicError from the Ctx entry points; a panic on
-// fn's own goroutine (a re-panic from a non-cancellable algorithm, a bug
-// between rounds) is converted to one here, so a bad query can never take
-// down the process. The lease is returned either way.
+// arrive as *parallel.PanicError from the parallel loops; a panic on fn's
+// own goroutine (a bug between rounds) is converted to one here, so a bad
+// query can never take down the process. The lease is returned either
+// way.
 func (e *Engine) Run(ctx context.Context, fn func(ctx context.Context, procs int) error) (procs int, err error) {
 	procs, release := e.gov.Acquire()
 	defer release()

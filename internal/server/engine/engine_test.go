@@ -286,7 +286,7 @@ func TestExecutePlumbsGovernorCapThroughParallel(t *testing.T) {
 			t.Errorf("parallel.CtxProcs(ctx) = %d, want 2", got)
 		}
 		var cur, peak atomic.Int64
-		perr := parallel.ForGrainCtx(ctx, 64, 1, func(i int) {
+		perr := parallel.ForRangeGrain(ctx, 64, 1, func(lo, hi int) {
 			c := cur.Add(1)
 			for {
 				p := peak.Load()

@@ -534,15 +534,15 @@ func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Inf
 	// The plain runner, one closure for every algorithm; the collector
 	// decides whether a batchable query (bfs, reach, landmarks) runs it or
 	// rides a shared sweep, and hands everything else straight to the engine.
-	plain := func(runCtx context.Context, procs int) (engine.Value, error) {
-		p := q.params
-		p.EdgeMap.Procs = procs // cap every edgeMap of the run at the lease
+	// runCtx carries the governor lease as its worker cap, which bounds
+	// every pass of whatever runs under it.
+	plain := func(runCtx context.Context, _ int) (engine.Value, error) {
 		// Algorithms with incremental refresh paths are served from
 		// the snapshot store's memoized state when the delta log can
 		// carry it forward; everything else runs the plain runner.
-		res, handled, err := incrementalRun(runCtx, q.pin, q.runner.Name, p)
+		res, handled, err := incrementalRun(runCtx, q.pin, q.runner.Name, q.params)
 		if !handled {
-			res, err = q.runner.Run(runCtx, g, p)
+			res, err = q.runner.Run(runCtx, g, q.params)
 		}
 		return engine.Value{Data: res, Bytes: res.EstimateBytes()}, err
 	}
@@ -550,13 +550,13 @@ func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Inf
 	// one pinned the identical snapshot. The sweep can outlive this
 	// handler's pin (it is detached from any one caller), so it re-pins at
 	// execution time and aborts if the graph was evicted.
-	sweep := func(sweepCtx context.Context, procs int, slots []batch.Request) ([]engine.Value, error) {
+	sweep := func(sweepCtx context.Context, _ int, slots []batch.Request) ([]engine.Value, error) {
 		sweepPin, ok := q.pin.Store().TryAcquire()
 		if !ok {
 			return nil, fmt.Errorf("graph %q evicted before its batched sweep ran", q.graph)
 		}
 		defer sweepPin.Release()
-		return batch.ClusterRun(sweepCtx, g, procs, slots)
+		return batch.ClusterRun(sweepCtx, g, slots)
 	}
 	start := time.Now()
 	val, how, err := s.batcher.Execute(ctx, batch.Request{Key: q.key, Algo: q.runner.Name, Params: q.params}, plain, sweep)

@@ -43,7 +43,8 @@ type BFSResult struct {
 // frontier bitset with early exit, choosing direction per round with
 // edgeMap's |U| + outDegrees(U) > |E|/20 heuristic.
 //
-// Cancellation: ctx (nil = background) is observed at chunk granularity.
+// ctx (nil = background) caps every loop's workers and is observed at
+// chunk granularity.
 // On interruption the partial Levels hold correct values for every vertex
 // claimed so far (-1 elsewhere) — the same contract as algo.BFSLevelsCtx —
 // and the error wraps the cause (including contained worker panics as
@@ -54,7 +55,14 @@ func BFSLevels(ctx context.Context, g graph.View, source uint32, o BFSOptions) (
 		return nil, fmt.Errorf("spmv: bfs source %d out of range (n=%d)", source, n)
 	}
 	levels := make([]int32, n)
-	parallel.Fill(levels, -1)
+	if err := parallel.Fill(ctx, levels, -1); err != nil {
+		// The partial result reports the initial levels, as algo's do.
+		for i := range levels {
+			levels[i] = -1
+		}
+		levels[source] = 0
+		return &BFSResult{Levels: levels, Visited: 1}, err
+	}
 	levels[source] = 0
 
 	threshold := o.Threshold
@@ -113,7 +121,7 @@ func bfsPush(ctx context.Context, g graph.View, adj csr, frontier, next *bitset.
 			next.SetAtomic(int(d))
 		}
 	}
-	return parallel.ForCtx(ctx, len(words), func(wi int) {
+	return parallel.For(ctx, len(words), func(wi int) {
 		w := words[wi]
 		if w == 0 {
 			return
@@ -146,7 +154,7 @@ func bfsPull(ctx context.Context, g graph.View, adj csr, frontier, next *bitset.
 	n := len(levels)
 	fw := frontier.Words()
 	inFrontier := func(s uint32) bool { return fw[s>>6]&(1<<(s&63)) != 0 }
-	return parallel.ForRangeGrainCtx(ctx, n, denseGrain(ctx, n), func(lo, hi int) {
+	return parallel.ForRangeGrain(ctx, n, denseGrain(ctx, n), func(lo, hi int) {
 		for d := lo; d < hi; d++ {
 			if levels[d] != -1 {
 				continue

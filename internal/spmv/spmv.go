@@ -64,7 +64,7 @@ func rawCSR(g graph.View) csr {
 // outright and can use plain (non-atomic) stores, mirroring edgeMap's
 // dense-block alignment.
 func denseGrain(ctx context.Context, n int) int {
-	g := parallel.AutoGrainCtx(ctx, n)
+	g := parallel.AutoGrain(ctx, n)
 	return (g + 63) &^ 63
 }
 
@@ -74,7 +74,7 @@ func denseGrain(ctx context.Context, n int) int {
 // stat), which costs one O(1) degree lookup per frontier vertex.
 func frontierOutDegrees(ctx context.Context, g graph.View, f *bitset.Bitset) (int64, error) {
 	words := f.Words()
-	return parallel.SumFuncCtx(ctx, len(words), func(wi int) int64 {
+	return parallel.SumFunc(ctx, len(words), func(wi int) int64 {
 		w := words[wi]
 		if w == 0 {
 			return 0

@@ -62,7 +62,7 @@ func Matrix(t testing.TB, g *graph.Graph, batches ...[]delta.EdgeOp) map[string]
 	noCompaction := delta.Policy{CompactEvery: -1}
 	deep := snapshot(t, g, noCompaction, append([][]delta.EdgeOp{churn}, batches...))
 	views["snapshot-deep"] = deep
-	compacted, err := delta.Materialize(deep)
+	compacted, err := delta.Materialize(context.Background(), deep)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}

@@ -20,19 +20,20 @@
 //
 // # Cancellation
 //
-// Every operation has one spelling. One that takes a context.Context as
-// its first argument observes it; one that does not, cannot be
-// interrupted. The context (nil is treated as context.Background()) is
-// observed cooperatively at chunk granularity inside parallel loops: a
-// cancelled or expired context stops the computation within roughly one
-// chunk of parallel work, and an uncancellable one such as
-// context.Background() costs no more than nil. An interrupted algorithm
-// returns its partial result — each result type documents what "partial"
-// means — together with a *RoundError that wraps the cause, so
-// errors.Is(err, context.DeadlineExceeded) and friends see through it. A
-// worker panic inside any parallel region is captured as a *PanicError:
-// the ctx-taking functions return it (the algorithms return any panic
-// raised inside them that way), the others re-panic with it.
+// Every operation has one spelling. Every algorithm and every operator
+// that runs a parallel loop takes a context.Context as its first argument
+// and observes it; the rest (constructors, graph building, accessors)
+// cannot be interrupted. The context (nil is treated as
+// context.Background()) reaches every parallel loop of the computation:
+// a WithParallelism cap bounds each of them, and a cancelled or expired
+// context stops the computation within roughly one chunk of parallel
+// work, while an uncancellable one such as context.Background() costs no
+// more than nil. An interrupted algorithm returns its partial result —
+// each result type documents what "partial" means — together with a
+// *RoundError that wraps the cause, so errors.Is(err,
+// context.DeadlineExceeded) and friends see through it. A panic inside
+// any parallel region is returned as a *PanicError (the algorithms return
+// any panic raised inside them that way).
 //
 // # Quick start
 //
@@ -112,19 +113,19 @@ const DefaultThresholdDenominator = core.DefaultThresholdDenominator
 // EdgeMap applies f over the edges out of u and returns the subset of
 // destinations whose update returned true, choosing the sparse or dense
 // traversal per the options. It returns a nil frontier and an error if
-// the traversal was interrupted or a worker panicked. See core.EdgeMapCtx.
+// the traversal was interrupted or a worker panicked. See core.EdgeMap.
 func EdgeMap(ctx context.Context, g View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
-	return core.EdgeMapCtx(ctx, g, u, f, opts)
+	return core.EdgeMap(ctx, g, u, f, opts)
 }
 
 // VertexMap applies fn to every vertex in u in parallel.
 func VertexMap(ctx context.Context, u *VertexSubset, fn func(v uint32)) error {
-	return core.VertexMapCtx(ctx, u, fn)
+	return core.VertexMap(ctx, u, fn)
 }
 
 // VertexFilter returns the members of u satisfying pred.
-func VertexFilter(u *VertexSubset, pred func(v uint32) bool) *VertexSubset {
-	return core.VertexFilter(u, pred)
+func VertexFilter(ctx context.Context, u *VertexSubset, pred func(v uint32) bool) (*VertexSubset, error) {
+	return contain(func() (*VertexSubset, error) { return core.VertexFilter(ctx, u, pred) })
 }
 
 // NewEmpty returns the empty subset over n vertices.
@@ -140,8 +141,8 @@ func NewSparse(n int, ids []uint32) *VertexSubset { return core.NewSparse(n, ids
 func NewAll(n int) *VertexSubset { return core.NewAll(n) }
 
 // NewFromFunc returns the subset of vertices satisfying pred.
-func NewFromFunc(n int, pred func(v uint32) bool) *VertexSubset {
-	return core.NewFromFunc(n, pred)
+func NewFromFunc(ctx context.Context, n int, pred func(v uint32) bool) (*VertexSubset, error) {
+	return contain(func() (*VertexSubset, error) { return core.NewFromFunc(ctx, n, pred) })
 }
 
 // TraversalStats is a point-in-time copy of the process-wide traversal

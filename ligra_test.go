@@ -220,7 +220,7 @@ func TestPublicExtensionAlgorithms(t *testing.T) {
 
 	// Spanning forest spans all components.
 	cc := must(ligra.ConnectedComponents(context.Background(), g, ligra.Options{}))
-	sf := ligra.SpanningForest(g, ligra.Options{})
+	sf := must(ligra.SpanningForest(context.Background(), g, ligra.Options{}))
 	if len(sf.Edges) != g.NumVertices()-cc.Components {
 		t.Errorf("forest edges %d, want %d", len(sf.Edges), g.NumVertices()-cc.Components)
 	}
@@ -229,7 +229,7 @@ func TestPublicExtensionAlgorithms(t *testing.T) {
 	}
 
 	// LDD-based connectivity agrees with label propagation.
-	ldd := ligra.ConnectedComponentsLDD(g, 0.2, 1, ligra.Options{})
+	ldd := must(ligra.ConnectedComponentsLDD(context.Background(), g, 0.2, 1, ligra.Options{}))
 	for v := range cc.Labels {
 		if ldd.Labels[v] != cc.Labels[v] {
 			t.Fatalf("LDD CC disagrees at %d", v)
@@ -237,8 +237,8 @@ func TestPublicExtensionAlgorithms(t *testing.T) {
 	}
 
 	// Coloring is proper; matching is symmetric.
-	col := ligra.Coloring(g, 2, ligra.Options{})
-	mm := ligra.MaximalMatching(g, 2)
+	col := must(ligra.Coloring(context.Background(), g, 2, ligra.Options{}))
+	mm := must(ligra.MaximalMatching(context.Background(), g, 2))
 	for v := uint32(0); int(v) < g.NumVertices(); v++ {
 		g.OutNeighbors(v, func(d uint32, _ int32) bool {
 			if d != v && col.Colors[v] == col.Colors[d] {
@@ -341,7 +341,7 @@ func TestPublicEdgeListAndLocalClustering(t *testing.T) {
 		t.Errorf("edge list round trip: %d vs %d edges", g2.NumEdges(), g.NumEdges())
 	}
 
-	appr, err := ligra.APPR(g, 0, 0.15, 1e-5)
+	appr, err := ligra.APPR(context.Background(), g, 0, 0.15, 1e-5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +355,11 @@ func TestPublicEdgeListAndLocalClustering(t *testing.T) {
 	if math.Abs(mass-1) > 1e-9 {
 		t.Errorf("APPR mass %v", mass)
 	}
-	sc := ligra.SweepCut(g, appr.P)
+	sc := must(ligra.SweepCut(context.Background(), g, appr.P))
 	if sc.Conductance <= 0 || sc.Conductance > 1 {
 		t.Errorf("conductance %v", sc.Conductance)
 	}
-	lc, err := ligra.LocalCluster(g, 0, 0.15, 1e-5)
+	lc, err := ligra.LocalCluster(context.Background(), g, 0, 0.15, 1e-5)
 	if err != nil || len(lc.Cluster) == 0 {
 		t.Errorf("LocalCluster: %v %v", lc, err)
 	}
