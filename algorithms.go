@@ -29,8 +29,6 @@ type (
 	KCoreResult = algo.KCoreResult
 	// MISResult is the output of MIS.
 	MISResult = algo.MISResult
-	// DeltaSteppingResult is the output of DeltaStepping.
-	DeltaSteppingResult = algo.DeltaSteppingResult
 	// BCApproxResult is the output of BCApprox.
 	BCApproxResult = algo.BCApproxResult
 	// MatchingResult is the output of MaximalMatching.
@@ -165,14 +163,6 @@ func BellmanFord(ctx context.Context, g View, source uint32, opts Options) (*SSS
 	return contain(func() (*SSSPResult, error) { return algo.BellmanFordCtx(ctx, g, source, opts) })
 }
 
-// DeltaStepping computes single-source shortest paths with non-negative
-// weights using bucketed delta-stepping on top of edgeMap (extension
-// after Julienne; delta <= 0 picks a heuristic bucket width). Dist holds
-// valid distance upper bounds on interruption.
-func DeltaStepping(ctx context.Context, g View, source uint32, delta int64, opts Options) (*DeltaSteppingResult, error) {
-	return contain(func() (*DeltaSteppingResult, error) { return algo.DeltaSteppingCtx(ctx, g, source, delta, opts) })
-}
-
 // KCore computes the k-core decomposition by parallel peeling
 // (extension); Coreness is exact for already-peeled vertices on
 // interruption.
@@ -227,22 +217,16 @@ func LDD(ctx context.Context, g View, beta float64, seed uint64, opts Options) (
 	return contain(func() (*LDDResult, error) { return algo.LDD(ctx, g, beta, seed, opts) })
 }
 
-// ConnectedComponentsLDD computes connected components by repeated
-// LDD-based contraction — the expected linear-work connectivity algorithm
-// of Shun, Dhulipala and Blelloch (extension); no labels on interruption.
-func ConnectedComponentsLDD(ctx context.Context, g View, beta float64, seed uint64, opts Options) (*CCResult, error) {
-	return contain(func() (*CCResult, error) { return algo.ConnectedComponentsLDD(ctx, g, beta, seed, opts) })
-}
-
 // SpanningForest computes a spanning forest of a symmetric graph via BFS
 // waves (extension); the forest of the vertices reached on interruption.
 func SpanningForest(ctx context.Context, g View, opts Options) (*ForestResult, error) {
 	return contain(func() (*ForestResult, error) { return algo.SpanningForest(ctx, g, opts) })
 }
 
-// DensestSubgraph computes a 2-approximate densest subgraph by Charikar
-// peeling over the bucket structure (extension); the best density so far,
-// without its vertices, on interruption.
+// DensestSubgraph computes a 2-approximate densest subgraph as the densest
+// k-core, read off KCore's coreness in one pass over the edges (extension).
+// On interruption Vertices is nil and Density is the whole graph's, the
+// 0-core's, which needs no peel.
 func DensestSubgraph(ctx context.Context, g View, opts Options) (*DensestResult, error) {
 	return contain(func() (*DensestResult, error) { return algo.DensestSubgraph(ctx, g, opts) })
 }

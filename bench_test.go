@@ -265,19 +265,11 @@ func BenchmarkVertexSubset(b *testing.B) {
 // BenchmarkExtensions covers the extension algorithms (ablations and
 // follow-on work) on the rMat input.
 func BenchmarkExtensions(b *testing.B) {
-	_, gs, ws := suite(b)
+	_, gs, _ := suite(b)
 	g := gs["rMat"]
-	wg := ws["rMat"]
 	b.Run("KCore-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			must(ligra.KCore(context.Background(), g, ligra.Options{}))
-		}
-	})
-	b.Run("DeltaStepping", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ligra.DeltaStepping(context.Background(), wg, 0, 0, ligra.Options{}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 	b.Run("MIS", func(b *testing.B) {
@@ -313,11 +305,6 @@ func BenchmarkExtensions(b *testing.B) {
 	b.Run("LDD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			must(ligra.LDD(context.Background(), g, 0.2, 1, ligra.Options{}))
-		}
-	})
-	b.Run("CC-LDD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(ligra.ConnectedComponentsLDD(context.Background(), g, 0.2, 1, ligra.Options{}))
 		}
 	})
 	b.Run("SpanningForest", func(b *testing.B) {

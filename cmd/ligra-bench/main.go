@@ -9,7 +9,6 @@
 //	threshold     edgeMap switch-threshold sensitivity sweep
 //	denseforward  read-based vs write-based dense traversal
 //	compress      Ligra+ byte-compression space/time ablation
-//	bucketing     Bellman-Ford vs delta-stepping over Julienne buckets
 //	hotpath       edgeMap hot-path timings (the BENCH_baseline.json suite)
 //	scheduler     worker-pool scheduler: small-round workloads with their
 //	              one-chunk round and dispatch counters

@@ -14,9 +14,9 @@ import (
 func TestRunEveryAlgorithm(t *testing.T) {
 	algos := []string{
 		"bfs", "bc", "bc-approx", "radii", "components", "pagerank",
-		"pagerank-delta", "bellman-ford", "delta-stepping", "kcore",
-		"mis", "triangles", "clustering", "scc", "coloring", "matching",
-		"cc-ldd", "eccentricity", "local-cluster", "densest",
+		"pagerank-delta", "bellman-ford", "kcore", "mis", "triangles",
+		"clustering", "scc", "coloring", "matching", "eccentricity",
+		"local-cluster", "densest",
 	}
 	for _, a := range algos {
 		var buf bytes.Buffer

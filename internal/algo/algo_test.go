@@ -426,6 +426,36 @@ func TestKCoreInvariant(t *testing.T) {
 	}
 }
 
+// TestKCoreMatchesSequential holds the whole coreness array and MaxCore to
+// the sequential bucket peel, on every test graph in every edgeMap mode
+// and on a scale-12 rMat.
+func TestKCoreMatchesSequential(t *testing.T) {
+	graphs := testGraphs(t)
+	big, err := gen.RMAT(12, 8, gen.PBBSRMAT, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["rmat12"] = big
+	for gname, g := range graphs {
+		want := seq.KCore(g)
+		wantMax := int32(0)
+		for _, c := range want {
+			wantMax = max(wantMax, c)
+		}
+		for mname, opts := range modes {
+			res := must(KCoreCtx(bg, g, opts))
+			for v := range want {
+				if res.Coreness[v] != want[v] {
+					t.Fatalf("%s/%s: coreness[%d] = %d, want %d", gname, mname, v, res.Coreness[v], want[v])
+				}
+			}
+			if res.MaxCore != wantMax {
+				t.Errorf("%s/%s: MaxCore = %d, want %d", gname, mname, res.MaxCore, wantMax)
+			}
+		}
+	}
+}
+
 func TestMISIndependentAndMaximal(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "path", "star", "tree", "er-sparse"} {
 		g := testGraphs(t)[gname]

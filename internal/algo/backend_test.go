@@ -36,7 +36,6 @@ func TestCanonicalNoCollisions(t *testing.T) {
 		{Source: 1},
 		{Seed: 2},
 		{K: 3},
-		{Delta: 4},
 		{Alpha: 0.5},
 		{Eps: 1e-3},
 		{Mode: "sparse"},

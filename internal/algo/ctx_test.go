@@ -129,17 +129,17 @@ func TestCtxVariantsPreCancelled(t *testing.T) {
 			}
 			return err
 		}},
-		{"delta-stepping", func(ctx context.Context) error {
-			res, err := DeltaSteppingCtx(ctx, wg, 0, 8, opts)
-			if res == nil || len(res.Dist) != n {
-				t.Error("delta-stepping: missing partial result")
-			}
-			return err
-		}},
 		{"kcore", func(ctx context.Context) error {
 			res, err := KCoreCtx(ctx, g, opts)
 			if res == nil || len(res.Coreness) != n {
 				t.Error("kcore: missing partial result")
+			}
+			return err
+		}},
+		{"densest", func(ctx context.Context) error {
+			res, err := DensestSubgraph(ctx, g, opts)
+			if res == nil || res.Vertices != nil {
+				t.Error("densest: missing partial result, or vertices read off an unfinished peel")
 			}
 			return err
 		}},

@@ -65,9 +65,6 @@ func TestAlgorithmsOnSingleVertex(t *testing.T) {
 	if res := must(SCCCtx(nil, g, core.Options{})); res.Components != 1 {
 		t.Errorf("SCC = %d", res.Components)
 	}
-	if res, err := DeltaSteppingCtx(nil, g, 0, 1, core.Options{}); err != nil || res.Dist[0] != 0 {
-		t.Errorf("delta-stepping: %v %v", res, err)
-	}
 	if res := must(LDD(bg, g, 0.5, 1, core.Options{})); res.NumClusters != 1 {
 		t.Errorf("LDD clusters = %d", res.NumClusters)
 	}

@@ -1,11 +1,9 @@
 package algo
 
 import (
-	"cmp"
 	"context"
-	"sync/atomic"
+	"errors"
 
-	"ligra/internal/buckets"
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -17,109 +15,90 @@ type DensestResult struct {
 	Vertices []uint32
 	// Density is |E(S)| / |S| counting undirected edges once.
 	Density float64
-	// Peels is the number of peel rounds executed.
+	// Peels is the number of k-core peeling rounds executed.
 	Peels int
 }
 
 // DensestSubgraph computes a 2-approximation of the densest subgraph of a
-// symmetric simple graph with Charikar's greedy peeling (the classic
-// bucketing workload): repeatedly remove a minimum-degree vertex (here, a
-// whole minimum bucket at a time, which preserves the approximation
-// factor) and return the intermediate subgraph of maximum density.
-// Uses the Julienne bucket structure keyed by current degree.
+// symmetric simple graph: the densest of its k-cores, read off KCoreCtx's
+// coreness in one pass over the edges. The k-core is the vertices of
+// coreness >= k and the edges whose lower-coreness end is one of them, so
+// counting vertices per coreness and edges per lower-end coreness, then
+// summing from the top, gives |V| and |E| of every k-core at once. Every
+// vertex of a densest subgraph has induced degree >= its density rho*, so
+// the degeneracy k_max is >= rho*, and the k_max-core, whose induced
+// degrees are all >= k_max, has density >= k_max/2 >= rho*/2.
 //
-// ctx is observed at chunk granularity inside every peel's edgeMap. On
-// interruption Density is the best found over the peels completed,
-// Vertices is nil, and the *RoundError counts the peels.
+// ctx is observed by the peel and by the counting pass. On interruption
+// Vertices is nil, Density is the whole graph's (the 0-core's, which needs
+// no peel), and Peels and the *RoundError count the peel rounds completed.
 func DensestSubgraph(ctx context.Context, g graph.View, opts core.Options) (*DensestResult, error) {
 	n := g.NumVertices()
-	if n == 0 {
-		return &DensestResult{}, roundErr("densest", 0, parallel.CtxErr(ctx))
+	whole := 0.0
+	if n > 0 {
+		whole = float64(g.NumEdges()/2) / float64(n)
 	}
-	deg := make([]int32, n)
-	removed := make([]int32, n) // peel order stamp; -1 = still present
-	if err := cmp.Or(
-		parallel.For(ctx, n, func(i int) { deg[i] = int32(g.OutDegree(uint32(i))) }),
-		fill(ctx, removed, int32(-1)),
-	); err != nil {
-		return &DensestResult{}, roundErr("densest", 0, err)
+	kc, err := KCoreCtx(ctx, g, opts)
+	partial := func(err error) (*DensestResult, error) {
+		return &DensestResult{Density: whole, Peels: kc.Rounds}, roundErr("densest", kc.Rounds, err)
 	}
-
-	bkts := buckets.New(n, func(v uint32) int64 { return int64(deg[v]) })
-
-	// Track density as vertices peel: edges halve-counted via degree sum.
-	aliveVerts := int64(n)
-	aliveEdges := g.NumEdges() / 2 // undirected edges
-	bestDensity := float64(aliveEdges) / float64(aliveVerts)
-	bestStamp := int32(0) // subgraph = vertices with removed >= bestStamp or -1
-
-	opts.RemoveDuplicates = true
-	stamp := int32(0)
-	funcs := core.EdgeFuncs{
-		UpdateAtomic: func(_, d uint32, _ int32) bool {
-			if atomic.LoadInt32(&removed[d]) != -1 {
-				return false
-			}
-			atomic.AddInt32(&deg[d], -1)
-			return true
-		},
+	if err != nil {
+		var re *RoundError
+		errors.As(err, &re) // KCoreCtx reports every interruption as one
+		return partial(re.Err)
 	}
+	coreness := kc.Coreness
 
-	peels := 0
-	for {
-		_, members, ok := bkts.Next()
-		if !ok {
-			break
-		}
-		peels++
-		stamp++
-		for _, v := range members {
-			removed[v] = stamp
-		}
-		// Edges leaving with this batch: sum of the members' remaining
-		// degrees, minus the double count of edges internal to the batch
-		// (each internal edge appears in two members' degrees).
-		var removedEdges, internalPairs int64
-		for _, v := range members {
-			removedEdges += int64(deg[v])
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
-				if removed[d] == stamp && d != v {
-					internalPairs++
+	// Per worker, verts[c] counts the vertices of coreness c and edges[c]
+	// the edges whose lower end has coreness c. An edge is counted once,
+	// at the end with the smaller (coreness, ID) key, and a self-loop
+	// never; the key packed into one word makes that one comparison.
+	type counts struct{ verts, edges []int64 }
+	per := make([]counts, parallel.CtxProcs(ctx))
+	for w := range per {
+		per[w] = counts{make([]int64, kc.MaxCore+1), make([]int64, kc.MaxCore+1)}
+	}
+	rows := graph.Rows(g)
+	if err := parallel.ForWorkerChunks(ctx, n, 0, func(worker, _, lo, hi int) {
+		c := per[worker]
+		var buf graph.Row
+		for i := lo; i < hi; i++ {
+			cv := coreness[i]
+			key := uint64(cv)<<32 | uint64(i)
+			ts, _ := rows.OutRow(uint32(i), &buf)
+			var up int64
+			for _, d := range ts {
+				if uint64(coreness[d])<<32|uint64(d) > key {
+					up++
 				}
-				return true
-			})
-		}
-		removedEdges -= internalPairs / 2
-
-		frontier := core.NewSparse(n, members)
-		out, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
-		if err != nil {
-			// This peel's stamps are set but its edges never left: the
-			// density so far is that of the peels before it.
-			return &DensestResult{Density: bestDensity, Peels: peels - 1}, roundErr("densest", peels-1, err)
-		}
-		out.ForEachSeq(func(d uint32) {
-			if removed[d] != -1 {
-				return
 			}
-			bkts.Update(d, int64(deg[d]))
-		})
-
-		aliveVerts -= int64(len(members))
-		aliveEdges -= removedEdges
-		if aliveVerts > 0 {
-			if dns := float64(aliveEdges) / float64(aliveVerts); dns > bestDensity {
-				bestDensity = dns
-				bestStamp = stamp
+			c.verts[cv]++
+			c.edges[cv] += up
+		}
+	}); err != nil {
+		return partial(err)
+	}
+	verts, edges := per[0].verts, per[0].edges
+	for _, c := range per[1:] {
+		for k := range verts {
+			verts[k] += c.verts[k]
+			edges[k] += c.edges[k]
+		}
+	}
+	best, bestK := 0.0, int32(0)
+	var nv, ne int64
+	for k := kc.MaxCore; k >= 0; k-- {
+		nv += verts[k]
+		ne += edges[k]
+		if nv > 0 {
+			if d := float64(ne) / float64(nv); d > best {
+				best, bestK = d, k
 			}
 		}
 	}
-
-	var verts []uint32
-	for v := 0; v < n; v++ {
-		if removed[v] == -1 || removed[v] > bestStamp {
-			verts = append(verts, uint32(v))
-		}
+	members, err := parallel.PackIndex[uint32](ctx, n, func(i int) bool { return coreness[i] >= bestK })
+	if err != nil {
+		return partial(err)
 	}
-	return &DensestResult{Vertices: verts, Density: bestDensity, Peels: peels}, nil
+	return &DensestResult{Vertices: members, Density: best, Peels: kc.Rounds}, nil
 }

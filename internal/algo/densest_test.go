@@ -1,7 +1,11 @@
 package algo
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ligra/internal/core"
@@ -90,6 +94,99 @@ func TestDensestSubgraphApproximation(t *testing.T) {
 		if got := densityOf(g, res.Vertices); math.Abs(got-res.Density) > 1e-9 {
 			t.Errorf("%s: set density %v != reported %v", gname, got, res.Density)
 		}
+	}
+}
+
+// TestDensestSubgraphMatchesBruteForce holds the densest k-core to the true
+// optimum rho*, found by enumerating every vertex subset, on seeded random
+// graphs of at most 12 vertices and on a planted clique: Density is within
+// a factor 2 of rho*, it is the density of Vertices, and Vertices is
+// exactly a k-core.
+func TestDensestSubgraphMatchesBruteForce(t *testing.T) {
+	build := func(n int, edges []graph.Edge) *graph.Graph {
+		g, err := graph.FromEdges(n, edges, graph.BuildOptions{Symmetrize: true, RemoveDuplicates: true, RemoveSelfLoops: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	random := func(rng *rand.Rand, n int, p float64, edges []graph.Edge) []graph.Edge {
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if rng.Float64() < p {
+					edges = append(edges, graph.Edge{Src: uint32(a), Dst: uint32(b)})
+				}
+			}
+		}
+		return edges
+	}
+	graphs := map[string]*graph.Graph{}
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(9)
+		graphs[fmt.Sprintf("random-%d", seed)] = build(n, random(rng, n, 0.15+0.6*rng.Float64(), nil))
+	}
+	var clique []graph.Edge
+	for a := 0; a < 6; a++ {
+		for b := a + 1; b < 6; b++ {
+			clique = append(clique, graph.Edge{Src: uint32(a), Dst: uint32(b)})
+		}
+	}
+	graphs["planted-clique"] = build(12, random(rand.New(rand.NewSource(99)), 12, 0.15, clique))
+
+	for gname, g := range graphs {
+		n := g.NumVertices()
+		adj := make([]uint32, n) // adjacency as bit sets
+		for v := uint32(0); int(v) < n; v++ {
+			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+				adj[v] |= 1 << d
+				return true
+			})
+		}
+		opt := 0.0
+		for set := uint32(1); set < 1<<n; set++ {
+			var edges int
+			for v := 0; v < n; v++ {
+				if set&(1<<v) != 0 {
+					edges += bits.OnesCount32(adj[v] & set)
+				}
+			}
+			opt = max(opt, float64(edges/2)/float64(bits.OnesCount32(set)))
+		}
+
+		res := must(DensestSubgraph(bg, g, core.Options{}))
+		if res.Density < opt/2-1e-9 || res.Density > opt+1e-9 {
+			t.Errorf("%s: density %v outside [rho*/2, rho*] for rho* = %v", gname, res.Density, opt)
+		}
+		if got := densityOf(g, res.Vertices); got != res.Density {
+			t.Errorf("%s: Vertices have density %v, Density is %v", gname, got, res.Density)
+		}
+		coreness := must(KCoreCtx(bg, g, core.Options{})).Coreness
+		kStar := int32(math.MaxInt32)
+		for _, v := range res.Vertices {
+			kStar = min(kStar, coreness[v])
+		}
+		var kCore []uint32
+		for v, c := range coreness {
+			if c >= kStar {
+				kCore = append(kCore, uint32(v))
+			}
+		}
+		if !slices.Equal(res.Vertices, kCore) {
+			t.Errorf("%s: Vertices %v are not the %d-core %v", gname, res.Vertices, kStar, kCore)
+		}
+	}
+
+	// A self-loop is no edge of any subgraph, in Density as in densityOf.
+	loops, err := graph.FromEdges(4, []graph.Edge{
+		{Src: 0, Dst: 0}, {Src: 0, Dst: 1}, {Src: 1, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 3, Dst: 3},
+	}, graph.BuildOptions{Symmetrize: true, RemoveDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := must(DensestSubgraph(bg, loops, core.Options{}))
+	if got := densityOf(loops, res.Vertices); res.Density != 1 || got != 1 {
+		t.Errorf("triangle with self-loops: Density %v, Vertices %v of density %v; want 1", res.Density, res.Vertices, got)
 	}
 }
 

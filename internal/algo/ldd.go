@@ -3,7 +3,6 @@ package algo
 import (
 	"context"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"ligra/internal/core"
@@ -122,119 +121,4 @@ func LDD(ctx context.Context, g graph.View, beta float64, seed uint64, opts core
 		return partial(err)
 	}
 	return &LDDResult{Cluster: cluster, NumClusters: clusters, Rounds: round}, nil
-}
-
-// ConnectedComponentsLDD computes connected components by repeated graph
-// contraction over low-diameter decompositions — the expected linear-work
-// algorithm of Shun, Dhulipala and Blelloch (SPAA 2014): decompose,
-// contract each cluster to one vertex, recurse on the (much smaller)
-// cluster graph of crossing edges, then project labels back.
-//
-// ctx is observed at chunk granularity in every pass, the contraction's
-// included. An interrupted run has no useful partial labeling (the
-// components are only known once the recursion unwinds): it returns a
-// result with nil Labels and the rounds completed, and a *RoundError.
-func ConnectedComponentsLDD(ctx context.Context, g graph.View, beta float64, seed uint64, opts core.Options) (*CCResult, error) {
-	n := g.NumVertices()
-	ldd, err := LDD(ctx, g, beta, seed, opts)
-	rounds := ldd.Rounds
-	if err != nil {
-		return &CCResult{Rounds: rounds}, err
-	}
-	fail := func(err error) (*CCResult, error) {
-		return &CCResult{Rounds: rounds}, roundErr("cc-ldd", rounds, err)
-	}
-
-	// Collect crossing edges between cluster IDs, relabeled densely.
-	clusterIDs, err := parallel.PackIndex[uint32](ctx, n, func(i int) bool {
-		return ldd.Cluster[i] == uint32(i)
-	})
-	if err != nil {
-		return fail(err)
-	}
-	dense := make([]uint32, n)
-	for rank, c := range clusterIDs {
-		dense[c] = uint32(rank)
-	}
-	var crossing []graph.Edge
-	for v := uint32(0); int(v) < n; v++ {
-		cv := ldd.Cluster[v]
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
-			if cd := ldd.Cluster[d]; cd != cv {
-				crossing = append(crossing, graph.Edge{Src: dense[cv], Dst: dense[cd]})
-			}
-			return true
-		})
-	}
-
-	// label(v) names v's group: its cluster when the clusters are exactly
-	// the components, else its cluster's component in the contracted graph.
-	label := func(i int) uint32 { return ldd.Cluster[i] }
-	if len(crossing) > 0 && len(clusterIDs) > 1 {
-		if len(clusterIDs) == n {
-			// The decomposition did not contract anything (e.g. beta too
-			// large for this graph): recursing would not terminate, so
-			// finish with label propagation on the original graph.
-			return ConnectedComponentsCtx(ctx, g, opts)
-		}
-		cg, err := contractClusters(ctx, len(clusterIDs), crossing)
-		if err != nil {
-			return fail(err)
-		}
-		sub, err := ConnectedComponentsLDD(ctx, cg, beta, seed+1, opts)
-		rounds += sub.Rounds
-		if err != nil {
-			return &CCResult{Rounds: rounds}, err
-		}
-		label = func(i int) uint32 { return sub.Labels[dense[ldd.Cluster[i]]] }
-	}
-	labels, err := parallel.MapNew(ctx, n, label)
-	if err != nil {
-		return fail(err)
-	}
-	// Name each group by its minimum vertex ID, the canonical form.
-	if err := normalizeByGroup(ctx, labels); err != nil {
-		return fail(err)
-	}
-	components, err := parallel.CountFunc(ctx, n, func(i int) bool { return labels[i] == uint32(i) })
-	if err != nil {
-		return fail(err)
-	}
-	return &CCResult{Labels: labels, Components: components, Rounds: rounds}, nil
-}
-
-// contractClusters lays the crossing edges between k clusters out as the
-// cluster graph: sorted by (Src, Dst) in one radix sort over the combined
-// key, repeats dropped, as CSR. Every crossing undirected edge appears in
-// both directions, so the cluster graph is symmetric.
-func contractClusters(ctx context.Context, k int, crossing []graph.Edge) (*graph.Graph, error) {
-	kk := int64(k)
-	if err := parallel.RadixSortByKey(ctx, crossing, kk*kk, func(e graph.Edge) int64 {
-		return int64(e.Src)*kk + int64(e.Dst)
-	}); err != nil {
-		return nil, err
-	}
-	crossing = slices.Compact(crossing)
-	offsets := make([]int64, k+1)
-	dsts := make([]uint32, len(crossing))
-	for i, e := range crossing {
-		offsets[e.Src+1]++
-		dsts[i] = e.Dst
-	}
-	for c := 0; c < k; c++ {
-		offsets[c+1] += offsets[c]
-	}
-	return graph.FromCSR(offsets, dsts, nil, true)
-}
-
-// normalizeByGroup rewrites arbitrary group IDs to the minimum member
-// vertex ID per group.
-func normalizeByGroup(ctx context.Context, labels []uint32) error {
-	minOf := make(map[uint32]uint32, 64)
-	for v, l := range labels {
-		if m, ok := minOf[l]; !ok || uint32(v) < m {
-			minOf[l] = uint32(v)
-		}
-	}
-	return parallel.For(ctx, len(labels), func(i int) { labels[i] = minOf[labels[i]] })
 }

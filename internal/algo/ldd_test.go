@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"ligra/internal/core"
-	"ligra/internal/gen"
-	"ligra/internal/seq"
 )
 
 func TestLDDCoversAllVertices(t *testing.T) {
@@ -73,37 +71,5 @@ func TestLDDBetaControlsGranularity(t *testing.T) {
 	if large.NumClusters <= small.NumClusters {
 		t.Errorf("beta=2.0 gave %d clusters, beta=0.05 gave %d — expected more clusters at larger beta",
 			large.NumClusters, small.NumClusters)
-	}
-}
-
-func TestConnectedComponentsLDDMatchesUnionFind(t *testing.T) {
-	for _, gname := range []string{"rmat", "grid3d", "path", "star", "tree", "er-sparse"} {
-		g := testGraphs(t)[gname]
-		want := seq.ConnectedComponents(g)
-		for _, beta := range []float64{0.1, 0.5, 2.0} {
-			res := must(ConnectedComponentsLDD(bg, g, beta, 7, core.Options{}))
-			for v := range want {
-				if res.Labels[v] != want[v] {
-					t.Fatalf("%s beta=%v: label[%d] = %d, want %d",
-						gname, beta, v, res.Labels[v], want[v])
-				}
-			}
-		}
-	}
-}
-
-func TestConnectedComponentsLDDDisconnected(t *testing.T) {
-	// Many small components: LDD contraction must terminate and label
-	// every island by its minimum vertex.
-	g, err := gen.ErdosRenyi(400, 120, 5) // far below connectivity threshold
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seq.ConnectedComponents(g)
-	res := must(ConnectedComponentsLDD(bg, g, 0.2, 2, core.Options{}))
-	for v := range want {
-		if res.Labels[v] != want[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, res.Labels[v], want[v])
-		}
 	}
 }

@@ -35,8 +35,6 @@ type Params struct {
 	// K is the sample budget for multi-source estimators (bc-approx,
 	// eccentricity); 0 selects the per-algorithm default.
 	K int `json:"k,omitempty"`
-	// Delta is the delta-stepping bucket width; 0 lets the algorithm pick.
-	Delta int64 `json:"delta,omitempty"`
 	// Alpha and Eps parameterize local clustering; 0 selects the defaults
 	// (0.15 and 1e-6).
 	Alpha float64 `json:"alpha,omitempty"`
@@ -106,8 +104,8 @@ func (p Params) Canonical() string {
 		}
 		lms.WriteString(strconv.FormatUint(uint64(l), 10))
 	}
-	return fmt.Sprintf("source=%d seed=%d k=%d delta=%d alpha=%s eps=%s mode=%s threshold=%d target=%d landmarks=%s",
-		p.Source, p.Seed, p.K, p.Delta,
+	return fmt.Sprintf("source=%d seed=%d k=%d alpha=%s eps=%s mode=%s threshold=%d target=%d landmarks=%s",
+		p.Source, p.Seed, p.K,
 		strconv.FormatFloat(p.Alpha, 'g', -1, 64),
 		strconv.FormatFloat(p.Eps, 'g', -1, 64),
 		mode, p.Threshold, p.Target, lms.String())
@@ -331,21 +329,6 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "delta-stepping", NeedsSource: true, NeedsWeights: true,
-		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			res, err := DeltaSteppingCtx(ctx, g, p.Source, p.Delta, p.EdgeMapOptions())
-			if res == nil {
-				return RunResult{}, err
-			}
-			reached := countReached(res.Dist)
-			return RunResult{
-				Summary: fmt.Sprintf("Delta-stepping from %d: reached %d vertices over %d buckets (%d phases)",
-					p.Source, reached, res.Buckets, res.Phases),
-				Details: map[string]any{"source": p.Source, "reached": reached, "buckets": res.Buckets, "phases": res.Phases},
-			}, err
-		},
-	},
-	{
 		Name: "kcore",
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := KCoreCtx(ctx, g, p.EdgeMapOptions())
@@ -394,16 +377,6 @@ var runners = []Runner{
 			return RunResult{
 				Summary: fmt.Sprintf("Matching: %d edges in %d rounds", res.Size, res.Rounds),
 				Details: map[string]any{"edges": res.Size, "rounds": res.Rounds},
-			}, err
-		},
-	},
-	{
-		Name: "cc-ldd",
-		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			res, err := ConnectedComponentsLDD(ctx, g, 0.2, p.seed(7), p.EdgeMapOptions())
-			return RunResult{
-				Summary: fmt.Sprintf("Components (LDD contraction): %d components", res.Components),
-				Details: map[string]any{"components": res.Components},
 			}, err
 		},
 	},

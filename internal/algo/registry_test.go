@@ -3,7 +3,11 @@ package algo
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -84,6 +88,72 @@ func TestFindRunner(t *testing.T) {
 	}
 	if len(RunnerNames()) != len(Runners()) {
 		t.Error("RunnerNames out of sync with Runners")
+	}
+}
+
+// runnerChecks names, for every registered runner, the test of this
+// package that checks the runner's whole result, by an oracle or a
+// validator.
+var runnerChecks = map[string]string{
+	"bfs":            "TestBFSMatchesSequential",
+	"reach":          "TestBatchResultMatchesRunners",
+	"landmarks":      "TestBatchResultMatchesRunners",
+	"bc":             "TestBCMatchesBrandes",
+	"bc-approx":      "TestBCApproxExactWhenAllSources",
+	"radii":          "TestRadiiMatchesMultiBFS",
+	"components":     "TestConnectedComponentsMatchesUnionFind",
+	"pagerank":       "TestPageRankMatchesSequential",
+	"pagerank-delta": "TestPageRankDeltaApproximatesPageRank",
+	"bellman-ford":   "TestBellmanFordMatchesDijkstra",
+	"kcore":          "TestKCoreMatchesSequential",
+	"mis":            "TestMISIndependentAndMaximal",
+	"scc":            "TestSCCRandomizedAgainstTarjan",
+	"coloring":       "TestColoringProper",
+	"matching":       "TestMaximalMatchingValid",
+	"eccentricity":   "TestTwoPassEccentricityBounds",
+	"densest":        "TestDensestSubgraphMatchesBruteForce",
+	"local-cluster":  "TestLocalClusterMatchesMapReference",
+	"triangles":      "TestTriangleCountMatchesSequential",
+	"clustering":     "TestLocalClusteringCoefficients",
+}
+
+// TestEveryRunnerIsChecked keeps the registry to runners whose whole
+// result some test checks: every runner has an entry in runnerChecks, and
+// every test named there exists in this package.
+func TestEveryRunnerIsChecked(t *testing.T) {
+	paths, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Test") {
+				tests[fd.Name.Name] = true
+			}
+		}
+	}
+	if !tests["TestEveryRunnerIsChecked"] {
+		t.Fatal("did not find this test among the package's tests: the walk is broken")
+	}
+	for _, name := range RunnerNames() {
+		check, ok := runnerChecks[name]
+		switch {
+		case !ok:
+			t.Errorf("runner %q has no test checking its whole result", name)
+		case !tests[check]:
+			t.Errorf("runner %q: its check %s is not a test of this package", name, check)
+		}
+	}
+	for name := range runnerChecks {
+		if _, ok := FindRunner(name); !ok {
+			t.Errorf("runnerChecks names %q, which is not a runner", name)
+		}
 	}
 }
 

@@ -425,64 +425,6 @@ func CompressAblation(cfg Config) error {
 	return w.Flush()
 }
 
-// BucketingAblation compares delta-stepping over the Julienne bucket
-// structure against frontier Bellman-Ford, on the scale-free rMat and on
-// the weighted mesh the Julienne paper targets.
-func BucketingAblation(cfg Config) error {
-	suite := DefaultSuite(cfg.Scale)
-	in, err := FindInput(suite, "rMat")
-	if err != nil {
-		return err
-	}
-	g, err := in.Build()
-	if err != nil {
-		return err
-	}
-	wg := WeightGraph(g)
-	src := pickSource(wg)
-
-	fmt.Fprintf(cfg.Out, "Bucketing (Julienne extension) on %s (seconds, median of %d)\n", in.Name, cfg.rounds())
-	w := cfg.tab()
-	fmt.Fprintln(w, "Workload\tbaseline\tbucketed")
-	if cfg.budgetExhausted(w) {
-		return w.Flush()
-	}
-	tb1 := Measure(cfg.rounds(), func() { must(algo.BellmanFordCtx(context.Background(), wg, src, core.Options{})) })
-	tb2 := Measure(cfg.rounds(), func() {
-		if _, err := algo.DeltaSteppingCtx(context.Background(), wg, src, 0, core.Options{}); err != nil {
-			panic(err)
-		}
-	})
-	fmt.Fprintf(w, "SSSP on rMat (Bellman-Ford vs delta-stepping)\t%.4f\t%.4f\n",
-		tb1.Median.Seconds(), tb2.Median.Seconds())
-
-	if cfg.budgetExhausted(w) {
-		return w.Flush()
-	}
-	// The delta-stepping regime the Julienne paper targets: a weighted
-	// high-diameter mesh with a wide weight range, where Bellman-Ford
-	// re-relaxes wavefront vertices many times.
-	gridIn, err := FindInput(suite, "3d-grid")
-	if err != nil {
-		return err
-	}
-	grid, err := gridIn.Build()
-	if err != nil {
-		return err
-	}
-	wgrid := grid.AddWeights(graph.HashWeight(1000))
-	gsrc := pickSource(wgrid)
-	tg1 := Measure(cfg.rounds(), func() { must(algo.BellmanFordCtx(context.Background(), wgrid, gsrc, core.Options{})) })
-	tg2 := Measure(cfg.rounds(), func() {
-		if _, err := algo.DeltaSteppingCtx(context.Background(), wgrid, gsrc, 0, core.Options{}); err != nil {
-			panic(err)
-		}
-	})
-	fmt.Fprintf(w, "SSSP on 3d-grid/w1000 (Bellman-Ford vs delta-stepping)\t%.4f\t%.4f\n",
-		tg1.Median.Seconds(), tg2.Median.Seconds())
-	return w.Flush()
-}
-
 // Experiments maps experiment IDs (as used by cmd/ligra-bench and
 // DESIGN.md's per-experiment index) to their runners.
 func Experiments() map[string]func(Config) error {
@@ -494,7 +436,6 @@ func Experiments() map[string]func(Config) error {
 		"threshold":    Threshold,
 		"denseforward": DenseForward,
 		"compress":     CompressAblation,
-		"bucketing":    BucketingAblation,
 		"hotpath":      HotPath,
 		"scheduler":    Scheduler,
 		"batch":        Batch,
@@ -505,5 +446,5 @@ func Experiments() map[string]func(Config) error {
 
 // ExperimentOrder lists the IDs in presentation order.
 func ExperimentOrder() []string {
-	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "bucketing", "hotpath", "scheduler", "batch", "delta", "spmv"}
+	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "hotpath", "scheduler", "batch", "delta", "spmv"}
 }

@@ -49,9 +49,8 @@ func parityParams(r algo.Runner, opts core.Options) algo.Params {
 // updates of the same round, so rounds-to-convergence varies run to run
 // while the converged answer does not. Parity compares the answer.
 var nondetDetails = map[string][]string{
-	"components":     {"rounds"},
-	"bellman-ford":   {"rounds"},
-	"delta-stepping": {"phases"},
+	"components":   {"rounds"},
+	"bellman-ford": {"rounds"},
 }
 
 // closeDetails compares two RunResult.Details maps: floats with relative
