@@ -31,6 +31,7 @@ import (
 
 	"ligra"
 	"ligra/internal/algo"
+	"ligra/internal/gen"
 )
 
 func main() {
@@ -229,19 +230,8 @@ func loadOrGenerate(path string, symmetric, mmap bool, family string, scale int,
 		return ligra.Load(path, ligra.LoadOptions{Symmetric: symmetric, MMap: mmap})
 	case mmap:
 		return nil, errors.New("-mmap requires a -graph file in the compressed (LIGRAGC1) format")
-	case family == "rmat":
-		return ligra.RMAT(scale, 16, ligra.PBBSRMAT, seed)
-	case family == "twitter-sim":
-		return ligra.RMAT(scale, 15, ligra.Graph500RMAT, seed)
-	case family == "grid3d":
-		side := 1
-		for side*side*side < 1<<scale {
-			side++
-		}
-		return ligra.Grid3D(side)
-	case family == "randlocal":
-		n := 1 << scale
-		return ligra.RandomLocal(n, 10, n/16, seed)
+	case family != "":
+		return gen.Family(family, scale, seed)
 	default:
 		return nil, fmt.Errorf("provide -graph FILE or -gen FAMILY")
 	}

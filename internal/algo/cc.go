@@ -46,30 +46,53 @@ type CCResult struct {
 func ConnectedComponentsCtx(ctx context.Context, g graph.View, opts core.Options) (*CCResult, error) {
 	n := g.NumVertices()
 	ids := make([]uint32, n)
-	prev := make([]uint32, n)
 	rounds := 0
-	finish := func(err error) (*CCResult, error) {
-		// A label l names a component iff its own label is itself.
-		components, cerr := parallel.CountFunc(ctx, n, func(i int) bool { return ids[i] == uint32(i) })
-		return &CCResult{Labels: ids, Components: components, Rounds: rounds},
-			roundErr("components", rounds, cmp.Or(err, cerr))
-	}
-	if err := parallel.Iota(ctx, ids, 0); err != nil {
+	err := parallel.Iota(ctx, ids, 0)
+	if err != nil {
 		for i := range ids {
 			ids[i] = uint32(i) // the initial labeling, as fill would leave it
 		}
-		return finish(err)
+		err = roundErr("components", 0, err)
+	} else {
+		rounds, err = PropagateLabelsCtx(ctx, g, ids, core.NewAll(n), nil, opts)
 	}
+	// A label l names a component iff its own label is itself.
+	components, cerr := parallel.CountFunc(ctx, n, func(i int) bool { return ids[i] == uint32(i) })
+	return &CCResult{Labels: ids, Components: components, Rounds: rounds},
+		cmp.Or(err, roundErr("components", rounds, cerr))
+}
 
+// PropagateLabelsCtx is ConnectedComponentsCtx's loop, started from the
+// given labels and frontier: each round the frontier's labels propagate
+// to its neighbours by writeMin, and a vertex joins the next frontier the
+// first time its label shrinks in that round. It stops when a round
+// changes nothing and reports how many rounds it ran. The labels are
+// updated in place; on interruption they are those the completed writes
+// left, and the error is a *RoundError.
+//
+// within, when non-nil, is the edgeMap Cond: only vertices it accepts
+// receive labels. It confines push rounds alone — a pull round reads
+// every in-neighbour of the vertices it updates — so a caller that must
+// keep propagation inside a region forces sparse rounds (opts.Mode =
+// core.ForceSparse) and seeds only vertices of that region.
+func PropagateLabelsCtx(ctx context.Context, g graph.View, labels []uint32, seeds *core.VertexSubset, within func(uint32) bool, opts core.Options) (rounds int, err error) {
+	// prev[v] is v's label when the round began: a copy of labels at the
+	// start, so a vertex outside seeds also joins the frontier the first
+	// time its label shrinks.
+	prev := make([]uint32, len(labels))
+	if err := parallel.ForRange(ctx, len(labels), func(lo, hi int) { copy(prev[lo:hi], labels[lo:hi]) }); err != nil {
+		return 0, roundErr("components", 0, err)
+	}
 	funcs := core.EdgeFuncs{
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			sid := atomic.LoadUint32(&ids[s])
-			orig := atomic.LoadUint32(&ids[d])
-			if atomicx.WriteMinUint32(&ids[d], sid) {
+			sid := atomic.LoadUint32(&labels[s])
+			orig := atomic.LoadUint32(&labels[d])
+			if atomicx.WriteMinUint32(&labels[d], sid) {
 				return orig == prev[d]
 			}
 			return false
 		},
+		Cond: within,
 		// Pull: the row's minimum label in a register, one store. d is
 		// written only here during a dense round, so its label still equals
 		// prev[d] and "first shrink this round" is simply "shrank". The
@@ -79,34 +102,32 @@ func ConnectedComponentsCtx(ctx context.Context, g graph.View, opts core.Options
 		// edge. Labels are loaded atomically: the sources' own rows are
 		// being pulled concurrently.
 		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
-			orig := ids[d]
+			orig := labels[d]
 			best := orig
 			for _, s := range srcs {
-				best = min(best, atomic.LoadUint32(&ids[s]))
+				best = min(best, atomic.LoadUint32(&labels[s]))
 			}
 			if best == orig {
 				return false
 			}
-			atomic.StoreUint32(&ids[d], best)
+			atomic.StoreUint32(&labels[d], best)
 			return true
 		},
 	}
 
-	// Two sources can both lower ids[d] while observing orig == prev[d],
+	// Two sources can both lower labels[d] while observing orig == prev[d],
 	// so sparse rounds may emit duplicates.
 	opts.RemoveDuplicates = true
 
-	frontier := core.NewAll(n)
+	frontier := seeds
 	for !frontier.IsEmpty() {
-		if err := core.VertexMap(ctx, frontier, func(v uint32) { prev[v] = ids[v] }); err != nil {
-			return finish(err)
+		if err := core.VertexMap(ctx, frontier, func(v uint32) { prev[v] = labels[v] }); err != nil {
+			return rounds, roundErr("components", rounds, err)
 		}
-		next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
-		if err != nil {
-			return finish(err)
+		if frontier, err = core.EdgeMap(ctx, g, frontier, funcs, opts); err != nil {
+			return rounds, roundErr("components", rounds, err)
 		}
-		frontier = next
 		rounds++
 	}
-	return finish(nil)
+	return rounds, nil
 }

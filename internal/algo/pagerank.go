@@ -173,6 +173,25 @@ func outDegrees(ctx context.Context, g graph.View) ([]float64, error) {
 // (the same commit-after-edgeMap contract as PageRankCtx).
 func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, delta float64) (*PageRankResult, error) {
 	n := g.NumVertices()
+	return pageRankDelta(ctx, g, opts, delta, make([]float64, n), make([]float64, n), true)
+}
+
+// PageRankDeltaFromCtx continues PageRank-Delta from a warm state: ranks
+// are the current ranks and deltas the change each vertex has not yet
+// pushed to its out-neighbours. The first frontier is the vertices with
+// |deltas[v]| > delta·ranks[v]; from there it iterates as PageRankDeltaCtx
+// does, updating both slices in place, with the same partial-result
+// contract. An empty first frontier runs no iteration and reports Err 0.
+func PageRankDeltaFromCtx(ctx context.Context, g graph.View, opts PageRankOptions, delta float64, ranks, deltas []float64) (*PageRankResult, error) {
+	return pageRankDelta(ctx, g, opts, delta, ranks, deltas, false)
+}
+
+// pageRankDelta is PageRank-Delta's one loop. cold starts it from
+// nothing: p is all 0, every deltas[v] is set to 1/n, the first frontier
+// is every vertex, and the first iteration is the teleporting power step.
+// deltas[v] is the change in v's rank in the last iteration.
+func pageRankDelta(ctx context.Context, g graph.View, opts PageRankOptions, delta float64, p, deltas []float64, cold bool) (*PageRankResult, error) {
+	n := g.NumVertices()
 	if n == 0 {
 		return &PageRankResult{Ranks: nil}, roundErr("pagerank-delta", 0, parallel.CtxErr(ctx))
 	}
@@ -186,21 +205,12 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 		delta = 1e-2
 	}
 
-	p := make([]float64, n)
-	deltas := make([]float64, n) // change in rank in the last iteration
 	deltaDiv := make([]float64, n)
 	iters := 0
 	errL1 := math.Inf(1)
 	partial := func(err error) (*PageRankResult, error) {
 		return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1},
 			roundErr("pagerank-delta", iters, err)
-	}
-	if err := fill(ctx, deltas, 1/float64(n)); err != nil { // first round: everything moved
-		return partial(err)
-	}
-	outDeg, err := outDegrees(ctx, g)
-	if err != nil {
-		return partial(err)
 	}
 
 	nghSum := atomicx.NewFloat64Slice(n)
@@ -227,6 +237,15 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 	active := func(v uint32) bool { return math.Abs(deltas[v]) > delta*p[v] }
 	commit := detached(ctx)
 	frontier := core.NewAll(n)
+	var err error
+	if cold {
+		err = fill(ctx, deltas, 1/float64(n)) // first round: everything moved
+	} else if frontier, err = core.NewFromFunc(ctx, n, active); err == nil && frontier.IsEmpty() {
+		errL1 = 0
+	}
+	if err != nil {
+		return partial(err)
+	}
 	for !frontier.IsEmpty() {
 		if opts.MaxIterations > 0 && iters >= opts.MaxIterations {
 			break
@@ -234,9 +253,12 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
 			break
 		}
+		// Degrees are read per frontier vertex, not precomputed as
+		// PageRankCtx does: a warm start's frontiers are a fraction of the
+		// graph, and an O(n) degree pass would cost it more than it saves.
 		if err := core.VertexMap(ctx, frontier, func(v uint32) {
-			if outDeg[v] > 0 {
-				deltaDiv[v] = deltas[v] / outDeg[v]
+			if deg := g.OutDegree(v); deg > 0 {
+				deltaDiv[v] = deltas[v] / float64(deg)
 			} else {
 				deltaDiv[v] = 0
 			}
@@ -253,7 +275,7 @@ func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, d
 
 		// The commit runs to its end (see PageRankCtx).
 		var l1 float64
-		if iters == 0 {
+		if cold && iters == 0 {
 			// First round: p was implicitly 1/n everywhere, so the rank
 			// after one power step is damping*nghSum + (1-damping)/n and
 			// the *delta* is that value minus the initial 1/n (Ligra's

@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"context"
 	"testing"
 
+	"ligra/internal/delta"
 	"ligra/internal/gen"
 )
 
@@ -65,7 +67,7 @@ func BenchmarkDecompress(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(); err != nil {
+		if _, err := delta.Materialize(context.Background(), c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,7 +42,6 @@ package compress
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -292,40 +291,6 @@ func (c *CompressedGraph) SizeBytes() int64 {
 	meta := int64(len(c.outOffsets))*8 + int64(len(c.outDeg))*4 +
 		int64(len(c.inOffsets))*8 + int64(len(c.inDeg))*4
 	return meta + int64(len(c.outData)) + int64(len(c.inData))
-}
-
-// Decompress reconstructs a CSR graph from the compressed form, used for
-// round-trip verification.
-func (c *CompressedGraph) Decompress() (*graph.Graph, error) {
-	offsets := make([]int64, c.n+1)
-	var acc int64
-	for v := 0; v < c.n; v++ {
-		offsets[v] = acc
-		acc += int64(c.outDeg[v])
-	}
-	offsets[c.n] = acc
-	if acc != c.m {
-		return nil, errors.New("compress: degree sum does not match edge count")
-	}
-	edges := make([]uint32, c.m)
-	var weights []int32
-	if c.weighted {
-		weights = make([]int32, c.m)
-	}
-	if err := parallel.For(context.Background(), c.n, func(i int) {
-		k := offsets[i]
-		c.OutNeighbors(uint32(i), func(d uint32, w int32) bool {
-			edges[k] = d
-			if weights != nil {
-				weights[k] = w
-			}
-			k++
-			return true
-		})
-	}); err != nil {
-		return nil, err
-	}
-	return graph.FromCSR(offsets, edges, weights, c.symmetric)
 }
 
 // appendUvarint appends x in LEB128.

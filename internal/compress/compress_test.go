@@ -1,12 +1,14 @@
 package compress
 
 import (
+	"context"
 	"os"
 	"testing"
 	"testing/quick"
 
 	"ligra/internal/algo"
 	"ligra/internal/core"
+	"ligra/internal/delta"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -92,7 +94,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 		if c.NumVertices() != g.NumVertices() || c.NumEdges() != g.NumEdges() {
 			t.Fatalf("%s: sizes differ", name)
 		}
-		back, err := c.Decompress()
+		back, err := delta.Materialize(context.Background(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

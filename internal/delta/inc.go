@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"ligra/internal/algo"
-	"ligra/internal/atomicx"
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -47,45 +44,13 @@ func netOps(ops []EdgeOp) (ins, del []EdgeOp) {
 	return ins, del
 }
 
-// maskedView restricts a view to the vertices marked in `in`: edges with
-// either endpoint outside the set vanish. Degree methods are left
-// unmasked (they only steer edgeMap's direction heuristics, where an
-// overestimate is harmless).
-type maskedView struct {
-	graph.View
-	in []bool
-}
-
-func (mv maskedView) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
-	if !mv.in[v] {
-		return
-	}
-	mv.View.OutNeighbors(v, func(d uint32, w int32) bool {
-		if !mv.in[d] {
-			return true
-		}
-		return fn(d, w)
-	})
-}
-
-func (mv maskedView) InNeighbors(s uint32, fn func(d uint32, w int32) bool) {
-	if !mv.in[s] {
-		return
-	}
-	mv.View.InNeighbors(s, func(d uint32, w int32) bool {
-		if !mv.in[d] {
-			return true
-		}
-		return fn(d, w)
-	})
-}
-
 // IncrementalCC produces the connected-components labeling of g given
 // the labeling prev of an earlier version and the effective ops between
 // the two versions. It re-unions only delta-touched vertices: net
 // inserts merge component labels through a union-find over label
 // values, and net deletes re-propagate labels only inside the old
-// components they touched (a masked traversal), so work scales with the
+// components they touched (algo.PropagateLabelsCtx confined to them, in
+// push rounds), so work scales with the
 // affected components, not |V|+|E| — and when those components hold more
 // than |E|/DefaultThresholdDenominator vertices + edges it returns
 // errNotIncremental instead of re-propagating most of the graph. The
@@ -96,6 +61,9 @@ func (mv maskedView) InNeighbors(s uint32, fn func(d uint32, w int32) bool) {
 // their own component.
 func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeOp, opts core.Options) (*algo.CCResult, error) {
 	n := g.NumVertices()
+	if !g.Symmetric() {
+		return nil, fmt.Errorf("%w: components needs a symmetric graph", errNotIncremental)
+	}
 	if len(prev) > n {
 		return nil, fmt.Errorf("%w: previous labeling has %d vertices, view has %d", errNotIncremental, len(prev), n)
 	}
@@ -142,20 +110,20 @@ func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeO
 		var work int64
 		for v := 0; v < n; v++ {
 			if affectedLabel[labels[v]] {
-				affected = append(affected, uint32(v))
 				if work += 1 + int64(g.OutDegree(uint32(v))); work > budget {
 					return nil, fmt.Errorf("%w: deletes touch components of more than |E|/%d vertices + edges",
 						errNotIncremental, core.DefaultThresholdDenominator)
 				}
+				affected = append(affected, uint32(v))
+				labels[v] = uint32(v)
 			}
 		}
-		mask := make([]bool, n)
-		for _, v := range affected {
-			mask[v] = true
-			labels[v] = v
-		}
+		// The region is reset to self-labels and seeds the propagation;
+		// within keeps it there, which needs push rounds.
+		within := func(v uint32) bool { return int(v) < len(prev) && affectedLabel[prev[v]] }
+		opts.Mode = core.ForceSparse
 		var err error
-		rounds, err = maskedCC(ctx, g, labels, affected, mask, opts)
+		rounds, err = algo.PropagateLabelsCtx(ctx, g, labels, core.NewSparse(n, affected), within, opts)
 		if err != nil {
 			return &algo.CCResult{Labels: labels, Rounds: rounds}, err
 		}
@@ -164,6 +132,7 @@ func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeO
 	// Union phase: each net-inserted edge merges its endpoints' current
 	// labels; min-label union keeps the "minimum vertex in component"
 	// invariant, because min(min(A), min(B)) is the minimum of A∪B.
+	var err error
 	if len(ins) > 0 {
 		parent := make(map[uint32]uint32)
 		var find func(x uint32) uint32
@@ -194,57 +163,22 @@ func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeO
 			for k := range parent {
 				resolved[k] = find(k)
 			}
-			if err := parallel.For(ctx, n, func(i int) {
+			err = parallel.For(ctx, n, func(i int) {
 				if r, ok := resolved[labels[i]]; ok {
 					labels[i] = r
 				}
-			}); err != nil {
-				return &algo.CCResult{Labels: labels, Rounds: rounds}, err
-			}
+			})
 		}
 	}
 
-	components, err := parallel.CountFunc(ctx, n, func(i int) bool { return labels[i] == uint32(i) })
+	components := 0
+	if err == nil {
+		components, err = parallel.CountFunc(ctx, n, func(i int) bool { return labels[i] == uint32(i) })
+	}
+	if err != nil {
+		err = &algo.RoundError{Algo: "components", Round: rounds, Err: err}
+	}
 	return &algo.CCResult{Labels: labels, Components: components, Rounds: rounds}, err
-}
-
-// maskedCC runs min-label propagation over the subgraph induced by the
-// masked vertex set, starting from self-labels. Sparse (push) rounds
-// only, so cost scales with the masked subgraph, never with |V|.
-func maskedCC(ctx context.Context, g graph.View, labels []uint32, affected []uint32, mask []bool, opts core.Options) (int, error) {
-	n := g.NumVertices()
-	mv := maskedView{View: g, in: mask}
-	prev := make([]uint32, n)
-	copy(prev, labels)
-
-	update := func(s, d uint32, _ int32) bool {
-		sid := atomic.LoadUint32(&labels[s])
-		orig := atomic.LoadUint32(&labels[d])
-		if atomicx.WriteMinUint32(&labels[d], sid) {
-			return orig == prev[d]
-		}
-		return false
-	}
-	funcs := core.EdgeFuncs{Update: update, UpdateAtomic: update}
-	opts.Mode = core.ForceSparse
-	opts.RemoveDuplicates = true
-
-	ids := make([]uint32, len(affected))
-	copy(ids, affected)
-	frontier := core.NewSparse(n, ids)
-	rounds := 0
-	for !frontier.IsEmpty() {
-		if err := core.VertexMap(ctx, frontier, func(v uint32) { prev[v] = labels[v] }); err != nil {
-			return rounds, err
-		}
-		next, err := core.EdgeMap(ctx, mv, frontier, funcs, opts)
-		if err != nil {
-			return rounds, err
-		}
-		frontier = next
-		rounds++
-	}
-	return rounds, nil
 }
 
 // IncrementalPageRank refreshes a PageRank-Delta result after a delta
@@ -253,8 +187,8 @@ func maskedCC(ctx context.Context, g graph.View, labels []uint32, affected []uin
 // the exact contribution changes at the dirtied vertices — a dirty
 // source u used to send prev[u]/deg_old(u) along each old out-edge and
 // now sends prev[u]/deg_new(u) along each new one; the per-destination
-// differences are the initial residual. Convergence then proceeds
-// exactly as algo.PageRankDeltaCtx (same fixpoint, no dangling-mass
+// differences are the initial residual. algo.PageRankDeltaFromCtx then
+// runs PageRankDeltaCtx's loop from there (same fixpoint, no dangling-mass
 // term), so the refreshed ranks agree with a full recompute to within
 // the combined stopping tolerances. The op list must not grow the graph
 // (callers fall back to a full run when |V| changes).
@@ -263,17 +197,9 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 	if n != len(prevRanks) {
 		return nil, fmt.Errorf("%w: vertex count changed (%d -> %d)", errNotIncremental, len(prevRanks), n)
 	}
-	if n == 0 {
-		return &algo.PageRankResult{}, nil
-	}
-	if opts.Damping <= 0 || opts.Damping >= 1 {
-		opts.Damping = 0.85
-	}
-	if opts.MaxIterations <= 0 && opts.Epsilon <= 0 {
-		opts.MaxIterations = 100
-	}
-	if delta <= 0 {
-		delta = 1e-2
+	damping := opts.Damping
+	if damping <= 0 || damping >= 1 {
+		damping = 0.85 // PageRankDeltaFromCtx's default, which the seed must share
 	}
 
 	ins, del := netOps(ops)
@@ -298,10 +224,7 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 		dirty[u] = struct{}{}
 	}
 
-	p := make([]float64, n)
-	copy(p, prevRanks)
 	deltas := make([]float64, n)
-
 	for u := range dirty {
 		degNew := g.OutDegree(u)
 		insSet := insBySrc[u]
@@ -316,116 +239,33 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 		}
 		g.OutNeighbors(u, func(d uint32, _ int32) bool {
 			if insSet[d] {
-				deltas[d] += opts.Damping * cNew
+				deltas[d] += damping * cNew
 			} else {
-				deltas[d] += opts.Damping * (cNew - cOld)
+				deltas[d] += damping * (cNew - cOld)
 			}
 			return true
 		})
 		for _, d := range dels {
-			deltas[d] -= opts.Damping * cOld
+			deltas[d] -= damping * cOld
 		}
 	}
 
-	errL1 := 0.0
-	for i := 0; i < n; i++ {
-		if deltas[i] != 0 {
-			p[i] += deltas[i]
-			errL1 += math.Abs(deltas[i])
-		}
+	ranks := make([]float64, n)
+	for i, d := range deltas {
+		ranks[i] = prevRanks[i] + d
 	}
-
-	// From here the loop is PageRankDeltaCtx's steady-state iteration:
-	// frontier members push deltas[v]/deg(v), destinations fold the
-	// damped sum into their rank, and a vertex stays active while its
-	// rank moved by more than delta*p[v].
-	deltaDiv := make([]float64, n)
-	nghSum := atomicx.NewFloat64Slice(n)
-	funcs := core.EdgeFuncs{
-		Update: func(s, d uint32, _ int32) bool {
-			nghSum.AddNonAtomic(int(d), deltaDiv[s])
-			return true
-		},
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			nghSum.Add(int(d), deltaDiv[s])
-			return true
-		},
-	}
-	emOpts := opts.EdgeMap
-	emOpts.NoOutput = true
-
-	active := func(v uint32) bool { return math.Abs(deltas[v]) > delta*p[v] }
-	iters := 0
-	partial := func(err error) (*algo.PageRankResult, error) {
-		return &algo.PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, err
-	}
-	frontier, err := core.NewFromFunc(ctx, n, active)
-	if err != nil {
-		return partial(err)
-	}
-	for !frontier.IsEmpty() {
-		if opts.MaxIterations > 0 && iters >= opts.MaxIterations {
-			break
-		}
-		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
-			break
-		}
-		if err := parallel.CtxErr(ctx); err != nil {
-			return partial(err)
-		}
-		if err := core.VertexMap(ctx, frontier, func(v uint32) {
-			if deg := g.OutDegree(v); deg > 0 {
-				deltaDiv[v] = deltas[v] / float64(deg)
-			} else {
-				deltaDiv[v] = 0
-			}
-		}); err != nil {
-			return partial(err)
-		}
-		if err := parallel.For(ctx, n, func(i int) { nghSum.StoreNonAtomic(i, 0) }); err != nil {
-			return partial(err)
-		}
-		if _, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts); err != nil {
-			return partial(err)
-		}
-		// The commit runs to its end under ctx's worker cap without its
-		// cancellation (as algo.PageRankDeltaCtx's does): the partial
-		// result's ranks are those of the last completed iteration.
-		if errL1, err = parallel.SumFunc(context.WithoutCancel(ctx), n, func(i int) float64 {
-			change := opts.Damping * nghSum.LoadNonAtomic(i)
-			deltas[i] = change
-			p[i] += change
-			return math.Abs(change)
-		}); err != nil {
-			return partial(err)
-		}
-		if frontier, err = core.NewFromFunc(ctx, n, active); err != nil {
-			return partial(err)
-		}
-		iters++
-	}
-	return &algo.PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, nil
+	return algo.PageRankDeltaFromCtx(ctx, g, opts, delta, ranks, deltas)
 }
 
-// ccTracker memoizes the last connected-components labeling so the next
-// refresh can replay the delta log instead of recomputing.
-type ccTracker struct {
-	mu         sync.Mutex
-	valid      bool
-	version    uint64
-	labels     []uint32
-	components int
-}
-
-// prTracker memoizes the last PageRank-Delta ranks, fingerprinted by
-// the parameters they were computed with.
-type prTracker struct {
-	mu          sync.Mutex
-	valid       bool
-	version     uint64
-	fingerprint string
-	ranks       []float64
-	errL1       float64
+// tracker memoizes one refresher's last result, with the parameters it
+// was computed under, so the next refresh can replay the delta log
+// instead of recomputing.
+type tracker[R any] struct {
+	mu      sync.Mutex
+	valid   bool
+	version uint64
+	key     string
+	last    R
 }
 
 func (s *Store) countRefresh(incremental bool) {
@@ -438,84 +278,72 @@ func (s *Store) countRefresh(incremental bool) {
 	s.mu.Unlock()
 }
 
-// RefreshCC returns the connected-components result for the pinned
-// snapshot, replaying the delta log over the previous labeling when
-// possible (bit-identical to a full run; see IncrementalCC) and falling
-// back to algo.ConnectedComponentsCtx otherwise. The boolean reports
-// whether the incremental path served the result.
-func (s *Store) RefreshCC(ctx context.Context, pin *Pin, opts core.Options) (*algo.CCResult, bool, error) {
-	t := &s.cc
+// refresh is both refreshers' memo → replay → fallback path. At the
+// tracked version it replies memo(last); past it, when the history still
+// covers the gap, it replays the ops since over last; otherwise, or when
+// replay reports errNotIncremental, it runs full. A completed result
+// advances the tracker. A cancelled replay surfaces its partial result
+// under the usual partial-result contract, without advancing it. The
+// boolean reports whether the memo or the replay served the result.
+func refresh[R any](s *Store, t *tracker[R], pin *Pin, key string, memo func(R) R,
+	replay func(prev R, ops []EdgeOp) (R, error), full func() (R, error)) (R, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v, want := pin.View(), pin.Version()
-	n := v.NumVertices()
-
-	if t.valid && t.version == want && len(t.labels) == n {
+	want := pin.Version()
+	if t.valid && t.key == key && t.version == want {
 		s.countRefresh(true)
-		return &algo.CCResult{Labels: t.labels, Components: t.components}, true, nil
+		return memo(t.last), true, nil
 	}
-	if t.valid && t.version < want && v.Symmetric() {
+	if t.valid && t.key == key && t.version < want {
 		if ops, ok := s.opsBetween(t.version, want); ok {
-			res, err := IncrementalCC(ctx, v, t.labels, ops, opts)
-			if err == nil {
-				t.version, t.labels, t.components = want, res.Labels, res.Components
-				s.countRefresh(true)
-				return res, true, nil
-			}
+			res, err := replay(t.last, ops)
 			if !errors.Is(err, errNotIncremental) {
-				// Cancellation mid-replay: surface the partial result
-				// under the usual partial-result contract, without
-				// advancing the tracker.
+				if err == nil {
+					t.version, t.last = want, res
+				}
 				s.countRefresh(true)
 				return res, true, err
 			}
 		}
 	}
-
-	res, err := algo.ConnectedComponentsCtx(ctx, v, opts)
+	res, err := full()
 	if err == nil && want >= t.version {
-		t.valid, t.version = true, want
-		t.labels, t.components = res.Labels, res.Components
+		t.valid, t.version, t.key, t.last = true, want, key, res
 	}
 	s.countRefresh(false)
 	return res, false, err
 }
 
+// RefreshCC returns the connected-components result for the pinned
+// snapshot, replaying the delta log over the previous labeling when
+// possible (bit-identical to a full run; see IncrementalCC) and falling
+// back to algo.ConnectedComponentsCtx otherwise. The boolean reports
+// whether the incremental path served the result; a memoized reply
+// reports 0 rounds.
+func (s *Store) RefreshCC(ctx context.Context, pin *Pin, opts core.Options) (*algo.CCResult, bool, error) {
+	v := pin.View()
+	return refresh(s, &s.cc, pin, "",
+		func(r *algo.CCResult) *algo.CCResult {
+			return &algo.CCResult{Labels: r.Labels, Components: r.Components}
+		},
+		func(prev *algo.CCResult, ops []EdgeOp) (*algo.CCResult, error) {
+			return IncrementalCC(ctx, v, prev.Labels, ops, opts)
+		},
+		func() (*algo.CCResult, error) { return algo.ConnectedComponentsCtx(ctx, v, opts) })
+}
+
 // RefreshPageRankDelta is RefreshCC for PageRank-Delta: warm-start plus
 // dirty-vertex reseeding when the history covers the gap and the vertex
-// count is unchanged, full PageRankDeltaCtx otherwise.
+// count is unchanged, full PageRankDeltaCtx otherwise. The memo is keyed
+// by the parameters; a memoized reply reports 0 iterations.
 func (s *Store) RefreshPageRankDelta(ctx context.Context, pin *Pin, opts algo.PageRankOptions, delta float64) (*algo.PageRankResult, bool, error) {
-	t := &s.pr
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, want := pin.View(), pin.Version()
-	n := v.NumVertices()
-	fp := fmt.Sprintf("%g/%g/%d/%g", opts.Damping, opts.Epsilon, opts.MaxIterations, delta)
-
-	if t.valid && t.fingerprint == fp && t.version == want && len(t.ranks) == n {
-		s.countRefresh(true)
-		return &algo.PageRankResult{Ranks: t.ranks, Err: t.errL1}, true, nil
-	}
-	if t.valid && t.fingerprint == fp && t.version < want && len(t.ranks) == n {
-		if ops, ok := s.opsBetween(t.version, want); ok {
-			res, err := IncrementalPageRank(ctx, v, t.ranks, ops, opts, delta)
-			if err == nil {
-				t.version, t.ranks, t.errL1 = want, res.Ranks, res.Err
-				s.countRefresh(true)
-				return res, true, nil
-			}
-			if !errors.Is(err, errNotIncremental) {
-				s.countRefresh(true)
-				return res, true, err
-			}
-		}
-	}
-
-	res, err := algo.PageRankDeltaCtx(ctx, v, opts, delta)
-	if err == nil && want >= t.version {
-		t.valid, t.version, t.fingerprint = true, want, fp
-		t.ranks, t.errL1 = res.Ranks, res.Err
-	}
-	s.countRefresh(false)
-	return res, false, err
+	v := pin.View()
+	return refresh(s, &s.pr, pin, fmt.Sprintf("%g/%g/%d/%g", opts.Damping, opts.Epsilon, opts.MaxIterations, delta),
+		func(r *algo.PageRankResult) *algo.PageRankResult {
+			return &algo.PageRankResult{Ranks: r.Ranks, Err: r.Err}
+		},
+		func(prev *algo.PageRankResult, ops []EdgeOp) (*algo.PageRankResult, error) {
+			return IncrementalPageRank(ctx, v, prev.Ranks, ops, opts, delta)
+		},
+		func() (*algo.PageRankResult, error) { return algo.PageRankDeltaCtx(ctx, v, opts, delta) })
 }

@@ -2,9 +2,11 @@ package delta
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ligra/internal/algo"
@@ -186,29 +188,6 @@ func TestIncrementalCCMatchesFull(t *testing.T) {
 					}
 				})
 			})
-		}
-	}
-}
-
-// TestFilteringViewsHaveNoRows: a wrapper that drops edges must not leak
-// its base's raw rows, or edgeMap would traverse the unfiltered graph
-// instead of the adapter graph.Rows puts over the wrapper's iterators.
-// Embedding a graph.View promotes only View's methods, so this holds by
-// construction; the test keeps it from being "fixed" by embedding a
-// graph.RowView.
-func TestFilteringViewsHaveNoRows(t *testing.T) {
-	g, err := gen.Grid3D(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, _ := apply(g, []EdgeOp{{Src: 0, Dst: 9}})
-	for name, base := range map[string]graph.View{"csr": g, "snapshot": snap} {
-		if _, ok := base.(graph.RowView); !ok {
-			t.Fatalf("%s: base view lost its rows", name)
-		}
-		var masked graph.View = maskedView{View: base, in: make([]bool, base.NumVertices())}
-		if _, ok := masked.(graph.RowView); ok {
-			t.Errorf("maskedView over %s satisfies graph.RowView", name)
 		}
 	}
 }
@@ -426,5 +405,127 @@ func TestRefreshFallsBackWhenHistoryLost(t *testing.T) {
 	}
 	if st.Stats().FullRuns < 2 {
 		t.Fatalf("FullRuns = %d, want >= 2", st.Stats().FullRuns)
+	}
+}
+
+// starsAndPath is k four-vertex stars (centre 4i, leaves 4i+1..4i+3) and
+// one path over the pathLen vertices after them, symmetric.
+func starsAndPath(t *testing.T, k, pathLen int) *graph.Graph {
+	t.Helper()
+	var edges []graph.Edge
+	for i := uint32(0); i < uint32(k); i++ {
+		for leaf := uint32(1); leaf <= 3; leaf++ {
+			edges = append(edges, graph.Edge{Src: 4 * i, Dst: 4*i + leaf})
+		}
+	}
+	for v := uint32(4 * k); v+1 < uint32(4*k+pathLen); v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: v + 1})
+	}
+	g, err := graph.FromEdges(4*k+pathLen, edges, graph.BuildOptions{Symmetrize: true, RemoveDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// cutStars deletes one leaf edge of each of starsAndPath's k stars: a
+// batch whose deletes touch only small components.
+func cutStars(k int) []EdgeOp {
+	var ops []EdgeOp
+	for i := uint32(0); i < uint32(k); i++ {
+		ops = append(ops, EdgeOp{Src: 4 * i, Dst: 4*i + 3, Del: true})
+	}
+	return ops
+}
+
+// TestInterruptedRefreshReturnsRoundError: a replay cut short by its ctx
+// returns the *algo.RoundError every other entry point returns, naming
+// the algorithm it interrupted, and leaves the tracker where it was.
+func TestInterruptedRefreshReturnsRoundError(t *testing.T) {
+	const k = 4
+	g := starsAndPath(t, k, 400)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"components", "pagerank-delta"} {
+		t.Run(name, func(t *testing.T) {
+			st := NewStore(g, Config{InitialVersion: 1, Policy: Policy{CompactEvery: -1, HistoryDepth: 16}})
+			defer st.Release()
+			refresh := func(ctx context.Context) (bool, error) {
+				pin, err := st.Acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pin.Release()
+				var incremental bool
+				if name == "components" {
+					_, incremental, err = st.RefreshCC(ctx, pin, core.Options{})
+				} else {
+					_, incremental, err = st.RefreshPageRankDelta(ctx, pin, algo.DefaultPageRankOptions(), 1e-3)
+				}
+				return incremental, err
+			}
+			if _, err := refresh(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Update(context.Background(), cutStars(k)); err != nil {
+				t.Fatal(err)
+			}
+			incremental, err := refresh(cancelled)
+			if !incremental {
+				t.Fatal("the refresh did not take the replay path")
+			}
+			var re *algo.RoundError
+			if !errors.As(err, &re) || re.Algo != name || !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted replay returned %v (%T), want a *algo.RoundError for %q", err, err, name)
+			}
+			if incremental, err := refresh(context.Background()); err != nil || !incremental {
+				t.Fatalf("refresh after the interrupted one: incremental=%v, err=%v", incremental, err)
+			}
+		})
+	}
+}
+
+// TestIncrementalCCStaysInRegion: the delete path re-propagates labels
+// only inside the components the deletes cut, even when an insert in the
+// same batch joins that region to a component whose labels it could
+// lower. Every push round's frontier then lies in the region, so the
+// rounds' frontier out-degrees sum to no more than the region's
+// |V| + |E|; propagating into the joined path would cost twice its length.
+func TestIncrementalCCStaysInRegion(t *testing.T) {
+	const k, pathLen = 4, 1000
+	ctx := context.Background()
+	g := starsAndPath(t, k, pathLen)
+	prev, err := algo.ConnectedComponentsCtx(ctx, g, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Vertex 3, cut off its star, joins the path's middle: the path's
+	// labels (4k) are larger than the region's.
+	next, eff, _ := apply(g, append(cutStars(k), EdgeOp{Src: 3, Dst: 4*k + pathLen/2}))
+	var trace core.Trace
+	inc, err := IncrementalCC(ctx, next, prev.Labels, eff, core.Options{Trace: &trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := algo.ConnectedComponentsCtx(ctx, next, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.Components != full.Components || !slices.Equal(inc.Labels, full.Labels) {
+		t.Fatalf("incremental %d components, full %d, or the labels differ", inc.Components, full.Components)
+	}
+	var region, pushed int64
+	for v := uint32(0); v < 4*k; v++ {
+		region += 1 + int64(next.OutDegree(v))
+	}
+	for _, e := range trace.Entries {
+		pushed += e.OutDegrees
+	}
+	if len(trace.Entries) == 0 {
+		t.Fatal("the deletes were not re-propagated")
+	}
+	if pushed > region {
+		t.Fatalf("frontier out-degrees sum to %d over %d rounds, more than the region's |V| + |E| = %d",
+			pushed, len(trace.Entries), region)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ligra/internal/algo"
-	"ligra/internal/delta"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
 	"ligra/internal/viewtest"
@@ -18,7 +17,7 @@ type iteratorsOnly struct{ graph.View }
 
 // TestRowsMatchIterators holds every implementer of the row contract to
 // the view's own iterators: every view of viewtest.Matrix, algo's
-// transpose and delta's mask over each, and the adapter over each, on
+// transpose over each, and the adapter over each, on
 // weighted and unweighted, directed and symmetric graphs. OutRow is the
 // iterator's row, order and weights; InRow(v, buf, k) is its first k
 // edges; and reusing one buf never alters a row returned in place earlier.
@@ -37,15 +36,10 @@ func TestRowsMatchIterators(t *testing.T) {
 		"directed-weighted":  dir.AddWeights(graph.HashWeight(100)),
 	}
 	for gname, g := range graphs {
-		mask := make([]bool, g.NumVertices())
-		for v := range mask {
-			mask[v] = v%3 != 0
-		}
 		for vname, v := range viewtest.Matrix(t, g, viewtest.NetZero(g)...) {
 			for wname, w := range map[string]graph.View{
 				"":           v,
 				"/transpose": algo.TransposeView(v),
-				"/masked":    delta.MaskedView(v, mask),
 				"/adapter":   iteratorsOnly{v},
 			} {
 				checkRows(t, gname+"/"+vname+wname, w)

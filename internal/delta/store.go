@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"ligra/internal/algo"
 	"ligra/internal/graph"
 )
 
@@ -196,8 +197,8 @@ type Store struct {
 	// writer.
 	applyMu sync.Mutex
 
-	cc ccTracker
-	pr prTracker
+	cc tracker[*algo.CCResult]
+	pr tracker[*algo.PageRankResult]
 }
 
 // viewCloser pairs a view with its optional Close.

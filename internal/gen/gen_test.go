@@ -2,6 +2,7 @@ package gen
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"ligra/internal/graph"
@@ -327,5 +328,27 @@ func TestWattsStrogatz(t *testing.T) {
 	}
 	if _, err := WattsStrogatz(10, 2, 1.5, 1); err == nil {
 		t.Error("p > 1 accepted")
+	}
+}
+
+// TestFamily: "rmat" is RMAT at edge factor 16 with the PBBS
+// probabilities, edge for edge — the graph the benchmark builds for its
+// apps-rmat workload — and an unknown name is an error naming the families.
+func TestFamily(t *testing.T) {
+	for _, seed := range []uint64{0, 7} {
+		got, err := Family("rmat", 10, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RMAT(10, 16, PBBSRMAT, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumVertices() != want.NumVertices() || !graphIdentical(got, want) {
+			t.Errorf("seed %d: Family(\"rmat\") differs from RMAT(10, 16, PBBSRMAT)", seed)
+		}
+	}
+	if _, err := Family("rmat16", 10, 0); err == nil || !strings.Contains(err.Error(), familyNames) {
+		t.Errorf("unknown family: err = %v, want one listing %q", err, familyNames)
 	}
 }

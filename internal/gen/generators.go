@@ -284,3 +284,30 @@ func BinaryTree(n int) (*graph.Graph, error) {
 	}
 	return graph.FromEdges(n, edges, graph.BuildOptions{Symmetrize: true})
 }
+
+// familyNames lists the families Family generates.
+const familyNames = "rmat | grid3d | randlocal | twitter-sim"
+
+// Family generates a named family at 2^scale vertices with the parameters
+// ligra-run and ligra-serve share: rmat is edge factor 16 with the PBBS
+// probabilities, twitter-sim edge factor 15 with Graph500's, randlocal
+// degree 10 within a window of n/16, and grid3d the smallest cube of at
+// least 2^scale vertices (it ignores seed).
+func Family(name string, scale int, seed uint64) (*graph.Graph, error) {
+	switch name {
+	case "rmat":
+		return RMAT(scale, 16, PBBSRMAT, seed)
+	case "twitter-sim":
+		return RMAT(scale, 15, Graph500RMAT, seed)
+	case "grid3d":
+		side := 1
+		for side*side*side < 1<<scale {
+			side++
+		}
+		return Grid3D(side)
+	case "randlocal":
+		n := 1 << scale
+		return RandomLocal(n, 10, n/16, seed)
+	}
+	return nil, fmt.Errorf("unknown generator %q (have %s)", name, familyNames)
+}

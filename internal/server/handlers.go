@@ -232,29 +232,9 @@ func (lr loadRequest) plan() (string, func() (graph.View, error), error) {
 		build = func() (graph.View, error) {
 			return ligra.Load(lr.Path, ligra.LoadOptions{Symmetric: lr.Symmetric, MMap: lr.Mmap})
 		}
-	case lr.Gen == "rmat":
-		source = fmt.Sprintf("gen:rmat scale=%d seed=%d", scale, lr.Seed)
-		build = func() (graph.View, error) { return gen.RMAT(scale, 16, gen.PBBSRMAT, lr.Seed) }
-	case lr.Gen == "twitter-sim":
-		source = fmt.Sprintf("gen:twitter-sim scale=%d seed=%d", scale, lr.Seed)
-		build = func() (graph.View, error) { return gen.RMAT(scale, 15, gen.Graph500RMAT, lr.Seed) }
-	case lr.Gen == "grid3d":
-		source = fmt.Sprintf("gen:grid3d scale=%d", scale)
-		build = func() (graph.View, error) {
-			side := 1
-			for side*side*side < 1<<scale {
-				side++
-			}
-			return gen.Grid3D(side)
-		}
-	case lr.Gen == "randlocal":
-		source = fmt.Sprintf("gen:randlocal scale=%d seed=%d", scale, lr.Seed)
-		build = func() (graph.View, error) {
-			n := 1 << scale
-			return gen.RandomLocal(n, 10, n/16, lr.Seed)
-		}
 	case lr.Gen != "":
-		return "", nil, fmt.Errorf("unknown generator %q (have rmat | grid3d | randlocal | twitter-sim)", lr.Gen)
+		source = fmt.Sprintf("gen:%s scale=%d seed=%d", lr.Gen, scale, lr.Seed)
+		build = func() (graph.View, error) { return gen.Family(lr.Gen, scale, lr.Seed) }
 	default:
 		return "", nil, errors.New(`provide "path" or "gen"`)
 	}
@@ -505,17 +485,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, q *query, run fun
 	}()
 	s.metrics.Admitted.Add(1)
 
-	// Parenting on baseCtx, not the request's context, is what lets drain
-	// cancel every query; AfterFunc carries a client hang-up across.
+	// Parenting on the request's context cancels the query synchronously
+	// when its client hangs up; AfterFunc carries drain's cancellation of
+	// baseCtx across, a goroutine hop later.
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if q.timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, q.timeout)
+		ctx, cancel = context.WithTimeout(r.Context(), q.timeout)
 	} else {
-		ctx, cancel = context.WithCancel(s.baseCtx)
+		ctx, cancel = context.WithCancel(r.Context())
 	}
 	defer cancel()
-	defer context.AfterFunc(r.Context(), cancel)()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 	// Watchdog: register the deadline so a query the cancellation layer
 	// fails to stop is detected, stack-dumped, and counted.
 	deadline, _ := ctx.Deadline()

@@ -150,8 +150,9 @@ type Server struct {
 	watchdog *resilience.Watchdog
 	draining atomic.Bool
 
-	// baseCtx is the parent of every query context; CancelInflight
-	// cancels it, stopping cancellable algorithms within one chunk.
+	// baseCtx reaches every query context (through context.AfterFunc;
+	// each is parented on its request); CancelInflight cancels it,
+	// stopping cancellable algorithms within one chunk.
 	baseCtx        context.Context
 	cancelInflight context.CancelFunc
 
