@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"ligra/internal/core"
@@ -304,6 +305,31 @@ func TestRadiiMatchesMultiBFS(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRadiiAllocsPerVertex pins what one radii sweep allocates on a
+// high-diameter graph whose 48 rounds are mostly dense: the visit words,
+// the level array and a bitset per round. A dense round that packed its
+// output frontier into an ID array to fold it would add 4 bytes per
+// frontier vertex per round; the sweep that did so allocated 160 bytes
+// per vertex here.
+func TestRadiiAllocsPerVertex(t *testing.T) {
+	g, err := gen.Grid3D(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := DefaultRadiiOptions()
+	must(RadiiCtx(ctx, g, opts)) // warm-up: pools and worker scratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := must(RadiiCtx(ctx, g, opts))
+	runtime.ReadMemStats(&after)
+	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumVertices())
+	t.Logf("%d rounds, %.1f B/vertex", res.Rounds, perVertex)
+	if perVertex >= 64 {
+		t.Errorf("radii allocated %.1f B/vertex over %d rounds, want < 64", perVertex, res.Rounds)
 	}
 }
 

@@ -68,7 +68,10 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	fwd := core.EdgeFuncs{
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			numPaths.Add(int(d), numPaths.Load(int(s)))
-			return atomicx.CASInt32(&levels[d], -1, roundLoad(&round))
+			// A destination already claimed this round costs a load, not
+			// a locked CAS (atomicx.TestAndSetBool's test-and-test-and-set).
+			return atomic.LoadInt32(&levels[d]) == -1 &&
+				atomicx.CASInt32(&levels[d], -1, roundLoad(&round))
 		},
 		// Pull: d is unvisited (Cond), so its count starts at zero and the
 		// frontier in-neighbours' counts — settled last round, all positive

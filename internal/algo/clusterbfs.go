@@ -162,15 +162,12 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		return res, cmp.Or(err, parallel.CtxErr(ctx))
 	}
 
-	// The settled (cur) and in-flight (next) visit words live interleaved
-	// in one slice so an edge's destination touches a single cache line —
-	// the sweep is memory-bound, and splitting them across two n-word
-	// arrays measurably doubles the miss traffic. res.Visit is filled
-	// from cur by finishAggregates.
-	words := make([]visitPair, n)
-	for _, s := range sources {
-		words[s].cur = res.Visit[s]
-	}
+	// Settled (cur) and in-flight (next) visit words live in two arrays:
+	// a pull round gathers only settled words, so they pack eight to a
+	// cache line (DESIGN §9.3 has the measurement). cur is res.Visit
+	// itself, so the settled words need no copy at the end.
+	cur := res.Visit
+	next := make([]uint64, n)
 	// The initial frontier: the distinct source vertices.
 	roots := make([]uint32, 0, k)
 	for _, s := range sources {
@@ -191,17 +188,16 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 	funcs := core.EdgeFuncs{
 		// Push: OR s's settled bits into d's in-flight word.
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			sBits := atomic.LoadUint64(&words[s].cur) // read-only during a round
-			p := &words[d]
-			dBits := p.cur // likewise read-only
+			sBits := atomic.LoadUint64(&cur[s]) // read-only during a round
+			dBits := cur[d]                     // likewise read-only
 			// Skip the locked OR when every bit s carries is already at d
 			// or en route there this round — on scale-free graphs most
 			// in-edges of a hub arrive after the first few have delivered
 			// the union.
-			if sBits&^(dBits|atomic.LoadUint64(&p.next)) == 0 {
+			if sBits&^(dBits|atomic.LoadUint64(&next[d])) == 0 {
 				return false
 			}
-			atomicx.OrUint64(&p.next, sBits|dBits)
+			atomicx.OrUint64(&next[d], sBits|dBits)
 			// Join the output frontier once per round.
 			return claimRound(&res.MaxLevel[d], roundLoad(&round))
 		},
@@ -214,21 +210,20 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		// nothing, and an unconditional load is cheaper than an
 		// unpredictable branch per edge.
 		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
-			p := &words[d]
-			have := p.cur
+			have := cur[d]
 			if have == full {
 				return false
 			}
 			acc := have
 			for _, s := range srcs {
-				if acc |= words[s].cur; acc == full {
+				if acc |= cur[s]; acc == full {
 					break
 				}
 			}
 			if acc == have {
 				return false
 			}
-			p.next = acc
+			next[d] = acc
 			res.MaxLevel[d] = roundLoad(&round)
 			return true
 		},
@@ -251,53 +246,84 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 	// partial-result contract allows.
 	fail := func(err error) (*ClusterBFSResult, error) {
 		res.Rounds = iters
-		_ = finishAggregates(ctx, res, words)
+		_ = finishAggregates(ctx, res)
 		return res, err
 	}
 	for !frontier.IsEmpty() {
 		atomic.AddInt32(&round, 1)
-		next, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts)
+		out, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts)
 		if err != nil {
 			return fail(err)
 		}
-		frontier = next
-		// Fold the round's new bits into the visit words (single writer
-		// per frontier vertex), recording levels where asked.
-		ids, err := frontier.ToSparse(ctx)
-		if err != nil {
-			return fail(err)
-		}
+		frontier = out
+		// Fold the round's new bits into the settled words, recording
+		// levels where asked. Each frontier vertex has one writer, and
+		// edgeMap's return orders the round's writes before these plain
+		// loads, as this loop's return orders its stores before the next
+		// round. A dense frontier is folded from its bitset words, so no
+		// dense round builds an ID array.
 		r := roundLoad(&round)
 		for w := range active {
 			active[w] = 0
 		}
-		err = parallel.ForWorkerChunks(ctx, len(ids), 0, func(worker, _, lo, hi int) {
-			var mask uint64
-			for j := lo; j < hi; j++ {
-				v := ids[j]
-				p := &words[v]
-				nv := atomic.LoadUint64(&p.next)
-				ov := atomic.LoadUint64(&p.cur)
-				newBits := nv &^ ov
-				atomic.StoreUint64(&p.cur, nv)
-				mask |= newBits
+		var record func(v uint32, newBits uint64) // Radii records no levels
+		if res.Levels != nil || len(res.Probes) > 0 {
+			record = func(v uint32, newBits uint64) {
 				if res.Levels != nil {
 					for b := newBits; b != 0; b &= b - 1 {
 						res.Levels[bits.TrailingZeros64(b)*n+int(v)] = r
 					}
 				}
-				if len(res.Probes) > 0 { // Radii asks for none: no map probe per frontier vertex
-					if pj, ok := res.probeIndex[v]; ok {
-						row := res.ProbeLevels[pj]
-						for b := newBits; b != 0; b &= b - 1 {
-							row[bits.TrailingZeros64(b)] = r
-						}
+				if pj, ok := res.probeIndex[v]; ok {
+					row := res.ProbeLevels[pj]
+					for b := newBits; b != 0; b &= b - 1 {
+						row[bits.TrailingZeros64(b)] = r
 					}
 				}
 			}
-			active[worker] |= mask
-		})
-		if err != nil {
+		}
+		var span int
+		var fold func(worker, c, lo, hi int)
+		if frontier.HasDense() {
+			fd, err := frontier.ToDense(ctx) // cached: converts nothing
+			if err != nil {
+				return fail(err)
+			}
+			fw := fd.Words()
+			span = len(fw)
+			fold = func(worker, _, lo, hi int) {
+				var mask uint64
+				for wi := lo; wi < hi; wi++ {
+					for w := fw[wi]; w != 0; w &= w - 1 {
+						v := uint32(wi*64 + bits.TrailingZeros64(w))
+						newBits := settleWord(cur, next, v)
+						mask |= newBits
+						if record != nil {
+							record(v, newBits)
+						}
+					}
+				}
+				active[worker] |= mask
+			}
+		} else {
+			ids, err := frontier.ToSparse(ctx)
+			if err != nil {
+				return fail(err)
+			}
+			span = len(ids)
+			fold = func(worker, _, lo, hi int) {
+				var mask uint64
+				for _, v := range ids[lo:hi] {
+					newBits := settleWord(cur, next, v)
+					mask |= newBits
+					if record != nil {
+						record(v, newBits)
+					}
+				}
+				active[worker] |= mask
+			}
+		}
+		if err := parallel.ForWorkerChunks(ctx, span, 0, fold); err != nil {
 			return fail(err)
 		}
 		var roundMask uint64
@@ -312,18 +338,23 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 	// The final iteration found no new vertices, so the largest level
 	// assigned is iters-1 (radii's historical Rounds convention).
 	res.Rounds = iters - 1
-	return res, finishAggregates(ctx, res, words)
+	return res, finishAggregates(ctx, res)
 }
 
-// visitPair interleaves a vertex's settled and in-flight visit words so
-// both land on the same cache line (see clusterSweep).
-type visitPair struct{ cur, next uint64 }
+// settleWord moves v's in-flight visit word into its settled one and
+// returns the bits v gained.
+func settleWord(cur, next []uint64, v uint32) uint64 {
+	nv := next[v]
+	newBits := nv &^ cur[v]
+	cur[v] = nv
+	return newBits
+}
 
-// finishAggregates publishes the settled visit words into res.Visit and
-// computes the per-source reach counts from them (Depth is maintained
-// round by round). Safe on partial sweeps; a cancelled aggregation
-// leaves counts short, which the partial-result contract allows.
-func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitPair) error {
+// finishAggregates computes the per-source reach counts from the settled
+// visit words, res.Visit (Depth is maintained round by round). Safe on
+// partial sweeps; a cancelled aggregation leaves counts short, which the
+// partial-result contract allows.
+func finishAggregates(ctx context.Context, res *ClusterBFSResult) error {
 	if len(res.Sources) == 0 {
 		return nil
 	}
@@ -332,11 +363,9 @@ func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitP
 		_ [56]byte // keep workers off each other's cache lines
 	}
 	per := make([]counts, parallel.CtxProcs(ctx))
-	err := parallel.ForWorkerChunks(ctx, len(words), 0, func(worker, _, lo, hi int) {
+	err := parallel.ForWorkerChunks(ctx, len(res.Visit), 0, func(worker, _, lo, hi int) {
 		c := &per[worker].c
-		for v := lo; v < hi; v++ {
-			w := words[v].cur
-			res.Visit[v] = w
+		for _, w := range res.Visit[lo:hi] {
 			for b := w; b != 0; b &= b - 1 {
 				c[bits.TrailingZeros64(b)]++
 			}

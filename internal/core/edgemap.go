@@ -535,18 +535,18 @@ func perEdgeRow(update func(s, d uint32, w int32) bool, cond func(d uint32) bool
 const denseEarlyPrefix = 4
 
 // edgeMapDense is Ligra's edgeMapDense as a row driver: for every vertex d
-// whose Cond holds it fetches d's in-row from the view's row source — in
-// place from raw CSR and an overlay's replaced rows, decoded into per-chunk
-// scratch from the compressed byte stream — and hands it to the row
-// kernel: f.PullRow, or perEdgeRow over Update/Cond when the caller set
-// none. Under DenseEarlyExit, on any view but raw CSR, it fetches and hands
-// over only the first denseEarlyPrefix edges, then the rest only if the
-// kernel found nothing there and Cond(d) still holds: by DenseEarlyExit's
-// definition, whatever a later edge would have done after a hit is
-// redundant. d is processed by
-// exactly one goroutine, so kernels need no atomics on d's state, and in
-// blocks aligned to output bitset words, so output bits are set with plain
-// stores.
+// whose Cond holds it fetches d's in-row — sliced straight out of a raw
+// CSR's transpose arrays, otherwise from the view's row source (in place
+// from an overlay's replaced rows, decoded into per-chunk scratch from the
+// compressed byte stream) — and hands it to the row kernel: f.PullRow, or
+// perEdgeRow over Update/Cond when the caller set none. Under
+// DenseEarlyExit, on any view but raw CSR, it fetches and hands over only
+// the first denseEarlyPrefix edges, then the rest only if the kernel found
+// nothing there and Cond(d) still holds: by DenseEarlyExit's definition,
+// whatever a later edge would have done after a hit is redundant. d is
+// processed by exactly one goroutine, so kernels need no atomics on d's
+// state, and in blocks aligned to output bitset words, so output bits are
+// set with plain stores.
 func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	update := f.Update
@@ -558,12 +558,20 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 	if kernel == nil {
 		kernel = perEdgeRow(update, cond, opts.DenseEarlyExit)
 	}
-	// Raw CSR gets whole rows: it has nothing to decode, and splitting them
-	// cost BenchmarkHotPathBFS 4 % (2.89 vs 2.77 ms medians, whole rows
-	// ahead in 15 of 16 alternating pairs at one worker).
+	// Raw CSR rows are sliced here, whole: a dynamic InRow call per
+	// destination measurably slows dense rounds over short weighted rows
+	// (DESIGN §5a.8), and a row with nothing to decode gains nothing from
+	// the early-exit prefix — splitting them cost BenchmarkHotPathBFS 4 %
+	// (2.89 vs 2.77 ms medians, whole rows ahead in 15 of 16 alternating
+	// pairs at one worker).
 	rows := graph.Rows(g)
 	prefix := math.MaxInt
-	if _, csr := g.(*graph.Graph); opts.DenseEarlyExit && !csr {
+	var inOffs []int64
+	var inEdges []uint32
+	var inWts []int32
+	if csr, ok := g.(*graph.Graph); ok {
+		inOffs, inEdges, inWts = csr.InOffsets(), csr.InEdges(), csr.InWeights()
+	} else if opts.DenseEarlyExit {
 		prefix = denseEarlyPrefix
 	}
 	// Full frontier (PageRank iterations, components round one): every
@@ -589,7 +597,17 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 			if cond != nil && !cond(d) {
 				continue
 			}
-			srcs, wts := rows.InRow(d, &buf, prefix)
+			var srcs []uint32
+			var wts []int32
+			if inOffs != nil {
+				lo, hi := inOffs[d], inOffs[d+1]
+				srcs = inEdges[lo:hi]
+				if inWts != nil {
+					wts = inWts[lo:hi]
+				}
+			} else {
+				srcs, wts = rows.InRow(d, &buf, prefix)
+			}
 			hit := kernel(d, srcs, wts, uw)
 			if !hit && len(srcs) == prefix && (cond == nil || cond(d)) {
 				// Nothing in the prefix: the rest of the row, if any.
