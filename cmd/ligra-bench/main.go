@@ -12,7 +12,6 @@
 //	hotpath       edgeMap hot-path timings (the BENCH_baseline.json suite)
 //	scheduler     worker-pool scheduler: small-round workloads with their
 //	              one-chunk round and dispatch counters
-//	spmv          execution-backend race: BFS on edgeMap vs the semiring kernel
 //	all           everything above, in order
 //
 // -json writes a machine-readable report; -against FILE compares the

@@ -67,7 +67,6 @@ func run(args []string, stdout io.Writer) error {
 		source    = fs.Int("source", -1, "source vertex (-1 = highest degree)")
 		weights   = fs.Int("weights", 0, "attach hash weights in [1, W] (0 = keep input weights)")
 		mode      = fs.String("mode", "auto", "edgeMap mode: auto | sparse | dense | dense-forward")
-		backend   = fs.String("backend", "edgemap", "execution backend for bfs/pagerank/triangles: edgemap | spmv | auto (auto picks per graph shape)")
 		threshold = fs.Int64("threshold", 0, "edgeMap dense-switch threshold (0 = |E|/20)")
 		rounds    = fs.Int("rounds", 1, "timed repetitions (fastest reported)")
 		trace     = fs.Bool("trace", false, "print the per-round edgeMap trace")
@@ -116,13 +115,8 @@ func run(args []string, stdout io.Writer) error {
 			c.MemoryFootprint(), c.MappedBytes())
 	}
 
-	params := algo.Params{Mode: *mode, Threshold: *threshold, Backend: *backend}
+	params := algo.Params{Mode: *mode, Threshold: *threshold}
 	if err := params.Validate(); err != nil {
-		return err
-	}
-	// Same contract as the server: an explicit -backend spmv for an
-	// algorithm without a kernel is a usage error, not a silent edgemap run.
-	if _, err := algo.ResolveBackend(runner.Name, view, params); err != nil {
 		return err
 	}
 	var tr *ligra.Trace
@@ -185,11 +179,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "partial result: %s\n", res.Summary)
 	} else {
 		fmt.Fprintln(stdout, res.Summary)
-	}
-	// Surface which backend executed when one was explicitly in play (under
-	// -backend auto this is the resolution the user asked to observe).
-	if b, ok := res.Details["backend"].(string); ok && *backend != algo.BackendEdgeMap {
-		fmt.Fprintf(stdout, "backend: %s\n", b)
 	}
 	fmt.Fprintf(stdout, "time: %v (best of %d)\n", best, done)
 	if tr != nil {

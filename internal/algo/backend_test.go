@@ -5,14 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"ligra/internal/compress"
 	"ligra/internal/gen"
 )
 
 // TestCanonicalStripsBackend is the cache-correctness regression test for
-// the Backend field: the backends are bit-identical, so the canonical
-// cache key must not distinguish them — an edgemap result must be served
-// to an spmv request and vice versa.
+// the Backend field: every backend name runs the same engine, so the
+// canonical cache key must not distinguish them — an edgemap result must
+// be served to an spmv request and vice versa.
 func TestCanonicalStripsBackend(t *testing.T) {
 	base := Params{Source: 7, Mode: "dense", Threshold: 99}
 	for _, backend := range []string{"", BackendEdgeMap, BackendSpMV, BackendAuto} {
@@ -66,65 +65,32 @@ func TestValidateBackend(t *testing.T) {
 	}
 }
 
-func TestResolveBackend(t *testing.T) {
-	g, err := gen.RMAT(8, 16, gen.PBBSRMAT, 42)
-	if err != nil {
-		t.Fatalf("rmat: %v", err)
-	}
-	c, err := compress.Compress(g)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-
-	// Explicit edgemap (or empty) always resolves, kernel or not.
-	for _, name := range []string{"bfs", "components"} {
-		for _, b := range []string{"", BackendEdgeMap} {
-			got, err := ResolveBackend(name, g, Params{Backend: b})
-			if err != nil || got != BackendEdgeMap {
-				t.Fatalf("ResolveBackend(%s, %q) = %q, %v", name, b, got, err)
+// TestBatchValidateBackend pins the per-algorithm half of the backend
+// contract: "spmv" is accepted by bfs, pagerank and triangles, which run
+// edgeMap under it, and is an error for every other algorithm; the other
+// names are accepted everywhere.
+func TestBatchValidateBackend(t *testing.T) {
+	for _, name := range RunnerNames() {
+		for _, b := range []string{"", BackendEdgeMap, BackendAuto} {
+			if err := BatchValidate(name, 10, Params{Backend: b, Landmarks: []uint32{1}}); err != nil {
+				t.Fatalf("BatchValidate(%s, %q) = %v", name, b, err)
 			}
 		}
 	}
-	// Explicit spmv: ok for kernels, an error elsewhere.
 	for _, name := range []string{"bfs", "pagerank", "triangles"} {
-		got, err := ResolveBackend(name, g, Params{Backend: BackendSpMV})
-		if err != nil || got != BackendSpMV {
-			t.Fatalf("ResolveBackend(%s, spmv) = %q, %v", name, got, err)
+		if err := BatchValidate(name, 10, Params{Backend: BackendSpMV}); err != nil {
+			t.Fatalf("BatchValidate(%s, spmv) = %v", name, err)
 		}
 	}
-	if _, err := ResolveBackend("components", g, Params{Backend: BackendSpMV}); err == nil {
-		t.Fatalf("ResolveBackend(components, spmv): want error")
-	}
-	// Unknown backend string is rejected (same contract as Validate).
-	if _, err := ResolveBackend("bfs", g, Params{Backend: "nope"}); err == nil {
-		t.Fatalf("ResolveBackend(bfs, nope): want error")
-	}
-	// Auto: non-kernel algorithms fall back to edgemap; pagerank and
-	// triangles pick spmv on CSR views and edgemap on compressed views.
-	if got, _ := ResolveBackend("components", g, Params{Backend: BackendAuto}); got != BackendEdgeMap {
-		t.Fatalf("auto components = %q, want edgemap", got)
-	}
-	for _, name := range []string{"pagerank", "triangles"} {
-		if got, _ := ResolveBackend(name, g, Params{Backend: BackendAuto}); got != BackendSpMV {
-			t.Fatalf("auto %s on heap = %q, want spmv", name, got)
-		}
-		if got, _ := ResolveBackend(name, c, Params{Backend: BackendAuto}); got != BackendEdgeMap {
-			t.Fatalf("auto %s on compressed = %q, want edgemap", name, got)
-		}
-	}
-	// Auto bfs picks spmv on any CSR view (the scale-16 race has the
-	// word-walk push winning on every suite shape) and edgemap elsewhere.
-	if got, _ := ResolveBackend("bfs", g, Params{Backend: BackendAuto}); got != BackendSpMV {
-		t.Fatalf("auto bfs on CSR = %q, want spmv", got)
-	}
-	if got, _ := ResolveBackend("bfs", c, Params{Backend: BackendAuto}); got != BackendEdgeMap {
-		t.Fatalf("auto bfs on compressed = %q, want edgemap", got)
+	err := BatchValidate("components", 10, Params{Backend: BackendSpMV})
+	if err == nil || err.Error() != `algorithm "components" has no spmv kernel (backends: bfs, pagerank, triangles)` {
+		t.Fatalf("BatchValidate(components, spmv) = %v, want the no-kernel error", err)
 	}
 }
 
-// TestRunnersCrossBackendParity runs each kernel-backed runner under both
-// backends and checks the user-visible result is identical apart from the
-// backend detail itself.
+// TestRunnersCrossBackendParity runs each runner that reports a backend
+// under every backend name and checks the whole result is identical: one
+// engine answers, and it reports itself as edgemap.
 func TestRunnersCrossBackendParity(t *testing.T) {
 	g, err := gen.RMAT(10, 8, gen.PBBSRMAT, 42)
 	if err != nil {
@@ -139,20 +105,17 @@ func TestRunnersCrossBackendParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s edgemap: %v", name, err)
 		}
-		sv, err := runner.Run(nil, g, Params{Backend: BackendSpMV})
-		if err != nil {
-			t.Fatalf("%s spmv: %v", name, err)
+		if em.Details["backend"] != BackendEdgeMap {
+			t.Fatalf("%s backend detail = %v, want edgemap", name, em.Details["backend"])
 		}
-		if em.Summary != sv.Summary {
-			t.Fatalf("%s summaries diverge:\n edgemap %q\n spmv    %q", name, em.Summary, sv.Summary)
-		}
-		if em.Details["backend"] != BackendEdgeMap || sv.Details["backend"] != BackendSpMV {
-			t.Fatalf("%s backend details = %v / %v", name, em.Details["backend"], sv.Details["backend"])
-		}
-		delete(em.Details, "backend")
-		delete(sv.Details, "backend")
-		if !reflect.DeepEqual(em.Details, sv.Details) {
-			t.Fatalf("%s details diverge:\n edgemap %v\n spmv    %v", name, em.Details, sv.Details)
+		for _, b := range []string{"", BackendSpMV, BackendAuto} {
+			got, err := runner.Run(nil, g, Params{Backend: b})
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, b, err)
+			}
+			if !reflect.DeepEqual(em, got) {
+				t.Fatalf("%s under %q diverges from edgemap:\n edgemap %v\n %-7s %v", name, b, em, b, got)
+			}
 		}
 	}
 }

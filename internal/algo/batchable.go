@@ -45,10 +45,12 @@ func BatchProbes(name string, p Params) []uint32 {
 // carried through the whole sweep, and 64 matches the source budget.
 const MaxLandmarks = 64
 
-// BatchValidate checks the algorithm-specific parameters of a batchable
-// query against a graph of n vertices. It is shared by the single-query
-// runners and the server's batch admission, so both reject with identical
-// errors.
+// BatchValidate checks the algorithm-specific parameters of a query
+// against a graph of n vertices: a batchable query's targets and
+// landmarks, and backend "spmv", which only bfs, pagerank and triangles
+// accept (all three run edgeMap under it). It is shared by the
+// single-query runners and the server's query planning, so both reject
+// with identical errors.
 func BatchValidate(name string, n int, p Params) error {
 	switch name {
 	case "reach":
@@ -68,6 +70,9 @@ func BatchValidate(name string, n int, p Params) error {
 			}
 		}
 	}
+	if p.Backend == BackendSpMV && name != "bfs" && name != "pagerank" && name != "triangles" {
+		return fmt.Errorf("algorithm %q has no spmv kernel (backends: bfs, pagerank, triangles)", name)
+	}
 	return nil
 }
 
@@ -86,12 +91,12 @@ func levelsRunner(name string) func(context.Context, graph.View, Params) (RunRes
 	}
 }
 
-// bfsRunResult is the bfs runner's report, whichever execution (edgeMap
-// BFS, spmv BFS, a shared sweep) produced the counts.
-func bfsRunResult(source uint32, visited, rounds int, backend string) RunResult {
+// bfsRunResult is the bfs runner's report, whichever execution (one BFS
+// or a shared sweep) produced the counts.
+func bfsRunResult(source uint32, visited, rounds int) RunResult {
 	return RunResult{
 		Summary: fmt.Sprintf("BFS from %d: visited %d vertices in %d rounds", source, visited, rounds),
-		Details: map[string]any{"source": source, "visited": visited, "rounds": rounds, "backend": backend},
+		Details: map[string]any{"source": source, "visited": visited, "rounds": rounds, "backend": BackendEdgeMap},
 	}
 }
 
@@ -101,8 +106,7 @@ func bfsRunResult(source uint32, visited, rounds int, backend string) RunResult 
 func BatchResult(name string, res *ClusterBFSResult, i int, p Params) RunResult {
 	switch name {
 	case "bfs":
-		// Sweeps are ClusterBFS, an edgeMap execution.
-		return bfsRunResult(p.Source, int(res.Reached[i]), int(res.Depth[i]), BackendEdgeMap)
+		return bfsRunResult(p.Source, int(res.Reached[i]), int(res.Depth[i]))
 	case "reach":
 		dist := res.LevelTo(i, p.Target)
 		if dist >= 0 {

@@ -31,10 +31,10 @@ type BCApproxResult struct {
 // their end under ctx's worker cap without its cancellation.
 func BCApproxCtx(ctx context.Context, g graph.View, k int, seed uint64, opts core.Options) (*BCApproxResult, error) {
 	n := g.NumVertices()
-	if k <= 0 || k > n {
-		k = min(n, 16)
+	if k <= 0 {
+		k = 16
 	}
-	sources := sampleVertices(n, k, seed)
+	sources := sampleVertices(n, min(k, n), seed)
 	scores := make([]float64, n)
 	done := 0
 	commit := detached(ctx)

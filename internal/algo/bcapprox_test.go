@@ -12,7 +12,8 @@ import (
 
 func TestBCApproxExactWhenAllSources(t *testing.T) {
 	// With k = n the estimator is exact (scale factor n/n = 1): compare
-	// against the sum of sequential Brandes over all sources.
+	// against the sum of sequential Brandes over all sources. A k above n
+	// clamps to n, as radii and eccentricity do.
 	g, err := gen.ErdosRenyi(60, 150, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -25,13 +26,15 @@ func TestBCApproxExactWhenAllSources(t *testing.T) {
 			want[v] += d[v]
 		}
 	}
-	res := must(BCApproxCtx(nil, g, n, 3, core.Options{}))
-	if len(res.Sources) != n {
-		t.Fatalf("%d sources, want %d", len(res.Sources), n)
-	}
-	for v := range want {
-		if math.Abs(res.Scores[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {
-			t.Fatalf("score[%d] = %v, want %v", v, res.Scores[v], want[v])
+	for _, k := range []int{n, n + 1} {
+		res := must(BCApproxCtx(nil, g, k, 3, core.Options{}))
+		if len(res.Sources) != n {
+			t.Fatalf("k=%d: %d sources, want %d", k, len(res.Sources), n)
+		}
+		for v := range want {
+			if math.Abs(res.Scores[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {
+				t.Fatalf("k=%d: score[%d] = %v, want %v", k, v, res.Scores[v], want[v])
+			}
 		}
 	}
 }
@@ -97,6 +100,20 @@ func TestLocalClusteringCoefficients(t *testing.T) {
 	for v := range want {
 		if math.Abs(lcc[v]-want[v]) > 1e-12 {
 			t.Errorf("lcc[%d] = %v, want %v", v, lcc[v], want[v])
+		}
+	}
+}
+
+func TestClusteringMatchesBruteForce(t *testing.T) {
+	for gname, g := range testGraphs(t) {
+		if !g.Symmetric() {
+			continue
+		}
+		want := seq.ClusteringCoefficients(g)
+		for v, c := range must(LocalClusteringCoefficients(bg, g)) {
+			if c != want[v] {
+				t.Fatalf("%s: lcc[%d] = %v, brute force %v", gname, v, c, want[v])
+			}
 		}
 	}
 }

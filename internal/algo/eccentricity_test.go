@@ -1,12 +1,48 @@
 package algo
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"ligra/internal/core"
 	"ligra/internal/gen"
 	"ligra/internal/seq"
 )
+
+// TestTwoPassEccentricityMatchesSequential replays both passes with the
+// sequential oracle: pass 1 from the same sampled sources, pass 2 from the
+// same periphery (the k largest pass-1 estimates, ties by ID), and the
+// per-vertex maximum of the two.
+func TestTwoPassEccentricityMatchesSequential(t *testing.T) {
+	for gname, g := range testGraphs(t) {
+		n := g.NumVertices()
+		for _, k := range []int{1, 16, 64} {
+			res := must(TwoPassEccentricityCtx(nil, g, k, 3, core.Options{}))
+			k = min(k, n)
+			pass1 := seq.Eccentricities(g, sampleVertices(n, k, 3))
+			var periphery []uint32
+			for v, e := range pass1 {
+				if e >= 0 {
+					periphery = append(periphery, uint32(v))
+				}
+			}
+			slices.SortStableFunc(periphery, func(a, b uint32) int { return cmp.Compare(pass1[b], pass1[a]) })
+			pass2 := seq.Eccentricities(g, periphery[:min(k, len(periphery))])
+			diam := int32(-1)
+			for v := range pass1 {
+				want := max(pass1[v], pass2[v])
+				if res.Ecc[v] != want {
+					t.Fatalf("%s k=%d: ecc[%d] = %d, oracle %d", gname, k, v, res.Ecc[v], want)
+				}
+				diam = max(diam, want)
+			}
+			if res.DiameterLowerBound != diam {
+				t.Fatalf("%s k=%d: diameter bound %d, oracle %d", gname, k, res.DiameterLowerBound, diam)
+			}
+		}
+	}
+}
 
 func TestTwoPassEccentricityBounds(t *testing.T) {
 	for _, gname := range []string{"rmat", "grid3d", "path", "tree"} {

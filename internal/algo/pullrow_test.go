@@ -168,11 +168,10 @@ func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
 
 // TestPageRankBitIdentical: PageRank is the same to the last bit of every
 // rank and of the residual on every representation, directly and through
-// the row adapter — each gathers every in-row in row order and reduces
-// with the same fixed-block tree — which is what lets backend "spmv" and
-// "edgemap" share one implementation and one cache entry. PageRank-Delta
-// holds the same identity as long as every round is a pull (its sparse
-// rounds add concurrently, in no fixed order).
+// the row adapter: each gathers every in-row in row order and reduces
+// with the same fixed-block tree. PageRank-Delta holds the same identity
+// as long as every round is a pull (its sparse rounds add concurrently,
+// in no fixed order).
 func TestPageRankBitIdentical(t *testing.T) {
 	for gname, g := range rowGraphs(t) {
 		oracle := seq.PageRank(g, 0.85, 0, 20)

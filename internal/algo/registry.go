@@ -18,6 +18,15 @@ import (
 // the two binaries cannot drift on which algorithms exist, what parameters
 // they take, or how their results are summarized.
 
+// Backend names accepted by Params.Backend. There is one execution engine:
+// every name runs edgeMap, and the bfs, pagerank and triangles runners
+// report BackendEdgeMap.
+const (
+	BackendEdgeMap = "edgemap"
+	BackendSpMV    = "spmv"
+	BackendAuto    = "auto"
+)
+
 // Params is the single typed parameter set for algorithm invocation,
 // shared by ligra-run's flag parsing, ligra-serve's query handlers, and
 // the server's result-cache keys. The JSON tags define the wire format of
@@ -51,12 +60,11 @@ type Params struct {
 	// Landmarks are the vertices the landmarks algorithm reports
 	// distances to; required (and only meaningful) for that algorithm.
 	Landmarks []uint32 `json:"landmarks,omitempty"`
-	// Backend selects the execution backend for algorithms that have a
-	// semiring kernel (HasSpMVKernel): "" or "edgemap" (frontier-based
-	// edgeMap, the default), "spmv" (internal/spmv kernels), or "auto"
-	// (per-shape choice; see ResolveBackend). Both backends produce
-	// bit-identical results, so Backend is deliberately absent from
-	// Canonical: it changes how a result is computed, never what it is.
+	// Backend is a wire name kept for requests that set it: "", "edgemap",
+	// "spmv" or "auto". Every one of them runs edgeMap, the one execution
+	// engine, so Backend is deliberately absent from Canonical: it never
+	// changes what a result is. "spmv" is accepted only for the
+	// algorithms that once had a second kernel (BatchValidate).
 	Backend string `json:"backend,omitempty"`
 
 	// EdgeMap carries the non-serializable per-run extras (tracing, a
@@ -70,7 +78,7 @@ type Params struct {
 // (an unknown Mode or Backend). It is shared by ligra-run's flag parsing
 // and the server's request decoding so both report identical errors.
 // Whether the chosen Backend applies to a particular algorithm is checked
-// later by ResolveBackend, which knows the algorithm and graph.
+// later by BatchValidate, which knows the algorithm.
 func (p Params) Validate() error {
 	switch p.Mode {
 	case "", "auto", "sparse", "dense", "dense-forward":
@@ -88,10 +96,9 @@ func (p Params) Validate() error {
 // Canonical renders the serializable parameters as a stable, normalized
 // string: equal strings mean the run is deterministic-equivalent, which is
 // what the server's result cache keys on. The non-serializable EdgeMap
-// extras are deliberately excluded — and so is Backend: the edgeMap and
-// spmv backends are bit-identical (internal/spmv property tests), so a
-// result cached under one backend must be served to a request for the
-// other instead of being computed twice.
+// extras are deliberately excluded — and so is Backend: every backend
+// name runs the same edgeMap code, so a result cached under one name must
+// be served to a request naming another instead of being computed twice.
 func (p Params) Canonical() string {
 	mode := p.Mode
 	if mode == "" {
@@ -214,15 +221,8 @@ var runners = []Runner{
 	{
 		Name: "bfs", NeedsSource: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			backend, berr := ResolveBackend("bfs", g, p)
-			if berr != nil {
-				return RunResult{}, berr
-			}
-			if backend == BackendSpMV {
-				return spmvBFSRun(ctx, g, p)
-			}
 			res, err := BFSCtx(ctx, g, p.Source, p.EdgeMapOptions())
-			return bfsRunResult(p.Source, res.Visited, res.Rounds, BackendEdgeMap), err
+			return bfsRunResult(p.Source, res.Visited, res.Rounds), err
 		},
 	},
 	{Name: "reach", NeedsSource: true, run: levelsRunner("reach")},
@@ -284,18 +284,12 @@ var runners = []Runner{
 	{
 		Name: "pagerank",
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			backend, berr := ResolveBackend("pagerank", g, p)
-			if berr != nil {
-				return RunResult{}, berr
-			}
-			// Both backends run the one gather: PageRankCtx's row kernel is
-			// the (+, x) pull SpMV. The name is kept on the wire.
 			o := DefaultPageRankOptions()
 			o.EdgeMap = p.EdgeMapOptions()
 			res, err := PageRankCtx(ctx, g, o)
 			return RunResult{
 				Summary: fmt.Sprintf("PageRank: %d iterations, final L1 change %.3g", res.Iterations, res.Err),
-				Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "backend": backend},
+				Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "backend": BackendEdgeMap},
 			}, err
 		},
 	},
@@ -426,15 +420,10 @@ var runners = []Runner{
 	{
 		Name: "triangles",
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			backend, berr := ResolveBackend("triangles", g, p)
-			if berr != nil {
-				return RunResult{}, berr
-			}
-			// One kernel whatever the backend; the name is kept on the wire.
 			count, err := TriangleCountCtx(ctx, g)
 			return RunResult{
 				Summary: fmt.Sprintf("Triangles: %d", count),
-				Details: map[string]any{"triangles": count, "backend": backend},
+				Details: map[string]any{"triangles": count, "backend": BackendEdgeMap},
 			}, err
 		},
 	},

@@ -110,11 +110,11 @@ var runnerChecks = map[string]string{
 	"scc":            "TestSCCRandomizedAgainstTarjan",
 	"coloring":       "TestColoringProper",
 	"matching":       "TestMaximalMatchingValid",
-	"eccentricity":   "TestTwoPassEccentricityBounds",
+	"eccentricity":   "TestTwoPassEccentricityMatchesSequential",
 	"densest":        "TestDensestSubgraphMatchesBruteForce",
 	"local-cluster":  "TestLocalClusterMatchesMapReference",
 	"triangles":      "TestTriangleCountMatchesSequential",
-	"clustering":     "TestLocalClusteringCoefficients",
+	"clustering":     "TestClusteringMatchesBruteForce",
 }
 
 // TestEveryRunnerIsChecked keeps the registry to runners whose whole

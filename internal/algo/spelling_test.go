@@ -43,8 +43,8 @@ func TestOneSpellingPerAlgorithm(t *testing.T) {
 }
 
 // TestOneSpellingCtxFirst keeps one calling convention: every loop takes
-// the ctx it runs under. On the query path — internal/algo, core, delta
-// and spmv — no call hands a ctx-first function nil, and no code
+// the ctx it runs under. On the query path — internal/algo, core and
+// delta — no call hands a ctx-first function nil, and no code
 // mints a root context.Background() or context.TODO() to pass instead of
 // the one it received; internal/parallel and internal/core export no
 // ...Ctx twin of a plain form.
@@ -59,7 +59,7 @@ func TestOneSpellingCtxFirst(t *testing.T) {
 		}
 	})
 	var bad []string
-	for _, pkg := range []string{"algo", "core", "delta", "spmv"} {
+	for _, pkg := range []string{"algo", "core", "delta"} {
 		walkGo(t, filepath.Join(root, "internal", pkg), func(path string, f *ast.File) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)

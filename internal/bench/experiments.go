@@ -440,11 +440,10 @@ func Experiments() map[string]func(Config) error {
 		"scheduler":    Scheduler,
 		"batch":        Batch,
 		"delta":        DeltaUpdates,
-		"spmv":         SpMV,
 	}
 }
 
 // ExperimentOrder lists the IDs in presentation order.
 func ExperimentOrder() []string {
-	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "hotpath", "scheduler", "batch", "delta", "spmv"}
+	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "hotpath", "scheduler", "batch", "delta"}
 }

@@ -43,18 +43,6 @@ func (t *TraversalStats) record(frontier int, outDeg int64, dense, fwd, seq bool
 	t.edgesScanned.Add(outDeg)
 }
 
-// RecordTraversal feeds one traversal round executed outside the edgeMap
-// machinery — e.g. an internal/spmv semiring kernel — into the process-wide
-// counters, so alternative backends are observable through the same
-// ligra-run -stats / ligra-bench / /metrics surfaces as edgeMap rounds.
-// frontier and output are the input/output active-set sizes, edges the
-// out-degrees the round weighed or scanned, and dense/fwd/seq the
-// representation flags (with the same Sparse+Dense+DenseForward = Calls
-// invariant).
-func RecordTraversal(frontier int, edges int64, dense, fwd, seq bool, output int) {
-	globalStats.record(frontier, edges, dense, fwd, seq, output)
-}
-
 // StatsSnapshot is a point-in-time copy of the traversal counters, in the
 // JSON shape served by ligra-serve's /metrics and written by ligra-bench
 // -json.

@@ -9,6 +9,7 @@ package seq
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"ligra/internal/graph"
 )
@@ -345,6 +346,36 @@ func TriangleCount(g graph.View) int64 {
 		}
 	}
 	return count
+}
+
+// ClusteringCoefficients returns each vertex's local clustering
+// coefficient in a symmetric simple graph by brute force: the share of its
+// neighbour pairs that are adjacent themselves (0 below degree 2).
+func ClusteringCoefficients(g graph.View) []float64 {
+	n := g.NumVertices()
+	adj := make([][]uint32, n)
+	for v := range adj {
+		g.OutNeighbors(uint32(v), func(d uint32, _ int32) bool {
+			adj[v] = append(adj[v], d)
+			return true
+		})
+		sortU32(adj[v])
+	}
+	out := make([]float64, n)
+	for v, nb := range adj {
+		var linked int64
+		for i, a := range nb {
+			for _, b := range nb[i+1:] {
+				if _, ok := slices.BinarySearch(adj[a], b); ok {
+					linked++
+				}
+			}
+		}
+		if d := int64(len(nb)); d >= 2 {
+			out[v] = float64(linked) / float64(d*(d-1)/2)
+		}
+	}
+	return out
 }
 
 func sortU32(s []uint32) {

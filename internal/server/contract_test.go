@@ -97,6 +97,9 @@ func TestQueryReplyContract(t *testing.T) {
 			},
 			status: 200, keys: []string{"algo", "backend", "cached", "details", "elapsed_ms", "graph", "summary"},
 			metrics: ran("bfs"), breaker: "none"},
+		// spmv is a wire name: edgeMap answers, and says so.
+		{name: "200 spmv named", body: `{"algo":"bfs","source":1,"backend":"spmv"}`, status: 200, keys: ok,
+			metrics: ran("bfs", "backends.edgemap"), breaker: "success"},
 		{name: "400 bad JSON", body: `{"algo":`, status: 400, keys: bare, breaker: "none"},
 		{name: "400 unknown algo", body: `{"algo":"nope"}`, status: 400, keys: bare, breaker: "none"},
 		{name: "400 bad params", body: `{"algo":"bfs","mode":"diagonal"}`, status: 400, keys: bare, breaker: "none"},
@@ -214,6 +217,9 @@ func runReplyCase(t *testing.T, c replyCase) {
 	slices.Sort(keys)
 	if !slices.Equal(keys, c.keys) {
 		t.Errorf("body keys %v, want %v", keys, c.keys)
+	}
+	if b, ok := body["backend"]; ok && b != "edgemap" {
+		t.Errorf("backend %v, want edgemap (the one engine)", b)
 	}
 	if et, _ := body["error_type"].(string); et != c.errorType {
 		t.Errorf("error_type %q, want %q", et, c.errorType)

@@ -326,11 +326,9 @@ type queryResponse struct {
 	// on a plain run; the answer is identical either way.
 	Batched   bool `json:"batched,omitempty"`
 	BatchSize int  `json:"batch_size,omitempty"`
-	// Backend names the execution backend that produced the result
-	// ("edgemap" or "spmv"; "auto" requests report what auto resolved to).
-	// Cached and coalesced replies report the backend of the execution
-	// that filled the cache — the backends are bit-identical, so the
-	// result is the same either way.
+	// Backend names the execution backend that produced the result: it is
+	// "edgemap" on every bfs, pagerank and triangles reply, whatever
+	// backend the request named, since edgeMap is the one engine.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -430,18 +428,12 @@ func bindParams(algoName string, g graph.View, defaultSource uint32, req queryRe
 		}
 		p.Source = uint32(*req.Source)
 	}
-	// Batchable algorithms validate their extra parameters (reach
-	// targets, landmark lists) up front: the batched path extracts
-	// answers straight from the shared sweep, so a range error must be
-	// rejected here rather than silently read as "unreachable".
-	if err := algo.BatchValidate(algoName, g.NumVertices(), p); err != nil {
-		return p, err
-	}
-	// Resolve the execution backend against the pinned view (Validate only
-	// checked the name; whether this algorithm has an spmv kernel is
-	// decided here, the runner resolves it again to dispatch).
-	_, err := algo.ResolveBackend(algoName, g, p)
-	return p, err
+	// Algorithm-specific parameters are checked up front: the batched
+	// path extracts answers straight from the shared sweep, so a reach
+	// target out of range must be rejected here rather than silently read
+	// as "unreachable", and "spmv" for an algorithm that never accepted
+	// it is a 400 (Validate only checked the name).
+	return p, algo.BatchValidate(algoName, g.NumVertices(), p)
 }
 
 // admit gates q on its circuit breaker, then on the shedder, answering a

@@ -30,8 +30,7 @@ type Metrics struct {
 	mu    sync.Mutex
 	algos map[string]*AlgoMetrics
 	// backends counts executed (non-cached, non-coalesced) queries by the
-	// execution backend that ran them ("edgemap" / "spmv"), so the mix of
-	// edgeMap and semiring-kernel executions is observable.
+	// execution backend their reply names ("edgemap", the one engine).
 	backends map[string]*expvar.Int
 }
 
@@ -97,9 +96,9 @@ type Snapshot struct {
 	Admitted      int64                   `json:"admitted"`
 	Rejected429   int64                   `json:"rejected_429"`
 	Algos         map[string]AlgoSnapshot `json:"algos"`
-	// Backends counts executed queries per execution backend ("edgemap" /
-	// "spmv"); cached and coalesced replies are not counted (they ran
-	// nothing). Empty until a backend-reporting algorithm executes.
+	// Backends counts executed queries per execution backend ("edgemap",
+	// the one engine); cached and coalesced replies are not counted (they
+	// ran nothing). Empty until a backend-reporting algorithm executes.
 	Backends   map[string]int64 `json:"backends,omitempty"`
 	Graphs     []GraphInfo      `json:"graphs"`
 	GraphBytes int64            `json:"graph_bytes_total"`

@@ -1,6 +1,6 @@
 // Package viewtest is test support: it puts one CSR graph behind every
 // graph.View representation the traversal drivers serve, so differential
-// tests in core, algo and spmv share one view matrix.
+// tests in core and algo share one view matrix.
 package viewtest
 
 import (
