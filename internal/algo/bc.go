@@ -56,14 +56,12 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 
 	// --- Forward phase: count shortest paths level by level. ---
 	//
-	// Cond is "not yet visited", where visited is only updated by a
-	// vertexMap *between* rounds (exactly as in the paper's BC code).
-	// Using the level array for Cond would be wrong: in a dense round the
-	// early-exit would stop scanning a destination after its first
-	// contribution and lose path counts, so Cond must stay true for the
-	// whole round while contributions accumulate.
-	visited := make([]uint32, n)
-	visited[source] = 1
+	// Cond is "unvisited before this round": a level of -1, or this
+	// round's own, which the first contributor's CAS sets. A destination
+	// must keep accepting contributions for the whole round — a dense
+	// round's per-edge kernel re-checks Cond after every update — so
+	// "level still -1" would lose path counts, while a level set in an
+	// earlier round must stop them.
 	round := int32(0)
 	fwd := core.EdgeFuncs{
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
@@ -90,7 +88,10 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 			levels[d] = roundLoad(&round)
 			return true
 		},
-		Cond: func(d uint32) bool { return visited[d] == 0 },
+		Cond: func(d uint32) bool {
+			l := atomic.LoadInt32(&levels[d])
+			return l == -1 || l == roundLoad(&round)
+		},
 	}
 
 	delta := atomicx.NewFloat64Slice(n)
@@ -114,9 +115,6 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 			return result(), roundErr("bc", int(roundLoad(&round))-1, err)
 		}
 		frontier = next
-		if err := core.VertexMap(ctx, frontier, func(v uint32) { visited[v] = 1 }); err != nil {
-			return result(), roundErr("bc", int(roundLoad(&round))-1, err)
-		}
 		if !frontier.IsEmpty() {
 			frontiers = append(frontiers, frontier)
 		}

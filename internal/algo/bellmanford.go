@@ -29,12 +29,11 @@ type SSSPResult struct {
 
 // BellmanFordCtx runs the paper's frontier-based Bellman-Ford (§5.6): each
 // round relaxes the out-edges of vertices whose distance improved in the
-// previous round, using writeMin as the priority update. A Visited flag
-// per round makes each destination join the output frontier once; the
-// flags are reset by a vertexMap over the new frontier. On interruption
-// Dist holds valid upper bounds on the true shortest-path
-// distances (writeMin only ever tightens them), returned with a
-// *RoundError.
+// previous round, using writeMin as the priority update; edgeMap's
+// RemoveDuplicates makes each improved destination join the output
+// frontier once. On interruption Dist holds valid upper bounds on the true
+// shortest-path distances (writeMin only ever tightens them), returned
+// with a *RoundError.
 func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) (*SSSPResult, error) {
 	n := g.NumVertices()
 	dist := make([]int64, n)
@@ -44,26 +43,18 @@ func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.
 		return &SSSPResult{Dist: dist}, roundErr("bellman-ford", 0, err)
 	}
 
-	// visited[d] != 0 means d already joined this round's output frontier.
-	visited := make([]uint32, n)
-
 	funcs := core.EdgeFuncs{
+		// Push: every improving writeMin succeeds, so d may be improved by
+		// several sources in one round; the output keeps it once (see
+		// RemoveDuplicates below).
 		UpdateAtomic: func(s, d uint32, w int32) bool {
 			sd := atomic.LoadInt64(&dist[s])
-			if sd >= InfDist {
-				return false
-			}
-			if atomicx.WriteMinInt64(&dist[d], sd+int64(w)) {
-				return atomicx.TestAndSetBool(&visited[d])
-			}
-			return false
+			return sd < InfDist && atomicx.WriteMinInt64(&dist[d], sd+int64(w))
 		},
-		// Pull: the best relaxation in a register, one store. d joins the
-		// output through its own bit, so the per-round visited flag is a
-		// push-only device. Every in-edge is relaxed, frontier or not: an
-		// edge whose source has not moved since its last relaxation cannot
-		// improve d, and an unconditional load is cheaper than an
-		// unpredictable branch per edge. Distances are loaded atomically:
+		// Pull: the best relaxation in a register, one store. Every in-edge
+		// is relaxed, frontier or not: an edge whose source has not moved
+		// since its last relaxation cannot improve d, and an unconditional
+		// load is cheaper than an unpredictable branch per edge. Distances are loaded atomically:
 		// the sources' own rows are being pulled concurrently.
 		PullRow: func(d uint32, srcs []uint32, wts []int32, _ []uint64) bool {
 			orig := dist[d]
@@ -87,6 +78,11 @@ func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.
 		},
 	}
 
+	// A sparse round claims each improved vertex's bit before listing it,
+	// and a dense round's output is a bitset: either way a vertex joins the
+	// next frontier once, with no per-round flag to reset.
+	opts.RemoveDuplicates = true
+
 	frontier := core.NewSingle(n, source)
 	rounds := 0
 	for !frontier.IsEmpty() {
@@ -100,9 +96,6 @@ func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.
 		}
 		frontier = next
 		rounds++
-		if err := core.VertexMap(ctx, frontier, func(v uint32) { visited[v] = 0 }); err != nil {
-			return &SSSPResult{Dist: dist, Rounds: rounds}, roundErr("bellman-ford", rounds, err)
-		}
 	}
 	return &SSSPResult{Dist: dist, Rounds: rounds, NegativeCycle: false}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"ligra/internal/atomicx"
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -35,8 +34,7 @@ type CCResult struct {
 // Unlike BFS, a vertex's label can shrink repeatedly and its current label
 // is read while neighbors concurrently update it, so both the dense and
 // sparse update functions use atomic loads and priority updates; the
-// per-round "first change" test makes frontier membership near-unique and a
-// deduplication pass removes the remaining repeats.
+// per-round "first change" test makes frontier membership unique.
 //
 // On interruption the partial result's Labels form a valid
 // coarsening of the true components (every label is some member's ID and
@@ -84,13 +82,11 @@ func PropagateLabelsCtx(ctx context.Context, g graph.View, labels []uint32, seed
 		return 0, roundErr("components", 0, err)
 	}
 	funcs := core.EdgeFuncs{
+		// Push: writeMin, joining the frontier from the one update that
+		// moves d off the label it began the round with. Labels only
+		// shrink, so exactly one such update exists per round.
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			sid := atomic.LoadUint32(&labels[s])
-			orig := atomic.LoadUint32(&labels[d])
-			if atomicx.WriteMinUint32(&labels[d], sid) {
-				return orig == prev[d]
-			}
-			return false
+			return shrinkFrom(&labels[d], atomic.LoadUint32(&labels[s]), prev[d])
 		},
 		Cond: within,
 		// Pull: the row's minimum label in a register, one store. d is
@@ -115,10 +111,6 @@ func PropagateLabelsCtx(ctx context.Context, g graph.View, labels []uint32, seed
 		},
 	}
 
-	// Two sources can both lower labels[d] while observing orig == prev[d],
-	// so sparse rounds may emit duplicates.
-	opts.RemoveDuplicates = true
-
 	frontier := seeds
 	for !frontier.IsEmpty() {
 		if err := core.VertexMap(ctx, frontier, func(v uint32) { prev[v] = labels[v] }); err != nil {
@@ -130,4 +122,19 @@ func PropagateLabelsCtx(ctx context.Context, g graph.View, labels []uint32, seed
 		rounds++
 	}
 	return rounds, nil
+}
+
+// shrinkFrom lowers *addr to v when v is smaller (a writeMin) and reports
+// whether this call replaced from itself: of all the calls that shrink
+// *addr from from downwards, exactly one does.
+func shrinkFrom(addr *uint32, v, from uint32) bool {
+	for {
+		old := atomic.LoadUint32(addr)
+		if v >= old {
+			return false
+		}
+		if atomic.CompareAndSwapUint32(addr, old, v) {
+			return old == from
+		}
+	}
 }

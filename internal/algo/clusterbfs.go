@@ -99,14 +99,16 @@ func (r *ClusterBFSResult) LevelTo(i int, v uint32) int32 {
 // a genuine reachability, and per-source aggregates cover the rounds that
 // completed.
 func ClusterBFSCtx(ctx context.Context, g graph.View, sources []uint32, opts ClusterBFSOptions) (*ClusterBFSResult, error) {
-	res, err := clusterSweep(ctx, g, sources, opts)
+	res, err := clusterSweep(ctx, g, sources, opts, true)
 	return res, roundErr("cluster-bfs", res.Rounds, err)
 }
 
 // clusterSweep is the sweep shared by ClusterBFSCtx and the radii
-// estimator (which wraps errors under its own algorithm name). The
-// returned error is the raw cause (ctx error or *parallel.PanicError).
-func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts ClusterBFSOptions) (*ClusterBFSResult, error) {
+// estimator (which wraps errors under its own algorithm name, and passes
+// count false: it never reads Reached, so the sweep skips the pass that
+// counts it). The returned error is the raw cause (ctx error or
+// *parallel.PanicError).
+func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts ClusterBFSOptions, count bool) (*ClusterBFSResult, error) {
 	n := g.NumVertices()
 	k := len(sources)
 	if k > MaxClusterSources {
@@ -164,8 +166,9 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 
 	// Settled (cur) and in-flight (next) visit words live in two arrays:
 	// a pull round gathers only settled words, so they pack eight to a
-	// cache line (DESIGN §9.3 has the measurement). cur is res.Visit
-	// itself, so the settled words need no copy at the end.
+	// cache line (DESIGN §9.3 has the measurement). cur starts as
+	// res.Visit; a pull round swaps the two, so res.Visit is set to
+	// whichever holds the settled words when the sweep stops.
 	cur := res.Visit
 	next := make([]uint64, n)
 	// The initial frontier: the distinct source vertices.
@@ -184,8 +187,144 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		full = 1<<uint(k) - 1
 	}
 
-	round := int32(0)
-	funcs := core.EdgeFuncs{
+	// gained collects the sources that reached a new vertex this round,
+	// folded into Depth once the round completes. A pull round's kernel
+	// is its only writer, so after edgeMap a non-zero value also says the
+	// round pulled.
+	var gained atomic.Uint64
+	var record func(v uint32, newBits uint64, r int32) // Radii records no levels
+	if res.Levels != nil || len(res.Probes) > 0 {
+		record = func(v uint32, newBits uint64, r int32) {
+			if res.Levels != nil {
+				for b := newBits; b != 0; b &= b - 1 {
+					res.Levels[bits.TrailingZeros64(b)*n+int(v)] = r
+				}
+			}
+			if pj, ok := res.probeIndex[v]; ok {
+				row := res.ProbeLevels[pj]
+				for b := newBits; b != 0; b &= b - 1 {
+					row[bits.TrailingZeros64(b)] = r
+				}
+			}
+		}
+	}
+	// Direction is edgeMap's rule. With no Cond it prices a pull round at
+	// every in-edge, which holds while few vertices are saturated — all of
+	// a grid sweep — and overstates a late round on a skewed graph, whose
+	// pull skips saturated rows: there a mid-size frontier goes forward.
+	emOpts := opts.EdgeMap
+	emOpts.DenseEarlyExit = false // one new bit does not finish a vertex
+	emOpts.RemoveDuplicates = true
+
+	frontier := core.NewSparse(n, roots)
+	iters := 0
+	// The sweep's state on return: the settled words, and the reach
+	// counts for callers that read them. An interrupted sweep still
+	// publishes what it settled; under a cancelled ctx the counting itself
+	// stops short, which the partial-result contract allows.
+	finish := func() error {
+		res.Visit = cur
+		if !count {
+			return nil
+		}
+		return finishAggregates(ctx, res)
+	}
+	fail := func(err error) (*ClusterBFSResult, error) {
+		res.Rounds = iters
+		_ = finish()
+		return res, err
+	}
+	for r := int32(1); !frontier.IsEmpty(); r++ {
+		gained.Store(0)
+		funcs := clusterFuncs(cur, next, res.MaxLevel, full, r, &gained, record)
+		out, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts)
+		if err != nil {
+			return fail(err)
+		}
+		frontier = out
+		if gained.Load() != 0 {
+			// A pull round wrote every vertex's next word.
+			cur, next = next, cur
+		} else if err := foldRound(ctx, frontier, cur, next, res.MaxLevel, &gained, record, r); err != nil {
+			return fail(err)
+		}
+		for b := gained.Load(); b != 0; b &= b - 1 {
+			res.Depth[bits.TrailingZeros64(b)] = r
+		}
+		iters++
+	}
+	// The final iteration found no new vertices, so the largest level
+	// assigned is iters-1 (radii's historical Rounds convention).
+	res.Rounds = iters - 1
+	return res, finish()
+}
+
+// foldRound moves a push round's gainers — the frontier it returned —
+// from their in-flight words into their settled ones, setting their
+// MaxLevel to the round, recording levels where asked and the gaining
+// sources through gain. Each frontier vertex
+// has one writer, and edgeMap's return orders the round's writes before
+// these plain loads, as this pass's return orders its stores before the
+// next round. A dense frontier is folded from its bitset words, so no
+// round builds an ID array to fold.
+func foldRound(ctx context.Context, frontier *core.VertexSubset, cur, next []uint64, maxLevel []int32, gained *atomic.Uint64, record func(uint32, uint64, int32), r int32) error {
+	settle := func(v uint32) uint64 {
+		nv := next[v]
+		newBits := nv &^ cur[v]
+		cur[v] = nv
+		maxLevel[v] = r
+		if record != nil {
+			record(v, newBits, r)
+		}
+		return newBits
+	}
+	if frontier.HasDense() {
+		fd, err := frontier.ToDense(ctx) // cached: converts nothing
+		if err != nil {
+			return err
+		}
+		fw := fd.Words()
+		return parallel.ForRange(ctx, len(fw), func(lo, hi int) {
+			var mask uint64
+			for wi := lo; wi < hi; wi++ {
+				for w := fw[wi]; w != 0; w &= w - 1 {
+					mask |= settle(uint32(wi*64 + bits.TrailingZeros64(w)))
+				}
+			}
+			gain(gained, mask)
+		})
+	}
+	ids, err := frontier.ToSparse(ctx)
+	if err != nil {
+		return err
+	}
+	return parallel.ForRange(ctx, len(ids), func(lo, hi int) {
+		var mask uint64
+		for _, v := range ids[lo:hi] {
+			mask |= settle(v)
+		}
+		gain(gained, mask)
+	})
+}
+
+// gain adds newBits to the round's gaining sources. It ORs only bits the
+// word lacks, so after the first few gains of a round the word is a
+// read-shared line.
+func gain(gained *atomic.Uint64, newBits uint64) {
+	if newBits&^gained.Load() != 0 {
+		gained.Or(newBits)
+	}
+}
+
+// clusterFuncs is round r's pair of kernels over the settled (cur) and
+// in-flight (next) visit words. They are built per round so that each
+// holds the round's arrays and level by value. It is not inlined: the
+// kernels compile in its small body, not in the sweep's large one, where
+// the compiler would inline nothing into them.
+//
+//go:noinline
+func clusterFuncs(cur, next []uint64, maxLevel []int32, full uint64, r int32, gained *atomic.Uint64, record func(uint32, uint64, int32)) core.EdgeFuncs {
+	f := core.EdgeFuncs{
 		// Push: OR s's settled bits into d's in-flight word.
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			sBits := atomic.LoadUint64(&cur[s]) // read-only during a round
@@ -198,8 +337,10 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 				return false
 			}
 			atomicx.OrUint64(&next[d], sBits|dBits)
-			// Join the output frontier once per round.
-			return claimRound(&res.MaxLevel[d], roundLoad(&round))
+			// Several sources may deliver to d in one round: the sweep's
+			// RemoveDuplicates keeps it once in a sparse output, and a
+			// forward round's output is a bitset.
+			return true
 		},
 		// Pull: OR the in-neighbours' settled words in a register and leave
 		// the row once all k bits are present — for one source that is
@@ -208,146 +349,50 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		// members can carry a bit d lacks (anything older was delivered the
 		// round after its holder gained it), so the others' words change
 		// nothing, and an unconditional load is cheaper than an
-		// unpredictable branch per edge.
+		// unpredictable branch per edge. Every vertex's next word is
+		// written, saturated or not, so the round ends by swapping the two
+		// arrays instead of folding its gainers one by one; d's level,
+		// probes and Depth bits are recorded here, by d's one writer.
+		// Recording levels wraps the kernel, so that the plain one makes no
+		// call and its row loop keeps its values in registers. Saturation
+		// is tested here, not in a Cond: a Cond is a second call per vertex
+		// of every pull round, about 8 % of the round on the grid.
 		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
 			have := cur[d]
-			if have == full {
-				return false
-			}
 			acc := have
-			for _, s := range srcs {
-				if acc |= cur[s]; acc == full {
-					break
+			if have != full {
+				for _, s := range srcs {
+					if acc |= cur[s]; acc == full {
+						break
+					}
 				}
-			}
-			if acc == have {
-				return false
 			}
 			next[d] = acc
-			res.MaxLevel[d] = roundLoad(&round)
-			return true
+			// Whether d gains is as likely as not from one vertex to the
+			// next, so the level is stored by a select, not a branch.
+			level := maxLevel[d]
+			if acc != have {
+				level = r
+			}
+			maxLevel[d] = level
+			if newBits := acc &^ have; newBits&^gained.Load() != 0 {
+				gained.Or(newBits)
+			}
+			return acc != have
 		},
 	}
-	// Direction is edgeMap's ordinary rule (|U| + outDegrees(U) > m/20
-	// goes dense, and dense pulls). No Cond: push rounds would pay it per
-	// edge to learn what UpdateAtomic's first test already tells them, and
-	// the pull kernel tests saturation itself before touching the row.
-	emOpts := opts.EdgeMap
-	emOpts.DenseEarlyExit = false // one new bit does not finish a vertex
-
-	// Per-worker accumulators for "which sources gained ground this
-	// round" — folded into Depth after each round.
-	active := make([]uint64, parallel.CtxProcs(ctx))
-
-	frontier := core.NewSparse(n, roots)
-	iters := 0
-	// An interrupted sweep still publishes what it settled; under a
-	// cancelled ctx the aggregation itself stops short, which the
-	// partial-result contract allows.
-	fail := func(err error) (*ClusterBFSResult, error) {
-		res.Rounds = iters
-		_ = finishAggregates(ctx, res)
-		return res, err
+	if record != nil {
+		pull := f.PullRow
+		f.PullRow = func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool {
+			have := cur[d]
+			if !pull(d, srcs, wts, frontier) {
+				return false
+			}
+			record(d, next[d]&^have, r)
+			return true
+		}
 	}
-	for !frontier.IsEmpty() {
-		atomic.AddInt32(&round, 1)
-		out, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts)
-		if err != nil {
-			return fail(err)
-		}
-		frontier = out
-		// Fold the round's new bits into the settled words, recording
-		// levels where asked. Each frontier vertex has one writer, and
-		// edgeMap's return orders the round's writes before these plain
-		// loads, as this loop's return orders its stores before the next
-		// round. A dense frontier is folded from its bitset words, so no
-		// dense round builds an ID array.
-		r := roundLoad(&round)
-		for w := range active {
-			active[w] = 0
-		}
-		var record func(v uint32, newBits uint64) // Radii records no levels
-		if res.Levels != nil || len(res.Probes) > 0 {
-			record = func(v uint32, newBits uint64) {
-				if res.Levels != nil {
-					for b := newBits; b != 0; b &= b - 1 {
-						res.Levels[bits.TrailingZeros64(b)*n+int(v)] = r
-					}
-				}
-				if pj, ok := res.probeIndex[v]; ok {
-					row := res.ProbeLevels[pj]
-					for b := newBits; b != 0; b &= b - 1 {
-						row[bits.TrailingZeros64(b)] = r
-					}
-				}
-			}
-		}
-		var span int
-		var fold func(worker, c, lo, hi int)
-		if frontier.HasDense() {
-			fd, err := frontier.ToDense(ctx) // cached: converts nothing
-			if err != nil {
-				return fail(err)
-			}
-			fw := fd.Words()
-			span = len(fw)
-			fold = func(worker, _, lo, hi int) {
-				var mask uint64
-				for wi := lo; wi < hi; wi++ {
-					for w := fw[wi]; w != 0; w &= w - 1 {
-						v := uint32(wi*64 + bits.TrailingZeros64(w))
-						newBits := settleWord(cur, next, v)
-						mask |= newBits
-						if record != nil {
-							record(v, newBits)
-						}
-					}
-				}
-				active[worker] |= mask
-			}
-		} else {
-			ids, err := frontier.ToSparse(ctx)
-			if err != nil {
-				return fail(err)
-			}
-			span = len(ids)
-			fold = func(worker, _, lo, hi int) {
-				var mask uint64
-				for _, v := range ids[lo:hi] {
-					newBits := settleWord(cur, next, v)
-					mask |= newBits
-					if record != nil {
-						record(v, newBits)
-					}
-				}
-				active[worker] |= mask
-			}
-		}
-		if err := parallel.ForWorkerChunks(ctx, span, 0, fold); err != nil {
-			return fail(err)
-		}
-		var roundMask uint64
-		for _, m := range active {
-			roundMask |= m
-		}
-		for b := roundMask; b != 0; b &= b - 1 {
-			res.Depth[bits.TrailingZeros64(b)] = r
-		}
-		iters++
-	}
-	// The final iteration found no new vertices, so the largest level
-	// assigned is iters-1 (radii's historical Rounds convention).
-	res.Rounds = iters - 1
-	return res, finishAggregates(ctx, res)
-}
-
-// settleWord moves v's in-flight visit word into its settled one and
-// returns the bits v gained.
-func settleWord(cur, next []uint64, v uint32) uint64 {
-	nv := next[v]
-	newBits := nv &^ cur[v]
-	cur[v] = nv
-	return newBits
+	return f
 }
 
 // finishAggregates computes the per-source reach counts from the settled
@@ -395,17 +440,3 @@ func containsU32(xs []uint32, v uint32) bool {
 // roundLoad reads the shared round counter; it is only written between
 // rounds, so this is a formality that keeps the race detector satisfied.
 func roundLoad(r *int32) int32 { return atomic.LoadInt32(r) }
-
-// claimRound sets *addr to round exactly once per round, returning whether
-// this caller performed the transition.
-func claimRound(addr *int32, round int32) bool {
-	for {
-		old := atomic.LoadInt32(addr)
-		if old == round {
-			return false // someone already claimed this round
-		}
-		if atomic.CompareAndSwapInt32(addr, old, round) {
-			return true
-		}
-	}
-}

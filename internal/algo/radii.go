@@ -88,7 +88,7 @@ func radiiSample(ctx context.Context, algo string, g graph.View, k int, seed uin
 // the MaxLevel it maintains per vertex is exactly the radii estimate.
 func radiiFromSources(ctx context.Context, g graph.View, sources []uint32, emOpts core.Options) ([]int32, int, error) {
 	if len(sources) <= MaxClusterSources {
-		res, err := clusterSweep(ctx, g, sources, ClusterBFSOptions{EdgeMap: emOpts})
+		res, err := clusterSweep(ctx, g, sources, ClusterBFSOptions{EdgeMap: emOpts}, false)
 		return res.MaxLevel, res.Rounds, err
 	}
 	n := g.NumVertices()
@@ -102,7 +102,7 @@ func radiiFromSources(ctx context.Context, g graph.View, sources []uint32, emOpt
 		if hi > len(sources) {
 			hi = len(sources)
 		}
-		res, err := clusterSweep(ctx, g, sources[lo:hi], ClusterBFSOptions{EdgeMap: emOpts})
+		res, err := clusterSweep(ctx, g, sources[lo:hi], ClusterBFSOptions{EdgeMap: emOpts}, false)
 		if res.Rounds > rounds {
 			rounds = res.Rounds
 		}

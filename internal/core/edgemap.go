@@ -21,8 +21,9 @@ import (
 //     may update the same destination concurrently (sparse push and dense-
 //     forward traversals). It must use atomic primitives and return true if
 //     d should join the output frontier. Exactly-once membership is the
-//     application's responsibility (e.g. CAS or priority-update "winner"
-//     semantics); otherwise set RemoveDuplicates.
+//     application's responsibility (a CAS claim, or the one priority update
+//     that moves d off the value it began the round with); otherwise set
+//     RemoveDuplicates.
 //   - Update(s, d, w) is the cheaper non-atomic variant used by dense
 //     (pull) traversals, where the framework guarantees a single writer per
 //     destination. If nil, UpdateAtomic is used everywhere.
@@ -79,12 +80,15 @@ type Options struct {
 	// Threshold overrides the dense-switch threshold; 0 selects the
 	// paper's default of |E|/20.
 	Threshold int64
-	// DenseForward selects the write-based dense traversal (loop over
-	// sources, push over out-edges) instead of the default read-based
-	// (pull) one when the dense representation is chosen.
+	// DenseForward makes every dense round the write-based traversal
+	// (loop over frontier sources, push over out-edges) instead of the
+	// read-based (pull) one. Without it, Auto chooses among sparse,
+	// dense-forward and pull by cost (see chooseRound) and ForceDense pulls.
 	DenseForward bool
-	// RemoveDuplicates deduplicates the sparse output frontier. Needed
-	// when UpdateAtomic may return true more than once per destination.
+	// RemoveDuplicates makes a sparse round claim each destination's bit
+	// in a round bitset before appending it, so an UpdateAtomic that may
+	// return true more than once per destination yields it once. A dense
+	// round's output is a bitset already.
 	RemoveDuplicates bool
 	// NoOutput skips constructing the output frontier (Ligra's no_output
 	// flag); EdgeMap returns an empty subset.
@@ -140,24 +144,6 @@ type Trace struct {
 	Entries []TraceEntry
 }
 
-// scratchPool recycles the per-call deduplication arrays so iterative
-// algorithms (e.g. Bellman-Ford's O(diameter) rounds) do not allocate an
-// O(n) slice per round. Invariant: every pooled slice is all-None.
-var scratchPool sync.Pool
-
-func getScratch(n int) []uint32 {
-	if s, ok := scratchPool.Get().([]uint32); ok && len(s) >= n {
-		return s
-	}
-	s := make([]uint32, n)
-	for i := range s {
-		s[i] = None
-	}
-	return s
-}
-
-func putScratch(s []uint32) { scratchPool.Put(s) }
-
 // EdgeMap applies f to every edge (s, d) with s in u and Cond(d) true, and
 // returns the subset of destinations for which an update returned true.
 // The traversal is sparse (push over out-edges of u) or dense (pull over
@@ -201,38 +187,134 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 	if threshold <= 0 {
 		threshold = g.NumEdges() / DefaultThresholdDenominator
 	}
-	outDeg, err := frontierOutDegrees(ctx, g, u, threshold-int64(u.Size()))
+	sc := roundPool.Get().(*roundScratch)
+	defer sc.release()
+	sc.g = g
+	if csr, ok := g.(*graph.Graph); ok {
+		sc.offs, sc.edges, sc.wts = csr.Offsets(), csr.Edges(), csr.Weights()
+	} else {
+		sc.rows = graph.Rows(g)
+	}
+	// Without a Cond or DenseEarlyExit a kernel cannot stop early: a pull
+	// round reads every in-edge and a push round updates on every edge.
+	// For such a kernel the degree scan runs on past the sparse threshold
+	// to the forward/pull crossover.
+	pullFull := f.Cond == nil && !opts.DenseEarlyExit
+	stopAfter := threshold - int64(u.Size())
+	if pullFull && opts.Mode == Auto && !opts.DenseForward {
+		stopAfter = max(stopAfter, forwardLimit(g))
+	}
+	outDeg, err := sc.frontierOutDegrees(ctx, u, stopAfter)
 	if err != nil {
 		return nil, err
 	}
-	dense := int64(u.Size())+outDeg > threshold
-	switch opts.Mode {
-	case ForceSparse:
-		dense = false
-	case ForceDense:
-		dense = true
-	}
+	kind := chooseRound(g, u.Size(), outDeg, threshold, pullFull, opts)
 
 	// The degree scan stops early only once the sum has passed the dense
 	// threshold, so a partial sum can pass for a small round only where
 	// that threshold is itself below smallRoundWork and the caller forced
 	// the round sparse: graphs too small for the chunking to matter.
-	seq := !dense && int64(u.Size())+outDeg <= smallRoundWork
+	seq := kind == sparseRound && int64(u.Size())+outDeg <= smallRoundWork
 	var out *VertexSubset
-	switch {
-	case dense && opts.DenseForward:
-		out, err = edgeMapDenseForward(ctx, g, u, f, opts)
-	case dense:
+	switch kind {
+	case forwardRound:
+		out, err = sc.edgeMapDenseForward(ctx, u, f, opts)
+	case pullRound:
 		out, err = edgeMapDense(ctx, g, u, f, opts)
 	default:
-		out, err = edgeMapSparse(ctx, g, u, f, opts, seq)
+		out, err = sc.edgeMapSparse(ctx, u, f, opts, seq)
 	}
 	if err != nil {
 		return nil, err
 	}
-	globalStats.record(u.Size(), outDeg, dense, dense && opts.DenseForward, seq, out.Size())
-	traceRecord(opts.Trace, u, outDeg, dense, dense && opts.DenseForward, out, start)
+	dense, fwd := kind != sparseRound, kind == forwardRound
+	globalStats.record(u.Size(), outDeg, dense, fwd, seq, out.Size())
+	traceRecord(opts.Trace, u, outDeg, dense, fwd, out, start)
 	return out, nil
+}
+
+// roundKind is the traversal one EdgeMap round runs.
+type roundKind int
+
+const (
+	sparseRound  roundKind = iota // edgeMapSparse: push over the frontier's ID array
+	pullRound                     // edgeMapDense: pull over every vertex's in-row
+	forwardRound                  // edgeMapDenseForward: push over the frontier's bitset words
+)
+
+// The rule's constants, from forced-mode runs of the same rounds on
+// weighted graphs at scale 18 (2-vCPU VM, GOMAXPROCS 2, per-round minimum
+// of five runs; times are one round's ms under sparse / dense-forward /
+// pull):
+//
+//   - forwardWordRatio, forwardWordRatioFull: below the sparse threshold,
+//     a round goes forward once its frontier's out-edges outnumber the
+//     n/64 bitset words the forward round walks by this much. Where most
+//     push edges stop early, the word walk's fixed cost needs many edges
+//     to pay back: grid BFS at 9.0x the words reads 0.59 / 0.60, rMat BFS
+//     at 12.1x 0.93 / 0.94, grid radii at 13.4x 0.84 / 1.22 and 29.4x
+//     2.26 / 1.82. Where every push edge runs its update, vertex order
+//     pays sooner: grid Bellman-Ford at 1.3x reads 0.16 / 0.18, at 3.9x
+//     0.38 / 0.34 and at 8.5x 0.81 / 0.54 (rMat Bellman-Ford's one such
+//     round, 12.1x, reads 1.41 / 1.65, a 0.2 ms loss in a 250 ms run).
+//     The rule sees an early stop only as a Cond, so ClusterBFS, whose
+//     update stops most edges at its first test, gets the lower ratio.
+//   - forwardEdgeCost: a forward round's edge (an atomic update on a
+//     scattered destination) costs about this many of a pull round's
+//     sequential in-edges, so a kernel that reads every in-edge pulls
+//     only once 5·outDeg(U) + n/64 reaches m. Grid radii crosses there:
+//     0.13m reads 2.38 forward against 2.66 pull, 0.20m 2.74 / 2.74,
+//     0.27m 4.59 / 2.77. Grid Bellman-Ford's largest frontier, 0.13m,
+//     forwards in 2.34 against a pull round's 3.1; rMat Bellman-Ford's
+//     0.19m round stays forward, below the line.
+const (
+	forwardWordRatio     = 12
+	forwardWordRatioFull = 4
+	forwardEdgeCost      = 5
+)
+
+// forwardLimit is the frontier out-degree below which a forward round
+// costs less than a pull round that reads every in-edge.
+func forwardLimit(g graph.View) int64 {
+	return (g.NumEdges() - int64(g.NumVertices()/64)) / forwardEdgeCost
+}
+
+// chooseRound picks a round's traversal. Forced modes are obeyed, and
+// DenseForward makes every dense round forward. Otherwise Ligra's
+// threshold splits sparse from dense, and each side is then priced:
+//
+//   - at or under the threshold, a round whose out-edges are many times
+//     the n/64 bitset words (forwardWordRatio, or forwardWordRatioFull
+//     when no Cond prunes push edges) walks the words instead of an ID
+//     array: the same edges in vertex order, no output array to assemble;
+//   - over it, pull is Ligra's choice when the kernel can stop early — a
+//     Cond that turns false, or DenseEarlyExit — because it then reads a
+//     fraction of the in-edges. A kernel without either reads all m, and
+//     forward is cheaper until forwardEdgeCost·outDeg(U) + n/64 reaches m.
+//
+// outDeg may be a partial sum past whichever bound decided the round.
+func chooseRound(g graph.View, frontier int, outDeg, threshold int64, pullFull bool, opts Options) roundKind {
+	dense := opts.Mode == ForceDense || (opts.Mode == Auto && int64(frontier)+outDeg > threshold)
+	switch {
+	case opts.Mode == ForceSparse:
+		return sparseRound
+	case dense && opts.DenseForward:
+		return forwardRound
+	case opts.Mode == ForceDense:
+		return pullRound
+	case !dense:
+		ratio := int64(forwardWordRatio)
+		if pullFull {
+			ratio = forwardWordRatioFull
+		}
+		if !opts.DenseForward && outDeg > ratio*int64(g.NumVertices()/64+1) {
+			return forwardRound
+		}
+		return sparseRound
+	case pullFull && outDeg < forwardLimit(g):
+		return forwardRound
+	}
+	return pullRound
 }
 
 func traceRecord(t *Trace, u *VertexSubset, outDeg int64, dense, fwd bool, out *VertexSubset, start time.Time) {
@@ -250,6 +332,74 @@ func traceRecord(t *Trace, u *VertexSubset, outDeg int64, dense, fwd bool, out *
 	})
 }
 
+// roundScratch is one EdgeMap call's reusable state: the view's raw rows,
+// the degree scan's running sum, the sparse traversal's per-worker
+// buffers, and the loop bodies that read them. The bodies are built once
+// per scratch, so a round allocates no closures, and the buffers keep
+// their capacity from round to round, so a warm sparse round allocates
+// only its output. Calls take a scratch from roundPool and release it.
+type roundScratch struct {
+	// The round in flight, cleared by release.
+	g     graph.View
+	offs  []int64 // raw CSR out-rows; nil when rows come from rows
+	edges []uint32
+	wts   []int32
+	rows  graph.RowView
+
+	// The degree scan.
+	ids       []uint32 // sparse frontier
+	words     []uint64 // dense frontier
+	stopAfter int64
+	sum       atomic.Int64
+
+	// The sparse traversal.
+	update  func(s, d uint32, w int32) bool
+	cond    func(d uint32) bool
+	keep    bool
+	claimed *bitset.Bitset // RemoveDuplicates: the round's output members
+	workers []sparseWorkerBuf
+	segLen  []int64
+
+	degIDs, degWords, push func(worker, chunk, lo, hi int)
+}
+
+var roundPool = sync.Pool{New: func() any {
+	sc := &roundScratch{}
+	sc.degIDs, sc.degWords = sc.degreesOfIDs, sc.degreesOfWords
+	sc.push = sc.pushChunk
+	return sc
+}}
+
+// release drops the scratch's references into the round — the graph, the
+// frontier, the caller's functions and the claimed bitset — and pools it.
+// The worker buffers keep their capacity.
+func (sc *roundScratch) release() {
+	sc.g, sc.offs, sc.edges, sc.wts, sc.rows = nil, nil, nil, nil, nil
+	sc.ids, sc.words, sc.update, sc.cond, sc.claimed = nil, nil, nil, nil, nil
+	roundPool.Put(sc)
+}
+
+// outDegree is v's out-degree, read off raw CSR offsets when there are.
+func (sc *roundScratch) outDegree(v uint32) int64 {
+	if sc.offs != nil {
+		return sc.offs[v+1] - sc.offs[v]
+	}
+	return int64(sc.g.OutDegree(v))
+}
+
+// outRow is s's out-row, sliced from raw CSR arrays when there are and
+// otherwise fetched from the view's row source into buf.
+func (sc *roundScratch) outRow(s uint32, buf *graph.Row) ([]uint32, []int32) {
+	if sc.offs == nil {
+		return sc.rows.OutRow(s, buf)
+	}
+	lo, hi := sc.offs[s], sc.offs[s+1]
+	if sc.wts == nil {
+		return sc.edges[lo:hi], nil
+	}
+	return sc.edges[lo:hi], sc.wts[lo:hi]
+}
+
 // Block sizes for the capped degree sum: small enough that the scan stops
 // within one or two blocks of crossing the threshold, large enough that a
 // full scan dispatches only a handful of chunks.
@@ -259,64 +409,74 @@ const (
 )
 
 // frontierOutDegrees computes the total out-degree of the frontier, the
-// quantity the paper's switch heuristic compares against |E|/20. The
-// caller only needs to know whether the sum exceeds stopAfter, so the scan
-// short-circuits: once the running sum passes stopAfter, remaining blocks
-// are skipped and the returned value is a partial sum that is guaranteed
-// to exceed stopAfter. Pass a negative stopAfter to force the short-circuit
-// immediately, or math.MaxInt64 for an exact total.
-func frontierOutDegrees(ctx context.Context, g graph.View, u *VertexSubset, stopAfter int64) (int64, error) {
+// quantity the direction rule weighs. The caller only needs to know
+// whether the sum exceeds stopAfter, so the scan short-circuits: once the
+// running sum passes stopAfter, remaining blocks are skipped and the
+// returned value is a partial sum that is guaranteed to exceed stopAfter.
+// Pass a negative stopAfter to force the short-circuit immediately, or
+// math.MaxInt64 for an exact total.
+func (sc *roundScratch) frontierOutDegrees(ctx context.Context, u *VertexSubset, stopAfter int64) (int64, error) {
 	if u.Size() == u.UniverseSize() {
 		// Full frontier (most algorithms' first round): the sum is |E|.
-		return g.NumEdges(), parallel.CtxErr(ctx)
+		return sc.g.NumEdges(), parallel.CtxErr(ctx)
 	}
-	var sum atomic.Int64
+	sc.sum.Store(0)
+	sc.stopAfter = stopAfter
 	if u.HasSparse() {
 		ids, err := u.ToSparse(ctx)
 		if err != nil {
 			return 0, err
 		}
-		blocks := (len(ids) + outDegGrainIDs - 1) / outDegGrainIDs
-		err = parallel.ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
-			if sum.Load() > stopAfter {
-				return
-			}
-			lo := b * outDegGrainIDs
-			hi := min(lo+outDegGrainIDs, len(ids))
-			var local int64
-			for i := lo; i < hi; i++ {
-				local += int64(g.OutDegree(ids[i]))
-			}
-			sum.Add(local)
-		})
-		return sum.Load(), err
+		sc.ids = ids
+		err = parallel.ForWorkerChunks(ctx, (len(ids)+outDegGrainIDs-1)/outDegGrainIDs, 1, sc.degIDs)
+		return sc.sum.Load(), err
 	}
 	// Dense: walk the frontier bitset a word at a time, skipping empty words.
 	ud, err := u.ToDense(ctx)
 	if err != nil {
 		return 0, err
 	}
-	words := ud.Words()
-	blocks := (len(words) + outDegGrainWords - 1) / outDegGrainWords
-	err = parallel.ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
-		if sum.Load() > stopAfter {
-			return
-		}
-		var local int64
-		for wi := b * outDegGrainWords; wi < min((b+1)*outDegGrainWords, len(words)); wi++ {
-			w := words[wi]
-			if w == 0 {
-				continue
+	sc.words = ud.Words()
+	err = parallel.ForWorkerChunks(ctx, (len(sc.words)+outDegGrainWords-1)/outDegGrainWords, 1, sc.degWords)
+	return sc.sum.Load(), err
+}
+
+func (sc *roundScratch) degreesOfIDs(_, b, _, _ int) {
+	if sc.sum.Load() > sc.stopAfter {
+		return
+	}
+	var local int64
+	for _, v := range sc.ids[b*outDegGrainIDs : min((b+1)*outDegGrainIDs, len(sc.ids))] {
+		local += sc.outDegree(v)
+	}
+	sc.sum.Add(local)
+}
+
+func (sc *roundScratch) degreesOfWords(_, b, _, _ int) {
+	if sc.sum.Load() > sc.stopAfter {
+		return
+	}
+	var local int64
+	for wi := b * outDegGrainWords; wi < min((b+1)*outDegGrainWords, len(sc.words)); wi++ {
+		base := wi * 64
+		w := sc.words[wi]
+		if sc.offs == nil {
+			for ; w != 0; w &= w - 1 {
+				local += sc.outDegree(uint32(base + bits.TrailingZeros64(w)))
 			}
-			base := uint32(wi * 64)
-			for w != 0 {
-				local += int64(g.OutDegree(base + uint32(bits.TrailingZeros64(w))))
-				w &= w - 1
-			}
+			continue
 		}
-		sum.Add(local)
-	})
-	return sum.Load(), err
+		// Raw CSR: a run of consecutive members' degrees is one difference
+		// of offsets, so a dense frontier costs a load pair per run, not
+		// per member.
+		for w != 0 {
+			lo := bits.TrailingZeros64(w)
+			run := bits.TrailingZeros64(^(w >> lo))
+			local += sc.offs[base+lo+run] - sc.offs[base+lo]
+			w &^= (uint64(1)<<run - 1) << lo
+		}
+	}
+	sc.sum.Add(local)
 }
 
 // sparseSeg records where one chunk's output landed inside a worker's
@@ -337,123 +497,94 @@ type sparseWorkerBuf struct {
 }
 
 // edgeMapSparse is Ligra's edgeMapSparse: push over the out-edges of the
-// frontier vertices, each row fetched from the view's row source into the
-// worker's scratch. Successful targets are appended to per-worker output
+// frontier vertices. Successful targets are appended to per-worker output
 // buffers (no shared cursor, no atomics, no degree-sized scratch with
 // sentinel holes) and concatenated afterward in chunk order: successes in
 // frontier edge order, writing only the successes instead of one slot per
 // scanned edge. A round the caller found small (see smallRoundWork) asks
-// for a single chunk, which parallel.ForWorkerChunks runs on the
-// calling goroutine with the same panic containment, ctx checks and
-// fault-injection hook as any other.
-func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options, oneChunk bool) (*VertexSubset, error) {
-	n := g.NumVertices()
+// for a single chunk, which parallel.ForWorkerChunks runs on the calling
+// goroutine with the same panic containment, ctx checks and
+// fault-injection hook as any other. Under RemoveDuplicates each success
+// first claims its destination's bit in a bitset, which then serves as the
+// output's dense form too: deduplication costs one bit per vertex and no
+// pass of its own.
+func (sc *roundScratch) edgeMapSparse(ctx context.Context, u *VertexSubset, f EdgeFuncs, opts Options, oneChunk bool) (*VertexSubset, error) {
+	n := sc.g.NumVertices()
 	ids, err := u.ToSparse(ctx)
 	if err != nil {
 		return nil, err
 	}
-	update := f.pushUpdate()
-	cond := f.Cond
-	rows := graph.Rows(g)
-	keep := !opts.NoOutput
+	sc.ids, sc.update, sc.cond, sc.keep = ids, f.pushUpdate(), f.Cond, !opts.NoOutput
+	if opts.RemoveDuplicates && sc.keep {
+		sc.claimed = bitset.New(n)
+	}
 
 	grain := len(ids)
 	if !oneChunk {
 		grain = parallel.AutoGrain(ctx, len(ids))
 	}
 	nchunks := (len(ids) + grain - 1) / grain
-	workers := make([]sparseWorkerBuf, parallel.CtxProcs(ctx))
-	segLen := make([]int64, nchunks)
-	err = parallel.ForWorkerChunks(ctx, len(ids), grain, func(wk, c, lo, hi int) {
-		wb := &workers[wk]
-		buf := wb.ids
-		start := len(buf)
-		for i := lo; i < hi; i++ {
-			s := ids[i]
-			row, wts := rows.OutRow(s, &wb.row)
-			for j, d := range row {
-				w := int32(1)
-				if wts != nil {
-					w = wts[j]
-				}
-				if (cond == nil || cond(d)) && update(s, d, w) && keep {
-					buf = append(buf, d)
-				}
-			}
-		}
-		wb.ids = buf
-		wb.segs = append(wb.segs, sparseSeg{chunk: c, start: start, end: len(buf)})
-		// Each chunk is dispatched to exactly one worker: no contention.
-		segLen[c] = int64(len(buf) - start)
-	})
-	if err != nil {
+	procs := parallel.CtxProcs(ctx)
+	if cap(sc.workers) < procs {
+		sc.workers = make([]sparseWorkerBuf, procs)
+	}
+	sc.workers = sc.workers[:procs]
+	for w := range sc.workers {
+		sc.workers[w].ids, sc.workers[w].segs = sc.workers[w].ids[:0], sc.workers[w].segs[:0]
+	}
+	if cap(sc.segLen) < nchunks {
+		sc.segLen = make([]int64, nchunks)
+	}
+	sc.segLen = sc.segLen[:nchunks]
+	if err := parallel.ForWorkerChunks(ctx, len(ids), grain, sc.push); err != nil {
 		// Undispatched chunks never wrote their segment; no frontier can
 		// be derived from the partial buffers.
 		return nil, err
 	}
-	if !keep {
+	if !sc.keep {
 		return NewEmpty(n), nil
 	}
-	// Exclusive scan turns per-chunk lengths into output offsets; each
-	// worker then copies its segments into place in parallel.
-	total, err := parallel.ScanExclusive(ctx, segLen, segLen)
-	if err != nil {
-		return nil, err
+	// An exclusive scan turns per-chunk lengths into output offsets, and
+	// each worker's segments are copied into place.
+	var total int64
+	for c, l := range sc.segLen {
+		sc.segLen[c] = total
+		total += l
 	}
 	outIDs := make([]uint32, total)
-	if err := parallel.For(ctx, len(workers), func(wk int) {
-		wb := &workers[wk]
+	for w := range sc.workers {
+		wb := &sc.workers[w]
 		for _, sg := range wb.segs {
-			copy(outIDs[segLen[sg.chunk]:], wb.ids[sg.start:sg.end])
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if opts.RemoveDuplicates && len(outIDs) > 1 {
-		if outIDs, err = removeDuplicates(ctx, n, outIDs); err != nil {
-			return nil, err
+			copy(outIDs[sc.segLen[sg.chunk]:], wb.ids[sg.start:sg.end])
 		}
 	}
-	return NewSparse(n, outIDs), nil
+	out := NewSparse(n, outIDs)
+	out.dense = sc.claimed
+	return out, nil
 }
 
-// removeDuplicates keeps one occurrence of each vertex ID using a pooled
-// CAS-claimed scratch array (Ligra's remDuplicates). An interrupted call
-// leaves the scratch dirty, so it is dropped rather than pooled.
-func removeDuplicates(ctx context.Context, n int, ids []uint32) ([]uint32, error) {
-	scratch := getScratch(n)
-	if err := parallel.For(ctx, len(ids), func(i int) {
-		d := ids[i]
-		// Claim d with the smallest index; ties broken by writeMin.
-		for {
-			old := atomic.LoadUint32(&scratch[d])
-			if old <= uint32(i) {
-				return
+// pushChunk is edgeMapSparse's body over frontier positions [lo, hi).
+func (sc *roundScratch) pushChunk(wk, c, lo, hi int) {
+	wb := &sc.workers[wk]
+	buf := wb.ids
+	start := len(buf)
+	update, cond, keep, claimed := sc.update, sc.cond, sc.keep, sc.claimed
+	for _, s := range sc.ids[lo:hi] {
+		row, wts := sc.outRow(s, &wb.row)
+		for j, d := range row {
+			w := int32(1)
+			if wts != nil {
+				w = wts[j]
 			}
-			if atomic.CompareAndSwapUint32(&scratch[d], old, uint32(i)) {
-				return
+			if (cond == nil || cond(d)) && update(s, d, w) && keep && (claimed == nil || claimed.SetAtomic(int(d))) {
+				buf = append(buf, d)
 			}
 		}
-	}); err != nil {
-		return nil, err
 	}
-	out, err := parallel.FilterIndex(ctx, ids, func(i int, d uint32) bool {
-		return scratch[d] == uint32(i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Restore the all-None invariant before pooling — over the deduplicated
-	// output, not ids: out holds every distinct ID exactly once, so each
-	// slot has a single writer (ids would have two workers racing plain
-	// stores on duplicate entries) and the loop does less work.
-	if err := parallel.For(ctx, len(out), func(i int) {
-		scratch[out[i]] = None
-	}); err != nil {
-		return nil, err
-	}
-	putScratch(scratch)
-	return out, nil
+	wb.ids = buf
+	wb.segs = append(wb.segs, sparseSeg{chunk: c, start: start, end: len(buf)})
+	// Each chunk is dispatched to exactly one worker: no contention.
+	sc.segLen[c] = int64(len(buf) - start)
 }
 
 // denseBlockAlign is the alignment of the dense traversal's destination
@@ -590,24 +721,47 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 		out = bitset.New(n)
 	}
 
+	var ow []uint64
+	if out != nil {
+		ow = out.Words()
+	}
+
 	err := parallel.ForRangeGrain(ctx, n, denseGrain(ctx, n), func(lo, hi int) {
+		if inOffs != nil {
+			// Raw CSR: one output word per 64 destinations, gathered in a
+			// register and stored once.
+			for wlo := lo; wlo < hi; wlo += 64 {
+				var word uint64
+				for di := wlo; di < min(wlo+64, hi); di++ {
+					if cond != nil && !cond(uint32(di)) {
+						continue
+					}
+					a, b := inOffs[di], inOffs[di+1]
+					var wts []int32
+					if inWts != nil {
+						wts = inWts[a:b]
+					}
+					// A select, not a branch: whether a row hits is often
+					// as likely as not from one vertex to the next.
+					var bit uint64
+					if kernel(uint32(di), inEdges[a:b], wts, uw) {
+						bit = 1
+					}
+					word |= bit << (di & 63)
+				}
+				if word != 0 && ow != nil {
+					ow[wlo>>6] = word // this block owns the word
+				}
+			}
+			return
+		}
 		var buf graph.Row
 		for di := lo; di < hi; di++ {
 			d := uint32(di)
 			if cond != nil && !cond(d) {
 				continue
 			}
-			var srcs []uint32
-			var wts []int32
-			if inOffs != nil {
-				lo, hi := inOffs[d], inOffs[d+1]
-				srcs = inEdges[lo:hi]
-				if inWts != nil {
-					wts = inWts[lo:hi]
-				}
-			} else {
-				srcs, wts = rows.InRow(d, &buf, prefix)
-			}
+			srcs, wts := rows.InRow(d, &buf, prefix)
 			hit := kernel(d, srcs, wts, uw)
 			if !hit && len(srcs) == prefix && (cond == nil || cond(d)) {
 				// Nothing in the prefix: the rest of the row, if any.
@@ -636,8 +790,8 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 // updates. It avoids the transpose (useful for graphs stored only forward)
 // at the cost of atomics and no early exit. The frontier bit vector is
 // scanned a word at a time: an empty word costs one load, not 64 bit tests.
-func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
-	n := g.NumVertices()
+func (sc *roundScratch) edgeMapDenseForward(ctx context.Context, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
+	n := sc.g.NumVertices()
 	ud, err := u.ToDense(ctx)
 	if err != nil {
 		return nil, err
@@ -645,7 +799,6 @@ func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f E
 	update := f.pushUpdate()
 	cond := f.Cond
 
-	rows := graph.Rows(g)
 	var out *bitset.Bitset
 	if !opts.NoOutput {
 		out = bitset.New(n)
@@ -662,7 +815,7 @@ func edgeMapDenseForward(ctx context.Context, g graph.View, u *VertexSubset, f E
 			for w != 0 {
 				s := base + uint32(bits.TrailingZeros64(w))
 				w &= w - 1
-				row, wts := rows.OutRow(s, &buf)
+				row, wts := sc.outRow(s, &buf)
 				for j, d := range row {
 					ew := int32(1)
 					if wts != nil {

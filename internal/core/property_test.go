@@ -202,26 +202,50 @@ func TestEdgeMapWeightsAgreeAcrossModes(t *testing.T) {
 	}
 }
 
-// TestRemoveDuplicatesIdempotent: applying dedup to an already-unique
-// output must be a no-op, and scratch reuse across calls must not leak
-// stale claims (regression guard for the pooled scratch array).
+// TestRemoveDuplicatesScratchReuse: every destination is reached from
+// several sources and the update always succeeds, so a sparse round keeps
+// each destination once only through RemoveDuplicates' bit claims; the
+// rounds reuse pooled scratch, which must carry no stale claim or output
+// from one round into the next, and the claimed bitset must be the
+// output's dense form.
 func TestRemoveDuplicatesScratchReuse(t *testing.T) {
-	n := 1000
-	for round := 0; round < 10; round++ {
-		ids := make([]uint32, 0, 500)
-		for v := 0; v < 500; v++ {
-			ids = append(ids, uint32(v), uint32(v)) // every ID twice
+	const n, srcs, dsts = 1000, 500, 250
+	var edges []graph.Edge
+	for v := 0; v < srcs; v++ {
+		for k := 0; k < 3; k++ {
+			edges = append(edges, graph.Edge{Src: uint32(v), Dst: uint32(srcs + (v+k)%dsts)})
 		}
-		out := must(removeDuplicates(bg, n, ids))
-		if len(out) != 500 {
-			t.Fatalf("round %d: dedup kept %d, want 500", round, len(out))
+	}
+	g, err := graph.FromEdges(n, edges, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint32, srcs)
+	for v := range ids {
+		ids[v] = uint32(v)
+	}
+	f := EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool { return true }}
+	for round := 0; round < 10; round++ {
+		out := edgeMap(g, NewSparse(n, append([]uint32(nil), ids...)), f, Options{Mode: ForceSparse, RemoveDuplicates: true})
+		got := sparseIDs(out)
+		if len(got) != dsts || out.Size() != dsts {
+			t.Fatalf("round %d: dedup kept %d (size %d), want %d", round, len(got), out.Size(), dsts)
 		}
 		seen := map[uint32]bool{}
-		for _, v := range out {
-			if seen[v] {
-				t.Fatalf("round %d: duplicate %d survived", round, v)
+		for _, v := range got {
+			if seen[v] || v < srcs {
+				t.Fatalf("round %d: duplicate or stray %d survived", round, v)
 			}
 			seen[v] = true
+		}
+		dense := must(out.ToDense(bg))
+		if dense.Count() != dsts {
+			t.Fatalf("round %d: dense form holds %d vertices, want %d", round, dense.Count(), dsts)
+		}
+		for _, v := range got {
+			if !dense.Get(int(v)) {
+				t.Fatalf("round %d: %d missing from the dense form", round, v)
+			}
 		}
 	}
 }

@@ -50,40 +50,54 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 	// Construction has no deadline to observe; its loops fail only with a
 	// contained panic, which FromEdges returns.
 	ctx := context.Background()
-	work := make([]Edge, len(edges))
-	copy(work, edges)
-	var err error
-	if opts.RemoveSelfLoops {
-		if work, err = parallel.Filter(ctx, work, func(e Edge) bool { return e.Src != e.Dst }); err != nil {
-			return nil, err
+	// Two allocations hold every transient of the build: the kept edges
+	// (and, symmetrized, their reverses in its second half) and the radix
+	// sort's scratch, shared by all of its passes. Filtering and
+	// deduplication compact in place.
+	k := 1
+	if opts.Symmetrize {
+		k = 2
+	}
+	arena := make([]Edge, k*len(edges))
+	work := arena[:0:len(edges)]
+	for _, e := range edges {
+		if !opts.RemoveSelfLoops || e.Src != e.Dst {
+			work = append(work, e)
 		}
 	}
 	if opts.Symmetrize {
-		rev, err := parallel.MapNew(ctx, len(work), func(i int) Edge {
+		m := len(work)
+		work = arena[:2*m]
+		if err := parallel.For(ctx, m, func(i int) {
 			e := work[i]
-			return Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
-		})
-		if err != nil {
+			work[m+i] = Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
+		}); err != nil {
 			return nil, err
 		}
-		work = append(work, rev...)
 	}
+	scratch := make([]Edge, len(work))
 
 	// Sort by (src, dst, weight) so CSR rows come out contiguous and
 	// deduplication is a scan; "keep minimum weight among duplicates"
 	// falls out of weight being the last key. Implemented as stable LSD
 	// radix passes over the integer keys (least-significant key first),
 	// which beats comparison sorting by a wide margin on edge arrays.
-	if err := sortEdges(ctx, work, n, opts.Weighted, true); err != nil {
+	if err := sortEdges(ctx, work, scratch, n, opts.Weighted, true); err != nil {
 		return nil, err
 	}
 
 	if opts.RemoveDuplicates {
-		if work, err = parallel.FilterIndex(ctx, work, func(i int, e Edge) bool {
-			return i == 0 || work[i-1].Src != e.Src || work[i-1].Dst != e.Dst
-		}); err != nil {
-			return nil, err
+		kept := 0
+		for i, e := range work {
+			if i == 0 || work[kept-1].Src != e.Src || work[kept-1].Dst != e.Dst {
+				work[kept] = e
+				kept++
+			}
 		}
+		work = work[:kept]
+	}
+	if opts.Symmetrize {
+		scratch = nil // the transpose is the graph itself: no second sort
 	}
 
 	g := &Graph{
@@ -91,6 +105,7 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 		m:         int64(len(work)),
 		symmetric: opts.Symmetrize,
 	}
+	var err error
 	if g.offsets, g.edges, g.weights, err = buildCSR(ctx, n, work, opts.Weighted,
 		func(e Edge) uint32 { return e.Src }, func(e Edge) uint32 { return e.Dst }); err != nil {
 		return nil, err
@@ -98,7 +113,7 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 
 	if !opts.Symmetrize {
 		// Build the transpose for pull-based dense traversal.
-		if err := sortEdges(ctx, work, n, opts.Weighted, false); err != nil {
+		if err := sortEdges(ctx, work, scratch, n, opts.Weighted, false); err != nil {
 			return nil, err
 		}
 		if g.inOffsets, g.inEdges, g.inWeights, err = buildCSR(ctx, n, work, opts.Weighted,
@@ -110,10 +125,11 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 }
 
 // sortEdges stably sorts edges lexicographically by (Src, Dst, Weight)
-// when bySrc, else (Dst, Src, Weight), via LSD counting-sort passes.
-func sortEdges(ctx context.Context, edges []Edge, n int, weighted, bySrc bool) error {
+// when bySrc, else (Dst, Src, Weight), via LSD counting-sort passes that
+// alternate with scratch.
+func sortEdges(ctx context.Context, edges, scratch []Edge, n int, weighted, bySrc bool) error {
 	if weighted {
-		if err := parallel.RadixSortByKey(ctx, edges, 1<<32, func(e Edge) int64 {
+		if err := parallel.RadixSortByKey(ctx, edges, scratch, 1<<32, func(e Edge) int64 {
 			return int64(e.Weight) + (1 << 31)
 		}); err != nil {
 			return err
@@ -124,10 +140,10 @@ func sortEdges(ctx context.Context, edges []Edge, n int, weighted, bySrc bool) e
 	if !bySrc {
 		minor, major = major, minor
 	}
-	if err := parallel.RadixSortByKey(ctx, edges, int64(n), minor); err != nil {
+	if err := parallel.RadixSortByKey(ctx, edges, scratch, int64(n), minor); err != nil {
 		return err
 	}
-	return parallel.RadixSortByKey(ctx, edges, int64(n), major)
+	return parallel.RadixSortByKey(ctx, edges, scratch, int64(n), major)
 }
 
 // buildCSR lays a sorted edge list out as offsets+targets(+weights). key

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"ligra/internal/parallel"
@@ -318,5 +319,38 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 	}
 	if err := Validate(g); err == nil {
 		t.Error("Validate accepted an asymmetric 'symmetric' graph")
+	}
+}
+
+// TestFromEdgesAllocsPerEdge pins what a build allocates: the symmetrized
+// edge list and one radix scratch of its size shared by every sort pass
+// (48 bytes per input edge), the weighted CSR arrays (16) and the radix
+// passes' per-block digit counts (about 30 at this size), 93.5 in all.
+// Every further transient copy of the edge list is one more allocation
+// whose release depends on when the collector runs, which is what makes
+// a build's peak memory vary from one process to the next.
+func TestFromEdgesAllocsPerEdge(t *testing.T) {
+	const n, m = 1 << 12, 1 << 17
+	edges := make([]Edge, m)
+	x := uint64(7)
+	for i := range edges {
+		x = x*6364136223846793005 + 1442695040888963407
+		edges[i] = Edge{Src: uint32(x>>33) % n, Dst: uint32(x>>17) % n, Weight: int32(x>>50) + 1}
+	}
+	opts := BuildOptions{Symmetrize: true, RemoveSelfLoops: true, RemoveDuplicates: true, Weighted: true}
+	if _, err := FromEdges(n, edges, opts); err != nil { // warm-up: the pool's workers
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := FromEdges(n, edges, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / m
+	t.Logf("%d edges in, %d out: %.1f B allocated per input edge", m, g.NumEdges(), perEdge)
+	if perEdge > 100 {
+		t.Errorf("FromEdges allocated %.1f B per input edge, want <= 100", perEdge)
 	}
 }

@@ -131,7 +131,7 @@ func BenchmarkRadixSortByKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, proto)
-		ok(RadixSortByKey(bg, work, 1<<32, func(v uint64) int64 { return int64(v) }))
+		ok(RadixSortByKey(bg, work, nil, 1<<32, func(v uint64) int64 { return int64(v) }))
 	}
 }
 

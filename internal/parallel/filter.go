@@ -8,11 +8,6 @@ func Filter[T any](ctx context.Context, in []T, pred func(T) bool) ([]T, error) 
 	return pack(ctx, len(in), func(i int) bool { return pred(in[i]) }, func(i int) T { return in[i] })
 }
 
-// FilterIndex is Filter where the predicate also receives the element index.
-func FilterIndex[T any](ctx context.Context, in []T, pred func(i int, v T) bool) ([]T, error) {
-	return pack(ctx, len(in), func(i int) bool { return pred(i, in[i]) }, func(i int) T { return in[i] })
-}
-
 // PackIndex returns, in increasing order, the indices i in [0, n) for which
 // flag(i) is true. It is the "pack" primitive used to convert dense frontier
 // representations to sparse ones.
@@ -74,9 +69,9 @@ func pack[T any](ctx context.Context, n int, keep func(i int) bool, val func(i i
 	return out, err
 }
 
-// MapNew allocates and returns a slice of length n with element i set to
+// mapNew allocates and returns a slice of length n with element i set to
 // fn(i), computed in parallel.
-func MapNew[T any](ctx context.Context, n int, fn func(i int) T) ([]T, error) {
+func mapNew[T any](ctx context.Context, n int, fn func(i int) T) ([]T, error) {
 	out := make([]T, n)
 	return out, For(ctx, n, func(i int) { out[i] = fn(i) })
 }

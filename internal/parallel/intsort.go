@@ -84,14 +84,18 @@ const radixBits = 11
 
 // RadixSortByKey stably sorts in by the non-negative integer key, which
 // must be < keyBound, using least-significant-digit radix passes of
-// countingSortByKey. A scratch slice of the same length is allocated
-// internally.
-func RadixSortByKey[T any](ctx context.Context, in []T, keyBound int64, key func(T) int64) error {
+// countingSortByKey that alternate between in and a scratch slice: buf
+// when it holds at least len(in) elements, otherwise one allocated here.
+// A caller sorting repeatedly passes the same buf and allocates once.
+func RadixSortByKey[T any](ctx context.Context, in, buf []T, keyBound int64, key func(T) int64) error {
 	n := len(in)
 	if n <= 1 || keyBound <= 1 {
 		return CtxErr(ctx)
 	}
-	buf := make([]T, n)
+	if len(buf) < n {
+		buf = make([]T, n)
+	}
+	buf = buf[:n]
 	src, dst := in, buf
 	swapped := false
 	for shift := 0; int64(1)<<shift < keyBound; shift += radixBits {

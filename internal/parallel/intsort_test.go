@@ -58,7 +58,7 @@ func TestRadixSortByKeyMatchesComparison(t *testing.T) {
 		}
 		want := append([]int64(nil), in...)
 		slices.Sort(want)
-		ok(RadixSortByKey(bg, in, 1<<32, func(v int64) int64 { return v }))
+		ok(RadixSortByKey(bg, in, nil, 1<<32, func(v int64) int64 { return v }))
 		for i := range in {
 			if in[i] != want[i] {
 				return false
@@ -82,7 +82,7 @@ func TestRadixSortStability(t *testing.T) {
 	for i := range in {
 		in[i] = kv{int64(rng.Intn(1000)), i}
 	}
-	ok(RadixSortByKey(bg, in, 1000, func(v kv) int64 { return v.k }))
+	ok(RadixSortByKey(bg, in, nil, 1000, func(v kv) int64 { return v.k }))
 	for i := 1; i < n; i++ {
 		if in[i-1].k > in[i].k {
 			t.Fatalf("order violated at %d", i)
@@ -95,7 +95,7 @@ func TestRadixSortStability(t *testing.T) {
 
 func TestRadixSortLargeKeys(t *testing.T) {
 	in := []int64{1 << 40, 3, 1<<40 + 1, 0, 1 << 20}
-	ok(RadixSortByKey(bg, in, 1<<41, func(v int64) int64 { return v }))
+	ok(RadixSortByKey(bg, in, nil, 1<<41, func(v int64) int64 { return v }))
 	want := []int64{0, 3, 1 << 20, 1 << 40, 1<<40 + 1}
 	for i := range want {
 		if in[i] != want[i] {

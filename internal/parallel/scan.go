@@ -56,7 +56,7 @@ func ScanExclusive[T Number](ctx context.Context, in, out []T) (T, error) {
 // freshly allocated slice and returns it together with the total. It is the
 // form used to build edge offsets from vertex degrees.
 func ScanFunc[T Number](ctx context.Context, n int, fn func(i int) T) ([]T, T, error) {
-	tmp, err := MapNew(ctx, n, fn)
+	tmp, err := mapNew(ctx, n, fn)
 	if err != nil {
 		return nil, 0, err
 	}

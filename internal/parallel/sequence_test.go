@@ -198,10 +198,10 @@ func TestFillIotaCopy(t *testing.T) {
 }
 
 func TestMapNew(t *testing.T) {
-	got := must(MapNew(bg, 1000, func(i int) int { return i * i }))
+	got := must(mapNew(bg, 1000, func(i int) int { return i * i }))
 	for i, v := range got {
 		if v != i*i {
-			t.Fatalf("MapNew wrong at %d", i)
+			t.Fatalf("mapNew wrong at %d", i)
 		}
 	}
 }
