@@ -37,8 +37,6 @@ type (
 	ColoringResult = algo.ColoringResult
 	// SCCResult is the output of SCC.
 	SCCResult = algo.SCCResult
-	// LDDResult is the output of LDD.
-	LDDResult = algo.LDDResult
 	// EccentricityResult is the output of TwoPassEccentricity.
 	EccentricityResult = algo.EccentricityResult
 	// ForestResult is the output of SpanningForest.
@@ -208,13 +206,6 @@ func MaximalMatching(ctx context.Context, g View, seed uint64) (*MatchingResult,
 // a proper partial coloring on interruption.
 func Coloring(ctx context.Context, g View, seed uint64, opts Options) (*ColoringResult, error) {
 	return contain(func() (*ColoringResult, error) { return algo.Coloring(ctx, g, seed, opts) })
-}
-
-// LDD computes a low-diameter decomposition with exponential start-time
-// shifts (Miller-Peng-Xu style; extension). Larger beta yields more,
-// smaller clusters. Cluster holds the balls grown so far on interruption.
-func LDD(ctx context.Context, g View, beta float64, seed uint64, opts Options) (*LDDResult, error) {
-	return contain(func() (*LDDResult, error) { return algo.LDD(ctx, g, beta, seed, opts) })
 }
 
 // SpanningForest computes a spanning forest of a symmetric graph via BFS

@@ -302,11 +302,6 @@ func BenchmarkExtensions(b *testing.B) {
 			must(ligra.SCC(context.Background(), dg, ligra.Options{}))
 		}
 	})
-	b.Run("LDD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(ligra.LDD(context.Background(), g, 0.2, 1, ligra.Options{}))
-		}
-	})
 	b.Run("SpanningForest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			must(ligra.SpanningForest(context.Background(), g, ligra.Options{}))

@@ -82,15 +82,16 @@ func main() {
 	// farthest vertex, always stepping to a predecessor on a tight edge.
 	path := []uint32{uint32(farTime)}
 	cur := uint32(farTime)
+	var row ligra.Row
 	for cur != src && len(path) < 10000 {
 		next := cur
-		wg.InNeighbors(cur, func(s uint32, w int32) bool {
-			if sp.Dist[s]+int64(w) == sp.Dist[cur] {
+		srcs, ws := wg.InRow(cur, &row, wg.InDegree(cur))
+		for i, s := range srcs {
+			if sp.Dist[s]+int64(ws[i]) == sp.Dist[cur] {
 				next = s
-				return false
+				break
 			}
-			return true
-		})
+		}
 		if next == cur {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ligra/internal/core"
@@ -36,6 +37,13 @@ var modes = map[string]core.Options{
 	"sparse":        {Mode: core.ForceSparse},
 	"dense":         {Mode: core.ForceDense},
 	"dense-forward": {Mode: core.ForceDense, DenseForward: true},
+}
+
+// hasEdge reports whether g has the edge s->d.
+func hasEdge(g graph.View, s, d uint32) bool {
+	var buf graph.Row
+	ts, _ := g.OutRow(s, &buf)
+	return slices.Contains(ts, d)
 }
 
 // testGraphs returns a diverse family of small graphs.
@@ -120,15 +128,7 @@ func levelsFromParents(t *testing.T, g graph.View, parents []uint32, source uint
 		}
 		p := parents[v]
 		// The tree edge p->v must exist.
-		found := false
-		g.OutNeighbors(p, func(d uint32, _ int32) bool {
-			if d == v {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
+		if !hasEdge(g, p, v) {
 			t.Fatalf("parent edge %d->%d not in graph", p, v)
 		}
 		levels[v] = walk(p) + 1
@@ -439,12 +439,12 @@ func TestKCoreInvariant(t *testing.T) {
 				continue
 			}
 			deg := 0
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			ts, _ := g.OutRow(v, nil)
+			for _, d := range ts {
 				if res.Coreness[d] >= k {
 					deg++
 				}
-				return true
-			})
+			}
 			if int32(deg) < k {
 				t.Fatalf("k=%d: vertex %d has induced degree %d", k, v, deg)
 			}
@@ -487,22 +487,18 @@ func TestMISIndependentAndMaximal(t *testing.T) {
 		g := testGraphs(t)[gname]
 		res := must(MISCtx(nil, g, 123, core.Options{}))
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
+			ts, _ := g.OutRow(v, nil)
 			if res.InSet[v] {
-				g.OutNeighbors(v, func(d uint32, _ int32) bool {
+				for _, d := range ts {
 					if d != v && res.InSet[d] {
 						t.Fatalf("%s: adjacent vertices %d and %d both in MIS", gname, v, d)
 					}
-					return true
-				})
+				}
 			} else {
 				hasInNeighbor := false
-				g.OutNeighbors(v, func(d uint32, _ int32) bool {
-					if res.InSet[d] {
-						hasInNeighbor = true
-						return false
-					}
-					return true
-				})
+				for _, d := range ts {
+					hasInNeighbor = hasInNeighbor || res.InSet[d]
+				}
 				if !hasInNeighbor {
 					t.Fatalf("%s: vertex %d excluded with no MIS neighbor (not maximal)", gname, v)
 				}

@@ -176,13 +176,13 @@ func TransposeView(g graph.View) graph.View {
 	case *graph.Graph:
 		return t.Transpose() // shares the arrays, and keeps raw CSR rows
 	}
-	return transposeView{graph.Rows(g)}
+	return transposeView{g}
 }
 
 // transposeView flips the edge orientation of an arbitrary graph.View,
 // rows included.
 type transposeView struct {
-	g graph.RowView
+	g graph.View
 }
 
 func (t transposeView) OutRow(v uint32, buf *graph.Row) ([]uint32, []int32) {
@@ -201,10 +201,7 @@ func (t transposeView) InDegree(v uint32) int  { return t.g.OutDegree(v) }
 func (t transposeView) Weighted() bool         { return t.g.Weighted() }
 func (t transposeView) Symmetric() bool        { return t.g.Symmetric() }
 
+// OutNeighbors is View's temporary per-edge shim over OutRow.
 func (t transposeView) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
-	t.g.InNeighbors(v, fn)
-}
-
-func (t transposeView) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
-	t.g.OutNeighbors(v, fn)
+	graph.OutNeighbors(t, v, fn)
 }

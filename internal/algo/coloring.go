@@ -57,15 +57,14 @@ func Coloring(ctx context.Context, g graph.View, seed uint64, opts core.Options)
 			if atomic.LoadInt32(&colors[v]) != -1 {
 				return false
 			}
-			dominated := false
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			var buf graph.Row
+			ts, _ := g.OutRow(v, &buf)
+			for _, d := range ts {
 				if d != v && atomic.LoadInt32(&colors[d]) == -1 && higherPri(d, v) {
-					dominated = true
 					return false
 				}
-				return true
-			})
-			return !dominated
+			}
+			return true
 		})
 		if err != nil {
 			return partial(err)
@@ -74,14 +73,15 @@ func Coloring(ctx context.Context, g graph.View, seed uint64, opts core.Options)
 		// Roots are pairwise non-adjacent, so their choices cannot
 		// conflict within a round; already-colored neighbors are frozen.
 		if err := core.VertexMap(ctx, roots, func(v uint32) {
-			deg := g.OutDegree(v)
+			var buf graph.Row
+			ts, _ := g.OutRow(v, &buf)
+			deg := len(ts)
 			used := make([]bool, deg+1)
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			for _, d := range ts {
 				if c := atomic.LoadInt32(&colors[d]); c >= 0 && int(c) <= deg {
 					used[c] = true
 				}
-				return true
-			})
+			}
 			c := int32(0)
 			for int(c) <= deg && used[c] {
 				c++

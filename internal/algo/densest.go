@@ -58,14 +58,13 @@ func DensestSubgraph(ctx context.Context, g graph.View, opts core.Options) (*Den
 	for w := range per {
 		per[w] = counts{make([]int64, kc.MaxCore+1), make([]int64, kc.MaxCore+1)}
 	}
-	rows := graph.Rows(g)
 	if err := parallel.ForWorkerChunks(ctx, n, 0, func(worker, _, lo, hi int) {
 		c := per[worker]
 		var buf graph.Row
 		for i := lo; i < hi; i++ {
 			cv := coreness[i]
 			key := uint64(cv)<<32 | uint64(i)
-			ts, _ := rows.OutRow(uint32(i), &buf)
+			ts, _ := g.OutRow(uint32(i), &buf)
 			var up int64
 			for _, d := range ts {
 				if uint64(coreness[d])<<32|uint64(d) > key {

@@ -20,13 +20,14 @@ func densityOf(g graph.View, verts []uint32) float64 {
 		in[v] = true
 	}
 	var edges int64
+	var buf graph.Row
 	for _, v := range verts {
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			if in[d] && d > v {
 				edges++
 			}
-			return true
-		})
+		}
 	}
 	return float64(edges) / float64(len(verts))
 }
@@ -138,10 +139,10 @@ func TestDensestSubgraphMatchesBruteForce(t *testing.T) {
 		n := g.NumVertices()
 		adj := make([]uint32, n) // adjacency as bit sets
 		for v := uint32(0); int(v) < n; v++ {
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			ts, _ := g.OutRow(v, nil)
+			for _, d := range ts {
 				adj[v] |= 1 << d
-				return true
-			})
+			}
 		}
 		opt := 0.0
 		for set := uint32(1); set < 1<<n; set++ {

@@ -27,15 +27,7 @@ func TestMaximalMatchingValid(t *testing.T) {
 				t.Fatalf("%s: partner asymmetry: %d->%d->%d", gname, v, p, res.Partner[p])
 			}
 			// Matched pairs must be actual edges.
-			found := false
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
-				if d == p {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
+			if !hasEdge(g, v, p) {
 				t.Fatalf("%s: matched pair (%d, %d) is not an edge", gname, v, p)
 			}
 			if p > v {
@@ -50,12 +42,12 @@ func TestMaximalMatchingValid(t *testing.T) {
 			if res.Partner[v] != none {
 				continue
 			}
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			ts, _ := g.OutRow(v, nil)
+			for _, d := range ts {
 				if d != v && res.Partner[d] == none {
 					t.Fatalf("%s: edge (%d, %d) has both endpoints unmatched", gname, v, d)
 				}
-				return true
-			})
+			}
 		}
 	}
 }
@@ -91,12 +83,12 @@ func TestColoringProper(t *testing.T) {
 			if res.Colors[v] < 0 {
 				t.Fatalf("%s: vertex %d uncolored", gname, v)
 			}
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			ts, _ := g.OutRow(v, nil)
+			for _, d := range ts {
 				if d != v && res.Colors[d] == res.Colors[v] {
 					t.Fatalf("%s: adjacent %d and %d share color %d", gname, v, d, res.Colors[v])
 				}
-				return true
-			})
+			}
 		}
 		if res.NumColors > maxDeg+1 {
 			t.Errorf("%s: %d colors exceeds maxdeg+1 = %d", gname, res.NumColors, maxDeg+1)
@@ -226,15 +218,7 @@ func TestSpanningForestProperties(t *testing.T) {
 		childCount := make([]int, n)
 		for _, e := range res.Edges {
 			childCount[e.Dst]++
-			found := false
-			g.OutNeighbors(e.Src, func(d uint32, _ int32) bool {
-				if d == e.Dst {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
+			if !hasEdge(g, e.Src, e.Dst) {
 				t.Fatalf("%s: forest edge %d->%d not in graph", gname, e.Src, e.Dst)
 			}
 		}

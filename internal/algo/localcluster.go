@@ -68,6 +68,7 @@ type localScratch struct {
 	flag    []byte
 	touched []uint32 // every vertex with a non-zero p, r or flag, once
 	queue   []uint32
+	row     graph.Row
 }
 
 // flag bits.
@@ -157,7 +158,8 @@ func appr(ctx context.Context, g graph.View, seed uint32, alpha, eps float64) (*
 		keep := (1 - alpha) * rv / 2
 		share := (1 - alpha) * rv / 2 / deg
 		r[v] = keep
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &sc.row)
+		for _, d := range ts {
 			sc.touch(d)
 			r[d] += share
 			if flag[d]&queued == 0 {
@@ -167,8 +169,7 @@ func appr(ctx context.Context, g graph.View, seed uint32, alpha, eps float64) (*
 					flag[d] |= queued
 				}
 			}
-			return true
-		})
+		}
 		// v may still exceed its own threshold after the lazy keep.
 		if flag[v]&queued == 0 && r[v] >= eps*deg {
 			queue = append(queue, v)
@@ -246,12 +247,12 @@ func sweep(ctx context.Context, g graph.View, sc *localScratch) (*SweepCutResult
 		vol += deg
 		// Adding v: edges to members leave the cut, others join it.
 		var toSet int64
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &sc.row)
+		for _, d := range ts {
 			if flag[d]&inSweepSet != 0 {
 				toSet++
 			}
-			return true
-		})
+		}
 		cut += deg - 2*toSet
 		flag[v] |= inSweepSet
 

@@ -185,6 +185,7 @@ func refAPPR(g graph.View, seed uint32, alpha, eps float64) *APPRResult {
 	queue := []uint32{seed}
 	inQueue := map[uint32]bool{seed: true}
 	pushes := 0
+	var buf graph.Row
 
 	for len(queue) > 0 {
 		v := queue[0]
@@ -203,7 +204,8 @@ func refAPPR(g graph.View, seed uint32, alpha, eps float64) *APPRResult {
 		keep := (1 - alpha) * rv / 2
 		share := (1 - alpha) * rv / 2 / deg
 		r[v] = keep
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			r[d] += share
 			if !inQueue[d] {
 				dd := float64(g.OutDegree(d))
@@ -212,8 +214,7 @@ func refAPPR(g graph.View, seed uint32, alpha, eps float64) *APPRResult {
 					inQueue[d] = true
 				}
 			}
-			return true
-		})
+		}
 		// v may still exceed its own threshold after the lazy keep.
 		if !inQueue[v] && r[v] >= eps*deg {
 			queue = append(queue, v)
@@ -248,6 +249,7 @@ func refSweepCut(g graph.View, p map[uint32]float64) *SweepCutResult {
 
 	totalVol := g.NumEdges() // sum of degrees
 	inSet := make(map[uint32]bool, len(order))
+	var buf graph.Row
 	var vol, cut int64
 	best := math.Inf(1)
 	bestEnd := 0
@@ -257,12 +259,12 @@ func refSweepCut(g graph.View, p map[uint32]float64) *SweepCutResult {
 		vol += deg
 		// Adding v: edges to members leave the cut, others join it.
 		var toSet int64
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			if inSet[d] {
 				toSet++
 			}
-			return true
-		})
+		}
 		cut += deg - 2*toSet
 		inSet[v] = true
 

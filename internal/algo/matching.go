@@ -57,24 +57,27 @@ func MaximalMatching(ctx context.Context, g graph.View, seed uint64) (*MatchingR
 		// Phase 1: every live vertex computes the max priority among its
 		// live incident edges.
 		var anyLive atomic.Bool
-		if err := parallel.For(ctx, n, func(i int) {
-			v := uint32(i)
-			best[i] = 0
-			if !live(v) {
-				return
-			}
-			var b uint64
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
-				if d != v && live(d) {
-					if p := edgePri(v, d); p > b {
-						b = p
+		if err := parallel.ForRange(ctx, n, func(lo, hi int) {
+			var buf graph.Row
+			for i := lo; i < hi; i++ {
+				v := uint32(i)
+				best[i] = 0
+				if !live(v) {
+					continue
+				}
+				var b uint64
+				ts, _ := g.OutRow(v, &buf)
+				for _, d := range ts {
+					if d != v && live(d) {
+						if p := edgePri(v, d); p > b {
+							b = p
+						}
 					}
 				}
-				return true
-			})
-			best[i] = b
-			if b != 0 && !anyLive.Load() {
-				anyLive.Store(true)
+				best[i] = b
+				if b != 0 && !anyLive.Load() {
+					anyLive.Store(true)
+				}
 			}
 		}); err != nil {
 			return partial(err)
@@ -87,28 +90,29 @@ func MaximalMatching(ctx context.Context, g graph.View, seed uint64) (*MatchingR
 		// The lower endpoint claims both sides; CAS guards against the
 		// (impossible by priority-uniqueness, but cheap to exclude)
 		// double-claim.
-		if err := parallel.For(ctx, n, func(i int) {
-			v := uint32(i)
-			if best[i] == 0 || !live(v) {
-				return
-			}
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
-				if d <= v || !live(d) {
-					return true
+		if err := parallel.ForRange(ctx, n, func(lo, hi int) {
+			var buf graph.Row
+			for i := lo; i < hi; i++ {
+				v := uint32(i)
+				if best[i] == 0 || !live(v) {
+					continue
 				}
-				p := edgePri(v, d)
-				if p == best[v] && p == best[d] {
-					if atomicx.CASUint32(&partner[v], none, d) {
+				ts, _ := g.OutRow(v, &buf)
+				for _, d := range ts {
+					if d <= v || !live(d) {
+						continue
+					}
+					p := edgePri(v, d)
+					if p == best[v] && p == best[d] && atomicx.CASUint32(&partner[v], none, d) {
 						if atomicx.CASUint32(&partner[d], none, v) {
-							return false
+							break
 						}
 						// d was taken concurrently (priority tie across
 						// distinct edges): roll back v.
 						atomic.StoreUint32(&partner[v], none)
 					}
 				}
-				return true
-			})
+			}
 		}); err != nil {
 			return partial(err)
 		}

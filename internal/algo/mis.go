@@ -62,15 +62,14 @@ func MISCtx(ctx context.Context, g graph.View, seed uint64, opts core.Options) (
 			if atomic.LoadInt32(&status[v]) != misUndecided {
 				return false
 			}
-			dominated := false
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			var buf graph.Row
+			ts, _ := g.OutRow(v, &buf)
+			for _, d := range ts {
 				if d != v && atomic.LoadInt32(&status[d]) == misUndecided && higherPri(d, v) {
-					dominated = true
 					return false
 				}
-				return true
-			})
-			return !dominated
+			}
+			return true
 		})
 		if err != nil {
 			return partial(err)

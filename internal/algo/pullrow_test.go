@@ -15,8 +15,8 @@ import (
 )
 
 // perEdge hides everything about a view except the graph.View methods, so
-// core's drivers read its rows through graph.Rows' adapter, which gathers
-// them from the per-edge iterators.
+// core's drivers cannot slice raw CSR arrays and fetch every row through
+// OutRow and InRow.
 type perEdge struct{ graph.View }
 
 // rowGraphs are the inputs of the differential tests: scale-free,

@@ -37,10 +37,9 @@ func orientByRank(ctx context.Context, g graph.View) (forwardRows, error) {
 		dv, dd := deg[v], deg[d]
 		return dd > dv || (dd == dv && d > v)
 	}
-	rows := graph.Rows(g)
 	// forward calls fn on the neighbors of v that outrank it.
 	forward := func(v uint32, buf *graph.Row, fn func(d uint32)) {
-		row, _ := rows.OutRow(v, buf)
+		row, _ := g.OutRow(v, buf)
 		for _, d := range row {
 			if higher(v, d) {
 				fn(d)

@@ -72,12 +72,11 @@ func TestTriangleCountCancelled(t *testing.T) {
 	}
 }
 
-// panicView panics during neighbor iteration; it is not a graph.RowView,
-// so the orientation pass reads it through the row adapter's iterator and
-// must contain the panic.
+// panicView panics reading any out-row; the orientation pass must contain
+// the panic.
 type panicView struct{ graph.View }
 
-func (p panicView) OutNeighbors(v uint32, fn func(uint32, int32) bool) { panic("boom out") }
+func (p panicView) OutRow(uint32, *graph.Row) ([]uint32, []int32) { panic("boom out") }
 
 func TestTriangleCountPanicContained(t *testing.T) {
 	g, err := gen.RMAT(8, 8, gen.PBBSRMAT, 42)

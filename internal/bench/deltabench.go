@@ -211,10 +211,9 @@ func deepOverlay(cfg Config, g *graph.Graph, mkOps func(count int, seed uint64) 
 	// by 4-vertex paths, the small components the gated refresh is timed on.
 	var deepen []delta.EdgeOp
 	for v := uint32(0); v < n; v++ {
-		g.OutNeighbors(v, func(d uint32, w int32) bool {
-			deepen = append(deepen, delta.EdgeOp{Src: v, Dst: d, Del: true}, delta.EdgeOp{Src: v, Dst: d, Weight: w})
-			return false
-		})
+		if ts, ws := g.OutRow(v, nil); len(ts) > 0 {
+			deepen = append(deepen, delta.EdgeOp{Src: v, Dst: ts[0], Del: true}, delta.EdgeOp{Src: v, Dst: ts[0], Weight: graph.WeightAt(ws, 0)})
+		}
 	}
 	islands := uint32(rounds * batch)
 	for i := uint32(0); i < islands; i++ {
@@ -294,10 +293,9 @@ func deepOverlay(cfg Config, g *graph.Graph, mkOps func(count int, seed uint64) 
 		{"incremental-delete-giant", func(round int) []delta.EdgeOp {
 			ops := mkOps(batch-4, uint64(round+1)*0xD6E8FEB86659FD93)
 			for v := uint32(round * 4); len(ops) < batch; v++ {
-				g.OutNeighbors(v%n, func(d uint32, _ int32) bool {
-					ops = append(ops, delta.EdgeOp{Src: v % n, Dst: d, Del: true})
-					return false
-				})
+				if ts, _ := g.OutRow(v%n, nil); len(ts) > 0 {
+					ops = append(ops, delta.EdgeOp{Src: v % n, Dst: ts[0], Del: true})
+				}
 			}
 			return ops
 		}},

@@ -6,6 +6,7 @@ import (
 
 	"ligra/internal/delta"
 	"ligra/internal/gen"
+	"ligra/internal/graph"
 )
 
 func BenchmarkCompress(b *testing.B) {
@@ -31,30 +32,24 @@ func BenchmarkDecodeTraversal(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := g.NumVertices()
-	b.Run("csr", func(b *testing.B) {
-		var sum int64
-		for i := 0; i < b.N; i++ {
-			for v := uint32(0); int(v) < n; v++ {
-				g.OutNeighbors(v, func(d uint32, _ int32) bool {
-					sum += int64(d)
-					return true
-				})
+	for _, view := range []struct {
+		name string
+		g    graph.View
+	}{{"csr", g}, {"compressed", c}} {
+		b.Run(view.name, func(b *testing.B) {
+			var sum int64
+			var buf graph.Row
+			for i := 0; i < b.N; i++ {
+				for v := uint32(0); int(v) < n; v++ {
+					ts, _ := view.g.OutRow(v, &buf)
+					for _, d := range ts {
+						sum += int64(d)
+					}
+				}
 			}
-		}
-		_ = sum
-	})
-	b.Run("compressed", func(b *testing.B) {
-		var sum int64
-		for i := 0; i < b.N; i++ {
-			for v := uint32(0); int(v) < n; v++ {
-				c.OutNeighbors(v, func(d uint32, _ int32) bool {
-					sum += int64(d)
-					return true
-				})
-			}
-		}
-		_ = sum
-	})
+			_ = sum
+		})
+	}
 }
 
 func BenchmarkDecompress(b *testing.B) {

@@ -17,10 +17,10 @@
 // ~2x size reduction on power-law graphs (the gap distribution is what
 // compresses — locality-skewed rows encode in 1-2 bytes per edge against
 // CSR's fixed 4, low-locality rows approach parity). Decoding is the
-// recurring cost: edgeMap fetches each row through graph.RowView, and
-// CompressedGraph decodes it into the caller's scratch with one varint
-// loop (one branch per continuation byte) where CSR hands out a slice in
-// place. A pull round under DenseEarlyExit asks for a short prefix first,
+// recurring cost: edgeMap fetches each row through graph.View's rows,
+// and CompressedGraph decodes it into the caller's scratch with one
+// varint loop (one branch per continuation byte) where CSR hands out a
+// slice in place. A pull round under DenseEarlyExit asks for a short prefix first,
 // so BFS decodes little past a destination's first frontier hit. At scale
 // 16 on two cores that costs ~1.5x CSR for BFS and 3.5-4x for PageRank and
 // Components (the compress/* rows of BENCH_baseline.json). The regime
@@ -86,15 +86,15 @@ func Compress(g *graph.Graph) (*CompressedGraph, error) {
 		symmetric: g.Symmetric(),
 	}
 	var err error
-	c.outOffsets, c.outDeg, c.outData, err = encodeSide(n, g.Weighted(), func(v uint32, fn func(uint32, int32) bool) {
-		g.OutNeighbors(v, fn)
+	c.outOffsets, c.outDeg, c.outData, err = encodeSide(n, g.Weighted(), func(v uint32) ([]uint32, []int32) {
+		return g.OutRow(v, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
 	if !g.Symmetric() {
-		c.inOffsets, c.inDeg, c.inData, err = encodeSide(n, g.Weighted(), func(v uint32, fn func(uint32, int32) bool) {
-			g.InNeighbors(v, fn)
+		c.inOffsets, c.inDeg, c.inData, err = encodeSide(n, g.Weighted(), func(v uint32) ([]uint32, []int32) {
+			return g.InRow(v, nil, math.MaxInt)
 		})
 		if err != nil {
 			return nil, err
@@ -103,8 +103,8 @@ func Compress(g *graph.Graph) (*CompressedGraph, error) {
 	return c, nil
 }
 
-// encodeSide builds the byte arrays for one edge direction.
-func encodeSide(n int, weighted bool, iterate func(v uint32, fn func(uint32, int32) bool)) ([]int64, []int32, []byte, error) {
+// encodeSide builds the byte arrays for one edge direction from its rows.
+func encodeSide(n int, weighted bool, row func(v uint32) ([]uint32, []int32)) ([]int64, []int32, []byte, error) {
 	offsets := make([]int64, n+1)
 	degs := make([]int32, n)
 	// First pass: encode each row independently into per-vertex buffers
@@ -116,31 +116,25 @@ func encodeSide(n int, weighted bool, iterate func(v uint32, fn func(uint32, int
 	ctx := context.Background()
 	if err := parallel.For(ctx, n, func(i int) {
 		v := uint32(i)
+		ts, ws := row(v)
 		var buf []byte
-		prev := uint32(0)
-		first := true
-		deg := int32(0)
-		iterate(v, func(d uint32, w int32) bool {
-			if first {
+		for j, d := range ts {
+			if j == 0 {
 				buf = appendZigzag(buf, int64(d)-int64(v))
-				first = false
 			} else {
-				if d < prev {
+				if d < ts[j-1] {
 					encErr = fmt.Errorf("compress: unsorted adjacency row at vertex %d", v)
-					return false
+					return
 				}
-				buf = appendUvarint(buf, uint64(d-prev))
+				buf = appendUvarint(buf, uint64(d-ts[j-1]))
 			}
-			prev = d
 			if weighted {
-				buf = appendZigzag(buf, int64(w))
+				buf = appendZigzag(buf, int64(ws[j]))
 			}
-			deg++
-			return true
-		})
+		}
 		rows[i] = buf
 		offsets[i] = int64(len(buf)) // the row's length until the scan below
-		degs[i] = deg
+		degs[i] = int32(len(ts))
 	}); err != nil {
 		return nil, nil, nil, err
 	}
@@ -184,54 +178,10 @@ func (c *CompressedGraph) InDegree(v uint32) int {
 	return int(c.inDeg[v])
 }
 
-// OutNeighbors decodes and iterates v's out-edges in sorted target order.
+// OutNeighbors is View's temporary per-edge shim over OutRow.
 func (c *CompressedGraph) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
-	c.decode(v, c.outOffsets, c.outDeg, c.outData, fn)
+	graph.OutNeighbors(c, v, fn)
 }
-
-// InNeighbors decodes and iterates v's in-edges.
-func (c *CompressedGraph) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
-	if c.symmetric {
-		c.OutNeighbors(v, fn)
-		return
-	}
-	c.decode(v, c.inOffsets, c.inDeg, c.inData, fn)
-}
-
-func (c *CompressedGraph) decode(v uint32, offsets []int64, degs []int32, data []byte, fn func(uint32, int32) bool) {
-	deg := degs[v]
-	if deg == 0 {
-		return
-	}
-	p := data[offsets[v]:offsets[v+1]]
-	// First target: signed delta from v.
-	delta, p := readZigzag(p)
-	d := uint32(int64(v) + delta)
-	w := int32(1)
-	if c.weighted {
-		var wv int64
-		wv, p = readZigzag(p)
-		w = int32(wv)
-	}
-	if !fn(d, w) {
-		return
-	}
-	for i := int32(1); i < deg; i++ {
-		var gap uint64
-		gap, p = readUvarint(p)
-		d += uint32(gap)
-		if c.weighted {
-			var wv int64
-			wv, p = readZigzag(p)
-			w = int32(wv)
-		}
-		if !fn(d, w) {
-			return
-		}
-	}
-}
-
-var _ graph.RowView = (*CompressedGraph)(nil)
 
 // OutRow decodes v's out-row into buf.
 func (c *CompressedGraph) OutRow(v uint32, buf *graph.Row) ([]uint32, []int32) {

@@ -3,6 +3,7 @@ package compress
 import (
 	"context"
 	"os"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -100,18 +101,10 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 		}
 		// Compare adjacency exactly.
 		for v := uint32(0); int(v) < g.NumVertices(); v++ {
-			var a, b []uint32
-			var aw, bw []int32
-			g.OutNeighbors(v, func(d uint32, w int32) bool { a = append(a, d); aw = append(aw, w); return true })
-			back.OutNeighbors(v, func(d uint32, w int32) bool { b = append(b, d); bw = append(bw, w); return true })
-			if len(a) != len(b) {
-				t.Fatalf("%s: vertex %d degree differs", name, v)
-			}
-			for i := range a {
-				if a[i] != b[i] || aw[i] != bw[i] {
-					t.Fatalf("%s: vertex %d edge %d differs: (%d,%d) vs (%d,%d)",
-						name, v, i, a[i], aw[i], b[i], bw[i])
-				}
+			a, aw := g.OutRow(v, nil)
+			b, bw := back.OutRow(v, nil)
+			if !slices.Equal(a, b) || !slices.Equal(aw, bw) {
+				t.Fatalf("%s: vertex %d row differs: %v %v vs %v %v", name, v, a, aw, b, bw)
 			}
 		}
 	}
@@ -128,14 +121,10 @@ func TestCompressedViewMatchesCSR(t *testing.T) {
 			t.Fatalf("degree mismatch at %d", v)
 		}
 	}
-	// Early exit works on the decoder.
-	var count int
-	c.OutNeighbors(0, func(uint32, int32) bool {
-		count++
-		return count < 2
-	})
-	if g.OutDegree(0) >= 2 && count != 2 {
-		t.Errorf("early exit visited %d", count)
+	// A prefix decodes only the first max edges.
+	var buf graph.Row
+	if ts, _ := c.InRow(0, &buf, 2); len(ts) != min(2, g.InDegree(0)) {
+		t.Errorf("InRow(0, max=2) decoded %d edges", len(ts))
 	}
 }
 

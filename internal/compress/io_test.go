@@ -2,8 +2,10 @@ package compress
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -43,29 +45,19 @@ func assertSameAdjacency(t *testing.T, name string, want, got graph.View) {
 			want.NumVertices(), got.NumVertices(), want.NumEdges(), got.NumEdges(),
 			want.Weighted(), got.Weighted(), want.Symmetric(), got.Symmetric())
 	}
-	collect := func(v graph.View, u uint32, in bool) ([]uint32, []int32) {
-		var ds []uint32
-		var ws []int32
-		fn := func(d uint32, w int32) bool { ds = append(ds, d); ws = append(ws, w); return true }
+	var wantBuf, gotBuf graph.Row
+	row := func(v graph.View, u uint32, in bool, buf *graph.Row) ([]uint32, []int32) {
 		if in {
-			v.InNeighbors(u, fn)
-		} else {
-			v.OutNeighbors(u, fn)
+			return v.InRow(u, buf, math.MaxInt)
 		}
-		return ds, ws
+		return v.OutRow(u, buf)
 	}
 	for v := uint32(0); int(v) < want.NumVertices(); v++ {
 		for _, in := range []bool{false, true} {
-			a, aw := collect(want, v, in)
-			b, bw := collect(got, v, in)
-			if len(a) != len(b) {
-				t.Fatalf("%s: vertex %d (in=%t) degree %d vs %d", name, v, in, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] || aw[i] != bw[i] {
-					t.Fatalf("%s: vertex %d (in=%t) edge %d: (%d,%d) vs (%d,%d)",
-						name, v, in, i, a[i], aw[i], b[i], bw[i])
-				}
+			a, aw := row(want, v, in, &wantBuf)
+			b, bw := row(got, v, in, &gotBuf)
+			if !slices.Equal(a, b) || !slices.Equal(aw, bw) {
+				t.Fatalf("%s: vertex %d (in=%t) row %v %v vs %v %v", name, v, in, a, aw, b, bw)
 			}
 		}
 	}
@@ -270,10 +262,17 @@ func TestReadCompressedRejectsCorruptInput(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		for v := uint32(0); int(v) < cg.NumVertices(); v++ {
-			cg.OutNeighbors(v, func(uint32, int32) bool { return true })
-			cg.InNeighbors(v, func(uint32, int32) bool { return true })
-		}
+		decodeAll(cg)
+	}
+}
+
+// decodeAll decodes every row of c, both sides, with the trusting
+// traversal decoder.
+func decodeAll(c *CompressedGraph) {
+	var buf graph.Row
+	for v := uint32(0); int(v) < c.NumVertices(); v++ {
+		c.OutRow(v, &buf)
+		c.InRow(v, &buf, math.MaxInt)
 	}
 }
 
@@ -372,10 +371,7 @@ func FuzzReadCompressed(f *testing.F) {
 		}
 		// Accepted graphs must be fully decodable with the trusting fast
 		// path (this is exactly what traversal does).
-		for v := uint32(0); int(v) < c.NumVertices(); v++ {
-			c.OutNeighbors(v, func(uint32, int32) bool { return true })
-			c.InNeighbors(v, func(uint32, int32) bool { return true })
-		}
+		decodeAll(c)
 		var buf bytes.Buffer
 		if err := WriteCompressed(&buf, c); err != nil {
 			t.Fatalf("cannot re-serialize accepted graph: %v", err)

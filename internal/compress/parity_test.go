@@ -209,41 +209,3 @@ func TestTraversalStatsParity(t *testing.T) {
 		}
 	}
 }
-
-// iteratorsOnly hides everything about a view except the graph.View
-// methods, so core's drivers read its rows through graph.Rows' adapter
-// over the per-vertex decode callback.
-type iteratorsOnly struct{ graph.View }
-
-// TestNativeRowsMatchAdapter forces dense rounds and checks the compressed
-// graph's own row decoder and the graph.Rows adapter over its iterators
-// produce identical results.
-func TestNativeRowsMatchAdapter(t *testing.T) {
-	g := mustRMAT(t, 10, 5)
-	c, err := compress.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]algo.Runner{}
-	for _, r := range algo.Runners() {
-		byName[r.Name] = r
-	}
-	ctx := context.Background()
-	for _, app := range []string{"bfs", "components", "pagerank"} {
-		r := byName[app]
-		p := parityParams(r, core.Options{})
-		p.Mode = "dense"
-		native, err := r.Run(ctx, c, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adapted, err := r.Run(ctx, iteratorsOnly{c}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, nondet := nondetDetails[app]; !nondet && native.Summary != adapted.Summary {
-			t.Errorf("%s: summary differs:\n  native: %s\n  adapter: %s", app, native.Summary, adapted.Summary)
-		}
-		closeDetails(t, app, native.Details, adapted.Details)
-	}
-}

@@ -164,8 +164,8 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 		panic("core: EdgeMap frontier universe does not match graph")
 	}
 	if f.Update == nil && f.UpdateAtomic == nil {
-		// PullRow alone would work until the first sparse round, or the
-		// first view that cannot expose rows, dereferenced a nil update.
+		// PullRow alone would work until the first sparse round
+		// dereferenced a nil update.
 		panic("core: EdgeMap EdgeFuncs has neither Update nor UpdateAtomic")
 	}
 	faultinject.OnRound()
@@ -192,8 +192,6 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 	sc.g = g
 	if csr, ok := g.(*graph.Graph); ok {
 		sc.offs, sc.edges, sc.wts = csr.Offsets(), csr.Edges(), csr.Weights()
-	} else {
-		sc.rows = graph.Rows(g)
 	}
 	// Without a Cond or DenseEarlyExit a kernel cannot stop early: a pull
 	// round reads every in-edge and a push round updates on every edge.
@@ -341,10 +339,9 @@ func traceRecord(t *Trace, u *VertexSubset, outDeg int64, dense, fwd bool, out *
 type roundScratch struct {
 	// The round in flight, cleared by release.
 	g     graph.View
-	offs  []int64 // raw CSR out-rows; nil when rows come from rows
+	offs  []int64 // raw CSR out-rows; nil when rows come from g
 	edges []uint32
 	wts   []int32
-	rows  graph.RowView
 
 	// The degree scan.
 	ids       []uint32 // sparse frontier
@@ -374,7 +371,7 @@ var roundPool = sync.Pool{New: func() any {
 // frontier, the caller's functions and the claimed bitset — and pools it.
 // The worker buffers keep their capacity.
 func (sc *roundScratch) release() {
-	sc.g, sc.offs, sc.edges, sc.wts, sc.rows = nil, nil, nil, nil, nil
+	sc.g, sc.offs, sc.edges, sc.wts = nil, nil, nil, nil
 	sc.ids, sc.words, sc.update, sc.cond, sc.claimed = nil, nil, nil, nil, nil
 	roundPool.Put(sc)
 }
@@ -388,10 +385,10 @@ func (sc *roundScratch) outDegree(v uint32) int64 {
 }
 
 // outRow is s's out-row, sliced from raw CSR arrays when there are and
-// otherwise fetched from the view's row source into buf.
+// otherwise fetched from the view into buf.
 func (sc *roundScratch) outRow(s uint32, buf *graph.Row) ([]uint32, []int32) {
 	if sc.offs == nil {
-		return sc.rows.OutRow(s, buf)
+		return sc.g.OutRow(s, buf)
 	}
 	lo, hi := sc.offs[s], sc.offs[s+1]
 	if sc.wts == nil {
@@ -667,7 +664,7 @@ const denseEarlyPrefix = 4
 
 // edgeMapDense is Ligra's edgeMapDense as a row driver: for every vertex d
 // whose Cond holds it fetches d's in-row — sliced straight out of a raw
-// CSR's transpose arrays, otherwise from the view's row source (in place
+// CSR's transpose arrays, otherwise from the view (in place
 // from an overlay's replaced rows, decoded into per-chunk scratch from the
 // compressed byte stream) — and hands it to the row kernel: f.PullRow, or
 // perEdgeRow over Update/Cond when the caller set none. Under
@@ -695,7 +692,6 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 	// the early-exit prefix — splitting them cost BenchmarkHotPathBFS 4 %
 	// (2.89 vs 2.77 ms medians, whole rows ahead in 15 of 16 alternating
 	// pairs at one worker).
-	rows := graph.Rows(g)
 	prefix := math.MaxInt
 	var inOffs []int64
 	var inEdges []uint32
@@ -761,11 +757,11 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 			if cond != nil && !cond(d) {
 				continue
 			}
-			srcs, wts := rows.InRow(d, &buf, prefix)
+			srcs, wts := g.InRow(d, &buf, prefix)
 			hit := kernel(d, srcs, wts, uw)
 			if !hit && len(srcs) == prefix && (cond == nil || cond(d)) {
 				// Nothing in the prefix: the rest of the row, if any.
-				srcs, wts = rows.InRow(d, &buf, math.MaxInt)
+				srcs, wts = g.InRow(d, &buf, math.MaxInt)
 				if wts != nil {
 					wts = wts[prefix:]
 				}

@@ -48,12 +48,12 @@ func randomSubset(rng *rand.Rand, n int) *VertexSubset {
 func applyOracle(g *graph.Graph, u *VertexSubset, cond func(uint32) bool) []uint32 {
 	seen := map[uint32]bool{}
 	u.ForEachSeq(func(s uint32) {
-		g.OutNeighbors(s, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(s, nil)
+		for _, d := range ts {
 			if cond == nil || cond(d) {
 				seen[d] = true
 			}
-			return true
-		})
+		}
 	})
 	out := make([]uint32, 0, len(seen))
 	for d := range seen {

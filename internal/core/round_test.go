@@ -116,7 +116,7 @@ func TestSparseRoundLargeOutput(t *testing.T) {
 // frontier's exact out-degree sum for sparse and dense frontiers alike —
 // over raw CSR, where a dense frontier is summed a run of consecutive
 // members at a time (runs that end at a word's top bit, fill a whole
-// word, or hold one vertex), and over a view read through its iterators.
+// word, or hold one vertex), and over a view read through its OutDegree.
 func TestFrontierOutDegreesExact(t *testing.T) {
 	g, err := gen.RMAT(10, 8, gen.PBBSRMAT, 3)
 	if err != nil {
@@ -137,14 +137,12 @@ func TestFrontierOutDegreesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, view := range map[string]graph.View{"csr": g, "iterators": iterOnly{g}} {
+		for name, view := range map[string]graph.View{"csr": g, "interface": struct{ graph.View }{g}} {
 			for kind, u := range map[string]*VertexSubset{"dense": NewDense(n, bits), "sparse": NewSparse(n, slices.Clone(ids))} {
 				sc := roundPool.Get().(*roundScratch)
 				sc.g = view
 				if csr, ok := view.(*graph.Graph); ok {
 					sc.offs, sc.edges, sc.wts = csr.Offsets(), csr.Edges(), csr.Weights()
-				} else {
-					sc.rows = graph.Rows(view)
 				}
 				got, err := sc.frontierOutDegrees(context.Background(), u, math.MaxInt64)
 				sc.release()
@@ -155,6 +153,3 @@ func TestFrontierOutDegreesExact(t *testing.T) {
 		}
 	}
 }
-
-// iterOnly hides a graph's rows and offsets behind the View interface.
-type iterOnly struct{ graph.View }

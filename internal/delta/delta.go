@@ -62,14 +62,14 @@ func ValidateOps(ops []EdgeOp) error {
 	return nil
 }
 
-// overlay is a graph.RowView layered over a base view (through
-// graph.Rows): adjacency rows the delta log dirtied are replaced
-// wholesale, everything else reads through. It is immutable after
-// construction (apply builds a new overlay per batch, sharing every
-// row-table page the batch left alone), so concurrent traversal needs no
-// synchronization — the same contract as *graph.Graph.
+// overlay is a graph.View layered over a base view: adjacency rows the
+// delta log dirtied are replaced wholesale, everything else reads
+// through. It is immutable after construction (apply builds a new overlay
+// per batch, sharing every row-table page the batch left alone), so
+// concurrent traversal needs no synchronization — the same contract as
+// *graph.Graph.
 type overlay struct {
-	base  graph.RowView
+	base  graph.View
 	baseN int
 	n     int
 	m     int64
@@ -83,7 +83,7 @@ type overlay struct {
 	churn int64
 }
 
-var _ graph.RowView = (*overlay)(nil)
+var _ graph.View = (*overlay)(nil)
 
 func (o *overlay) NumVertices() int { return o.n }
 func (o *overlay) NumEdges() int64  { return o.m }
@@ -110,40 +110,9 @@ func (o *overlay) InDegree(v uint32) int {
 	return 0
 }
 
-func (r row) iterate(fn func(d uint32, w int32) bool) {
-	if r.weights == nil {
-		for _, d := range r.targets {
-			if !fn(d, 1) {
-				return
-			}
-		}
-		return
-	}
-	for i, d := range r.targets {
-		if !fn(d, r.weights[i]) {
-			return
-		}
-	}
-}
-
+// OutNeighbors is View's temporary per-edge shim over OutRow.
 func (o *overlay) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
-	if r, ok := o.out.get(v); ok {
-		r.iterate(fn)
-		return
-	}
-	if int(v) < o.baseN {
-		o.base.OutNeighbors(v, fn)
-	}
-}
-
-func (o *overlay) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
-	if r, ok := o.in.get(v); ok {
-		r.iterate(fn)
-		return
-	}
-	if int(v) < o.baseN {
-		o.base.InNeighbors(v, fn)
-	}
+	graph.OutNeighbors(o, v, fn)
 }
 
 // OutRow returns a dirty row in place and a clean one from the base, so
@@ -270,7 +239,7 @@ func apply(prev graph.View, ops []EdgeOp) (graph.View, []EdgeOp, applyStats) {
 	}
 	sortRowOps(outOps)
 
-	b := rowBuilder{rows: graph.Rows(prev)}
+	b := rowBuilder{rows: prev}
 	next := &overlay{
 		base:      b.rows,
 		baseN:     prevN,
@@ -315,7 +284,7 @@ func apply(prev graph.View, ops []EdgeOp) (graph.View, []EdgeOp, applyStats) {
 // rowBuilder rebuilds the rows a batch touches, reading prev's rows
 // through the row contract.
 type rowBuilder struct {
-	rows    graph.RowView // prev's
+	rows    graph.View // prev's
 	buf     graph.Row
 	scratch row
 }
@@ -484,11 +453,10 @@ func Materialize(ctx context.Context, v graph.View) (*graph.Graph, error) {
 	if v.Weighted() {
 		weights = make([]int32, m)
 	}
-	rows := graph.Rows(v)
 	if err := parallel.ForRange(ctx, n, func(lo, hi int) {
 		var buf graph.Row
 		for i := lo; i < hi; i++ {
-			ts, ws := rows.OutRow(uint32(i), &buf)
+			ts, ws := v.OutRow(uint32(i), &buf)
 			copy(edges[offsets[i]:], ts)
 			if weights != nil {
 				copy(weights[offsets[i]:], ws)

@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -32,11 +33,12 @@ func newRef(v graph.View) *refGraph {
 		weighted:  v.Weighted(),
 		edges:     make(map[edgeKey]int32),
 	}
+	var buf graph.Row
 	for s := 0; s < r.n; s++ {
-		v.OutNeighbors(uint32(s), func(d uint32, w int32) bool {
-			r.edges[edgeKey{uint32(s), d}] = w
-			return true
-		})
+		ts, ws := v.OutRow(uint32(s), &buf)
+		for i, d := range ts {
+			r.edges[edgeKey{uint32(s), d}] = graph.WeightAt(ws, i)
+		}
 	}
 	return r
 }
@@ -83,11 +85,11 @@ func assertViewMatches(t *testing.T, v graph.View, r *refGraph) {
 		t.Fatalf("NumEdges = %d, oracle %d", v.NumEdges(), len(r.edges))
 	}
 	inSeen := make(map[edgeKey]int32)
+	var buf graph.Row
 	for s := 0; s < r.n; s++ {
 		var lastD int64 = -1
-		deg := 0
-		v.OutNeighbors(uint32(s), func(d uint32, w int32) bool {
-			deg++
+		ts, ws := v.OutRow(uint32(s), &buf)
+		for i, d := range ts {
 			if int64(d) <= lastD {
 				// Overlay rows promise sorted, deduplicated targets;
 				// base CSR rows from the builders are sorted too.
@@ -98,18 +100,17 @@ func assertViewMatches(t *testing.T, v graph.View, r *refGraph) {
 			if !ok {
 				t.Fatalf("edge %d->%d present in view, absent in oracle", s, d)
 			}
-			if r.weighted && w != want {
+			if w := graph.WeightAt(ws, i); r.weighted && w != want {
 				t.Fatalf("edge %d->%d weight %d, oracle %d", s, d, w, want)
 			}
-			return true
-		})
-		if deg != v.OutDegree(uint32(s)) {
-			t.Fatalf("vertex %d: OutDegree %d but iterated %d", s, v.OutDegree(uint32(s)), deg)
 		}
-		v.InNeighbors(uint32(s), func(src uint32, w int32) bool {
-			inSeen[edgeKey{src, uint32(s)}] = w
-			return true
-		})
+		if len(ts) != v.OutDegree(uint32(s)) {
+			t.Fatalf("vertex %d: OutDegree %d but the row has %d", s, v.OutDegree(uint32(s)), len(ts))
+		}
+		srcs, ws := v.InRow(uint32(s), &buf, math.MaxInt)
+		for i, src := range srcs {
+			inSeen[edgeKey{src, uint32(s)}] = graph.WeightAt(ws, i)
+		}
 		if v.InDegree(uint32(s)) != inDegreeOracle(r, uint32(s)) {
 			t.Fatalf("vertex %d: InDegree %d, oracle %d", s, v.InDegree(uint32(s)), inDegreeOracle(r, uint32(s)))
 		}
@@ -163,15 +164,9 @@ func randomOps(rng *rand.Rand, v graph.View, count int) []EdgeOp {
 			ops = append(ops, EdgeOp{Src: s, Dst: d, Weight: int32(rng.Intn(100) + 1)})
 		case 2: // delete an edge that likely exists
 			if deg := v.OutDegree(s); deg > 0 {
-				i, j := 0, rng.Intn(deg)
-				v.OutNeighbors(s, func(dd uint32, _ int32) bool {
-					if i == j {
-						d = dd
-						return false
-					}
-					i++
-					return true
-				})
+				var buf graph.Row
+				ts, _ := v.OutRow(s, &buf)
+				d = ts[rng.Intn(deg)]
 				if s != d {
 					ops = append(ops, EdgeOp{Src: s, Dst: d, Del: true})
 				}
@@ -269,13 +264,13 @@ func TestNoOpBatchSpendsNoVersion(t *testing.T) {
 	st := NewStore(g, Config{InitialVersion: 5})
 	// An edge that exists (insert must be ignored) and one that does not
 	// (delete must be ignored).
-	var have EdgeOp
-	g.OutNeighbors(0, func(d uint32, _ int32) bool {
-		have = EdgeOp{Src: 0, Dst: d}
-		return false
-	})
+	row0, _ := g.OutRow(0, nil)
+	have := EdgeOp{Src: 0, Dst: row0[0]}
 	adj := make(map[uint32]bool)
-	g.OutNeighbors(1, func(d uint32, _ int32) bool { adj[d] = true; return true })
+	row1, _ := g.OutRow(1, nil)
+	for _, d := range row1 {
+		adj[d] = true
+	}
 	miss := EdgeOp{Del: true}
 	for d := uint32(0); int(d) < g.NumVertices(); d++ {
 		if d != 1 && !adj[d] {
@@ -464,9 +459,8 @@ func TestStorePinKeepsMmapAlive(t *testing.T) {
 		t.Fatal("mapping released while a pin was held")
 	}
 	// The pinned snapshot must stay traversable.
-	deg := 0
-	pin.View().OutNeighbors(0, func(uint32, int32) bool { deg++; return true })
-	if deg != pin.View().OutDegree(0) {
+	var buf graph.Row
+	if ts, _ := pin.View().OutRow(0, &buf); len(ts) != pin.View().OutDegree(0) {
 		t.Fatal("pinned view traversal inconsistent")
 	}
 	pin.Release()
@@ -512,9 +506,10 @@ func TestConcurrentReadersNeverBlockOnWriters(t *testing.T) {
 		}
 		v := pin.View()
 		var m int64
+		var buf graph.Row
 		for s := 0; s < v.NumVertices(); s++ {
 			m += int64(v.OutDegree(uint32(s)))
-			v.OutNeighbors(uint32(s), func(uint32, int32) bool { return true })
+			v.OutRow(uint32(s), &buf)
 		}
 		if m != v.NumEdges() {
 			t.Fatalf("snapshot v%d: degree sum %d != NumEdges %d (half-applied batch?)",
@@ -554,7 +549,7 @@ func TestApplyEffectiveOpsAreOrdered(t *testing.T) {
 
 // TestApplyOverUnsortedRows: a base whose rows are neither sorted nor
 // sets (a hand-written adjacency file, graph.FromCSR) is still merged
-// correctly — read in place and through graph.Rows' adapter — and a touched
+// correctly, and a touched
 // row comes out a sorted set with the last duplicate's weight, as it did
 // when apply went through a map.
 func TestApplyOverUnsortedRows(t *testing.T) {
@@ -570,30 +565,22 @@ func TestApplyOverUnsortedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		type hidden struct{ graph.View } // no rows of its own: apply reads it through the adapter
-		for name, base := range map[string]graph.View{"rows": g, "iterator": hidden{g}} {
-			ops := []EdgeOp{{Src: 0, Dst: 5, Weight: 50}, {Src: 0, Dst: 2, Del: true}, {Src: 0, Dst: 3, Weight: 99}}
-			next, eff, st := apply(base, ops)
-			if st.inserted != 1 || st.deleted != 1 || st.ignored != 1 || len(eff) != 2 {
-				t.Fatalf("%s weighted=%v: stats %+v, effective ops %v", name, weighted, st, eff)
-			}
-			var gotT []uint32
-			var gotW []int32
-			next.OutNeighbors(0, func(d uint32, w int32) bool {
-				gotT, gotW = append(gotT, d), append(gotW, w)
-				return true
-			})
-			wantW := []int32{10, 31, 50}
-			if !weighted {
-				wantW = []int32{1, 1, 1}
-			}
-			if !slices.Equal(gotT, []uint32{1, 3, 5}) || !slices.Equal(gotW, wantW) {
-				t.Errorf("%s weighted=%v: row 0 = %v weights %v, want [1 3 5] %v", name, weighted, gotT, gotW, wantW)
-			}
-			if next.NumEdges() != 4 || next.OutDegree(0) != 3 || next.InDegree(5) != 1 || next.InDegree(2) != 0 {
-				t.Errorf("%s weighted=%v: m=%d deg(0)=%d in(5)=%d in(2)=%d", name, weighted,
-					next.NumEdges(), next.OutDegree(0), next.InDegree(5), next.InDegree(2))
-			}
+		ops := []EdgeOp{{Src: 0, Dst: 5, Weight: 50}, {Src: 0, Dst: 2, Del: true}, {Src: 0, Dst: 3, Weight: 99}}
+		next, eff, st := apply(g, ops)
+		if st.inserted != 1 || st.deleted != 1 || st.ignored != 1 || len(eff) != 2 {
+			t.Fatalf("weighted=%v: stats %+v, effective ops %v", weighted, st, eff)
+		}
+		gotT, gotW := next.OutRow(0, nil)
+		var wantW []int32
+		if weighted {
+			wantW = []int32{10, 31, 50}
+		}
+		if !slices.Equal(gotT, []uint32{1, 3, 5}) || !slices.Equal(gotW, wantW) || (!weighted && gotW != nil) {
+			t.Errorf("weighted=%v: row 0 = %v weights %v, want [1 3 5] %v", weighted, gotT, gotW, wantW)
+		}
+		if next.NumEdges() != 4 || next.OutDegree(0) != 3 || next.InDegree(5) != 1 || next.InDegree(2) != 0 {
+			t.Errorf("weighted=%v: m=%d deg(0)=%d in(5)=%d in(2)=%d", weighted,
+				next.NumEdges(), next.OutDegree(0), next.InDegree(5), next.InDegree(2))
 		}
 	}
 }

@@ -225,6 +225,7 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 	}
 
 	deltas := make([]float64, n)
+	var buf graph.Row
 	for u := range dirty {
 		degNew := g.OutDegree(u)
 		insSet := insBySrc[u]
@@ -237,14 +238,14 @@ func IncrementalPageRank(ctx context.Context, g graph.View, prevRanks []float64,
 		if degOld > 0 {
 			cOld = prevRanks[u] / float64(degOld)
 		}
-		g.OutNeighbors(u, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(u, &buf)
+		for _, d := range ts {
 			if insSet[d] {
 				deltas[d] += damping * cNew
 			} else {
 				deltas[d] += damping * (cNew - cOld)
 			}
-			return true
-		})
+		}
 		for _, d := range dels {
 			deltas[d] -= damping * cOld
 		}

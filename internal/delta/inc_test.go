@@ -172,11 +172,8 @@ func TestIncrementalCCMatchesFull(t *testing.T) {
 								size++
 							}
 						}
-						if size > int(n)/2 {
-							g.OutNeighbors(v, func(d uint32, _ int32) bool {
-								del = []EdgeOp{{Src: v, Dst: d, Del: true}}
-								return false
-							})
+						if ts, _ := g.OutRow(v, nil); size > int(n)/2 && len(ts) > 0 {
+							del = []EdgeOp{{Src: v, Dst: ts[0], Del: true}}
 						}
 					}
 					if del == nil {
@@ -372,7 +369,10 @@ func TestRefreshFallsBackWhenHistoryLost(t *testing.T) {
 	// Insert a guaranteed-new edge so the batch is effective and the
 	// version moves.
 	adj := map[uint32]bool{0: true}
-	g.OutNeighbors(0, func(d uint32, _ int32) bool { adj[d] = true; return true })
+	row0, _ := g.OutRow(0, nil)
+	for _, d := range row0 {
+		adj[d] = true
+	}
 	ins := EdgeOp{Src: 0}
 	for d := uint32(0); int(d) < g.NumVertices(); d++ {
 		if !adj[d] {

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"ligra/internal/graph"
 )
 
 // tableModel is the map the row table replaced: vertex -> replacement row.
@@ -134,8 +136,10 @@ func TestSnapshotsPersistWhileCommitsLand(t *testing.T) {
 				// A cheap whole-view read; the exhaustive comparison runs
 				// once per snapshot below.
 				var edges int64
+				var buf graph.Row
 				for v := 0; v < h.pin.View().NumVertices(); v++ {
-					h.pin.View().OutNeighbors(uint32(v), func(uint32, int32) bool { edges++; return true })
+					ts, _ := h.pin.View().OutRow(uint32(v), &buf)
+					edges += int64(len(ts))
 				}
 				if edges != int64(len(h.ref.edges)) {
 					t.Errorf("version %d read %d edges while commits landed, oracle %d", h.pin.Version(), edges, len(h.ref.edges))
@@ -155,10 +159,11 @@ func TestSnapshotsPersistWhileCommitsLand(t *testing.T) {
 		}
 		if batch%7 == 0 { // empty one row entirely
 			v := uint32(rng.Intn(cur.NumVertices()))
-			cur.OutNeighbors(v, func(d uint32, _ int32) bool {
+			var buf graph.Row
+			ts, _ := cur.OutRow(v, &buf)
+			for _, d := range ts {
 				ops = append(ops, EdgeOp{Src: v, Dst: d, Del: true})
-				return true
-			})
+			}
 		}
 		if _, err := st.Update(ctx, ops); err != nil {
 			t.Fatal(err)

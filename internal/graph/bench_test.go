@@ -47,18 +47,6 @@ func BenchmarkTraversal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("callback", func(b *testing.B) {
-		var sum int64
-		for i := 0; i < b.N; i++ {
-			for v := uint32(0); int(v) < n; v++ {
-				g.OutNeighbors(v, func(d uint32, _ int32) bool {
-					sum += int64(d)
-					return true
-				})
-			}
-		}
-		_ = sum
-	})
 	b.Run("slice", func(b *testing.B) {
 		var sum int64
 		for i := 0; i < b.N; i++ {

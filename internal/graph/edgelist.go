@@ -70,19 +70,20 @@ func ReadEdgeList(r io.Reader, opts BuildOptions) (*Graph, error) {
 func WriteEdgeList(w io.Writer, g View) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintf(bw, "# ligra-go edge list: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
-	var err error
-	for v := uint32(0); int(v) < g.NumVertices() && err == nil; v++ {
-		g.OutNeighbors(v, func(d uint32, wt int32) bool {
-			if g.Weighted() {
-				_, err = fmt.Fprintf(bw, "%d %d %d\n", v, d, wt)
+	var buf Row
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		ts, ws := g.OutRow(v, &buf)
+		for i, d := range ts {
+			var err error
+			if ws != nil {
+				_, err = fmt.Fprintf(bw, "%d %d %d\n", v, d, ws[i])
 			} else {
 				_, err = fmt.Fprintf(bw, "%d %d\n", v, d)
 			}
-			return err == nil
-		})
-	}
-	if err != nil {
-		return err
+			if err != nil {
+				return err
+			}
+		}
 	}
 	return bw.Flush()
 }

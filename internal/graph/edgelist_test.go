@@ -21,25 +21,11 @@ func TestReadEdgeListBasic(t *testing.T) {
 	if g.NumVertices() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("n=%d m=%d", g.NumVertices(), g.NumEdges())
 	}
-	var w12 int32
-	g.OutNeighbors(1, func(d uint32, w int32) bool {
-		if d == 2 {
-			w12 = w
-		}
-		return true
-	})
-	if w12 != 7 {
+	if w12 := edgeWeight(g, 1, 2); w12 != 7 {
 		t.Errorf("weight(1->2) = %d, want 7", w12)
 	}
 	// Unweighted edges default to 1.
-	var w01 int32
-	g.OutNeighbors(0, func(d uint32, w int32) bool {
-		if d == 1 {
-			w01 = w
-		}
-		return true
-	})
-	if w01 != 1 {
+	if w01 := edgeWeight(g, 0, 1); w01 != 1 {
 		t.Errorf("weight(0->1) = %d, want default 1", w01)
 	}
 }

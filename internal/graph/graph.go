@@ -7,19 +7,25 @@
 // Ligra's AdjacencyGraph exchange format, and structural statistics.
 package graph
 
-import "math"
-
 // Vertex identifiers are dense integers in [0, NumVertices). uint32 matches
 // Ligra's default 32-bit vertex IDs and halves memory traffic versus int64,
 // which matters for traversal-bound workloads.
 
 // View is the read interface edgeMap and the algorithms are written
-// against. Both *Graph (CSR) and compressed representations implement it.
+// against: counts, flags and rows. *Graph (CSR), the compressed and the
+// delta-overlaid representations implement it.
 //
-// The neighbor iterators invoke fn once per incident edge and stop early if
-// fn returns false — dense (pull) traversals rely on this to stop scanning
-// a destination's in-edges as soon as its Cond fails (e.g. its BFS parent
-// is set). For unweighted graphs the weight argument is always 1.
+// OutRow and InRow return v's targets and the parallel weights (nil:
+// every weight is 1). A view whose rows exist as slices (raw CSR, a delta
+// overlay's replaced rows) returns them in place and ignores buf; one that
+// must produce them (the compressed byte stream) decodes into buf, reusing
+// its capacity. Either way the result is valid until buf's next use and
+// must not be mutated, so a loop that holds one row while it reads another
+// needs a second Row. InRow returns the first min(max, in-degree) edges of
+// the row, so a pull kernel that may stop early does not pay to decode the
+// rest; max >= 0. A view that filters or rewrites edges (a transpose
+// wrapper) must not get its rows by embedding its base's: its rows are not
+// its base's.
 type View interface {
 	// NumVertices returns |V|.
 	NumVertices() int
@@ -31,77 +37,46 @@ type View interface {
 	// InDegree returns the in-degree of v (equals OutDegree for symmetric
 	// graphs).
 	InDegree(v uint32) int
-	// OutNeighbors iterates over the targets of v's out-edges.
-	OutNeighbors(v uint32, fn func(d uint32, w int32) bool)
-	// InNeighbors iterates over the sources of v's in-edges.
-	InNeighbors(v uint32, fn func(s uint32, w int32) bool)
 	// Weighted reports whether the graph carries edge weights.
 	Weighted() bool
 	// Symmetric reports whether the graph is undirected (in == out).
 	Symmetric() bool
-}
-
-// RowView is the row contract edgeMap traverses. OutRow and InRow return
-// v's targets and the parallel weights (nil: every weight is 1). A view
-// whose rows exist as slices (raw CSR, a delta overlay's replaced rows)
-// returns them in place and ignores buf; one that must produce them (the
-// compressed byte stream) decodes into buf, reusing its capacity. Either
-// way the result is valid until buf's next use and must not be mutated.
-// InRow returns the first min(max, in-degree) edges of the row, so a pull
-// kernel that may stop early does not pay to decode the rest; max >= 0.
-// Rows adapts every other view.
-type RowView interface {
-	View
+	// OutRow returns v's out-edges.
 	OutRow(v uint32, buf *Row) ([]uint32, []int32)
+	// InRow returns the first max of v's in-edges.
 	InRow(v uint32, buf *Row, max int) ([]uint32, []int32)
+	// OutNeighbors calls fn on v's out-edges (weight 1 when unweighted)
+	// until fn returns false. It is a temporary shim kept only for the
+	// benchmark harness's edge oracle; every implementation is the
+	// package-level OutNeighbors over its own OutRow. New code reads rows.
+	OutNeighbors(v uint32, fn func(d uint32, w int32) bool)
 }
 
-// Row is a caller's scratch for RowView: one per goroutine, reused from
-// row to row.
+// Row is a caller's scratch for View's rows: one per goroutine, reused
+// from row to row.
 type Row struct {
 	Targets []uint32
 	Weights []int32
 }
 
-// Rows returns g's row source: g itself when it implements RowView, and
-// otherwise an adapter that gathers each row from g's iterators into buf.
-// A view that filters or rewrites edges (a mask, a transpose wrapper) must
-// not get RowView by embedding its base's: its rows are not its base's.
-func Rows(g View) RowView {
-	if r, ok := g.(RowView); ok {
-		return r
+// WeightAt is the weight of a row's i-th edge: ws[i], or 1 when the row
+// carries no weights.
+func WeightAt(ws []int32, i int) int32 {
+	if ws == nil {
+		return 1
 	}
-	return iteratorRows{g}
+	return ws[i]
 }
 
-// iteratorRows is the adapter Rows puts over a view without rows.
-type iteratorRows struct{ View }
-
-func (r iteratorRows) OutRow(v uint32, buf *Row) ([]uint32, []int32) {
-	return buf.gather(r.Weighted(), math.MaxInt, func(fn func(uint32, int32) bool) { r.OutNeighbors(v, fn) })
-}
-
-func (r iteratorRows) InRow(v uint32, buf *Row, max int) ([]uint32, []int32) {
-	return buf.gather(r.Weighted(), max, func(fn func(uint32, int32) bool) { r.InNeighbors(v, fn) })
-}
-
-// gather refills buf with the first max edges iterate yields.
-func (buf *Row) gather(weighted bool, max int, iterate func(fn func(uint32, int32) bool)) ([]uint32, []int32) {
-	ts, ws := buf.Targets[:0], buf.Weights[:0]
-	if max > 0 {
-		iterate(func(d uint32, w int32) bool {
-			ts = append(ts, d)
-			if weighted {
-				ws = append(ws, w)
-			}
-			return len(ts) < max
-		})
+// OutNeighbors is the loop behind every View's OutNeighbors shim.
+func OutNeighbors(g View, v uint32, fn func(d uint32, w int32) bool) {
+	var buf Row
+	ts, ws := g.OutRow(v, &buf)
+	for i, d := range ts {
+		if !fn(d, WeightAt(ws, i)) {
+			return
+		}
 	}
-	buf.Targets, buf.Weights = ts, ws
-	if !weighted {
-		return ts, nil
-	}
-	return ts, ws
 }
 
 // Prefix cuts a row to its first max edges, as InRow must.
@@ -137,7 +112,7 @@ type Graph struct {
 	symmetric bool
 }
 
-var _ RowView = (*Graph)(nil)
+var _ View = (*Graph)(nil)
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return g.n }
@@ -164,46 +139,9 @@ func (g *Graph) InDegree(v uint32) int {
 	return int(g.inOffsets[v+1] - g.inOffsets[v])
 }
 
-// OutNeighbors iterates over out-edges of v; fn returning false stops the
-// iteration.
+// OutNeighbors is View's temporary per-edge shim over OutRow.
 func (g *Graph) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
-	lo, hi := g.offsets[v], g.offsets[v+1]
-	if g.weights == nil {
-		for i := lo; i < hi; i++ {
-			if !fn(g.edges[i], 1) {
-				return
-			}
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if !fn(g.edges[i], g.weights[i]) {
-			return
-		}
-	}
-}
-
-// InNeighbors iterates over in-edges of v; fn returning false stops the
-// iteration.
-func (g *Graph) InNeighbors(v uint32, fn func(s uint32, w int32) bool) {
-	if g.symmetric {
-		g.OutNeighbors(v, fn)
-		return
-	}
-	lo, hi := g.inOffsets[v], g.inOffsets[v+1]
-	if g.inWeights == nil {
-		for i := lo; i < hi; i++ {
-			if !fn(g.inEdges[i], 1) {
-				return
-			}
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if !fn(g.inEdges[i], g.inWeights[i]) {
-			return
-		}
-	}
+	OutNeighbors(g, v, fn)
 }
 
 // OutRow returns the raw CSR target slice for v (and the parallel weight

@@ -158,23 +158,24 @@ func WriteAdjacency(w io.Writer, g View) error {
 		}
 		off += int64(g.OutDegree(uint32(v)))
 	}
-	var err error
-	for v := 0; v < n && err == nil; v++ {
-		g.OutNeighbors(uint32(v), func(d uint32, _ int32) bool {
-			err = writeInt(int64(d))
-			return err == nil
-		})
-	}
-	if err == nil && g.Weighted() {
-		for v := 0; v < n && err == nil; v++ {
-			g.OutNeighbors(uint32(v), func(_ uint32, wt int32) bool {
-				err = writeInt(int64(wt))
-				return err == nil
-			})
+	var buf Row
+	for v := 0; v < n; v++ {
+		ts, _ := g.OutRow(uint32(v), &buf)
+		for _, d := range ts {
+			if err := writeInt(int64(d)); err != nil {
+				return err
+			}
 		}
 	}
-	if err != nil {
-		return err
+	if g.Weighted() {
+		for v := 0; v < n; v++ {
+			_, ws := g.OutRow(uint32(v), &buf)
+			for _, w := range ws {
+				if err := writeInt(int64(w)); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	return bw.Flush()
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"ligra/internal/parallel"
 )
@@ -44,20 +45,24 @@ func ComputeStats(g View) Stats {
 		s.AvgDeg = float64(g.NumEdges()) / float64(n)
 		s.ZeroDegree, errs[2] = parallel.CountFunc(ctx, n, func(i int) bool { return g.OutDegree(uint32(i)) == 0 })
 	}
-	s.SelfLoops, errs[3] = parallel.SumFunc(ctx, n, func(i int) int64 {
-		v := uint32(i)
+	var selfLoops atomic.Int64
+	errs[3] = parallel.ForRange(ctx, n, func(lo, hi int) {
+		var buf Row
 		var c int64
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
-			if d == v {
-				c++
+		for v := uint32(lo); v < uint32(hi); v++ {
+			ts, _ := g.OutRow(v, &buf)
+			for _, d := range ts {
+				if d == v {
+					c++
+				}
 			}
-			return true
-		})
-		return c
+		}
+		selfLoops.Add(c)
 	})
 	if err := cmp.Or(errs[:]...); err != nil {
 		panic(err)
 	}
+	s.SelfLoops = selfLoops.Load()
 	if mf, ok := g.(interface{ MemoryFootprint() int64 }); ok {
 		s.MemoryBytes = mf.MemoryFootprint()
 	}
@@ -125,12 +130,12 @@ func Validate(g *Graph) error {
 		// unordered pairs which must cancel out.
 		var asym int64
 		for v := uint32(0); int(v) < n; v++ {
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			ts, _ := g.OutRow(v, nil)
+			for _, d := range ts {
 				if !hasEdge(g, d, v) {
 					asym++
 				}
-				return true
-			})
+			}
 		}
 		if asym != 0 {
 			return fmt.Errorf("graph: symmetric graph has %d unpaired edges", asym)

@@ -27,10 +27,10 @@ func Relabel(g *Graph, perm []uint32) (*Graph, error) {
 	}
 	edges := make([]Edge, 0, g.NumEdges())
 	for v := uint32(0); int(v) < n; v++ {
-		g.OutNeighbors(v, func(d uint32, w int32) bool {
-			edges = append(edges, Edge{Src: perm[v], Dst: perm[d], Weight: w})
-			return true
-		})
+		ts, ws := g.OutRow(v, nil)
+		for i, d := range ts {
+			edges = append(edges, Edge{Src: perm[v], Dst: perm[d], Weight: WeightAt(ws, i)})
+		}
 	}
 	ng, err := FromEdges(n, edges, BuildOptions{Weighted: g.Weighted()})
 	if err != nil {
@@ -90,12 +90,12 @@ func InducedSubgraph(g *Graph, keep func(v uint32) bool) (*Graph, []uint32, []ui
 	}
 	var edges []Edge
 	for _, v := range oldID {
-		g.OutNeighbors(v, func(d uint32, w int32) bool {
+		ts, ws := g.OutRow(v, nil)
+		for i, d := range ts {
 			if newID[d] != ^uint32(0) {
-				edges = append(edges, Edge{Src: newID[v], Dst: newID[d], Weight: w})
+				edges = append(edges, Edge{Src: newID[v], Dst: newID[d], Weight: WeightAt(ws, i)})
 			}
-			return true
-		})
+		}
 	}
 	sub, err := FromEdges(int(count), edges, BuildOptions{Weighted: g.Weighted()})
 	if err != nil {
@@ -113,12 +113,12 @@ func FilterEdges(g *Graph, keep func(s, d uint32, w int32) bool) (*Graph, error)
 	n := g.NumVertices()
 	var edges []Edge
 	for v := uint32(0); int(v) < n; v++ {
-		g.OutNeighbors(v, func(d uint32, w int32) bool {
-			if keep(v, d, w) {
+		ts, ws := g.OutRow(v, nil)
+		for i, d := range ts {
+			if w := WeightAt(ws, i); keep(v, d, w) {
 				edges = append(edges, Edge{Src: v, Dst: d, Weight: w})
 			}
-			return true
-		})
+		}
 	}
 	ng, err := FromEdges(n, edges, BuildOptions{Weighted: g.Weighted()})
 	if err != nil {

@@ -48,14 +48,7 @@ func TestRelabelPermutes(t *testing.T) {
 		t.Error(err)
 	}
 	// Weights travel with edges: old edge 2-3 (w=8) is now 1-0.
-	found := false
-	ng.OutNeighbors(0, func(d uint32, w int32) bool {
-		if d == 1 && w == 8 {
-			found = true
-		}
-		return true
-	})
-	if !found {
+	if edgeWeight(ng, 0, 1) != 8 {
 		t.Error("weight did not travel with the relabeled edge")
 	}
 }

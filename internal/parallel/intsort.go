@@ -2,51 +2,46 @@ package parallel
 
 import "context"
 
-// Integer sorting primitives in the style of PBBS: stable counting sort
-// over small integer keys, used to bucket edges by endpoint when building
-// CSR graphs (much faster than comparison sorting) and as the inner pass
-// of a radix sort for larger key spaces.
+// Integer sorting primitives in the style of PBBS: a stable counting sort
+// over small integer keys, the inner pass of a radix sort for larger key
+// spaces that buckets edges by endpoint when building CSR graphs (much
+// faster than comparison sorting).
 
 // countingSortByKey stably sorts the items of in into out (same length)
-// by key(item), where every key lies in [0, buckets). It returns the
-// bucket boundary offsets (length buckets+1), which CSR construction uses
-// directly as the row offsets. Runs the standard two-pass parallel
-// counting sort with per-block count matrices.
-func countingSortByKey[T any](ctx context.Context, in, out []T, buckets int, key func(T) int) ([]int64, error) {
+// by key(item), where every key lies in [0, buckets). counts is the
+// caller's scratch, reused from call to call: len(counts)/buckets blocks
+// of buckets counts each, one per block of the input. Runs the standard
+// two-pass parallel counting sort with per-block count rows.
+func countingSortByKey[T any](ctx context.Context, in, out []T, buckets int, counts []int64, key func(T) int) error {
 	n := len(in)
 	if len(out) != n {
 		panic("parallel: countingSortByKey length mismatch")
 	}
-	offsets := make([]int64, buckets+1)
 	if n == 0 {
-		return offsets, CtxErr(ctx)
+		return CtxErr(ctx)
 	}
-	blocks := numBlocks(ctx, n)
+	blocks := len(counts) / buckets
+	counts = counts[:blocks*buckets]
+	clear(counts)
 	if blocks == 1 {
-		err := sequential(ctx, func() {
-			counts := make([]int64, buckets)
+		return sequential(ctx, func() {
 			for i := 0; i < n; i++ {
 				counts[key(in[i])]++
 			}
 			var acc int64
-			for b := 0; b < buckets; b++ {
-				offsets[b] = acc
-				acc += counts[b]
+			for k, c := range counts {
+				counts[k] = acc
+				acc += c
 			}
-			offsets[buckets] = acc
-			cursor := make([]int64, buckets)
-			copy(cursor, offsets[:buckets])
 			for i := 0; i < n; i++ {
 				k := key(in[i])
-				out[cursor[k]] = in[i]
-				cursor[k]++
+				out[counts[k]] = in[i]
+				counts[k]++
 			}
 		})
-		return offsets, err
 	}
 
 	// counts[b*buckets + k] = occurrences of key k in block b.
-	counts := make([]int64, blocks*buckets)
 	if err := ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
 		lo, hi := blockBounds(n, blocks, b)
 		row := counts[b*buckets : (b+1)*buckets]
@@ -54,20 +49,18 @@ func countingSortByKey[T any](ctx context.Context, in, out []T, buckets int, key
 			row[key(in[i])]++
 		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	// Column-major scan: for each key, blocks in order — gives stability.
 	var acc int64
 	for k := 0; k < buckets; k++ {
-		offsets[k] = acc
 		for b := 0; b < blocks; b++ {
 			c := counts[b*buckets+k]
 			counts[b*buckets+k] = acc
 			acc += c
 		}
 	}
-	offsets[buckets] = acc
-	err := ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
+	return ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
 		lo, hi := blockBounds(n, blocks, b)
 		row := counts[b*buckets : (b+1)*buckets]
 		for i := lo; i < hi; i++ {
@@ -76,7 +69,6 @@ func countingSortByKey[T any](ctx context.Context, in, out []T, buckets int, key
 			row[k]++
 		}
 	})
-	return offsets, err
 }
 
 // radixBits is the digit width of RadixSortByKey passes.
@@ -96,11 +88,13 @@ func RadixSortByKey[T any](ctx context.Context, in, buf []T, keyBound int64, key
 		buf = make([]T, n)
 	}
 	buf = buf[:n]
+	// One digit-count matrix serves every pass.
+	counts := make([]int64, numBlocks(ctx, n)<<radixBits)
 	src, dst := in, buf
 	swapped := false
 	for shift := 0; int64(1)<<shift < keyBound; shift += radixBits {
 		s := shift
-		if _, err := countingSortByKey(ctx, src, dst, 1<<radixBits, func(v T) int {
+		if err := countingSortByKey(ctx, src, dst, 1<<radixBits, counts, func(v T) int {
 			return int((key(v) >> uint(s)) & ((1 << radixBits) - 1))
 		}); err != nil {
 			return err

@@ -17,25 +17,19 @@ func TestCountingSortByKeyBasic(t *testing.T) {
 			in[i] = kv{rng.Intn(buckets), i}
 		}
 		out := make([]kv, n)
-		offsets := must(countingSortByKey(bg, in, out, buckets, func(v kv) int { return v.k }))
-		if len(offsets) != buckets+1 {
-			t.Fatalf("offsets length %d", len(offsets))
+		counts := make([]int64, numBlocks(bg, n)*buckets)
+		ok(countingSortByKey(bg, in, out, buckets, counts, func(v kv) int { return v.k }))
+		// Every item once, sorted by key, stable within a key.
+		placed := make([]int, n)
+		for i := range out {
+			placed[out[i].idx]++
+			if i > 0 && (out[i-1].k > out[i].k || out[i-1].k == out[i].k && out[i-1].idx > out[i].idx) {
+				t.Fatalf("n=%d: order or stability violated at %d: %v then %v", n, i, out[i-1], out[i])
+			}
 		}
-		if offsets[0] != 0 || offsets[buckets] != int64(n) {
-			t.Fatalf("offset endpoints %d %d", offsets[0], offsets[buckets])
-		}
-		// Sorted by key, stable within key, and bucket boundaries correct.
-		for k := 0; k < buckets; k++ {
-			lo, hi := offsets[k], offsets[k+1]
-			prevIdx := -1
-			for i := lo; i < hi; i++ {
-				if out[i].k != k {
-					t.Fatalf("n=%d: item at %d has key %d, want %d", n, i, out[i].k, k)
-				}
-				if out[i].idx <= prevIdx {
-					t.Fatalf("n=%d: stability violated in bucket %d", n, k)
-				}
-				prevIdx = out[i].idx
+		for idx, c := range placed {
+			if c != 1 {
+				t.Fatalf("n=%d: item %d placed %d times", n, idx, c)
 			}
 		}
 	}
@@ -47,7 +41,7 @@ func TestCountingSortLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	_, _ = countingSortByKey(bg, make([]int, 3), make([]int, 4), 2, func(int) int { return 0 })
+	_ = countingSortByKey(bg, make([]int, 3), make([]int, 4), 2, make([]int64, 2), func(int) int { return 0 })
 }
 
 func TestRadixSortByKeyMatchesComparison(t *testing.T) {

@@ -33,9 +33,11 @@ func KCore(g graph.View) []int32 {
 		order[pos[v]] = uint32(v)
 		next[d]++
 	}
+	var buf graph.Row
 	for i := range order {
 		v := order[i]
-		g.OutNeighbors(v, func(u uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, u := range ts {
 			if du := deg[u]; du > deg[v] {
 				// Swap u with the first vertex of its bucket, then shrink
 				// the bucket past it: u is now the last of bucket du-1.
@@ -45,8 +47,7 @@ func KCore(g graph.View) []int32 {
 				start[du]++
 				deg[u]--
 			}
-			return true
-		})
+		}
 	}
 	return deg
 }

@@ -1,6 +1,10 @@
 package seq
 
-import "ligra/internal/graph"
+import (
+	"slices"
+
+	"ligra/internal/graph"
+)
 
 // SCC computes strongly connected components sequentially with Tarjan's
 // algorithm (iterative, so deep graphs cannot overflow the stack),
@@ -25,13 +29,10 @@ func SCC(g graph.View) []uint32 {
 		children []uint32
 		cursor   int
 	}
+	var buf graph.Row
 	outs := func(v uint32) []uint32 {
-		var o []uint32
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
-			o = append(o, d)
-			return true
-		})
-		return o
+		ts, _ := g.OutRow(v, &buf)
+		return slices.Clone(ts) // a frame holds its row while others are read
 	}
 
 	for root := uint32(0); int(root) < n; root++ {

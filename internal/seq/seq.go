@@ -27,16 +27,17 @@ func BFS(g graph.View, source uint32) []uint32 {
 	parents[source] = source
 	queue := make([]uint32, 0, 1024)
 	queue = append(queue, source)
+	var buf graph.Row
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			if parents[d] == none {
 				parents[d] = v
 				queue = append(queue, d)
 			}
-			return true
-		})
+		}
 	}
 	return parents
 }
@@ -51,16 +52,17 @@ func BFSLevels(g graph.View, source uint32) []int32 {
 	}
 	levels[source] = 0
 	queue := []uint32{source}
+	var buf graph.Row
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			if levels[d] == -1 {
 				levels[d] = levels[v] + 1
 				queue = append(queue, d)
 			}
-			return true
-		})
+		}
 	}
 	return levels
 }
@@ -96,11 +98,12 @@ func ConnectedComponents(g graph.View) []uint32 {
 			rank[ra]++
 		}
 	}
+	var buf graph.Row
 	for v := uint32(0); int(v) < n; v++ {
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			union(v, d)
-			return true
-		})
+		}
 	}
 	// Normalize to min vertex ID per component.
 	minID := make([]uint32, n)
@@ -163,11 +166,13 @@ func Dijkstra(g graph.View, source uint32) []int64 {
 		h.pos[i] = -1
 	}
 	heap.Push(h, source)
+	var buf graph.Row
 	for h.Len() > 0 {
 		v := heap.Pop(h).(uint32)
 		dv := dist[v]
-		g.OutNeighbors(v, func(d uint32, w int32) bool {
-			if nd := dv + int64(w); nd < dist[d] {
+		ts, ws := g.OutRow(v, &buf)
+		for i, d := range ts {
+			if nd := dv + int64(graph.WeightAt(ws, i)); nd < dist[d] {
 				dist[d] = nd
 				if h.pos[d] >= 0 {
 					heap.Fix(h, int(h.pos[d]))
@@ -175,8 +180,7 @@ func Dijkstra(g graph.View, source uint32) []int64 {
 					heap.Push(h, d)
 				}
 			}
-			return true
-		})
+		}
 	}
 	return dist
 }
@@ -192,6 +196,7 @@ func BellmanFord(g graph.View, source uint32) ([]int64, bool) {
 		dist[i] = inf
 	}
 	dist[source] = 0
+	var buf graph.Row
 	for round := 0; round < n; round++ {
 		changed := false
 		for v := uint32(0); int(v) < n; v++ {
@@ -199,13 +204,13 @@ func BellmanFord(g graph.View, source uint32) ([]int64, bool) {
 				continue
 			}
 			dv := dist[v]
-			g.OutNeighbors(v, func(d uint32, w int32) bool {
-				if nd := dv + int64(w); nd < dist[d] {
+			ts, ws := g.OutRow(v, &buf)
+			for i, d := range ts {
+				if nd := dv + int64(graph.WeightAt(ws, i)); nd < dist[d] {
 					dist[d] = nd
 					changed = true
 				}
-				return true
-			})
+			}
 		}
 		if !changed {
 			return dist, false
@@ -226,6 +231,7 @@ func PageRank(g graph.View, damping, epsilon float64, maxIters int) []float64 {
 	for i := range p {
 		p[i] = 1 / float64(n)
 	}
+	var buf graph.Row
 	for iter := 0; iter < maxIters; iter++ {
 		var dangling float64
 		for v := 0; v < n; v++ {
@@ -240,10 +246,10 @@ func PageRank(g graph.View, damping, epsilon float64, maxIters int) []float64 {
 				continue
 			}
 			share := p[v] / float64(deg)
-			g.OutNeighbors(v, func(d uint32, _ int32) bool {
+			ts, _ := g.OutRow(v, &buf)
+			for _, d := range ts {
 				next[d] += share
-				return true
-			})
+			}
 		}
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		var err float64
@@ -272,11 +278,13 @@ func BC(g graph.View, source uint32) []float64 {
 	dist[source] = 0
 	order := make([]uint32, 0, n)
 	queue := []uint32{source}
+	var buf graph.Row
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			if dist[d] == -1 {
 				dist[d] = dist[v] + 1
 				queue = append(queue, d)
@@ -284,17 +292,16 @@ func BC(g graph.View, source uint32) []float64 {
 			if dist[d] == dist[v]+1 {
 				sigma[d] += sigma[v]
 			}
-			return true
-		})
+		}
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			if dist[d] == dist[v]+1 {
 				delta[v] += sigma[v] / sigma[d] * (1 + delta[d])
 			}
-			return true
-		})
+		}
 	}
 	return delta
 }
@@ -330,13 +337,14 @@ func TriangleCount(g graph.View) int64 {
 		return dv > du || (dv == du && v > u)
 	}
 	fwd := make([][]uint32, n)
+	var buf graph.Row
 	for v := uint32(0); int(v) < n; v++ {
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, &buf)
+		for _, d := range ts {
 			if higher(v, d) {
 				fwd[v] = append(fwd[v], d)
 			}
-			return true
-		})
+		}
 		sortU32(fwd[v])
 	}
 	var count int64
@@ -354,11 +362,10 @@ func TriangleCount(g graph.View) int64 {
 func ClusteringCoefficients(g graph.View) []float64 {
 	n := g.NumVertices()
 	adj := make([][]uint32, n)
+	var buf graph.Row
 	for v := range adj {
-		g.OutNeighbors(uint32(v), func(d uint32, _ int32) bool {
-			adj[v] = append(adj[v], d)
-			return true
-		})
+		ts, _ := g.OutRow(uint32(v), &buf)
+		adj[v] = slices.Clone(ts)
 		sortU32(adj[v])
 	}
 	out := make([]float64, n)

@@ -13,7 +13,7 @@ import (
 	"ligra/internal/graph"
 )
 
-// Matrix returns g behind every implementer of graph.RowView: "heap" (raw
+// Matrix returns g behind every implementer of graph.View: "heap" (raw
 // CSR rows, in place), "compressed" (rows decoded into the caller's
 // scratch), "mmap" (the same decoder over a mapped file, closed at test
 // cleanup) and four delta-store snapshots of g after the batches, applied
@@ -54,10 +54,9 @@ func Matrix(t testing.TB, g *graph.Graph, batches ...[]delta.EdgeOp) map[string]
 
 	var churn []delta.EdgeOp
 	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		g.OutNeighbors(v, func(d uint32, w int32) bool {
-			churn = append(churn, delta.EdgeOp{Src: v, Dst: d, Del: true}, delta.EdgeOp{Src: v, Dst: d, Weight: w})
-			return false
-		})
+		if ts, ws := g.OutRow(v, nil); len(ts) > 0 {
+			churn = append(churn, delta.EdgeOp{Src: v, Dst: ts[0], Del: true}, delta.EdgeOp{Src: v, Dst: ts[0], Weight: graph.WeightAt(ws, 0)})
+		}
 	}
 	noCompaction := delta.Policy{CompactEvery: -1}
 	deep := snapshot(t, g, noCompaction, append([][]delta.EdgeOp{churn}, batches...))
@@ -96,11 +95,10 @@ func snapshot(t testing.TB, base graph.View, policy delta.Policy, batches [][]de
 func NetZero(g *graph.Graph) [][]delta.EdgeOp {
 	var del, ins []delta.EdgeOp
 	for v := uint32(0); int(v) < g.NumVertices() && len(del) < 12; v += 7 {
-		g.OutNeighbors(v, func(d uint32, w int32) bool {
-			del = append(del, delta.EdgeOp{Src: v, Dst: d, Del: true})
-			ins = append(ins, delta.EdgeOp{Src: v, Dst: d, Weight: w})
-			return false
-		})
+		if ts, ws := g.OutRow(v, nil); len(ts) > 0 {
+			del = append(del, delta.EdgeOp{Src: v, Dst: ts[0], Del: true})
+			ins = append(ins, delta.EdgeOp{Src: v, Dst: ts[0], Weight: graph.WeightAt(ws, 0)})
+		}
 	}
 	return [][]delta.EdgeOp{del, ins}
 }

@@ -83,8 +83,13 @@ type (
 	// Graph is the CSR graph representation.
 	Graph = graph.Graph
 	// View is the representation-independent graph interface EdgeMap
-	// traverses (CSR and compressed graphs both implement it).
+	// traverses (CSR, compressed and delta-overlaid graphs implement it).
+	// Implementing View means writing two row methods, OutRow and InRow,
+	// over a caller's Row scratch, plus counts and flags; its one per-edge
+	// iterator is a temporary shim, the same loop over OutRow.
 	View = graph.View
+	// Row is a caller's per-goroutine scratch for View's OutRow and InRow.
+	Row = graph.Row
 	// Edge is a directed edge used during construction.
 	Edge = graph.Edge
 	// BuildOptions controls FromEdges.

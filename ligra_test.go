@@ -232,12 +232,12 @@ func TestPublicExtensionAlgorithms(t *testing.T) {
 	col := must(ligra.Coloring(context.Background(), g, 2, ligra.Options{}))
 	mm := must(ligra.MaximalMatching(context.Background(), g, 2))
 	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		g.OutNeighbors(v, func(d uint32, _ int32) bool {
+		ts, _ := g.OutRow(v, nil)
+		for _, d := range ts {
 			if d != v && col.Colors[v] == col.Colors[d] {
 				t.Fatalf("improper coloring at edge %d-%d", v, d)
 			}
-			return true
-		})
+		}
 		if p := mm.Partner[v]; p != ligra.None && mm.Partner[p] != v {
 			t.Fatalf("matching asymmetry at %d", v)
 		}
