@@ -132,13 +132,13 @@ func BenchmarkFigThreshold(b *testing.B) {
 			must(ligra.BFS(context.Background(), g, src, opts))
 		}
 	}
-	b.Run("sparse-only", func(b *testing.B) { run(b, ligra.Options{Mode: ligra.ForceSparse}) })
+	b.Run("sparse-only", func(b *testing.B) { run(b, ligra.Options{Mode: ligra.Sparse}) })
 	for _, denom := range []int64{1, 5, 20, 80, 320} {
 		b.Run("m_div_"+strconv.FormatInt(denom, 10), func(b *testing.B) {
 			run(b, ligra.Options{Threshold: g.NumEdges() / denom})
 		})
 	}
-	b.Run("dense-only", func(b *testing.B) { run(b, ligra.Options{Mode: ligra.ForceDense}) })
+	b.Run("dense-only", func(b *testing.B) { run(b, ligra.Options{Mode: ligra.Pull}) })
 }
 
 // BenchmarkFigFrontier runs BFS with tracing on, measuring the trace
@@ -164,8 +164,8 @@ func BenchmarkFigDenseForward(b *testing.B) {
 		name string
 		opts ligra.Options
 	}{
-		{"dense-pull", ligra.Options{Mode: ligra.ForceDense}},
-		{"dense-forward", ligra.Options{Mode: ligra.ForceDense, DenseForward: true}},
+		{"dense-pull", ligra.Options{Mode: ligra.Pull}},
+		{"dense-forward", ligra.Options{Mode: ligra.Forward}},
 	} {
 		b.Run("PageRank/"+tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -227,9 +227,9 @@ func BenchmarkEdgeMap(b *testing.B) {
 		name string
 		opts ligra.Options
 	}{
-		{"sparse", ligra.Options{Mode: ligra.ForceSparse, NoOutput: true}},
-		{"dense", ligra.Options{Mode: ligra.ForceDense, NoOutput: true}},
-		{"dense-forward", ligra.Options{Mode: ligra.ForceDense, DenseForward: true, NoOutput: true}},
+		{"sparse", ligra.Options{Mode: ligra.Sparse, NoOutput: true}},
+		{"dense", ligra.Options{Mode: ligra.Pull, NoOutput: true}},
+		{"dense-forward", ligra.Options{Mode: ligra.Forward, NoOutput: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

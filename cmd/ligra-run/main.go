@@ -34,6 +34,15 @@ import (
 	"ligra/internal/gen"
 )
 
+// modeNames lists the -mode values, each traversal mode's wire name.
+func modeNames() string {
+	var names []string
+	for m := ligra.Auto; m <= ligra.Forward; m++ {
+		names = append(names, m.String())
+	}
+	return strings.Join(names, " | ")
+}
+
 func main() {
 	os.Exit(exitStatus(run(os.Args[1:], os.Stdout), os.Stderr))
 }
@@ -66,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 		seed      = fs.Uint64("seed", 42, "generator seed")
 		source    = fs.Int("source", -1, "source vertex (-1 = highest degree)")
 		weights   = fs.Int("weights", 0, "attach hash weights in [1, W] (0 = keep input weights)")
-		mode      = fs.String("mode", "auto", "edgeMap mode: auto | sparse | dense | dense-forward")
+		mode      = fs.String("mode", "auto", "edgeMap mode: "+modeNames())
 		threshold = fs.Int64("threshold", 0, "edgeMap dense-switch threshold (0 = |E|/20)")
 		rounds    = fs.Int("rounds", 1, "timed repetitions (fastest reported)")
 		trace     = fs.Bool("trace", false, "print the per-round edgeMap trace")
@@ -182,17 +191,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "time: %v (best of %d)\n", best, done)
 	if tr != nil {
-		fmt.Fprintln(stdout, "round  |frontier|  outdegrees  mode       output")
+		fmt.Fprintln(stdout, "round  |frontier|  outdegrees  mode           output")
 		for _, e := range tr.Entries {
-			m := "sparse"
-			switch {
-			case e.DenseForward:
-				m = "dense-fwd"
-			case e.Dense:
-				m = "dense"
-			}
-			fmt.Fprintf(stdout, "%5d  %10d  %10d  %-9s  %d\n",
-				e.Round, e.FrontierSize, e.OutDegrees, m, e.OutputSize)
+			fmt.Fprintf(stdout, "%5d  %10d  %10d  %-13s  %d\n",
+				e.Round, e.FrontierSize, e.OutDegrees, e.Mode, e.OutputSize)
 		}
 	}
 	if *stats {

@@ -44,8 +44,17 @@ func TestRunModesAndTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
-		if !strings.Contains(buf.String(), "round") {
+		out := buf.String()
+		if !strings.Contains(out, "round") {
 			t.Errorf("mode %s: trace missing", mode)
+		}
+		// A forced mode labels every round with its own name.
+		_, rows, _ := strings.Cut(out, "output\n")
+		rows, _, _ = strings.Cut(rows, "status:")
+		for _, line := range strings.Split(strings.TrimSpace(rows), "\n") {
+			if f := strings.Fields(line); mode != "auto" && (len(f) != 5 || f[3] != mode) {
+				t.Errorf("mode %s: trace row %q", mode, line)
+			}
 		}
 	}
 	var buf bytes.Buffer

@@ -67,12 +67,8 @@ func main() {
 	}
 	fmt.Printf("hand-written BFS finished in %d rounds; edgeMap chose:\n", rounds)
 	for _, e := range trace.Entries {
-		mode := "sparse(push)"
-		if e.Dense {
-			mode = "dense(pull) "
-		}
-		fmt.Printf("  round %d: frontier=%5d outdeg=%7d -> %s -> output=%d\n",
-			e.Round, e.FrontierSize, e.OutDegrees, mode, e.OutputSize)
+		fmt.Printf("  round %d: frontier=%5d outdeg=%7d -> %-13s -> output=%d\n",
+			e.Round, e.FrontierSize, e.OutDegrees, e.Mode, e.OutputSize)
 	}
 
 	// The two traversals agree on reachability.

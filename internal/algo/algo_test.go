@@ -34,9 +34,9 @@ func must[T any](v T, err error) T {
 // modes are the edgeMap strategies every algorithm must agree across.
 var modes = map[string]core.Options{
 	"auto":          {},
-	"sparse":        {Mode: core.ForceSparse},
-	"dense":         {Mode: core.ForceDense},
-	"dense-forward": {Mode: core.ForceDense, DenseForward: true},
+	"sparse":        {Mode: core.Sparse},
+	"dense":         {Mode: core.Pull},
+	"dense-forward": {Mode: core.Forward},
 }
 
 // hasEdge reports whether g has the edge s->d.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ligra/internal/core"
 	"ligra/internal/gen"
 )
 
@@ -62,6 +63,40 @@ func TestValidateBackend(t *testing.T) {
 	err := (Params{Backend: "graphblas"}).Validate()
 	if err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("bad backend: err = %v, want unknown-backend error", err)
+	}
+}
+
+// TestModeWireNames pins every wire mode to the core.Mode each of its
+// rounds is forced to, and back through Mode.String; Canonical keeps the
+// wire spelling, so cache keys do not depend on the Mode values.
+func TestModeWireNames(t *testing.T) {
+	for _, tc := range []struct {
+		wire, canonical string
+		want            core.Mode
+	}{
+		{"", "auto", core.Auto},
+		{"auto", "auto", core.Auto},
+		{"sparse", "sparse", core.Sparse},
+		{"dense", "dense", core.Pull},
+		{"dense-forward", "dense-forward", core.Forward},
+	} {
+		p := Params{Mode: tc.wire}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Mode=%q: unexpected error %v", tc.wire, err)
+		}
+		if got := p.EdgeMapOptions().Mode; got != tc.want {
+			t.Errorf("Mode=%q: EdgeMapOptions().Mode = %v, want %v", tc.wire, got, tc.want)
+		}
+		if got := tc.want.String(); got != tc.canonical {
+			t.Errorf("%d.String() = %q, want %q", tc.want, got, tc.canonical)
+		}
+		if key := p.Canonical(); !strings.Contains(key, " mode="+tc.canonical+" ") {
+			t.Errorf("Mode=%q: Canonical() = %q, want mode=%s", tc.wire, key, tc.canonical)
+		}
+	}
+	err := (Params{Mode: "pull"}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "auto | sparse | dense | dense-forward") {
+		t.Fatalf("bad mode: err = %v, want the unknown-mode error listing every mode", err)
 	}
 }
 

@@ -67,7 +67,7 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			numPaths.Add(int(d), numPaths.Load(int(s)))
 			// A destination already claimed this round costs a load, not
-			// a locked CAS (atomicx.TestAndSetBool's test-and-test-and-set).
+			// a locked CAS: test, then test-and-set.
 			return atomic.LoadInt32(&levels[d]) == -1 &&
 				atomicx.CASInt32(&levels[d], -1, roundLoad(&round))
 		},

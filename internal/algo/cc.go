@@ -72,7 +72,7 @@ func ConnectedComponentsCtx(ctx context.Context, g graph.View, opts core.Options
 // receive labels. It confines push rounds alone — a pull round reads
 // every in-neighbour of the vertices it updates — so a caller that must
 // keep propagation inside a region forces sparse rounds (opts.Mode =
-// core.ForceSparse) and seeds only vertices of that region.
+// core.Sparse) and seeds only vertices of that region.
 func PropagateLabelsCtx(ctx context.Context, g graph.View, labels []uint32, seeds *core.VertexSubset, within func(uint32) bool, opts core.Options) (rounds int, err error) {
 	// prev[v] is v's label when the round began: a copy of labels at the
 	// start, so a vertex outside seeds also joins the frontier the first

@@ -116,7 +116,7 @@ func TestColoringKnownCounts(t *testing.T) {
 func TestColoringDeterministic(t *testing.T) {
 	g := testGraphs(t)["rmat"]
 	a := must(Coloring(bg, g, 42, core.Options{}))
-	b := must(Coloring(bg, g, 42, core.Options{Mode: core.ForceSparse}))
+	b := must(Coloring(bg, g, 42, core.Options{Mode: core.Sparse}))
 	for v := range a.Colors {
 		if a.Colors[v] != b.Colors[v] {
 			t.Fatalf("coloring not internally deterministic at vertex %d", v)

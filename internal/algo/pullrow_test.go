@@ -72,7 +72,7 @@ func sameBits(a, b []float64) (int, bool) {
 // kernel, and with every round forced through its per-edge UpdateAtomic
 // self.
 func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
-	modes := map[string]core.Options{"auto": {}, "dense": {Mode: core.ForceDense}, "sparse": {Mode: core.ForceSparse}}
+	modes := map[string]core.Options{"auto": {}, "dense": {Mode: core.Pull}, "sparse": {Mode: core.Sparse}}
 	for gname, g := range rowGraphs(t) {
 		const src = 1
 		wantLevels := seq.BFSLevels(g, src)
@@ -179,7 +179,7 @@ func TestPageRankBitIdentical(t *testing.T) {
 		opts.MaxIterations = 20 // bounded: identity per iteration implies identity at convergence
 		opts.Epsilon = 0
 		deltaOpts := opts
-		deltaOpts.EdgeMap.Mode = core.ForceDense
+		deltaOpts.EdgeMap.Mode = core.Pull
 		want, err := algo.PageRankCtx(nil, g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestClusterBFSRowSweepMatchesKBFS(t *testing.T) {
 				sources[3], sources[k-1] = sources[0], sources[0] // three bits on one vertex
 			}
 			for vname, v := range views {
-				for mname, opts := range map[string]core.Options{"auto": {}, "dense": {Mode: core.ForceDense}} {
+				for mname, opts := range map[string]core.Options{"auto": {}, "dense": {Mode: core.Pull}} {
 					res, err := algo.ClusterBFSCtx(nil, v, sources, algo.ClusterBFSOptions{EdgeMap: opts, WantLevels: true})
 					if err != nil {
 						t.Fatalf("%s/%s/%s k=%d: %v", gname, vname, mname, k, err)

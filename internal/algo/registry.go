@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,10 +81,8 @@ type Params struct {
 // Whether the chosen Backend applies to a particular algorithm is checked
 // later by BatchValidate, which knows the algorithm.
 func (p Params) Validate() error {
-	switch p.Mode {
-	case "", "auto", "sparse", "dense", "dense-forward":
-	default:
-		return fmt.Errorf("unknown mode %q (have auto | sparse | dense | dense-forward)", p.Mode)
+	if p.Mode != "" && !slices.Contains(modeNames, p.Mode) {
+		return fmt.Errorf("unknown mode %q (have %s)", p.Mode, strings.Join(modeNames, " | "))
 	}
 	switch p.Backend {
 	case "", BackendEdgeMap, BackendSpMV, BackendAuto:
@@ -127,17 +126,20 @@ func (p Params) EdgeMapOptions() core.Options {
 	if p.Threshold != 0 {
 		o.Threshold = p.Threshold
 	}
-	switch p.Mode {
-	case "sparse":
-		o.Mode = core.ForceSparse
-	case "dense":
-		o.Mode = core.ForceDense
-	case "dense-forward":
-		o.Mode = core.ForceDense
-		o.DenseForward = true
+	if i := slices.Index(modeNames, p.Mode); i > 0 {
+		o.Mode = core.Mode(i)
 	}
 	return o
 }
+
+// modeNames are the wire mode names, each at its core.Mode's index.
+var modeNames = func() []string {
+	var names []string
+	for m := core.Auto; m <= core.Forward; m++ {
+		names = append(names, m.String())
+	}
+	return names
+}()
 
 func (p Params) seed(def uint64) uint64 {
 	if p.Seed == 0 {

@@ -106,9 +106,9 @@ var runnerChecks = map[string]string{
 	"pagerank-delta": "TestPageRankDeltaApproximatesPageRank",
 	"bellman-ford":   "TestBellmanFordMatchesDijkstra",
 	"kcore":          "TestKCoreMatchesSequential",
-	"mis":            "TestMISIndependentAndMaximal",
+	"mis":            "TestMISMatchesGreedy",
 	"scc":            "TestSCCRandomizedAgainstTarjan",
-	"coloring":       "TestColoringProper",
+	"coloring":       "TestColoringMatchesGreedy",
 	"matching":       "TestMaximalMatchingValid",
 	"eccentricity":   "TestTwoPassEccentricityMatchesSequential",
 	"densest":        "TestDensestSubgraphMatchesBruteForce",

@@ -26,21 +26,6 @@ func CASInt32(addr *int32, old, new int32) bool {
 	return atomic.CompareAndSwapInt32(addr, old, new)
 }
 
-// WriteMinUint32 atomically sets *addr = min(*addr, v) and reports whether v
-// strictly lowered the stored value (i.e. this caller won the priority
-// update).
-func WriteMinUint32(addr *uint32, v uint32) bool {
-	for {
-		old := atomic.LoadUint32(addr)
-		if v >= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(addr, old, v) {
-			return true
-		}
-	}
-}
-
 // WriteMinInt64 atomically sets *addr = min(*addr, v), reporting whether v
 // won.
 func WriteMinInt64(addr *int64, v int64) bool {
@@ -60,11 +45,6 @@ func AddInt64(addr *int64, delta int64) int64 {
 	return atomic.AddInt64(addr, delta)
 }
 
-// AddUint32 atomically adds delta to *addr and returns the new value.
-func AddUint32(addr *uint32, delta uint32) uint32 {
-	return atomic.AddUint32(addr, delta)
-}
-
 // OrUint64 atomically ORs mask into *addr and returns the previous value.
 // The plain-load fast path skips the locked instruction when every mask
 // bit is already set — the common case for visit-word propagation, where
@@ -74,12 +54,6 @@ func OrUint64(addr *uint64, mask uint64) uint64 {
 		return old
 	}
 	return atomic.OrUint64(addr, mask)
-}
-
-// TestAndSetBool atomically sets *addr (stored as a uint32 0/1 flag) to 1
-// and reports whether this call performed the transition from 0.
-func TestAndSetBool(addr *uint32) bool {
-	return atomic.LoadUint32(addr) == 0 && atomic.CompareAndSwapUint32(addr, 0, 1)
 }
 
 // Float64Slice is a slice of float64 values supporting atomic addition and
@@ -131,12 +105,6 @@ func (f *Float64Slice) StoreNonAtomic(i int, v float64) {
 // LoadNonAtomic reads element i without synchronization; see StoreNonAtomic.
 func (f *Float64Slice) LoadNonAtomic(i int) float64 {
 	return math.Float64frombits(f.bits[i])
-}
-
-// AddNonAtomic adds delta to element i without synchronization; see
-// StoreNonAtomic.
-func (f *Float64Slice) AddNonAtomic(i int, delta float64) {
-	f.bits[i] = math.Float64bits(math.Float64frombits(f.bits[i]) + delta)
 }
 
 // Fill sets every element to v (not atomic with respect to concurrent

@@ -7,23 +7,10 @@ import (
 	"testing/quick"
 )
 
-func TestWriteMinUint32Sequential(t *testing.T) {
-	x := uint32(100)
-	if !WriteMinUint32(&x, 50) || x != 50 {
-		t.Errorf("writeMin(100, 50): won=%v x=%d", x == 50, x)
-	}
-	if WriteMinUint32(&x, 50) {
-		t.Error("writeMin with equal value should not win")
-	}
-	if WriteMinUint32(&x, 70) || x != 50 {
-		t.Errorf("writeMin(50, 70) changed value to %d", x)
-	}
-}
-
 func TestWriteMinConcurrentConverges(t *testing.T) {
 	const goroutines = 16
 	const perG = 1000
-	x := uint32(math.MaxUint32)
+	x := int64(math.MaxInt64)
 	var wins int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -33,8 +20,8 @@ func TestWriteMinConcurrentConverges(t *testing.T) {
 			defer wg.Done()
 			local := int32(0)
 			for i := 0; i < perG; i++ {
-				v := uint32(g*perG + i)
-				if WriteMinUint32(&x, v) {
+				v := int64(g*perG + i)
+				if WriteMinInt64(&x, v) {
 					local++
 				}
 			}
@@ -84,10 +71,6 @@ func TestAddHelpers(t *testing.T) {
 	if AddInt64(&x, 5) != 5 || AddInt64(&x, -2) != 3 {
 		t.Error("AddInt64 wrong")
 	}
-	var u uint32
-	if AddUint32(&u, 7) != 7 {
-		t.Error("AddUint32 wrong")
-	}
 }
 
 func TestOrUint64(t *testing.T) {
@@ -119,38 +102,6 @@ func TestOrUint64Concurrent(t *testing.T) {
 	}
 }
 
-func TestTestAndSetBool(t *testing.T) {
-	var f uint32
-	if !TestAndSetBool(&f) {
-		t.Error("first TAS should win")
-	}
-	if TestAndSetBool(&f) {
-		t.Error("second TAS should lose")
-	}
-}
-
-func TestTestAndSetBoolConcurrent(t *testing.T) {
-	var f uint32
-	var wins int32
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if TestAndSetBool(&f) {
-				mu.Lock()
-				wins++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if wins != 1 {
-		t.Errorf("TAS wins = %d, want exactly 1", wins)
-	}
-}
-
 func TestFloat64SliceBasics(t *testing.T) {
 	fs := NewFloat64Slice(4)
 	if fs.Len() != 4 {
@@ -164,8 +115,7 @@ func TestFloat64SliceBasics(t *testing.T) {
 	if got := fs.Load(0); got != 4.0 {
 		t.Errorf("after Add, Load = %v", got)
 	}
-	fs.StoreNonAtomic(1, -1)
-	fs.AddNonAtomic(1, 0.5)
+	fs.StoreNonAtomic(1, -0.5)
 	if got := fs.LoadNonAtomic(1); got != -0.5 {
 		t.Errorf("non-atomic path = %v", got)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ligra/internal/atomicx"
 	"ligra/internal/core"
 	"ligra/internal/parallel"
 )
@@ -33,14 +32,18 @@ func benchDenseRound(b *testing.B, fullFrontier bool) {
 		b.StartTimer()
 		update := func(s, d uint32, _ int32) bool {
 			sid := atomic.LoadUint32(&ids[s])
-			orig := atomic.LoadUint32(&ids[d])
-			if atomicx.WriteMinUint32(&ids[d], sid) {
-				return orig == prev[d]
+			for {
+				old := atomic.LoadUint32(&ids[d])
+				if sid >= old {
+					return false
+				}
+				if atomic.CompareAndSwapUint32(&ids[d], old, sid) {
+					return old == prev[d]
+				}
 			}
-			return false
 		}
 		must(core.EdgeMap(context.Background(), g, frontier, core.EdgeFuncs{Update: update, UpdateAtomic: update},
-			core.Options{Mode: core.ForceDense}))
+			core.Options{Mode: core.Pull}))
 	}
 }
 

@@ -219,12 +219,8 @@ func Frontier(cfg Config) error {
 		w := cfg.tab()
 		fmt.Fprintln(w, "Round\t|Frontier|\tOutDegrees\tMode\tOutput\tTime")
 		for _, e := range tr.Entries {
-			mode := "sparse"
-			if e.Dense {
-				mode = "dense"
-			}
 			fmt.Fprintf(w, "%d\t%d\t%d\t%s\t%d\t%s\n",
-				e.Round, e.FrontierSize, e.OutDegrees, mode, e.OutputSize, e.Duration)
+				e.Round, e.FrontierSize, e.OutDegrees, e.Mode, e.OutputSize, e.Duration)
 		}
 		if err := w.Flush(); err != nil {
 			return err
@@ -254,14 +250,14 @@ func Threshold(cfg Config) error {
 		label string
 		opts  core.Options
 	}
-	variants := []variant{{"sparse-only", core.Options{Mode: core.ForceSparse}}}
+	variants := []variant{{"sparse-only", core.Options{Mode: core.Sparse}}}
 	for _, d := range denoms {
 		variants = append(variants, variant{
 			fmt.Sprintf("m/%d", d),
 			core.Options{Threshold: m / d},
 		})
 	}
-	variants = append(variants, variant{"dense-only", core.Options{Mode: core.ForceDense}})
+	variants = append(variants, variant{"dense-only", core.Options{Mode: core.Pull}})
 
 	apps := []struct {
 		name string
@@ -316,10 +312,8 @@ func DenseForward(cfg Config) error {
 		if cfg.budgetExhausted(w) {
 			break
 		}
-		t1 := Measure(cfg.rounds(), func() { a.run(core.Options{Mode: core.ForceDense}) })
-		t2 := Measure(cfg.rounds(), func() {
-			a.run(core.Options{Mode: core.ForceDense, DenseForward: true})
-		})
+		t1 := Measure(cfg.rounds(), func() { a.run(core.Options{Mode: core.Pull}) })
+		t2 := Measure(cfg.rounds(), func() { a.run(core.Options{Mode: core.Forward}) })
 		fmt.Fprintf(w, "%s\t%.4f\t%.4f\n", a.name, t1.Median.Seconds(), t2.Median.Seconds())
 	}
 	return w.Flush()

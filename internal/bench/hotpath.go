@@ -57,12 +57,12 @@ func HotPath(cfg Config) error {
 	}
 	workloads := []workload{
 		{"BFS", func() { must(algo.BFSCtx(context.Background(), g, src, core.Options{})) }},
-		{"BFS-sparse", func() { must(algo.BFSCtx(context.Background(), g, src, core.Options{Mode: core.ForceSparse})) }},
+		{"BFS-sparse", func() { must(algo.BFSCtx(context.Background(), g, src, core.Options{Mode: core.Sparse})) }},
 		{"Components", func() { must(algo.ConnectedComponentsCtx(context.Background(), g, core.Options{})) }},
 		{"PageRank1", func() {
 			must(algo.PageRankCtx(context.Background(), g, algo.PageRankOptions{
 				Damping: 0.85, MaxIterations: 1,
-				EdgeMap: core.Options{Mode: core.ForceDense},
+				EdgeMap: core.Options{Mode: core.Pull},
 			}))
 		}},
 		{"Radii", func() { must(algo.RadiiCtx(context.Background(), g, algo.DefaultRadiiOptions())) }},

@@ -54,7 +54,7 @@ func BenchmarkHotPathBFSSparse(b *testing.B) {
 	g, src := benchInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		must(algo.BFSCtx(context.Background(), g, src, core.Options{Mode: core.ForceSparse}))
+		must(algo.BFSCtx(context.Background(), g, src, core.Options{Mode: core.Sparse}))
 	}
 }
 
@@ -72,7 +72,7 @@ func BenchmarkHotPathPageRank1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		must(algo.PageRankCtx(context.Background(), g, algo.PageRankOptions{
 			Damping: 0.85, MaxIterations: 1,
-			EdgeMap: core.Options{Mode: core.ForceDense},
+			EdgeMap: core.Options{Mode: core.Pull},
 		}))
 	}
 }

@@ -33,11 +33,6 @@ func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear clears bit i (not atomic).
-func (b *Bitset) Clear(i int) {
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Get reports bit i (not atomic).
 func (b *Bitset) Get(i int) bool {
 	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
@@ -59,11 +54,6 @@ func (b *Bitset) SetAtomic(i int) bool {
 	}
 }
 
-// GetAtomic atomically reads bit i.
-func (b *Bitset) GetAtomic(i int) bool {
-	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(uint(i)%wordBits)) != 0
-}
-
 // Count returns the number of set bits.
 func (b *Bitset) Count() int {
 	c := 0
@@ -71,13 +61,6 @@ func (b *Bitset) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Reset clears every bit.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
 }
 
 // SetAll sets every bit in [0, Len()), one word at a time, preserving the

@@ -53,7 +53,7 @@ func TestEdgeMapCtxMatchesEdgeMapWithoutContext(t *testing.T) {
 	g := testGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, opts := range []Options{{}, {Mode: ForceDense}, {Mode: ForceDense, DenseForward: true}} {
+	for _, opts := range []Options{{}, {Mode: Pull}, {Mode: Forward}} {
 		u := NewSingle(g.NumVertices(), 0)
 		f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
 		want := sortedIDs(must(EdgeMap(nil, g, u, f, opts)))
@@ -144,7 +144,7 @@ func TestEdgeMapCtxOptionsProcsCapsConcurrency(t *testing.T) {
 		cur.Add(-1)
 		return true
 	}}
-	for _, mode := range []Mode{ForceSparse, ForceDense} {
+	for _, mode := range []Mode{Sparse, Pull} {
 		cur.Store(0)
 		peak.Store(0)
 		_, err := EdgeMap(nil, g, u, f, Options{Mode: mode, Procs: 1})

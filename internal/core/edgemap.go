@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,30 +62,42 @@ func (f EdgeFuncs) pushUpdate() func(s, d uint32, w int32) bool {
 	return f.Update
 }
 
-// Mode forces a traversal strategy, overriding the size heuristic.
+// Mode is a round's traversal: Auto lets the cost rule pick one per
+// round (see chooseRound); the other three force it for every round.
 type Mode int
 
 const (
-	// Auto applies the |U| + outDegrees(U) > threshold heuristic.
+	// Auto picks Sparse, Pull or Forward per round by cost.
 	Auto Mode = iota
-	// ForceSparse always uses the sparse (push) traversal.
-	ForceSparse
-	// ForceDense always uses the dense (pull) traversal.
-	ForceDense
+	// Sparse pushes over the out-edges of the frontier's ID array.
+	Sparse
+	// Pull reads every vertex's in-row (Ligra's read-based dense
+	// traversal).
+	Pull
+	// Forward pushes over the out-edges of the frontier's bitset words
+	// (Ligra's write-based dense traversal).
+	Forward
 )
+
+// modeNames are the modes' wire names, in Mode order.
+var modeNames = [...]string{"auto", "sparse", "dense", "dense-forward"}
+
+// String returns the mode's wire name: auto, sparse, dense (Pull) or
+// dense-forward (Forward).
+func (m Mode) String() string {
+	if m < 0 || int(m) >= len(modeNames) {
+		return "Mode(" + strconv.Itoa(int(m)) + ")"
+	}
+	return modeNames[m]
+}
 
 // Options tunes a single EdgeMap call.
 type Options struct {
-	// Mode selects Auto (default) or a forced representation.
+	// Mode is Auto (default) or the traversal every round is forced to.
 	Mode Mode
 	// Threshold overrides the dense-switch threshold; 0 selects the
 	// paper's default of |E|/20.
 	Threshold int64
-	// DenseForward makes every dense round the write-based traversal
-	// (loop over frontier sources, push over out-edges) instead of the
-	// read-based (pull) one. Without it, Auto chooses among sparse,
-	// dense-forward and pull by cost (see chooseRound) and ForceDense pulls.
-	DenseForward bool
 	// RemoveDuplicates makes a sparse round claim each destination's bit
 	// in a round bitset before appending it, so an UpdateAtomic that may
 	// return true more than once per destination yields it once. A dense
@@ -133,6 +146,9 @@ type TraceEntry struct {
 	Round        int
 	FrontierSize int
 	OutDegrees   int64
+	// Mode is the traversal the round ran, never Auto; Dense (Pull or
+	// Forward) and DenseForward (Forward) are set from it.
+	Mode         Mode
 	Dense        bool
 	DenseForward bool
 	OutputSize   int
@@ -178,8 +194,8 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 	start := time.Now()
 	if u.IsEmpty() {
 		out := NewEmpty(n)
-		globalStats.record(0, 0, false, false, false, 0)
-		traceRecord(opts.Trace, u, 0, false, false, out, start)
+		globalStats.record(0, 0, Sparse, false, 0)
+		traceRecord(opts.Trace, u, 0, Sparse, out, start)
 		return out, nil
 	}
 
@@ -199,25 +215,25 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 	// to the forward/pull crossover.
 	pullFull := f.Cond == nil && !opts.DenseEarlyExit
 	stopAfter := threshold - int64(u.Size())
-	if pullFull && opts.Mode == Auto && !opts.DenseForward {
+	if pullFull && opts.Mode == Auto {
 		stopAfter = max(stopAfter, forwardLimit(g))
 	}
 	outDeg, err := sc.frontierOutDegrees(ctx, u, stopAfter)
 	if err != nil {
 		return nil, err
 	}
-	kind := chooseRound(g, u.Size(), outDeg, threshold, pullFull, opts)
+	mode := chooseRound(g, u.Size(), outDeg, threshold, pullFull, opts.Mode)
 
 	// The degree scan stops early only once the sum has passed the dense
 	// threshold, so a partial sum can pass for a small round only where
 	// that threshold is itself below smallRoundWork and the caller forced
 	// the round sparse: graphs too small for the chunking to matter.
-	seq := kind == sparseRound && int64(u.Size())+outDeg <= smallRoundWork
+	seq := mode == Sparse && int64(u.Size())+outDeg <= smallRoundWork
 	var out *VertexSubset
-	switch kind {
-	case forwardRound:
+	switch mode {
+	case Forward:
 		out, err = sc.edgeMapDenseForward(ctx, u, f, opts)
-	case pullRound:
+	case Pull:
 		out, err = edgeMapDense(ctx, g, u, f, opts)
 	default:
 		out, err = sc.edgeMapSparse(ctx, u, f, opts, seq)
@@ -225,20 +241,10 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 	if err != nil {
 		return nil, err
 	}
-	dense, fwd := kind != sparseRound, kind == forwardRound
-	globalStats.record(u.Size(), outDeg, dense, fwd, seq, out.Size())
-	traceRecord(opts.Trace, u, outDeg, dense, fwd, out, start)
+	globalStats.record(u.Size(), outDeg, mode, seq, out.Size())
+	traceRecord(opts.Trace, u, outDeg, mode, out, start)
 	return out, nil
 }
-
-// roundKind is the traversal one EdgeMap round runs.
-type roundKind int
-
-const (
-	sparseRound  roundKind = iota // edgeMapSparse: push over the frontier's ID array
-	pullRound                     // edgeMapDense: pull over every vertex's in-row
-	forwardRound                  // edgeMapDenseForward: push over the frontier's bitset words
-)
 
 // The rule's constants, from forced-mode runs of the same rounds on
 // weighted graphs at scale 18 (2-vCPU VM, GOMAXPROCS 2, per-round minimum
@@ -277,9 +283,9 @@ func forwardLimit(g graph.View) int64 {
 	return (g.NumEdges() - int64(g.NumVertices()/64)) / forwardEdgeCost
 }
 
-// chooseRound picks a round's traversal. Forced modes are obeyed, and
-// DenseForward makes every dense round forward. Otherwise Ligra's
-// threshold splits sparse from dense, and each side is then priced:
+// chooseRound picks a round's traversal. A forced mode is returned as
+// is. Under Auto, Ligra's threshold splits sparse from dense, and each
+// side is then priced:
 //
 //   - at or under the threshold, a round whose out-edges are many times
 //     the n/64 bitset words (forwardWordRatio, or forwardWordRatioFull
@@ -291,31 +297,27 @@ func forwardLimit(g graph.View) int64 {
 //     forward is cheaper until forwardEdgeCost·outDeg(U) + n/64 reaches m.
 //
 // outDeg may be a partial sum past whichever bound decided the round.
-func chooseRound(g graph.View, frontier int, outDeg, threshold int64, pullFull bool, opts Options) roundKind {
-	dense := opts.Mode == ForceDense || (opts.Mode == Auto && int64(frontier)+outDeg > threshold)
-	switch {
-	case opts.Mode == ForceSparse:
-		return sparseRound
-	case dense && opts.DenseForward:
-		return forwardRound
-	case opts.Mode == ForceDense:
-		return pullRound
-	case !dense:
+func chooseRound(g graph.View, frontier int, outDeg, threshold int64, pullFull bool, mode Mode) Mode {
+	if mode != Auto {
+		return mode
+	}
+	if int64(frontier)+outDeg <= threshold {
 		ratio := int64(forwardWordRatio)
 		if pullFull {
 			ratio = forwardWordRatioFull
 		}
-		if !opts.DenseForward && outDeg > ratio*int64(g.NumVertices()/64+1) {
-			return forwardRound
+		if outDeg > ratio*int64(g.NumVertices()/64+1) {
+			return Forward
 		}
-		return sparseRound
-	case pullFull && outDeg < forwardLimit(g):
-		return forwardRound
+		return Sparse
 	}
-	return pullRound
+	if pullFull && outDeg < forwardLimit(g) {
+		return Forward
+	}
+	return Pull
 }
 
-func traceRecord(t *Trace, u *VertexSubset, outDeg int64, dense, fwd bool, out *VertexSubset, start time.Time) {
+func traceRecord(t *Trace, u *VertexSubset, outDeg int64, mode Mode, out *VertexSubset, start time.Time) {
 	if t == nil {
 		return
 	}
@@ -323,8 +325,9 @@ func traceRecord(t *Trace, u *VertexSubset, outDeg int64, dense, fwd bool, out *
 		Round:        len(t.Entries),
 		FrontierSize: u.Size(),
 		OutDegrees:   outDeg,
-		Dense:        dense,
-		DenseForward: fwd,
+		Mode:         mode,
+		Dense:        mode != Sparse,
+		DenseForward: mode == Forward,
 		OutputSize:   out.Size(),
 		Duration:     time.Since(start),
 	})

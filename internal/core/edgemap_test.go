@@ -73,7 +73,7 @@ func sortedIDs(vs *VertexSubset) []uint32 {
 
 func TestEdgeMapAppliesFrontierEdges(t *testing.T) {
 	g := testGraph(t)
-	for _, mode := range []Mode{ForceSparse, ForceDense} {
+	for _, mode := range []Mode{Sparse, Pull} {
 		u := NewSparse(6, []uint32{0, 3})
 		counts, out := collectEdges(g, u, Options{Mode: mode})
 		wantEdges := [][2]uint32{{0, 1}, {0, 2}, {3, 5}}
@@ -101,7 +101,7 @@ func TestEdgeMapAppliesFrontierEdges(t *testing.T) {
 func TestEdgeMapDenseForwardMatches(t *testing.T) {
 	g := testGraph(t)
 	u := NewSparse(6, []uint32{0, 3})
-	counts, out := collectEdges(g, u, Options{Mode: ForceDense, DenseForward: true})
+	counts, out := collectEdges(g, u, Options{Mode: Forward})
 	if len(counts) != 3 {
 		t.Fatalf("dense-forward applied %d distinct edges, want 3", len(counts))
 	}
@@ -116,7 +116,7 @@ func TestEdgeMapDenseForwardMatches(t *testing.T) {
 
 func TestEdgeMapCondFilters(t *testing.T) {
 	g := testGraph(t)
-	for _, mode := range []Mode{ForceSparse, ForceDense} {
+	for _, mode := range []Mode{Sparse, Pull} {
 		u := NewSparse(6, []uint32{0})
 		f := EdgeFuncs{
 			UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
@@ -135,7 +135,7 @@ func TestEdgeMapUpdateFalseExcludesFromOutput(t *testing.T) {
 	f := EdgeFuncs{
 		UpdateAtomic: func(_, d uint32, _ int32) bool { return d == 1 },
 	}
-	for _, mode := range []Mode{ForceSparse, ForceDense} {
+	for _, mode := range []Mode{Sparse, Pull} {
 		out := edgeMap(g, u, f, Options{Mode: mode})
 		if out.Size() != 1 || !out.Contains(1) {
 			t.Errorf("mode=%v: output = %v, want {1}", mode, sortedIDs(out))
@@ -159,7 +159,7 @@ func TestEdgeMapNoOutput(t *testing.T) {
 	f := EdgeFuncs{
 		UpdateAtomic: func(_, _ uint32, _ int32) bool { applied.Add(1); return true },
 	}
-	for _, mode := range []Mode{ForceSparse, ForceDense} {
+	for _, mode := range []Mode{Sparse, Pull} {
 		applied.Store(0)
 		out := edgeMap(g, NewSparse(6, []uint32{0}), f, Options{Mode: mode, NoOutput: true})
 		if !out.IsEmpty() {
@@ -185,7 +185,7 @@ func TestEdgeMapDenseEarlyExit(t *testing.T) {
 		},
 		Cond: func(d uint32) bool { return hits[d] == 0 },
 	}
-	out := edgeMap(g, u, f, Options{Mode: ForceDense})
+	out := edgeMap(g, u, f, Options{Mode: Pull})
 	if hits[3] != 1 {
 		t.Errorf("vertex 3 updated %d times, want 1 (early exit)", hits[3])
 	}
@@ -202,11 +202,11 @@ func TestEdgeMapRemoveDuplicates(t *testing.T) {
 		UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
 	}
 	u := NewSparse(6, []uint32{1, 2})
-	noDedup := edgeMap(g, u, f, Options{Mode: ForceSparse})
+	noDedup := edgeMap(g, u, f, Options{Mode: Sparse})
 	if len(sparseIDs(noDedup)) != 3 { // 3, 3, 4
 		t.Errorf("expected raw duplicates, got %v", sparseIDs(noDedup))
 	}
-	dedup := edgeMap(g, NewSparse(6, []uint32{1, 2}), f, Options{Mode: ForceSparse, RemoveDuplicates: true})
+	dedup := edgeMap(g, NewSparse(6, []uint32{1, 2}), f, Options{Mode: Sparse, RemoveDuplicates: true})
 	got := sortedIDs(dedup)
 	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Errorf("dedup output = %v, want [3 4]", got)
@@ -232,6 +232,28 @@ func TestEdgeMapAutoSwitches(t *testing.T) {
 	}
 }
 
+// TestForcedModeRecorded: a forced round runs, traces and counts as its
+// Mode, and the trace's Dense and DenseForward flags are read from it.
+func TestForcedModeRecorded(t *testing.T) {
+	g := testGraph(t)
+	f := EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool { return true }}
+	for _, mode := range []Mode{Sparse, Pull, Forward} {
+		tr := &Trace{}
+		before := SnapshotStats()
+		edgeMap(g, NewSparse(6, []uint32{0}), f, Options{Mode: mode, Trace: tr})
+		d := SnapshotStats().Sub(before)
+		e := tr.Entries[0]
+		if e.Mode != mode || e.Dense != (mode != Sparse) || e.DenseForward != (mode == Forward) {
+			t.Errorf("%v: trace Mode=%v Dense=%t DenseForward=%t", mode, e.Mode, e.Dense, e.DenseForward)
+		}
+		var want [3]int64 // sparse, dense, dense-forward: Mode order
+		want[mode-Sparse] = 1
+		if got := [3]int64{d.Sparse, d.Dense, d.DenseForward}; got != want {
+			t.Errorf("%v: sparse/dense/dense-forward counts %v, want %v", mode, got, want)
+		}
+	}
+}
+
 func TestEdgeMapWeightsPropagate(t *testing.T) {
 	g, err := graph.FromEdges(3, []graph.Edge{
 		{Src: 0, Dst: 1, Weight: 9}, {Src: 1, Dst: 2, Weight: 4},
@@ -239,7 +261,7 @@ func TestEdgeMapWeightsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{ForceSparse, ForceDense} {
+	for _, mode := range []Mode{Sparse, Pull} {
 		var got atomic.Int32
 		f := EdgeFuncs{UpdateAtomic: func(_, d uint32, w int32) bool {
 			if d == 1 {
@@ -276,8 +298,8 @@ func TestEdgeMapKernelOnlyFuncsRejected(t *testing.T) {
 		u    *VertexSubset
 		mode Mode
 	}{
-		{"sparse round", NewSingle(n, 0), ForceSparse},
-		{"dense round", NewAll(n), ForceDense},
+		{"sparse round", NewSingle(n, 0), Sparse},
+		{"dense round", NewAll(n), Pull},
 	} {
 		func() {
 			defer func() {
@@ -299,7 +321,7 @@ func TestEdgeMapSymmetricGraphDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool { return true }}
-	out := edgeMap(g, NewSingle(4, 1), f, Options{Mode: ForceDense, RemoveDuplicates: true})
+	out := edgeMap(g, NewSingle(4, 1), f, Options{Mode: Pull, RemoveDuplicates: true})
 	got := sortedIDs(out)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("output = %v, want [0 2]", got)

@@ -89,9 +89,9 @@ func TestEdgeMapModesAgreeOnRandomGraphs(t *testing.T) {
 			name string
 			opts Options
 		}{
-			{"sparse", Options{Mode: ForceSparse, RemoveDuplicates: true}},
-			{"dense", Options{Mode: ForceDense}},
-			{"dense-forward", Options{Mode: ForceDense, DenseForward: true}},
+			{"sparse", Options{Mode: Sparse, RemoveDuplicates: true}},
+			{"dense", Options{Mode: Pull}},
+			{"dense-forward", Options{Mode: Forward}},
 			{"auto", Options{RemoveDuplicates: true}},
 		} {
 			f := EdgeFuncs{
@@ -135,9 +135,9 @@ func TestEdgeMapEdgeCountConsistency(t *testing.T) {
 			name string
 			opts Options
 		}{
-			{"sparse", Options{Mode: ForceSparse}},
-			{"dense", Options{Mode: ForceDense}},
-			{"dense-forward", Options{Mode: ForceDense, DenseForward: true}},
+			{"sparse", Options{Mode: Sparse}},
+			{"dense", Options{Mode: Pull}},
+			{"dense-forward", Options{Mode: Forward}},
 		} {
 			var applied atomic.Int64
 			f := EdgeFuncs{
@@ -187,9 +187,9 @@ func TestEdgeMapWeightsAgreeAcrossModes(t *testing.T) {
 			}
 			return out
 		}
-		sparse := collect(Options{Mode: ForceSparse})
-		dense := collect(Options{Mode: ForceDense})
-		fwd := collect(Options{Mode: ForceDense, DenseForward: true})
+		sparse := collect(Options{Mode: Sparse})
+		dense := collect(Options{Mode: Pull})
+		fwd := collect(Options{Mode: Forward})
 		if len(sparse) != len(dense) || len(sparse) != len(fwd) {
 			t.Fatalf("trial %d: edge sets differ in size", trial)
 		}
@@ -226,7 +226,7 @@ func TestRemoveDuplicatesScratchReuse(t *testing.T) {
 	}
 	f := EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool { return true }}
 	for round := 0; round < 10; round++ {
-		out := edgeMap(g, NewSparse(n, append([]uint32(nil), ids...)), f, Options{Mode: ForceSparse, RemoveDuplicates: true})
+		out := edgeMap(g, NewSparse(n, append([]uint32(nil), ids...)), f, Options{Mode: Sparse, RemoveDuplicates: true})
 		got := sparseIDs(out)
 		if len(got) != dsts || out.Size() != dsts {
 			t.Fatalf("round %d: dedup kept %d (size %d), want %d", round, len(got), out.Size(), dsts)
@@ -319,7 +319,7 @@ func TestEdgeMapDenseEarlyExitRandom(t *testing.T) {
 			},
 			Cond: cond,
 		}
-		out := edgeMap(g, u.Clone(), f, Options{Mode: ForceDense, DenseEarlyExit: true})
+		out := edgeMap(g, u.Clone(), f, Options{Mode: Pull, DenseEarlyExit: true})
 		got := append([]uint32(nil), sparseIDs(out)...)
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if len(got) != len(want) {

@@ -173,7 +173,7 @@ func TestPullRowMatchesPerEdge(t *testing.T) {
 							if row {
 								f = withDerivedPullRow(f, early)
 							}
-							out, err := core.EdgeMap(nil, v, u, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: early, Procs: procs})
+							out, err := core.EdgeMap(nil, v, u, f, core.Options{Mode: core.Pull, DenseEarlyExit: early, Procs: procs})
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -218,7 +218,7 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 				return true
 			},
 		}
-		out, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.ForceDense, NoOutput: true, Procs: 1})
+		out, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.Pull, NoOutput: true, Procs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 				s.srcs, s.wts = append(s.srcs, srcs...), append(s.wts, wts...)
 				return hit
 			}
-			if _, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.ForceDense, DenseEarlyExit: true, Procs: 1}); err != nil {
+			if _, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.Pull, DenseEarlyExit: true, Procs: 1}); err != nil {
 				t.Fatal(err)
 			}
 			prefix := core.DenseEarlyPrefix
@@ -286,7 +286,7 @@ func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
 	g := randomWeighted(t, rng, 300, 2400, true)
 	n := g.NumVertices()
 	all := core.NewAll(n)
-	dense := core.Options{Mode: core.ForceDense}
+	dense := core.Options{Mode: core.Pull}
 
 	// variants builds the same user code on both paths; body runs once per
 	// applied edge (per-edge) or once per row (kernel).

@@ -58,10 +58,10 @@ func TestRoundAllocs(t *testing.T) {
 		opts Options
 		max  float64
 	}{
-		{"sparse-small", NewSparse(n, small), Options{Mode: ForceSparse}, 2},
-		{"sparse-large", NewSparse(n, large), Options{Mode: ForceSparse}, 2},
-		{"forward", dense, Options{Mode: ForceDense, DenseForward: true}, 6},
-		{"pull", dense, Options{Mode: ForceDense}, 5},
+		{"sparse-small", NewSparse(n, small), Options{Mode: Sparse}, 2},
+		{"sparse-large", NewSparse(n, large), Options{Mode: Sparse}, 2},
+		{"forward", dense, Options{Mode: Forward}, 6},
+		{"pull", dense, Options{Mode: Pull}, 5},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := EdgeMap(ctx, g, tc.u, f, tc.opts); err != nil {
@@ -99,14 +99,14 @@ func TestSparseRoundLargeOutput(t *testing.T) {
 		slices.Sort(got)
 		return got
 	}
-	want := run(Options{Mode: ForceDense})
-	if fwd := run(Options{Mode: ForceDense, DenseForward: true}); !slices.Equal(fwd, want) {
+	want := run(Options{Mode: Pull})
+	if fwd := run(Options{Mode: Forward}); !slices.Equal(fwd, want) {
 		t.Fatalf("forward output (%d vertices) differs from pull's (%d)", len(fwd), len(want))
 	}
 	// Which workers end up holding which chunks depends on scheduling, so
 	// the round is repeated.
 	for i := 0; i < 50; i++ {
-		if got := run(Options{Mode: ForceSparse}); !slices.Equal(got, want) {
+		if got := run(Options{Mode: Sparse}); !slices.Equal(got, want) {
 			t.Fatalf("run %d: sparse round output (%d vertices) differs from pull's (%d)", i, len(got), len(want))
 		}
 	}

@@ -40,9 +40,9 @@ func TestSeqBypassEquivalence(t *testing.T) {
 	g := ringGraph(t, n)
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
 	for _, opts := range []Options{
-		{Mode: ForceSparse},
-		{Mode: ForceSparse, RemoveDuplicates: true},
-		{Mode: ForceSparse, NoOutput: true},
+		{Mode: Sparse},
+		{Mode: Sparse, RemoveDuplicates: true},
+		{Mode: Sparse, NoOutput: true},
 	} {
 		for _, tc := range []struct {
 			size    int
@@ -114,17 +114,17 @@ func TestSeqBypassPreservesEdgeOrderAndUpdateFallback(t *testing.T) {
 }
 
 // TestSeqBypassNeverOnDense proves the bypass only applies to rounds the
-// heuristic (or the caller) already sends sparse: ForceDense rounds keep
+// heuristic (or the caller) already sends sparse: Pull rounds keep
 // the dense traversal and record no SeqRounds.
 func TestSeqBypassNeverOnDense(t *testing.T) {
 	g := testGraph(t)
 	u := NewSparse(6, []uint32{0, 3})
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
 	before := SnapshotStats()
-	edgeMap(g, u, f, Options{Mode: ForceDense})
+	edgeMap(g, u, f, Options{Mode: Pull})
 	d := SnapshotStats().Sub(before)
 	if d.SeqRounds != 0 || d.Dense != 1 {
-		t.Errorf("ForceDense round: seq_rounds=%d dense=%d, want 0/1", d.SeqRounds, d.Dense)
+		t.Errorf("Pull round: seq_rounds=%d dense=%d, want 0/1", d.SeqRounds, d.Dense)
 	}
 }
 

@@ -25,12 +25,12 @@ type TraversalStats struct {
 // globalStats collects across every traversal in the process.
 var globalStats TraversalStats
 
-func (t *TraversalStats) record(frontier int, outDeg int64, dense, fwd, seq bool, output int) {
+func (t *TraversalStats) record(frontier int, outDeg int64, mode Mode, seq bool, output int) {
 	t.calls.Add(1)
-	switch {
-	case dense && fwd:
+	switch mode {
+	case Forward:
 		t.denseForward.Add(1)
-	case dense:
+	case Pull:
 		t.dense.Add(1)
 	default:
 		t.sparse.Add(1)

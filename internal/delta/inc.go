@@ -121,7 +121,7 @@ func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeO
 		// The region is reset to self-labels and seeds the propagation;
 		// within keeps it there, which needs push rounds.
 		within := func(v uint32) bool { return int(v) < len(prev) && affectedLabel[prev[v]] }
-		opts.Mode = core.ForceSparse
+		opts.Mode = core.Sparse
 		var err error
 		rounds, err = algo.PropagateLabelsCtx(ctx, g, labels, core.NewSparse(n, affected), within, opts)
 		if err != nil {

@@ -73,7 +73,7 @@ type (
 	EdgeFuncs = core.EdgeFuncs
 	// Options tunes one EdgeMap call (mode, threshold, dedup, tracing).
 	Options = core.Options
-	// Mode forces a traversal strategy.
+	// Mode is a round's traversal: Auto, or one forced for every round.
 	Mode = core.Mode
 	// Trace records per-round traversal decisions.
 	Trace = core.Trace
@@ -98,14 +98,19 @@ type (
 	Stats = graph.Stats
 )
 
-// Traversal modes (see Options.Mode).
+// Traversal modes (see Options.Mode); Mode.String gives each its wire
+// name.
 const (
-	// Auto applies the paper's |U| + outDegrees(U) > |E|/20 heuristic.
+	// Auto picks sparse, pull or forward per round by cost, starting from
+	// the paper's |U| + outDegrees(U) > |E|/20 split.
 	Auto = core.Auto
-	// ForceSparse always pushes over the frontier's out-edges.
-	ForceSparse = core.ForceSparse
-	// ForceDense always pulls over all vertices' in-edges.
-	ForceDense = core.ForceDense
+	// Sparse always pushes over the frontier's out-edges.
+	Sparse = core.Sparse
+	// Pull always pulls over all vertices' in-edges.
+	Pull = core.Pull
+	// Forward always pushes over the out-edges of the frontier's bitset,
+	// Ligra's write-based dense traversal.
+	Forward = core.Forward
 )
 
 // None is the sentinel vertex ID (2^32-1).

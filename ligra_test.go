@@ -159,7 +159,7 @@ func TestPublicParallelismControls(t *testing.T) {
 		return true
 	}}
 	ctx := ligra.WithParallelism(context.Background(), 1)
-	if _, err := ligra.EdgeMap(ctx, g, ligra.NewAll(g.NumVertices()), f, ligra.Options{Mode: ligra.ForceSparse}); err != nil {
+	if _, err := ligra.EdgeMap(ctx, g, ligra.NewAll(g.NumVertices()), f, ligra.Options{Mode: ligra.Sparse}); err != nil {
 		t.Fatal(err)
 	}
 	if peak.Load() != 1 {
@@ -370,7 +370,7 @@ func TestPublicDedupStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forced sparse, so duplicate removal runs every round.
-	opts := ligra.Options{Mode: ligra.ForceSparse, RemoveDuplicates: true}
+	opts := ligra.Options{Mode: ligra.Sparse, RemoveDuplicates: true}
 	if res := must(ligra.ConnectedComponents(context.Background(), g, opts)); res.Components != 1 {
 		t.Errorf("%d components on a torus", res.Components)
 	}
