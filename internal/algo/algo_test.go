@@ -11,12 +11,11 @@ import (
 	"ligra/internal/core"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 	"ligra/internal/seq"
 )
 
 func TestMain(m *testing.M) {
-	parallel.SetProcs(4)
+	runtime.GOMAXPROCS(4)
 	os.Exit(m.Run())
 }
 

@@ -2,6 +2,8 @@ package algo
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"ligra/internal/core"
@@ -22,12 +24,20 @@ type ColoringResult struct {
 
 // Coloring computes a proper vertex coloring of a symmetric simple graph
 // with deterministic parallel greedy coloring: vertices get random
-// priorities; every round, an uncolored vertex whose uncolored neighbors
-// all have lower priority takes the smallest color unused by its
-// neighbors. The result equals the sequential greedy coloring in
-// priority order (the internally deterministic style of Blelloch,
-// Fineman, Gibbons, Shun, PPoPP 2012), and expected rounds are
-// O(log n) for random priorities.
+// priorities, and a vertex takes the smallest color unused by its
+// neighbors once every higher-priority neighbor is colored. The result
+// equals the sequential greedy coloring in priority order (the internally
+// deterministic style of Blelloch, Fineman, Gibbons, Shun, PPoPP 2012),
+// and expected rounds are O(log n) for random priorities.
+//
+// It is Jones–Plassmann with counters (Hasenplaugh et al., SPAA 2014),
+// so each edge is read a constant number of times: wait[v] counts v's
+// uncolored higher-priority neighbors, the vertices at zero are a round's
+// roots, and after the roots take their colors one edgeMap from them under
+// opts decrements their lower-priority neighbors' counters; the vertices
+// it brings to zero are the next round's roots. The counts are taken over
+// in-rows, the edges every edgeMap mode decrements along, so a directed
+// input still colors every vertex.
 //
 // ctx is observed at chunk granularity in every pass. On interruption
 // Colors is a proper partial coloring (-1 for vertices not yet colored)
@@ -50,54 +60,78 @@ func Coloring(ctx context.Context, g graph.View, seed uint64, opts core.Options)
 		return pri[a] > pri[b] || (pri[a] == pri[b] && a > b)
 	}
 
-	uncolored := core.NewAll(n)
-	for !uncolored.IsEmpty() {
-		// Roots: uncolored vertices dominating their uncolored neighbors.
-		roots, err := core.VertexFilter(ctx, uncolored, func(v uint32) bool {
-			if atomic.LoadInt32(&colors[v]) != -1 {
-				return false
-			}
-			var buf graph.Row
-			ts, _ := g.OutRow(v, &buf)
-			for _, d := range ts {
-				if d != v && atomic.LoadInt32(&colors[d]) == -1 && higherPri(d, v) {
-					return false
+	wait := make([]int32, n)
+	if err := parallel.ForWorkerChunks(ctx, n, 0, func(_, _, lo, hi int) {
+		var buf graph.Row
+		for v := uint32(lo); v < uint32(hi); v++ {
+			ss, _ := g.InRow(v, &buf, math.MaxInt)
+			for _, s := range ss {
+				if higherPri(s, v) {
+					wait[v]++
 				}
 			}
-			return true
-		})
+		}
+	}); err != nil {
+		return partial(err)
+	}
+	roots, err := core.NewFromFunc(ctx, n, func(v uint32) bool { return wait[v] == 0 })
+	if err != nil {
+		return partial(err)
+	}
+	// The decrement that brings a count to zero puts its vertex in the
+	// output, once.
+	funcs := core.EdgeFuncs{
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			return higherPri(s, d) && atomic.AddInt32(&wait[d], -1) == 0
+		},
+		Cond: func(d uint32) bool { return atomic.LoadInt32(&colors[d]) == -1 },
+	}
+	emOpts := opts
+	emOpts.NoOutput = false
+	for !roots.IsEmpty() {
+		ids, err := roots.ToSparse(ctx)
 		if err != nil {
 			return partial(err)
 		}
-		// Color each root with the smallest color free among neighbors.
-		// Roots are pairwise non-adjacent, so their choices cannot
-		// conflict within a round; already-colored neighbors are frozen.
-		if err := core.VertexMap(ctx, roots, func(v uint32) {
+		// On a symmetric graph roots are pairwise non-adjacent, so their
+		// choices cannot conflict within a round, and every colored
+		// neighbor of a root has higher priority: its color is final. The
+		// atomics keep a directed input, whose roots may be adjacent,
+		// race-free.
+		if err := parallel.ForWorkerChunks(ctx, len(ids), 0, func(_, _, lo, hi int) {
 			var buf graph.Row
-			ts, _ := g.OutRow(v, &buf)
-			deg := len(ts)
-			used := make([]bool, deg+1)
-			for _, d := range ts {
-				if c := atomic.LoadInt32(&colors[d]); c >= 0 && int(c) <= deg {
-					used[c] = true
+			var stack [64]uint64
+			for _, v := range ids[lo:hi] {
+				// v's color is at most its degree: bit c of used marks
+				// color c taken, for c in [0, deg].
+				ts, _ := g.OutRow(v, &buf)
+				var used []uint64
+				if k := len(ts)/64 + 1; k <= len(stack) {
+					used = stack[:k]
+					clear(used)
+				} else {
+					used = make([]uint64, k)
+				}
+				for _, d := range ts {
+					if c := atomic.LoadInt32(&colors[d]); c >= 0 && int(c) <= len(ts) {
+						used[c/64] |= 1 << (c % 64)
+					}
+				}
+				for i, word := range used {
+					if word != ^uint64(0) {
+						atomic.StoreInt32(&colors[v], int32(64*i+bits.TrailingZeros64(^word)))
+						break
+					}
 				}
 			}
-			c := int32(0)
-			for int(c) <= deg && used[c] {
-				c++
-			}
-			atomic.StoreInt32(&colors[v], c)
 		}); err != nil {
 			return partial(err)
 		}
-		if uncolored, err = core.VertexFilter(ctx, uncolored, func(v uint32) bool {
-			return atomic.LoadInt32(&colors[v]) == -1
-		}); err != nil {
+		if roots, err = core.EdgeMap(ctx, g, roots, funcs, emOpts); err != nil {
 			return partial(err)
 		}
 		rounds++
 	}
-
 	numColors := 0
 	if n > 0 {
 		maxColor, err := parallel.Max(ctx, colors)

@@ -16,7 +16,7 @@ import (
 
 // greedyGraphs are symmetric inputs for the greedy kernels: scale-free,
 // high-diameter, disconnected, and one hub with every other vertex its
-// leaf.
+// leaf, at two sizes.
 func greedyGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	gs := map[string]*graph.Graph{}
@@ -35,6 +35,8 @@ func greedyGraphs(t *testing.T) map[string]*graph.Graph {
 	add("disconnected", g, err)
 	g, err = gen.Star(200)
 	add("star", g, err)
+	g, err = gen.Star(5000) // a hub above 4 095 neighbors
+	add("wide-star", g, err)
 	return gs
 }
 
@@ -78,6 +80,25 @@ func TestColoringMatchesGreedy(t *testing.T) {
 					t.Errorf("%s/%s/%s: NumColors = %d, want %d", gname, vname, mname, res.NumColors, slices.Max(want)+1)
 				}
 			}
+		}
+	}
+}
+
+// TestColoringColorsDirectedInput: on a directed graph, under every mode,
+// Coloring still colors every vertex, because it counts each vertex's
+// wait over the in-row that every mode decrements along.
+func TestColoringColorsDirectedInput(t *testing.T) {
+	g, err := gen.RMATDirected(9, 8, gen.PBBSRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mname, opts := range greedyModes {
+		res, err := algo.Coloring(context.Background(), g, 3, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", mname, err)
+		}
+		if v := slices.Index(res.Colors, -1); v >= 0 {
+			t.Errorf("%s: vertex %d left uncolored", mname, v)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -211,7 +212,7 @@ func TestRunnersUnderOneProcLeaseNeverDispatch(t *testing.T) {
 // not bounded by a ctx dispatches.
 func forEachRunner(t *testing.T, fn func(r Runner, g graph.View, p Params)) {
 	t.Helper()
-	defer parallel.SetProcs(parallel.SetProcs(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g, err := gen.RMAT(10, 8, gen.PBBSRMAT, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -3,16 +3,16 @@ package bench
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ligra/internal/core"
-	"ligra/internal/parallel"
 )
 
 func TestMain(m *testing.M) {
-	parallel.SetProcs(4)
+	runtime.GOMAXPROCS(4)
 	os.Exit(m.Run())
 }
 

@@ -130,9 +130,9 @@ func Table2(cfg Config) error {
 			tSeq := Measure(cfg.rounds(), func() { app.RunSeq(g) })
 
 			// Worker counts ride per-call ctx leases (Options.Procs →
-			// parallel.WithProcs, see leased), never the global SetProcs:
-			// the sweep must not leak its cap into anything running
-			// concurrently. The lease caps every loop of the run.
+			// parallel.WithProcs, see leased), never a process-wide
+			// setting: the sweep must not leak its cap into anything
+			// running concurrently. The lease caps every loop of the run.
 			t1 := Measure(cfg.rounds(), func() { app.Run(g, core.Options{Procs: 1}) })
 			tP := Measure(cfg.rounds(), func() { app.Run(g, core.Options{}) })
 
@@ -158,7 +158,7 @@ func Scalability(cfg Config) error {
 		return err
 	}
 	// The sweep runs each worker count as a per-call ctx lease
-	// (Options.Procs), not a global SetProcs: leases compose as
+	// (Options.Procs), not GOMAXPROCS: leases compose as
 	// min(Procs(), cap), so counts above the machine's worker pool are
 	// clamped — oversubscribing a persistent pool is meaningless, unlike
 	// the old spawn-per-call runtime where extra goroutines could be

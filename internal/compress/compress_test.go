@@ -3,6 +3,7 @@ package compress
 import (
 	"context"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -12,12 +13,11 @@ import (
 	"ligra/internal/delta"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 	"ligra/internal/seq"
 )
 
 func TestMain(m *testing.M) {
-	parallel.SetProcs(4)
+	runtime.GOMAXPROCS(4)
 	os.Exit(m.Run())
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -126,9 +127,7 @@ func TestEdgeMapCtxFaultInjectedCancel(t *testing.T) {
 }
 
 func TestEdgeMapCtxOptionsProcsCapsConcurrency(t *testing.T) {
-	old := parallel.Procs()
-	parallel.SetProcs(8)
-	defer parallel.SetProcs(old)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
 	g := testGraph(t)
 	u := NewAll(g.NumVertices())

@@ -120,8 +120,8 @@ type Options struct {
 	// frontier-trace experiments.
 	Trace *Trace
 	// Procs, when positive, caps the number of worker goroutines used by
-	// every parallel loop of this call at min(Procs, the process-wide
-	// setting). It is how a server grants each query a bounded share of
+	// every parallel loop of this call at min(Procs, GOMAXPROCS). It is
+	// how a server grants each query a bounded share of
 	// the machine (see parallel.WithProcs); 0 inherits the cap already on
 	// the context, if any.
 	Procs int

@@ -39,19 +39,3 @@ func VertexFilter(ctx context.Context, u *VertexSubset, pred func(v uint32) bool
 	ud := u.dense
 	return NewFromFunc(ctx, n, func(v uint32) bool { return ud.Get(int(v)) && pred(v) })
 }
-
-// Union returns the set union of a and b (over the same universe).
-func Union(ctx context.Context, a, b *VertexSubset) (*VertexSubset, error) {
-	if a.UniverseSize() != b.UniverseSize() {
-		panic("core: Union universe mismatch")
-	}
-	ad, err := a.ToDense(ctx)
-	if err != nil {
-		return nil, err
-	}
-	bd, err := b.ToDense(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromFunc(ctx, a.UniverseSize(), func(v uint32) bool { return ad.Get(int(v)) || bd.Get(int(v)) })
-}

@@ -3,16 +3,16 @@ package core
 import (
 	"context"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"ligra/internal/bitset"
-	"ligra/internal/parallel"
 )
 
 func TestMain(m *testing.M) {
-	parallel.SetProcs(4)
+	runtime.GOMAXPROCS(4)
 	os.Exit(m.Run())
 }
 
@@ -173,24 +173,6 @@ func TestVertexFilter(t *testing.T) {
 	if f2.Size() != 5 || !f2.Contains(5) || f2.Contains(4) {
 		t.Error("dense filter wrong")
 	}
-}
-
-func TestSetAlgebra(t *testing.T) {
-	a := NewSparse(20, []uint32{1, 2, 3})
-	b := NewSparse(20, []uint32{3, 4})
-	u := must(Union(bg, a, b))
-	if u.Size() != 4 || !u.Contains(1) || !u.Contains(4) {
-		t.Error("union wrong")
-	}
-}
-
-func TestSetAlgebraUniverseMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	_, _ = Union(bg, NewEmpty(5), NewEmpty(6))
 }
 
 func TestVertexMap(t *testing.T) {

@@ -2,15 +2,15 @@ package gen
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 )
 
 func TestMain(m *testing.M) {
-	parallel.SetProcs(4)
+	runtime.GOMAXPROCS(4)
 	os.Exit(m.Run())
 }
 

@@ -6,12 +6,10 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"ligra/internal/parallel"
 )
 
 func TestMain(m *testing.M) {
-	parallel.SetProcs(4)
+	runtime.GOMAXPROCS(4)
 	os.Exit(m.Run())
 }
 

@@ -44,21 +44,26 @@ func Relabel(g *Graph, perm []uint32) (*Graph, error) {
 
 // DegreeOrderPermutation returns the permutation that renames vertices in
 // decreasing out-degree order (ties by original ID): perm[old] = rank.
+// It radix-sorts the identity order by maxDeg - OutDegree(v); the sort is
+// stable, so equal degrees keep their ID order.
 func DegreeOrderPermutation(g View) []uint32 {
 	n := g.NumVertices()
+	perm := make([]uint32, n)
+	if n == 0 {
+		return perm
+	}
 	// No deadline to observe: the loops fail only with a contained panic,
 	// which is re-raised.
 	ctx := context.Background()
 	order := make([]uint32, n)
-	perm := make([]uint32, n)
+	maxDeg, err := parallel.MaxFunc(ctx, n, func(v int) int64 { return int64(g.OutDegree(uint32(v))) })
+	if err != nil {
+		panic(err)
+	}
 	if err := cmp.Or(
 		parallel.Iota(ctx, order, 0),
-		parallel.SortFunc(ctx, order, func(a, b uint32) bool {
-			da, db := g.OutDegree(a), g.OutDegree(b)
-			if da != db {
-				return da > db
-			}
-			return a < b
+		parallel.RadixSortByKey(ctx, order, nil, maxDeg+1, func(v uint32) int64 {
+			return maxDeg - int64(g.OutDegree(v))
 		}),
 		parallel.For(ctx, n, func(rank int) { perm[order[rank]] = uint32(rank) }),
 	); err != nil {

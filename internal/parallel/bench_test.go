@@ -105,21 +105,6 @@ func BenchmarkFilter(b *testing.B) {
 	}
 }
 
-func BenchmarkSortFunc(b *testing.B) {
-	const n = 1 << 18
-	rng := rand.New(rand.NewSource(1))
-	proto := make([]uint64, n)
-	for i := range proto {
-		proto[i] = rng.Uint64()
-	}
-	work := make([]uint64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, proto)
-		ok(SortFunc(bg, work, func(a, c uint64) bool { return a < c }))
-	}
-}
-
 func BenchmarkRadixSortByKey(b *testing.B) {
 	const n = 1 << 18
 	rng := rand.New(rand.NewSource(1))

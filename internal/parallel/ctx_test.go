@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -81,8 +82,7 @@ func TestForCtxReturnsPanicError(t *testing.T) {
 
 func TestForCtxSequentialPathPanic(t *testing.T) {
 	// procs=1 forces the sequential path; panics must still convert.
-	prev := SetProcs(1)
-	defer SetProcs(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	err := For(context.Background(), 10, func(i int) {
 		if i == 3 {
 			panic("seq boom")
@@ -99,9 +99,9 @@ func TestForCtxSequentialPathPanic(t *testing.T) {
 // yield between them — while a WithProcs cap on it is still honoured.
 func TestUncancellableCtxCostsWhatNilDoes(t *testing.T) {
 	// Inline by a one-worker cap, with an explicit grain of 100 chunks.
-	prev := SetProcs(1)
+	prev := runtime.GOMAXPROCS(1)
 	want := rangeCalls(t, nil, 1000, 10)
-	SetProcs(prev)
+	runtime.GOMAXPROCS(prev)
 	if got := rangeCalls(t, WithProcs(bg, 1), 1000, 10); got != want {
 		t.Errorf("one-worker loop under WithProcs(Background, 1): %d body calls, nil makes %d", got, want)
 	}

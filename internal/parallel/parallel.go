@@ -8,44 +8,23 @@ import (
 	"sync/atomic"
 )
 
-// numWorkers is the number of goroutines used for parallel primitives.
-// Zero means "use runtime.GOMAXPROCS(0)". It is overridable so benchmark
-// harnesses can sweep worker counts without mutating GOMAXPROCS.
-var numWorkers atomic.Int64
+// Procs reports the number of workers parallel primitives use under an
+// uncapped context: GOMAXPROCS. WithProcs caps it per call.
+func Procs() int { return runtime.GOMAXPROCS(0) }
 
-// Procs reports the number of workers parallel primitives will use.
-func Procs() int {
-	if p := int(numWorkers.Load()); p > 0 {
-		return p
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetProcs overrides the worker count used by all primitives in this
-// package. p <= 0 restores the default (GOMAXPROCS). It returns the
-// previous override (0 if none was set).
-func SetProcs(p int) int {
-	old := int(numWorkers.Load())
-	if p < 0 {
-		p = 0
-	}
-	numWorkers.Store(int64(p))
-	return old
-}
-
-// MinGrain is the smallest chunk size handed to a worker. Finer grains make
+// minGrain is the smallest chunk size handed to a worker. Finer grains make
 // load balancing better but increase scheduling overhead.
-const MinGrain = 1
+const minGrain = 1
 
 // maxGrain caps the automatic grain so very large loops still balance well.
 const maxGrain = 4096
 
 // defaultGrain picks a chunk size targeting ~8 chunks per worker, clamped to
-// [MinGrain, maxGrain].
+// [minGrain, maxGrain].
 func defaultGrain(n, procs int) int {
 	g := n / (8 * procs)
-	if g < MinGrain {
-		return MinGrain
+	if g < minGrain {
+		return minGrain
 	}
 	if g > maxGrain {
 		return maxGrain

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // TestMain forces multiple workers so the concurrent code paths run even on
 // single-CPU machines (goroutines still interleave).
 func TestMain(m *testing.M) {
-	SetProcs(4)
+	runtime.GOMAXPROCS(4)
 	os.Exit(m.Run())
 }
 
@@ -30,19 +31,6 @@ func ok(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-func TestProcsOverride(t *testing.T) {
-	old := SetProcs(7)
-	if got := Procs(); got != 7 {
-		t.Errorf("Procs() = %d, want 7", got)
-	}
-	SetProcs(0)
-	if got := Procs(); got < 1 {
-		t.Errorf("Procs() = %d, want >= 1 with default", got)
-	}
-	SetProcs(old)
-	SetProcs(4)
 }
 
 func TestForCoversAllIndices(t *testing.T) {

@@ -50,7 +50,7 @@ import (
 // under the ctx check and yield a chunk boundary would add.
 const seqCutoff = 512
 
-// maxPoolWorkers bounds the pool size regardless of SetProcs abuse.
+// maxPoolWorkers bounds the pool size however large GOMAXPROCS is set.
 const maxPoolWorkers = 256
 
 // tokenQueueCap sizes the pool's token queue. Submission never blocks:

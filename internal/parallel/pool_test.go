@@ -12,7 +12,7 @@ import (
 )
 
 // dispatchN is an iteration count that forces the pool path under the
-// TestMain SetProcs(4) setting: auto-grain, well above seqCutoff.
+// TestMain GOMAXPROCS(4) setting: auto-grain, well above seqCutoff.
 const dispatchN = 1 << 13
 
 // TestPoolNoGoroutineLeak is the tentpole's acceptance check: after

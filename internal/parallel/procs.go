@@ -2,16 +2,15 @@ package parallel
 
 import "context"
 
-// Per-call parallelism. SetProcs is a process-wide override, which a
-// server sharing one machine between concurrent queries cannot use: one
-// query's override would leak into every other query. WithProcs instead
-// rides the worker cap on the context, and every primitive takes the
-// context it runs under, so every loop run under that context — however
-// deep in a call tree, edgeMap round or vertex phase — uses at most the
-// given number of workers, while unrelated computations keep the full
-// machine.
+// Per-call parallelism. A process-wide worker count is the wrong knob for
+// a server sharing one machine between concurrent queries: one query's
+// setting would leak into every other query. WithProcs instead rides the
+// worker cap on the context, and every primitive takes the context it runs
+// under, so every loop run under that context — however deep in a call
+// tree, edgeMap round or vertex phase — uses at most the given number of
+// workers, while unrelated computations keep the full machine.
 //
-// The cap composes with the global setting: the effective worker count is
+// The cap composes with GOMAXPROCS: the effective worker count is
 // min(Procs(), cap). Nesting WithProcs keeps the innermost cap.
 
 // procsKey is the context key carrying the per-call worker cap.
@@ -31,8 +30,8 @@ func WithProcs(ctx context.Context, p int) context.Context {
 }
 
 // CtxProcs reports the number of workers the primitives will use under
-// ctx: the global Procs() setting, capped by any WithProcs limit carried
-// on the context. A nil or uncapped ctx yields Procs().
+// ctx: Procs(), capped by any WithProcs limit carried on the context. A
+// nil or uncapped ctx yields Procs().
 func CtxProcs(ctx context.Context) int {
 	p := Procs()
 	if ctx != nil {

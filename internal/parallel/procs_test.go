@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,8 +26,7 @@ func (h *highWater) enter() {
 func (h *highWater) exit() { h.cur.Add(-1) }
 
 func TestWithProcsCapsForCtxConcurrency(t *testing.T) {
-	prev := SetProcs(8)
-	defer SetProcs(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
 	var hw highWater
 	ctx := WithProcs(context.Background(), 2)
@@ -44,8 +44,7 @@ func TestWithProcsCapsForCtxConcurrency(t *testing.T) {
 }
 
 func TestWithProcsCapsWorkerIndices(t *testing.T) {
-	prev := SetProcs(8)
-	defer SetProcs(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
 	ctx := WithProcs(context.Background(), 3)
 	if got := CtxProcs(ctx); got != 3 {
@@ -69,8 +68,7 @@ func TestWithProcsCapsWorkerIndices(t *testing.T) {
 }
 
 func TestCtxProcsComposesWithGlobal(t *testing.T) {
-	prev := SetProcs(2)
-	defer SetProcs(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
 	// A cap above the global setting does not raise it.
 	if got := CtxProcs(WithProcs(context.Background(), 16)); got != 2 {
@@ -95,8 +93,7 @@ func TestCtxProcsComposesWithGlobal(t *testing.T) {
 }
 
 func TestWithProcsOneRunsSequentially(t *testing.T) {
-	prev := SetProcs(8)
-	defer SetProcs(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
 	var hw highWater
 	ctx := WithProcs(context.Background(), 1)
@@ -118,8 +115,7 @@ func TestWithProcsOneRunsSequentially(t *testing.T) {
 }
 
 func TestWithProcsDoCtx(t *testing.T) {
-	prev := SetProcs(8)
-	defer SetProcs(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
 	// With a cap of 1, do must run thunks on the calling goroutine in
 	// order.

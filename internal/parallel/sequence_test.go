@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -202,43 +200,6 @@ func TestMapNew(t *testing.T) {
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("mapNew wrong at %d", i)
-		}
-	}
-}
-
-func TestSortFuncMatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{0, 1, 2, 100, 5000, 100000} {
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = rng.Intn(1000)
-		}
-		want := append([]int(nil), xs...)
-		sort.Ints(want)
-		ok(SortFunc(bg, xs, func(a, b int) bool { return a < b }))
-		for i := range xs {
-			if xs[i] != want[i] {
-				t.Fatalf("n=%d: sorted[%d] = %d, want %d", n, i, xs[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSortStability(t *testing.T) {
-	type kv struct{ k, idx int }
-	n := 50000
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]kv, n)
-	for i := range xs {
-		xs[i] = kv{rng.Intn(50), i}
-	}
-	ok(SortFunc(bg, xs, func(a, b kv) bool { return a.k < b.k }))
-	for i := 1; i < n; i++ {
-		if xs[i-1].k == xs[i].k && xs[i-1].idx > xs[i].idx {
-			t.Fatalf("stability violated at %d: (%v) before (%v)", i, xs[i-1], xs[i])
-		}
-		if xs[i-1].k > xs[i].k {
-			t.Fatalf("order violated at %d", i)
 		}
 	}
 }

@@ -20,8 +20,8 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"path/filepath"
@@ -251,7 +251,7 @@ func TestChaos(t *testing.T) {
 	if st, _ := doJSON(t, "DELETE", ts.URL+"/v1/graphs/g", nil); st != http.StatusOK {
 		t.Fatal("evict for reload failed")
 	}
-	disarmLoad := faultinject.FailLoad(2, resilience.MarkTransient(errors.New("chaos: io blip")))
+	disarmLoad := faultinject.FailLoad(2, fmt.Errorf("chaos: io blip: %w", io.ErrUnexpectedEOF))
 	st, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g", map[string]any{"path": path})
 	disarmLoad()
 	if st != http.StatusOK {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -272,9 +273,7 @@ func TestFollowerSurvivesLeaderCancel(t *testing.T) {
 // proc plumbing: the runner's ctx carries the lease as a
 // parallel.WithProcs cap, so every ctx-aware loop under it is bounded.
 func TestExecutePlumbsGovernorCapThroughParallel(t *testing.T) {
-	old := parallel.Procs()
-	parallel.SetProcs(8)
-	defer parallel.SetProcs(old)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
 	e := New(nil, NewGovernor(8, 2))
 	k := testKey("g", 1, "source=0")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -273,7 +274,7 @@ func TestRetryDo(t *testing.T) {
 		err := Do(context.Background(), budget, RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond}, func() error {
 			calls++
 			if calls < 3 {
-				return MarkTransient(errors.New("blip"))
+				return fmt.Errorf("blip: %w", io.ErrUnexpectedEOF)
 			}
 			return nil
 		})
@@ -300,7 +301,7 @@ func TestRetryDo(t *testing.T) {
 		calls := 0
 		err := Do(context.Background(), budget, RetryConfig{MaxAttempts: 10, BaseDelay: time.Millisecond}, func() error {
 			calls++
-			return MarkTransient(errors.New("blip"))
+			return fmt.Errorf("blip: %w", io.ErrUnexpectedEOF)
 		})
 		if err == nil || calls != 2 {
 			t.Fatalf("err = %v, calls = %d; want 2 attempts (1 budgeted retry)", err, calls)
@@ -313,7 +314,7 @@ func TestRetryDo(t *testing.T) {
 		calls := 0
 		_ = Do(context.Background(), nil, RetryConfig{MaxAttempts: 10, BaseDelay: time.Millisecond}, func() error {
 			calls++
-			return MarkTransient(errors.New("blip"))
+			return fmt.Errorf("blip: %w", io.ErrUnexpectedEOF)
 		})
 		if calls != 1 {
 			t.Fatalf("calls = %d, want 1 with a nil budget", calls)
@@ -326,7 +327,7 @@ func TestRetryDo(t *testing.T) {
 		start := time.Now()
 		_ = Do(ctx, NewBudget(10, 1000), RetryConfig{MaxAttempts: 10, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second}, func() error {
 			calls++
-			return MarkTransient(errors.New("blip"))
+			return fmt.Errorf("blip: %w", io.ErrUnexpectedEOF)
 		})
 		if calls != 1 || time.Since(start) > time.Second {
 			t.Fatalf("calls = %d after %v; want immediate stop", calls, time.Since(start))
@@ -341,8 +342,8 @@ func TestIsTransient(t *testing.T) {
 	}{
 		{nil, false},
 		{errors.New("plain"), false},
-		{MarkTransient(errors.New("blip")), true},
-		{fmt.Errorf("wrapped: %w", MarkTransient(errors.New("blip"))), true},
+		{&net.DNSError{IsTemporary: true}, true},
+		{fmt.Errorf("wrapped: %w", &net.DNSError{IsTemporary: true}), true},
 		{io.ErrUnexpectedEOF, true},
 		{fmt.Errorf("loading: %w", io.ErrUnexpectedEOF), true},
 		{fs.ErrNotExist, false},

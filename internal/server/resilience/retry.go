@@ -10,33 +10,14 @@ import (
 	"time"
 )
 
-// TransientError marks an error as retryable: a fault that is expected
-// to clear on its own (an IO blip during an evict+reload, an NFS
-// hiccup), as opposed to a permanent one (file not found, parse error)
-// that retrying can only amplify.
-type TransientError struct{ Err error }
-
-func (e *TransientError) Error() string { return e.Err.Error() }
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// MarkTransient wraps err as transient (nil stays nil).
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-// IsTransient reports whether err is worth retrying: explicitly marked
-// transient, self-declared temporary (net errors), or a truncated read
-// (io.ErrUnexpectedEOF — the shape of reading a file mid-replacement).
+// IsTransient reports whether err is worth retrying: a fault expected to
+// clear on its own, as opposed to a permanent one (file not found, parse
+// error) that retrying can only amplify. That is a self-declared temporary
+// error (net errors) or a truncated read (io.ErrUnexpectedEOF — the shape
+// of reading a file mid-replacement).
 func IsTransient(err error) bool {
 	if err == nil {
 		return false
-	}
-	var te *TransientError
-	if errors.As(err, &te) {
-		return true
 	}
 	var tmp interface{ Temporary() bool }
 	if errors.As(err, &tmp) && tmp.Temporary() {

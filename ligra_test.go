@@ -5,15 +5,15 @@ import (
 	"context"
 	"math"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"ligra"
-	"ligra/internal/parallel"
 )
 
 func TestMain(m *testing.M) {
-	parallel.SetProcs(4) // process-wide pin for the whole suite
+	runtime.GOMAXPROCS(4) // process-wide pin for the whole suite
 	os.Exit(m.Run())
 }
 
