@@ -80,7 +80,7 @@ func BatchValidate(name string, n int, p Params) error {
 // BFSLevelsCtx — a lone query costs what a bfs costs, with no visit words,
 // fold pass or aggregate pass — read through BatchResult as the
 // one-source level matrix it is.
-func levelsRunner(name string) func(context.Context, graph.View, Params) (RunResult, error) {
+func levelsRunner(name string) runFunc {
 	return func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 		if err := BatchValidate(name, g.NumVertices(), p); err != nil {
 			return RunResult{}, err

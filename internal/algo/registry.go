@@ -175,8 +175,10 @@ type Runner struct {
 	// (runs on unweighted graphs treat every weight as 1).
 	NeedsWeights bool
 	// run is the algorithm itself, called by Run.
-	run func(ctx context.Context, g graph.View, p Params) (RunResult, error)
+	run runFunc
 }
+
+type runFunc func(ctx context.Context, g graph.View, p Params) (RunResult, error)
 
 // Run executes the algorithm under ctx (nil means no deadline), with
 // Params.EdgeMap.Procs, when set, applied to ctx once as its worker cap
@@ -336,7 +338,7 @@ var runners = []Runner{
 	},
 	{
 		Name: "mis",
-		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		run: undirectedOnly("mis", func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := MISCtx(ctx, g, p.seed(123), p.EdgeMapOptions())
 			size, cerr := parallel.CountFunc(ctx, len(res.InSet), func(v int) bool { return res.InSet[v] })
 			err = cmp.Or(err, roundErr("mis", res.Rounds, cerr))
@@ -344,7 +346,7 @@ var runners = []Runner{
 				Summary: fmt.Sprintf("MIS: %d vertices in %d rounds", size, res.Rounds),
 				Details: map[string]any{"size": size, "rounds": res.Rounds},
 			}, err
-		},
+		}),
 	},
 	{
 		Name: "scc",
@@ -358,23 +360,23 @@ var runners = []Runner{
 	},
 	{
 		Name: "coloring",
-		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		run: undirectedOnly("coloring", func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := Coloring(ctx, g, p.seed(7), p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Coloring: %d colors in %d rounds", res.NumColors, res.Rounds),
 				Details: map[string]any{"colors": res.NumColors, "rounds": res.Rounds},
 			}, err
-		},
+		}),
 	},
 	{
 		Name: "matching",
-		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		run: undirectedOnly("matching", func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := MaximalMatching(ctx, g, p.seed(7))
 			return RunResult{
 				Summary: fmt.Sprintf("Matching: %d edges in %d rounds", res.Size, res.Rounds),
 				Details: map[string]any{"edges": res.Size, "rounds": res.Rounds},
 			}, err
-		},
+		}),
 	},
 	{
 		Name: "eccentricity",
@@ -447,6 +449,19 @@ var runners = []Runner{
 			}, err
 		},
 	},
+}
+
+// undirectedOnly guards a runner whose answer is defined on undirected
+// graphs only. On a directed graph MIS returns a set with edges inside it
+// and coloring gives edges' endpoints one color, both reported as success,
+// and matching never finishes; the runner refuses the graph instead.
+func undirectedOnly(name string, run runFunc) runFunc {
+	return func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		if !g.Symmetric() {
+			return RunResult{}, fmt.Errorf("%s needs an undirected graph; this one is directed", name)
+		}
+		return run(ctx, g, p)
+	}
 }
 
 func maxScore(scores []float64) (int, float64) {

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ligra/internal/faultinject"
 	"ligra/internal/gen"
@@ -72,6 +73,27 @@ func TestRunnersOnZeroVertexGraph(t *testing.T) {
 			if n, ok := v.(int); ok && k == "rounds" && n < 0 {
 				t.Errorf("%s: rounds = %d", r.Name, n)
 			}
+		}
+	}
+}
+
+// TestUndirectedRunnersRefuseDirectedGraph: MIS, coloring and matching
+// are defined on undirected graphs; on a directed one each runner returns
+// an error rather than a wrong result reported as success (an MIS with
+// edges inside it) or no result at all (matching never converges, so the
+// run is bounded by a deadline).
+func TestUndirectedRunnersRefuseDirectedGraph(t *testing.T) {
+	g, err := gen.RMATDirected(9, 8, gen.PBBSRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mis", "coloring", "matching"} {
+		r, _ := FindRunner(name)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		res, err := r.Run(ctx, g, Params{})
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), "undirected") {
+			t.Errorf("%s on a directed graph: err = %v, summary %q", name, err, res.Summary)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func Batch(cfg Config) error {
 			continue
 		}
 		// K distinct sources spread across the ID space, deterministic
-		// so reruns and -against diffs compare like with like.
+		// so reruns compare like with like.
 		sources := make([]uint32, k)
 		for i := range sources {
 			sources[i] = uint32(i * (n - 1) / k)

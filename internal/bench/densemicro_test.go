@@ -3,17 +3,43 @@ package bench
 import (
 	"cmp"
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ligra/internal/core"
+	"ligra/internal/graph"
 	"ligra/internal/parallel"
 )
+
+// benchGraphOnce builds (once) the suite's rMat input at a scale small
+// enough for `go test -bench` yet with enough edges for the dense/sparse
+// switch to exercise both paths.
+var benchGraphOnce struct {
+	sync.Once
+	g   *graph.Graph
+	err error
+}
+
+func benchInput(b testing.TB) *graph.Graph {
+	b.Helper()
+	benchGraphOnce.Do(func() {
+		in, err := FindInput(DefaultSuite(16), "rMat")
+		if err == nil {
+			benchGraphOnce.g, err = in.Build()
+		}
+		benchGraphOnce.err = err
+	})
+	if benchGraphOnce.err != nil {
+		b.Fatal(benchGraphOnce.err)
+	}
+	return benchGraphOnce.g
+}
 
 // benchDenseRound times one forced-dense EdgeMap with a CC-style priority
 // update, isolating the pull path from algorithm-level conversions.
 func benchDenseRound(b *testing.B, fullFrontier bool) {
-	g, _ := benchInput(b)
+	g := benchInput(b)
 	n := g.NumVertices()
 	ids := make([]uint32, n)
 	prev := make([]uint32, n)

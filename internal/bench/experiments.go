@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"text/tabwriter"
 	"time"
 
 	"ligra/internal/algo"
-	"ligra/internal/compress"
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -33,9 +31,8 @@ type Config struct {
 	// Out receives the rendered tables.
 	Out io.Writer
 	// Record, when non-nil, receives one (id, median seconds) pair per
-	// named measurement, so harness drivers (ligra-bench -json / -against)
-	// can persist and diff individual timings rather than whole-experiment
-	// wall times.
+	// named measurement, so ligra-bench -json can persist individual
+	// timings rather than whole-experiment wall times.
 	Record func(id string, seconds float64)
 }
 
@@ -319,106 +316,6 @@ func DenseForward(cfg Config) error {
 	return w.Flush()
 }
 
-// CompressAblation measures the compressed backend end to end (the Ligra+
-// extension experiment, plus this repo's LIGRAGC1 format):
-//
-//   - resident footprint: CSR MemoryFootprint vs compressed SizeBytes vs
-//     the mmap-backed heap footprint (~0; the bytes live in the page cache)
-//   - format round-trip cost: WriteCompressed / ReadCompressed (full
-//     validation decode) / OpenMapped on a temp file
-//   - traversal time per backend: CSR, the heap compressed graph and the
-//     mmap-backed one, both decoding rows into edgeMap's scratch
-//
-// Per-measurement ids are recorded ("compress/<app>-<backend>") so
-// ligra-bench -against can diff decoder regressions individually. The
-// heap compressed backend keeps the id "blocked" from the retired
-// partition-blocked decoder, so its rows stay comparable across versions.
-func CompressAblation(cfg Config) error {
-	suite := DefaultSuite(cfg.Scale)
-	in, err := FindInput(suite, "rMat")
-	if err != nil {
-		return err
-	}
-	g, err := in.Build()
-	if err != nil {
-		return err
-	}
-	c, err := compress.Compress(g)
-	if err != nil {
-		return err
-	}
-	csrBytes := g.MemoryFootprint()
-	fmt.Fprintf(cfg.Out, "Ligra+ compression on %s: CSR %d bytes resident -> compressed %d bytes (%.2fx smaller)\n",
-		in.Name, csrBytes, c.SizeBytes(), float64(csrBytes)/float64(c.SizeBytes()))
-
-	// Format round trip through a temp file: write, validated heap read,
-	// and mmap open (validation decode faults every page in once).
-	f, err := os.CreateTemp("", "ligra-bench-*.gc")
-	if err != nil {
-		return err
-	}
-	path := f.Name()
-	f.Close()
-	defer os.Remove(path)
-	start := time.Now()
-	if err := compress.WriteCompressedFile(path, c); err != nil {
-		return err
-	}
-	writeDur := time.Since(start)
-	start = time.Now()
-	if _, err := compress.ReadCompressedFile(path); err != nil {
-		return err
-	}
-	readDur := time.Since(start)
-	start = time.Now()
-	mapped, err := compress.OpenMapped(path)
-	if err != nil {
-		return err
-	}
-	mmapDur := time.Since(start)
-	fmt.Fprintf(cfg.Out, "LIGRAGC1 round trip: write %.3fs, read+validate %.3fs, mmap+validate %.3fs; mapped graph: heap %d bytes, mapped %d bytes\n",
-		writeDur.Seconds(), readDur.Seconds(), mmapDur.Seconds(),
-		mapped.MemoryFootprint(), mapped.MappedBytes())
-	cfg.record("compress/write", writeDur.Seconds())
-	cfg.record("compress/read", readDur.Seconds())
-
-	apps := []struct {
-		name string
-		run  func(v graph.View)
-	}{
-		{"BFS", func(v graph.View) { must(algo.BFSCtx(context.Background(), v, pickSource(v), core.Options{})) }},
-		{"PageRank1", func(v graph.View) {
-			must(algo.PageRankCtx(context.Background(), v, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1}))
-		}},
-		{"Components", func(v graph.View) { must(algo.ConnectedComponentsCtx(context.Background(), v, core.Options{})) }},
-	}
-	backends := []struct {
-		id string
-		v  graph.View
-	}{
-		{"csr", g},
-		{"blocked", c},
-		{"mmap", mapped},
-	}
-	w := cfg.tab()
-	fmt.Fprintln(w, "Application\tCSR\tcompressed(heap)\tcompressed(mmap)\tslowdown(heap)")
-	for _, a := range apps {
-		if cfg.budgetExhausted(w) {
-			break
-		}
-		row := a.name
-		var times []float64
-		for _, b := range backends {
-			tm := Measure(cfg.rounds(), func() { a.run(b.v) })
-			times = append(times, tm.Median.Seconds())
-			row += fmt.Sprintf("\t%.4f", tm.Median.Seconds())
-			cfg.record("compress/"+a.name+"-"+b.id, tm.Median.Seconds())
-		}
-		fmt.Fprintf(w, "%s\t%.2fx\n", row, times[1]/times[0])
-	}
-	return w.Flush()
-}
-
 // Experiments maps experiment IDs (as used by cmd/ligra-bench and
 // DESIGN.md's per-experiment index) to their runners.
 func Experiments() map[string]func(Config) error {
@@ -429,15 +326,12 @@ func Experiments() map[string]func(Config) error {
 		"frontier":     Frontier,
 		"threshold":    Threshold,
 		"denseforward": DenseForward,
-		"compress":     CompressAblation,
-		"hotpath":      HotPath,
 		"scheduler":    Scheduler,
 		"batch":        Batch,
-		"delta":        DeltaUpdates,
 	}
 }
 
 // ExperimentOrder lists the IDs in presentation order.
 func ExperimentOrder() []string {
-	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "hotpath", "scheduler", "batch", "delta"}
+	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "scheduler", "batch"}
 }

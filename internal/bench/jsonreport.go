@@ -2,9 +2,7 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
-	"sort"
 
 	"ligra/internal/core"
 	"ligra/internal/parallel"
@@ -12,8 +10,7 @@ import (
 
 // JSONReport is the machine-readable result file ligra-bench -json
 // writes, so the performance trajectory can be tracked as BENCH_*.json
-// across PRs and diffed by scripts (or by ligra-bench -against) instead
-// of scraped from tables.
+// across PRs instead of scraped from tables.
 type JSONReport struct {
 	// Timestamp is RFC 3339 wall time of the run.
 	Timestamp string `json:"timestamp"`
@@ -28,9 +25,8 @@ type JSONReport struct {
 	// order, with its wall-clock duration.
 	Experiments []JSONExperiment `json:"experiments"`
 	// Measurements holds the individual named timings experiments chose
-	// to record (median seconds) — the unit ligra-bench -against
-	// compares, since whole-experiment wall times fold in graph
-	// construction and printing.
+	// to record (median seconds), since whole-experiment wall times fold
+	// in graph construction and printing.
 	Measurements []JSONMeasurement `json:"measurements,omitempty"`
 	// Traversal is the edgeMap direction-switch counter total across the
 	// run (core.SnapshotStats delta), recording how many traversals ran
@@ -91,66 +87,4 @@ func (r *JSONReport) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadReport loads a report previously written by WriteFile (the baseline
-// side of ligra-bench -against).
-func ReadReport(path string) (*JSONReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r JSONReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// Delta is one timing compared between a baseline and the current run.
-type Delta struct {
-	// ID names the measurement (or "experiment:ID" when only
-	// whole-experiment times matched).
-	ID string
-	// Base and Current are the two timings in seconds.
-	Base, Current float64
-	// Ratio is Current/Base: below 1 is a speedup, above 1 a slowdown.
-	Ratio float64
-}
-
-// Regression reports whether this delta is a slowdown beyond the given
-// tolerance (0.10 = warn when more than 10% slower than baseline).
-func (d Delta) Regression(tolerance float64) bool {
-	return d.Ratio > 1+tolerance
-}
-
-// Compare matches the current run's timings against a baseline report by
-// ID and returns one Delta per match, in sorted ID order. Individual
-// measurements are preferred; experiment wall times are compared (with an
-// "experiment:" prefix) only for IDs that recorded no measurements, since
-// experiment totals fold in graph construction and table rendering.
-func Compare(base, current *JSONReport) []Delta {
-	baseMeas := make(map[string]float64, len(base.Measurements))
-	for _, m := range base.Measurements {
-		baseMeas[m.ID] = m.Seconds
-	}
-	var out []Delta
-	for _, m := range current.Measurements {
-		if b, ok := baseMeas[m.ID]; ok && b > 0 {
-			out = append(out, Delta{ID: m.ID, Base: b, Current: m.Seconds, Ratio: m.Seconds / b})
-		}
-	}
-	if len(out) == 0 {
-		baseExp := make(map[string]float64, len(base.Experiments))
-		for _, e := range base.Experiments {
-			baseExp[e.ID] = e.Seconds
-		}
-		for _, e := range current.Experiments {
-			if b, ok := baseExp[e.ID]; ok && b > 0 {
-				out = append(out, Delta{ID: "experiment:" + e.ID, Base: b, Current: e.Seconds, Ratio: e.Seconds / b})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -20,8 +20,7 @@ import (
 // Alongside the timing the experiment prints the per-run traversal
 // rounds, how many of them ran as one chunk on the calling goroutine
 // (TraversalStats.SeqRounds), and the scheduler's dispatch/inline counter
-// deltas. Timings are recorded (Config.Record) as scheduler/<id> for
-// -against comparisons.
+// deltas. Timings are recorded (Config.Record) as scheduler/<id>.
 func Scheduler(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	gridIn, err := FindInput(suite, "3d-grid")

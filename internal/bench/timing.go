@@ -43,6 +43,3 @@ func must[T any](v T, err error) T {
 	}
 	return v
 }
-
-// Seconds renders a duration the way the paper's tables do.
-func Seconds(d time.Duration) float64 { return d.Seconds() }

@@ -22,10 +22,10 @@
 // varint loop (one branch per continuation byte) where CSR hands out a
 // slice in place. A pull round under DenseEarlyExit asks for a short prefix first,
 // so BFS decodes little past a destination's first frontier hit. At scale
-// 16 on two cores that costs ~1.5x CSR for BFS and 3.5-4x for PageRank and
-// Components (the compress/* rows of BENCH_baseline.json). The regime
-// where compression approaches CSR speed is bandwidth-bound multicore,
-// where decode hides behind memory stalls. Degrees are stored explicitly,
+// 16 on two cores that cost ~1.5x CSR for BFS and 3.5-4x for PageRank and
+// Components; benchmark/'s compress.slowdown_bfs tracks the BFS ratio.
+// The regime where compression approaches CSR speed is bandwidth-bound
+// multicore, where decode hides behind memory stalls. Degrees are stored explicitly,
 // so degree(v) and the direction heuristic's prefix sums never decode
 // anything.
 //

@@ -658,11 +658,12 @@ func perEdgeRow(update func(s, d uint32, w int32) bool, cond func(d uint32) bool
 // kernel before the rest of the row. Most destinations a BFS-like claim
 // reaches find a frontier parent among their first few in-edges, so a
 // decoding view (compressed, mmap) decodes those instead of whole rows.
-// Chosen by sweeping it in the compress experiment (scale 16, 2-vCPU VM,
-// GOMAXPROCS 2, median of 9, two sweeps of five and six alternating runs):
-// compress/BFS-blocked's median read 3.7-3.8 ms at 1, 3.2-3.7 at 2,
-// 3.6-3.9 at 4, 3.7-4.4 at 8, 4.5 at 16 and 5.2 decoding whole rows; 4
-// sits in the middle of the flat region.
+// Chosen by sweeping it over heap-compressed BFS on rMat (scale 16, 2-vCPU
+// VM, GOMAXPROCS 2, median of 9, two sweeps of five and six alternating
+// runs): the median read 3.7-3.8 ms at 1, 3.2-3.7 at 2, 3.6-3.9 at 4,
+// 3.7-4.4 at 8, 4.5 at 16 and 5.2 decoding whole rows; 4 sits in the
+// middle of the flat region. benchmark/'s compress.bfs_ms times this
+// traversal at scale 18.
 const denseEarlyPrefix = 4
 
 // edgeMapDense is Ligra's edgeMapDense as a row driver: for every vertex d
@@ -692,9 +693,9 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 	// Raw CSR rows are sliced here, whole: a dynamic InRow call per
 	// destination measurably slows dense rounds over short weighted rows
 	// (DESIGN §5a.8), and a row with nothing to decode gains nothing from
-	// the early-exit prefix — splitting them cost BenchmarkHotPathBFS 4 %
-	// (2.89 vs 2.77 ms medians, whole rows ahead in 15 of 16 alternating
-	// pairs at one worker).
+	// the early-exit prefix — splitting them cost a scale-16 rMat BFS 4 %
+	// under go test -bench (2.89 vs 2.77 ms medians, whole rows ahead in
+	// 15 of 16 alternating pairs at one worker).
 	prefix := math.MaxInt
 	var inOffs []int64
 	var inEdges []uint32

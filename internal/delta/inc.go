@@ -95,16 +95,14 @@ func IncrementalCC(ctx context.Context, g graph.View, prev []uint32, ops []EdgeO
 		// The re-propagation below is push-only, so it is attempted only
 		// while push is the right direction for the region it starts from —
 		// the paper's |U| + outDeg(U) rule with edgeMap's own constant, no
-		// new one — and otherwise left to the full run, which pulls. The
-		// two BENCH_baseline.json rows on either side of the budget, against
-		// delta/components/full-overlay-deep = 5.0 ms: a 16-op batch cutting
-		// 16 four-vertex components is refreshed in 0.38 ms
-		// (delta/components/incremental-delete-small, 64 vertices in the
-		// region); one deleting 4 edges inside the giant component puts
-		// nearly the whole graph in the region and falls back, 5.2 ms
-		// (delta/components/incremental-delete-giant) where re-propagating
-		// it took 38.9 ms. rMat has nothing in between to place the constant
-		// more finely.
+		// new one — and otherwise left to the full run, which pulls. On
+		// scale-16 rMat, against a full run over a deep overlay of 5.0 ms,
+		// the two cases on either side of the budget were: a 16-op batch
+		// cutting 16 four-vertex components is refreshed in 0.38 ms (64
+		// vertices in the region); one deleting 4 edges inside the giant
+		// component puts nearly the whole graph in the region and falls
+		// back, 5.2 ms, where re-propagating it took 38.9 ms. rMat has
+		// nothing in between to place the constant more finely.
 		budget := g.NumEdges() / core.DefaultThresholdDenominator
 		var affected []uint32
 		var work int64

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -265,6 +266,26 @@ func TestServerEndToEnd(t *testing.T) {
 
 // TestAdmissionControl proves the bounded semaphore: with one slot and no
 // queue, a second query is rejected with 429 while the first executes.
+// TestUndirectedAlgorithmsRejectDirectedGraph: a query for MIS, coloring
+// or matching over a directed graph is the query's own fault, answered 400
+// with the reason, not 200 with a wrong result.
+func TestUndirectedAlgorithmsRejectDirectedGraph(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	g, err := gen.RMATDirected(9, 8, gen.PBBSRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().Load(context.Background(), "dir", "test:dir", func() (graph.View, error) { return g, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mis", "coloring", "matching"} {
+		status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/dir/query", map[string]any{"algo": name, "timeout_ms": 5000})
+		if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "undirected") {
+			t.Errorf("%s: status %d, body %v; want 400 naming the undirected requirement", name, status, body)
+		}
+	}
+}
+
 func TestAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueWait: 0})
 	if status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g", map[string]any{"gen": "rmat", "scale": 14}); status != http.StatusOK {
