@@ -196,7 +196,8 @@ func LocalClusteringCoefficients(ctx context.Context, g View) ([]float64, error)
 
 // MaximalMatching computes a maximal matching of a symmetric simple graph
 // by parallel greedy local-maxima selection (extension); Partner is a
-// valid, possibly not yet maximal, matching on interruption.
+// valid, possibly not yet maximal, matching on interruption. A directed
+// graph is refused with an error and no result.
 func MaximalMatching(ctx context.Context, g View, seed uint64) (*MatchingResult, error) {
 	return contain(func() (*MatchingResult, error) { return algo.MaximalMatching(ctx, g, seed) })
 }

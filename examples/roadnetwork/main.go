@@ -42,7 +42,7 @@ func main() {
 	// most rounds should run sparse.
 	denseRounds := 0
 	for _, e := range tr.Entries {
-		if e.Dense {
+		if e.Mode == ligra.Pull || e.Mode == ligra.Forward {
 			denseRounds++
 		}
 	}

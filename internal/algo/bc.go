@@ -71,22 +71,28 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 			return atomic.LoadInt32(&levels[d]) == -1 &&
 				atomicx.CASInt32(&levels[d], -1, roundLoad(&round))
 		},
-		// Pull: d is unvisited (Cond), so its count starts at zero and the
-		// frontier in-neighbours' counts — settled last round, all positive
-		// — sum in a register, in row order.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
-			var paths float64
-			for _, s := range srcs {
-				if core.InFrontier(frontier, s) {
-					paths += numPaths.LoadNonAtomic(int(s))
+		// Pull: d's single writer tests Cond with a plain load. Before d's
+		// one kernel call of a pull round nothing has set its level to this
+		// round's, so Cond is "level -1": d is unvisited, its count starts
+		// at zero and the frontier in-neighbours' counts — settled last
+		// round, all positive — sum in a register, in row order.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
+			r, counts := roundLoad(&round), numPaths.NonAtomicBits()
+			var word uint64
+			for i := range len(offs) - 1 {
+				d := lo + uint32(i)
+				if levels[d] != -1 {
+					continue
 				}
+				paths := frontierSumBits(srcs[offs[i]:offs[i+1]], frontier, counts)
+				if paths == 0 {
+					continue
+				}
+				numPaths.StoreNonAtomic(int(d), paths)
+				levels[d] = r
+				word |= 1 << uint(i)
 			}
-			if paths == 0 {
-				return false
-			}
-			numPaths.StoreNonAtomic(int(d), paths)
-			levels[d] = roundLoad(&round)
-			return true
+			return word
 		},
 		Cond: func(d uint32) bool {
 			l := atomic.LoadInt32(&levels[d])
@@ -134,19 +140,22 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 			delta.Add(int(d), contrib)
 			return true
 		},
-		// Pull: d's dependency accumulates in a register over its
-		// successors one level deeper (the frontier), whose own
-		// dependencies were settled by the previous backward round.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
-			paths := numPaths.LoadNonAtomic(int(d))
-			dep := delta.LoadNonAtomic(int(d))
-			for _, s := range srcs {
-				if core.InFrontier(frontier, s) {
-					dep += paths / numPaths.LoadNonAtomic(int(s)) * (1 + delta.LoadNonAtomic(int(s)))
+		// Pull: for each d one level shallower than the frontier (Cond,
+		// tested here), the dependency accumulates in a register over its
+		// successors in the frontier, whose own dependencies were settled
+		// by the previous backward round.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
+			level := atomic.LoadInt32(&backRound) - 1
+			counts, deps := numPaths.NonAtomicBits(), delta.NonAtomicBits()
+			for i := range len(offs) - 1 {
+				d := lo + uint32(i)
+				if levels[d] != level {
+					continue
 				}
+				dep := dependency(srcs[offs[i]:offs[i+1]], frontier, counts, deps, d)
+				delta.StoreNonAtomic(int(d), dep)
 			}
-			delta.StoreNonAtomic(int(d), dep)
-			return false
+			return 0
 		},
 		Cond: func(d uint32) bool {
 			return levels[d]+1 == atomic.LoadInt32(&backRound)
@@ -204,4 +213,34 @@ func (t transposeView) Symmetric() bool        { return t.g.Symmetric() }
 // OutNeighbors is View's temporary per-edge shim over OutRow.
 func (t transposeView) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
 	graph.OutNeighbors(t, v, fn)
+}
+
+// frontierSumBits is frontierSum over values held as their IEEE-754
+// bits.
+//
+//go:noinline
+func frontierSumBits(row []uint32, frontier []uint64, vals []uint64) float64 {
+	var sum float64
+	for _, s := range row {
+		if frontier == nil || frontier[s>>6]&(1<<(s&63)) != 0 {
+			sum += math.Float64frombits(vals[s])
+		}
+	}
+	return sum
+}
+
+// dependency is d's dependency after the contributions, in row order, of
+// its successors in the frontier: count(d) / count(s) * (1 + dep(s)),
+// over the path counts and dependencies whose bits counts and deps hold.
+// Not inlined, as frontierSum.
+//
+//go:noinline
+func dependency(row []uint32, frontier []uint64, counts, deps []uint64, d uint32) float64 {
+	paths, dep := math.Float64frombits(counts[d]), math.Float64frombits(deps[d])
+	for _, s := range row {
+		if frontier == nil || frontier[s>>6]&(1<<(s&63)) != 0 {
+			dep += paths / math.Float64frombits(counts[s]) * (1 + math.Float64frombits(deps[s]))
+		}
+	}
+	return dep
 }

@@ -51,30 +51,42 @@ func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.
 			sd := atomic.LoadInt64(&dist[s])
 			return sd < InfDist && atomicx.WriteMinInt64(&dist[d], sd+int64(w))
 		},
-		// Pull: the best relaxation in a register, one store. Every in-edge
-		// is relaxed, frontier or not: an edge whose source has not moved
-		// since its last relaxation cannot improve d, and an unconditional
-		// load is cheaper than an unpredictable branch per edge. Distances are loaded atomically:
-		// the sources' own rows are being pulled concurrently.
-		PullRow: func(d uint32, srcs []uint32, wts []int32, _ []uint64) bool {
-			orig := dist[d]
-			best := orig
-			for j, s := range srcs {
-				sd := atomic.LoadInt64(&dist[s])
-				if sd >= InfDist {
-					continue
+		// Pull: each d's best relaxation in a register, one store. Every
+		// in-edge is relaxed, frontier or not: an edge whose source has not
+		// moved since its last relaxation cannot improve d, and an
+		// unconditional load is cheaper than an unpredictable branch per
+		// edge. Distances are loaded atomically: the sources' own rows are
+		// being pulled concurrently, and a later row of the block reads
+		// what an earlier one stored.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, wts []int32, _ []uint64) uint64 {
+			own := dist[lo:][:len(offs)-1]
+			var word uint64
+			for i, orig := range own {
+				best := orig
+				// Weighted and unweighted rows get a loop each: one loop
+				// with the weight test keeps so many values live that the
+				// compiler spills them per edge.
+				row := srcs[offs[i]:offs[i+1]]
+				if wts == nil {
+					for _, s := range row {
+						if sd := atomic.LoadInt64(&dist[s]); sd < InfDist {
+							best = min(best, sd+1)
+						}
+					}
+				} else {
+					ws := wts[offs[i]:offs[i+1]]
+					for j, s := range row {
+						if sd := atomic.LoadInt64(&dist[s]); sd < InfDist {
+							best = min(best, sd+int64(ws[j]))
+						}
+					}
 				}
-				w := int64(1)
-				if wts != nil {
-					w = int64(wts[j])
+				if best != orig {
+					atomic.StoreInt64(&own[i], best)
+					word |= 1 << (uint(i) & 63)
 				}
-				best = min(best, sd+w)
 			}
-			if best == orig {
-				return false
-			}
-			atomic.StoreInt64(&dist[d], best)
-			return true
+			return word
 		},
 	}
 

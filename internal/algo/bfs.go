@@ -51,17 +51,25 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			return atomic.CompareAndSwapUint32(&parents[d], core.None, s)
 		},
-		// Pull: Cond has vouched that d is unvisited and d has a single
-		// writer, so the first frontier in-neighbour wins with a plain
-		// store and the rest of the row is never read.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
-			for _, s := range srcs {
-				if core.InFrontier(frontier, s) {
-					parents[d] = s
-					return true
+		// Pull: each d has a single writer, so an unvisited d is tested
+		// and claimed with plain loads and stores: the first frontier
+		// in-neighbour wins and the rest of the row is never read.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
+			own := parents[lo:][:len(offs)-1]
+			var word uint64
+			for i, p := range own {
+				if p != core.None {
+					continue
+				}
+				for j, end := offs[i], offs[i+1]; j < end; j++ {
+					if s := srcs[j]; core.InFrontier(frontier, s) {
+						own[i] = s
+						word |= 1 << (uint(i) & 63)
+						break
+					}
 				}
 			}
-			return false
+			return word
 		},
 		// Atomic load: sparse workers CAS parents[d] concurrently with
 		// other workers' Cond pre-checks on the same destination.
@@ -69,8 +77,8 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 	}
 
 	// A destination is claimed at most once per round (the CAS is
-	// idempotent), so a dense round over a view that cannot hand PullRow a
-	// row may stop scanning a vertex's in-edges after the first claim.
+	// idempotent), so a dense round over a view that decodes its rows may
+	// hand the kernel a short prefix first.
 	opts.DenseEarlyExit = true
 
 	frontier := core.NewSingle(n, source)
@@ -111,15 +119,23 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 		UpdateAtomic: func(_, d uint32, _ int32) bool {
 			return atomic.CompareAndSwapInt32(&levels[d], -1, round)
 		},
-		// Pull: as in BFS, any frontier in-neighbour settles d.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
-			for _, s := range srcs {
-				if core.InFrontier(frontier, s) {
-					levels[d] = round
-					return true
+		// Pull: as in BFS, any frontier in-neighbour settles an unvisited d.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
+			own := levels[lo:][:len(offs)-1]
+			var word uint64
+			for i, l := range own {
+				if l != -1 {
+					continue
+				}
+				for j, end := offs[i], offs[i+1]; j < end; j++ {
+					if core.InFrontier(frontier, srcs[j]) {
+						own[i] = round
+						word |= 1 << (uint(i) & 63)
+						break
+					}
 				}
 			}
-			return false
+			return word
 		},
 		// Atomic load: sparse workers CAS levels[d] concurrently with
 		// other workers' Cond pre-checks on the same destination.

@@ -89,25 +89,43 @@ func PropagateLabelsCtx(ctx context.Context, g graph.View, labels []uint32, seed
 			return shrinkFrom(&labels[d], atomic.LoadUint32(&labels[s]), prev[d])
 		},
 		Cond: within,
-		// Pull: the row's minimum label in a register, one store. d is
-		// written only here during a dense round, so its label still equals
-		// prev[d] and "first shrink this round" is simply "shrank". The
-		// frontier is not consulted: a neighbour outside it has not changed
-		// since d last read it, so reading it again changes nothing, and an
-		// unconditional load is cheaper than an unpredictable branch per
-		// edge. Labels are loaded atomically: the sources' own rows are
-		// being pulled concurrently.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
-			orig := labels[d]
-			best := orig
-			for _, s := range srcs {
-				best = min(best, atomic.LoadUint32(&labels[s]))
+		// Pull: for each d within the region, the row's minimum label in a
+		// register, one store. d is written only here during a dense
+		// round, so its label still equals prev[d] and "first shrink this
+		// round" is simply "shrank". The frontier is not consulted: a
+		// neighbour outside it has not changed since d last read it, so
+		// reading it again changes nothing, and an unconditional load is
+		// cheaper than an unpredictable branch per edge. Labels are loaded
+		// atomically: the sources' own rows are being pulled concurrently,
+		// and a later row of the block reads what an earlier one stored.
+		// The region is tested in a loop of its own, so that the row loop
+		// makes no call.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, _ []uint64) uint64 {
+			var outside uint64
+			if within != nil {
+				for i := range len(offs) - 1 {
+					if !within(lo + uint32(i)) {
+						outside |= 1 << (uint(i) & 63)
+					}
+				}
 			}
-			if best == orig {
-				return false
+			var word uint64
+			start := offs[0]
+			for i, end := range offs[1:] {
+				if d := lo + uint32(i); outside&(1<<(uint(i)&63)) == 0 {
+					orig := labels[d]
+					best := orig
+					for _, s := range srcs[start:end] {
+						best = min(best, atomic.LoadUint32(&labels[s]))
+					}
+					if best != orig {
+						atomic.StoreUint32(&labels[d], best)
+						word |= 1 << (uint(i) & 63)
+					}
+				}
+				start = end
 			}
-			atomic.StoreUint32(&labels[d], best)
-			return true
+			return word
 		},
 	}
 

@@ -354,42 +354,52 @@ func clusterFuncs(cur, next []uint64, maxLevel []int32, full uint64, r int32, ga
 		// arrays instead of folding its gainers one by one; d's level,
 		// probes and Depth bits are recorded here, by d's one writer.
 		// Recording levels wraps the kernel, so that the plain one makes no
-		// call and its row loop keeps its values in registers. Saturation
-		// is tested here, not in a Cond: a Cond is a second call per vertex
-		// of every pull round, about 8 % of the round on the grid.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
-			have := cur[d]
-			acc := have
-			if have != full {
-				for _, s := range srcs {
-					if acc |= cur[s]; acc == full {
-						break
+		// call and its loops keep their values in registers. Saturation
+		// is tested here, not in a Cond: on a raw CSR the driver calls no
+		// Cond, and on other views a Cond is a second call per vertex. The
+		// row is indexed by edge position rather than ranged over as a
+		// sub-slice: ranged, the compiler spilled the row loop's index to
+		// the stack on every edge.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, _ []uint64) uint64 {
+			have := cur[lo:][:len(offs)-1]
+			nx := next[lo:][:len(have)]
+			ml := maxLevel[lo:][:len(have)]
+			var word, blockBits uint64
+			for i, h := range have {
+				acc := h
+				if acc != full {
+					for j, end := offs[i], offs[i+1]; j < end; j++ {
+						if acc |= cur[srcs[j]]; acc == full {
+							break
+						}
 					}
 				}
+				nx[i] = acc
+				// Whether d gains is as likely as not from one vertex to
+				// the next, so the level and the output bit are selects,
+				// not branches.
+				level, bit := ml[i], uint64(0)
+				if acc != h {
+					level, bit = r, 1
+				}
+				ml[i] = level
+				word |= bit << (uint(i) & 63)
+				blockBits |= acc &^ h
 			}
-			next[d] = acc
-			// Whether d gains is as likely as not from one vertex to the
-			// next, so the level is stored by a select, not a branch.
-			level := maxLevel[d]
-			if acc != have {
-				level = r
-			}
-			maxLevel[d] = level
-			if newBits := acc &^ have; newBits&^gained.Load() != 0 {
-				gained.Or(newBits)
-			}
-			return acc != have
+			gain(gained, blockBits)
+			return word
 		},
 	}
 	if record != nil {
-		pull := f.PullRow
-		f.PullRow = func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool {
-			have := cur[d]
-			if !pull(d, srcs, wts, frontier) {
-				return false
+		pull := f.PullRows
+		f.PullRows = func(lo uint32, offs []int64, srcs []uint32, wts []int32, frontier []uint64) uint64 {
+			word := pull(lo, offs, srcs, wts, frontier)
+			for w := word; w != 0; w &= w - 1 {
+				// The kernel wrote next[d], never cur[d].
+				d := lo + uint32(bits.TrailingZeros64(w))
+				record(d, next[d]&^cur[d], r)
 			}
-			record(d, next[d]&^have, r)
-			return true
+			return word
 		}
 	}
 	return f

@@ -1,8 +1,12 @@
 package algo
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"ligra/internal/core"
 	"ligra/internal/gen"
@@ -68,6 +72,25 @@ func TestMaximalMatchingKnownSizes(t *testing.T) {
 	k6, _ := gen.Complete(6)
 	if res := must(MaximalMatching(bg, k6, 1)); res.Size < 2 || res.Size > 3 {
 		t.Errorf("K6 matching size %d", res.Size)
+	}
+}
+
+// TestMaximalMatchingRefusesDirected: on a directed graph the rounds never
+// settle, so MaximalMatching refuses it before its first round instead of
+// running until the deadline.
+func TestMaximalMatchingRefusesDirected(t *testing.T) {
+	g, err := gen.RMATDirected(9, 8, gen.PBBSRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := MaximalMatching(ctx, g, 7)
+	if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "undirected") {
+		t.Fatalf("err = %v, want the undirected-graph refusal", err)
+	}
+	if res != nil {
+		t.Errorf("refusal returned a result with %d rounds", res.Rounds)
 	}
 }
 

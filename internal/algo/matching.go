@@ -26,10 +26,17 @@ type MatchingResult struct {
 // are the priority maximum at both endpoints join the matching and their
 // endpoints retire. Expected O(log n) rounds.
 //
+// A directed graph is refused with an error and no result before the first
+// round: an edge whose reverse is missing is seen from one endpoint only,
+// can never be the maximum at both, and keeps the rounds going forever.
+//
 // ctx caps every pass's workers and is observed at chunk granularity. On
 // interruption Partner is a valid matching that may not yet be maximal
 // and Size is 0, returned with a *RoundError.
 func MaximalMatching(ctx context.Context, g graph.View, seed uint64) (*MatchingResult, error) {
+	if !g.Symmetric() {
+		return nil, errDirected("matching")
+	}
 	n := g.NumVertices()
 	const none = ^uint32(0)
 	partner := make([]uint32, n)

@@ -89,16 +89,20 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 			nghSum.Add(int(d), pDiv[s])
 			return true
 		},
-		// Pull: the frontier is every vertex, so the whole in-row sums in
+		// Pull: the frontier is every vertex, so each whole in-row sums in
 		// a register — in row order, the order the per-edge adds ran in —
 		// and is stored once.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, _ []uint64) bool {
-			var sum float64
-			for _, s := range srcs {
-				sum += pDiv[s]
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, _ []uint64) uint64 {
+			start := offs[0]
+			for i, end := range offs[1:] {
+				var sum float64
+				for _, s := range srcs[start:end] {
+					sum += pDiv[s]
+				}
+				nghSum.StoreNonAtomic(int(lo)+i, sum)
+				start = end
 			}
-			nghSum.StoreNonAtomic(int(d), sum)
-			return false
+			return 0
 		},
 	}
 	emOpts := opts.EdgeMap
@@ -220,15 +224,12 @@ func pageRankDelta(ctx context.Context, g graph.View, opts PageRankOptions, delt
 			return true
 		},
 		// Pull: the active in-neighbours' shares summed in a register.
-		PullRow: func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
-			var sum float64
-			for _, s := range srcs {
-				if core.InFrontier(frontier, s) {
-					sum += deltaDiv[s]
-				}
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
+			for i := range len(offs) - 1 {
+				sum := frontierSum(srcs[offs[i]:offs[i+1]], frontier, deltaDiv)
+				nghSum.StoreNonAtomic(int(lo)+i, sum)
 			}
-			nghSum.StoreNonAtomic(int(d), sum)
-			return false
+			return 0
 		},
 	}
 	emOpts := opts.EdgeMap
@@ -307,4 +308,20 @@ func pageRankDelta(ctx context.Context, g graph.View, opts PageRankOptions, delt
 		}
 	}
 	return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, nil
+}
+
+// frontierSum is the sum, in row order, of vals at row's sources in the
+// frontier (nil: every vertex). It is not inlined, so that its loop keeps
+// the source in a register: inlined into a kernel's block loop, the
+// compiler spilled it to the stack on every edge.
+//
+//go:noinline
+func frontierSum(row []uint32, frontier []uint64, vals []float64) float64 {
+	var sum float64
+	for _, s := range row {
+		if frontier == nil || frontier[s>>6]&(1<<(s&63)) != 0 {
+			sum += vals[s]
+		}
+	}
+	return sum
 }

@@ -65,7 +65,7 @@ func sameBits(a, b []float64) (int, bool) {
 }
 
 // TestRowKernelsMatchPerEdgeAndOracle: on every representation, directly
-// and through the row adapter, each algorithm with a PullRow equals the
+// and through the row adapter, each algorithm with a PullRows equals the
 // sequential oracle — BFS levels, component labels, spanning-forest roots
 // and Bellman-Ford distances exactly, BC within 1e-9 — in auto mode (the
 // rounds a query really runs), with every round forced through the pull

@@ -454,14 +454,21 @@ var runners = []Runner{
 // undirectedOnly guards a runner whose answer is defined on undirected
 // graphs only. On a directed graph MIS returns a set with edges inside it
 // and coloring gives edges' endpoints one color, both reported as success,
-// and matching never finishes; the runner refuses the graph instead.
+// and matching refuses the graph itself; the runner refuses it for all
+// three.
 func undirectedOnly(name string, run runFunc) runFunc {
 	return func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 		if !g.Symmetric() {
-			return RunResult{}, fmt.Errorf("%s needs an undirected graph; this one is directed", name)
+			return RunResult{}, errDirected(name)
 		}
 		return run(ctx, g, p)
 	}
+}
+
+// errDirected is the refusal of an algorithm defined on undirected graphs
+// only.
+func errDirected(name string) error {
+	return fmt.Errorf("%s needs an undirected graph; this one is directed", name)
 }
 
 func maxScore(scores []float64) (int, float64) {

@@ -107,6 +107,10 @@ func (f *Float64Slice) LoadNonAtomic(i int) float64 {
 	return math.Float64frombits(f.bits[i])
 }
 
+// NonAtomicBits returns the elements' IEEE-754 bit patterns in place, for
+// a loop that reads them without synchronization; see StoreNonAtomic.
+func (f *Float64Slice) NonAtomicBits() []uint64 { return f.bits }
+
 // Fill sets every element to v (not atomic with respect to concurrent
 // mutators; intended for initialization between phases).
 func (f *Float64Slice) Fill(v float64) {

@@ -31,27 +31,35 @@ import (
 //   - Cond(d) gates destinations: edges into d with Cond(d) false are
 //     skipped, and a dense traversal stops scanning d's in-edges as soon as
 //     Cond(d) turns false (Ligra's early exit). Nil means "always true".
-//   - PullRow(d, srcs, wts, frontier), optional, replaces the per-edge
-//     Update/Cond calls of a dense (pull) round with one call per
-//     destination — the Go spelling of what C++ templates inline into
-//     Ligra's edgeMapDense. srcs is d's whole in-row, wts its parallel
-//     weights (nil: every weight is 1), frontier the frontier's bitset
-//     words, or nil when every vertex is a member (see InFrontier). The
-//     driver has checked Cond(d) and calls the kernel from one goroutine
-//     per d, so d's state needs no atomics; the kernel owns its loop —
-//     a register accumulator, a mid-row exit — and returns whether d joins
-//     the output. It is the algorithm's pull implementation as UpdateAtomic
-//     is its push. Under DenseEarlyExit the driver may hand d's row in two
+//   - PullRows(lo, offs, srcs, wts, frontier), optional, replaces the
+//     per-edge Update/Cond calls of a dense (pull) round with one call per
+//     block of consecutive destinations — the Go spelling of what C++
+//     templates inline into Ligra's edgeMapDense. Destination lo+i's
+//     in-row is srcs[offs[i]:offs[i+1]], for i < len(offs)-1, with wts
+//     sliced the same way (nil: every weight is 1); frontier is the
+//     frontier's bitset words, or nil when every vertex is a member (see
+//     InFrontier). The kernel returns the output word: bit i set if lo+i
+//     joins the output, every bit from len(offs)-1 up clear. Where a
+//     block's rows lie in a CSR's arrays — a raw *graph.Graph, or the
+//     rows an overlay over one did not replace — the driver hands them
+//     over straight from those arrays, up to 64 destinations (one output
+//     word) per call, and calls no Cond, so the kernel tests its own
+//     condition inline. Every other row comes in a block of one, after
+//     Cond held. Each destination is handed to one goroutine, so its
+//     state needs no atomics; the kernel owns its loops — register
+//     accumulators, mid-row exits. It is the algorithm's pull
+//     implementation as UpdateAtomic is its push. Under DenseEarlyExit a
+//     row of a view with no CSR to read in place may come in two
 //     consecutive calls, a short prefix and then, only if that call
-//     returned false and Cond(d) still holds, the rest (see
-//     edgeMapDense). DESIGN.md §5a has the full contract.
+//     returned 0 and Cond still holds, the rest (see edgeMapDense).
+//     DESIGN.md §5a has the full contract.
 //
 // For unweighted graphs w is 1.
 type EdgeFuncs struct {
 	Update       func(s, d uint32, w int32) bool
 	UpdateAtomic func(s, d uint32, w int32) bool
 	Cond         func(d uint32) bool
-	PullRow      func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool
+	PullRows     func(lo uint32, offs []int64, srcs []uint32, wts []int32, frontier []uint64) uint64
 }
 
 // pushUpdate is the update function of the push traversals.
@@ -180,7 +188,7 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 		panic("core: EdgeMap frontier universe does not match graph")
 	}
 	if f.Update == nil && f.UpdateAtomic == nil {
-		// PullRow alone would work until the first sparse round
+		// PullRows alone would work until the first sparse round
 		// dereferenced a nil update.
 		panic("core: EdgeMap EdgeFuncs has neither Update nor UpdateAtomic")
 	}
@@ -234,7 +242,7 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 	case Forward:
 		out, err = sc.edgeMapDenseForward(ctx, u, f, opts)
 	case Pull:
-		out, err = edgeMapDense(ctx, g, u, f, opts)
+		out, err = sc.edgeMapDense(ctx, u, f, opts)
 	default:
 		out, err = sc.edgeMapSparse(ctx, u, f, opts, seq)
 	}
@@ -359,6 +367,9 @@ type roundScratch struct {
 	claimed *bitset.Bitset // RemoveDuplicates: the round's output members
 	workers []sparseWorkerBuf
 	segLen  []int64
+
+	// The pull traversal: one row block per worker.
+	pulls []rowBlock
 
 	degIDs, degWords, push func(worker, chunk, lo, hi int)
 }
@@ -601,57 +612,98 @@ func denseGrain(ctx context.Context, n int) int {
 }
 
 // InFrontier reports whether s belongs to the frontier whose words a
-// PullRow kernel was handed (nil words = every vertex).
+// PullRows kernel was handed (nil words = every vertex).
 func InFrontier(frontier []uint64, s uint32) bool {
 	return frontier == nil || frontier[s>>6]&(1<<(s&63)) != 0
 }
 
-// perEdgeRow is the default row kernel, Ligra's per-edge dense loop: apply
+// perEdgeRows is the default row kernel, Ligra's per-edge dense loop over
+// a block: for every destination d of the block whose Cond holds, apply
 // update to every frontier in-edge of d, stopping once Cond(d) turns false
-// (and, under DenseEarlyExit, after the first successful update).
-func perEdgeRow(update func(s, d uint32, w int32) bool, cond func(d uint32) bool, earlyExit bool) func(uint32, []uint32, []int32, []uint64) bool {
-	// The framework's hottest loop: the full and filtered variants are
-	// split so neither pays the other's branch.
-	return func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool {
-		hit := false
-		if frontier == nil {
-			for j, s := range srcs {
-				w := int32(1)
-				if wts != nil {
-					w = wts[j]
-				}
-				if update(s, d, w) {
-					hit = true
-					if earlyExit {
-						break
-					}
-				}
-				if cond != nil && !cond(d) {
-					break // early exit: d needs no more updates
-				}
-			}
-			return hit
-		}
-		for j, s := range srcs {
-			if frontier[s>>6]&(1<<(s&63)) == 0 {
+// (and, under DenseEarlyExit, after the first successful update). firstCond
+// says whether it tests Cond before a row: a driver that has tested it
+// already passes false.
+func perEdgeRows(update func(s, d uint32, w int32) bool, cond func(d uint32) bool, earlyExit, firstCond bool) func(uint32, []int64, []uint32, []int32, []uint64) uint64 {
+	// The full and filtered row loops are split so neither pays the
+	// other's branch.
+	return func(lo uint32, offs []int64, srcs []uint32, wts []int32, frontier []uint64) uint64 {
+		var word uint64
+		for i := range len(offs) - 1 {
+			d := lo + uint32(i)
+			if firstCond && cond != nil && !cond(d) {
 				continue
 			}
-			w := int32(1)
-			if wts != nil {
-				w = wts[j]
-			}
-			if update(s, d, w) {
-				hit = true
-				if earlyExit {
-					break
+			hit := false
+			if frontier == nil {
+				for j := offs[i]; j < offs[i+1]; j++ {
+					w := int32(1)
+					if wts != nil {
+						w = wts[j]
+					}
+					if update(srcs[j], d, w) {
+						hit = true
+						if earlyExit {
+							break
+						}
+					}
+					if cond != nil && !cond(d) {
+						break // early exit: d needs no more updates
+					}
+				}
+			} else {
+				for j := offs[i]; j < offs[i+1]; j++ {
+					s := srcs[j]
+					if frontier[s>>6]&(1<<(s&63)) == 0 {
+						continue
+					}
+					w := int32(1)
+					if wts != nil {
+						w = wts[j]
+					}
+					if update(s, d, w) {
+						hit = true
+						if earlyExit {
+							break
+						}
+					}
+					if cond != nil && !cond(d) {
+						break // early exit: d needs no more updates
+					}
 				}
 			}
-			if cond != nil && !cond(d) {
-				break // early exit: d needs no more updates
+			if hit {
+				word |= 1 << uint(i)
 			}
 		}
-		return hit
+		return word
 	}
+}
+
+// inPatched is implemented by a view whose in-rows are a raw CSR's with
+// some rows replaced (a delta overlay over a *graph.Graph). A pull round
+// reads the rows it did not replace straight out of the CSR's arrays, as
+// it reads a *graph.Graph's, and the replaced ones straight out of the
+// view's.
+type inPatched interface {
+	// InBase returns the CSR whose in-rows the view serves wherever it
+	// replaced none, or nil if it has none.
+	InBase() *graph.Graph
+	// InReplaced returns as bits which of the 64 vertices from lo, a
+	// multiple of 64, have an in-row that is not InBase's — the replaced
+	// rows and every vertex past the base's — and the view's rows for
+	// them, in place: rows[i] is lo+i's where bit i is set, and a nil
+	// rows or a nil rows[i].Targets stands for an empty row.
+	InReplaced(lo uint32) (bits uint64, rows *[64]graph.Row)
+}
+
+// rowBlock is one worker's scratch for the rows a pull round fetches one
+// at a time: the offsets of a block of one and the row buffer a decoding
+// view fills. Workers only ever touch their own entry; the pad keeps
+// neighbouring workers' entries on different cache lines.
+type rowBlock struct {
+	offs [2]int64
+	buf  graph.Row
+	_    [48]byte
 }
 
 // denseEarlyPrefix is how many in-edges a DenseEarlyExit round hands the
@@ -666,44 +718,56 @@ func perEdgeRow(update func(s, d uint32, w int32) bool, cond func(d uint32) bool
 // traversal at scale 18.
 const denseEarlyPrefix = 4
 
-// edgeMapDense is Ligra's edgeMapDense as a row driver: for every vertex d
-// whose Cond holds it fetches d's in-row — sliced straight out of a raw
-// CSR's transpose arrays, otherwise from the view (in place
-// from an overlay's replaced rows, decoded into per-chunk scratch from the
-// compressed byte stream) — and hands it to the row kernel: f.PullRow, or
-// perEdgeRow over Update/Cond when the caller set none. Under
-// DenseEarlyExit, on any view but raw CSR, it fetches and hands over only
-// the first denseEarlyPrefix edges, then the rest only if the kernel found
-// nothing there and Cond(d) still holds: by DenseEarlyExit's definition,
-// whatever a later edge would have done after a hit is redundant. d is
-// processed by exactly one goroutine, so kernels need no atomics on d's
-// state, and in blocks aligned to output bitset words, so output bits are
-// set with plain stores.
-func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
+// edgeMapDense is Ligra's edgeMapDense as a row driver. The row kernel is
+// f.PullRows, or perEdgeRows over Update/Cond when the caller set none.
+// Over a raw CSR it hands the kernel one 64-destination block per call,
+// offsets and edges straight out of the transpose arrays, and stores the
+// word the kernel returns: no per-destination call of any kind, Cond
+// included. Over an overlay on a raw CSR (inPatched) it does the
+// same for each run of rows the overlay did not replace. Every other row
+// — a replaced one, in place in the overlay, or one decoded into the
+// worker's scratch from a compressed byte stream — it fetches after
+// Cond(d) held and hands over as a block of one. Under DenseEarlyExit, on
+// a view that has no CSR to read in place, it fetches and hands over
+// only the first denseEarlyPrefix edges, then the rest only if the
+// kernel found nothing there and Cond(d) still holds: by DenseEarlyExit's
+// definition, whatever a later edge would have done after a hit is
+// redundant. d is processed by exactly one goroutine, so kernels need no
+// atomics on d's state, and in blocks aligned to output bitset words, so
+// output bits are set with plain stores.
+func (sc *roundScratch) edgeMapDense(ctx context.Context, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
+	g := sc.g
 	n := g.NumVertices()
 	update := f.Update
 	if update == nil {
 		update = f.UpdateAtomic
 	}
 	cond := f.Cond
-	kernel := f.PullRow
-	if kernel == nil {
-		kernel = perEdgeRow(update, cond, opts.DenseEarlyExit)
-	}
-	// Raw CSR rows are sliced here, whole: a dynamic InRow call per
-	// destination measurably slows dense rounds over short weighted rows
-	// (DESIGN §5a.8), and a row with nothing to decode gains nothing from
-	// the early-exit prefix — splitting them cost a scale-16 rMat BFS 4 %
+	// Rows that lie in a CSR's arrays — a raw CSR's, or an overlay's
+	// rows over one that it did not replace — are handed over whole, a
+	// word's worth per call: a dynamic InRow call per destination
+	// measurably slows dense rounds over short weighted rows (DESIGN
+	// §5a.8), and a row with nothing to decode gains nothing from the
+	// early-exit prefix — splitting them cost a scale-16 rMat BFS 4 %
 	// under go test -bench (2.89 vs 2.77 ms medians, whole rows ahead in
-	// 15 of 16 alternating pairs at one worker).
+	// 15 of 16 alternating pairs at one worker). The rows an overlay
+	// replaced are in place too, so they come whole as well.
 	prefix := math.MaxInt
 	var inOffs []int64
 	var inEdges []uint32
 	var inWts []int32
+	var patched inPatched
 	if csr, ok := g.(*graph.Graph); ok {
 		inOffs, inEdges, inWts = csr.InOffsets(), csr.InEdges(), csr.InWeights()
+	} else if p, ok := g.(inPatched); ok && p.InBase() != nil {
+		base := p.InBase()
+		inOffs, inEdges, inWts, patched = base.InOffsets(), base.InEdges(), base.InWeights(), p
 	} else if opts.DenseEarlyExit {
 		prefix = denseEarlyPrefix
+	}
+	kernel := f.PullRows
+	if kernel == nil {
+		kernel = perEdgeRows(update, cond, opts.DenseEarlyExit, inOffs != nil)
 	}
 	// Full frontier (PageRank iterations, components round one): every
 	// source passes the membership test, so the words stay nil and the
@@ -726,53 +790,59 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 		ow = out.Words()
 	}
 
-	err := parallel.ForRangeGrain(ctx, n, denseGrain(ctx, n), func(lo, hi int) {
-		if inOffs != nil {
-			// Raw CSR: one output word per 64 destinations, gathered in a
-			// register and stored once.
-			for wlo := lo; wlo < hi; wlo += 64 {
-				var word uint64
-				for di := wlo; di < min(wlo+64, hi); di++ {
-					if cond != nil && !cond(uint32(di)) {
-						continue
-					}
-					a, b := inOffs[di], inOffs[di+1]
-					var wts []int32
-					if inWts != nil {
-						wts = inWts[a:b]
-					}
-					// A select, not a branch: whether a row hits is often
-					// as likely as not from one vertex to the next.
-					var bit uint64
-					if kernel(uint32(di), inEdges[a:b], wts, uw) {
-						bit = 1
-					}
-					word |= bit << (di & 63)
-				}
-				if word != 0 && ow != nil {
-					ow[wlo>>6] = word // this block owns the word
-				}
+	if procs := parallel.CtxProcs(ctx); cap(sc.pulls) < procs {
+		sc.pulls = make([]rowBlock, procs)
+	} else {
+		sc.pulls = sc.pulls[:procs]
+	}
+	err := parallel.ForWorkerChunks(ctx, n, denseGrain(ctx, n), func(w, _, lo, hi int) {
+		blk := &sc.pulls[w]
+		for wlo := lo; wlo < hi; wlo += 64 {
+			whi := min(wlo+64, hi)
+			// The word's rows that do not lie in a CSR's arrays: all of
+			// them on a view without one, the replaced ones on an
+			// overlay over one.
+			fetched := ^uint64(0)
+			var held *[64]graph.Row
+			if patched != nil {
+				fetched, held = patched.InReplaced(uint32(wlo))
+			} else if inOffs != nil {
+				fetched = 0
 			}
-			return
-		}
-		var buf graph.Row
-		for di := lo; di < hi; di++ {
-			d := uint32(di)
-			if cond != nil && !cond(d) {
-				continue
-			}
-			srcs, wts := g.InRow(d, &buf, prefix)
-			hit := kernel(d, srcs, wts, uw)
-			if !hit && len(srcs) == prefix && (cond == nil || cond(d)) {
-				// Nothing in the prefix: the rest of the row, if any.
-				srcs, wts = g.InRow(d, &buf, math.MaxInt)
-				if wts != nil {
-					wts = wts[prefix:]
+			var word uint64
+			for a := wlo; a < whi; {
+				if fetched>>uint(a-wlo)&1 == 0 {
+					// A run of rows in the CSR: one call, no Cond.
+					z := min(a+bits.TrailingZeros64(fetched>>uint(a-wlo)), whi)
+					word |= kernel(uint32(a), inOffs[a:z+1], inEdges, inWts, uw) << uint(a-wlo)
+					a = z
+					continue
 				}
-				hit = len(srcs) > prefix && kernel(d, srcs[prefix:], wts, uw)
+				d := uint32(a)
+				a++
+				if cond != nil && !cond(d) {
+					continue
+				}
+				var srcs []uint32
+				var wts []int32
+				if patched == nil {
+					srcs, wts = g.InRow(d, &blk.buf, prefix)
+				} else if held != nil {
+					srcs, wts = held[d&63].Targets, held[d&63].Weights
+				}
+				blk.offs = [2]int64{0, int64(len(srcs))}
+				hit := kernel(d, blk.offs[:], srcs, wts, uw)
+				if hit == 0 && len(srcs) == prefix && (cond == nil || cond(d)) {
+					// Nothing in the prefix: the rest of the row, if any.
+					if srcs, wts = g.InRow(d, &blk.buf, math.MaxInt); len(srcs) > prefix {
+						blk.offs = [2]int64{int64(prefix), int64(len(srcs))}
+						hit = kernel(d, blk.offs[:], srcs, wts, uw)
+					}
+				}
+				word |= (hit & 1) << (d & 63)
 			}
-			if hit && out != nil {
-				out.Set(di) // this block owns the word
+			if word != 0 && ow != nil {
+				ow[wlo>>6] = word // this block owns the word
 			}
 		}
 	})

@@ -286,13 +286,13 @@ func TestEdgeMapUniverseMismatchPanics(t *testing.T) {
 	edgeMap(g, NewEmpty(5), EdgeFuncs{}, Options{})
 }
 
-// TestEdgeMapKernelOnlyFuncsRejected: a bundle with a PullRow and no push
+// TestEdgeMapKernelOnlyFuncsRejected: a bundle with a PullRows and no push
 // update used to run on dense CSR rounds and nil-dereference in a worker on
 // every other; it is refused by name whichever direction the round takes.
 func TestEdgeMapKernelOnlyFuncsRejected(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
-	f := EdgeFuncs{PullRow: func(uint32, []uint32, []int32, []uint64) bool { return true }}
+	f := EdgeFuncs{PullRows: func(uint32, []int64, []uint32, []int32, []uint64) uint64 { return 1 }}
 	for _, tc := range []struct {
 		name string
 		u    *VertexSubset

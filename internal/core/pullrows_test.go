@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"ligra/internal/core"
@@ -44,34 +45,43 @@ func (st *rowState) funcs(limit int32) core.EdgeFuncs {
 	}
 }
 
-// withDerivedPullRow adds the PullRow that follows mechanically from
-// Update/Cond (and, under DenseEarlyExit, the stop after the first hit):
-// the contract the hand-written kernels in internal/algo are held to.
-func withDerivedPullRow(f core.EdgeFuncs, earlyExit bool) core.EdgeFuncs {
+// withDerivedPullRows adds the PullRows that follows mechanically from
+// Update/Cond (and, under DenseEarlyExit, the stop after the first hit),
+// testing Cond itself as a block kernel must: the contract the
+// hand-written kernels in internal/algo are held to.
+func withDerivedPullRows(f core.EdgeFuncs, earlyExit bool) core.EdgeFuncs {
 	update, cond := f.Update, f.Cond
-	f.PullRow = func(d uint32, srcs []uint32, wts []int32, frontier []uint64) bool {
-		hit := false
-		for j, s := range srcs {
-			if !core.InFrontier(frontier, s) {
+	f.PullRows = func(lo uint32, offs []int64, srcs []uint32, wts []int32, frontier []uint64) uint64 {
+		var word uint64
+		for i := range len(offs) - 1 {
+			d := lo + uint32(i)
+			if !cond(d) {
 				continue
 			}
-			w := int32(1)
-			if wts != nil {
-				w = wts[j]
-			}
-			if update(s, d, w) {
-				hit = true
-				if earlyExit {
+			for j := offs[i]; j < offs[i+1]; j++ {
+				s := srcs[j]
+				if !core.InFrontier(frontier, s) {
+					continue
+				}
+				if update(s, d, graph.WeightAt(wts, int(j))) {
+					word |= 1 << uint(i)
+					if earlyExit {
+						break
+					}
+				}
+				if !cond(d) {
 					break
 				}
 			}
-			if !cond(d) {
-				break
-			}
 		}
-		return hit
+		return word
 	}
 	return f
+}
+
+// blockMask is a block kernel's word with every destination's bit set.
+func blockMask(offs []int64) uint64 {
+	return ^uint64(0) >> (65 - len(offs))
 }
 
 // oracleDense applies f the way edgeMapDense is specified to, one edge
@@ -137,12 +147,12 @@ func rowViews(t *testing.T, rng *rand.Rand, g *graph.Graph) map[string]graph.Vie
 	return views
 }
 
-// TestPullRowMatchesPerEdge: on every representation, worker count,
+// TestPullRowsMatchesPerEdge: on every representation, worker count,
 // frontier shape and DenseEarlyExit setting, a dense round through a
-// derived PullRow leaves the same output subset and per-vertex state as
+// derived PullRows leaves the same output subset and per-vertex state as
 // the default per-edge kernel over Update/Cond, and both match a
 // sequential reading of the edgeMapDense contract.
-func TestPullRowMatchesPerEdge(t *testing.T) {
+func TestPullRowsMatchesPerEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 6; trial++ {
 		n := 40 + rng.Intn(400)
@@ -171,7 +181,7 @@ func TestPullRowMatchesPerEdge(t *testing.T) {
 							st := newRowState(n)
 							f := st.funcs(limit)
 							if row {
-								f = withDerivedPullRow(f, early)
+								f = withDerivedPullRows(f, early)
 							}
 							out, err := core.EdgeMap(nil, v, u, f, core.Options{Mode: core.Pull, DenseEarlyExit: early, Procs: procs})
 							if err != nil {
@@ -194,14 +204,15 @@ func TestPullRowMatchesPerEdge(t *testing.T) {
 	}
 }
 
-// TestPullRowNoOutputAndEarlyExitViews pins what a kernel cannot see of the
-// driver, on every view: NoOutput drops its verdicts, and under
+// TestPullRowsNoOutputAndEarlyExitViews pins what a kernel cannot see of
+// the driver, on every view: NoOutput drops its verdicts, and under
 // DenseEarlyExit a row longer than the prefix arrives in two pieces — the
 // first DenseEarlyPrefix edges, then the rest only if the prefix call
-// returned false — that together are the row, so a decoding view decodes
-// past the prefix only for destinations the prefix did not settle. Raw
-// CSR, which has nothing to decode, hands over every row whole.
-func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
+// returned 0 — that together are the row, so a decoding view decodes past
+// the prefix only for destinations the prefix did not settle. Raw CSR and
+// an overlay over it, which have nothing to decode, hand over every row
+// whole.
+func TestPullRowsNoOutputAndEarlyExitViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomWeighted(t, rng, 200, 1600, true)
 	n := g.NumVertices()
@@ -210,12 +221,12 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 		rows := 0
 		f := core.EdgeFuncs{
 			UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
-			PullRow: func(_ uint32, _ []uint32, _ []int32, frontier []uint64) bool {
+			PullRows: func(_ uint32, offs []int64, _ []uint32, _ []int32, frontier []uint64) uint64 {
 				if frontier != nil {
 					t.Errorf("%s: full frontier handed to the kernel as %d words, want nil", vname, len(frontier))
 				}
-				rows++
-				return true
+				rows += len(offs) - 1
+				return blockMask(offs)
 			},
 		}
 		out, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.Pull, NoOutput: true, Procs: 1})
@@ -235,20 +246,26 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 				wts          []int32
 			}
 			got := make([]seen, n)
-			f.PullRow = func(d uint32, srcs []uint32, wts []int32, _ []uint64) bool {
-				s := &got[d]
-				if s.calls == 0 {
-					s.first = len(srcs)
+			f.PullRows = func(lo uint32, offs []int64, srcs []uint32, wts []int32, _ []uint64) uint64 {
+				for i := range len(offs) - 1 {
+					s := &got[lo+uint32(i)]
+					a, b := offs[i], offs[i+1]
+					if s.calls == 0 {
+						s.first = int(b - a)
+					}
+					s.calls++
+					s.srcs, s.wts = append(s.srcs, srcs[a:b]...), append(s.wts, wts[a:b]...)
 				}
-				s.calls++
-				s.srcs, s.wts = append(s.srcs, srcs...), append(s.wts, wts...)
-				return hit
+				if hit {
+					return blockMask(offs)
+				}
+				return 0
 			}
 			if _, err := core.EdgeMap(nil, v, all, f, core.Options{Mode: core.Pull, DenseEarlyExit: true, Procs: 1}); err != nil {
 				t.Fatal(err)
 			}
 			prefix := core.DenseEarlyPrefix
-			if _, csr := v.(*graph.Graph); csr {
+			if inCSR(v) {
 				prefix = math.MaxInt
 			}
 			long := 0
@@ -278,10 +295,26 @@ func TestPullRowNoOutputAndEarlyExitViews(t *testing.T) {
 	}
 }
 
-// TestPullRowFaultsBehaveLikePerEdge: cancellation, an injected chunk
+// patched is a delta overlay over a raw CSR, as a pull round reads it.
+type patched interface {
+	InBase() *graph.Graph
+	InReplaced(lo uint32) (uint64, *[64]graph.Row)
+}
+
+// inCSR reports whether a pull round over v reads rows in place from a
+// CSR's arrays: v is one, or an overlay over one.
+func inCSR(v graph.View) bool {
+	if _, ok := v.(*graph.Graph); ok {
+		return true
+	}
+	p, ok := v.(patched)
+	return ok && p.InBase() != nil
+}
+
+// TestPullRowsFaultsBehaveLikePerEdge: cancellation, an injected chunk
 // panic and a panic in user code surface from a dense round identically
-// whether the round runs per-edge closures or a row kernel.
-func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
+// whether the round runs per-edge closures or a block kernel.
+func TestPullRowsFaultsBehaveLikePerEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomWeighted(t, rng, 300, 2400, true)
 	n := g.NumVertices()
@@ -289,13 +322,13 @@ func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
 	dense := core.Options{Mode: core.Pull}
 
 	// variants builds the same user code on both paths; body runs once per
-	// applied edge (per-edge) or once per row (kernel).
+	// applied edge (per-edge) or once per block (kernel).
 	variants := func(body func()) map[string]core.EdgeFuncs {
 		return map[string]core.EdgeFuncs{
 			"per-edge": {Update: func(_, _ uint32, _ int32) bool { body(); return true }},
 			"row": {
 				UpdateAtomic: func(_, _ uint32, _ int32) bool { t.Error("push function called in a pull round"); return false },
-				PullRow:      func(_ uint32, _ []uint32, _ []int32, _ []uint64) bool { body(); return true },
+				PullRows:     func(_ uint32, offs []int64, _ []uint32, _ []int32, _ []uint64) uint64 { body(); return blockMask(offs) },
 			},
 		}
 	}
@@ -329,6 +362,144 @@ func TestPullRowFaultsBehaveLikePerEdge(t *testing.T) {
 	for name, f := range variants(func() { panic("bad kernel") }) {
 		if _, err := core.EdgeMap(context.Background(), g, all, f, dense); !errors.As(err, &pe) || pe.Value != "bad kernel" {
 			t.Errorf("%s user panic: err=%v, want *parallel.PanicError", name, err)
+		}
+	}
+}
+
+// TestPullRowsOneCallPerWord: over a raw CSR a pull round calls the kernel
+// once per 64-destination output word — ceil(n/64) calls, the last block
+// short when 64 does not divide n — with the CSR's own in-offsets and
+// in-edges, calls no Cond, and stores the words the kernel returns as the
+// output.
+func TestPullRowsOneCallPerWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, n := range []int{1000, 50} {
+		g := randomWeighted(t, rng, n, 4*n, false)
+		inOffs, inEdges, inWts := g.InOffsets(), g.InEdges(), g.InWeights()
+		for _, procs := range []int{1, 4} {
+			var calls, conds atomic.Int64
+			f := core.EdgeFuncs{
+				UpdateAtomic: func(_, _ uint32, _ int32) bool { t.Error("push function called in a pull round"); return false },
+				Cond:         func(uint32) bool { conds.Add(1); return true },
+				PullRows: func(lo uint32, offs []int64, srcs []uint32, wts []int32, _ []uint64) uint64 {
+					calls.Add(1)
+					k := len(offs) - 1
+					if lo%64 != 0 || k != min(64, n-int(lo)) {
+						t.Errorf("n=%d procs=%d: block at %d of %d destinations", n, procs, lo, k)
+						return 0
+					}
+					own := len(offs) == k+1 && &offs[0] == &inOffs[lo] &&
+						len(srcs) == len(inEdges) && &srcs[0] == &inEdges[0] &&
+						len(wts) == len(inWts) && &wts[0] == &inWts[0]
+					if !own {
+						t.Errorf("n=%d procs=%d: block at %d not handed the CSR's own arrays", n, procs, lo)
+					}
+					var word uint64
+					for i := range k {
+						if (lo+uint32(i))%3 == 0 {
+							word |= 1 << uint(i)
+						}
+					}
+					return word
+				},
+			}
+			out, err := core.EdgeMap(nil, g, core.NewAll(n), f, core.Options{Mode: core.Pull, Procs: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64((n + 63) / 64); calls.Load() != want || conds.Load() != 0 {
+				t.Errorf("n=%d procs=%d: %d kernel calls and %d Cond calls, want %d and 0", n, procs, calls.Load(), conds.Load(), want)
+			}
+			for d := 0; d < n; d++ {
+				if out.Contains(uint32(d)) != (d%3 == 0) {
+					t.Fatalf("n=%d procs=%d: vertex %d in output = %v", n, procs, d, out.Contains(uint32(d)))
+				}
+			}
+			if want := (n + 2) / 3; out.Size() != want {
+				t.Errorf("n=%d procs=%d: output has %d vertices, want %d", n, procs, out.Size(), want)
+			}
+		}
+	}
+}
+
+// TestPullRowsOverlayRuns: over an overlay on a raw CSR a pull round hands
+// each run of rows the overlay did not replace straight from the base's
+// arrays, inside one output word and with no Cond call, and each replaced
+// row, once its Cond held, as a block of one; the output is the bits the
+// kernel returned.
+func TestPullRowsOverlayRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	g := randomWeighted(t, rng, 1000, 4000, false)
+	n := g.NumVertices()
+	var ops []delta.EdgeOp
+	for i := 0; i < 40; i++ {
+		ops = append(ops, delta.EdgeOp{Src: uint32(rng.Intn(n)), Dst: uint32(rng.Intn(n)), Weight: 1 + int32(rng.Intn(100))})
+	}
+	views := viewtest.Matrix(t, g, ops)
+	keep := func(d uint32) bool { return d%7 != 3 }
+	for _, vname := range []string{"snapshot", "snapshot-deep"} {
+		v := views[vname]
+		p := v.(patched)
+		baseOffs, baseEdges := p.InBase().InOffsets(), p.InBase().InEdges()
+		replaced := make([]bool, n)
+		nReplaced := 0
+		for lo := 0; lo < n; lo += 64 {
+			bits, _ := p.InReplaced(uint32(lo))
+			for d := lo; d < min(lo+64, n); d++ {
+				if bits>>uint(d-lo)&1 != 0 {
+					replaced[d] = true
+					nReplaced++
+				}
+			}
+		}
+		if nReplaced == 0 || nReplaced == n {
+			t.Fatalf("%s: %d of %d rows replaced, want some but not all", vname, nReplaced, n)
+		}
+		for _, procs := range []int{1, 4} {
+			var conds, runs atomic.Int64
+			f := core.EdgeFuncs{
+				UpdateAtomic: func(_, _ uint32, _ int32) bool { t.Error("push function called in a pull round"); return false },
+				Cond:         func(d uint32) bool { conds.Add(1); return keep(d) },
+				PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, _ []uint64) uint64 {
+					k := len(offs) - 1
+					if len(srcs) > 0 && &srcs[0] == &baseEdges[0] {
+						runs.Add(1)
+						if &offs[0] != &baseOffs[lo] || lo/64 != (lo+uint32(k)-1)/64 {
+							t.Errorf("%s procs=%d: run at %d of %d rows not the base's offsets inside one word", vname, procs, lo, k)
+						}
+						for d := lo; d < lo+uint32(k); d++ {
+							if replaced[d] {
+								t.Errorf("%s procs=%d: replaced row %d handed from the base", vname, procs, d)
+							}
+						}
+					} else if k != 1 || !replaced[lo] || !keep(lo) {
+						t.Errorf("%s procs=%d: block of %d at %d is not a replaced row whose Cond held", vname, procs, k, lo)
+					}
+					var word uint64
+					for i := range k {
+						if (lo+uint32(i))%3 == 0 {
+							word |= 1 << uint(i)
+						}
+					}
+					return word
+				},
+			}
+			out, err := core.EdgeMap(nil, v, core.NewAll(n), f, core.Options{Mode: core.Pull, Procs: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if conds.Load() != int64(nReplaced) {
+				t.Errorf("%s procs=%d: %d Cond calls, want one per replaced row (%d)", vname, procs, conds.Load(), nReplaced)
+			}
+			if runs.Load() > int64(nReplaced+(n+63)/64) {
+				t.Errorf("%s procs=%d: %d runs for %d replaced rows in %d words", vname, procs, runs.Load(), nReplaced, (n+63)/64)
+			}
+			for d := 0; d < n; d++ {
+				want := d%3 == 0 && (!replaced[d] || keep(uint32(d)))
+				if out.Contains(uint32(d)) != want {
+					t.Fatalf("%s procs=%d: vertex %d in output = %v, want %v", vname, procs, d, !want, want)
+				}
+			}
 		}
 	}
 }

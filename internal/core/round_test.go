@@ -30,13 +30,19 @@ func TestRoundAllocs(t *testing.T) {
 	n := g.NumVertices()
 	ctx := parallel.WithProcs(context.Background(), 1)
 	push := func(_, d uint32, _ int32) bool { return d%3 == 0 }
-	pull := func(d uint32, srcs []uint32, _ []int32, frontier []uint64) bool {
-		for _, s := range srcs {
-			if InFrontier(frontier, s) {
-				return d%3 == 0
+	pull := func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
+		var word uint64
+		for i := range len(offs) - 1 {
+			for _, s := range srcs[offs[i]:offs[i+1]] {
+				if InFrontier(frontier, s) {
+					if (lo+uint32(i))%3 == 0 {
+						word |= 1 << uint(i)
+					}
+					break
+				}
 			}
 		}
-		return false
+		return word
 	}
 	small := make([]uint32, 100) // weighs 700: at most smallRoundWork
 	large := make([]uint32, 1000)
@@ -51,7 +57,7 @@ func TestRoundAllocs(t *testing.T) {
 		bits.Set(v)
 	}
 	dense := NewDense(n, bits)
-	f := EdgeFuncs{UpdateAtomic: push, PullRow: pull}
+	f := EdgeFuncs{UpdateAtomic: push, PullRows: pull}
 	for _, tc := range []struct {
 		name string
 		u    *VertexSubset

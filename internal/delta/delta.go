@@ -92,7 +92,7 @@ func (o *overlay) Symmetric() bool  { return o.symmetric }
 
 func (o *overlay) OutDegree(v uint32) int {
 	if r, ok := o.out.get(v); ok {
-		return len(r.targets)
+		return len(r.Targets)
 	}
 	if int(v) < o.baseN {
 		return o.base.OutDegree(v)
@@ -102,7 +102,7 @@ func (o *overlay) OutDegree(v uint32) int {
 
 func (o *overlay) InDegree(v uint32) int {
 	if r, ok := o.in.get(v); ok {
-		return len(r.targets)
+		return len(r.Targets)
 	}
 	if int(v) < o.baseN {
 		return o.base.InDegree(v)
@@ -119,7 +119,7 @@ func (o *overlay) OutNeighbors(v uint32, fn func(d uint32, w int32) bool) {
 // edgeMap traverses a live snapshot the way it traverses its base.
 func (o *overlay) OutRow(v uint32, buf *graph.Row) ([]uint32, []int32) {
 	if r, ok := o.out.get(v); ok {
-		return r.targets, r.weights
+		return r.Targets, r.Weights
 	}
 	if int(v) < o.baseN {
 		return o.base.OutRow(v, buf)
@@ -127,10 +127,32 @@ func (o *overlay) OutRow(v uint32, buf *graph.Row) ([]uint32, []int32) {
 	return nil, nil
 }
 
+// InBase is the overlay's base when that is a raw CSR: with InReplaced,
+// what lets a pull round read the rows no batch replaced straight out of
+// the base's arrays.
+func (o *overlay) InBase() *graph.Graph {
+	g, _ := o.base.(*graph.Graph)
+	return g
+}
+
+// InReplaced reads the replaced in-rows off the row table's page for lo:
+// a page is 64 rows, one output word of a pull round.
+func (o *overlay) InReplaced(lo uint32) (uint64, *[64]graph.Row) {
+	var bits uint64
+	var rows *[64]graph.Row
+	if p := o.in.pageAt(int(lo >> pageShift)); p != nil {
+		bits, rows = p.replaced, &p.rows
+	}
+	if past := int(lo) + pageRows - o.baseN; past > 0 {
+		bits |= ^uint64(0) << uint(max(pageRows-past, 0))
+	}
+	return bits, rows
+}
+
 // InRow is OutRow for in-edges, cut to the first max.
 func (o *overlay) InRow(v uint32, buf *graph.Row, max int) ([]uint32, []int32) {
 	if r, ok := o.in.get(v); ok {
-		return graph.Prefix(r.targets, r.weights, max)
+		return graph.Prefix(r.Targets, r.Weights, max)
 	}
 	if int(v) < o.baseN {
 		return o.base.InRow(v, buf, max)
@@ -259,7 +281,7 @@ func apply(prev graph.View, ops []EdgeOp) (graph.View, []EdgeOp, applyStats) {
 	next.out = next.out.with(vs, rows)
 	next.m = prev.NumEdges()
 	for i, v := range vs {
-		next.m += int64(len(rows[i].targets))
+		next.m += int64(len(rows[i].Targets))
 		if int(v) < prevN {
 			next.m -= int64(prev.OutDegree(v))
 		}
@@ -309,16 +331,16 @@ func (b *rowBuilder) rebuild(ops []rowOp, in bool) (vs []uint32, rows []row, eff
 				size++
 			}
 		}
-		r := row{targets: make([]uint32, 0, size)}
+		r := row{Targets: make([]uint32, 0, size)}
 		if weighted {
-			r.weights = make([]int32, 0, size)
+			r.Weights = make([]int32, 0, size)
 		}
 		// keep copies prev's edges [pos, hi) of the row through.
 		pos := 0
 		keep := func(hi int) {
-			r.targets = append(r.targets, oldT[pos:hi]...)
+			r.Targets = append(r.Targets, oldT[pos:hi]...)
 			if weighted {
-				r.weights = append(r.weights, oldW[pos:hi]...)
+				r.Weights = append(r.Weights, oldW[pos:hi]...)
 			}
 			pos = hi
 		}
@@ -353,9 +375,9 @@ func (b *rowBuilder) rebuild(ops []rowOp, in bool) (vs []uint32, rows []row, eff
 				}
 			}
 			if present {
-				r.targets = append(r.targets, nbr)
+				r.Targets = append(r.Targets, nbr)
 				if weighted {
-					r.weights = append(r.weights, w)
+					r.Weights = append(r.Weights, w)
 				}
 			}
 		}
@@ -384,9 +406,9 @@ func (b *rowBuilder) read(v uint32, in bool) ([]uint32, []int32) {
 		return ts, ws
 	}
 	// An in-place row belongs to prev: sort a copy.
-	b.scratch.targets = append(b.scratch.targets[:0], ts...)
-	b.scratch.weights = append(b.scratch.weights[:0], ws...)
-	ts, ws = b.scratch.targets, b.scratch.weights
+	b.scratch.Targets = append(b.scratch.Targets[:0], ts...)
+	b.scratch.Weights = append(b.scratch.Weights[:0], ws...)
+	ts, ws = b.scratch.Targets, b.scratch.Weights
 	if len(ws) == 0 {
 		ws = nil
 	}
@@ -423,11 +445,11 @@ func sortedSet(ts []uint32, ws []int32) ([]uint32, []int32) {
 
 type rowByTarget row
 
-func (r rowByTarget) Len() int           { return len(r.targets) }
-func (r rowByTarget) Less(i, j int) bool { return r.targets[i] < r.targets[j] }
+func (r rowByTarget) Len() int           { return len(r.Targets) }
+func (r rowByTarget) Less(i, j int) bool { return r.Targets[i] < r.Targets[j] }
 func (r rowByTarget) Swap(i, j int) {
-	r.targets[i], r.targets[j] = r.targets[j], r.targets[i]
-	r.weights[i], r.weights[j] = r.weights[j], r.weights[i]
+	r.Targets[i], r.Targets[j] = r.Targets[j], r.Targets[i]
+	r.Weights[i], r.Weights[j] = r.Weights[j], r.Weights[i]
 }
 
 // Materialize walks v and lays it out as a flat heap CSR graph — the

@@ -1,10 +1,12 @@
 package delta_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
 	"ligra/internal/algo"
+	"ligra/internal/delta"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
 	"ligra/internal/viewtest"
@@ -106,6 +108,81 @@ func checkRows(t *testing.T, name string, v graph.View, out, in csrRows) {
 	for _, r := range inPlace {
 		if !slices.Equal(r.ts, r.tsCopy) || !slices.Equal(r.ws, r.wsCopy) {
 			t.Fatalf("%s: an in-place row changed from %v %v to %v %v while buf was reused", name, r.tsCopy, r.wsCopy, r.ts, r.ws)
+		}
+	}
+}
+
+// TestInReplacedMatchesRows: an overlay over a raw CSR names that CSR as
+// its in-row base, every row InReplaced leaves clear is the base's own
+// row, in place — a pull round reads those straight out of the base's
+// arrays — and every row it marks is handed over as InRow returns it.
+// Vertices past the base's, after a batch grew the graph, are always
+// marked. An overlay over any other base names none.
+func TestInReplacedMatchesRows(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		g, err := gen.RMATDirected(8, 6, gen.PBBSRMAT, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if weighted {
+			g = g.AddWeights(graph.HashWeight(100))
+		}
+		n0 := g.NumVertices()
+		grow := []delta.EdgeOp{{Src: 5, Dst: uint32(n0 + 70)}, {Src: uint32(n0 + 3), Dst: 9}}
+		views := viewtest.Matrix(t, g, append(viewtest.NetZero(g), grow)...)
+		patched := 0
+		for vname, v := range views {
+			p, ok := v.(interface {
+				InBase() *graph.Graph
+				InReplaced(lo uint32) (uint64, *[64]graph.Row)
+			})
+			if !ok {
+				continue
+			}
+			base := p.InBase()
+			if vname == "snapshot-compressed" {
+				if base != nil {
+					t.Errorf("%s: an overlay over a compressed base names a CSR base", vname)
+				}
+				continue
+			}
+			if base != g {
+				t.Fatalf("%s: InBase is not the CSR the store was built over", vname)
+			}
+			patched++
+			n := v.NumVertices()
+			if n <= n0 {
+				t.Fatalf("%s: the batch did not grow the graph", vname)
+			}
+			offs, edges := base.InOffsets(), base.InEdges()
+			var buf graph.Row
+			for lo := 0; lo < n; lo += 64 {
+				bits, rows := p.InReplaced(uint32(lo))
+				for v := lo; v < min(lo+64, n); v++ {
+					if bits>>uint(v-lo)&1 != 0 {
+						var held graph.Row
+						if rows != nil {
+							held = rows[v-lo]
+						}
+						row, wts := p.(graph.View).InRow(uint32(v), &buf, math.MaxInt)
+						if !slices.Equal(held.Targets, row) || !slices.Equal(held.Weights, wts) {
+							t.Fatalf("%s: vertex %d's replaced row handed as %v %v, InRow says %v %v", vname, v, held.Targets, held.Weights, row, wts)
+						}
+						continue
+					}
+					if v >= n0 {
+						t.Fatalf("%s: vertex %d past the base's %d not marked replaced", vname, v, n0)
+					}
+					row, _ := p.(graph.View).InRow(uint32(v), &buf, math.MaxInt)
+					a, b := offs[v], offs[v+1]
+					if len(row) != int(b-a) || len(row) > 0 && &row[0] != &edges[a] {
+						t.Fatalf("%s: vertex %d not marked replaced, but its row is not the base's", vname, v)
+					}
+				}
+			}
+		}
+		if patched != 2 {
+			t.Fatalf("%d overlays over the CSR checked, want snapshot and snapshot-deep", patched)
 		}
 	}
 }

@@ -1,14 +1,14 @@
 package delta
 
-// row is one replacement adjacency row: targets strictly ascending,
-// weights parallel (nil on unweighted graphs). A replacement row's
-// targets are never nil — a row emptied by deletes holds an empty,
+import "ligra/internal/graph"
+
+// row is one replacement adjacency row: Targets strictly ascending,
+// Weights parallel (nil on unweighted graphs). A replacement row's
+// Targets are never nil — a row emptied by deletes holds an empty,
 // non-nil slice — which is how a page tells "replaced by nothing" from
-// "not replaced".
-type row struct {
-	targets []uint32
-	weights []int32
-}
+// "not replaced". It is a graph.Row, so that a pull round can read a
+// page's rows in place (overlay.InReplaced).
+type row = graph.Row
 
 // pageRows is the row table's page size. 64 row headers are 3 KiB: a
 // commit that dirties one row copies that much plus the directory, and a
@@ -18,7 +18,17 @@ const (
 	pageRows  = 1 << pageShift
 )
 
-type rowPage [pageRows]row
+// rowPage is one page of the row table: its rows and, as bits, which of
+// them replace a row — a pull round reads the bits to hand the others
+// straight from the base's arrays.
+type rowPage struct {
+	rows     [pageRows]row
+	replaced uint64
+}
+
+// A page is one word of replaced bits and the rows InReplaced hands out.
+var _ [64 - pageRows]struct{}
+var _ [pageRows - 64]struct{}
 
 // rowTable is a persistent map from vertex to replacement row, in the
 // shape of the copy-on-write snapshot stores of the streaming-graph
@@ -38,8 +48,8 @@ type rowTable struct {
 // get returns v's replacement row, if it has one.
 func (t *rowTable) get(v uint32) (row, bool) {
 	if p := t.pageAt(int(v >> pageShift)); p != nil {
-		r := p[v&(pageRows-1)]
-		return r, r.targets != nil
+		r := p.rows[v&(pageRows-1)]
+		return r, r.Targets != nil
 	}
 	return row{}, false
 }
@@ -71,11 +81,12 @@ func (t rowTable) with(vs []uint32, rows []row) rowTable {
 			}
 			next.pages[pi], cloned = page, pi
 		}
-		slot := &page[v&(pageRows-1)]
-		if slot.targets == nil {
+		slot := &page.rows[v&(pageRows-1)]
+		if slot.Targets == nil {
 			next.rows++
 		}
-		next.edges += int64(len(rows[i].targets) - len(slot.targets))
+		page.replaced |= 1 << (v & (pageRows - 1))
+		next.edges += int64(len(rows[i].Targets) - len(slot.Targets))
 		*slot = rows[i]
 	}
 	return next

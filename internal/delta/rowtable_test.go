@@ -48,13 +48,13 @@ func TestRowTablePersistence(t *testing.T) {
 		}
 		for i, v := range vs {
 			// Like apply: an emptied row is empty, never nil.
-			rows[i] = row{targets: make([]uint32, 0, 8)}
+			rows[i] = row{Targets: make([]uint32, 0, 8)}
 			if rng.Intn(4) != 0 {
 				for k := rng.Intn(8); k > 0; k-- {
-					rows[i].targets = append(rows[i].targets, rng.Uint32())
+					rows[i].Targets = append(rows[i].Targets, rng.Uint32())
 				}
 			}
-			model[v] = rows[i].targets
+			model[v] = rows[i].Targets
 		}
 		forks = append(forks, fork{table: parent.table.with(vs, rows), model: model})
 	}
@@ -71,8 +71,8 @@ func TestRowTablePersistence(t *testing.T) {
 		for v := uint32(0); v < baseN+5*pageRows; v++ {
 			r, ok := f.table.get(v)
 			want, inModel := f.model[v]
-			if ok != inModel || !slices.Equal(r.targets, want) {
-				t.Fatalf("fork %d vertex %d: table (%v, %v), model (%v, %v)", i, v, r.targets, ok, want, inModel)
+			if ok != inModel || !slices.Equal(r.Targets, want) {
+				t.Fatalf("fork %d vertex %d: table (%v, %v), model (%v, %v)", i, v, r.Targets, ok, want, inModel)
 			}
 		}
 	}

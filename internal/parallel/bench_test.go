@@ -13,7 +13,7 @@ func BenchmarkForGrain(b *testing.B) {
 	for _, grain := range []int{64, 1024, 4096} {
 		b.Run(benchName("grain", grain), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ok(ForRangeGrain(bg, n, grain, func(lo, hi int) {
+				ok(forRangeGrain(bg, n, grain, func(lo, hi int) {
 					for j := lo; j < hi; j++ {
 						sink[j]++
 					}

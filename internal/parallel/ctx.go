@@ -44,13 +44,13 @@ func For(ctx context.Context, n int, body func(i int)) error {
 // of For, useful when the body can process a run of iterations more
 // efficiently than one at a time.
 func ForRange(ctx context.Context, n int, body func(lo, hi int)) error {
-	return ForRangeGrain(ctx, n, 0, body)
+	return forRangeGrain(ctx, n, 0, body)
 }
 
-// ForRangeGrain is ForRange with an explicit grain (grain <= 0 selects the
+// forRangeGrain is ForRange with an explicit grain (grain <= 0 selects the
 // automatic one): ForWorkerChunks for a body that needs neither the worker
 // nor the chunk index.
-func ForRangeGrain(ctx context.Context, n, grain int, body func(lo, hi int)) error {
+func forRangeGrain(ctx context.Context, n, grain int, body func(lo, hi int)) error {
 	return ForWorkerChunks(ctx, n, grain, func(_, _, lo, hi int) { body(lo, hi) })
 }
 

@@ -44,7 +44,7 @@ func TestForCtxMidLoopCancelStopsWithinChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var count atomic.Int64
-	err := ForRangeGrain(ctx, n, 64, func(lo, hi int) {
+	err := forRangeGrain(ctx, n, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if count.Add(1) == 10 {
 				cancel()
@@ -128,11 +128,11 @@ func TestSmallLoopIsOneChunkWhateverItsCtx(t *testing.T) {
 	}
 }
 
-// rangeCalls counts the chunks a ForRangeGrain call hands its body.
+// rangeCalls counts the chunks a forRangeGrain call hands its body.
 func rangeCalls(t *testing.T, ctx context.Context, n, grain int) int {
 	t.Helper()
 	c := 0
-	if err := ForRangeGrain(ctx, n, grain, func(lo, hi int) { c++ }); err != nil {
+	if err := forRangeGrain(ctx, n, grain, func(lo, hi int) { c++ }); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -171,7 +171,7 @@ func TestReduceAndSumCtx(t *testing.T) {
 func TestFaultInjectPanicOnChunkSurfacesAsPanicError(t *testing.T) {
 	disarm := faultinject.PanicOnChunk(2, "injected chunk fault")
 	defer disarm()
-	err := ForRangeGrain(context.Background(), 10000, 16, func(lo, hi int) {})
+	err := forRangeGrain(context.Background(), 10000, 16, func(lo, hi int) {})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError from injected fault", err)
@@ -210,7 +210,7 @@ func TestNestedPanicKeepsOrigin(t *testing.T) {
 		}
 		for name, run := range map[string]func() error{
 			"For/inline":                 func() error { return For(ctx, 4, func(int) { body() }) },
-			"ForRangeGrain/dispatched":   func() error { return ForRangeGrain(ctx, 64, 1, func(int, int) { body() }) },
+			"forRangeGrain/dispatched":   func() error { return forRangeGrain(ctx, 64, 1, func(int, int) { body() }) },
 			"ForWorkerChunks/inline":     func() error { return ForWorkerChunks(ctx, 4, 4, func(_, _, _, _ int) { body() }) },
 			"ForWorkerChunks/dispatched": func() error { return ForWorkerChunks(ctx, 64, 1, func(_, _, _, _ int) { body() }) },
 		} {

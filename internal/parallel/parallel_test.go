@@ -49,7 +49,7 @@ func TestForGrainCoversAllIndices(t *testing.T) {
 	for _, grain := range []int{1, 2, 13, 4096, 1 << 20} {
 		n := 10000
 		seen := make([]int32, n)
-		ok(ForRangeGrain(bg, n, grain, func(lo, hi int) {
+		ok(forRangeGrain(bg, n, grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}

@@ -22,7 +22,7 @@ const dispatchN = 1 << 13
 func TestPoolNoGoroutineLeak(t *testing.T) {
 	// Warm the pool so lazy worker creation happens before measuring.
 	for i := 0; i < 100; i++ {
-		if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
+		if err := forRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 
 	var sum atomic.Int64
 	for i := 0; i < 10000; i++ {
-		if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
+		if err := forRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
 			sum.Add(int64(hi - lo))
 		}); err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 // carrying the value, and the pool still computes correctly afterward.
 func TestPoolSurvivesRepeatedPanics(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
+		err := forRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
 			if lo == 0 {
 				panic("pool panic probe")
 			}
@@ -81,7 +81,7 @@ func TestPoolSurvivesRepeatedPanics(t *testing.T) {
 		}
 	}
 	var sum atomic.Int64
-	if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
+	if err := forRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			sum.Add(int64(j))
 		}
@@ -102,7 +102,7 @@ func TestPoolMidRoundCancellation(t *testing.T) {
 	defer cancel()
 	const n = 1 << 16
 	var executed atomic.Int64
-	err := ForRangeGrain(ctx, n, 64, func(lo, hi int) {
+	err := forRangeGrain(ctx, n, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if executed.Add(1) == 100 {
 				cancel()
@@ -152,7 +152,7 @@ func TestLeaseCapThroughNestedPrimitives(t *testing.T) {
 func TestNestedDispatchCompletes(t *testing.T) {
 	var sum atomic.Int64
 	err := ForWorkerChunks(context.Background(), 16, 1, func(worker, chunk, lo, hi int) {
-		if err := ForRangeGrain(context.Background(), dispatchN, 0, func(ilo, ihi int) {
+		if err := forRangeGrain(context.Background(), dispatchN, 0, func(ilo, ihi int) {
 			sum.Add(int64(ihi - ilo))
 		}); err != nil {
 			t.Error(err)
@@ -171,7 +171,7 @@ func TestNestedDispatchCompletes(t *testing.T) {
 // while the same loop above the cutoff dispatches.
 func TestSequentialCutoffInline(t *testing.T) {
 	prev := SchedulerSnapshot()
-	if err := ForRangeGrain(context.Background(), 256, 0, func(lo, hi int) {}); err != nil {
+	if err := forRangeGrain(context.Background(), 256, 0, func(lo, hi int) {}); err != nil {
 		t.Fatal(err)
 	}
 	d := SchedulerSnapshot().Sub(prev)
@@ -181,7 +181,7 @@ func TestSequentialCutoffInline(t *testing.T) {
 	}
 
 	prev = SchedulerSnapshot()
-	if err := ForRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
+	if err := forRangeGrain(context.Background(), dispatchN, 0, func(lo, hi int) {}); err != nil {
 		t.Fatal(err)
 	}
 	d = SchedulerSnapshot().Sub(prev)
@@ -193,7 +193,7 @@ func TestSequentialCutoffInline(t *testing.T) {
 	// An explicit grain opts out of the cutoff: the caller asserted the
 	// iterations are coarse, so even a 32-iteration loop dispatches.
 	prev = SchedulerSnapshot()
-	if err := ForRangeGrain(context.Background(), 32, 1, func(lo, hi int) {}); err != nil {
+	if err := forRangeGrain(context.Background(), 32, 1, func(lo, hi int) {}); err != nil {
 		t.Fatal(err)
 	}
 	d = SchedulerSnapshot().Sub(prev)
@@ -209,7 +209,7 @@ func TestSequentialCutoffInline(t *testing.T) {
 func TestFaultInjectInPoolDispatch(t *testing.T) {
 	disarm := faultinject.PanicOnChunk(5, "injected pool fault")
 	defer disarm()
-	err := ForRangeGrain(context.Background(), 1<<14, 16, func(lo, hi int) {})
+	err := forRangeGrain(context.Background(), 1<<14, 16, func(lo, hi int) {})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v (%T), want *PanicError", err, err)

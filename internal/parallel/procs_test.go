@@ -30,7 +30,7 @@ func TestWithProcsCapsForCtxConcurrency(t *testing.T) {
 
 	var hw highWater
 	ctx := WithProcs(context.Background(), 2)
-	err := ForRangeGrain(ctx, 64, 1, func(lo, hi int) {
+	err := forRangeGrain(ctx, 64, 1, func(lo, hi int) {
 		hw.enter()
 		time.Sleep(100 * time.Microsecond) // encourage overlap if uncapped
 		hw.exit()

@@ -285,7 +285,7 @@ func TestExecutePlumbsGovernorCapThroughParallel(t *testing.T) {
 			t.Errorf("parallel.CtxProcs(ctx) = %d, want 2", got)
 		}
 		var cur, peak atomic.Int64
-		perr := parallel.ForRangeGrain(ctx, 64, 1, func(lo, hi int) {
+		perr := parallel.ForWorkerChunks(ctx, 64, 1, func(_, _, lo, hi int) {
 			c := cur.Add(1)
 			for {
 				p := peak.Load()

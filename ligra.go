@@ -64,12 +64,16 @@ type (
 	// dense representations (Ligra's vertexSubset).
 	VertexSubset = core.VertexSubset
 	// EdgeFuncs bundles the Update / UpdateAtomic / Cond functions passed
-	// to EdgeMap (Ligra's F and C), plus the optional PullRow: a row
-	// kernel that runs a dense round's in-row for one destination in a
-	// single call instead of one Update call per edge, on every graph
-	// representation (under DenseEarlyExit the row may come in two
-	// pieces; see core.EdgeFuncs and docs/PERFORMANCE.md §3 for the
-	// contract).
+	// to EdgeMap (Ligra's F and C), plus the optional PullRows: a block
+	// kernel that runs a dense round's in-rows for a block of consecutive
+	// destinations in a single call instead of one Update call per edge,
+	// and returns their output bits as one word. Over a CSR Graph, and
+	// over the rows a live snapshot of one has not replaced, a block is
+	// up to 64 destinations and no Cond is called, so the kernel tests its
+	// own condition; every other row comes in a block of one, after its
+	// Cond held (under DenseEarlyExit a decoded row may come in two
+	// pieces). See core.EdgeFuncs and docs/PERFORMANCE.md §3 for the
+	// contract.
 	EdgeFuncs = core.EdgeFuncs
 	// Options tunes one EdgeMap call (mode, threshold, dedup, tracing).
 	Options = core.Options
