@@ -32,7 +32,21 @@ import (
 	"ligra"
 	"ligra/internal/algo"
 	"ligra/internal/gen"
+	"ligra/internal/parallel"
 )
+
+// algoUsage lists the -algo values and which of them refuse a directed
+// graph.
+func algoUsage() string {
+	var undirected []string
+	for _, r := range algo.Runners() {
+		if r.Undirected {
+			undirected = append(undirected, r.Name)
+		}
+	}
+	return "algorithm: " + strings.Join(algo.RunnerNames(), " | ") +
+		" (undirected graphs only, exit 1 on a directed one: " + strings.Join(undirected, ", ") + ")"
+}
 
 // modeNames lists the -mode values, each traversal mode's wire name.
 func modeNames() string {
@@ -67,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ligra-run", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		algoName  = fs.String("algo", "bfs", "algorithm: "+strings.Join(algo.RunnerNames(), " | "))
+		algoName  = fs.String("algo", "bfs", algoUsage())
 		graphPath = fs.String("graph", "", "input graph file (AdjacencyGraph text, LIGRAGO1 binary, or LIGRAGC1 compressed; detected by content)")
 		symmetric = fs.Bool("s", false, "treat a text-format input file as symmetric (Ligra's -s)")
 		genFamily = fs.String("gen", "", "generate instead of load: rmat | grid3d | randlocal | twitter-sim")
@@ -228,12 +242,13 @@ func loadOrGenerate(path string, symmetric, mmap bool, family string, scale int,
 	}
 }
 
+// maxDegreeVertex is the default source: the highest-out-degree vertex,
+// ties to the smallest ID, and 0 on a graph with no vertices. A
+// Background ctx never cancels, the only way MaxIndexFunc fails.
 func maxDegreeVertex(g ligra.View) uint32 {
-	best, bestDeg := uint32(0), -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(uint32(v)); d > bestDeg {
-			best, bestDeg = uint32(v), d
-		}
+	if g.NumVertices() == 0 {
+		return 0
 	}
-	return best
+	v, _ := parallel.MaxIndexFunc(context.Background(), g.NumVertices(), func(v int) int { return g.OutDegree(uint32(v)) })
+	return uint32(v)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ligra"
+	"ligra/internal/algo"
 )
 
 func TestRunEveryAlgorithm(t *testing.T) {
@@ -79,6 +80,39 @@ func TestRunFromFile(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "1 components") {
 		t.Errorf("torus should be connected: %q", buf.String())
+	}
+}
+
+// TestRunRefusesDirectedGraph: every undirected-only algorithm refuses a
+// directed input (a text file loaded without -s) with exit status 1,
+// naming the requirement; a directed-capable one runs on it.
+func TestRunRefusesDirectedGraph(t *testing.T) {
+	g, err := ligra.RMATDirected(7, 4, ligra.PBBSRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dir.adj")
+	if err := ligra.SaveGraph(path, g, false); err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for _, r := range algo.Runners() {
+		if !r.Undirected {
+			continue
+		}
+		refused++
+		var buf, stderr bytes.Buffer
+		err := run([]string{"-algo", r.Name, "-graph", path}, &buf)
+		if code := exitStatus(err, &stderr); code != 1 || !strings.Contains(stderr.String(), "undirected") {
+			t.Errorf("%s on a directed graph: exit %d, stderr %q; want 1 naming the undirected requirement", r.Name, code, stderr.String())
+		}
+	}
+	if refused != 9 {
+		t.Errorf("%d undirected-only algorithms, want 9", refused)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-algo", "scc", "-graph", path}, &buf); err != nil {
+		t.Errorf("scc on a directed graph: %v", err)
 	}
 }
 
@@ -170,5 +204,21 @@ func TestMaxDegreeVertex(t *testing.T) {
 		if g.OutDegree(uint32(u)) > g.OutDegree(v) {
 			t.Fatalf("vertex %d beats claimed max %d", u, v)
 		}
+	}
+	// The path 0-1-2-3 ties vertices 1 and 2 at degree 2: the smallest ID
+	// wins. A graph with no vertices keeps source 0.
+	path, err := ligra.ReadAdjacency(strings.NewReader("AdjacencyGraph\n4\n6\n0\n1\n3\n5\n1\n0\n2\n1\n3\n2\n"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := maxDegreeVertex(path); v != 1 {
+		t.Errorf("tied degrees: default source %d, want 1", v)
+	}
+	empty, err := ligra.ReadAdjacency(strings.NewReader("AdjacencyGraph\n0\n0\n"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := maxDegreeVertex(empty); v != 0 {
+		t.Errorf("empty graph: default source %d, want 0", v)
 	}
 }

@@ -105,21 +105,24 @@ func TestModeWireNames(t *testing.T) {
 // edgeMap under it, and is an error for every other algorithm; the other
 // names are accepted everywhere.
 func TestBatchValidateBackend(t *testing.T) {
-	for _, name := range RunnerNames() {
+	g := edgeless(t, 10)
+	for _, r := range Runners() {
 		for _, b := range []string{"", BackendEdgeMap, BackendAuto} {
-			if err := BatchValidate(name, 10, Params{Backend: b, Landmarks: []uint32{1}}); err != nil {
-				t.Fatalf("BatchValidate(%s, %q) = %v", name, b, err)
+			if err := r.Validate(g, Params{Backend: b, Landmarks: []uint32{1}}); err != nil {
+				t.Fatalf("%s.Validate(%q) = %v", r.Name, b, err)
 			}
 		}
 	}
 	for _, name := range []string{"bfs", "pagerank", "triangles"} {
-		if err := BatchValidate(name, 10, Params{Backend: BackendSpMV}); err != nil {
-			t.Fatalf("BatchValidate(%s, spmv) = %v", name, err)
+		r, _ := FindRunner(name)
+		if err := r.Validate(g, Params{Backend: BackendSpMV}); err != nil {
+			t.Fatalf("%s.Validate(spmv) = %v", name, err)
 		}
 	}
-	err := BatchValidate("components", 10, Params{Backend: BackendSpMV})
+	r, _ := FindRunner("components")
+	err := r.Validate(g, Params{Backend: BackendSpMV})
 	if err == nil || err.Error() != `algorithm "components" has no spmv kernel (backends: bfs, pagerank, triangles)` {
-		t.Fatalf("BatchValidate(components, spmv) = %v, want the no-kernel error", err)
+		t.Fatalf("components.Validate(spmv) = %v, want the no-kernel error", err)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 )
 
 // TestBatchResultMatchesRunners: a mixed batch of bfs / reach / landmarks
-// queries answered from ONE shared sweep must produce RunResults deeply
-// equal to each query's own unbatched runner invocation — the
-// "semantically invisible" guarantee the serving batch collector relies
-// on.
+// queries answered from ONE shared sweep, each read through its row's
+// FromSweep, must produce RunResults deeply equal to each query's own
+// unbatched runner invocation — the "semantically invisible" guarantee
+// the serving batch collector relies on.
 func TestBatchResultMatchesRunners(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		n := g.NumVertices()
@@ -35,8 +35,9 @@ func TestBatchResultMatchesRunners(t *testing.T) {
 		sources := make([]uint32, len(queries))
 		var probes []uint32
 		for i, q := range queries {
+			runner, _ := FindRunner(q.algo)
 			sources[i] = q.p.Source
-			probes = append(probes, BatchProbes(q.algo, q.p)...)
+			probes = append(probes, runner.Probes(q.p)...)
 		}
 		res, err := ClusterBFSCtx(nil, g, sources, ClusterBFSOptions{Probes: probes})
 		if err != nil {
@@ -51,7 +52,7 @@ func TestBatchResultMatchesRunners(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gname, q.algo, err)
 			}
-			got := BatchResult(q.algo, res, i, q.p)
+			got := runner.FromSweep(res, i, q.p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: batched %s query %d diverges:\n got %+v\nwant %+v", gname, q.algo, i, got, want)
 			}
@@ -59,39 +60,42 @@ func TestBatchResultMatchesRunners(t *testing.T) {
 	}
 }
 
+// TestBatchableSet: the bfs, reach and landmarks rows, and no other,
+// ride a shared sweep.
 func TestBatchableSet(t *testing.T) {
-	for _, name := range []string{"bfs", "reach", "landmarks"} {
-		if !Batchable(name) {
-			t.Fatalf("%s should be batchable", name)
-		}
-		if _, ok := FindRunner(name); !ok {
-			t.Fatalf("batchable algorithm %s has no runner", name)
-		}
-	}
-	for _, name := range []string{"pagerank", "components", "bc"} {
-		if Batchable(name) {
-			t.Fatalf("%s must not be batchable", name)
+	for _, r := range Runners() {
+		want := r.Name == "bfs" || r.Name == "reach" || r.Name == "landmarks"
+		if r.Sweeps() != want {
+			t.Errorf("%s: Sweeps() = %t, want %t", r.Name, r.Sweeps(), want)
 		}
 	}
 }
 
+// TestBatchValidate pins the reach and landmarks rows' own checks, which
+// the server runs at plan time so a sweep never reads an out-of-range
+// probe as "unreachable".
 func TestBatchValidate(t *testing.T) {
-	if err := BatchValidate("reach", 10, Params{Target: 10}); err == nil {
+	g := edgeless(t, 10)
+	validate := func(name string, p Params) error {
+		r, _ := FindRunner(name)
+		return r.Validate(g, p)
+	}
+	if err := validate("reach", Params{Target: 10}); err == nil {
 		t.Fatal("out-of-range target accepted")
 	}
-	if err := BatchValidate("reach", 10, Params{Target: 9}); err != nil {
+	if err := validate("reach", Params{Target: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := BatchValidate("landmarks", 10, Params{}); err == nil {
+	if err := validate("landmarks", Params{}); err == nil {
 		t.Fatal("empty landmarks accepted")
 	}
-	if err := BatchValidate("landmarks", 10, Params{Landmarks: []uint32{3, 10}}); err == nil {
+	if err := validate("landmarks", Params{Landmarks: []uint32{3, 10}}); err == nil {
 		t.Fatal("out-of-range landmark accepted")
 	}
-	if err := BatchValidate("landmarks", 10, Params{Landmarks: make([]uint32, MaxLandmarks+1)}); err == nil {
+	if err := validate("landmarks", Params{Landmarks: make([]uint32, MaxLandmarks+1)}); err == nil {
 		t.Fatal("oversized landmark list accepted")
 	}
-	if err := BatchValidate("bfs", 10, Params{}); err != nil {
+	if err := validate("bfs", Params{}); err != nil {
 		t.Fatal(err)
 	}
 }

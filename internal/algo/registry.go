@@ -65,7 +65,7 @@ type Params struct {
 	// "spmv" or "auto". Every one of them runs edgeMap, the one execution
 	// engine, so Backend is deliberately absent from Canonical: it never
 	// changes what a result is. "spmv" is accepted only for the
-	// algorithms that once had a second kernel (BatchValidate).
+	// algorithms that once had a second kernel (Runner.Validate).
 	Backend string `json:"backend,omitempty"`
 
 	// EdgeMap carries the non-serializable per-run extras (tracing, a
@@ -79,7 +79,7 @@ type Params struct {
 // (an unknown Mode or Backend). It is shared by ligra-run's flag parsing
 // and the server's request decoding so both report identical errors.
 // Whether the chosen Backend applies to a particular algorithm is checked
-// later by BatchValidate, which knows the algorithm.
+// later by Runner.Validate, which knows the algorithm.
 func (p Params) Validate() error {
 	if p.Mode != "" && !slices.Contains(modeNames, p.Mode) {
 		return fmt.Errorf("unknown mode %q (have %s)", p.Mode, strings.Join(modeNames, " | "))
@@ -164,7 +164,29 @@ type RunResult struct {
 	Details map[string]any
 }
 
-// Runner is one dispatchable algorithm.
+// EstimateBytes approximates the RunResult's heap footprint for the
+// result cache's byte budget: the summary string plus each detail's key
+// and boxed value (slices counted element-wise).
+func (r RunResult) EstimateBytes() int64 {
+	b := int64(len(r.Summary))
+	for k, v := range r.Details {
+		b += int64(len(k)) + 48
+		switch s := v.(type) {
+		case []int64:
+			b += 8 * int64(len(s))
+		case []int32:
+			b += 4 * int64(len(s))
+		case []float64:
+			b += 8 * int64(len(s))
+		case string:
+			b += int64(len(s))
+		}
+	}
+	return b
+}
+
+// Runner is one dispatchable algorithm, and its row the one place that
+// knows the algorithm's facts.
 type Runner struct {
 	// Name is the identifier used by -algo and the server's "algo" field.
 	Name string
@@ -174,20 +196,142 @@ type Runner struct {
 	// NeedsWeights reports whether the algorithm interprets edge weights
 	// (runs on unweighted graphs treat every weight as 1).
 	NeedsWeights bool
-	// run is the algorithm itself, called by Run.
+	// Undirected reports whether the algorithm is defined on undirected
+	// graphs only; Validate refuses a directed one, on which it would
+	// report a wrong answer as a success.
+	Undirected bool
+	// spmv marks the algorithms that once had a second kernel: they
+	// accept backend "spmv" and reply "backend":"edgemap".
+	spmv bool
+	// check refuses the parameters a graph of n vertices cannot answer.
+	check func(n int, p Params) error
+	// Run calls run if set, else refresh with nothing to carry forward,
+	// else reads one BFS's levels through fromSweep.
 	run runFunc
+	// refresh is the run of an algorithm whose last result a snapshot
+	// store can carry forward; it reports whether rf carried it.
+	refresh func(ctx context.Context, rf Refresher, p Params) (RunResult, bool, error)
+	// fromSweep, when set, lets the algorithm's queries share a
+	// ClusterBFS sweep: it reads source i's answer from the sweep, which
+	// recorded every level at probes(p).
+	fromSweep func(res *ClusterBFSResult, i int, p Params) RunResult
+	probes    func(p Params) []uint32
 }
 
 type runFunc func(ctx context.Context, g graph.View, p Params) (RunResult, error)
 
-// Run executes the algorithm under ctx (nil means no deadline), with
-// Params.EdgeMap.Procs, when set, applied to ctx once as its worker cap
-// (parallel.WithProcs) so it bounds every pass of the run, not only the
-// edgeMap rounds. Every algorithm observes ctx: a cancelled or expired
-// one stops the run cooperatively, and Run returns the partial result
-// alongside a *RoundError.
+// Refresher is a pinned snapshot's incremental path (a *delta.Pin is one):
+// each call carries its store's last result forward over the edges
+// changed since, or runs in full, and reports whether it carried it.
+type Refresher interface {
+	RefreshCC(ctx context.Context, opts core.Options) (*CCResult, bool, error)
+	RefreshPageRankDelta(ctx context.Context, opts PageRankOptions, delta float64) (*PageRankResult, bool, error)
+}
+
+// fullRun is the Refresher with no last result: it runs in full over g.
+type fullRun struct{ g graph.View }
+
+func (f fullRun) RefreshCC(ctx context.Context, opts core.Options) (*CCResult, bool, error) {
+	res, err := ConnectedComponentsCtx(ctx, f.g, opts)
+	return res, false, err
+}
+
+func (f fullRun) RefreshPageRankDelta(ctx context.Context, opts PageRankOptions, delta float64) (*PageRankResult, bool, error) {
+	res, err := PageRankDeltaCtx(ctx, f.g, opts, delta)
+	return res, false, err
+}
+
+// Validate checks a query of r against g: the graph's kind, the backend
+// name and the algorithm's own parameters. The server's plan and Run both
+// call it, so every caller refuses with the same error.
+func (r Runner) Validate(g graph.View, p Params) error {
+	if r.Undirected && !g.Symmetric() {
+		return errDirected(r.Name)
+	}
+	if p.Backend == BackendSpMV && !r.spmv {
+		spmv := slices.DeleteFunc(RunnerNames(), func(name string) bool { o, _ := FindRunner(name); return !o.spmv })
+		return fmt.Errorf("algorithm %q has no spmv kernel (backends: %s)", r.Name, strings.Join(spmv, ", "))
+	}
+	if r.check != nil {
+		return r.check(g.NumVertices(), p)
+	}
+	return nil
+}
+
+// Run validates the query, then executes the algorithm under ctx (nil
+// means no deadline), with Params.EdgeMap.Procs, when set, applied to ctx
+// once as its worker cap (parallel.WithProcs) so it bounds every pass of
+// the run, not only the edgeMap rounds. Every algorithm observes ctx: a
+// cancelled or expired one stops the run cooperatively, and Run returns
+// the partial result alongside a *RoundError.
 func (r Runner) Run(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-	return r.run(parallel.WithProcs(ctx, p.EdgeMap.Procs), g, p)
+	if err := r.Validate(g, p); err != nil {
+		return RunResult{}, err
+	}
+	ctx = parallel.WithProcs(ctx, p.EdgeMap.Procs)
+	var res RunResult
+	var err error
+	switch {
+	case r.run != nil:
+		res, err = r.run(ctx, g, p)
+	case r.refresh != nil:
+		res, _, err = r.refresh(ctx, fullRun{g}, p)
+	default:
+		res, err = r.levels(ctx, g, p)
+	}
+	return r.reply(res), err
+}
+
+// Refresh answers a validated query from rf when r has an incremental
+// path, with Run's reply plus an "incremental" detail saying whether rf
+// carried its last result; for any other r it runs nothing and says so.
+func (r Runner) Refresh(ctx context.Context, rf Refresher, p Params) (RunResult, bool, error) {
+	if r.refresh == nil {
+		return RunResult{}, false, nil
+	}
+	res, incremental, err := r.refresh(parallel.WithProcs(ctx, p.EdgeMap.Procs), rf, p)
+	res.Details["incremental"] = incremental
+	return res, true, err
+}
+
+// reply adds the backend that ran to the replies of the rows that accept
+// "spmv".
+func (r Runner) reply(res RunResult) RunResult {
+	if r.spmv && res.Details != nil {
+		res.Details["backend"] = BackendEdgeMap
+	}
+	return res
+}
+
+// MaxLandmarks bounds the landmark list: each landmark is a probe row
+// carried through the whole sweep, and 64 matches the source budget.
+const MaxLandmarks = 64
+
+// Sweeps reports whether queries of r can share a ClusterBFS sweep.
+func (r Runner) Sweeps() bool { return r.fromSweep != nil }
+
+// Probes returns the vertices whose per-source levels a query of r needs
+// recorded during the sweep (nil when aggregates suffice).
+func (r Runner) Probes(p Params) []uint32 {
+	if r.probes == nil {
+		return nil
+	}
+	return r.probes(p)
+}
+
+// FromSweep reads source i's answer from a sweep of r's as Run replies
+// it, so a batched caller cannot tell it shared a sweep.
+func (r Runner) FromSweep(res *ClusterBFSResult, i int, p Params) RunResult {
+	return r.reply(r.fromSweep(res, i, p))
+}
+
+// levels is Run for a sweep-only row (reach, landmarks): one BFSLevelsCtx,
+// which costs what a bfs costs, read through fromSweep as the one-source
+// level matrix it is.
+func (r Runner) levels(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+	levels, err := BFSLevelsCtx(ctx, g, p.Source, p.EdgeMapOptions())
+	res := &ClusterBFSResult{Sources: []uint32{p.Source}, Levels: levels, n: len(levels)}
+	return r.fromSweep(res, 0, p), err
 }
 
 // Runners returns the dispatch table in presentation order.
@@ -223,14 +367,66 @@ func UnknownAlgoError(name string) error {
 
 var runners = []Runner{
 	{
-		Name: "bfs", NeedsSource: true,
+		Name: "bfs", NeedsSource: true, spmv: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := BFSCtx(ctx, g, p.Source, p.EdgeMapOptions())
-			return bfsRunResult(p.Source, res.Visited, res.Rounds), err
+			return bfsReply(p.Source, res.Visited, res.Rounds), err
+		},
+		fromSweep: func(res *ClusterBFSResult, i int, p Params) RunResult {
+			return bfsReply(p.Source, int(res.Reached[i]), int(res.Depth[i]))
 		},
 	},
-	{Name: "reach", NeedsSource: true, run: levelsRunner("reach")},
-	{Name: "landmarks", NeedsSource: true, run: levelsRunner("landmarks")},
+	{
+		Name: "reach", NeedsSource: true,
+		check: func(n int, p Params) error {
+			if int(p.Target) >= n {
+				return fmt.Errorf("target vertex %d out of range (graph has %d vertices)", p.Target, n)
+			}
+			return nil
+		},
+		probes: func(p Params) []uint32 { return []uint32{p.Target} },
+		fromSweep: func(res *ClusterBFSResult, i int, p Params) RunResult {
+			dist := int64(res.LevelTo(i, p.Target))
+			summary := fmt.Sprintf("Reach from %d to %d: unreachable", p.Source, p.Target)
+			if dist >= 0 {
+				summary = fmt.Sprintf("Reach from %d to %d: reachable (distance %d)", p.Source, p.Target, dist)
+			}
+			return RunResult{Summary: summary, Details: map[string]any{"source": p.Source, "target": p.Target, "reachable": dist >= 0, "distance": dist}}
+		},
+	},
+	{
+		Name: "landmarks", NeedsSource: true,
+		check: func(n int, p Params) error {
+			if len(p.Landmarks) == 0 {
+				return fmt.Errorf("landmarks algorithm requires a non-empty landmarks list")
+			}
+			if len(p.Landmarks) > MaxLandmarks {
+				return fmt.Errorf("too many landmarks: %d (max %d)", len(p.Landmarks), MaxLandmarks)
+			}
+			for _, l := range p.Landmarks {
+				if int(l) >= n {
+					return fmt.Errorf("landmark vertex %d out of range (graph has %d vertices)", l, n)
+				}
+			}
+			return nil
+		},
+		probes: func(p Params) []uint32 { return p.Landmarks },
+		fromSweep: func(res *ClusterBFSResult, i int, p Params) RunResult {
+			dists := make([]int64, len(p.Landmarks))
+			reachable := 0
+			for j, l := range p.Landmarks {
+				d := res.LevelTo(i, l)
+				dists[j] = int64(d)
+				if d >= 0 {
+					reachable++
+				}
+			}
+			return RunResult{
+				Summary: fmt.Sprintf("Landmarks from %d: %d/%d reachable", p.Source, reachable, len(p.Landmarks)),
+				Details: map[string]any{"source": p.Source, "landmarks": len(p.Landmarks), "reachable": reachable, "distances": dists},
+			}
+		},
+	},
 	{
 		Name: "bc", NeedsSource: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
@@ -276,37 +472,37 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "components",
-		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			res, err := ConnectedComponentsCtx(ctx, g, p.EdgeMapOptions())
+		Name: "components", Undirected: true,
+		refresh: func(ctx context.Context, rf Refresher, p Params) (RunResult, bool, error) {
+			res, incremental, err := rf.RefreshCC(ctx, p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Components: %d components in %d rounds", res.Components, res.Rounds),
 				Details: map[string]any{"components": res.Components, "rounds": res.Rounds},
-			}, err
+			}, incremental, err
 		},
 	},
 	{
-		Name: "pagerank",
+		Name: "pagerank", spmv: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			o := DefaultPageRankOptions()
 			o.EdgeMap = p.EdgeMapOptions()
 			res, err := PageRankCtx(ctx, g, o)
 			return RunResult{
 				Summary: fmt.Sprintf("PageRank: %d iterations, final L1 change %.3g", res.Iterations, res.Err),
-				Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "backend": BackendEdgeMap},
+				Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err},
 			}, err
 		},
 	},
 	{
 		Name: "pagerank-delta",
-		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		refresh: func(ctx context.Context, rf Refresher, p Params) (RunResult, bool, error) {
 			o := DefaultPageRankOptions()
 			o.EdgeMap = p.EdgeMapOptions()
-			res, err := PageRankDeltaCtx(ctx, g, o, 1e-3)
+			res, incremental, err := rf.RefreshPageRankDelta(ctx, o, 1e-3)
 			return RunResult{
 				Summary: fmt.Sprintf("PageRank-Delta: %d iterations, final L1 change %.3g", res.Iterations, res.Err),
 				Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err},
-			}, err
+			}, incremental, err
 		},
 	},
 	{
@@ -327,7 +523,7 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "kcore",
+		Name: "kcore", Undirected: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := KCoreCtx(ctx, g, p.EdgeMapOptions())
 			return RunResult{
@@ -337,8 +533,8 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "mis",
-		run: undirectedOnly("mis", func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "mis", Undirected: true,
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := MISCtx(ctx, g, p.seed(123), p.EdgeMapOptions())
 			size, cerr := parallel.CountFunc(ctx, len(res.InSet), func(v int) bool { return res.InSet[v] })
 			err = cmp.Or(err, roundErr("mis", res.Rounds, cerr))
@@ -346,7 +542,7 @@ var runners = []Runner{
 				Summary: fmt.Sprintf("MIS: %d vertices in %d rounds", size, res.Rounds),
 				Details: map[string]any{"size": size, "rounds": res.Rounds},
 			}, err
-		}),
+		},
 	},
 	{
 		Name: "scc",
@@ -359,24 +555,24 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "coloring",
-		run: undirectedOnly("coloring", func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "coloring", Undirected: true,
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := Coloring(ctx, g, p.seed(7), p.EdgeMapOptions())
 			return RunResult{
 				Summary: fmt.Sprintf("Coloring: %d colors in %d rounds", res.NumColors, res.Rounds),
 				Details: map[string]any{"colors": res.NumColors, "rounds": res.Rounds},
 			}, err
-		}),
+		},
 	},
 	{
-		Name: "matching",
-		run: undirectedOnly("matching", func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+		Name: "matching", Undirected: true,
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := MaximalMatching(ctx, g, p.seed(7))
 			return RunResult{
 				Summary: fmt.Sprintf("Matching: %d edges in %d rounds", res.Size, res.Rounds),
 				Details: map[string]any{"edges": res.Size, "rounds": res.Rounds},
 			}, err
-		}),
+		},
 	},
 	{
 		Name: "eccentricity",
@@ -390,7 +586,7 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "densest",
+		Name: "densest", Undirected: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			res, err := DensestSubgraph(ctx, g, p.EdgeMapOptions())
 			return RunResult{
@@ -401,7 +597,7 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "local-cluster", NeedsSource: true,
+		Name: "local-cluster", NeedsSource: true, Undirected: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			alpha, eps := p.Alpha, p.Eps
 			if alpha == 0 {
@@ -422,17 +618,17 @@ var runners = []Runner{
 		},
 	},
 	{
-		Name: "triangles",
+		Name: "triangles", Undirected: true, spmv: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			count, err := TriangleCountCtx(ctx, g)
 			return RunResult{
 				Summary: fmt.Sprintf("Triangles: %d", count),
-				Details: map[string]any{"triangles": count, "backend": BackendEdgeMap},
+				Details: map[string]any{"triangles": count},
 			}, err
 		},
 	},
 	{
-		Name: "clustering",
+		Name: "clustering", Undirected: true,
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			lcc, err := LocalClusteringCoefficients(ctx, g)
 			var sum float64
@@ -451,17 +647,12 @@ var runners = []Runner{
 	},
 }
 
-// undirectedOnly guards a runner whose answer is defined on undirected
-// graphs only. On a directed graph MIS returns a set with edges inside it
-// and coloring gives edges' endpoints one color, both reported as success,
-// and matching refuses the graph itself; the runner refuses it for all
-// three.
-func undirectedOnly(name string, run runFunc) runFunc {
-	return func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-		if !g.Symmetric() {
-			return RunResult{}, errDirected(name)
-		}
-		return run(ctx, g, p)
+// bfsReply is the bfs reply, whichever execution (one BFS or a shared
+// sweep) produced the counts.
+func bfsReply(source uint32, visited, rounds int) RunResult {
+	return RunResult{
+		Summary: fmt.Sprintf("BFS from %d: visited %d vertices in %d rounds", source, visited, rounds),
+		Details: map[string]any{"source": source, "visited": visited, "rounds": rounds},
 	}
 }
 

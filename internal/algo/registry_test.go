@@ -9,6 +9,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,23 +78,31 @@ func TestRunnersOnZeroVertexGraph(t *testing.T) {
 	}
 }
 
-// TestUndirectedRunnersRefuseDirectedGraph: MIS, coloring and matching
-// are defined on undirected graphs; on a directed one each runner returns
-// an error rather than a wrong result reported as success (an MIS with
-// edges inside it) or no result at all (matching never converges, so the
-// run is bounded by a deadline).
+// TestUndirectedRunnersRefuseDirectedGraph: MIS, coloring, matching,
+// components, kcore, densest, local-cluster, triangles and clustering are
+// defined on undirected graphs; on a directed one each runner returns an
+// error rather than a wrong result reported as success (an MIS with
+// edges inside it, a negative conductance, too many components); the
+// deadline bounds a refusal that never comes. No other runner is marked
+// undirected-only.
 func TestUndirectedRunnersRefuseDirectedGraph(t *testing.T) {
 	g, err := gen.RMATDirected(9, 8, gen.PBBSRMAT, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"mis", "coloring", "matching"} {
+	undirected := []string{"mis", "coloring", "matching", "components", "kcore", "densest", "local-cluster", "triangles", "clustering"}
+	for _, name := range undirected {
 		r, _ := FindRunner(name)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		res, err := r.Run(ctx, g, Params{})
 		cancel()
 		if err == nil || !strings.Contains(err.Error(), "undirected") {
 			t.Errorf("%s on a directed graph: err = %v, summary %q", name, err, res.Summary)
+		}
+	}
+	for _, r := range Runners() {
+		if r.Undirected != slices.Contains(undirected, r.Name) {
+			t.Errorf("%s: Undirected = %t", r.Name, r.Undirected)
 		}
 	}
 }

@@ -710,12 +710,17 @@ type rowBlock struct {
 // kernel before the rest of the row. Most destinations a BFS-like claim
 // reaches find a frontier parent among their first few in-edges, so a
 // decoding view (compressed, mmap) decodes those instead of whole rows.
-// Chosen by sweeping it over heap-compressed BFS on rMat (scale 16, 2-vCPU
-// VM, GOMAXPROCS 2, median of 9, two sweeps of five and six alternating
-// runs): the median read 3.7-3.8 ms at 1, 3.2-3.7 at 2, 3.6-3.9 at 4,
-// 3.7-4.4 at 8, 4.5 at 16 and 5.2 decoding whole rows; 4 sits in the
-// middle of the flat region. benchmark/'s compress.bfs_ms times this
-// traversal at scale 18.
+// Measured over the block kernel with BenchmarkPullViews/compressed/BFS
+// (rMat scale 16, 2-vCPU VM, one test binary per value, 8 alternating
+// runs of -benchtime 30x, medians):
+//
+//	prefix        1      2      4      8      whole rows
+//	-cpu 1  ms    9.9    7.4    8.7    12.1   12.7
+//	-cpu 2  ms    7.5    6.0    5.7    6.6    8.0
+//
+// 4 was ahead of whole rows in 6 of 8 pairs at one proc and 7 of 8 at
+// two; 1 to 4 form the flat region, 8 is already losing, and 4 is kept.
+// benchmark/'s compress.bfs_ms times this traversal at scale 18.
 const denseEarlyPrefix = 4
 
 // edgeMapDense is Ligra's edgeMapDense as a row driver. The row kernel is

@@ -319,8 +319,8 @@ func refresh[R any](s *Store, t *tracker[R], pin *Pin, key string, memo func(R) 
 // back to algo.ConnectedComponentsCtx otherwise. The boolean reports
 // whether the incremental path served the result; a memoized reply
 // reports 0 rounds.
-func (s *Store) RefreshCC(ctx context.Context, pin *Pin, opts core.Options) (*algo.CCResult, bool, error) {
-	v := pin.View()
+func (pin *Pin) RefreshCC(ctx context.Context, opts core.Options) (*algo.CCResult, bool, error) {
+	s, v := pin.store, pin.view
 	return refresh(s, &s.cc, pin, "",
 		func(r *algo.CCResult) *algo.CCResult {
 			return &algo.CCResult{Labels: r.Labels, Components: r.Components}
@@ -335,8 +335,8 @@ func (s *Store) RefreshCC(ctx context.Context, pin *Pin, opts core.Options) (*al
 // dirty-vertex reseeding when the history covers the gap and the vertex
 // count is unchanged, full PageRankDeltaCtx otherwise. The memo is keyed
 // by the parameters; a memoized reply reports 0 iterations.
-func (s *Store) RefreshPageRankDelta(ctx context.Context, pin *Pin, opts algo.PageRankOptions, delta float64) (*algo.PageRankResult, bool, error) {
-	v := pin.View()
+func (pin *Pin) RefreshPageRankDelta(ctx context.Context, opts algo.PageRankOptions, delta float64) (*algo.PageRankResult, bool, error) {
+	s, v := pin.store, pin.view
 	return refresh(s, &s.pr, pin, fmt.Sprintf("%g/%g/%d/%g", opts.Damping, opts.Epsilon, opts.MaxIterations, delta),
 		func(r *algo.PageRankResult) *algo.PageRankResult {
 			return &algo.PageRankResult{Ranks: r.Ranks, Err: r.Err}

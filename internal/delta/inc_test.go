@@ -76,7 +76,7 @@ func TestIncrementalCCMatchesFull(t *testing.T) {
 					}
 					defer pin.Release()
 					before := st.Stats()
-					res, incremental, err := st.RefreshCC(ctx, pin, core.Options{})
+					res, incremental, err := pin.RefreshCC(ctx, core.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -204,7 +204,7 @@ func TestIncrementalPageRankMatchesFull(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, incremental, err := st.RefreshPageRankDelta(context.Background(), pin, opts, prDelta)
+				_, incremental, err := pin.RefreshPageRankDelta(context.Background(), opts, prDelta)
 				pin.Release()
 				if err != nil {
 					t.Fatal(err)
@@ -225,7 +225,7 @@ func TestIncrementalPageRankMatchesFull(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					inc, incremental, err := st.RefreshPageRankDelta(context.Background(), pin, opts, prDelta)
+					inc, incremental, err := pin.RefreshPageRankDelta(context.Background(), opts, prDelta)
 					if err != nil {
 						pin.Release()
 						t.Fatal(err)
@@ -335,12 +335,12 @@ func TestRefreshCCMemoized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pin.Release()
-	a, _, err := st.RefreshCC(context.Background(), pin, core.Options{})
+	a, _, err := pin.RefreshCC(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := st.Stats().FullRuns
-	b, _, err := st.RefreshCC(context.Background(), pin, core.Options{})
+	b, _, err := pin.RefreshCC(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestRefreshFallsBackWhenHistoryLost(t *testing.T) {
 	}
 	st := NewStore(g, Config{InitialVersion: 1, Policy: Policy{HistoryDepth: -1, CompactEvery: -1}})
 	pin, _ := st.Acquire()
-	if _, _, err := st.RefreshCC(context.Background(), pin, core.Options{}); err != nil {
+	if _, _, err := pin.RefreshCC(context.Background(), core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	pin.Release()
@@ -389,7 +389,7 @@ func TestRefreshFallsBackWhenHistoryLost(t *testing.T) {
 	}
 	pin, _ = st.Acquire()
 	defer pin.Release()
-	res, incremental, err := st.RefreshCC(context.Background(), pin, core.Options{})
+	res, incremental, err := pin.RefreshCC(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,9 +458,9 @@ func TestInterruptedRefreshReturnsRoundError(t *testing.T) {
 				defer pin.Release()
 				var incremental bool
 				if name == "components" {
-					_, incremental, err = st.RefreshCC(ctx, pin, core.Options{})
+					_, incremental, err = pin.RefreshCC(ctx, core.Options{})
 				} else {
-					_, incremental, err = st.RefreshPageRankDelta(ctx, pin, algo.DefaultPageRankOptions(), 1e-3)
+					_, incremental, err = pin.RefreshPageRankDelta(ctx, algo.DefaultPageRankOptions(), 1e-3)
 				}
 				return incremental, err
 			}

@@ -154,10 +154,7 @@ type Gauges struct {
 	Version       uint64
 	PinnedReaders int64
 	Compacting    bool
-	Vertices      int
-	Edges         int64
 	DirtyRows     int
-	HistoryLen    int
 }
 
 // commit is one forming group commit: ops from every writer that
@@ -183,7 +180,6 @@ type Store struct {
 	mu         sync.Mutex
 	base       viewCloser // original backend; closed on release after last unpin
 	cur        *pinnedView
-	version    uint64
 	pins       int64
 	released   bool
 	compacting bool
@@ -251,7 +247,7 @@ type pinnedView struct {
 // ownership: Close runs once the store is released and the last pin
 // detaches.
 func NewStore(base graph.View, cfg Config) *Store {
-	s := &Store{cfg: cfg, version: cfg.InitialVersion}
+	s := &Store{cfg: cfg}
 	s.base = viewCloser{view: base}
 	if c, ok := base.(interface{ Close() error }); ok {
 		s.base.closer = c.Close
@@ -333,9 +329,6 @@ func (s *Store) Gauges() Gauges {
 		Version:       s.cur.version,
 		PinnedReaders: s.pins,
 		Compacting:    s.compacting,
-		Vertices:      s.cur.view.NumVertices(),
-		Edges:         s.cur.view.NumEdges(),
-		HistoryLen:    len(s.history),
 	}
 	if ov, ok := s.cur.view.(*overlay); ok {
 		g.DirtyRows = ov.DirtyRows()
@@ -485,7 +478,6 @@ func (s *Store) applyCommit(ctx context.Context, ops []EdgeOp) (ApplyResult, err
 		return ApplyResult{}, ErrReleased
 	}
 	s.cur = &pinnedView{view: view, version: version}
-	s.version = version
 	s.stats.Batches++
 	s.stats.Inserted += st.inserted
 	s.stats.Deleted += st.deleted

@@ -1,5 +1,5 @@
 // Package batch decides how a batchable query (bfs, reach, landmarks —
-// anything algo.Batchable) executes. Below the measured crossover it is
+// any whose runner row Sweeps) executes. Below the measured crossover it is
 // the plain runner through engine.Execute, exactly like every other
 // algorithm; at or above it, up to 64 queries against the same (graph,
 // generation, traversal shape) each contribute one source bit to a shared
@@ -64,9 +64,9 @@ type Request struct {
 	// canonical params); identical Keys in one window coalesce to a
 	// single slot.
 	Key engine.Key
-	// Algo and Params identify what to extract for this slot from the
+	// Runner and Params identify what to extract for this slot from the
 	// shared sweep (see ClusterRun).
-	Algo   string
+	Runner algo.Runner
 	Params algo.Params
 }
 
@@ -166,7 +166,7 @@ type batch struct {
 // wait: a canceled caller abandons its slot and the sweep keeps serving
 // the others.
 func (c *Collector) Execute(ctx context.Context, req Request, plain engine.RunFunc, sweep RunFunc) (engine.Value, Info, error) {
-	if c.window <= 0 || !algo.Batchable(req.Algo) {
+	if c.window <= 0 || !req.Runner.Sweeps() {
 		return c.runPlain(ctx, req, plain)
 	}
 	sh := req.shape()

@@ -21,7 +21,12 @@ func key(i int) engine.Key {
 }
 
 func req(i int) Request {
-	return Request{Key: key(i), Algo: "bfs", Params: algo.Params{Source: uint32(i)}}
+	return Request{Key: key(i), Runner: runner("bfs"), Params: algo.Params{Source: uint32(i)}}
+}
+
+func runner(name string) algo.Runner {
+	r, _ := algo.FindRunner(name)
+	return r
 }
 
 // echoRun answers each slot with its own key's params string.
@@ -573,7 +578,7 @@ func TestClusterRunEndToEnd(t *testing.T) {
 		}
 		reqs = append(reqs, Request{
 			Key:    engine.Key{Graph: "g", Generation: 1, Algo: name, Params: p.Canonical()},
-			Algo:   name,
+			Runner: runner(name),
 			Params: p,
 		})
 	}
@@ -586,13 +591,12 @@ func TestClusterRunEndToEnd(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		runner, _ := algo.FindRunner(r.Algo)
-		want, err := runner.Run(context.Background(), g, r.Params)
+		want, err := r.Runner.Run(context.Background(), g, r.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i].Data, want) {
-			t.Fatalf("query %d (%s) diverges:\n got %+v\nwant %+v", i, r.Algo, got[i].Data, want)
+			t.Fatalf("query %d (%s) diverges:\n got %+v\nwant %+v", i, r.Runner.Name, got[i].Data, want)
 		}
 		if !infos[i].Batched || infos[i].BatchSize != len(reqs) {
 			t.Fatalf("query %d info %+v", i, infos[i])

@@ -11,16 +11,16 @@ import (
 // ClusterRun is the standard sweep for a batch against g: one
 // bit-parallel ClusterBFS sweep with every slot's source as a bit and
 // every slot's probe vertices (reach targets, landmark lists) recorded,
-// then per-slot extraction through the same algo.BatchResult the
-// unbatched runners use — so a batched answer is byte-identical to the
-// answer the query would have gotten alone. ctx carries the governor
+// then per-slot extraction through each slot's runner row, which the
+// row's unbatched Run reads through too — so a batched answer is
+// byte-identical to the answer the query would have gotten alone. ctx carries the governor
 // lease, which caps every pass of the sweep.
 func ClusterRun(ctx context.Context, g graph.View, slots []Request) ([]engine.Value, error) {
 	sources := make([]uint32, len(slots))
 	var probes []uint32
 	for i, s := range slots {
 		sources[i] = s.Params.Source
-		probes = append(probes, algo.BatchProbes(s.Algo, s.Params)...)
+		probes = append(probes, s.Runner.Probes(s.Params)...)
 	}
 	// Every slot shares the batch's shape, so slot 0's traversal
 	// options speak for the sweep.
@@ -33,7 +33,7 @@ func ClusterRun(ctx context.Context, g graph.View, slots []Request) ([]engine.Va
 	}
 	vals := make([]engine.Value, len(slots))
 	for i, s := range slots {
-		rr := algo.BatchResult(s.Algo, res, i, s.Params)
+		rr := s.Runner.FromSweep(res, i, s.Params)
 		vals[i] = engine.Value{Data: rr, Bytes: rr.EstimateBytes()}
 	}
 	return vals, nil

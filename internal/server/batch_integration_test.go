@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ligra/internal/algo"
 	"ligra/internal/faultinject"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
@@ -49,6 +50,7 @@ func holdBatchLoad(t *testing.T, s *Server, name string) (release func()) {
 	}
 	version := pin.Version()
 	pin.Release()
+	bfs, _ := algo.FindRunner("bfs")
 	gate := make(chan struct{})
 	var entered, done sync.WaitGroup
 	for i := 0; i < batch.SweepCrossover-1; i++ {
@@ -57,7 +59,7 @@ func holdBatchLoad(t *testing.T, s *Server, name string) (release func()) {
 		go func(i int) {
 			defer done.Done()
 			key := engine.Key{Graph: name, Generation: version, Algo: "bfs", Params: fmt.Sprintf("ballast-%d", i)}
-			s.batcher.Execute(context.Background(), batch.Request{Key: key, Algo: "bfs"},
+			s.batcher.Execute(context.Background(), batch.Request{Key: key, Runner: bfs},
 				func(context.Context, int) (engine.Value, error) {
 					entered.Done()
 					<-gate

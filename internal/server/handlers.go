@@ -383,7 +383,7 @@ func (s *Server) plan(ctx context.Context, name string, req queryRequest) (*quer
 	if err != nil {
 		return nil, lookupStatus(err), err
 	}
-	params, err := bindParams(runner.Name, pin.View(), info.DefaultSource, req)
+	params, err := bindParams(runner, pin.View(), info.DefaultSource, req)
 	if err != nil {
 		pin.Release()
 		return nil, http.StatusBadRequest, err
@@ -419,7 +419,7 @@ func (s *Server) plan(ctx context.Context, name string, req queryRequest) (*quer
 // bindParams checks the request's parameters against the pinned view and
 // returns them with the source resolved (omitted: the graph's
 // highest-out-degree vertex).
-func bindParams(algoName string, g graph.View, defaultSource uint32, req queryRequest) (algo.Params, error) {
+func bindParams(runner algo.Runner, g graph.View, defaultSource uint32, req queryRequest) (algo.Params, error) {
 	p := req.Params
 	p.Source = defaultSource
 	if req.Source != nil {
@@ -428,12 +428,11 @@ func bindParams(algoName string, g graph.View, defaultSource uint32, req queryRe
 		}
 		p.Source = uint32(*req.Source)
 	}
-	// Algorithm-specific parameters are checked up front: the batched
-	// path extracts answers straight from the shared sweep, so a reach
-	// target out of range must be rejected here rather than silently read
-	// as "unreachable", and "spmv" for an algorithm that never accepted
-	// it is a 400 (Validate only checked the name).
-	return p, algo.BatchValidate(algoName, g.NumVertices(), p)
+	// The runner's checks run before the cache, the batch collector and
+	// the refreshers: a directed graph must not reach Pin.RefreshCC, a
+	// reach target out of range must not be read off a sweep as
+	// "unreachable", and "spmv" is refused where it never was accepted.
+	return p, runner.Validate(g, p)
 }
 
 // admit gates q on its circuit breaker, then on the shedder, answering a
@@ -513,7 +512,7 @@ func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Inf
 		// Algorithms with incremental refresh paths are served from
 		// the snapshot store's memoized state when the delta log can
 		// carry it forward; everything else runs the plain runner.
-		res, handled, err := incrementalRun(runCtx, q.pin, q.runner.Name, q.params)
+		res, handled, err := q.runner.Refresh(runCtx, q.pin, q.params)
 		if !handled {
 			res, err = q.runner.Run(runCtx, g, q.params)
 		}
@@ -532,7 +531,7 @@ func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Inf
 		return batch.ClusterRun(sweepCtx, g, slots)
 	}
 	start := time.Now()
-	val, how, err := s.batcher.Execute(ctx, batch.Request{Key: q.key, Algo: q.runner.Name, Params: q.params}, plain, sweep)
+	val, how, err := s.batcher.Execute(ctx, batch.Request{Key: q.key, Runner: q.runner, Params: q.params}, plain, sweep)
 	elapsed := float64(time.Since(start).Microseconds()) / 1000
 	s.metrics.InFlight.Add(-1)
 	am.LatencyMsSum.Add(elapsed)

@@ -23,6 +23,7 @@ import (
 
 	"ligra/internal/delta"
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 	"ligra/internal/server/resilience"
 )
 
@@ -391,11 +392,11 @@ func describe(name, source string, g graph.View) GraphInfo {
 		Weighted:  g.Weighted(),
 	}
 	info.Format, info.MemoryBytes, info.MappedBytes = probe(g)
-	bestDeg := -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(uint32(v)); d > bestDeg {
-			info.DefaultSource, bestDeg = uint32(v), d
-		}
+	if n := g.NumVertices(); n > 0 {
+		// Ties go to the smallest ID, as in ligra-run's default source. A
+		// Background ctx never cancels, the only way MaxIndexFunc fails.
+		v, _ := parallel.MaxIndexFunc(context.Background(), n, func(v int) int { return g.OutDegree(uint32(v)) })
+		info.DefaultSource = uint32(v)
 	}
 	return info
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,5 +138,27 @@ func TestListSortedWithMemory(t *testing.T) {
 	}
 	if infos[0].MemoryBytes <= 0 {
 		t.Error("memory estimate missing")
+	}
+}
+
+// TestDescribeDefaultSource pins the default source: the highest
+// out-degree vertex, ties to the smallest ID, and 0 on a graph with no
+// vertices.
+func TestDescribeDefaultSource(t *testing.T) {
+	for _, tc := range []struct {
+		adj  string
+		want uint32
+	}{
+		// The path 0-1-2-3: vertices 1 and 2 tie at degree 2.
+		{"AdjacencyGraph\n4\n6\n0\n1\n3\n5\n1\n0\n2\n1\n3\n2\n", 1},
+		{"AdjacencyGraph\n0\n0\n", 0},
+	} {
+		g, err := graph.ReadAdjacency(strings.NewReader(tc.adj), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := describe("g", "src", g).DefaultSource; got != tc.want {
+			t.Errorf("n=%d: default source %d, want %d", g.NumVertices(), got, tc.want)
+		}
 	}
 }

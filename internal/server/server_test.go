@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ligra/internal/algo"
 	"ligra/internal/faultinject"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
@@ -264,21 +265,22 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl proves the bounded semaphore: with one slot and no
-// queue, a second query is rejected with 429 while the first executes.
-// TestUndirectedAlgorithmsRejectDirectedGraph: a query for MIS, coloring
-// or matching over a directed graph is the query's own fault, answered 400
-// with the reason, not 200 with a wrong result.
+// TestUndirectedAlgorithmsRejectDirectedGraph: a query for any of the
+// nine undirected-only algorithms over a directed graph is the query's
+// own fault, answered 400 with the reason, not 200 with a wrong result.
 func TestUndirectedAlgorithmsRejectDirectedGraph(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	g, err := gen.RMATDirected(9, 8, gen.PBBSRMAT, 1)
-	if err != nil {
-		t.Fatal(err)
+	loadDirected(t, s)
+	var undirected []string
+	for _, r := range algo.Runners() {
+		if r.Undirected {
+			undirected = append(undirected, r.Name)
+		}
 	}
-	if _, err := s.Registry().Load(context.Background(), "dir", "test:dir", func() (graph.View, error) { return g, nil }); err != nil {
-		t.Fatal(err)
+	if len(undirected) != 9 {
+		t.Fatalf("undirected-only runners %v, want nine", undirected)
 	}
-	for _, name := range []string{"mis", "coloring", "matching"} {
+	for _, name := range undirected {
 		status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/dir/query", map[string]any{"algo": name, "timeout_ms": 5000})
 		if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "undirected") {
 			t.Errorf("%s: status %d, body %v; want 400 naming the undirected requirement", name, status, body)
@@ -286,6 +288,44 @@ func TestUndirectedAlgorithmsRejectDirectedGraph(t *testing.T) {
 	}
 }
 
+// TestDirectedComponentsRefusedAtPlan: components on a directed graph is
+// refused when the query is planned, so it never reaches the result
+// cache, the engine or the snapshot store's incremental refresher (whose
+// IncrementalCC assumes a symmetric graph).
+func TestDirectedComponentsRefusedAtPlan(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	loadDirected(t, s)
+	before := metricsSnapshot(t, ts.URL)
+	for range 2 {
+		if status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/dir/query", map[string]any{"algo": "components"}); status != http.StatusBadRequest {
+			t.Fatalf("components on a directed graph: status %d, body %v; want 400", status, body)
+		}
+	}
+	after := metricsSnapshot(t, ts.URL)
+	if after.Updates.IncrementalRuns != before.Updates.IncrementalRuns || after.Updates.FullRuns != before.Updates.FullRuns {
+		t.Errorf("updates moved: incremental_runs %d -> %d, full_runs %d -> %d",
+			before.Updates.IncrementalRuns, after.Updates.IncrementalRuns, before.Updates.FullRuns, after.Updates.FullRuns)
+	}
+	if after.Query.Executions != before.Query.Executions || after.Query.Cache.Entries != before.Query.Cache.Entries {
+		t.Errorf("query engine moved: executions %d -> %d, cache entries %d -> %d",
+			before.Query.Executions, after.Query.Executions, before.Query.Cache.Entries, after.Query.Cache.Entries)
+	}
+}
+
+// loadDirected loads a directed rMat graph as "dir".
+func loadDirected(t *testing.T, s *Server) {
+	t.Helper()
+	g, err := gen.RMATDirected(9, 8, gen.PBBSRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().Load(context.Background(), "dir", "test:dir", func() (graph.View, error) { return g, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdmissionControl proves the bounded semaphore: with one slot and no
+// queue, a second query is rejected with 429 while the first executes.
 func TestAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueWait: 0})
 	if status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g", map[string]any{"gen": "rmat", "scale": 14}); status != http.StatusOK {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"ligra/internal/algo"
 	"ligra/internal/delta"
 )
 
@@ -69,37 +68,4 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			"dur_ms", elapsed)
 	}
 	writeJSON(w, http.StatusOK, updateResponse{Graph: name, ApplyResult: res, ElapsedMs: elapsed})
-}
-
-// incrementalRun serves the algorithms with incremental refresh paths
-// ("components", "pagerank-delta") from the pinned snapshot's delta
-// store: when the store's previous result can be carried forward by
-// replaying the delta log, the refresh touches only delta-affected
-// vertices; otherwise it falls back to a full recompute internally.
-// Reports false for every other algorithm, sending the caller to the
-// plain runner path. The result mirrors the registry runner's shape,
-// plus an "incremental" detail reporting which path served it. It runs
-// inside engine.Run, whose panic containment covers the refresh.
-func incrementalRun(ctx context.Context, pin *delta.Pin, algoName string, p algo.Params) (algo.RunResult, bool, error) {
-	st := pin.Store()
-	if st == nil {
-		return algo.RunResult{}, false, nil
-	}
-	switch algoName {
-	case "components":
-		res, incremental, err := st.RefreshCC(ctx, pin, p.EdgeMapOptions())
-		return algo.RunResult{
-			Summary: fmt.Sprintf("Components: %d components in %d rounds", res.Components, res.Rounds),
-			Details: map[string]any{"components": res.Components, "rounds": res.Rounds, "incremental": incremental},
-		}, true, err
-	case "pagerank-delta":
-		o := algo.DefaultPageRankOptions()
-		o.EdgeMap = p.EdgeMapOptions()
-		res, incremental, err := st.RefreshPageRankDelta(ctx, pin, o, 1e-3)
-		return algo.RunResult{
-			Summary: fmt.Sprintf("PageRank-Delta: %d iterations, final L1 change %.3g", res.Iterations, res.Err),
-			Details: map[string]any{"iterations": res.Iterations, "l1_change": res.Err, "incremental": incremental},
-		}, true, err
-	}
-	return algo.RunResult{}, false, nil
 }

@@ -331,7 +331,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	}
 	defer pin.Release()
 	st := pin.Store()
-	incRes, _, err := st.RefreshCC(context.Background(), pin, core.Options{})
+	incRes, _, err := pin.RefreshCC(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
