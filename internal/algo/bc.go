@@ -64,12 +64,22 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	// earlier round must stop them.
 	round := int32(0)
 	fwd := core.EdgeFuncs{
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			numPaths.Add(int(d), numPaths.Load(int(s)))
-			// A destination already claimed this round costs a load, not
-			// a locked CAS: test, then test-and-set.
-			return atomic.LoadInt32(&levels[d]) == -1 &&
-				atomicx.CASInt32(&levels[d], -1, roundLoad(&round))
+		// Push: s's count, settled last round, is read once per row and
+		// added into every destination still open this round (Cond,
+		// tested here); a destination already claimed this round costs a
+		// load, not a locked CAS: test, then test-and-set.
+		PushRow: func(s uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			r, paths := roundLoad(&round), numPaths.Load(int(s))
+			for _, d := range dsts {
+				if l := atomic.LoadInt32(&levels[d]); l != -1 && l != r {
+					continue
+				}
+				numPaths.Add(int(d), paths)
+				if atomic.LoadInt32(&levels[d]) == -1 && atomicx.CASInt32(&levels[d], -1, r) {
+					out = append(out, d)
+				}
+			}
+			return out
 		},
 		// Pull: d's single writer tests Cond with a plain load. Before d's
 		// one kernel call of a pull round nothing has set its level to this
@@ -134,11 +144,19 @@ func BCCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) 
 	// level.
 	backRound := int32(0)
 	bwd := core.EdgeFuncs{
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			contrib := numPaths.LoadNonAtomic(int(d)) / numPaths.LoadNonAtomic(int(s)) *
-				(1 + delta.Load(int(s)))
-			delta.Add(int(d), contrib)
-			return true
+		// Push: s's count and dependency, settled by the previous backward
+		// round, are read once per row; each destination one level
+		// shallower (Cond, tested here) gains its contribution. Like the
+		// pull kernel it lists no output: the sweep asks for none.
+		PushRow: func(s uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			level := atomic.LoadInt32(&backRound) - 1
+			paths, dep := numPaths.LoadNonAtomic(int(s)), delta.Load(int(s))
+			for _, d := range dsts {
+				if levels[d] == level {
+					delta.Add(int(d), numPaths.LoadNonAtomic(int(d))/paths*(1+dep))
+				}
+			}
+			return out
 		},
 		// Pull: for each d one level shallower than the frontier (Cond,
 		// tested here), the dependency accumulates in a register over its

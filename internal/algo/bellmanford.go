@@ -46,10 +46,29 @@ func BellmanFordCtx(ctx context.Context, g graph.View, source uint32, opts core.
 	funcs := core.EdgeFuncs{
 		// Push: every improving writeMin succeeds, so d may be improved by
 		// several sources in one round; the output keeps it once (see
-		// RemoveDuplicates below).
-		UpdateAtomic: func(s, d uint32, w int32) bool {
+		// RemoveDuplicates below). s's distance is read once per row: a
+		// concurrent improvement of it puts s in the next frontier, whose
+		// round relaxes its edges again. Weighted and unweighted rows get
+		// a loop each, as in the pull kernel.
+		PushRow: func(s uint32, dsts []uint32, wts []int32, out []uint32) []uint32 {
 			sd := atomic.LoadInt64(&dist[s])
-			return sd < InfDist && atomicx.WriteMinInt64(&dist[d], sd+int64(w))
+			if sd >= InfDist {
+				return out
+			}
+			if wts == nil {
+				for _, d := range dsts {
+					if atomicx.WriteMinInt64(&dist[d], sd+1) {
+						out = append(out, d)
+					}
+				}
+				return out
+			}
+			for j, d := range dsts {
+				if atomicx.WriteMinInt64(&dist[d], sd+int64(wts[j])) {
+					out = append(out, d)
+				}
+			}
+			return out
 		},
 		// Pull: each d's best relaxation in a register, one store. Every
 		// in-edge is relaxed, frontier or not: an edge whose source has not

@@ -50,3 +50,42 @@ func BenchmarkPullViews(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPushViews times the algorithms whose rounds are mostly push
+// rounds — BFS, BC and Bellman-Ford — on a weighted grid3d of side 32
+// behind the views a push round serves from: raw CSR ("heap"), a shallow
+// and a deep delta overlay, and the compressed decoder. Only "heap" hands
+// the row kernel its out-rows in place; the others fetch each row through
+// OutRow into the worker's scratch, so this is the check that those stay
+// as fast as they were:
+//
+//	go test -run '^$' -bench PushViews -count 7 ./internal/algo
+func BenchmarkPushViews(b *testing.B) {
+	g, err := gen.Grid3D(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g = g.AddWeights(graph.HashWeight(100))
+	views := viewtest.Matrix(b, g, viewtest.NetZero(g)...)
+	ctx := context.Background()
+	algos := []struct {
+		name string
+		run  func(v graph.View) error
+	}{
+		{"BFS", func(v graph.View) error { _, err := algo.BFSCtx(ctx, v, 0, core.Options{}); return err }},
+		{"BC", func(v graph.View) error { _, err := algo.BCCtx(ctx, v, 0, core.Options{}); return err }},
+		{"BellmanFord", func(v graph.View) error { _, err := algo.BellmanFordCtx(ctx, v, 0, core.Options{}); return err }},
+	}
+	for _, vname := range []string{"heap", "snapshot", "snapshot-deep", "compressed"} {
+		v := views[vname]
+		for _, a := range algos {
+			b.Run(vname+"/"+a.name, func(b *testing.B) {
+				for range b.N {
+					if err := a.run(v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -47,9 +47,16 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 	}
 
 	funcs := core.EdgeFuncs{
-		// Push: CAS claims the parent exactly once.
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			return atomic.CompareAndSwapUint32(&parents[d], core.None, s)
+		// Push: CAS claims the parent exactly once; the atomic load first
+		// skips a claimed destination without a locked instruction, and
+		// reads it safely while other workers CAS the same one.
+		PushRow: func(s uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			for _, d := range dsts {
+				if atomic.LoadUint32(&parents[d]) == core.None && atomic.CompareAndSwapUint32(&parents[d], core.None, s) {
+					out = append(out, d)
+				}
+			}
+			return out
 		},
 		// Pull: each d has a single writer, so an unvisited d is tested
 		// and claimed with plain loads and stores: the first frontier
@@ -71,8 +78,8 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 			}
 			return word
 		},
-		// Atomic load: sparse workers CAS parents[d] concurrently with
-		// other workers' Cond pre-checks on the same destination.
+		// Read where a pull round fetches a row that is not in a CSR's
+		// arrays, and by the direction rule as "can stop early".
 		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == core.None },
 	}
 
@@ -116,8 +123,15 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 
 	round := int32(0)
 	funcs := core.EdgeFuncs{
-		UpdateAtomic: func(_, d uint32, _ int32) bool {
-			return atomic.CompareAndSwapInt32(&levels[d], -1, round)
+		// Push: as in BFS, a tested CAS claims each destination once.
+		PushRow: func(_ uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			r := round
+			for _, d := range dsts {
+				if atomic.LoadInt32(&levels[d]) == -1 && atomic.CompareAndSwapInt32(&levels[d], -1, r) {
+					out = append(out, d)
+				}
+			}
+			return out
 		},
 		// Pull: as in BFS, any frontier in-neighbour settles an unvisited d.
 		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
@@ -137,8 +151,6 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 			}
 			return word
 		},
-		// Atomic load: sparse workers CAS levels[d] concurrently with
-		// other workers' Cond pre-checks on the same destination.
 		Cond: func(d uint32) bool { return atomic.LoadInt32(&levels[d]) == -1 },
 	}
 	// Same claim-once structure as BFS: dense rounds may early-exit.

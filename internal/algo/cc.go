@@ -82,11 +82,19 @@ func PropagateLabelsCtx(ctx context.Context, g graph.View, labels []uint32, seed
 		return 0, roundErr("components", 0, err)
 	}
 	funcs := core.EdgeFuncs{
-		// Push: writeMin, joining the frontier from the one update that
-		// moves d off the label it began the round with. Labels only
-		// shrink, so exactly one such update exists per round.
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			return shrinkFrom(&labels[d], atomic.LoadUint32(&labels[s]), prev[d])
+		// Push: writeMin of s's label, read once per row, over each d
+		// within the region, d joining the frontier from the one update
+		// that moves it off the label it began the round with. Labels only
+		// shrink, so exactly one such update exists per round; a label of
+		// s that shrinks during the round puts s in the next frontier.
+		PushRow: func(s uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			l := atomic.LoadUint32(&labels[s])
+			for _, d := range dsts {
+				if (within == nil || within(d)) && shrinkFrom(&labels[d], l, prev[d]) {
+					out = append(out, d)
+				}
+			}
+			return out
 		},
 		Cond: within,
 		// Pull: for each d within the region, the row's minimum label in a

@@ -325,22 +325,26 @@ func gain(gained *atomic.Uint64, newBits uint64) {
 //go:noinline
 func clusterFuncs(cur, next []uint64, maxLevel []int32, full uint64, r int32, gained *atomic.Uint64, record func(uint32, uint64, int32)) core.EdgeFuncs {
 	f := core.EdgeFuncs{
-		// Push: OR s's settled bits into d's in-flight word.
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			sBits := atomic.LoadUint64(&cur[s]) // read-only during a round
-			dBits := cur[d]                     // likewise read-only
-			// Skip the locked OR when every bit s carries is already at d
-			// or en route there this round — on scale-free graphs most
-			// in-edges of a hub arrive after the first few have delivered
-			// the union.
-			if sBits&^(dBits|atomic.LoadUint64(&next[d])) == 0 {
-				return false
+		// Push: OR s's settled bits, read once per row (cur is read-only
+		// during a round), into each d's in-flight word.
+		PushRow: func(s uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			sBits := atomic.LoadUint64(&cur[s])
+			for _, d := range dsts {
+				dBits := cur[d] // likewise read-only
+				// Skip the locked OR when every bit s carries is already at
+				// d or en route there this round — on scale-free graphs
+				// most in-edges of a hub arrive after the first few have
+				// delivered the union.
+				if sBits&^(dBits|atomic.LoadUint64(&next[d])) == 0 {
+					continue
+				}
+				atomicx.OrUint64(&next[d], sBits|dBits)
+				// Several sources may deliver to d in one round: the
+				// sweep's RemoveDuplicates keeps it once in a sparse
+				// output, and a forward round's output is a bitset.
+				out = append(out, d)
 			}
-			atomicx.OrUint64(&next[d], sBits|dBits)
-			// Several sources may deliver to d in one round: the sweep's
-			// RemoveDuplicates keeps it once in a sparse output, and a
-			// forward round's output is a bitset.
-			return true
+			return out
 		},
 		// Pull: OR the in-neighbours' settled words in a register and leave
 		// the row once all k bits are present — for one source that is

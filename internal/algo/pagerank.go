@@ -39,9 +39,15 @@ type PageRankResult struct {
 	Err float64
 }
 
+// pageRankGrain is the chunk of PageRankCtx's vertex passes. Their
+// partial sums — the dangling mass and the residual — are kept per chunk
+// and added in chunk order, so both are the same whatever the worker
+// count.
+const pageRankGrain = 4096
+
 // PageRankCtx runs the paper's PageRank (§5.5): every round is a
 // dense-leaning edgeMap over the full vertex set accumulating p[s]/deg⁺(s)
-// into each destination, followed by a vertexMap applying damping.
+// into each destination, followed by one vertex pass applying damping.
 // Dangling vertices (out-degree 0) have their rank redistributed
 // uniformly, the standard correction that preserves probability mass.
 //
@@ -81,13 +87,18 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 		return partial(err)
 	}
 
-	nghSum := atomicx.NewFloat64Slice(n)
+	nghSum := atomicx.NewFloat64Slice(n) // zero between rounds
 	all := core.NewAll(n)
 
 	funcs := core.EdgeFuncs{
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			nghSum.Add(int(d), pDiv[s])
-			return true
+		// Push: s's share added into each out-neighbour's sum. Like the
+		// pull kernel it lists no output: the rounds ask for none.
+		PushRow: func(s uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			share := pDiv[s]
+			for _, d := range dsts {
+				nghSum.Add(int(d), share)
+			}
+			return out
 		},
 		// Pull: the frontier is every vertex, so each whole in-row sums in
 		// a register — in row order, the order the per-edge adds ran in —
@@ -108,7 +119,49 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 	emOpts := opts.EdgeMap
 	emOpts.NoOutput = true
 
+	// Per-chunk partials of the vertex passes: the dangling mass (rank
+	// held by out-degree-0 vertices, spread evenly) and the residual.
+	chunks := (n + pageRankGrain - 1) / pageRankGrain
+	danglingPart, l1Part := make([]float64, chunks), make([]float64, chunks)
+	// The set-up pass: the first iteration's shares and dangling mass.
+	// pDiv of an out-degree-0 vertex is never written: it stays 0.
+	if err := parallel.ForWorkerChunks(ctx, n, pageRankGrain, func(_, c, lo, hi int) {
+		var dangling float64
+		for i := lo; i < hi; i++ {
+			if outDeg[i] > 0 {
+				pDiv[i] = p[i] / outDeg[i]
+			} else {
+				dangling += p[i]
+			}
+		}
+		danglingPart[c] = dangling
+	}); err != nil {
+		return partial(err)
+	}
+	dangling := sumInOrder(danglingPart)
+
+	// The commit pass: each vertex's next rank, its change, its next
+	// share and the next dangling mass, in one pass that also zeroes the
+	// sum it read, so a push round starts from zero. It runs to its end
+	// (commit ignores ctx's cancellation), so the ranks are always those
+	// of a completed iteration.
+	var base float64
 	commit := detached(ctx)
+	commitChunk := func(_, c, lo, hi int) {
+		var l1, dangling float64
+		for i := lo; i < hi; i++ {
+			next := base + opts.Damping*nghSum.LoadNonAtomic(i)
+			nghSum.StoreNonAtomic(i, 0)
+			l1 += math.Abs(next - p[i])
+			p[i] = next
+			if outDeg[i] > 0 {
+				pDiv[i] = next / outDeg[i]
+			} else {
+				dangling += next
+			}
+		}
+		l1Part[c], danglingPart[c] = l1, dangling
+	}
 	for {
 		if opts.MaxIterations > 0 && iters >= opts.MaxIterations {
 			break
@@ -116,47 +169,29 @@ func PageRankCtx(ctx context.Context, g graph.View, opts PageRankOptions) (*Page
 		if opts.Epsilon > 0 && errL1 < opts.Epsilon {
 			break
 		}
-		// Dangling mass: rank held by out-degree-0 vertices, spread evenly.
-		dangling, err := parallel.SumFunc(ctx, n, func(i int) float64 {
-			if outDeg[i] == 0 {
-				return p[i]
-			}
-			return 0
-		})
-		if err != nil {
-			return partial(err)
-		}
-		if err := parallel.For(ctx, n, func(i int) {
-			if outDeg[i] > 0 {
-				pDiv[i] = p[i] / outDeg[i]
-			} else {
-				pDiv[i] = 0
-			}
-			nghSum.StoreNonAtomic(i, 0)
-		}); err != nil {
-			return partial(err)
-		}
-
 		if _, err := core.EdgeMap(ctx, g, all, funcs, emOpts); err != nil {
 			// p has not been touched this round: the ranks are exactly
 			// those of the last completed iteration.
 			return partial(err)
 		}
 
-		base := (1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n)
-		l1, err := parallel.SumFunc(commit, n, func(i int) float64 {
-			next := base + opts.Damping*nghSum.LoadNonAtomic(i)
-			delta := math.Abs(next - p[i])
-			p[i] = next
-			return delta
-		})
-		if err != nil {
+		base = (1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n)
+		if err := parallel.ForWorkerChunks(commit, n, pageRankGrain, commitChunk); err != nil {
 			return partial(err)
 		}
-		errL1 = l1
+		errL1, dangling = sumInOrder(l1Part), sumInOrder(danglingPart)
 		iters++
 	}
 	return &PageRankResult{Ranks: p, Iterations: iters, Err: errL1}, nil
+}
+
+// sumInOrder is the sum of parts, added in order.
+func sumInOrder(parts []float64) float64 {
+	var sum float64
+	for _, x := range parts {
+		sum += x
+	}
+	return sum
 }
 
 // outDegrees returns every vertex's out-degree as a float64, so the power
@@ -174,7 +209,10 @@ func outDegrees(ctx context.Context, g graph.View) ([]float64, error) {
 // current rank stay in the frontier, so later iterations touch a shrinking
 // active set instead of the whole graph. On interruption it returns the
 // accumulated ranks of the last completed iteration plus a *RoundError
-// (the same commit-after-edgeMap contract as PageRankCtx).
+// (the same commit-after-edgeMap contract as PageRankCtx). It follows
+// Ligra's recurrence, which does not spread the rank an out-degree-0
+// vertex holds, so on a graph with such vertices its ranks differ from
+// PageRankCtx's, which spreads that mass over every vertex.
 func PageRankDeltaCtx(ctx context.Context, g graph.View, opts PageRankOptions, delta float64) (*PageRankResult, error) {
 	n := g.NumVertices()
 	return pageRankDelta(ctx, g, opts, delta, make([]float64, n), make([]float64, n), true)
@@ -219,9 +257,13 @@ func pageRankDelta(ctx context.Context, g graph.View, opts PageRankOptions, delt
 
 	nghSum := atomicx.NewFloat64Slice(n)
 	funcs := core.EdgeFuncs{
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			nghSum.Add(int(d), deltaDiv[s])
-			return true
+		// Push: as in PageRankCtx, over the active sources' shares.
+		PushRow: func(s uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			share := deltaDiv[s]
+			for _, d := range dsts {
+				nghSum.Add(int(d), share)
+			}
+			return out
 		},
 		// Pull: the active in-neighbours' shares summed in a register.
 		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
@@ -266,15 +308,13 @@ func pageRankDelta(ctx context.Context, g graph.View, opts PageRankOptions, delt
 		}); err != nil {
 			return partial(err)
 		}
-		if err := parallel.For(ctx, n, func(i int) { nghSum.StoreNonAtomic(i, 0) }); err != nil {
-			return partial(err)
-		}
 
 		if _, err := core.EdgeMap(ctx, g, frontier, funcs, emOpts); err != nil {
 			return partial(err)
 		}
 
-		// The commit runs to its end (see PageRankCtx).
+		// The commit runs to its end (see PageRankCtx), zeroing the sums
+		// it read for the next round.
 		var l1 float64
 		if cold && iters == 0 {
 			// First round: p was implicitly 1/n everywhere, so the rank
@@ -285,6 +325,7 @@ func pageRankDelta(ctx context.Context, g graph.View, opts PageRankOptions, delt
 			base := (1 - opts.Damping) * oneOverN
 			l1, err = parallel.SumFunc(commit, n, func(i int) float64 {
 				rank := opts.Damping*nghSum.LoadNonAtomic(i) + base
+				nghSum.StoreNonAtomic(i, 0)
 				p[i] = rank
 				deltas[i] = rank - oneOverN
 				return math.Abs(deltas[i])
@@ -292,6 +333,7 @@ func pageRankDelta(ctx context.Context, g graph.View, opts PageRankOptions, delt
 		} else {
 			l1, err = parallel.SumFunc(commit, n, func(i int) float64 {
 				change := opts.Damping * nghSum.LoadNonAtomic(i)
+				nghSum.StoreNonAtomic(i, 0)
 				deltas[i] = change
 				p[i] += change
 				return math.Abs(change)

@@ -64,15 +64,27 @@ func sameBits(a, b []float64) (int, bool) {
 	return 0, len(a) == len(b)
 }
 
+// rowModes are the differential tests' round modes — auto (the rounds a
+// query really runs), and every round forced through the pull kernel, the
+// sparse push or the forward push — each on one worker and on four.
+func rowModes() map[string]core.Options {
+	modes := map[string]core.Options{}
+	for mname, mode := range map[string]core.Mode{"auto": core.Auto, "dense": core.Pull, "sparse": core.Sparse, "forward": core.Forward} {
+		for _, procs := range []int{1, 4} {
+			modes[fmt.Sprintf("%s-p%d", mname, procs)] = core.Options{Mode: mode, Procs: procs}
+		}
+	}
+	return modes
+}
+
 // TestRowKernelsMatchPerEdgeAndOracle: on every representation, directly
-// and through the row adapter, each algorithm with a PullRows equals the
+// and through the row adapter, each algorithm with row kernels equals the
 // sequential oracle — BFS levels, component labels, spanning-forest roots
-// and Bellman-Ford distances exactly, BC within 1e-9 — in auto mode (the
-// rounds a query really runs), with every round forced through the pull
-// kernel, and with every round forced through its per-edge UpdateAtomic
-// self.
+// and Bellman-Ford distances exactly, BC within 1e-9 — in every mode of
+// rowModes: its pull kernel, its push kernel in sparse and forward
+// rounds, and the mix the direction rule picks.
 func TestRowKernelsMatchPerEdgeAndOracle(t *testing.T) {
-	modes := map[string]core.Options{"auto": {}, "dense": {Mode: core.Pull}, "sparse": {Mode: core.Sparse}}
+	modes := rowModes()
 	for gname, g := range rowGraphs(t) {
 		const src = 1
 		wantLevels := seq.BFSLevels(g, src)
@@ -221,12 +233,13 @@ func TestPageRankBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterBFSRowSweepMatchesKBFS: one pull sweep over K sources —
+// TestClusterBFSRowSweepMatchesKBFS: one sweep over K sources —
 // saturation exit and all — reports per source exactly the levels of K
 // independent BFSLevels runs, for the K that exercise the full-mask edge
 // cases (1: the mask is one bit; 64: it is every bit), with duplicate
 // sources sharing a vertex, on every representation and through the row
-// adapter.
+// adapter, in every mode of rowModes; and radii over the same sources
+// equal their eccentricities.
 func TestClusterBFSRowSweepMatchesKBFS(t *testing.T) {
 	for gname, g := range rowGraphs(t) {
 		n := g.NumVertices()
@@ -248,7 +261,17 @@ func TestClusterBFSRowSweepMatchesKBFS(t *testing.T) {
 				sources[3], sources[k-1] = sources[0], sources[0] // three bits on one vertex
 			}
 			for vname, v := range views {
-				for mname, opts := range map[string]core.Options{"auto": {}, "dense": {Mode: core.Pull}} {
+				for mname, opts := range rowModes() {
+					if k == 8 {
+						// Radii samples its own sources; K = 8 of them.
+						radii, err := algo.RadiiCtx(nil, v, algo.RadiiOptions{K: k, Seed: 5, EdgeMap: opts})
+						if err != nil {
+							t.Fatalf("%s/%s/%s radii: %v", gname, vname, mname, err)
+						}
+						if want := seq.Eccentricities(g, radii.Sources); !slices.Equal(radii.Radii, want) {
+							t.Fatalf("%s/%s/%s: radii %v, eccentricities %v", gname, vname, mname, radii.Radii, want)
+						}
+					}
 					res, err := algo.ClusterBFSCtx(nil, v, sources, algo.ClusterBFSOptions{EdgeMap: opts, WantLevels: true})
 					if err != nil {
 						t.Fatalf("%s/%s/%s k=%d: %v", gname, vname, mname, k, err)

@@ -16,7 +16,9 @@ import (
 )
 
 // EdgeFuncs bundles the per-edge application logic passed to EdgeMap,
-// corresponding to Ligra's F (update / updateAtomic) and C (cond):
+// corresponding to Ligra's F (update / updateAtomic) and C (cond). An
+// algorithm supplies a push implementation (PushRow, or UpdateAtomic) and
+// a pull one (PullRows, or Update/UpdateAtomic):
 //
 //   - UpdateAtomic(s, d, w) is applied to edge (s, d) when multiple sources
 //     may update the same destination concurrently (sparse push and dense-
@@ -47,19 +49,32 @@ import (
 //     condition inline. Every other row comes in a block of one, after
 //     Cond held. Each destination is handed to one goroutine, so its
 //     state needs no atomics; the kernel owns its loops — register
-//     accumulators, mid-row exits. It is the algorithm's pull
-//     implementation as UpdateAtomic is its push. Under DenseEarlyExit a
-//     row of a view with no CSR to read in place may come in two
-//     consecutive calls, a short prefix and then, only if that call
-//     returned 0 and Cond still holds, the rest (see edgeMapDense).
-//     DESIGN.md §5a has the full contract.
+//     accumulators, mid-row exits. Under DenseEarlyExit a row of a view
+//     with no CSR to read in place may come in two consecutive calls, a
+//     short prefix and then, only if that call returned 0 and Cond still
+//     holds, the rest (see edgeMapDense).
+//   - PushRow(s, dsts, wts, out), optional, is PullRows' push twin: it
+//     replaces the per-edge Cond/UpdateAtomic calls of a sparse or
+//     dense-forward round with one call per frontier source s. It applies
+//     the atomic update to every edge (s, dsts[j]) of weight wts[j] (nil:
+//     every weight is 1) whose destination passes the kernel's own
+//     condition — the driver calls no Cond — appends each destination
+//     that joins the output to out, and returns the extended slice. Calls
+//     for different sources run concurrently, so it uses the atomics
+//     UpdateAtomic would; exactly-once membership is still its job or
+//     RemoveDuplicates'. Over a raw *graph.Graph, dsts and wts are the
+//     CSR's own arrays, in place; over any other view, the row fetched
+//     into the worker's scratch.
 //
-// For unweighted graphs w is 1.
+// With PushRow and PullRows both set, Update and UpdateAtomic may be nil;
+// a bundle with no push implementation, or no pull one, is refused.
+// DESIGN.md §5a has the full contract. For unweighted graphs w is 1.
 type EdgeFuncs struct {
 	Update       func(s, d uint32, w int32) bool
 	UpdateAtomic func(s, d uint32, w int32) bool
 	Cond         func(d uint32) bool
 	PullRows     func(lo uint32, offs []int64, srcs []uint32, wts []int32, frontier []uint64) uint64
+	PushRow      func(s uint32, dsts []uint32, wts []int32, out []uint32) []uint32
 }
 
 // pushUpdate is the update function of the push traversals.
@@ -187,10 +202,13 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 	if u.UniverseSize() != n {
 		panic("core: EdgeMap frontier universe does not match graph")
 	}
-	if f.Update == nil && f.UpdateAtomic == nil {
-		// PullRows alone would work until the first sparse round
-		// dereferenced a nil update.
-		panic("core: EdgeMap EdgeFuncs has neither Update nor UpdateAtomic")
+	// A bundle missing one direction would work until the first round
+	// of that direction dereferenced a nil function.
+	if f.PushRow == nil && f.Update == nil && f.UpdateAtomic == nil {
+		panic("core: EdgeMap EdgeFuncs has no push kernel: neither PushRow nor Update/UpdateAtomic")
+	}
+	if f.PullRows == nil && f.Update == nil && f.UpdateAtomic == nil {
+		panic("core: EdgeMap EdgeFuncs has no pull kernel: neither PullRows nor Update/UpdateAtomic")
 	}
 	faultinject.OnRound()
 	if opts.Procs > 0 {
@@ -256,29 +274,35 @@ func EdgeMap(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, op
 
 // The rule's constants, from forced-mode runs of the same rounds on
 // weighted graphs at scale 18 (2-vCPU VM, GOMAXPROCS 2, per-round minimum
-// of five runs; times are one round's ms under sparse / dense-forward /
-// pull):
+// of five runs, push rounds through the algorithms' PushRow kernels;
+// times are one round's ms under sparse / dense-forward / pull). None
+// moved when the row kernels made push edges cheaper: no bracketing row
+// crossed its constant in a way the others agreed with.
 //
 //   - forwardWordRatio, forwardWordRatioFull: below the sparse threshold,
 //     a round goes forward once its frontier's out-edges outnumber the
-//     n/64 bitset words the forward round walks by this much. Where most
-//     push edges stop early, the word walk's fixed cost needs many edges
-//     to pay back: grid BFS at 9.0x the words reads 0.59 / 0.60, rMat BFS
-//     at 12.1x 0.93 / 0.94, grid radii at 13.4x 0.84 / 1.22 and 29.4x
-//     2.26 / 1.82. Where every push edge runs its update, vertex order
-//     pays sooner: grid Bellman-Ford at 1.3x reads 0.16 / 0.18, at 3.9x
-//     0.38 / 0.34 and at 8.5x 0.81 / 0.54 (rMat Bellman-Ford's one such
-//     round, 12.1x, reads 1.41 / 1.65, a 0.2 ms loss in a 250 ms run).
-//     The rule sees an early stop only as a Cond, so ClusterBFS, whose
-//     update stops most edges at its first test, gets the lower ratio.
+//     n/64 bitset words the forward round walks by this much. With a
+//     Cond, the graphs now pull the line apart: grid BFS at 9.0x the
+//     words reads 0.57 / 0.42 (forward is ahead from about 2x), while
+//     rMat BFS at 29.4x reads 1.23 / 1.45 — a row kernel pushing hub rows
+//     out of an ID array beats the word walk's atomic output bits. The
+//     rule sees neither row length nor skew, so 12 stays between them.
+//     Where every push edge runs its update, vertex order pays from about
+//     2x: grid Bellman-Ford at 1.2x reads 0.06 / 0.09, at 2.0x 0.13 /
+//     0.12, at 3.6x 0.30 / 0.22 and at 8.6x 0.50 / 0.39; rMat
+//     Bellman-Ford at 11.1x reads 0.74 / 0.73. The rule sees an early
+//     stop only as a Cond, so ClusterBFS, whose update stops most edges
+//     at its first test, gets the lower ratio: grid radii at 13.5x reads
+//     1.14 / 0.83, at 29.6x 1.98 / 1.06.
 //   - forwardEdgeCost: a forward round's edge (an atomic update on a
 //     scattered destination) costs about this many of a pull round's
 //     sequential in-edges, so a kernel that reads every in-edge pulls
-//     only once 5·outDeg(U) + n/64 reaches m. Grid radii crosses there:
-//     0.13m reads 2.38 forward against 2.66 pull, 0.20m 2.74 / 2.74,
-//     0.27m 4.59 / 2.77. Grid Bellman-Ford's largest frontier, 0.13m,
-//     forwards in 2.34 against a pull round's 3.1; rMat Bellman-Ford's
-//     0.19m round stays forward, below the line.
+//     only once 5·outDeg(U) + n/64 reaches m. Grid radii crosses near
+//     there: 0.13m reads 1.53 forward against 2.28 pull, 0.20m 2.10 /
+//     2.31, 0.27m 2.59 / 2.42. Grid Bellman-Ford's largest frontier,
+//     0.13m, forwards in 1.78 against a pull round's 2.85; rMat
+//     Bellman-Ford's 0.19m round, 7.09 / 18.51, stays forward, below the
+//     line.
 const (
 	forwardWordRatio     = 12
 	forwardWordRatioFull = 4
@@ -342,11 +366,12 @@ func traceRecord(t *Trace, u *VertexSubset, outDeg int64, mode Mode, out *Vertex
 }
 
 // roundScratch is one EdgeMap call's reusable state: the view's raw rows,
-// the degree scan's running sum, the sparse traversal's per-worker
-// buffers, and the loop bodies that read them. The bodies are built once
-// per scratch, so a round allocates no closures, and the buffers keep
-// their capacity from round to round, so a warm sparse round allocates
-// only its output. Calls take a scratch from roundPool and release it.
+// the degree scan's running sum, the push traversals' per-worker buffers,
+// and the loop bodies that read them. The bodies — the per-edge push
+// adapter among them — are built once per scratch, so a round allocates
+// no closures, and the buffers keep their capacity from round to round,
+// so a warm sparse round allocates only its output. Calls take a scratch
+// from roundPool and release it.
 type roundScratch struct {
 	// The round in flight, cleared by release.
 	g     graph.View
@@ -360,34 +385,74 @@ type roundScratch struct {
 	stopAfter int64
 	sum       atomic.Int64
 
-	// The sparse traversal.
+	// The push traversals: the row kernel (f.PushRow, or perEdge over
+	// update and cond), and per-worker buffers.
+	kernel  func(s uint32, dsts []uint32, wts []int32, out []uint32) []uint32
 	update  func(s, d uint32, w int32) bool
 	cond    func(d uint32) bool
 	keep    bool
-	claimed *bitset.Bitset // RemoveDuplicates: the round's output members
-	workers []sparseWorkerBuf
+	claimed *bitset.Bitset // sparse under RemoveDuplicates: the round's output members
+	fwdOut  *bitset.Bitset // forward: the output bitset; nil under NoOutput
+	workers []pushWorkerBuf
 	segLen  []int64
 
 	// The pull traversal: one row block per worker.
 	pulls []rowBlock
 
-	degIDs, degWords, push func(worker, chunk, lo, hi int)
+	degIDs, degWords, push, forward func(worker, chunk, lo, hi int)
+	perEdge                         func(s uint32, dsts []uint32, wts []int32, out []uint32) []uint32
 }
 
 var roundPool = sync.Pool{New: func() any {
 	sc := &roundScratch{}
 	sc.degIDs, sc.degWords = sc.degreesOfIDs, sc.degreesOfWords
-	sc.push = sc.pushChunk
+	sc.push, sc.forward = sc.pushChunk, sc.forwardChunk
+	sc.perEdge = sc.perEdgeRow
 	return sc
 }}
 
 // release drops the scratch's references into the round — the graph, the
-// frontier, the caller's functions and the claimed bitset — and pools it.
+// frontier, the caller's functions and the output bitsets — and pools it.
 // The worker buffers keep their capacity.
 func (sc *roundScratch) release() {
 	sc.g, sc.offs, sc.edges, sc.wts = nil, nil, nil, nil
-	sc.ids, sc.words, sc.update, sc.cond, sc.claimed = nil, nil, nil, nil, nil
+	sc.ids, sc.words, sc.kernel, sc.update, sc.cond = nil, nil, nil, nil, nil
+	sc.claimed, sc.fwdOut = nil, nil
 	roundPool.Put(sc)
+}
+
+// setPush readies the push traversals' row kernel: f.PushRow, or the
+// scratch's per-edge adapter over f's update and Cond.
+func (sc *roundScratch) setPush(f EdgeFuncs) {
+	sc.kernel = f.PushRow
+	if sc.kernel == nil {
+		sc.update, sc.cond, sc.kernel = f.pushUpdate(), f.Cond, sc.perEdge
+	}
+}
+
+// perEdgeRow is the push row kernel of a bundle without a PushRow:
+// Ligra's per-edge push loop, Cond then UpdateAtomic on every edge of the
+// row.
+func (sc *roundScratch) perEdgeRow(s uint32, dsts []uint32, wts []int32, out []uint32) []uint32 {
+	update, cond := sc.update, sc.cond
+	for j, d := range dsts {
+		w := int32(1)
+		if wts != nil {
+			w = wts[j]
+		}
+		if (cond == nil || cond(d)) && update(s, d, w) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// ensureWorkers sizes the per-worker push buffers for procs workers.
+func (sc *roundScratch) ensureWorkers(procs int) {
+	if cap(sc.workers) < procs {
+		sc.workers = make([]pushWorkerBuf, procs)
+	}
+	sc.workers = sc.workers[:procs]
 }
 
 // outDegree is v's out-degree, read off raw CSR offsets when there are.
@@ -404,11 +469,13 @@ func (sc *roundScratch) outRow(s uint32, buf *graph.Row) ([]uint32, []int32) {
 	if sc.offs == nil {
 		return sc.g.OutRow(s, buf)
 	}
+	// Capped at the row's end: a kernel that appended to its row could
+	// not write into the next one.
 	lo, hi := sc.offs[s], sc.offs[s+1]
 	if sc.wts == nil {
-		return sc.edges[lo:hi], nil
+		return sc.edges[lo:hi:hi], nil
 	}
-	return sc.edges[lo:hi], sc.wts[lo:hi]
+	return sc.edges[lo:hi:hi], sc.wts[lo:hi:hi]
 }
 
 // Block sizes for the capped degree sum: small enough that the scan stops
@@ -496,11 +563,11 @@ type sparseSeg struct {
 	chunk, start, end int
 }
 
-// sparseWorkerBuf is one worker's private output accumulation and row
-// scratch for edgeMapSparse. Workers only ever touch their own entry, so
-// appends are contention-free; the trailing pad keeps neighbouring
-// workers' slice headers on different cache lines.
-type sparseWorkerBuf struct {
+// pushWorkerBuf is one worker's private output accumulation and row
+// scratch for the push traversals. Workers only ever touch their own
+// entry, so appends are contention-free; the trailing pad keeps
+// neighbouring workers' slice headers on different cache lines.
+type pushWorkerBuf struct {
 	ids  []uint32
 	segs []sparseSeg
 	row  graph.Row
@@ -508,24 +575,27 @@ type sparseWorkerBuf struct {
 }
 
 // edgeMapSparse is Ligra's edgeMapSparse: push over the out-edges of the
-// frontier vertices. Successful targets are appended to per-worker output
-// buffers (no shared cursor, no atomics, no degree-sized scratch with
-// sentinel holes) and concatenated afterward in chunk order: successes in
+// frontier vertices, one row kernel call per frontier vertex. The kernel
+// appends its successes to the worker's output buffer (no shared cursor,
+// no atomics, no degree-sized scratch with sentinel holes), and the
+// buffers are concatenated afterward in chunk order: successes in
 // frontier edge order, writing only the successes instead of one slot per
 // scanned edge. A round the caller found small (see smallRoundWork) asks
 // for a single chunk, which parallel.ForWorkerChunks runs on the calling
 // goroutine with the same panic containment, ctx checks and
-// fault-injection hook as any other. Under RemoveDuplicates each success
-// first claims its destination's bit in a bitset, which then serves as the
-// output's dense form too: deduplication costs one bit per vertex and no
-// pass of its own.
+// fault-injection hook as any other. Under RemoveDuplicates each row's
+// successes then claim their destinations' bits in a bitset, in place,
+// and only the claiming ones stay; the bitset then serves as the output's
+// dense form too: deduplication costs one bit per vertex and no pass of
+// its own.
 func (sc *roundScratch) edgeMapSparse(ctx context.Context, u *VertexSubset, f EdgeFuncs, opts Options, oneChunk bool) (*VertexSubset, error) {
 	n := sc.g.NumVertices()
 	ids, err := u.ToSparse(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sc.ids, sc.update, sc.cond, sc.keep = ids, f.pushUpdate(), f.Cond, !opts.NoOutput
+	sc.ids, sc.keep = ids, !opts.NoOutput
+	sc.setPush(f)
 	if opts.RemoveDuplicates && sc.keep {
 		sc.claimed = bitset.New(n)
 	}
@@ -535,11 +605,7 @@ func (sc *roundScratch) edgeMapSparse(ctx context.Context, u *VertexSubset, f Ed
 		grain = parallel.AutoGrain(ctx, len(ids))
 	}
 	nchunks := (len(ids) + grain - 1) / grain
-	procs := parallel.CtxProcs(ctx)
-	if cap(sc.workers) < procs {
-		sc.workers = make([]sparseWorkerBuf, procs)
-	}
-	sc.workers = sc.workers[:procs]
+	sc.ensureWorkers(parallel.CtxProcs(ctx))
 	for w := range sc.workers {
 		sc.workers[w].ids, sc.workers[w].segs = sc.workers[w].ids[:0], sc.workers[w].segs[:0]
 	}
@@ -574,28 +640,40 @@ func (sc *roundScratch) edgeMapSparse(ctx context.Context, u *VertexSubset, f Ed
 	return out, nil
 }
 
-// pushChunk is edgeMapSparse's body over frontier positions [lo, hi).
+// pushChunk is edgeMapSparse's body over frontier positions [lo, hi):
+// one kernel call per source, appending into the worker's buffer.
 func (sc *roundScratch) pushChunk(wk, c, lo, hi int) {
 	wb := &sc.workers[wk]
 	buf := wb.ids
 	start := len(buf)
-	update, cond, keep, claimed := sc.update, sc.cond, sc.keep, sc.claimed
+	kernel, keep, claimed := sc.kernel, sc.keep, sc.claimed
 	for _, s := range sc.ids[lo:hi] {
 		row, wts := sc.outRow(s, &wb.row)
-		for j, d := range row {
-			w := int32(1)
-			if wts != nil {
-				w = wts[j]
-			}
-			if (cond == nil || cond(d)) && update(s, d, w) && keep && (claimed == nil || claimed.SetAtomic(int(d))) {
-				buf = append(buf, d)
-			}
+		tail := len(buf)
+		buf = kernel(s, row, wts, buf)
+		if !keep {
+			buf = buf[:tail]
+		} else if claimed != nil {
+			buf = claimTail(claimed, buf, tail)
 		}
 	}
 	wb.ids = buf
 	wb.segs = append(wb.segs, sparseSeg{chunk: c, start: start, end: len(buf)})
 	// Each chunk is dispatched to exactly one worker: no contention.
 	sc.segLen[c] = int64(len(buf) - start)
+}
+
+// claimTail keeps, in place and in order, the destinations of buf[tail:]
+// whose bit this call claims in claimed, and returns buf cut to them.
+func claimTail(claimed *bitset.Bitset, buf []uint32, tail int) []uint32 {
+	k := tail
+	for _, d := range buf[tail:] {
+		if claimed.SetAtomic(int(d)) {
+			buf[k] = d
+			k++
+		}
+	}
+	return buf[:k]
 }
 
 // denseBlockAlign is the alignment of the dense traversal's destination
@@ -862,52 +940,50 @@ func (sc *roundScratch) edgeMapDense(ctx context.Context, u *VertexSubset, f Edg
 
 // edgeMapDenseForward is Ligra's write-based dense variant: loop over all
 // vertices, and for frontier members push over out-edges with atomic
-// updates. It avoids the transpose (useful for graphs stored only forward)
-// at the cost of atomics and no early exit. The frontier bit vector is
-// scanned a word at a time: an empty word costs one load, not 64 bit tests.
+// updates, one row kernel call per member. It avoids the transpose
+// (useful for graphs stored only forward) at the cost of atomics and no
+// early exit. The frontier bit vector is scanned a word at a time: an
+// empty word costs one load, not 64 bit tests. The kernel appends a row's
+// successes to the worker's pooled buffer, whose bits are then set in the
+// output.
 func (sc *roundScratch) edgeMapDenseForward(ctx context.Context, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := sc.g.NumVertices()
 	ud, err := u.ToDense(ctx)
 	if err != nil {
 		return nil, err
 	}
-	update := f.pushUpdate()
-	cond := f.Cond
-
-	var out *bitset.Bitset
+	sc.setPush(f)
 	if !opts.NoOutput {
-		out = bitset.New(n)
+		sc.fwdOut = bitset.New(n)
 	}
-	words := ud.Words()
-	err = parallel.ForRange(ctx, len(words), func(lo, hi int) {
-		var buf graph.Row
-		for wi := lo; wi < hi; wi++ {
-			w := words[wi]
-			if w == 0 {
-				continue
-			}
-			base := uint32(wi * 64)
-			for w != 0 {
-				s := base + uint32(bits.TrailingZeros64(w))
-				w &= w - 1
-				row, wts := sc.outRow(s, &buf)
-				for j, d := range row {
-					ew := int32(1)
-					if wts != nil {
-						ew = wts[j]
-					}
-					if (cond == nil || cond(d)) && update(s, d, ew) && out != nil {
-						out.SetAtomic(int(d))
-					}
+	sc.words = ud.Words()
+	sc.ensureWorkers(parallel.CtxProcs(ctx))
+	if err := parallel.ForWorkerChunks(ctx, len(sc.words), 0, sc.forward); err != nil {
+		return nil, err
+	}
+	if sc.fwdOut == nil {
+		return NewEmpty(n), nil
+	}
+	return NewDense(n, sc.fwdOut), nil
+}
+
+// forwardChunk is edgeMapDenseForward's body over frontier words [lo, hi).
+func (sc *roundScratch) forwardChunk(wk, _, lo, hi int) {
+	wb := &sc.workers[wk]
+	buf := wb.ids[:0]
+	kernel, out := sc.kernel, sc.fwdOut
+	for wi := lo; wi < hi; wi++ {
+		base := uint32(wi * 64)
+		for w := sc.words[wi]; w != 0; w &= w - 1 {
+			s := base + uint32(bits.TrailingZeros64(w))
+			row, wts := sc.outRow(s, &wb.row)
+			buf = kernel(s, row, wts, buf[:0])
+			if out != nil {
+				for _, d := range buf {
+					out.SetAtomic(int(d))
 				}
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	if out == nil {
-		return NewEmpty(n), nil
-	}
-	return NewDense(n, out), nil
+	wb.ids = buf[:0]
 }

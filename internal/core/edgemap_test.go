@@ -286,28 +286,35 @@ func TestEdgeMapUniverseMismatchPanics(t *testing.T) {
 	edgeMap(g, NewEmpty(5), EdgeFuncs{}, Options{})
 }
 
-// TestEdgeMapKernelOnlyFuncsRejected: a bundle with a PullRows and no push
-// update used to run on dense CSR rounds and nil-dereference in a worker on
-// every other; it is refused by name whichever direction the round takes.
+// TestEdgeMapKernelOnlyFuncsRejected: a bundle with a row kernel for one
+// direction only — a PullRows and no push update, or a PushRow and no pull
+// update — used to run on that direction's rounds and nil-dereference in a
+// worker on every other; it is refused by name whichever direction the
+// round takes.
 func TestEdgeMapKernelOnlyFuncsRejected(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
-	f := EdgeFuncs{PullRows: func(uint32, []int64, []uint32, []int32, []uint64) uint64 { return 1 }}
+	pullOnly := EdgeFuncs{PullRows: func(uint32, []int64, []uint32, []int32, []uint64) uint64 { return 1 }}
+	pushOnly := EdgeFuncs{PushRow: func(_ uint32, _ []uint32, _ []int32, out []uint32) []uint32 { return out }}
 	for _, tc := range []struct {
 		name string
+		f    EdgeFuncs
 		u    *VertexSubset
 		mode Mode
+		want string
 	}{
-		{"sparse round", NewSingle(n, 0), Sparse},
-		{"dense round", NewAll(n), Pull},
+		{"sparse round", pullOnly, NewSingle(n, 0), Sparse, "no push kernel"},
+		{"dense round", pullOnly, NewAll(n), Pull, "no push kernel"},
+		{"push-only sparse round", pushOnly, NewSingle(n, 0), Sparse, "no pull kernel"},
+		{"push-only dense round", pushOnly, NewAll(n), Pull, "no pull kernel"},
 	} {
 		func() {
 			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "neither Update nor UpdateAtomic") {
-					t.Errorf("%s: recovered %q, want the named EdgeFuncs rejection", tc.name, msg)
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: recovered %q, want the %q rejection", tc.name, msg, tc.want)
 				}
 			}()
-			_, _ = EdgeMap(context.Background(), g, tc.u, f, Options{Mode: tc.mode})
+			_, _ = EdgeMap(context.Background(), g, tc.u, tc.f, Options{Mode: tc.mode})
 		}()
 	}
 }

@@ -15,13 +15,14 @@ import (
 
 // TestRoundAllocs pins what one warm round of each kind allocates on a
 // side-32 torus, on one worker so that the pool's dispatch bookkeeping is
-// not counted. A sparse round reuses the call's pooled scratch — worker
-// buffers, chunk lengths, loop bodies — and allocates only its output ID
-// array and the subset wrapping it. A dense round allocates its output
-// bitset (two objects), the subset, and its loop's closure and the
-// wrapper the range loop puts round it; the forward round one more.
-// Under the race detector the rounds still run, on the shared scratch,
-// but the counts are only logged.
+// not counted, for a bundle that pushes through UpdateAtomic (the pooled
+// per-edge adapter) and one that pushes through a PushRow. A sparse round
+// reuses the call's pooled scratch — worker buffers, chunk lengths, loop
+// bodies, the adapter — and allocates only its output ID array and the
+// subset wrapping it. A forward round allocates its output bitset (two
+// objects) and the subset; a pull round also its loop's closure. Under
+// the race detector the rounds still run, on the shared scratch, but the
+// counts are only logged.
 func TestRoundAllocs(t *testing.T) {
 	g, err := gen.Grid3D(32)
 	if err != nil {
@@ -57,26 +58,38 @@ func TestRoundAllocs(t *testing.T) {
 		bits.Set(v)
 	}
 	dense := NewDense(n, bits)
-	f := EdgeFuncs{UpdateAtomic: push, PullRows: pull}
-	for _, tc := range []struct {
-		name string
-		u    *VertexSubset
-		opts Options
-		max  float64
-	}{
-		{"sparse-small", NewSparse(n, small), Options{Mode: Sparse}, 2},
-		{"sparse-large", NewSparse(n, large), Options{Mode: Sparse}, 2},
-		{"forward", dense, Options{Mode: Forward}, 6},
-		{"pull", dense, Options{Mode: Pull}, 5},
-	} {
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := EdgeMap(ctx, g, tc.u, f, tc.opts); err != nil {
-				t.Fatal(err)
+	pushRow := func(_ uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+		for _, d := range dsts {
+			if d%3 == 0 {
+				out = append(out, d)
 			}
-		})
-		t.Logf("%s: %.0f allocations per round", tc.name, allocs)
-		if !raceEnabled && allocs > tc.max {
-			t.Errorf("%s round made %.0f allocations, want <= %.0f", tc.name, allocs, tc.max)
+		}
+		return out
+	}
+	for kname, f := range map[string]EdgeFuncs{
+		"UpdateAtomic": {UpdateAtomic: push, PullRows: pull},
+		"PushRow":      {PushRow: pushRow, PullRows: pull},
+	} {
+		for _, tc := range []struct {
+			name string
+			u    *VertexSubset
+			opts Options
+			max  float64
+		}{
+			{"sparse-small", NewSparse(n, small), Options{Mode: Sparse}, 2},
+			{"sparse-large", NewSparse(n, large), Options{Mode: Sparse}, 2},
+			{"forward", dense, Options{Mode: Forward}, 6},
+			{"pull", dense, Options{Mode: Pull}, 5},
+		} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := EdgeMap(ctx, g, tc.u, f, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s/%s: %.0f allocations per round", kname, tc.name, allocs)
+			if !raceEnabled && allocs > tc.max {
+				t.Errorf("%s/%s round made %.0f allocations, want <= %.0f", kname, tc.name, allocs, tc.max)
+			}
 		}
 	}
 }

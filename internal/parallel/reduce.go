@@ -10,39 +10,42 @@ type Number interface {
 		~float32 | ~float64
 }
 
-// reduce combines fn(i) for i in [0, n) with the associative operation
-// combine, starting from the identity element id. The blocks are fixed by
-// n and ctx's worker count and combined in block order, so a reduction is
+// blockPartials runs block over the fixed blocks of [0, n) and returns
+// their results in block order. The blocks are fixed by n and ctx's worker
+// count, so a reduction that combines the partials in order is
 // deterministic for a given worker count — floating-point sums included.
-// combine must be associative; it need not be commutative.
-func reduce[T any](ctx context.Context, n int, id T, fn func(i int) T, combine func(a, b T) T) (T, error) {
-	if n <= 0 {
-		return id, CtxErr(ctx)
-	}
+// Each reduction below runs its own loop over a block, on a local
+// accumulator, so an element costs only the caller's fn call; the
+// combining happens across blocks alone.
+func blockPartials[T any](ctx context.Context, n int, block func(lo, hi int) T) ([]T, error) {
 	blocks := numBlocks(ctx, n)
 	partial := make([]T, blocks)
 	err := ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
-		lo, hi := blockBounds(n, blocks, b)
-		acc := id
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, fn(i))
-		}
-		partial[b] = acc
+		partial[b] = block(blockBounds(n, blocks, b))
 	})
-	if err != nil {
-		return id, err
-	}
-	acc := id
-	for _, p := range partial {
-		acc = combine(acc, p)
-	}
-	return acc, nil
+	return partial, err
 }
 
 // SumFunc returns the sum of fn(i) over [0, n) computed in parallel.
 func SumFunc[T Number](ctx context.Context, n int, fn func(i int) T) (T, error) {
-	var zero T
-	return reduce(ctx, n, zero, fn, func(a, b T) T { return a + b })
+	var sum T
+	if n <= 0 {
+		return sum, CtxErr(ctx)
+	}
+	partial, err := blockPartials(ctx, n, func(lo, hi int) T {
+		var acc T
+		for i := lo; i < hi; i++ {
+			acc += fn(i)
+		}
+		return acc
+	})
+	if err != nil {
+		return sum, err
+	}
+	for _, p := range partial {
+		sum += p
+	}
+	return sum, nil
 }
 
 // MaxFunc returns the maximum of fn(i) over [0, n). n must be positive.
@@ -51,12 +54,27 @@ func MaxFunc[T Number](ctx context.Context, n int, fn func(i int) T) (T, error) 
 		panic("parallel: MaxFunc on empty range")
 	}
 	first := fn(0)
-	return reduce(ctx, n, first, fn, func(a, b T) T {
-		if a > b {
-			return a
+	// Every block starts from fn(0), as the result does: a block whose
+	// elements are all below it contributes it again.
+	partial, err := blockPartials(ctx, n, func(lo, hi int) T {
+		acc := first
+		for i := lo; i < hi; i++ {
+			if v := fn(i); !(acc > v) {
+				acc = v
+			}
 		}
-		return b
+		return acc
 	})
+	if err != nil {
+		return first, err
+	}
+	best := first
+	for _, p := range partial {
+		if !(best > p) {
+			best = p
+		}
+	}
+	return best, nil
 }
 
 // Max returns the maximum element of s. s must be non-empty.
@@ -66,12 +84,26 @@ func Max[T Number](ctx context.Context, s []T) (T, error) {
 
 // CountFunc returns the number of i in [0, n) for which pred(i) is true.
 func CountFunc(ctx context.Context, n int, pred func(i int) bool) (int, error) {
-	return SumFunc(ctx, n, func(i int) int {
-		if pred(i) {
-			return 1
+	if n <= 0 {
+		return 0, CtxErr(ctx)
+	}
+	partial, err := blockPartials(ctx, n, func(lo, hi int) int {
+		c := 0
+		for i := lo; i < hi; i++ {
+			if pred(i) {
+				c++
+			}
 		}
-		return 0
+		return c
 	})
+	if err != nil {
+		return 0, err
+	}
+	count := 0
+	for _, p := range partial {
+		count += p
+	}
+	return count, nil
 }
 
 // MaxIndexFunc returns the index i in [0, n) maximizing key(i), breaking
@@ -84,13 +116,26 @@ func MaxIndexFunc[T Number](ctx context.Context, n int, key func(i int) T) (int,
 		i int
 		k T
 	}
-	best, err := reduce(ctx, n, kv{0, key(0)},
-		func(i int) kv { return kv{i, key(i)} },
-		func(a, b kv) kv {
-			if b.k > a.k || (b.k == a.k && b.i < a.i) {
-				return b
+	first := kv{0, key(0)}
+	// Within a block indices rise, so only a strictly larger key wins;
+	// across blocks a tie goes to the smaller index.
+	partial, err := blockPartials(ctx, n, func(lo, hi int) kv {
+		best := first
+		for i := lo; i < hi; i++ {
+			if k := key(i); k > best.k {
+				best = kv{i, k}
 			}
-			return a
-		})
-	return best.i, err
+		}
+		return best
+	})
+	if err != nil {
+		return first.i, err
+	}
+	best := first
+	for _, p := range partial {
+		if p.k > best.k || (p.k == best.k && p.i < best.i) {
+			best = p
+		}
+	}
+	return best.i, nil
 }

@@ -64,16 +64,21 @@ type (
 	// dense representations (Ligra's vertexSubset).
 	VertexSubset = core.VertexSubset
 	// EdgeFuncs bundles the Update / UpdateAtomic / Cond functions passed
-	// to EdgeMap (Ligra's F and C), plus the optional PullRows: a block
-	// kernel that runs a dense round's in-rows for a block of consecutive
+	// to EdgeMap (Ligra's F and C), plus two optional row kernels.
+	// PullRows runs a dense round's in-rows for a block of consecutive
 	// destinations in a single call instead of one Update call per edge,
 	// and returns their output bits as one word. Over a CSR Graph, and
 	// over the rows a live snapshot of one has not replaced, a block is
 	// up to 64 destinations and no Cond is called, so the kernel tests its
 	// own condition; every other row comes in a block of one, after its
 	// Cond held (under DenseEarlyExit a decoded row may come in two
-	// pieces). See core.EdgeFuncs and docs/PERFORMANCE.md §3 for the
-	// contract.
+	// pieces). PushRow runs a push round's whole out-row of one frontier
+	// source in a single call instead of a Cond and an UpdateAtomic call
+	// per edge: it tests its own condition, updates with atomics, and
+	// appends the destinations that join the output to the slice it is
+	// handed. With both kernels set, Update and UpdateAtomic may be nil;
+	// EdgeMap refuses a bundle with no push or no pull implementation.
+	// See core.EdgeFuncs and docs/PERFORMANCE.md §3 for the contract.
 	EdgeFuncs = core.EdgeFuncs
 	// Options tunes one EdgeMap call (mode, threshold, dedup, tracing).
 	Options = core.Options
