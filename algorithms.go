@@ -109,16 +109,10 @@ func BCApprox(ctx context.Context, g View, k int, seed uint64, opts Options) (*B
 }
 
 // Radii estimates per-vertex eccentricities with K simultaneous BFS
-// sharing 64-bit visit vectors (paper §5.3); estimates remain valid lower
-// bounds on interruption.
+// sharing 64-bit visit vectors (paper §5.3), one sweep per 64 sources;
+// estimates remain valid lower bounds on interruption.
 func Radii(ctx context.Context, g View, opts RadiiOptions) (*RadiiResult, error) {
 	return contain(func() (*RadiiResult, error) { return algo.RadiiCtx(ctx, g, opts) })
-}
-
-// RadiiMulti extends Radii beyond 64 sources by batching 64-way
-// shared-bit-vector multi-BFS runs (extension).
-func RadiiMulti(ctx context.Context, g View, k int, seed uint64, opts Options) (*RadiiResult, error) {
-	return contain(func() (*RadiiResult, error) { return algo.RadiiMultiCtx(ctx, g, k, seed, opts) })
 }
 
 // DefaultRadiiOptions returns the paper's parameters (K=64).

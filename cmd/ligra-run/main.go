@@ -11,8 +11,9 @@
 //	ligra-run -algo components -graph web.bin -mode sparse -rounds 5
 //	ligra-run -algo bfs -gen rmat -scale 16 -stats
 //
-// -trace prints the per-round frontier/mode table; -stats additionally
-// prints the aggregate traversal counters (see docs/PERFORMANCE.md §5).
+// -trace prints the per-round frontier/mode/duration table of the fastest
+// repetition; -stats additionally prints the aggregate traversal counters
+// (see docs/PERFORMANCE.md §5).
 //
 // Exit status: 0 on success, 1 on load/usage error, 2 when -timeout
 // expired and a partial result was reported; the final output line states
@@ -32,7 +33,6 @@ import (
 	"ligra"
 	"ligra/internal/algo"
 	"ligra/internal/gen"
-	"ligra/internal/parallel"
 )
 
 // algoUsage lists the -algo values and which of them refuse a directed
@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 		mode      = fs.String("mode", "auto", "edgeMap mode: "+modeNames())
 		threshold = fs.Int64("threshold", 0, "edgeMap dense-switch threshold (0 = |E|/20)")
 		rounds    = fs.Int("rounds", 1, "timed repetitions (fastest reported)")
-		trace     = fs.Bool("trace", false, "print the per-round edgeMap trace")
+		trace     = fs.Bool("trace", false, "print the per-round edgeMap trace of the fastest repetition")
 		stats     = fs.Bool("stats", false, "print per-round dense/sparse decisions and the aggregate traversal counters")
 		compressG = fs.Bool("compress", false, "compress a CSR input in memory and run on the Ligra+ byte-compressed representation")
 		mmapG     = fs.Bool("mmap", false, "memory-map a compressed (LIGRAGC1) -graph input instead of heap-loading it")
@@ -154,8 +154,8 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("source %d out of range (n=%d)", *source, view.NumVertices())
 		}
 		src = uint32(*source)
-	} else {
-		src = maxDegreeVertex(view)
+	} else if src, err = algo.DefaultSource(context.Background(), view); err != nil {
+		return err
 	}
 
 	reps := *rounds
@@ -176,15 +176,24 @@ func run(args []string, stdout io.Writer) error {
 	statsBefore := ligra.SnapshotTraversalStats()
 	schedBefore := ligra.SnapshotSchedulerStats()
 	var best time.Duration
+	var bestTrace []ligra.TraceEntry
 	var res algo.RunResult
 	var interruptErr error
 	done := 0
 	for r := 0; r < reps; r++ {
+		if tr != nil {
+			// Each repetition traces into a fresh slice, so the fastest
+			// one's rows are kept whole.
+			tr.Entries = nil
+		}
 		start := time.Now()
 		var err error
 		res, err = runner.Run(ctx, view, params)
 		if d := time.Since(start); r == 0 || d < best {
 			best = d
+			if tr != nil {
+				bestTrace = tr.Entries
+			}
 		}
 		done = r + 1
 		if err != nil {
@@ -205,10 +214,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "time: %v (best of %d)\n", best, done)
 	if tr != nil {
-		fmt.Fprintln(stdout, "round  |frontier|  outdegrees  mode           output")
-		for _, e := range tr.Entries {
-			fmt.Fprintf(stdout, "%5d  %10d  %10d  %-13s  %d\n",
-				e.Round, e.FrontierSize, e.OutDegrees, e.Mode, e.OutputSize)
+		fmt.Fprintf(stdout, "%5s  %10s  %10s  %-13s  %10s  %8s\n", "round", "|frontier|", "outdegrees", "mode", "output", "ms")
+		for _, e := range bestTrace {
+			fmt.Fprintf(stdout, "%5d  %10d  %10d  %-13s  %10d  %8.3f\n",
+				e.Round, e.FrontierSize, e.OutDegrees, e.Mode, e.OutputSize, float64(e.Duration)/float64(time.Millisecond))
 		}
 	}
 	if *stats {
@@ -240,15 +249,4 @@ func loadOrGenerate(path string, symmetric, mmap bool, family string, scale int,
 	default:
 		return nil, fmt.Errorf("provide -graph FILE or -gen FAMILY")
 	}
-}
-
-// maxDegreeVertex is the default source: the highest-out-degree vertex,
-// ties to the smallest ID, and 0 on a graph with no vertices. A
-// Background ctx never cancels, the only way MaxIndexFunc fails.
-func maxDegreeVertex(g ligra.View) uint32 {
-	if g.NumVertices() == 0 {
-		return 0
-	}
-	v, _ := parallel.MaxIndexFunc(context.Background(), g.NumVertices(), func(v int) int { return g.OutDegree(uint32(v)) })
-	return uint32(v)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -50,17 +51,59 @@ func TestRunModesAndTrace(t *testing.T) {
 			t.Errorf("mode %s: trace missing", mode)
 		}
 		// A forced mode labels every round with its own name.
-		_, rows, _ := strings.Cut(out, "output\n")
-		rows, _, _ = strings.Cut(rows, "status:")
-		for _, line := range strings.Split(strings.TrimSpace(rows), "\n") {
-			if f := strings.Fields(line); mode != "auto" && (len(f) != 5 || f[3] != mode) {
-				t.Errorf("mode %s: trace row %q", mode, line)
+		for _, f := range traceRows(t, out) {
+			if mode != "auto" && f[3] != mode {
+				t.Errorf("mode %s: trace row %q", mode, f)
 			}
 		}
 	}
 	var buf bytes.Buffer
 	if err := run([]string{"-algo", "bfs", "-gen", "rmat", "-scale", "8", "-mode", "bogus"}, &buf); err == nil {
 		t.Error("bogus mode accepted")
+	}
+}
+
+// traceRows returns the fields of every -trace table row in out, failing
+// on a row that is not round, frontier, out-degrees, mode, output, ms.
+func traceRows(t *testing.T, out string) [][]string {
+	t.Helper()
+	_, rows, ok := strings.Cut(out, " ms\n")
+	if !ok {
+		t.Fatalf("no trace table in %q", out)
+	}
+	rows, _, _ = strings.Cut(rows, "status:")
+	var table [][]string
+	for _, line := range strings.Split(strings.TrimSpace(rows), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 {
+			t.Fatalf("trace row %q has %d fields, want 6", line, len(f))
+		}
+		if ms, err := strconv.ParseFloat(f[5], 64); err != nil || ms < 0 {
+			t.Fatalf("trace row %q: ms column %q", line, f[5])
+		}
+		table = append(table, f)
+	}
+	return table
+}
+
+// TestTraceIsFastestRepetition runs a 12-round BFS three times: the
+// trace table holds one repetition, its round numbers 0 up to 12.
+func TestTraceIsFastestRepetition(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-algo", "bfs", "-gen", "grid3d", "-scale", "9", "-source", "0", "-rounds", "3", "-trace"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "in 12 rounds") {
+		t.Fatalf("want a 12-round BFS, got %q", buf.String())
+	}
+	rows := traceRows(t, buf.String())
+	if len(rows) != 13 {
+		t.Fatalf("%d trace rows, want 13 (rounds 0-12 of one repetition)", len(rows))
+	}
+	for i, f := range rows {
+		if f[0] != strconv.Itoa(i) {
+			t.Errorf("row %d numbered %s", i, f[0])
+		}
 	}
 }
 
@@ -199,7 +242,15 @@ func TestMaxDegreeVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := maxDegreeVertex(g)
+	defaultSource := func(g ligra.View) uint32 {
+		t.Helper()
+		v, err := algo.DefaultSource(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	v := defaultSource(g)
 	for u := 0; u < g.NumVertices(); u++ {
 		if g.OutDegree(uint32(u)) > g.OutDegree(v) {
 			t.Fatalf("vertex %d beats claimed max %d", u, v)
@@ -211,14 +262,14 @@ func TestMaxDegreeVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := maxDegreeVertex(path); v != 1 {
+	if v := defaultSource(path); v != 1 {
 		t.Errorf("tied degrees: default source %d, want 1", v)
 	}
 	empty, err := ligra.ReadAdjacency(strings.NewReader("AdjacencyGraph\n0\n0\n"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := maxDegreeVertex(empty); v != 0 {
+	if v := defaultSource(empty); v != 0 {
 		t.Errorf("empty graph: default source %d, want 0", v)
 	}
 }

@@ -93,12 +93,12 @@ func main() {
 			agree, sepTime.Round(time.Microsecond))
 
 		// The refinements beyond the paper: a periphery-seeded second
-		// pass, and batching past the 64-bit word limit.
+		// pass, and a sample past the 64-bit word (one sweep per 64).
 		tp, err := ligra.TwoPassEccentricity(ctx, g, 64, 99, ligra.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		wide, err := ligra.RadiiMulti(ctx, g, 128, 99, ligra.Options{})
+		wide, err := ligra.Radii(ctx, g, ligra.RadiiOptions{K: 128, Seed: 99})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func main() {
 				wideMax = r
 			}
 		}
-		fmt.Printf("  two-pass (K=64): diameter >= %d;  multi-batch (K=128): diameter >= %d\n\n",
+		fmt.Printf("  two-pass (K=64): diameter >= %d;  two sweeps (K=128): diameter >= %d\n\n",
 			tp.DiameterLowerBound, wideMax)
 	}
 }

@@ -38,14 +38,22 @@ type BFSResult struct {
 // forest over all vertices claimed so far — together with a *RoundError
 // wrapping the cause.
 func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) (*BFSResult, error) {
-	n := g.NumVertices()
-	parents := make([]uint32, n)
-	err := fill(ctx, parents, core.None)
-	parents[source] = source
-	if err != nil {
+	parents := make([]uint32, g.NumVertices())
+	if err := fill(ctx, parents, core.None); err != nil {
+		parents[source] = source
 		return &BFSResult{Parents: parents, Visited: 1}, roundErr("bfs", 0, err)
 	}
+	visited, rounds, err := bfsFrom(ctx, g, parents, source, opts)
+	return &BFSResult{Parents: parents, Rounds: rounds, Visited: visited}, roundErr("bfs", rounds, err)
+}
 
+// bfsFrom is BFS's claim loop: it makes source a root of parents and
+// claims, one level per round, every vertex reachable from it whose
+// parent is still core.None. It returns the vertices it claimed (the
+// source included) and the rounds that found new ones; on an error every
+// claim made so far stays in parents, each pointing at a claimed vertex.
+func bfsFrom(ctx context.Context, g graph.View, parents []uint32, source uint32, opts core.Options) (visited, rounds int, err error) {
+	parents[source] = source
 	funcs := core.EdgeFuncs{
 		// Push: CAS claims the parent exactly once; the atomic load first
 		// skips a claimed destination without a locked instruction, and
@@ -88,22 +96,18 @@ func BFSCtx(ctx context.Context, g graph.View, source uint32, opts core.Options)
 	// hand the kernel a short prefix first.
 	opts.DenseEarlyExit = true
 
-	frontier := core.NewSingle(n, source)
-	visited := 1
-	rounds := 0
+	frontier := core.NewSingle(len(parents), source)
+	visited = 1
 	for !frontier.IsEmpty() {
-		next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
-		if err != nil {
-			return &BFSResult{Parents: parents, Rounds: rounds, Visited: visited},
-				roundErr("bfs", rounds, err)
+		if frontier, err = core.EdgeMap(ctx, g, frontier, funcs, opts); err != nil {
+			return visited, rounds, err
 		}
-		frontier = next
 		visited += frontier.Size()
 		if frontier.Size() > 0 {
 			rounds++
 		}
 	}
-	return &BFSResult{Parents: parents, Rounds: rounds, Visited: visited}, nil
+	return visited, rounds, nil
 }
 
 // BFSLevelsCtx derives per-vertex BFS levels (distance in edges from the

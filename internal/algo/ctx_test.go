@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -89,11 +90,11 @@ func TestCtxVariantsPreCancelled(t *testing.T) {
 			}
 			return err
 		}},
-		{"radii-multi", func(ctx context.Context) error {
-			// k > 64 exercises the batched multi-source path.
-			res, err := RadiiMultiCtx(ctx, g, 100, 1, opts)
+		{"radii-wide", func(ctx context.Context) error {
+			// K > 64 runs one sweep per 64 sources.
+			res, err := RadiiCtx(ctx, g, RadiiOptions{K: 100, Seed: 1, EdgeMap: opts})
 			if res == nil || len(res.Radii) != n {
-				t.Error("radii-multi: missing partial result")
+				t.Error("radii-wide: missing partial result")
 			}
 			return err
 		}},
@@ -215,6 +216,43 @@ func TestBFSCtxCancelOnRoundPartialForest(t *testing.T) {
 	}
 	if res.Visited != claimed {
 		t.Errorf("Visited = %d but %d parents are set", res.Visited, claimed)
+	}
+}
+
+// TestSpanningForestInterruptedHoldsClaimedEdges pins the partial forest:
+// after an interrupted wave, Edges holds the tree edge of every vertex
+// claimed so far, in child-ID order, and each edge hangs off the root or
+// another claimed vertex.
+func TestSpanningForestInterruptedHoldsClaimedEdges(t *testing.T) {
+	g, err := gen.Path(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, disarm := faultinject.CancelOnRound(context.Background(), 4)
+	defer disarm()
+
+	res, err := SpanningForest(ctx, g, core.Options{})
+	requireInterrupted(t, err, context.Canceled)
+	if !slices.Equal(res.Roots, []uint32{0}) {
+		t.Fatalf("roots %v, want [0]", res.Roots)
+	}
+	if len(res.Edges) == 0 || len(res.Edges) >= g.NumVertices()-1 {
+		t.Fatalf("%d edges after an interrupted wave on a %d-path", len(res.Edges), g.NumVertices())
+	}
+	claimed := map[uint32]bool{0: true}
+	for i, e := range res.Edges {
+		if i > 0 && e.Dst <= res.Edges[i-1].Dst {
+			t.Fatalf("edge %d->%d out of child-ID order", e.Src, e.Dst)
+		}
+		if e.Src+1 != e.Dst && e.Dst+1 != e.Src {
+			t.Fatalf("edge %d->%d is not a path edge", e.Src, e.Dst)
+		}
+		claimed[e.Dst] = true
+	}
+	for _, e := range res.Edges {
+		if !claimed[e.Src] {
+			t.Errorf("edge %d->%d hangs off an unclaimed vertex", e.Src, e.Dst)
+		}
 	}
 }
 

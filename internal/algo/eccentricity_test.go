@@ -119,9 +119,11 @@ func TestTwoPassImprovesOnGrid(t *testing.T) {
 	}
 }
 
-func TestRadiiMultiMatchesOracle(t *testing.T) {
+// TestRadiiWideMatchesOracle samples past one visit word: K = 150 runs
+// three sweeps, whose per-vertex maximum is the estimate.
+func TestRadiiWideMatchesOracle(t *testing.T) {
 	g := testGraphs(t)["er-sparse"]
-	res := must(RadiiMultiCtx(nil, g, 150, 4, core.Options{}))
+	res := must(RadiiCtx(nil, g, RadiiOptions{K: 150, Seed: 4}))
 	if len(res.Sources) != 150 {
 		t.Fatalf("%d sources, want 150", len(res.Sources))
 	}
@@ -133,9 +135,9 @@ func TestRadiiMultiMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestRadiiMultiSmallK(t *testing.T) {
+func TestRadiiSmallKMatchesOracle(t *testing.T) {
 	g := testGraphs(t)["path"]
-	res := must(RadiiMultiCtx(nil, g, 8, 1, core.Options{}))
+	res := must(RadiiCtx(nil, g, RadiiOptions{K: 8, Seed: 1}))
 	want := seq.Eccentricities(g, res.Sources)
 	for v := range want {
 		if res.Radii[v] != want[v] {

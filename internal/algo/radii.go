@@ -11,8 +11,9 @@ import (
 
 // RadiiOptions configures the eccentricity estimator.
 type RadiiOptions struct {
-	// K is the number of simultaneous BFS sources packed into one 64-bit
-	// visit word (the paper uses K = 64, one bit per source).
+	// K is the number of sampled BFS sources. Each 64 of them share one
+	// sweep, one bit of a 64-bit visit word per source (the paper uses
+	// K = 64, one sweep).
 	K int
 	// Seed selects the random sample of sources deterministically.
 	Seed uint64
@@ -44,39 +45,21 @@ type RadiiResult struct {
 // bits updates its radius estimate to the current round, so the final
 // estimate of v is its distance to the farthest sampled source reaching v.
 // The sweep itself is the ClusterBFS primitive; Radii keeps only the
-// sampling and the per-vertex maximum.
+// sampling and the per-vertex maximum. min(K, n) distinct sources are
+// sampled (K <= 0 selects 64); past 64 of them, one sweep runs per 64.
 //
 // Cancellation is observed before every multi-BFS round and at chunk
 // granularity inside the edgeMaps. On interruption Radii holds lower
 // bounds on the true estimates — every non-negative entry is a genuine
 // distance to some sampled source — returned with a *RoundError.
 func RadiiCtx(ctx context.Context, g graph.View, opts RadiiOptions) (*RadiiResult, error) {
-	if opts.K <= 0 || opts.K > 64 {
+	if opts.K <= 0 {
 		opts.K = 64
 	}
-	return radiiSample(ctx, "radii", g, opts.K, opts.Seed, opts.EdgeMap)
-}
-
-// RadiiMultiCtx extends the estimator beyond the paper's K=64: any number
-// of sources is accepted and processed in batches of 64 by
-// radiiFromSources. Sources are sampled without replacement across the
-// whole run. The partial-result contract matches RadiiCtx (estimates from
-// every batch and round that completed are retained).
-func RadiiMultiCtx(ctx context.Context, g graph.View, k int, seed uint64, opts core.Options) (*RadiiResult, error) {
-	if k <= 0 {
-		k = 64
-	}
-	return radiiSample(ctx, "radii-multi", g, k, seed, opts)
-}
-
-// radiiSample runs radiiFromSources from min(k, n) distinct sources
-// sampled deterministically from seed, naming interruptions after algo.
-func radiiSample(ctx context.Context, algo string, g graph.View, k int, seed uint64, emOpts core.Options) (*RadiiResult, error) {
-	n := g.NumVertices()
-	sources := sampleVertices(n, min(k, n), seed)
-	radii, rounds, err := radiiFromSources(ctx, g, sources, emOpts)
+	sources := sampleVertices(g.NumVertices(), min(opts.K, g.NumVertices()), opts.Seed)
+	radii, rounds, err := radiiFromSources(ctx, g, sources, opts.EdgeMap)
 	return &RadiiResult{Radii: radii, Sources: sources, Rounds: rounds},
-		roundErr(algo, rounds, err)
+		roundErr("radii", rounds, err)
 }
 
 // radiiFromSources runs the shared-bit-vector multi-BFS from the given

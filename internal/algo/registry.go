@@ -358,6 +358,17 @@ func RunnerNames() []string {
 	return names
 }
 
+// DefaultSource is the source a query without one runs from: the
+// highest-out-degree vertex, ties to the smallest ID, and 0 on a graph
+// with no vertices. It fails only when ctx is cancelled.
+func DefaultSource(ctx context.Context, g graph.View) (uint32, error) {
+	if g.NumVertices() == 0 {
+		return 0, nil
+	}
+	v, err := parallel.MaxIndexFunc(ctx, g.NumVertices(), func(v int) int { return g.OutDegree(uint32(v)) })
+	return uint32(v), err
+}
+
 // UnknownAlgoError builds the standard error for an unresolvable name.
 func UnknownAlgoError(name string) error {
 	names := RunnerNames()
@@ -454,15 +465,8 @@ var runners = []Runner{
 	{
 		Name: "radii",
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-			o := DefaultRadiiOptions()
-			o.EdgeMap = p.EdgeMapOptions()
-			if p.K > 0 {
-				o.K = p.K
-			}
-			if p.Seed != 0 {
-				o.Seed = p.Seed
-			}
-			res, err := RadiiCtx(ctx, g, o)
+			// One sweep: a query samples at most one visit word of sources.
+			res, err := RadiiCtx(ctx, g, RadiiOptions{K: min(p.k(64), 64), Seed: p.seed(1), EdgeMap: p.EdgeMapOptions()})
 			maxR := maxOrMinusOne(res.Radii)
 			return RunResult{
 				Summary: fmt.Sprintf("Radii (K=%d): %d rounds; estimated diameter lower bound %d",

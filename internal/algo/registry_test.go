@@ -123,6 +123,28 @@ func TestFindRunner(t *testing.T) {
 	}
 }
 
+// TestRadiiRunnerSamplesOneWord: RadiiCtx takes any K, but a radii query
+// runs one sweep, so k past 64 replies 64 sources, the sample RadiiCtx
+// draws at K = 64.
+func TestRadiiRunnerSamplesOneWord(t *testing.T) {
+	g, err := gen.RMAT(8, 8, gen.PBBSRMAT, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := FindRunner("radii")
+	res, err := r.Run(context.Background(), g, Params{K: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Details["sources"]; got != 64 {
+		t.Errorf("radii k=100 replied sources %v, want 64", got)
+	}
+	want := must(RadiiCtx(nil, g, RadiiOptions{K: 64, Seed: 1}))
+	if got := res.Details["rounds"]; got != want.Rounds {
+		t.Errorf("radii k=100 replied rounds %v, RadiiCtx at K=64 ran %d", got, want.Rounds)
+	}
+}
+
 // runnerChecks names, for every registered runner, the test of this
 // package that checks the runner's whole result, by an oracle or a
 // validator.

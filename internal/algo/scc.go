@@ -5,6 +5,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"ligra/internal/bitset"
 	"ligra/internal/core"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
@@ -152,18 +153,19 @@ func SCCCtx(ctx context.Context, g graph.View, opts core.Options) (*SCCResult, e
 // Cancellation (ctx) aborts the traversal and reports the error; the
 // bitset is then incomplete and discarded by the caller.
 func reachableWithin(ctx context.Context, g graph.View, pivot uint32, region []uint32, id uint32,
-	labels []uint32, opts core.Options) (*visitedBits, error) {
+	labels []uint32, opts core.Options) (*bitset.Bitset, error) {
 
 	n := g.NumVertices()
-	visited := newVisitedBits(n)
-	visited.SetAtomic(int(pivot))
+	visited := bitset.New(n)
+	visited.Set(int(pivot))
 	funcs := core.EdgeFuncs{
 		// The one update serves both directions: the set is atomic anyway.
 		UpdateAtomic: func(_, d uint32, _ int32) bool {
 			return visited.SetAtomic(int(d))
 		},
+		// Read while other workers set bits of the same word.
 		Cond: func(d uint32) bool {
-			return labels[d] == core.None && region[d] == id && !visited.Get(int(d))
+			return labels[d] == core.None && region[d] == id && !visited.GetAtomic(int(d))
 		},
 	}
 	frontier := core.NewSingle(n, pivot)
@@ -175,32 +177,4 @@ func reachableWithin(ctx context.Context, g graph.View, pivot uint32, region []u
 		frontier = next
 	}
 	return visited, nil
-}
-
-// visitedBits is a minimal atomic bit vector (local to SCC to keep the
-// dependency on bitset's semantics explicit).
-type visitedBits struct {
-	words []uint32
-}
-
-func newVisitedBits(n int) *visitedBits {
-	return &visitedBits{words: make([]uint32, (n+31)/32)}
-}
-
-func (b *visitedBits) Get(i int) bool {
-	return atomic.LoadUint32(&b.words[i/32])&(1<<(uint(i)%32)) != 0
-}
-
-func (b *visitedBits) SetAtomic(i int) bool {
-	mask := uint32(1) << (uint(i) % 32)
-	addr := &b.words[i/32]
-	for {
-		old := atomic.LoadUint32(addr)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(addr, old, old|mask) {
-			return true
-		}
-	}
 }

@@ -2,7 +2,6 @@ package algo
 
 import (
 	"context"
-	"sync/atomic"
 
 	"ligra/internal/core"
 	"ligra/internal/graph"
@@ -10,8 +9,8 @@ import (
 
 // ForestResult carries a spanning forest.
 type ForestResult struct {
-	// Edges are the forest edges (Src = parent, Dst = child); there are
-	// exactly NumVertices - Components of them.
+	// Edges are the forest edges (Src = parent, Dst = child) in child-ID
+	// order; there are exactly NumVertices - Components of them.
 	Edges []graph.Edge
 	// Roots are the forest roots, one per connected component.
 	Roots []uint32
@@ -19,53 +18,40 @@ type ForestResult struct {
 
 // SpanningForest computes a spanning forest of a symmetric graph with
 // BFS waves started from every still-unvisited vertex. Each wave is BFS's
-// own edgeMap — a CAS claim on the parent array — and the tree edge of
-// every vertex a round discovers is read back from that array. All
-// components are processed, so the result spans the whole graph.
+// own claim loop over one parent array shared by all waves, and the tree
+// edges are read off that array once the waves are done. All components
+// are processed, so the result spans the whole graph.
 //
 // ctx is observed at chunk granularity inside every round. On interruption
-// Edges and Roots are those of the waves and rounds completed so far (a
-// spanning forest of the vertices reached), returned with a *RoundError.
+// Edges holds the tree edge of every vertex claimed so far and Roots the
+// waves started (a spanning forest of the vertices reached), returned
+// with a *RoundError.
 func SpanningForest(ctx context.Context, g graph.View, opts core.Options) (*ForestResult, error) {
 	n := g.NumVertices()
 	parents := make([]uint32, n)
-	var forest []graph.Edge
+	if err := fill(ctx, parents, core.None); err != nil {
+		return &ForestResult{}, roundErr("spanning-forest", 0, err)
+	}
 	var roots []uint32
 	rounds := 0
-	partial := func(err error) (*ForestResult, error) {
-		return &ForestResult{Edges: forest, Roots: roots}, roundErr("spanning-forest", rounds, err)
-	}
-	if err := fill(ctx, parents, core.None); err != nil {
-		return partial(err)
-	}
-
-	funcs := core.EdgeFuncs{
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			return atomic.CompareAndSwapUint32(&parents[d], core.None, s)
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == core.None },
-	}
-	// One claim per destination per round, as in BFS.
-	opts.DenseEarlyExit = true
-
-	for start := uint32(0); int(start) < n; start++ {
-		if parents[start] != core.None {
+	var err error
+	for v := range parents {
+		if parents[v] != core.None {
 			continue
 		}
-		parents[start] = start
-		roots = append(roots, start)
-		frontier := core.NewSingle(n, start)
-		for !frontier.IsEmpty() {
-			next, err := core.EdgeMap(ctx, g, frontier, funcs, opts)
-			if err != nil {
-				return partial(err)
-			}
-			frontier = next
-			frontier.ForEachSeq(func(d uint32) {
-				forest = append(forest, graph.Edge{Src: parents[d], Dst: d})
-			})
-			rounds++
+		roots = append(roots, uint32(v))
+		var r int
+		_, r, err = bfsFrom(ctx, g, parents, uint32(v), opts)
+		rounds += r
+		if err != nil {
+			break
 		}
 	}
-	return &ForestResult{Edges: forest, Roots: roots}, nil
+	edges := make([]graph.Edge, 0, n-len(roots))
+	for v, p := range parents {
+		if p != core.None && p != uint32(v) {
+			edges = append(edges, graph.Edge{Src: p, Dst: uint32(v)})
+		}
+	}
+	return &ForestResult{Edges: edges, Roots: roots}, roundErr("spanning-forest", rounds, err)
 }

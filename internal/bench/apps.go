@@ -24,15 +24,6 @@ type App struct {
 	RunSeq func(g graph.View)
 }
 
-// pickSource returns a deterministic high-degree source vertex, standing
-// in for the paper's "random source" while keeping runs reproducible.
-func pickSource(g graph.View) uint32 {
-	n := g.NumVertices()
-	return uint32(must(parallel.MaxIndexFunc(context.Background(), n, func(i int) int {
-		return g.OutDegree(uint32(i))
-	})))
-}
-
 // Apps returns the paper's six applications with the evaluation's
 // parameters (PageRank: 1 power iteration; Radii: K=64; BC and BFS from a
 // fixed high-degree source).
@@ -41,16 +32,16 @@ func Apps() []App {
 		{
 			Name: "BFS",
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.BFSCtx(leased(opts), g, pickSource(g), opts))
+				must(algo.BFSCtx(leased(opts), g, must(algo.DefaultSource(context.Background(), g)), opts))
 			},
-			RunSeq: func(g graph.View) { seq.BFS(g, pickSource(g)) },
+			RunSeq: func(g graph.View) { seq.BFS(g, must(algo.DefaultSource(context.Background(), g))) },
 		},
 		{
 			Name: "BC",
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.BCCtx(leased(opts), g, pickSource(g), opts))
+				must(algo.BCCtx(leased(opts), g, must(algo.DefaultSource(context.Background(), g)), opts))
 			},
-			RunSeq: func(g graph.View) { seq.BC(g, pickSource(g)) },
+			RunSeq: func(g graph.View) { seq.BC(g, must(algo.DefaultSource(context.Background(), g))) },
 		},
 		{
 			Name: "Radii",
@@ -91,9 +82,9 @@ func Apps() []App {
 			Name:         "BellmanFord",
 			NeedsWeights: true,
 			Run: func(g graph.View, opts core.Options) {
-				must(algo.BellmanFordCtx(leased(opts), g, pickSource(g), opts))
+				must(algo.BellmanFordCtx(leased(opts), g, must(algo.DefaultSource(context.Background(), g)), opts))
 			},
-			RunSeq: func(g graph.View) { seq.Dijkstra(g, pickSource(g)) },
+			RunSeq: func(g graph.View) { seq.Dijkstra(g, must(algo.DefaultSource(context.Background(), g))) },
 		},
 	}
 }

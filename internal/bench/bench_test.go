@@ -2,12 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"ligra/internal/algo"
 	"ligra/internal/core"
 )
 
@@ -171,7 +173,7 @@ func TestPickSourceIsMaxDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := pickSource(g)
+	src := must(algo.DefaultSource(context.Background(), g))
 	deg := g.OutDegree(src)
 	for v := 0; v < g.NumVertices(); v++ {
 		if g.OutDegree(uint32(v)) > deg {

@@ -210,7 +210,7 @@ func Frontier(cfg Config) error {
 			return err
 		}
 		tr := &core.Trace{}
-		must(algo.BFSCtx(context.Background(), g, pickSource(g), core.Options{Trace: tr}))
+		must(algo.BFSCtx(context.Background(), g, must(algo.DefaultSource(context.Background(), g)), core.Options{Trace: tr}))
 		fmt.Fprintf(cfg.Out, "BFS frontier trace on %s (n=%d, m=%d, threshold=m/20=%d)\n",
 			in.Name, g.NumVertices(), g.NumEdges(), g.NumEdges()/core.DefaultThresholdDenominator)
 		w := cfg.tab()
@@ -260,7 +260,9 @@ func Threshold(cfg Config) error {
 		name string
 		run  func(opts core.Options)
 	}{
-		{"BFS", func(o core.Options) { must(algo.BFSCtx(context.Background(), g, pickSource(g), o)) }},
+		{"BFS", func(o core.Options) {
+			must(algo.BFSCtx(context.Background(), g, must(algo.DefaultSource(context.Background(), g)), o))
+		}},
 		{"Components", func(o core.Options) { must(algo.ConnectedComponentsCtx(context.Background(), g, o)) }},
 	}
 	fmt.Fprintf(cfg.Out, "EdgeMap threshold sensitivity on %s (seconds, median of %d; paper default m/20)\n",

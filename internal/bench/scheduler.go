@@ -40,8 +40,8 @@ func Scheduler(cfg Config) error {
 		return err
 	}
 	wgrid := WeightGraph(grid)
-	gridSrc := pickSource(grid)
-	rmatSrc := pickSource(rmat)
+	gridSrc := must(algo.DefaultSource(context.Background(), grid))
+	rmatSrc := must(algo.DefaultSource(context.Background(), rmat))
 
 	fmt.Fprintf(cfg.Out, "Scheduler: small-round workloads (seconds, median of %d; pool workers=%d)\n",
 		cfg.rounds(), parallel.SchedulerSnapshot().PoolWorkers)

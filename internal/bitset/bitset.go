@@ -38,6 +38,12 @@ func (b *Bitset) Get(i int) bool {
 	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
+// GetAtomic reports bit i with an atomic load, for reads that race with
+// SetAtomic on the same word.
+func (b *Bitset) GetAtomic(i int) bool {
+	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(uint(i)%wordBits)) != 0
+}
+
 // SetAtomic atomically sets bit i and reports whether this call changed it
 // from 0 to 1 (test-and-set semantics).
 func (b *Bitset) SetAtomic(i int) bool {

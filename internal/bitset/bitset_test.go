@@ -78,6 +78,38 @@ func TestSetAtomicConcurrent(t *testing.T) {
 	}
 }
 
+// TestGetAtomicConcurrent reads bits while other goroutines set them, the
+// pattern of a traversal's Cond beside its SetAtomic update; run it under
+// -race. A bit seen set stays set, and every bit reads set at the end.
+func TestGetAtomicConcurrent(t *testing.T) {
+	const n = 10000
+	b := New(n)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := g; i < n; i += 4 {
+				b.SetAtomic(i)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if b.GetAtomic(i) && !b.GetAtomic(i) {
+					t.Errorf("bit %d cleared after it was seen set", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if !b.GetAtomic(i) {
+			t.Fatalf("bit %d clear after every SetAtomic returned", i)
+		}
+	}
+}
+
 func TestForEachSet(t *testing.T) {
 	b := New(300)
 	want := []int{0, 5, 63, 64, 128, 255, 299}

@@ -175,7 +175,7 @@ func ReadCompressed(r io.Reader) (*CompressedGraph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var hbuf [headerSize]byte
 	if _, err := io.ReadFull(br, hbuf[:]); err != nil {
-		return nil, fmt.Errorf("compress: reading header: %w", noEOF(err))
+		return nil, fmt.Errorf("compress: reading header: %w", graph.NoEOF(err))
 	}
 	h, err := parseHeader(hbuf[:])
 	if err != nil {
@@ -183,18 +183,18 @@ func ReadCompressed(r io.Reader) (*CompressedGraph, error) {
 	}
 	c := &CompressedGraph{n: h.n, m: h.m, weighted: h.weighted, symmetric: h.symmetric}
 	readSide := func(what string, dataLen int64) ([]int64, []int32, []byte, error) {
-		offsets, err := readChunked[int64](br, h.n+1)
+		offsets, err := graph.ReadChunked[int64](br, h.n+1)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("compress: reading %s offsets: %w", what, err)
 		}
-		degs, err := readChunked[int32](br, h.n)
+		degs, err := graph.ReadChunked[int32](br, h.n)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("compress: reading %s degrees: %w", what, err)
 		}
 		if err := skip(br, pad8(int64(h.n)*4)); err != nil {
 			return nil, nil, nil, fmt.Errorf("compress: reading %s degree padding: %w", what, err)
 		}
-		data, err := readChunked[byte](br, int(dataLen))
+		data, err := graph.ReadChunked[byte](br, int(dataLen))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("compress: reading %s data: %w", what, err)
 		}
@@ -224,39 +224,7 @@ func skip(r io.Reader, k int64) error {
 	}
 	var buf [8]byte
 	_, err := io.ReadFull(r, buf[:k])
-	return noEOF(err)
-}
-
-// readChunked reads total little-endian values in bounded chunks, so a
-// corrupt header cannot force a giant allocation beyond what the input
-// itself justifies.
-func readChunked[T any](r io.Reader, total int) ([]T, error) {
-	const chunk = 1 << 14
-	if total < 0 {
-		return nil, fmt.Errorf("negative count %d", total)
-	}
-	var dst []T
-	buf := make([]T, min(total, chunk))
-	read := 0
-	for total > 0 {
-		k := min(total, chunk)
-		if err := binary.Read(r, binary.LittleEndian, buf[:k]); err != nil {
-			return nil, fmt.Errorf("truncated after %d values: %w", read, noEOF(err))
-		}
-		dst = append(dst, buf[:k]...)
-		total -= k
-		read += k
-	}
-	return dst, nil
-}
-
-// noEOF converts io.EOF into io.ErrUnexpectedEOF: inside a structured
-// payload a clean EOF still means the input ended mid-record.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return graph.NoEOF(err)
 }
 
 // validateCompressed fully checks a deserialized graph so the trusting

@@ -241,16 +241,16 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	var flags uint32
 	var n64, m64 uint64
 	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
-		return nil, fmt.Errorf("graph: reading flags: %w", noEOF(err))
+		return nil, fmt.Errorf("graph: reading flags: %w", NoEOF(err))
 	}
 	if flags&^uint32(flagWeighted|flagSymmetric) != 0 {
 		return nil, fmt.Errorf("graph: unknown flag bits %#x", flags&^uint32(flagWeighted|flagSymmetric))
 	}
 	if err := binary.Read(br, binary.LittleEndian, &n64); err != nil {
-		return nil, fmt.Errorf("graph: reading vertex count: %w", noEOF(err))
+		return nil, fmt.Errorf("graph: reading vertex count: %w", NoEOF(err))
 	}
 	if err := binary.Read(br, binary.LittleEndian, &m64); err != nil {
-		return nil, fmt.Errorf("graph: reading edge count: %w", noEOF(err))
+		return nil, fmt.Errorf("graph: reading edge count: %w", NoEOF(err))
 	}
 	if n64 > 1<<31 || m64 > 1<<40 {
 		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n64, m64)
@@ -258,35 +258,41 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	n, m := int(n64), int(m64)
 	// Chunked reads keep allocation proportional to the bytes actually
 	// present, so a corrupt header cannot force a giant allocation.
-	offsets, err := readChunked[int64](br, n+1, nil)
+	offsets, err := ReadChunked[int64](br, n+1)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading %d offsets: %w", n+1, err)
 	}
-	edges, err := readChunked[uint32](br, m, nil)
+	edges, err := ReadChunked[uint32](br, m)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading %d edges: %w", m, err)
 	}
 	var weights []int32
 	if flags&flagWeighted != 0 {
-		if weights, err = readChunked[int32](br, m, nil); err != nil {
+		if weights, err = ReadChunked[int32](br, m); err != nil {
 			return nil, fmt.Errorf("graph: reading %d weights: %w", m, err)
 		}
 	}
 	return FromCSR(offsets, edges, weights, flags&flagSymmetric != 0)
 }
 
-// readChunked reads total fixed-size little-endian values in bounded
-// chunks, appending to dst. A payload that ends early reports
-// io.ErrUnexpectedEOF (with how far it got), never a bare io.EOF, so
-// truncation is distinguishable from a cleanly missing section.
-func readChunked[T any](r io.Reader, total int, dst []T) ([]T, error) {
+// ReadChunked reads total fixed-size little-endian values in bounded
+// chunks, so a corrupt header cannot force an allocation beyond what the
+// input itself holds. A negative total is refused, and a payload that
+// ends early reports io.ErrUnexpectedEOF (with how far it got), never a
+// bare io.EOF, so truncation is distinguishable from a cleanly missing
+// section.
+func ReadChunked[T any](r io.Reader, total int) ([]T, error) {
 	const chunk = 1 << 14
+	if total < 0 {
+		return nil, fmt.Errorf("negative count %d", total)
+	}
+	var dst []T
 	buf := make([]T, min(total, chunk))
 	read := 0
 	for total > 0 {
 		k := min(total, chunk)
 		if err := binary.Read(r, binary.LittleEndian, buf[:k]); err != nil {
-			return nil, fmt.Errorf("truncated after %d values: %w", read, noEOF(err))
+			return nil, fmt.Errorf("truncated after %d values: %w", read, NoEOF(err))
 		}
 		dst = append(dst, buf[:k]...)
 		total -= k
@@ -295,9 +301,9 @@ func readChunked[T any](r io.Reader, total int, dst []T) ([]T, error) {
 	return dst, nil
 }
 
-// noEOF converts io.EOF into io.ErrUnexpectedEOF: inside a structured
+// NoEOF converts io.EOF into io.ErrUnexpectedEOF: inside a structured
 // payload a clean EOF still means the input ended mid-record.
-func noEOF(err error) error {
+func NoEOF(err error) error {
 	if err == io.EOF {
 		return io.ErrUnexpectedEOF
 	}

@@ -21,9 +21,9 @@ import (
 	"sync"
 	"time"
 
+	"ligra/internal/algo"
 	"ligra/internal/delta"
 	"ligra/internal/graph"
-	"ligra/internal/parallel"
 	"ligra/internal/server/resilience"
 )
 
@@ -392,12 +392,8 @@ func describe(name, source string, g graph.View) GraphInfo {
 		Weighted:  g.Weighted(),
 	}
 	info.Format, info.MemoryBytes, info.MappedBytes = probe(g)
-	if n := g.NumVertices(); n > 0 {
-		// Ties go to the smallest ID, as in ligra-run's default source. A
-		// Background ctx never cancels, the only way MaxIndexFunc fails.
-		v, _ := parallel.MaxIndexFunc(context.Background(), n, func(v int) int { return g.OutDegree(uint32(v)) })
-		info.DefaultSource = uint32(v)
-	}
+	// A Background ctx never cancels, the only way DefaultSource fails.
+	info.DefaultSource, _ = algo.DefaultSource(context.Background(), g)
 	return info
 }
 

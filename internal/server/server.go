@@ -84,10 +84,6 @@ type Config struct {
 	// snapshot. 0 selects max(4096, |E|/8); negative disables
 	// compaction.
 	CompactEvery int64
-	// UpdateHistoryDepth is how many applied update batches each graph
-	// keeps for incremental-recomputation replay. 0 selects 8; negative
-	// keeps none (every refresh recomputes in full).
-	UpdateHistoryDepth int
 
 	// TrustTenantHeader honors the X-Tenant request header as the
 	// tenant identity for fair-share shedding. The header is
@@ -188,7 +184,6 @@ func New(cfg Config) *Server {
 		Window:       cfg.updateWindow(),
 		MaxPending:   cfg.UpdateMaxPending,
 		CompactEvery: cfg.CompactEvery,
-		HistoryDepth: cfg.UpdateHistoryDepth,
 	}
 	s.baseCtx, s.cancelInflight = context.WithCancel(context.Background())
 	s.batcher = batch.New(s.baseCtx, s.engine, batch.Config{Window: cfg.BatchWindow, MaxBatch: cfg.BatchMax})
