@@ -66,6 +66,7 @@ func suite(b *testing.B) ([]bench.Input, map[string]*graph.Graph, map[string]*gr
 func BenchmarkTable2(b *testing.B) {
 	ins, gs, ws := suite(b)
 	for _, in := range ins {
+		src := bench.Source(gs[in.Name])
 		for _, app := range bench.Apps() {
 			g := graph.View(gs[in.Name])
 			if app.NeedsWeights {
@@ -74,7 +75,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.Run(in.Name+"/"+app.Name, func(b *testing.B) {
 				b.ReportMetric(float64(g.NumEdges()), "edges")
 				for i := 0; i < b.N; i++ {
-					app.Run(g, core.Options{})
+					app.Run(g, src, core.Options{})
 				}
 			})
 		}
@@ -85,6 +86,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkTable2Baseline(b *testing.B) {
 	ins, gs, ws := suite(b)
 	for _, in := range ins {
+		src := bench.Source(gs[in.Name])
 		for _, app := range bench.Apps() {
 			g := graph.View(gs[in.Name])
 			if app.NeedsWeights {
@@ -92,7 +94,7 @@ func BenchmarkTable2Baseline(b *testing.B) {
 			}
 			b.Run(in.Name+"/"+app.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					app.RunSeq(g)
+					app.RunSeq(g, src)
 				}
 			})
 		}
@@ -105,6 +107,7 @@ func BenchmarkTable2Baseline(b *testing.B) {
 func BenchmarkFigScalability(b *testing.B) {
 	_, gs, ws := suite(b)
 	maxP := ligra.Parallelism()
+	src := bench.Source(gs["rMat"])
 	for _, app := range bench.Apps() {
 		g := graph.View(gs["rMat"])
 		if app.NeedsWeights {
@@ -113,7 +116,7 @@ func BenchmarkFigScalability(b *testing.B) {
 		for p := 1; p <= maxP; p *= 2 {
 			b.Run(app.Name+"/procs="+strconv.Itoa(p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					app.Run(g, core.Options{Procs: p})
+					app.Run(g, src, core.Options{Procs: p})
 				}
 			})
 		}

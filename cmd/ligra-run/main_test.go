@@ -273,3 +273,20 @@ func TestMaxDegreeVertex(t *testing.T) {
 		t.Errorf("empty graph: default source %d, want 0", v)
 	}
 }
+
+// TestStatsCountOneRepetition: -stats reports the counters of the
+// repetition the trace table shows, so calls= equals its rows.
+func TestStatsCountOneRepetition(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-algo", "bfs", "-gen", "grid3d", "-scale", "9", "-source", "0", "-rounds", "3", "-stats"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	table, stats, ok := strings.Cut(buf.String(), "traversal stats:")
+	if !ok {
+		t.Fatalf("no traversal stats in %q", buf.String())
+	}
+	rows := traceRows(t, table+"status:")
+	if want := "calls=" + strconv.Itoa(len(rows)) + " "; !strings.Contains(stats, want) {
+		t.Fatalf("%d trace rows, stats %q: want %q", len(rows), stats, want)
+	}
+}

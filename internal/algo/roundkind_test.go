@@ -28,11 +28,13 @@ func roundKinds(tr *core.Trace) (sparse, pull, fwd int) {
 // TestAutoReachesEveryRoundKind: the automatic rule must reach all three
 // traversals on graphs big enough to leave the small-round regime, and
 // every application's whole result must not depend on which traversal
-// ran. Weighted Bellman-Ford, the kernel without an early exit, runs
-// sparse and forward rounds on a side-16 torus (its largest frontier
-// stays under the forward/pull crossover there) and all three on an rMat
-// graph; the mode matrix elsewhere uses graphs too small to leave the
-// sparse side. On both graphs BFS levels, BC path counts and scores,
+// ran. A two-source radii sweep (ClusterBFS, a kernel without a Cond or
+// an early exit) runs sparse and forward rounds on a side-16 torus (its
+// largest frontier stays under the forward/pull crossover there) and all
+// three on an rMat graph; the mode matrix elsewhere uses graphs too
+// small to leave the sparse side. (Bellman-Ford's block drain settles a
+// graph of one drain block in a round or two, too few to carry them.) On
+// both graphs BFS levels, BC path counts and scores,
 // Bellman-Ford distances, radii, component labels and ClusterBFS levels,
 // probes, Depth and Reached agree under auto and every forced mode.
 func TestAutoReachesEveryRoundKind(t *testing.T) {
@@ -47,19 +49,19 @@ func TestAutoReachesEveryRoundKind(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
-		want [3]bool // sparse, pull, forward rounds Bellman-Ford must run
+		want [3]bool // sparse, pull, forward rounds radii must run
 	}{
 		{"grid", grid.AddWeights(graph.HashWeight(100)), [3]bool{true, false, true}},
 		{"rmat", rmat.AddWeights(graph.HashWeight(100)), [3]bool{true, true, true}},
 	} {
 		g := tc.g
 		tr := &core.Trace{}
-		must(BellmanFordCtx(nil, g, 0, core.Options{Trace: tr}))
+		must(RadiiCtx(nil, g, RadiiOptions{K: 2, Seed: 3, EdgeMap: core.Options{Trace: tr}}))
 		sparse, pull, fwd := roundKinds(tr)
-		t.Logf("%s: auto Bellman-Ford ran %d sparse, %d pull, %d forward rounds", tc.name, sparse, pull, fwd)
+		t.Logf("%s: auto radii ran %d sparse, %d pull, %d forward rounds", tc.name, sparse, pull, fwd)
 		for i, got := range []int{sparse, pull, fwd} {
 			if tc.want[i] && got == 0 {
-				t.Errorf("%s: auto Bellman-Ford ran no %s round", tc.name, []string{"sparse", "pull", "forward"}[i])
+				t.Errorf("%s: auto radii ran no %s round", tc.name, []string{"sparse", "pull", "forward"}[i])
 			}
 		}
 

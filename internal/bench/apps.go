@@ -18,37 +18,45 @@ type App struct {
 	// NeedsWeights marks apps run on the weighted version of each input
 	// (Bellman-Ford, per the paper: random weights in [1, log n)).
 	NeedsWeights bool
-	// Run executes the Ligra implementation.
-	Run func(g graph.View, opts core.Options)
-	// RunSeq executes the hand-written sequential baseline.
-	RunSeq func(g graph.View)
+	// Run executes the Ligra implementation; the traversals start at src,
+	// which the caller picks once per graph (Source), outside its timing.
+	Run func(g graph.View, src uint32, opts core.Options)
+	// RunSeq executes the hand-written sequential baseline from src.
+	RunSeq func(g graph.View, src uint32)
+}
+
+// Source is the source the apps that take one start from on g: its
+// highest-degree vertex (algo.DefaultSource), an O(n) pass the callers
+// pay once per graph rather than in every timed run.
+func Source(g graph.View) uint32 {
+	return must(algo.DefaultSource(context.Background(), g))
 }
 
 // Apps returns the paper's six applications with the evaluation's
-// parameters (PageRank: 1 power iteration; Radii: K=64; BC and BFS from a
-// fixed high-degree source).
+// parameters (PageRank: 1 power iteration; Radii: K=64; BFS, BC and
+// Bellman-Ford from a fixed high-degree source).
 func Apps() []App {
 	return []App{
 		{
 			Name: "BFS",
-			Run: func(g graph.View, opts core.Options) {
-				must(algo.BFSCtx(leased(opts), g, must(algo.DefaultSource(context.Background(), g)), opts))
+			Run: func(g graph.View, src uint32, opts core.Options) {
+				must(algo.BFSCtx(leased(opts), g, src, opts))
 			},
-			RunSeq: func(g graph.View) { seq.BFS(g, must(algo.DefaultSource(context.Background(), g))) },
+			RunSeq: func(g graph.View, src uint32) { seq.BFS(g, src) },
 		},
 		{
 			Name: "BC",
-			Run: func(g graph.View, opts core.Options) {
-				must(algo.BCCtx(leased(opts), g, must(algo.DefaultSource(context.Background(), g)), opts))
+			Run: func(g graph.View, src uint32, opts core.Options) {
+				must(algo.BCCtx(leased(opts), g, src, opts))
 			},
-			RunSeq: func(g graph.View) { seq.BC(g, must(algo.DefaultSource(context.Background(), g))) },
+			RunSeq: func(g graph.View, src uint32) { seq.BC(g, src) },
 		},
 		{
 			Name: "Radii",
-			Run: func(g graph.View, opts core.Options) {
+			Run: func(g graph.View, _ uint32, opts core.Options) {
 				must(algo.RadiiCtx(leased(opts), g, algo.RadiiOptions{K: 64, Seed: 1, EdgeMap: opts}))
 			},
-			RunSeq: func(g graph.View) {
+			RunSeq: func(g graph.View, _ uint32) {
 				// The sequential equivalent of the estimator: 64 plain BFS.
 				n := g.NumVertices()
 				k := 64
@@ -64,27 +72,27 @@ func Apps() []App {
 		},
 		{
 			Name: "Components",
-			Run: func(g graph.View, opts core.Options) {
+			Run: func(g graph.View, _ uint32, opts core.Options) {
 				must(algo.ConnectedComponentsCtx(leased(opts), g, opts))
 			},
-			RunSeq: func(g graph.View) { seq.ConnectedComponents(g) },
+			RunSeq: func(g graph.View, _ uint32) { seq.ConnectedComponents(g) },
 		},
 		{
 			Name: "PageRank",
-			Run: func(g graph.View, opts core.Options) {
+			Run: func(g graph.View, _ uint32, opts core.Options) {
 				must(algo.PageRankCtx(leased(opts), g, algo.PageRankOptions{
 					Damping: 0.85, MaxIterations: 1, EdgeMap: opts,
 				}))
 			},
-			RunSeq: func(g graph.View) { seq.PageRank(g, 0.85, 0, 1) },
+			RunSeq: func(g graph.View, _ uint32) { seq.PageRank(g, 0.85, 0, 1) },
 		},
 		{
 			Name:         "BellmanFord",
 			NeedsWeights: true,
-			Run: func(g graph.View, opts core.Options) {
-				must(algo.BellmanFordCtx(leased(opts), g, must(algo.DefaultSource(context.Background(), g)), opts))
+			Run: func(g graph.View, src uint32, opts core.Options) {
+				must(algo.BellmanFordCtx(leased(opts), g, src, opts))
 			},
-			RunSeq: func(g graph.View) { seq.Dijkstra(g, must(algo.DefaultSource(context.Background(), g))) },
+			RunSeq: func(g graph.View, src uint32) { seq.Dijkstra(g, src) },
 		},
 	}
 }

@@ -2,14 +2,12 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"ligra/internal/algo"
 	"ligra/internal/core"
 )
 
@@ -80,13 +78,14 @@ func TestAppsRunAtTinyScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg := WeightGraph(g)
+	src := Source(g)
 	for _, app := range Apps() {
 		view := g
 		if app.NeedsWeights {
 			view = wg
 		}
-		app.Run(view, core.Options{})
-		app.RunSeq(view)
+		app.Run(view, src, core.Options{})
+		app.RunSeq(view, src)
 	}
 }
 
@@ -173,7 +172,7 @@ func TestPickSourceIsMaxDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := must(algo.DefaultSource(context.Background(), g))
+	src := Source(g)
 	deg := g.OutDegree(src)
 	for v := 0; v < g.NumVertices(); v++ {
 		if g.OutDegree(uint32(v)) > deg {

@@ -116,6 +116,7 @@ func Table2(cfg Config) error {
 	fmt.Fprintln(w, "Input\tApplication\tserial\t(1)\t(P)\toverhead(1)/serial")
 	for _, in := range suite {
 		base := built[in.Name]
+		src := Source(base)
 		for _, app := range Apps() {
 			if cfg.budgetExhausted(w) {
 				return w.Flush()
@@ -124,14 +125,14 @@ func Table2(cfg Config) error {
 			if app.NeedsWeights {
 				g = WeightGraph(base)
 			}
-			tSeq := Measure(cfg.rounds(), func() { app.RunSeq(g) })
+			tSeq := Measure(cfg.rounds(), func() { app.RunSeq(g, src) })
 
 			// Worker counts ride per-call ctx leases (Options.Procs →
 			// parallel.WithProcs, see leased), never a process-wide
 			// setting: the sweep must not leak its cap into anything
 			// running concurrently. The lease caps every loop of the run.
-			t1 := Measure(cfg.rounds(), func() { app.Run(g, core.Options{Procs: 1}) })
-			tP := Measure(cfg.rounds(), func() { app.Run(g, core.Options{}) })
+			t1 := Measure(cfg.rounds(), func() { app.Run(g, src, core.Options{Procs: 1}) })
+			tP := Measure(cfg.rounds(), func() { app.Run(g, src, core.Options{}) })
 
 			fmt.Fprintf(w, "%s\t%s\t%.4f\t%.4f\t%.4f\t%.2fx\n",
 				in.Name, app.Name,
@@ -176,6 +177,7 @@ func Scalability(cfg Config) error {
 		header += fmt.Sprintf("\tT=%d", p)
 	}
 	fmt.Fprintln(w, header)
+	src := Source(base)
 	for _, app := range Apps() {
 		if cfg.budgetExhausted(w) {
 			return w.Flush()
@@ -187,7 +189,7 @@ func Scalability(cfg Config) error {
 		row := app.Name
 		for _, p := range procsList {
 			opts := core.Options{Procs: p}
-			tm := Measure(cfg.rounds(), func() { app.Run(g, opts) })
+			tm := Measure(cfg.rounds(), func() { app.Run(g, src, opts) })
 			row += fmt.Sprintf("\t%.4f", tm.Median.Seconds())
 		}
 		fmt.Fprintln(w, row)
@@ -210,7 +212,7 @@ func Frontier(cfg Config) error {
 			return err
 		}
 		tr := &core.Trace{}
-		must(algo.BFSCtx(context.Background(), g, must(algo.DefaultSource(context.Background(), g)), core.Options{Trace: tr}))
+		must(algo.BFSCtx(context.Background(), g, Source(g), core.Options{Trace: tr}))
 		fmt.Fprintf(cfg.Out, "BFS frontier trace on %s (n=%d, m=%d, threshold=m/20=%d)\n",
 			in.Name, g.NumVertices(), g.NumEdges(), g.NumEdges()/core.DefaultThresholdDenominator)
 		w := cfg.tab()
@@ -255,13 +257,14 @@ func Threshold(cfg Config) error {
 		})
 	}
 	variants = append(variants, variant{"dense-only", core.Options{Mode: core.Pull}})
+	src := Source(g)
 
 	apps := []struct {
 		name string
 		run  func(opts core.Options)
 	}{
 		{"BFS", func(o core.Options) {
-			must(algo.BFSCtx(context.Background(), g, must(algo.DefaultSource(context.Background(), g)), o))
+			must(algo.BFSCtx(context.Background(), g, src, o))
 		}},
 		{"Components", func(o core.Options) { must(algo.ConnectedComponentsCtx(context.Background(), g, o)) }},
 	}

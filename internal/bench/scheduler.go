@@ -13,9 +13,13 @@ import (
 // edgeMap's one-chunk small rounds were built for: iterative algorithms
 // with many tiny rounds, where per-round dispatch overhead — not edge
 // work — sets the floor. The high-diameter 3d-grid runs BFS for ~O(n^1/3)
-// rounds with small frontiers throughout, and BellmanFord multiplies that
-// by weight-driven re-relaxation; rMat BFS is the low-diameter contrast
-// where only the first and last rounds are tiny.
+// rounds with small frontiers throughout; rMat BFS is the low-diameter
+// contrast where only the first and last rounds are tiny. Bellman-Ford on
+// the weighted grid no longer multiplies the grid's rounds: its block
+// drain (DESIGN.md §5a) settles most of each round inside 2^15-vertex
+// blocks, so it runs about ten rounds at side 64, and fewer where the
+// grid spans only a block or two. BENCH_baseline.json's
+// scheduler/BellmanFord-3dgrid row predates the drain.
 //
 // Alongside the timing the experiment prints the per-run traversal
 // rounds, how many of them ran as one chunk on the calling goroutine
@@ -40,8 +44,7 @@ func Scheduler(cfg Config) error {
 		return err
 	}
 	wgrid := WeightGraph(grid)
-	gridSrc := must(algo.DefaultSource(context.Background(), grid))
-	rmatSrc := must(algo.DefaultSource(context.Background(), rmat))
+	gridSrc, rmatSrc := Source(grid), Source(rmat)
 
 	fmt.Fprintf(cfg.Out, "Scheduler: small-round workloads (seconds, median of %d; pool workers=%d)\n",
 		cfg.rounds(), parallel.SchedulerSnapshot().PoolWorkers)
