@@ -32,19 +32,11 @@ var Graph500RMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19, NoiseAmplitude: 0.05}
 // RMAT generates a symmetrized R-MAT graph with 2^scale vertices and
 // approximately edgeFactor*2^scale undirected edges (before deduplication).
 func RMAT(scale int, edgeFactor int, params RMATParams, seed uint64) (*graph.Graph, error) {
-	if scale < 1 || scale > 30 {
-		return nil, fmt.Errorf("gen: rmat scale %d out of range [1, 30]", scale)
-	}
-	n := 1 << scale
-	m := n * edgeFactor
-	edges := make([]graph.Edge, m)
-	if err := parallel.For(context.Background(), m, func(i int) {
-		s, d := rmatEdge(scale, params, seed, uint64(i))
-		edges[i] = graph.Edge{Src: s, Dst: d}
-	}); err != nil {
+	edges, err := rmatEdges(scale, edgeFactor, params, seed)
+	if err != nil {
 		return nil, err
 	}
-	return graph.FromEdges(n, edges, graph.BuildOptions{
+	return graph.FromEdges(1<<scale, edges, graph.BuildOptions{
 		Symmetrize:       true,
 		RemoveSelfLoops:  true,
 		RemoveDuplicates: true,
@@ -53,51 +45,72 @@ func RMAT(scale int, edgeFactor int, params RMATParams, seed uint64) (*graph.Gra
 
 // RMATDirected is RMAT without symmetrization, for directed-graph tests.
 func RMATDirected(scale int, edgeFactor int, params RMATParams, seed uint64) (*graph.Graph, error) {
-	if scale < 1 || scale > 30 {
-		return nil, fmt.Errorf("gen: rmat scale %d out of range [1, 30]", scale)
-	}
-	n := 1 << scale
-	m := n * edgeFactor
-	edges := make([]graph.Edge, m)
-	if err := parallel.For(context.Background(), m, func(i int) {
-		s, d := rmatEdge(scale, params, seed, uint64(i))
-		edges[i] = graph.Edge{Src: s, Dst: d}
-	}); err != nil {
+	edges, err := rmatEdges(scale, edgeFactor, params, seed)
+	if err != nil {
 		return nil, err
 	}
-	return graph.FromEdges(n, edges, graph.BuildOptions{
+	return graph.FromEdges(1<<scale, edges, graph.BuildOptions{
 		RemoveSelfLoops:  true,
 		RemoveDuplicates: true,
 	})
 }
 
+// rmatEdges draws the edgeFactor*2^scale edges of an R-MAT graph, a chunk
+// of consecutive edge indices per call of the loop body.
+func rmatEdges(scale int, edgeFactor int, params RMATParams, seed uint64) ([]graph.Edge, error) {
+	if scale < 1 || scale > 30 {
+		return nil, fmt.Errorf("gen: rmat scale %d out of range [1, 30]", scale)
+	}
+	edges := make([]graph.Edge, (1<<scale)*edgeFactor)
+	err := parallel.ForRange(context.Background(), len(edges), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s, d := rmatEdge(scale, params, seed, uint64(i))
+			edges[i] = graph.Edge{Src: s, Dst: d}
+		}
+	})
+	return edges, err
+}
+
+// levelMix[level] is the level's half of hash3(seed, i, level), so the
+// descent hashes once per level instead of three times.
+var levelMix = func() (t [31]uint64) {
+	for level := range t {
+		t[level] = mix64(uint64(level) + 0x9E6C63D0876A9A47)
+	}
+	return t
+}()
+
 // rmatEdge draws the i-th edge by descending the 2^scale x 2^scale
-// adjacency matrix, choosing a quadrant per level.
+// adjacency matrix, choosing a quadrant per level: with the level's
+// noisy probabilities a, b, c, the draw r picks top-left below a,
+// top-right below a+b, bottom-left below a+b+c and bottom-right above.
+// The quadrant's bits are computed from the comparisons, not branched
+// on, because the branch mispredicts on most levels.
 func rmatEdge(scale int, p RMATParams, seed, i uint64) (uint32, uint32) {
 	var s, d uint32
+	base := hash2(seed, i)
 	for level := 0; level < scale; level++ {
-		h := hash3(seed, i, uint64(level))
+		h := mix64(base ^ levelMix[level]) // hash3(seed, i, level)
 		r := uniform01(h)
 		// Per-level noise, deterministic in (seed, i, level).
 		noise := (uniform01(mix64(h)) - 0.5) * 2 * p.NoiseAmplitude
 		a := p.A * (1 + noise)
 		b := p.B * (1 - noise)
 		c := p.C * (1 + noise)
-		s <<= 1
-		d <<= 1
-		switch {
-		case r < a:
-			// top-left: no bits set
-		case r < a+b:
-			d |= 1
-		case r < a+b+c:
-			s |= 1
-		default:
-			s |= 1
-			d |= 1
-		}
+		ab := a + b
+		s = s<<1 | atLeast(r, ab)
+		d = d<<1 | (atLeast(r, a) ^ atLeast(r, ab) ^ atLeast(r, ab+c))
 	}
 	return s, d
+}
+
+// atLeast is 1 when r >= x and 0 otherwise, without a branch.
+func atLeast(r, x float64) uint32 {
+	var b uint32
+	if r >= x {
+		b = 1
+	}
+	return b
 }
 
 // RandomLocal generates the "randLocal" family: a symmetric graph where

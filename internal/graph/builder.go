@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ligra/internal/parallel"
 )
@@ -33,6 +34,16 @@ type BuildOptions struct {
 
 // FromEdges builds a CSR graph with n vertices from the given edge list.
 // The input slice is not modified. Vertex IDs must be < n.
+//
+// The build is one counting scatter and a per-row sort: count each
+// source's kept edges, prefix-sum the counts into row boundaries, scatter
+// every kept edge's target into its source's row, then sort (and
+// deduplicate) each row in parallel and copy the rows into exactly sized
+// arrays. A weighted build scatters packed words whose plain order is
+// (target, weight), so the first of a run of duplicates is the minimum
+// weight. The row sort makes the output independent of the scatter order
+// and of the worker count. A directed graph's in-rows are the transpose
+// of the finished out-rows.
 func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 	if n <= 0 {
 		return nil, errors.New("graph: number of vertices must be positive")
@@ -40,142 +51,173 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 	if n > 1<<31 {
 		return nil, fmt.Errorf("graph: %d vertices exceeds the 32-bit vertex ID space", n)
 	}
-	for i := range edges {
-		if int(edges[i].Src) >= n || int(edges[i].Dst) >= n {
+	// Construction has no deadline to observe; its loops fail only with a
+	// contained panic, which FromEdges returns.
+	ctx := context.Background()
+
+	// The input is cut into blocks, one per worker, and every block counts
+	// and scatters its own edges through its own row of counts, so no two
+	// workers share a counter. Sharing per-row atomic cursors instead
+	// contends on the hub rows and was slower than one sequential pass.
+	// The count matrix is capped at 8 bytes per input edge.
+	blocks := max(1, min(parallel.CtxProcs(ctx), len(edges)/n))
+	counts := make([]int64, blocks*n)
+	bad := make([]int, blocks)
+	if err := forBlocks(ctx, len(edges), blocks, func(b, lo, hi int) {
+		c := counts[b*n : (b+1)*n]
+		bad[b] = -1
+		for i, e := range edges[lo:hi] {
+			if uint64(e.Src) >= uint64(n) || uint64(e.Dst) >= uint64(n) {
+				bad[b] = lo + i
+				return
+			}
+			if opts.RemoveSelfLoops && e.Src == e.Dst {
+				continue
+			}
+			c[e.Src]++
+			if opts.Symmetrize {
+				c[e.Dst]++
+			}
+		}
+	}); err != nil {
+		return nil, err
+	}
+	for _, i := range bad {
+		if i >= 0 {
 			return nil, fmt.Errorf("graph: edge %d (%d->%d) references vertex >= n=%d",
 				i, edges[i].Src, edges[i].Dst, n)
 		}
 	}
-
-	// Construction has no deadline to observe; its loops fail only with a
-	// contained panic, which FromEdges returns.
-	ctx := context.Background()
-	// Two allocations hold every transient of the build: the kept edges
-	// (and, symmetrized, their reverses in its second half) and the radix
-	// sort's scratch, shared by all of its passes. Filtering and
-	// deduplication compact in place.
-	k := 1
-	if opts.Symmetrize {
-		k = 2
-	}
-	arena := make([]Edge, k*len(edges))
-	work := arena[:0:len(edges)]
-	for _, e := range edges {
-		if !opts.RemoveSelfLoops || e.Src != e.Dst {
-			work = append(work, e)
+	// Row v starts at starts[v]; inside it, block b's edges start at
+	// counts[b*n+v], which the scatter advances as its cursor.
+	starts := make([]int64, n+1)
+	var acc int64
+	for v := 0; v < n; v++ {
+		starts[v] = acc
+		for b := v; b < len(counts); b += n {
+			counts[b], acc = acc, acc+counts[b]
 		}
 	}
-	if opts.Symmetrize {
-		m := len(work)
-		work = arena[:2*m]
-		if err := parallel.For(ctx, m, func(i int) {
-			e := work[i]
-			work[m+i] = Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
-		}); err != nil {
-			return nil, err
-		}
-	}
-	scratch := make([]Edge, len(work))
+	starts[n] = acc
 
-	// Sort by (src, dst, weight) so CSR rows come out contiguous and
-	// deduplication is a scan; "keep minimum weight among duplicates"
-	// falls out of weight being the last key. Implemented as stable LSD
-	// radix passes over the integer keys (least-significant key first),
-	// which beats comparison sorting by a wide margin on edge arrays.
-	if err := sortEdges(ctx, work, scratch, n, opts.Weighted, true); err != nil {
-		return nil, err
-	}
-
-	if opts.RemoveDuplicates {
-		kept := 0
-		for i, e := range work {
-			if i == 0 || work[kept-1].Src != e.Src || work[kept-1].Dst != e.Dst {
-				work[kept] = e
-				kept++
-			}
-		}
-		work = work[:kept]
-	}
-	if opts.Symmetrize {
-		scratch = nil // the transpose is the graph itself: no second sort
-	}
-
-	g := &Graph{
-		n:         n,
-		m:         int64(len(work)),
-		symmetric: opts.Symmetrize,
-	}
+	g := &Graph{n: n, symmetric: opts.Symmetrize}
 	var err error
-	if g.offsets, g.edges, g.weights, err = buildCSR(ctx, n, work, opts.Weighted,
-		func(e Edge) uint32 { return e.Src }, func(e Edge) uint32 { return e.Dst }); err != nil {
+	if opts.Weighted {
+		rows := make([]uint64, acc)
+		if err = scatterRows(ctx, edges, blocks, counts, rows, opts, packWeighted); err != nil {
+			return nil, err
+		}
+		if g.offsets, err = sortRows(ctx, starts, rows, opts.RemoveDuplicates, 32); err != nil {
+			return nil, err
+		}
+		g.m = g.offsets[n]
+		g.edges = make([]uint32, g.m)
+		g.weights = make([]int32, g.m)
+		err = parallel.ForRange(ctx, n, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				k := g.offsets[v]
+				for _, p := range rows[starts[v] : starts[v]+g.offsets[v+1]-k] {
+					g.edges[k], g.weights[k] = uint32(p>>32), int32(uint32(p)^1<<31)
+					k++
+				}
+			}
+		})
+	} else {
+		rows := make([]uint32, acc)
+		if err = scatterRows(ctx, edges, blocks, counts, rows, opts, func(d uint32, _ int32) uint32 { return d }); err != nil {
+			return nil, err
+		}
+		if g.offsets, err = sortRows(ctx, starts, rows, opts.RemoveDuplicates, 0); err != nil {
+			return nil, err
+		}
+		g.m = g.offsets[n]
+		g.edges = rows
+		if g.m < acc {
+			g.edges = make([]uint32, g.m)
+			err = parallel.ForRange(ctx, n, func(lo, hi int) {
+				for v := lo; v < hi; v++ {
+					copy(g.edges[g.offsets[v]:g.offsets[v+1]], rows[starts[v]:])
+				}
+			})
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
-
 	if !opts.Symmetrize {
-		// Build the transpose for pull-based dense traversal.
-		if err := sortEdges(ctx, work, scratch, n, opts.Weighted, false); err != nil {
-			return nil, err
-		}
-		if g.inOffsets, g.inEdges, g.inWeights, err = buildCSR(ctx, n, work, opts.Weighted,
-			func(e Edge) uint32 { return e.Dst }, func(e Edge) uint32 { return e.Src }); err != nil {
-			return nil, err
-		}
+		g.buildTranspose()
 	}
 	return g, nil
 }
 
-// sortEdges stably sorts edges lexicographically by (Src, Dst, Weight)
-// when bySrc, else (Dst, Src, Weight), via LSD counting-sort passes that
-// alternate with scratch.
-func sortEdges(ctx context.Context, edges, scratch []Edge, n int, weighted, bySrc bool) error {
-	if weighted {
-		if err := parallel.RadixSortByKey(ctx, edges, scratch, 1<<32, func(e Edge) int64 {
-			return int64(e.Weight) + (1 << 31)
-		}); err != nil {
-			return err
-		}
-	}
-	minor := func(e Edge) int64 { return int64(e.Dst) }
-	major := func(e Edge) int64 { return int64(e.Src) }
-	if !bySrc {
-		minor, major = major, minor
-	}
-	if err := parallel.RadixSortByKey(ctx, edges, scratch, int64(n), minor); err != nil {
-		return err
-	}
-	return parallel.RadixSortByKey(ctx, edges, scratch, int64(n), major)
+// forBlocks runs body(b, lo, hi) for each of blocks equal contiguous
+// blocks [lo, hi) of [0, n), one chunk per block.
+func forBlocks(ctx context.Context, n, blocks int, body func(b, lo, hi int)) error {
+	return parallel.ForWorkerChunks(ctx, blocks, 1, func(_, b, _, _ int) {
+		body(b, b*n/blocks, (b+1)*n/blocks)
+	})
 }
 
-// buildCSR lays a sorted edge list out as offsets+targets(+weights). key
-// extracts the CSR row (must be the sort key), val the stored endpoint.
-func buildCSR(ctx context.Context, n int, sorted []Edge, weighted bool,
-	key, val func(Edge) uint32) ([]int64, []uint32, []int32, error) {
+// packWeighted packs a target and a weight into one word whose unsigned
+// order is (target, weight): flipping the weight's sign bit maps int32
+// order onto uint32 order.
+func packWeighted(d uint32, w int32) uint64 {
+	return uint64(d)<<32 | uint64(uint32(w)^1<<31)
+}
 
-	m := len(sorted)
-	counts := make([]int64, n)
-	for i := range sorted {
-		counts[key(sorted[i])]++
-	}
-	offsets := make([]int64, n+1)
-	var acc int64
-	for v := 0; v < n; v++ {
-		offsets[v] = acc
-		acc += counts[v]
-	}
-	offsets[n] = acc
+// scatterRows writes every kept edge's packed target into its source's
+// row (and, symmetrized, the reverse edge into its target's row). The
+// edges are cut into blocks as in FromEdges; block b's cursor for row v
+// is cursors[b*n+v].
+func scatterRows[T uint32 | uint64](ctx context.Context, edges []Edge, blocks int, cursors []int64, rows []T,
+	opts BuildOptions, pack func(d uint32, w int32) T) error {
 
-	targets := make([]uint32, m)
-	var weights []int32
-	if weighted {
-		weights = make([]int32, m)
-	}
-	err := parallel.For(ctx, m, func(i int) {
-		targets[i] = val(sorted[i])
-		if weights != nil {
-			weights[i] = sorted[i].Weight
+	n := len(cursors) / blocks
+	return forBlocks(ctx, len(edges), blocks, func(b, lo, hi int) {
+		c := cursors[b*n : (b+1)*n]
+		for _, e := range edges[lo:hi] {
+			if opts.RemoveSelfLoops && e.Src == e.Dst {
+				continue
+			}
+			rows[c[e.Src]] = pack(e.Dst, e.Weight)
+			c[e.Src]++
+			if opts.Symmetrize {
+				rows[c[e.Dst]] = pack(e.Src, e.Weight)
+				c[e.Dst]++
+			}
 		}
 	})
-	return offsets, targets, weights, err
+}
+
+// sortRows sorts every row rows[starts[v]:starts[v+1]] in place and, when
+// dedupe is set, moves the first of each run of words equal above bit
+// shift to the row's front. It returns the offsets of the rows as kept.
+func sortRows[T uint32 | uint64](ctx context.Context, starts []int64, rows []T, dedupe bool, shift uint) ([]int64, error) {
+	n := len(starts) - 1
+	offsets := make([]int64, n+1)
+	if err := parallel.ForRange(ctx, n, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			row := rows[starts[v]:starts[v+1]]
+			slices.Sort(row)
+			k := len(row)
+			if dedupe && k > 1 {
+				k = 1
+				for _, x := range row[1:] {
+					if x>>shift != row[k-1]>>shift {
+						row[k] = x
+						k++
+					}
+				}
+			}
+			offsets[v+1] = int64(k)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	return offsets, nil
 }
 
 // FromCSR wraps pre-built CSR arrays as a Graph, validating invariants.
@@ -223,35 +265,39 @@ func FromCSR(offsets []int64, edges []uint32, weights []int32, symmetric bool) (
 }
 
 // buildTranspose fills the in-edge CSR arrays from the out-edge arrays.
+// Walking the sources in order leaves every in-row sorted by source, and
+// a source's parallel edges in their out-row order.
 func (g *Graph) buildTranspose() {
-	counts := make([]int64, g.n)
-	for _, d := range g.edges {
-		counts[d]++
-	}
 	g.inOffsets = make([]int64, g.n+1)
-	var acc int64
-	for v := 0; v < g.n; v++ {
-		g.inOffsets[v] = acc
-		acc += counts[v]
+	for _, d := range g.edges {
+		g.inOffsets[d+1]++
 	}
-	g.inOffsets[g.n] = acc
-
+	for v := 0; v < g.n; v++ {
+		g.inOffsets[v+1] += g.inOffsets[v]
+	}
 	g.inEdges = make([]uint32, g.m)
 	if g.weights != nil {
 		g.inWeights = make([]int32, g.m)
 	}
+	g.transposeSlots(func(k int64, s uint32, i int64) {
+		g.inEdges[k] = s
+		if g.inWeights != nil {
+			g.inWeights[k] = g.weights[i]
+		}
+	})
+}
+
+// transposeSlots is the transpose scatter: it calls put(k, s, i) for every
+// out-edge i of every source s, in source order, where k is the edge's
+// slot in the in-arrays laid out by g.inOffsets.
+func (g *Graph) transposeSlots(put func(k int64, s uint32, i int64)) {
 	cursor := make([]int64, g.n)
 	copy(cursor, g.inOffsets[:g.n])
 	for s := 0; s < g.n; s++ {
-		lo, hi := g.offsets[s], g.offsets[s+1]
-		for i := lo; i < hi; i++ {
+		for i := g.offsets[s]; i < g.offsets[s+1]; i++ {
 			d := g.edges[i]
-			k := cursor[d]
+			put(cursor[d], uint32(s), i)
 			cursor[d]++
-			g.inEdges[k] = uint32(s)
-			if g.inWeights != nil {
-				g.inWeights[k] = g.weights[i]
-			}
 		}
 	}
 }
@@ -278,35 +324,27 @@ func (g *Graph) Transpose() *Graph {
 // AddWeights returns a copy of g carrying the weights produced by fn(i),
 // where i indexes the out-edge array. For directed graphs the transposed
 // weights are kept consistent with the forward weights. fn is called once
-// per directed edge. Symmetric graphs receive consistent weights per
-// undirected edge only if fn is a function of the endpoint pair; the helper
-// HashWeight provides such a function.
+// per directed edge, concurrently over ranges of sources, so it must be
+// safe for concurrent use. Symmetric graphs receive consistent weights
+// per undirected edge only if fn is a function of the endpoint pair; the
+// helper HashWeight provides such a function.
 func (g *Graph) AddWeights(fn func(s, d uint32, i int64) int32) *Graph {
 	ng := *g
 	ng.weights = make([]int32, g.m)
-	for v := uint32(0); int(v) < g.n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		for i := lo; i < hi; i++ {
-			ng.weights[i] = fn(v, g.edges[i], i)
+	// Weighting has no deadline to observe; a panic in fn is re-raised
+	// here as a *parallel.PanicError.
+	if err := parallel.ForRange(context.Background(), g.n, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+				ng.weights[i] = fn(uint32(v), g.edges[i], i)
+			}
 		}
+	}); err != nil {
+		panic(err)
 	}
 	if !g.symmetric {
 		ng.inWeights = make([]int32, g.m)
-		// Rebuild transpose weights so in/out stay consistent.
-		ng.inOffsets, ng.inEdges = g.inOffsets, g.inEdges
-		cursor := make([]int64, g.n)
-		copy(cursor, g.inOffsets[:g.n])
-		for s := 0; s < g.n; s++ {
-			lo, hi := g.offsets[s], g.offsets[s+1]
-			for i := lo; i < hi; i++ {
-				d := g.edges[i]
-				// Find the matching slot in the in-array: slots for d are
-				// assigned in increasing s order, matching buildTranspose.
-				k := cursor[d]
-				cursor[d]++
-				ng.inWeights[k] = ng.weights[i]
-			}
-		}
+		ng.transposeSlots(func(k int64, _ uint32, i int64) { ng.inWeights[k] = ng.weights[i] })
 	}
 	return &ng
 }

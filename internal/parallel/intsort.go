@@ -4,8 +4,7 @@ import "context"
 
 // Integer sorting primitives in the style of PBBS: a stable counting sort
 // over small integer keys, the inner pass of a radix sort for larger key
-// spaces that buckets edges by endpoint when building CSR graphs (much
-// faster than comparison sorting).
+// spaces (graph.DegreeOrderPermutation's sort by degree).
 
 // countingSortByKey stably sorts the items of in into out (same length)
 // by key(item), where every key lies in [0, buckets). counts is the
