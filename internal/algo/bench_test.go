@@ -89,3 +89,73 @@ func BenchmarkPushViews(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPointQueries times what a plain reach or landmarks query
+// costs against the full level sweep it once ran: BFSLevels, reach (one
+// target), landmarks-4 and landmarks-64, each op from a fresh source of
+// nonzero degree to targets drawn uniformly, on the scale-16 rMat that
+// ligra-serve hosts and a grid3d of side 32:
+//
+//	go test -run '^$' -bench PointQueries -cpu 1,2 -count 7 ./internal/algo
+func BenchmarkPointQueries(b *testing.B) {
+	rmat, err := gen.Family("rmat", 16, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid, err := gen.Grid3D(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	reach, _ := algo.FindRunner("reach")
+	landmarks, _ := algo.FindRunner("landmarks")
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"rmat16", rmat}, {"grid3d32", grid}} {
+		g, n := in.g, uint64(in.g.NumVertices())
+		// op i's source and targets, from a hash of i.
+		source := func(i int) uint32 {
+			for j := uint64(0); ; j++ {
+				if s := uint32(algo.HashU64(uint64(i), j) % n); g.OutDegree(s) > 0 {
+					return s
+				}
+			}
+		}
+		targets := func(i, k int) []uint32 {
+			ts := make([]uint32, k)
+			for j := range ts {
+				ts[j] = uint32(algo.HashU64(uint64(i)+n, uint64(j)) % n)
+			}
+			return ts
+		}
+		queries := []struct {
+			name string
+			run  func(i int) error
+		}{
+			{"bfs-levels", func(i int) error { _, err := algo.BFSLevelsCtx(ctx, g, source(i), core.Options{}); return err }},
+			{"reach", func(i int) error {
+				_, err := reach.Run(ctx, g, algo.Params{Source: source(i), Target: targets(i, 1)[0]})
+				return err
+			}},
+			{"landmarks-4", func(i int) error {
+				_, err := landmarks.Run(ctx, g, algo.Params{Source: source(i), Landmarks: targets(i, 4)})
+				return err
+			}},
+			{"landmarks-64", func(i int) error {
+				_, err := landmarks.Run(ctx, g, algo.Params{Source: source(i), Landmarks: targets(i, algo.MaxLandmarks)})
+				return err
+			}},
+		}
+		for _, q := range queries {
+			b.Run(in.name+"/"+q.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := range b.N {
+					if err := q.run(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -126,37 +126,7 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 	}
 
 	round := int32(0)
-	funcs := core.EdgeFuncs{
-		// Push: as in BFS, a tested CAS claims each destination once.
-		PushRow: func(_ uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
-			r := round
-			for _, d := range dsts {
-				if atomic.LoadInt32(&levels[d]) == -1 && atomic.CompareAndSwapInt32(&levels[d], -1, r) {
-					out = append(out, d)
-				}
-			}
-			return out
-		},
-		// Pull: as in BFS, any frontier in-neighbour settles an unvisited d.
-		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
-			own := levels[lo:][:len(offs)-1]
-			var word uint64
-			for i, l := range own {
-				if l != -1 {
-					continue
-				}
-				for j, end := offs[i], offs[i+1]; j < end; j++ {
-					if core.InFrontier(frontier, srcs[j]) {
-						own[i] = round
-						word |= 1 << (uint(i) & 63)
-						break
-					}
-				}
-			}
-			return word
-		},
-		Cond: func(d uint32) bool { return atomic.LoadInt32(&levels[d]) == -1 },
-	}
+	funcs := levelFuncs(levels, &round, nil, nil)
 	// Same claim-once structure as BFS: dense rounds may early-exit.
 	opts.DenseEarlyExit = true
 	frontier := core.NewSingle(n, source)
@@ -169,4 +139,50 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 		frontier = next
 	}
 	return levels, nil
+}
+
+// levelFuncs is BFSLevels' kernel over levels: a round claims every
+// unvisited destination at level *round, as BFS claims a parent. With
+// other set, the levels of a search growing from the far end, a claim
+// on a vertex other has reached also sets met: the two searches meet
+// there. Rounds over dense frontiers may early-exit.
+func levelFuncs(levels []int32, round *int32, other []int32, met *atomic.Bool) core.EdgeFuncs {
+	return core.EdgeFuncs{
+		// Push: as in BFS, a tested CAS claims each destination once.
+		PushRow: func(_ uint32, dsts []uint32, _ []int32, out []uint32) []uint32 {
+			r := *round
+			for _, d := range dsts {
+				if atomic.LoadInt32(&levels[d]) == -1 && atomic.CompareAndSwapInt32(&levels[d], -1, r) {
+					out = append(out, d)
+					if other != nil && other[d] != -1 {
+						met.Store(true)
+					}
+				}
+			}
+			return out
+		},
+		// Pull: as in BFS, any frontier in-neighbour settles an unvisited d.
+		PullRows: func(lo uint32, offs []int64, srcs []uint32, _ []int32, frontier []uint64) uint64 {
+			own := levels[lo:][:len(offs)-1]
+			r := *round
+			var word uint64
+			for i, l := range own {
+				if l != -1 {
+					continue
+				}
+				for j, end := offs[i], offs[i+1]; j < end; j++ {
+					if core.InFrontier(frontier, srcs[j]) {
+						own[i] = r
+						word |= 1 << (uint(i) & 63)
+						if other != nil && other[lo+uint32(i)] != -1 {
+							met.Store(true)
+						}
+						break
+					}
+				}
+			}
+			return word
+		},
+		Cond: func(d uint32) bool { return atomic.LoadInt32(&levels[d]) == -1 },
+	}
 }

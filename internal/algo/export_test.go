@@ -8,3 +8,7 @@ var HashU64 = hashU64
 // vertices (shift >= 6): every test graph is smaller than one block of
 // the real size.
 var BellmanFordBlocks = bellmanFord
+
+// Distances is the point-query search behind the reach and landmarks
+// rows.
+var Distances = distancesCtx

@@ -164,27 +164,6 @@ type RunResult struct {
 	Details map[string]any
 }
 
-// EstimateBytes approximates the RunResult's heap footprint for the
-// result cache's byte budget: the summary string plus each detail's key
-// and boxed value (slices counted element-wise).
-func (r RunResult) EstimateBytes() int64 {
-	b := int64(len(r.Summary))
-	for k, v := range r.Details {
-		b += int64(len(k)) + 48
-		switch s := v.(type) {
-		case []int64:
-			b += 8 * int64(len(s))
-		case []int32:
-			b += 4 * int64(len(s))
-		case []float64:
-			b += 8 * int64(len(s))
-		case string:
-			b += int64(len(s))
-		}
-	}
-	return b
-}
-
 // Runner is one dispatchable algorithm, and its row the one place that
 // knows the algorithm's facts.
 type Runner struct {
@@ -205,8 +184,7 @@ type Runner struct {
 	spmv bool
 	// check refuses the parameters a graph of n vertices cannot answer.
 	check func(n int, p Params) error
-	// Run calls run if set, else refresh with nothing to carry forward,
-	// else reads one BFS's levels through fromSweep.
+	// Run calls run if set, else refresh with nothing to carry forward.
 	run runFunc
 	// refresh is the run of an algorithm whose last result a snapshot
 	// store can carry forward; it reports whether rf carried it.
@@ -274,10 +252,8 @@ func (r Runner) Run(ctx context.Context, g graph.View, p Params) (RunResult, err
 	switch {
 	case r.run != nil:
 		res, err = r.run(ctx, g, p)
-	case r.refresh != nil:
-		res, _, err = r.refresh(ctx, fullRun{g}, p)
 	default:
-		res, err = r.levels(ctx, g, p)
+		res, _, err = r.refresh(ctx, fullRun{g}, p)
 	}
 	return r.reply(res), err
 }
@@ -325,13 +301,21 @@ func (r Runner) FromSweep(res *ClusterBFSResult, i int, p Params) RunResult {
 	return r.reply(r.fromSweep(res, i, p))
 }
 
-// levels is Run for a sweep-only row (reach, landmarks): one BFSLevelsCtx,
-// which costs what a bfs costs, read through fromSweep as the one-source
-// level matrix it is.
-func (r Runner) levels(ctx context.Context, g graph.View, p Params) (RunResult, error) {
-	levels, err := BFSLevelsCtx(ctx, g, p.Source, p.EdgeMapOptions())
-	res := &ClusterBFSResult{Sources: []uint32{p.Source}, Levels: levels, n: len(levels)}
-	return r.fromSweep(res, 0, p), err
+// landmarksReply is the landmarks reply for the distances to
+// p.Landmarks, in order, -1 where unreachable.
+func landmarksReply(p Params, dists []int32) RunResult {
+	out := make([]int64, len(dists))
+	reachable := 0
+	for j, d := range dists {
+		out[j] = int64(d)
+		if d >= 0 {
+			reachable++
+		}
+	}
+	return RunResult{
+		Summary: fmt.Sprintf("Landmarks from %d: %d/%d reachable", p.Source, reachable, len(dists)),
+		Details: map[string]any{"source": p.Source, "landmarks": len(dists), "reachable": reachable, "distances": out},
+	}
 }
 
 // Runners returns the dispatch table in presentation order.
@@ -395,14 +379,14 @@ var runners = []Runner{
 			}
 			return nil
 		},
-		probes: func(p Params) []uint32 { return []uint32{p.Target} },
-		fromSweep: func(res *ClusterBFSResult, i int, p Params) RunResult {
-			dist := int64(res.LevelTo(i, p.Target))
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+			dists, err := distancesCtx(ctx, g, p.Source, []uint32{p.Target}, p.EdgeMapOptions())
+			dist := int64(dists[0])
 			summary := fmt.Sprintf("Reach from %d to %d: unreachable", p.Source, p.Target)
 			if dist >= 0 {
 				summary = fmt.Sprintf("Reach from %d to %d: reachable (distance %d)", p.Source, p.Target, dist)
 			}
-			return RunResult{Summary: summary, Details: map[string]any{"source": p.Source, "target": p.Target, "reachable": dist >= 0, "distance": dist}}
+			return RunResult{Summary: summary, Details: map[string]any{"source": p.Source, "target": p.Target, "reachable": dist >= 0, "distance": dist}}, err
 		},
 	},
 	{
@@ -421,21 +405,17 @@ var runners = []Runner{
 			}
 			return nil
 		},
+		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
+			dists, err := distancesCtx(ctx, g, p.Source, p.Landmarks, p.EdgeMapOptions())
+			return landmarksReply(p, dists), err
+		},
 		probes: func(p Params) []uint32 { return p.Landmarks },
 		fromSweep: func(res *ClusterBFSResult, i int, p Params) RunResult {
-			dists := make([]int64, len(p.Landmarks))
-			reachable := 0
+			dists := make([]int32, len(p.Landmarks))
 			for j, l := range p.Landmarks {
-				d := res.LevelTo(i, l)
-				dists[j] = int64(d)
-				if d >= 0 {
-					reachable++
-				}
+				dists[j] = res.LevelTo(i, l)
 			}
-			return RunResult{
-				Summary: fmt.Sprintf("Landmarks from %d: %d/%d reachable", p.Source, reachable, len(p.Landmarks)),
-				Details: map[string]any{"source": p.Source, "landmarks": len(p.Landmarks), "reachable": reachable, "distances": dists},
-			}
+			return landmarksReply(p, dists)
 		},
 	},
 	{

@@ -6,6 +6,7 @@ import (
 
 	"ligra/internal/algo"
 	"ligra/internal/core"
+	"ligra/internal/graph"
 )
 
 // Batch times K concurrent distinct-source BFS queries answered the way
@@ -19,7 +20,10 @@ import (
 // instead of once per source, which is the whole point of the
 // subsystem (the acceptance bar is >=4x fewer edges at K=32 on rMat).
 // The K list straddles the point where the sweep starts to pay: the two
-// rows that bracket it are the evidence for batch.SweepCrossover.
+// rows that bracket it are the evidence for batch.SweepCrossover. The
+// reach rows then time K plain reach queries, each a search from both
+// ends, against one sweep that records every target as a probe: the
+// evidence that a reach never rides a sweep.
 func Batch(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	in, err := FindInput(suite, "rMat")
@@ -84,6 +88,57 @@ func Batch(cfg Config) error {
 			tu.Median.Seconds()/tb.Median.Seconds(), uEdges, bEdges, ratio)
 		cfg.record(fmt.Sprintf("batch/k%d-unbatched", k), tu.Median.Seconds())
 		cfg.record(fmt.Sprintf("batch/k%d-batched", k), tb.Median.Seconds())
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return batchReach(cfg, g)
+}
+
+// batchReach is Batch's reach table: K plain reach runs against one
+// ClusterBFS sweep with the K targets as probes.
+func batchReach(cfg Config, g graph.View) error {
+	n := g.NumVertices()
+	ctx := context.Background()
+	reach, _ := algo.FindRunner("reach")
+	fmt.Fprintln(cfg.Out, "  reach: plain = K reach runs (a search from both ends); batched = one sweep probing the K targets")
+	w := cfg.tab()
+	fmt.Fprintln(w, "K\tplain\tbatched\tspeedup")
+	for _, k := range []int{12, 64} {
+		if cfg.budgetExhausted(w) {
+			break
+		}
+		if k >= n {
+			fmt.Fprintf(w, "%d\t[skipped: graph has only %d vertices]\n", k, n)
+			continue
+		}
+		// Sources spread as above; targets scattered by a
+		// multiplicative hash, as a client's would be.
+		params := make([]algo.Params, k)
+		sources, targets := make([]uint32, k), make([]uint32, k)
+		for i := range params {
+			sources[i] = uint32(i * (n - 1) / k)
+			targets[i] = uint32(uint64(i+1) * 2654435761 % uint64(n))
+			params[i] = algo.Params{Source: sources[i], Target: targets[i]}
+		}
+		plain := func() {
+			for _, p := range params {
+				if _, err := reach.Run(ctx, g, p); err != nil {
+					panic(fmt.Errorf("batch bench reach: %w", err))
+				}
+			}
+		}
+		batched := func() {
+			if _, err := algo.ClusterBFSCtx(ctx, g, sources, algo.ClusterBFSOptions{Probes: targets}); err != nil {
+				panic(fmt.Errorf("batch bench reach sweep: %w", err))
+			}
+		}
+		tp := Measure(cfg.rounds(), plain)
+		tb := Measure(cfg.rounds(), batched)
+		fmt.Fprintf(w, "%d\t%.4f\t%.4f\t%.2fx\n", k, tp.Median.Seconds(), tb.Median.Seconds(),
+			tp.Median.Seconds()/tb.Median.Seconds())
+		cfg.record(fmt.Sprintf("batch/reach-k%d-plain", k), tp.Median.Seconds())
+		cfg.record(fmt.Sprintf("batch/reach-k%d-batched", k), tb.Median.Seconds())
 	}
 	return w.Flush()
 }

@@ -557,8 +557,8 @@ func TestBatchingOff(t *testing.T) {
 }
 
 // TestClusterRunEndToEnd: the standard sweep through the collector
-// answers mixed bfs/reach/landmarks queries identically to the plain
-// runners.
+// answers mixed bfs/landmarks queries with the values, packed, the plain
+// runners give.
 func TestClusterRunEndToEnd(t *testing.T) {
 	g, err := gen.RMAT(9, 8, gen.PBBSRMAT, 1)
 	if err != nil {
@@ -572,7 +572,7 @@ func TestClusterRunEndToEnd(t *testing.T) {
 		name, p := "bfs", algo.Params{Source: i * 37 % n}
 		switch i % 3 {
 		case 1:
-			name, p.Target = "reach", (n/2+i)%n
+			name, p.Landmarks = "landmarks", []uint32{(n/2 + i) % n}
 		case 2:
 			name, p.Landmarks = "landmarks", []uint32{0, (n/3 + i) % n, n - 2, 0}
 		}
@@ -591,12 +591,12 @@ func TestClusterRunEndToEnd(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		want, err := r.Runner.Run(context.Background(), g, r.Params)
+		res, err := r.Runner.Run(context.Background(), g, r.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i].Data, want) {
-			t.Fatalf("query %d (%s) diverges:\n got %+v\nwant %+v", i, r.Runner.Name, got[i].Data, want)
+		if want := Pack(res); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("query %d (%s) diverges:\n got %+v\nwant %+v", i, r.Runner.Name, got[i], want)
 		}
 		if !infos[i].Batched || infos[i].BatchSize != len(reqs) {
 			t.Fatalf("query %d info %+v", i, infos[i])

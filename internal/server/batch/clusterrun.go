@@ -10,10 +10,10 @@ import (
 
 // ClusterRun is the standard sweep for a batch against g: one
 // bit-parallel ClusterBFS sweep with every slot's source as a bit and
-// every slot's probe vertices (reach targets, landmark lists) recorded,
-// then per-slot extraction through each slot's runner row, which the
-// row's unbatched Run reads through too — so a batched answer is
-// byte-identical to the answer the query would have gotten alone. ctx carries the governor
+// every slot's probe vertices (its landmark list) recorded,
+// then per-slot extraction through each slot's runner row, packed as the
+// plain runner's result is — so a batched answer is byte-identical to the
+// answer the query would have gotten alone. ctx carries the governor
 // lease, which caps every pass of the sweep.
 func ClusterRun(ctx context.Context, g graph.View, slots []Request) ([]engine.Value, error) {
 	sources := make([]uint32, len(slots))
@@ -33,8 +33,7 @@ func ClusterRun(ctx context.Context, g graph.View, slots []Request) ([]engine.Va
 	}
 	vals := make([]engine.Value, len(slots))
 	for i, s := range slots {
-		rr := s.Runner.FromSweep(res, i, s.Params)
-		vals[i] = engine.Value{Data: rr, Bytes: rr.EstimateBytes()}
+		vals[i] = Pack(s.Runner.FromSweep(res, i, s.Params))
 	}
 	return vals, nil
 }

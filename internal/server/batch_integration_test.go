@@ -121,11 +121,12 @@ func answerBytes(t *testing.T, body map[string]any) string {
 
 // TestBatchedQueriesOverHTTP proves the wire contract of the batch
 // collector over every graph representation (heap / compressed / mmap /
-// delta snapshot): at the sweep crossover concurrent bfs / reach /
-// landmarks queries share ONE sweep (batched:true, one batch_size), below
-// it the same queries run plain (no batched field), and the swept reply,
-// the plain reply, a batching-disabled server's reply and the internal/seq
-// oracle all agree — byte for byte where both are replies.
+// delta snapshot): at the sweep crossover concurrent bfs / landmarks
+// queries share ONE sweep (batched:true, one batch_size) while the reach
+// queries fired with them run plain, below it the same queries run plain
+// (no batched field), and the swept reply, the plain reply, a
+// batching-disabled server's reply and the internal/seq oracle all agree
+// — byte for byte where both are replies.
 func TestBatchedQueriesOverHTTP(t *testing.T) {
 	g, err := gen.RMAT(10, 4, gen.PBBSRMAT, 42)
 	if err != nil {
@@ -172,21 +173,27 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 		{"algo": "landmarks", "source": source, "landmarks": []int{0, 9, 9, unreachable, 0}}, // duplicates
 		{"algo": "landmarks", "source": source, "landmarks": []int{source}},
 	}
-	for i := uint32(0); len(queries) < batch.SweepCrossover+2; i++ {
+	const reaches = 3 // a reach never rides a sweep
+	for i := uint32(0); len(queries)-reaches < batch.SweepCrossover+2; i++ {
 		queries = append(queries, map[string]any{"algo": "bfs", "source": (i*131 + 2) % n})
 	}
+	swept := len(queries) - reaches
 
 	for name := range views {
 		url := batched.URL + "/v1/graphs/" + name + "/query"
 		release := holdBatchLoad(t, s, name)
-		swept := fireAll(t, url, queries)
+		burst := fireAll(t, url, queries)
 		release()
 		for i, q := range queries {
-			if swept[i].status != http.StatusOK {
-				t.Fatalf("%s: swept query %v: status %d, body %v", name, q, swept[i].status, swept[i].body)
+			if burst[i].status != http.StatusOK {
+				t.Fatalf("%s: burst query %v: status %d, body %v", name, q, burst[i].status, burst[i].body)
 			}
-			if swept[i].body["batched"] != true || swept[i].body["batch_size"] != float64(len(queries)) {
-				t.Errorf("%s: query %v not answered by the one sweep: %v", name, q, swept[i].body)
+			if q["algo"] == "reach" {
+				if burst[i].body["batched"] != nil || burst[i].body["batch_size"] != nil {
+					t.Errorf("%s: reach %v rode a sweep: %v", name, q, burst[i].body)
+				}
+			} else if burst[i].body["batched"] != true || burst[i].body["batch_size"] != float64(swept) {
+				t.Errorf("%s: query %v not answered by the one sweep: %v", name, q, burst[i].body)
 			}
 			// The load is gone: the same query now runs plain.
 			status, plain := doJSON(t, "POST", url, q)
@@ -194,16 +201,16 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 				t.Fatalf("%s: plain query %v: status %d, body %v", name, q, status, plain)
 			}
 			_, base := doJSON(t, "POST", off.URL+"/v1/graphs/"+name+"/query", q)
-			want := answerBytes(t, swept[i].body)
+			want := answerBytes(t, burst[i].body)
 			if got := answerBytes(t, plain); got != want {
-				t.Errorf("%s: query %v:\n swept %s\n plain %s", name, q, want, got)
+				t.Errorf("%s: query %v:\n burst %s\n plain %s", name, q, want, got)
 			}
 			if got := answerBytes(t, base); got != want {
-				t.Errorf("%s: query %v:\n swept %s\n batching off %s", name, q, want, got)
+				t.Errorf("%s: query %v:\n burst %s\n batching off %s", name, q, want, got)
 			}
 		}
 		// The oracle, on the queries whose answers it spells out.
-		details := func(i int) map[string]any { return swept[i].body["details"].(map[string]any) }
+		details := func(i int) map[string]any { return burst[i].body["details"].(map[string]any) }
 		visited, depth := 0, int32(0)
 		for _, l := range levels {
 			if l >= 0 {
@@ -229,7 +236,7 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 	// ballast were counted as plain arrivals; the batching-off server
 	// counted nothing.
 	snap := metricsSnapshot(t, batched.URL)
-	views64, queries64 := int64(len(views)), int64(len(queries))
+	views64, queries64 := int64(len(views)), int64(swept)
 	if b := snap.Batch; b.BatchesRun != views64 || b.QueriesBatched != views64*queries64 ||
 		b.MeanBatchSize != float64(queries64) || b.WindowWaits != views64 ||
 		b.PlainRuns < views64*queries64 || b.ShortWindows != 0 || b.FanoutErrors != 0 {

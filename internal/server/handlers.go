@@ -303,11 +303,13 @@ type queryRequest struct {
 
 // queryResponse is the body of a query reply (any status).
 type queryResponse struct {
-	Graph     string         `json:"graph"`
-	Algo      string         `json:"algo"`
-	Summary   string         `json:"summary,omitempty"`
-	Details   map[string]any `json:"details,omitempty"`
-	ElapsedMs float64        `json:"elapsed_ms"`
+	Graph   string `json:"graph"`
+	Algo    string `json:"algo"`
+	Summary string `json:"summary,omitempty"`
+	// Details is the answer's details object as batch.Pack encoded it;
+	// the indenting encoder re-indents it with the rest of the reply.
+	Details   json.RawMessage `json:"details,omitempty"`
+	ElapsedMs float64         `json:"elapsed_ms"`
 	// Partial marks an interrupted query whose Summary/Details describe
 	// the partial result; InterruptedAfterRound is the number of rounds
 	// that completed before the deadline hit.
@@ -394,7 +396,10 @@ func (s *Server) plan(ctx context.Context, name string, req queryRequest) (*quer
 		// generations and update versions share one per-name sequence, so
 		// a cached result is provably from exactly this snapshot — queries
 		// racing an update batch simply key under the version they pinned.
-		key:  engine.Key{Graph: name, Generation: pin.Version(), Algo: runner.Name, Params: params.Canonical()},
+		// The key names the graph by the registry's own string: a cache
+		// entry outlives the request whose path name would otherwise
+		// hold the whole request line.
+		key:  engine.Key{Graph: info.Name, Generation: pin.Version(), Algo: runner.Name, Params: params.Canonical()},
 		bkey: resilience.BreakerKey{Algo: runner.Name, Graph: name},
 		// A deadline expiry only indicts the (algorithm, graph)
 		// combination when the server imposed the deadline. timeout_ms is
@@ -430,7 +435,7 @@ func bindParams(runner algo.Runner, g graph.View, defaultSource uint32, req quer
 	}
 	// The runner's checks run before the cache, the batch collector and
 	// the refreshers: a directed graph must not reach Pin.RefreshCC, a
-	// reach target out of range must not be read off a sweep as
+	// landmark out of range must not be read off a sweep as
 	// "unreachable", and "spmv" is refused where it never was accepted.
 	return p, runner.Validate(g, p)
 }
@@ -504,7 +509,7 @@ func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Inf
 	s.metrics.InFlight.Add(1)
 	g := q.pin.View()
 	// The plain runner, one closure for every algorithm; the collector
-	// decides whether a batchable query (bfs, reach, landmarks) runs it or
+	// decides whether a batchable query (bfs, landmarks) runs it or
 	// rides a shared sweep, and hands everything else straight to the engine.
 	// runCtx carries the governor lease as its worker cap, which bounds
 	// every pass of whatever runs under it.
@@ -516,7 +521,7 @@ func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Inf
 		if !handled {
 			res, err = q.runner.Run(runCtx, g, q.params)
 		}
-		return engine.Value{Data: res, Bytes: res.EstimateBytes()}, err
+		return batch.Pack(res), err
 	}
 	// A sweep's slots share (graph, version, mode, threshold), so every
 	// one pinned the identical snapshot. The sweep can outlive this
@@ -549,17 +554,19 @@ func (s *Server) render(w http.ResponseWriter, q *query, val engine.Value, how b
 	// probe slot, where skipping Record would wedge the breaker
 	// half-open with every later Allow refused.
 	executed := !how.Cached && !how.Coalesced
-	res, _ := val.Data.(algo.RunResult)
-	resBackend, _ := res.Details["backend"].(string)
-	if executed && resBackend != "" {
-		s.metrics.Backend(resBackend).Add(1)
+	ans, ok := val.Data.(*batch.Answer)
+	if !ok {
+		ans = &batch.Answer{}
+	}
+	if executed && ans.Backend() != "" {
+		s.metrics.Backend(ans.Backend()).Add(1)
 	}
 	resp := queryResponse{
 		Graph: q.graph, Algo: q.runner.Name,
-		Summary: res.Summary, Details: sanitizeDetails(res.Details), ElapsedMs: elapsed,
+		Summary: ans.Summary(), Details: ans.Details(), ElapsedMs: elapsed,
 		Cached: how.Cached, Coalesced: how.Coalesced, Procs: how.Procs,
 		Batched: how.Batched, BatchSize: how.BatchSize,
-		Backend: resBackend,
+		Backend: ans.Backend(),
 	}
 	am := s.metrics.Algo(q.runner.Name)
 	status, outcome := http.StatusOK, resilience.OutcomeSuccess
@@ -604,16 +611,4 @@ func (s *Server) render(w http.ResponseWriter, q *query, val engine.Value, how b
 		return resilience.OutcomeAborted
 	}
 	return outcome
-}
-
-// sanitizeDetails renders non-finite floats as strings, which
-// encoding/json cannot represent (a partial PageRank result, for
-// example, reports an +Inf L1 change).
-func sanitizeDetails(d map[string]any) map[string]any {
-	for k, v := range d {
-		if f, ok := v.(float64); ok && (math.IsInf(f, 0) || math.IsNaN(f)) {
-			d[k] = fmt.Sprint(f)
-		}
-	}
-	return d
 }
