@@ -5,79 +5,51 @@ import (
 	"testing"
 )
 
-// TestBatchResultMatchesRunners: a mixed batch of bfs and landmarks
-// queries (one to three landmarks, so a one-target query rides too)
-// answered from ONE shared sweep, each read through its row's FromSweep,
-// must produce RunResults deeply equal to each query's own unbatched
-// runner invocation — the "semantically invisible" guarantee the serving
-// batch collector relies on.
+// TestBatchResultMatchesRunners: a batch of bfs queries answered from ONE
+// shared sweep, each read through its row's FromSweep, must produce
+// RunResults deeply equal to each query's own unbatched runner invocation
+// — the "semantically invisible" guarantee the serving batch collector
+// relies on.
 func TestBatchResultMatchesRunners(t *testing.T) {
+	bfs, _ := FindRunner("bfs")
 	for gname, g := range testGraphs(t) {
 		n := g.NumVertices()
-		type query struct {
-			algo string
-			p    Params
+		sources := make([]uint32, 24)
+		for i := range sources {
+			sources[i] = uint32(hashU64(3, uint64(i)) % uint64(n))
 		}
-		var queries []query
-		for i := 0; i < 24; i++ {
-			src := uint32(hashU64(3, uint64(i)) % uint64(n))
-			switch i % 3 {
-			case 0:
-				queries = append(queries, query{"bfs", Params{Source: src}})
-			case 1:
-				queries = append(queries, query{"landmarks", Params{Source: src, Landmarks: []uint32{uint32(hashU64(5, uint64(i)) % uint64(n))}}})
-			default:
-				queries = append(queries, query{"landmarks", Params{Source: src, Landmarks: []uint32{
-					uint32(hashU64(7, uint64(i)) % uint64(n)),
-					uint32(hashU64(9, uint64(i)) % uint64(n)),
-					src,
-				}}})
-			}
-		}
-		sources := make([]uint32, len(queries))
-		var probes []uint32
-		for i, q := range queries {
-			runner, _ := FindRunner(q.algo)
-			sources[i] = q.p.Source
-			probes = append(probes, runner.Probes(q.p)...)
-		}
-		res, err := ClusterBFSCtx(nil, g, sources, ClusterBFSOptions{Probes: probes})
+		res, err := ClusterBFSCtx(nil, g, sources, ClusterBFSOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", gname, err)
 		}
-		for i, q := range queries {
-			runner, ok := FindRunner(q.algo)
-			if !ok {
-				t.Fatalf("no runner %q", q.algo)
-			}
-			want, err := runner.Run(nil, g, q.p)
+		for i, src := range sources {
+			p := Params{Source: src}
+			want, err := bfs.Run(nil, g, p)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, q.algo, err)
+				t.Fatalf("%s: %v", gname, err)
 			}
-			got := runner.FromSweep(res, i, q.p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: batched %s query %d diverges:\n got %+v\nwant %+v", gname, q.algo, i, got, want)
+			if got := bfs.FromSweep(res, i, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: batched bfs query %d diverges:\n got %+v\nwant %+v", gname, i, got, want)
 			}
 		}
 	}
 }
 
-// TestBatchableSet: the bfs and landmarks rows, and no other, ride a
-// shared sweep. A plain reach stops where its two searches meet, which
-// costs less than a sweep at any batch size (ligra-bench -experiment
-// batch, the reach rows).
+// TestBatchableSet: the bfs row, and no other, rides a shared sweep. A
+// plain reach or landmarks query stops where its searches meet, which
+// costs less than a sweep at the collector's crossover for any landmark
+// count (ligra-bench -experiment batch, the point-query rows).
 func TestBatchableSet(t *testing.T) {
 	for _, r := range Runners() {
-		want := r.Name == "bfs" || r.Name == "landmarks"
-		if r.Sweeps() != want {
+		if want := r.Name == "bfs"; r.Sweeps() != want {
 			t.Errorf("%s: Sweeps() = %t, want %t", r.Name, r.Sweeps(), want)
 		}
 	}
 }
 
 // TestBatchValidate pins the reach and landmarks rows' own checks, which
-// the server runs at plan time so a sweep never reads an out-of-range
-// probe as "unreachable".
+// the server runs at plan time so a search never starts from an
+// out-of-range target.
 func TestBatchValidate(t *testing.T) {
 	g := edgeless(t, 10)
 	validate := func(name string, p Params) error {

@@ -94,7 +94,9 @@ func BenchmarkPushViews(b *testing.B) {
 // costs against the full level sweep it once ran: BFSLevels, reach (one
 // target), landmarks-4 and landmarks-64, each op from a fresh source of
 // nonzero degree to targets drawn uniformly, on the scale-16 rMat that
-// ligra-serve hosts and a grid3d of side 32:
+// ligra-serve hosts and a grid3d of side 32. levels-B is the most bytes
+// of level arrays one op held at once, live rather than allocated (the
+// searches draw theirs from a pool):
 //
 //	go test -run '^$' -bench PointQueries -cpu 1,2 -count 7 ./internal/algo
 func BenchmarkPointQueries(b *testing.B) {
@@ -107,8 +109,6 @@ func BenchmarkPointQueries(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	reach, _ := algo.FindRunner("reach")
-	landmarks, _ := algo.FindRunner("landmarks")
 	for _, in := range []struct {
 		name string
 		g    *graph.Graph
@@ -129,32 +129,37 @@ func BenchmarkPointQueries(b *testing.B) {
 			}
 			return ts
 		}
+		// Each query returns the level arrays it held at once.
+		search := func(k int) func(i int) (int, error) {
+			return func(i int) (int, error) {
+				_, held, err := algo.DistancesHeld(ctx, g, source(i), targets(i, k), core.Options{})
+				return held, err
+			}
+		}
 		queries := []struct {
 			name string
-			run  func(i int) error
+			run  func(i int) (int, error)
 		}{
-			{"bfs-levels", func(i int) error { _, err := algo.BFSLevelsCtx(ctx, g, source(i), core.Options{}); return err }},
-			{"reach", func(i int) error {
-				_, err := reach.Run(ctx, g, algo.Params{Source: source(i), Target: targets(i, 1)[0]})
-				return err
+			{"bfs-levels", func(i int) (int, error) {
+				_, err := algo.BFSLevelsCtx(ctx, g, source(i), core.Options{})
+				return 1, err
 			}},
-			{"landmarks-4", func(i int) error {
-				_, err := landmarks.Run(ctx, g, algo.Params{Source: source(i), Landmarks: targets(i, 4)})
-				return err
-			}},
-			{"landmarks-64", func(i int) error {
-				_, err := landmarks.Run(ctx, g, algo.Params{Source: source(i), Landmarks: targets(i, algo.MaxLandmarks)})
-				return err
-			}},
+			{"reach", search(1)},
+			{"landmarks-4", search(4)},
+			{"landmarks-64", search(algo.MaxLandmarks)},
 		}
 		for _, q := range queries {
 			b.Run(in.name+"/"+q.name, func(b *testing.B) {
 				b.ReportAllocs()
+				most := 0
 				for i := range b.N {
-					if err := q.run(i); err != nil {
+					held, err := q.run(i)
+					if err != nil {
 						b.Fatal(err)
 					}
+					most = max(most, held)
 				}
+				b.ReportMetric(float64(most*4)*float64(n), "levels-B")
 			})
 		}
 	}

@@ -30,10 +30,21 @@ import (
 // proves its target unreachable, and so does the source side's for every
 // open target.
 //
+// At most maxTargetSides target sides hold level arrays at once, and a
+// side answered returns its array at once; an open target past the bound
+// waits for a side to close, or for the source side to reach it.
+//
 // On interruption it returns a *RoundError whose Round counts the rounds
 // both sides completed; each distance it holds is exact and every target
 // it had not answered reads -1.
 func distancesCtx(ctx context.Context, g graph.View, source uint32, targets []uint32, opts core.Options) ([]int32, error) {
+	dist, _, err := distances(ctx, g, source, targets, opts)
+	return dist, err
+}
+
+// distances is distancesCtx that also returns the most level arrays the
+// search held at once.
+func distances(ctx context.Context, g graph.View, source uint32, targets []uint32, opts core.Options) ([]int32, int, error) {
 	n := g.NumVertices()
 	dist := make([]int32, len(targets))
 	var sides []*searchSide
@@ -51,11 +62,11 @@ func distancesCtx(ctx context.Context, g graph.View, source uint32, targets []ui
 	}
 
 	if err := parallel.CtxErr(ctx); err != nil {
-		return dist, roundErr("distances", 0, err)
+		return dist, 0, roundErr("distances", 0, err)
 	}
 	open := slices.Clone(sides)
 	if len(open) == 0 {
-		return dist, nil
+		return dist, 0, nil
 	}
 
 	src := &searchSide{root: source, frontier: core.NewSingle(n, source)}
@@ -65,38 +76,53 @@ func distancesCtx(ctx context.Context, g graph.View, source uint32, targets []ui
 			s.release(ctx)
 		}
 	}()
+	// held counts the level arrays out of levelPool: the source side's
+	// and those of the target sides that have started and stay open.
+	held, peak := 1, 1
 	if err := src.start(ctx, n, nil); err != nil {
-		return dist, roundErr("distances", 0, err)
+		return dist, peak, roundErr("distances", 0, err)
+	}
+	// finish answers side t and returns its levels.
+	finish := func(t *searchSide, met bool) {
+		t.answer(dist, met, src.depth)
+		if t.levels != nil {
+			t.release(ctx)
+			held--
+		}
 	}
 
 	gT := TransposeView(g)
 	opts.DenseEarlyExit = true
 	rounds := 0
 	for len(open) > 0 {
-		t := open[0]
-		for _, s := range open[1:] {
-			if s.frontier.Size() < t.frontier.Size() {
+		// The target side weighed against the source side: the smallest
+		// frontier among the open sides that hold levels or may start.
+		var t *searchSide
+		for _, s := range open {
+			if (s.levels != nil || held <= maxTargetSides) && (t == nil || s.frontier.Size() < t.frontier.Size()) {
 				t = s
 			}
 		}
-		if src.frontier.Size() > len(open)*t.frontier.Size() {
+		if t != nil && src.frontier.Size() > len(open)*t.frontier.Size() {
 			if t.levels == nil {
+				held++
+				peak = max(peak, held)
 				if err := t.start(ctx, n, src.levels); err != nil {
-					return dist, roundErr("distances", rounds, err)
+					return dist, peak, roundErr("distances", rounds, err)
 				}
 			}
 			if err := t.expand(ctx, gT, opts); err != nil {
-				return dist, roundErr("distances", rounds, err)
+				return dist, peak, roundErr("distances", rounds, err)
 			}
 			rounds++
 			if t.met.Load() || t.frontier.IsEmpty() {
-				t.answer(dist, t.met.Load(), src.depth)
+				finish(t, t.met.Load())
 				open = slices.DeleteFunc(open, func(s *searchSide) bool { return s == t })
 			}
 			continue
 		}
 		if err := src.expand(ctx, g, opts); err != nil {
-			return dist, roundErr("distances", rounds, err)
+			return dist, peak, roundErr("distances", rounds, err)
 		}
 		rounds++
 		if src.frontier.IsEmpty() {
@@ -108,13 +134,18 @@ func distancesCtx(ctx context.Context, g graph.View, source uint32, targets []ui
 		open = slices.DeleteFunc(open, func(t *searchSide) bool {
 			met := t.reaches(src.levels)
 			if met {
-				t.answer(dist, true, src.depth)
+				finish(t, true)
 			}
 			return met
 		})
 	}
-	return dist, nil
+	return dist, peak, nil
 }
+
+// maxTargetSides bounds the target sides that hold level arrays at once,
+// so a search holds at most 1 + maxTargetSides arrays of n levels where
+// BFSLevels holds one.
+const maxTargetSides = 4
 
 // searchSide is one end of distancesCtx's search: the frontier of the
 // vertices at depth from root, and levels, which holds every vertex the
@@ -131,8 +162,9 @@ type searchSide struct {
 	met atomic.Bool
 	// answers are the indices of the targets this side answers.
 	answers []int
-	// reached holds every frontier the side has had, and claimed their
-	// total size: the vertices levels has set. dirty marks a round that
+	// claimed counts the vertices levels has set, and reached holds the
+	// frontiers that set them while they are few enough for release to
+	// reset one by one (nil after). dirty marks a round that
 	// stopped part way, whose claims no frontier records.
 	reached []*core.VertexSubset
 	claimed int
@@ -164,8 +196,11 @@ func (s *searchSide) expand(ctx context.Context, g graph.View, opts core.Options
 		return err
 	}
 	s.frontier = next
-	s.reached = append(s.reached, next)
 	s.claimed += next.Size()
+	s.reached = append(s.reached, next)
+	if s.wholeReset() {
+		s.reached = nil // release fills the levels whole
+	}
 	return nil
 }
 
@@ -193,20 +228,29 @@ func (s *searchSide) answer(dist []int32, met bool, srcDepth int32) {
 
 // release resets the side's levels to -1 and returns them to levelPool:
 // vertex by vertex over the frontiers when the side reached few, whole
-// otherwise. Levels a stopped round left dirty are dropped.
+// otherwise. Levels a stopped round left dirty are dropped. The side
+// holds no levels after.
 func (s *searchSide) release(ctx context.Context) {
-	if s.levels == nil || s.dirty {
+	levels, reached, whole := s.levels, s.reached, s.wholeReset()
+	s.levels, s.reached = nil, nil
+	if levels == nil || s.dirty {
 		return
 	}
-	if s.claimed > len(s.levels)/resetWhole {
-		_ = fill(detached(ctx), s.levels, -1)
+	if whole {
+		_ = fill(detached(ctx), levels, -1)
 	} else {
-		for _, f := range s.reached {
-			f.ForEachSeq(func(v uint32) { s.levels[v] = -1 })
+		for _, f := range reached {
+			f.ForEachSeq(func(v uint32) { levels[v] = -1 })
 		}
 	}
-	full := s.levels[:cap(s.levels)]
+	full := levels[:cap(levels)]
 	levelPool.Put(&full)
+}
+
+// wholeReset reports whether the side has reached so many vertices that
+// release refills its levels whole.
+func (s *searchSide) wholeReset() bool {
+	return s.claimed > len(s.levels)/resetWhole
 }
 
 // resetWhole is the share of the vertices (one in resetWhole) past which

@@ -139,6 +139,29 @@ func TestDistancesMatchLevels(t *testing.T) {
 	}
 }
 
+// TestDistancesHoldFewLevels: however many landmarks a query names, the
+// search holds at most five level arrays of n at once, one for the
+// source side and four for target sides, and 64 landmarks do start
+// target sides.
+func TestDistancesHoldFewLevels(t *testing.T) {
+	const bound = 5
+	ctx := context.Background()
+	for gname, g := range distanceGraphs(t) {
+		for _, q := range pointQueries(g) {
+			_, held, err := algo.DistancesHeld(ctx, g, q.source, q.targets, core.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", gname, q.name, err)
+			}
+			if held > bound {
+				t.Errorf("%s/%s: held %d level arrays at once, want at most %d", gname, q.name, held, bound)
+			}
+			if q.name == "landmarks-64" && held < 2 && gname != "er-sparse" {
+				t.Errorf("%s/%s: held %d level arrays, want a target side started", gname, q.name, held)
+			}
+		}
+	}
+}
+
 // TestDistancesCancelled: a ctx cancelled on entry, and one cancelled
 // before each round of a search in turn, return a *RoundError counting
 // the rounds both sides completed; each distance answered is exact and

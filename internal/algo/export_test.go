@@ -12,3 +12,7 @@ var BellmanFordBlocks = bellmanFord
 // Distances is the point-query search behind the reach and landmarks
 // rows.
 var Distances = distancesCtx
+
+// DistancesHeld is Distances that also returns the most level arrays the
+// search held at once.
+var DistancesHeld = distances

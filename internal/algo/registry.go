@@ -190,10 +190,8 @@ type Runner struct {
 	// store can carry forward; it reports whether rf carried it.
 	refresh func(ctx context.Context, rf Refresher, p Params) (RunResult, bool, error)
 	// fromSweep, when set, lets the algorithm's queries share a
-	// ClusterBFS sweep: it reads source i's answer from the sweep, which
-	// recorded every level at probes(p).
+	// ClusterBFS sweep: it reads source i's answer from the sweep.
 	fromSweep func(res *ClusterBFSResult, i int, p Params) RunResult
-	probes    func(p Params) []uint32
 }
 
 type runFunc func(ctx context.Context, g graph.View, p Params) (RunResult, error)
@@ -279,43 +277,17 @@ func (r Runner) reply(res RunResult) RunResult {
 	return res
 }
 
-// MaxLandmarks bounds the landmark list: each landmark is a probe row
-// carried through the whole sweep, and 64 matches the source budget.
+// MaxLandmarks bounds the landmark list, and with it a query's cost: each
+// landmark the source side has not reached may grow a search of its own.
 const MaxLandmarks = 64
 
 // Sweeps reports whether queries of r can share a ClusterBFS sweep.
 func (r Runner) Sweeps() bool { return r.fromSweep != nil }
 
-// Probes returns the vertices whose per-source levels a query of r needs
-// recorded during the sweep (nil when aggregates suffice).
-func (r Runner) Probes(p Params) []uint32 {
-	if r.probes == nil {
-		return nil
-	}
-	return r.probes(p)
-}
-
 // FromSweep reads source i's answer from a sweep of r's as Run replies
 // it, so a batched caller cannot tell it shared a sweep.
 func (r Runner) FromSweep(res *ClusterBFSResult, i int, p Params) RunResult {
 	return r.reply(r.fromSweep(res, i, p))
-}
-
-// landmarksReply is the landmarks reply for the distances to
-// p.Landmarks, in order, -1 where unreachable.
-func landmarksReply(p Params, dists []int32) RunResult {
-	out := make([]int64, len(dists))
-	reachable := 0
-	for j, d := range dists {
-		out[j] = int64(d)
-		if d >= 0 {
-			reachable++
-		}
-	}
-	return RunResult{
-		Summary: fmt.Sprintf("Landmarks from %d: %d/%d reachable", p.Source, reachable, len(dists)),
-		Details: map[string]any{"source": p.Source, "landmarks": len(dists), "reachable": reachable, "distances": out},
-	}
 }
 
 // Runners returns the dispatch table in presentation order.
@@ -407,15 +379,18 @@ var runners = []Runner{
 		},
 		run: func(ctx context.Context, g graph.View, p Params) (RunResult, error) {
 			dists, err := distancesCtx(ctx, g, p.Source, p.Landmarks, p.EdgeMapOptions())
-			return landmarksReply(p, dists), err
-		},
-		probes: func(p Params) []uint32 { return p.Landmarks },
-		fromSweep: func(res *ClusterBFSResult, i int, p Params) RunResult {
-			dists := make([]int32, len(p.Landmarks))
-			for j, l := range p.Landmarks {
-				dists[j] = res.LevelTo(i, l)
+			out := make([]int64, len(dists))
+			reachable := 0
+			for j, d := range dists {
+				out[j] = int64(d)
+				if d >= 0 {
+					reachable++
+				}
 			}
-			return landmarksReply(p, dists)
+			return RunResult{
+				Summary: fmt.Sprintf("Landmarks from %d: %d/%d reachable", p.Source, reachable, len(dists)),
+				Details: map[string]any{"source": p.Source, "landmarks": len(dists), "reachable": reachable, "distances": out},
+			}, err
 		},
 	},
 	{

@@ -21,9 +21,9 @@ import (
 // subsystem (the acceptance bar is >=4x fewer edges at K=32 on rMat).
 // The K list straddles the point where the sweep starts to pay: the two
 // rows that bracket it are the evidence for batch.SweepCrossover. The
-// reach rows then time K plain reach queries, each a search from both
-// ends, against one sweep that records every target as a probe: the
-// evidence that a reach never rides a sweep.
+// point-query rows then time K plain reach and landmarks queries, each a
+// search from both ends, against one sweep that records every target as
+// a probe: the evidence that neither rides a sweep.
 func Batch(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	in, err := FindInput(suite, "rMat")
@@ -92,53 +92,69 @@ func Batch(cfg Config) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	return batchReach(cfg, g)
+	return batchPoint(cfg, g)
 }
 
-// batchReach is Batch's reach table: K plain reach runs against one
-// ClusterBFS sweep with the K targets as probes.
-func batchReach(cfg Config, g graph.View) error {
+// batchPoint is Batch's point-query table: for reach and for landmarks
+// lists of 4 and of MaxLandmarks, K plain runs of the query against one
+// ClusterBFS sweep from the K sources that records every query's targets
+// as probes, the sweep the collector would run for them.
+func batchPoint(cfg Config, g graph.View) error {
 	n := g.NumVertices()
 	ctx := context.Background()
-	reach, _ := algo.FindRunner("reach")
-	fmt.Fprintln(cfg.Out, "  reach: plain = K reach runs (a search from both ends); batched = one sweep probing the K targets")
+	fmt.Fprintln(cfg.Out, "  point queries: plain = K runs (each a search from both ends); batched = one sweep probing every query's targets")
 	w := cfg.tab()
-	fmt.Fprintln(w, "K\tplain\tbatched\tspeedup")
-	for _, k := range []int{12, 64} {
-		if cfg.budgetExhausted(w) {
-			break
-		}
-		if k >= n {
-			fmt.Fprintf(w, "%d\t[skipped: graph has only %d vertices]\n", k, n)
-			continue
-		}
-		// Sources spread as above; targets scattered by a
-		// multiplicative hash, as a client's would be.
-		params := make([]algo.Params, k)
-		sources, targets := make([]uint32, k), make([]uint32, k)
-		for i := range params {
-			sources[i] = uint32(i * (n - 1) / k)
-			targets[i] = uint32(uint64(i+1) * 2654435761 % uint64(n))
-			params[i] = algo.Params{Source: sources[i], Target: targets[i]}
-		}
-		plain := func() {
-			for _, p := range params {
-				if _, err := reach.Run(ctx, g, p); err != nil {
-					panic(fmt.Errorf("batch bench reach: %w", err))
+	fmt.Fprintln(w, "query\tK\tplain\tbatched\tspeedup")
+	for _, q := range []struct {
+		name    string
+		algo    string
+		targets int
+	}{{"reach", "reach", 1}, {"landmarks4", "landmarks", 4}, {"landmarks64", "landmarks", algo.MaxLandmarks}} {
+		r, _ := algo.FindRunner(q.algo)
+		for _, k := range []int{12, 64} {
+			if cfg.budgetExhausted(w) {
+				break
+			}
+			if k >= n {
+				fmt.Fprintf(w, "%s\t%d\t[skipped: graph has only %d vertices]\n", q.name, k, n)
+				continue
+			}
+			// Sources spread as above; targets scattered by a
+			// multiplicative hash, as a client's would be.
+			params := make([]algo.Params, k)
+			sources := make([]uint32, k)
+			var probes []uint32
+			for i := range params {
+				sources[i] = uint32(i * (n - 1) / k)
+				targets := make([]uint32, q.targets)
+				for j := range targets {
+					targets[j] = uint32(uint64(i*q.targets+j+1) * 2654435761 % uint64(n))
+				}
+				probes = append(probes, targets...)
+				params[i] = algo.Params{Source: sources[i], Target: targets[0]}
+				if q.algo == "landmarks" {
+					params[i].Landmarks = targets
 				}
 			}
-		}
-		batched := func() {
-			if _, err := algo.ClusterBFSCtx(ctx, g, sources, algo.ClusterBFSOptions{Probes: targets}); err != nil {
-				panic(fmt.Errorf("batch bench reach sweep: %w", err))
+			plain := func() {
+				for _, p := range params {
+					if _, err := r.Run(ctx, g, p); err != nil {
+						panic(fmt.Errorf("batch bench %s: %w", q.name, err))
+					}
+				}
 			}
+			batched := func() {
+				if _, err := algo.ClusterBFSCtx(ctx, g, sources, algo.ClusterBFSOptions{Probes: probes}); err != nil {
+					panic(fmt.Errorf("batch bench %s sweep: %w", q.name, err))
+				}
+			}
+			tp := Measure(cfg.rounds(), plain)
+			tb := Measure(cfg.rounds(), batched)
+			fmt.Fprintf(w, "%s\t%d\t%.4f\t%.4f\t%.2fx\n", q.name, k, tp.Median.Seconds(), tb.Median.Seconds(),
+				tp.Median.Seconds()/tb.Median.Seconds())
+			cfg.record(fmt.Sprintf("batch/%s-k%d-plain", q.name, k), tp.Median.Seconds())
+			cfg.record(fmt.Sprintf("batch/%s-k%d-batched", q.name, k), tb.Median.Seconds())
 		}
-		tp := Measure(cfg.rounds(), plain)
-		tb := Measure(cfg.rounds(), batched)
-		fmt.Fprintf(w, "%d\t%.4f\t%.4f\t%.2fx\n", k, tp.Median.Seconds(), tb.Median.Seconds(),
-			tp.Median.Seconds()/tb.Median.Seconds())
-		cfg.record(fmt.Sprintf("batch/reach-k%d-plain", k), tp.Median.Seconds())
-		cfg.record(fmt.Sprintf("batch/reach-k%d-batched", k), tb.Median.Seconds())
 	}
 	return w.Flush()
 }

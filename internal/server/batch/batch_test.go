@@ -557,8 +557,7 @@ func TestBatchingOff(t *testing.T) {
 }
 
 // TestClusterRunEndToEnd: the standard sweep through the collector
-// answers mixed bfs/landmarks queries with the values, packed, the plain
-// runners give.
+// answers bfs queries with the values, packed, the plain runner gives.
 func TestClusterRunEndToEnd(t *testing.T) {
 	g, err := gen.RMAT(9, 8, gen.PBBSRMAT, 1)
 	if err != nil {
@@ -570,12 +569,6 @@ func TestClusterRunEndToEnd(t *testing.T) {
 	var reqs []Request
 	for i := uint32(0); i < SweepCrossover+2; i++ {
 		name, p := "bfs", algo.Params{Source: i * 37 % n}
-		switch i % 3 {
-		case 1:
-			name, p.Landmarks = "landmarks", []uint32{(n/2 + i) % n}
-		case 2:
-			name, p.Landmarks = "landmarks", []uint32{0, (n/3 + i) % n, n - 2, 0}
-		}
 		reqs = append(reqs, Request{
 			Key:    engine.Key{Graph: "g", Generation: 1, Algo: name, Params: p.Canonical()},
 			Runner: runner(name),

@@ -121,8 +121,8 @@ func answerBytes(t *testing.T, body map[string]any) string {
 
 // TestBatchedQueriesOverHTTP proves the wire contract of the batch
 // collector over every graph representation (heap / compressed / mmap /
-// delta snapshot): at the sweep crossover concurrent bfs / landmarks
-// queries share ONE sweep (batched:true, one batch_size) while the reach
+// delta snapshot): at the sweep crossover concurrent bfs queries share
+// ONE sweep (batched:true, one batch_size) while the reach and landmarks
 // queries fired with them run plain, below it the same queries run plain
 // (no batched field), and the swept reply, the plain reply, a
 // batching-disabled server's reply and the internal/seq oracle all agree
@@ -173,11 +173,11 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 		{"algo": "landmarks", "source": source, "landmarks": []int{0, 9, 9, unreachable, 0}}, // duplicates
 		{"algo": "landmarks", "source": source, "landmarks": []int{source}},
 	}
-	const reaches = 3 // a reach never rides a sweep
-	for i := uint32(0); len(queries)-reaches < batch.SweepCrossover+2; i++ {
+	const points = 5 // a reach or landmarks query never rides a sweep
+	for i := uint32(0); len(queries)-points < batch.SweepCrossover+2; i++ {
 		queries = append(queries, map[string]any{"algo": "bfs", "source": (i*131 + 2) % n})
 	}
-	swept := len(queries) - reaches
+	swept := len(queries) - points
 
 	for name := range views {
 		url := batched.URL + "/v1/graphs/" + name + "/query"
@@ -188,9 +188,9 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 			if burst[i].status != http.StatusOK {
 				t.Fatalf("%s: burst query %v: status %d, body %v", name, q, burst[i].status, burst[i].body)
 			}
-			if q["algo"] == "reach" {
+			if q["algo"] != "bfs" {
 				if burst[i].body["batched"] != nil || burst[i].body["batch_size"] != nil {
-					t.Errorf("%s: reach %v rode a sweep: %v", name, q, burst[i].body)
+					t.Errorf("%s: %v rode a sweep: %v", name, q, burst[i].body)
 				}
 			} else if burst[i].body["batched"] != true || burst[i].body["batch_size"] != float64(swept) {
 				t.Errorf("%s: query %v not answered by the one sweep: %v", name, q, burst[i].body)
