@@ -102,7 +102,7 @@ func Batch(cfg Config) error {
 func batchPoint(cfg Config, g graph.View) error {
 	n := g.NumVertices()
 	ctx := context.Background()
-	fmt.Fprintln(cfg.Out, "  point queries: plain = K runs (each a search from both ends); batched = one sweep probing every query's targets")
+	fmt.Fprintln(cfg.Out, "  point queries (milliseconds): plain = K runs (each a search from both ends); batched = one sweep probing every query's targets")
 	w := cfg.tab()
 	fmt.Fprintln(w, "query\tK\tplain\tbatched\tspeedup")
 	for _, q := range []struct {
@@ -150,7 +150,7 @@ func batchPoint(cfg Config, g graph.View) error {
 			}
 			tp := Measure(cfg.rounds(), plain)
 			tb := Measure(cfg.rounds(), batched)
-			fmt.Fprintf(w, "%s\t%d\t%.4f\t%.4f\t%.2fx\n", q.name, k, tp.Median.Seconds(), tb.Median.Seconds(),
+			fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%.2fx\n", q.name, k, tp.Median.Seconds()*1e3, tb.Median.Seconds()*1e3,
 				tp.Median.Seconds()/tb.Median.Seconds())
 			cfg.record(fmt.Sprintf("batch/%s-k%d-plain", q.name, k), tp.Median.Seconds())
 			cfg.record(fmt.Sprintf("batch/%s-k%d-batched", q.name, k), tb.Median.Seconds())

@@ -1,5 +1,5 @@
-// Package batch decides how a batchable query (bfs, landmarks — any
-// whose runner row Sweeps) executes. Below the measured crossover it is
+// Package batch decides how a batchable query (bfs: any query whose
+// runner row Sweeps) executes. Below the measured crossover it is
 // the plain runner through engine.Execute, exactly like every other
 // algorithm; at or above it, up to 64 queries against the same (graph,
 // generation, traversal shape) each contribute one source bit to a shared
@@ -71,8 +71,8 @@ type Request struct {
 }
 
 // shape groups queries that may share a sweep: same graph, generation,
-// and edgeMap strategy. The algorithm name is NOT part of the shape — a
-// bfs and a landmarks query can ride the same traversal.
+// and edgeMap strategy. The algorithm name is NOT part of the shape: any
+// row that Sweeps reads its answer off the same traversal.
 type shape struct {
 	graph      string
 	generation uint64

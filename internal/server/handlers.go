@@ -435,8 +435,8 @@ func bindParams(runner algo.Runner, g graph.View, defaultSource uint32, req quer
 	}
 	// The runner's checks run before the cache, the batch collector and
 	// the refreshers: a directed graph must not reach Pin.RefreshCC, a
-	// landmark out of range must not be read off a sweep as
-	// "unreachable", and "spmv" is refused where it never was accepted.
+	// target or landmark out of range must not start a search, and
+	// "spmv" is refused where it never was accepted.
 	return p, runner.Validate(g, p)
 }
 
@@ -509,7 +509,7 @@ func (s *Server) execute(ctx context.Context, q *query) (engine.Value, batch.Inf
 	s.metrics.InFlight.Add(1)
 	g := q.pin.View()
 	// The plain runner, one closure for every algorithm; the collector
-	// decides whether a batchable query (bfs, landmarks) runs it or
+	// decides whether a batchable query (bfs) runs it or
 	// rides a shared sweep, and hands everything else straight to the engine.
 	// runCtx carries the governor lease as its worker cap, which bounds
 	// every pass of whatever runs under it.

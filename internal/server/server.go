@@ -38,9 +38,9 @@ type Config struct {
 	// the parallelism governor; 0 selects GOMAXPROCS (a lone query still
 	// uses the whole machine; concurrent queries share it).
 	MaxQueryProcs int
-	// BatchWindow bounds how long a queued batchable query (bfs or
-	// landmarks — queued only once its shape's concurrency reaches the
-	// sweep crossover) waits for a shared ClusterBFS sweep before it runs
+	// BatchWindow bounds how long a queued batchable query (bfs —
+	// queued only once its shape's concurrency reaches the sweep
+	// crossover) waits for a shared ClusterBFS sweep before it runs
 	// plain; 0 selects 2ms; negative disables batching entirely.
 	BatchWindow time.Duration
 	// BatchMax caps the query slots per shared sweep; 0 selects 64,
